@@ -334,18 +334,24 @@ func isWriteStmt(s target.Stmt) bool {
 
 // stmtWritesLocal reports whether a target statement (re)defines the local.
 func stmtWritesLocal(s target.Stmt, id ir.LocalID) bool {
+	l, ok := stmtDst(s)
+	return ok && l == id
+}
+
+// stmtDst returns the local a target statement (re)defines, if any.
+func stmtDst(s target.Stmt) (ir.LocalID, bool) {
 	switch s := s.(type) {
 	case *target.Wrap:
 		switch w := s.S.(type) {
 		case *ir.Assign:
-			return w.Dst == id
+			return w.Dst, true
 		case *ir.SetElem:
-			return w.Arr == id
+			return w.Arr, true
 		}
 	case *target.Get:
-		return s.Dst == id
+		return s.Dst, true
 	}
-	return false
+	return 0, false
 }
 
 // blocksMotion reports whether the sync for access a (a get into dst when

@@ -34,6 +34,7 @@ import (
 func (g *Generator) hoistLoopInvariantGets() {
 	dom := ir.BuildDom(g.fn) // target blocks mirror IR block IDs
 	blocks := g.prog.Blocks
+	sites := g.indexLocalSites()
 
 	// Find natural loops: back edge P -> H with H dominating P.
 	type loop struct {
@@ -46,7 +47,7 @@ func (g *Generator) hoistLoopInvariantGets() {
 		for _, s := range b.Succs() {
 			h := s.ID
 			if dom.Dominates(h, b.ID) {
-				loops = append(loops, loop{head: h, latch: b.ID, body: naturalLoop(blocks, h, b.ID)})
+				loops = append(loops, loop{head: h, latch: b.ID, body: naturalLoop(sites.preds, h, b.ID)})
 			}
 		}
 	}
@@ -59,31 +60,113 @@ func (g *Generator) hoistLoopInvariantGets() {
 		// loop. The IR builder always produces one.
 		var pre *target.Block
 		count := 0
-		for _, b := range blocks {
-			for _, s := range b.Succs() {
-				if s.ID == lp.head && !lp.body[b.ID] {
-					pre = b
-					count++
+		for _, p := range sites.preds[lp.head] {
+			if !lp.body[p] {
+				pre = blocks[p]
+				count++
+			}
+		}
+		if count != 1 {
+			continue
+		}
+		g.hoistFromLoop(lp.body, lp.latch, pre, dom, sites)
+	}
+}
+
+// localSites is what one LICM pass needs to know about the program outside
+// the loop at hand, collected once: block predecessors and, per local, the
+// statements that write it and the blocks that read it. Hoisting a get
+// moves its entries with it (moveGet).
+type localSites struct {
+	preds [][]int
+	defs  [][]defSite // by local: the statements writing it
+	uses  [][]int     // by local: one block ID per reading statement or terminator
+}
+
+type defSite struct {
+	blk int
+	s   target.Stmt
+}
+
+func (g *Generator) indexLocalSites() *localSites {
+	blocks := g.prog.Blocks
+	nl := len(g.fn.Locals)
+	x := &localSites{preds: make([][]int, len(blocks)), defs: make([][]defSite, nl), uses: make([][]int, nl)}
+	var buf []ir.LocalID
+	for _, b := range blocks {
+		for _, s := range b.Succs() {
+			x.preds[s.ID] = append(x.preds[s.ID], b.ID)
+		}
+		for _, s := range b.Stmts {
+			if l, ok := stmtDst(s); ok {
+				x.defs[l] = append(x.defs[l], defSite{b.ID, s})
+			}
+			buf = stmtLocals(s, buf[:0])
+			for _, l := range buf {
+				x.uses[l] = append(x.uses[l], b.ID)
+			}
+		}
+		if br, ok := b.Term.(*target.Branch); ok {
+			buf = ir.ExprLocals(br.Cond, buf[:0])
+			for _, l := range buf {
+				x.uses[l] = append(x.uses[l], b.ID)
+			}
+		}
+	}
+	return x
+}
+
+// moveGet re-homes a hoisted get's definition and address reads.
+func (x *localSites) moveGet(get *target.Get, from, to int) {
+	for i := range x.defs[get.Dst] {
+		if x.defs[get.Dst][i].s == target.Stmt(get) {
+			x.defs[get.Dst][i].blk = to
+		}
+	}
+	for _, l := range stmtLocals(get, nil) {
+		for i, b := range x.uses[l] {
+			if b == from {
+				x.uses[l][i] = to
+				break
+			}
+		}
+	}
+}
+
+// stmtLocals appends the locals a target statement reads, once per
+// occurrence: the enumerating form of stmtUsesLocal.
+func stmtLocals(s target.Stmt, out []ir.LocalID) []ir.LocalID {
+	if acc := accessOfTarget(s); acc != nil && acc.Index != nil {
+		out = ir.ExprLocals(acc.Index, out)
+	}
+	switch s := s.(type) {
+	case *target.Put:
+		out = ir.ExprLocals(s.Src, out)
+	case *target.Store:
+		out = ir.ExprLocals(s.Src, out)
+	case *target.Wrap:
+		switch w := s.S.(type) {
+		case *ir.Assign:
+			out = ir.ExprLocals(w.Src, out)
+		case *ir.SetElem:
+			out = append(out, w.Arr)
+			out = ir.ExprLocals(w.Index, out)
+			out = ir.ExprLocals(w.Src, out)
+		case *ir.Print:
+			for _, a := range w.Args {
+				if !a.IsStr {
+					out = ir.ExprLocals(a.E, out)
 				}
 			}
 		}
-		if pre == nil || count != 1 {
-			continue
-		}
-		g.hoistFromLoop(lp.body, lp.latch, pre, dom)
 	}
+	return out
 }
 
 // naturalLoop collects the blocks of the natural loop of back edge
 // latch -> head: head plus all blocks that reach latch without passing
 // through head.
-func naturalLoop(blocks []*target.Block, head, latch int) map[int]bool {
-	preds := make([][]int, len(blocks))
-	for _, b := range blocks {
-		for _, s := range b.Succs() {
-			preds[s.ID] = append(preds[s.ID], b.ID)
-		}
-	}
+func naturalLoop(preds [][]int, head, latch int) map[int]bool {
 	body := map[int]bool{head: true, latch: true}
 	stack := []int{latch}
 	for len(stack) > 0 {
@@ -100,15 +183,15 @@ func naturalLoop(blocks []*target.Block, head, latch int) map[int]bool {
 }
 
 // hoistFromLoop moves eligible gets from the loop body to the preheader.
-func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Block, dom *ir.DomTree) {
+func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Block, dom *ir.DomTree, sites *localSites) {
 	fn := g.fn
 	// Collect the loop's kill facts in one pass.
 	localsWritten := map[ir.LocalID]bool{}
 	var writes []*ir.Access
+	var accs []int // every access in the loop, for the delay check
 	hasAcquire := false
 	type getSite struct {
 		blk *target.Block
-		idx int
 		st  *target.Get
 	}
 	var gets []getSite
@@ -116,11 +199,14 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 		if !body[b.ID] {
 			continue
 		}
-		for i, s := range b.Stmts {
+		for _, s := range b.Stmts {
+			if x := accessOfTarget(s); x != nil {
+				accs = append(accs, x.ID)
+			}
 			switch s := s.(type) {
 			case *target.Get:
 				localsWritten[s.Dst] = true // provisional; refined below
-				gets = append(gets, getSite{b, i, s})
+				gets = append(gets, getSite{b, s})
 			case *target.Put:
 				writes = append(writes, s.Acc)
 			case *target.Store:
@@ -164,7 +250,7 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 		}
 		// Destination written only by this get inside the loop, and not
 		// used outside the loop (zero-trip safety).
-		if g.dstWrittenElsewhere(body, get) || g.localUsedOutside(body, get.Dst) {
+		if sites.dstWrittenElsewhere(body, get) || sites.localUsedOutside(body, get.Dst) {
 			continue
 		}
 		// No may-aliasing write in the loop.
@@ -181,40 +267,36 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 		// No delay edge orders a loop access before this get: hoisting
 		// must not initiate the get ahead of a completion it waits on.
 		delayed := false
-		for _, b := range g.prog.Blocks {
-			if !body[b.ID] {
-				continue
-			}
-			for _, s := range b.Stmts {
-				if x := accessOfTarget(s); x != nil && g.opts.Delays.Has(x.ID, get.Acc.ID) {
-					delayed = true
-				}
+		for _, x := range accs {
+			if g.opts.Delays.Has(x, get.Acc.ID) {
+				delayed = true
+				break
 			}
 		}
 		if delayed {
 			continue
 		}
-		// Hoist: remove from the body block, append to the preheader.
+		// Hoist: remove from the body block, append to the preheader. The
+		// get's access leaves the loop with it.
 		site.blk.Stmts = removeStmt(site.blk.Stmts, get)
 		pre.Stmts = append(pre.Stmts, get)
+		sites.moveGet(get, site.blk.ID, pre.ID)
+		for i, x := range accs {
+			if x == get.Acc.ID {
+				accs = append(accs[:i], accs[i+1:]...)
+				break
+			}
+		}
 		g.stats.GetsHoistedLICM++
 	}
 }
 
 // dstWrittenElsewhere reports whether the get's destination is defined by
 // any other statement inside the loop.
-func (g *Generator) dstWrittenElsewhere(body map[int]bool, get *target.Get) bool {
-	for _, b := range g.prog.Blocks {
-		if !body[b.ID] {
-			continue
-		}
-		for _, s := range b.Stmts {
-			if s == target.Stmt(get) {
-				continue
-			}
-			if stmtWritesLocal(s, get.Dst) {
-				return true
-			}
+func (x *localSites) dstWrittenElsewhere(body map[int]bool, get *target.Get) bool {
+	for _, d := range x.defs[get.Dst] {
+		if body[d.blk] && d.s != target.Stmt(get) {
+			return true
 		}
 	}
 	return false
@@ -222,17 +304,9 @@ func (g *Generator) dstWrittenElsewhere(body map[int]bool, get *target.Get) bool
 
 // localUsedOutside reports whether the local is read by any statement or
 // terminator outside the loop.
-func (g *Generator) localUsedOutside(body map[int]bool, id ir.LocalID) bool {
-	for _, b := range g.prog.Blocks {
-		if body[b.ID] {
-			continue
-		}
-		for _, s := range b.Stmts {
-			if stmtUsesLocal(s, id) {
-				return true
-			}
-		}
-		if br, ok := b.Term.(*target.Branch); ok && ir.ExprUsesLocal(br.Cond, id) {
+func (x *localSites) localUsedOutside(body map[int]bool, id ir.LocalID) bool {
+	for _, b := range x.uses[id] {
+		if !body[b] {
 			return true
 		}
 	}

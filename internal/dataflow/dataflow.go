@@ -1,73 +1,56 @@
-// Package dataflow provides the standard sequential analyses the paper's
+// Package dataflow provides the standard sequential analysis the paper's
 // code generator consumes ("the use-def graph for each processor's
 // variable access (obtained through standard sequential compiler
-// analysis)"): reaching definitions and live variables over the mid-level
-// IR, computed with a worklist algorithm over basic blocks.
+// analysis)"): live variables over the mid-level IR, solved on per-block
+// use/def bitsets with a predecessor worklist.
 package dataflow
 
 import (
+	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
-// DefID identifies one definition site: the i-th definition point in a
-// deterministic walk of the function.
-type DefID int
-
-// Def describes a definition site of a local.
-type Def struct {
-	ID    DefID
-	Local ir.LocalID
-	Blk   *ir.Block
-	Idx   int // statement index within Blk
-}
-
-// ReachingDefs is the result of reaching-definitions analysis.
-type ReachingDefs struct {
-	Fn   *ir.Fn
-	Defs []Def
-	// In[b] is the set of definitions reaching block b's entry.
-	In [][]bool
-	// defsOf[local] lists definition IDs of that local.
-	defsOf map[ir.LocalID][]DefID
-}
-
-// stmtDef returns the local defined by a statement, if any. SetElem
-// "defines" the whole array conservatively; Load defines its destination.
+// stmtDef returns the local a statement overwrites whole, if any. A
+// SetElem updates one element — the array's other elements survive — so it
+// defines nothing here; its array counts as a use instead (stmtUses).
 func stmtDef(s ir.Stmt) (ir.LocalID, bool) {
 	switch s := s.(type) {
 	case *ir.Assign:
 		return s.Dst, true
-	case *ir.SetElem:
-		return s.Arr, true
 	case *ir.Load:
 		return s.Dst, true
 	}
 	return 0, false
 }
 
+// accessIndex returns the index expression of the shared access a
+// statement performs, or nil.
+func accessIndex(s ir.Stmt) ir.Expr {
+	switch s := s.(type) {
+	case *ir.Load:
+		return s.Acc.Index
+	case *ir.Store:
+		return s.Acc.Index
+	case *ir.SyncOp:
+		return s.Acc.Index
+	}
+	return nil
+}
+
 // stmtUses appends the locals read by a statement.
 func stmtUses(s ir.Stmt, out []ir.LocalID) []ir.LocalID {
+	if idx := accessIndex(s); idx != nil {
+		out = ir.ExprLocals(idx, out)
+	}
 	switch s := s.(type) {
 	case *ir.Assign:
 		out = ir.ExprLocals(s.Src, out)
 	case *ir.SetElem:
-		// The array is also a use: other elements persist.
 		out = append(out, s.Arr)
 		out = ir.ExprLocals(s.Index, out)
 		out = ir.ExprLocals(s.Src, out)
-	case *ir.Load:
-		if s.Acc.Index != nil {
-			out = ir.ExprLocals(s.Acc.Index, out)
-		}
 	case *ir.Store:
 		out = ir.ExprLocals(s.Src, out)
-		if s.Acc.Index != nil {
-			out = ir.ExprLocals(s.Acc.Index, out)
-		}
-	case *ir.SyncOp:
-		if s.Acc.Index != nil {
-			out = ir.ExprLocals(s.Acc.Index, out)
-		}
 	case *ir.Print:
 		for _, a := range s.Args {
 			if !a.IsStr {
@@ -78,174 +61,113 @@ func stmtUses(s ir.Stmt, out []ir.LocalID) []ir.LocalID {
 	return out
 }
 
-// termUses appends the locals read by a terminator.
-func termUses(t ir.Term, out []ir.LocalID) []ir.LocalID {
-	if br, ok := t.(*ir.Branch); ok {
-		out = ir.ExprLocals(br.Cond, out)
+// stmtReads reports whether the statement reads the local: stmtUses for
+// one local, without building the list.
+func stmtReads(s ir.Stmt, l ir.LocalID) bool {
+	if idx := accessIndex(s); idx != nil && ir.ExprUsesLocal(idx, l) {
+		return true
 	}
-	return out
+	switch s := s.(type) {
+	case *ir.Assign:
+		return ir.ExprUsesLocal(s.Src, l)
+	case *ir.SetElem:
+		return s.Arr == l || ir.ExprUsesLocal(s.Index, l) || ir.ExprUsesLocal(s.Src, l)
+	case *ir.Store:
+		return ir.ExprUsesLocal(s.Src, l)
+	case *ir.Print:
+		for _, a := range s.Args {
+			if !a.IsStr && ir.ExprUsesLocal(a.E, l) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
-// ComputeReaching runs reaching-definitions to a fixpoint.
-func ComputeReaching(fn *ir.Fn) *ReachingDefs {
-	rd := &ReachingDefs{Fn: fn, defsOf: map[ir.LocalID][]DefID{}}
-	for _, b := range fn.Blocks {
-		for i, s := range b.Stmts {
-			if l, ok := stmtDef(s); ok {
-				id := DefID(len(rd.Defs))
-				rd.Defs = append(rd.Defs, Def{ID: id, Local: l, Blk: b, Idx: i})
-				rd.defsOf[l] = append(rd.defsOf[l], id)
-			}
-		}
-	}
-	n := len(rd.Defs)
-	nb := len(fn.Blocks)
-	rd.In = make([][]bool, nb)
-	out := make([][]bool, nb)
-	for i := range rd.In {
-		rd.In[i] = make([]bool, n)
-		out[i] = make([]bool, n)
-	}
-	// gen/kill per block. A SetElem does not kill (partial update).
-	gen := make([][]bool, nb)
-	kill := make([][]bool, nb)
-	for bi, b := range fn.Blocks {
-		gen[bi] = make([]bool, n)
-		kill[bi] = make([]bool, n)
-		for i, s := range b.Stmts {
-			l, ok := stmtDef(s)
-			if !ok {
-				continue
-			}
-			_, isSet := s.(*ir.SetElem)
-			if !isSet {
-				for _, d := range rd.defsOf[l] {
-					gen[bi][d] = false
-					kill[bi][d] = true
-				}
-			}
-			// The definition at (b, i) itself.
-			for _, d := range rd.defsOf[l] {
-				if rd.Defs[d].Blk == b && rd.Defs[d].Idx == i {
-					gen[bi][d] = true
-					kill[bi][d] = false
-				}
-			}
-		}
-	}
-	preds := fn.Preds()
-	changed := true
-	for changed {
-		changed = false
-		for bi, b := range fn.Blocks {
-			in := make([]bool, n)
-			for _, p := range preds[b.ID] {
-				for d, v := range out[p.ID] {
-					if v {
-						in[d] = true
-					}
-				}
-			}
-			newOut := make([]bool, n)
-			for d := range newOut {
-				newOut[d] = gen[bi][d] || (in[d] && !kill[bi][d])
-			}
-			if !same(in, rd.In[bi]) || !same(newOut, out[bi]) {
-				rd.In[bi] = in
-				out[bi] = newOut
-				changed = true
-			}
-		}
-	}
-	return rd
+// termReads reports whether the terminator reads the local.
+func termReads(t ir.Term, l ir.LocalID) bool {
+	br, ok := t.(*ir.Branch)
+	return ok && ir.ExprUsesLocal(br.Cond, l)
 }
 
-// ReachingAt returns the definitions of local that reach the program point
-// just before statement idx of block b.
-func (rd *ReachingDefs) ReachingAt(b *ir.Block, idx int, local ir.LocalID) []Def {
-	live := map[DefID]bool{}
-	for d, v := range rd.In[b.ID] {
-		if v && rd.Defs[d].Local == local {
-			live[DefID(d)] = true
-		}
-	}
-	for i := 0; i < idx && i < len(b.Stmts); i++ {
-		s := b.Stmts[i]
-		l, ok := stmtDef(s)
-		if !ok || l != local {
-			continue
-		}
-		if _, isSet := s.(*ir.SetElem); !isSet {
-			for d := range live {
-				delete(live, d)
-			}
-		}
-		for _, d := range rd.defsOf[local] {
-			if rd.Defs[d].Blk == b && rd.Defs[d].Idx == i {
-				live[d] = true
-			}
-		}
-	}
-	var out []Def
-	for _, d := range rd.Defs {
-		if live[d.ID] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Liveness is the result of live-variable analysis.
+// Liveness is the result of live-variable analysis: one bitset row of
+// locals per block, the set live at the block's exit.
 type Liveness struct {
-	Fn *ir.Fn
-	// Out[b] is the set of locals live at block b's exit.
-	Out [][]bool
+	Fn  *ir.Fn
+	w   int      // words per row
+	out []uint64 // len(Fn.Blocks) rows
 }
 
-// ComputeLiveness runs backward live-variable analysis to a fixpoint.
+// liveOut returns the locals live at the exit of block b.
+func (lv *Liveness) liveOut(b int) []uint64 { return lv.out[b*lv.w : (b+1)*lv.w] }
+
+// ComputeLiveness runs backward live-variable analysis to its fixpoint.
+// Each block's transfer function is summarized once as use (read before
+// any whole definition in the block) and def (wholly defined) bitsets, so
+// in = use ∪ (out − def) is a word-parallel row operation; a block is
+// re-evaluated only when a successor's live-in set grew.
 func ComputeLiveness(fn *ir.Fn) *Liveness {
-	nl := len(fn.Locals)
 	nb := len(fn.Blocks)
-	lv := &Liveness{Fn: fn, Out: make([][]bool, nb)}
-	in := make([][]bool, nb)
-	for i := range lv.Out {
-		lv.Out[i] = make([]bool, nl)
-		in[i] = make([]bool, nl)
+	w := graph.WordsFor(len(fn.Locals))
+	slab := make([]uint64, 4*nb*w)
+	row := func(k, b int) []uint64 { return slab[(k*nb+b)*w : (k*nb+b+1)*w] }
+	const use, def, in, out = 0, 1, 2, 3
+	lv := &Liveness{Fn: fn, w: w, out: slab[out*nb*w:]}
+
+	var buf []ir.LocalID
+	for bi, b := range fn.Blocks {
+		u, d := row(use, bi), row(def, bi)
+		if br, ok := b.Term.(*ir.Branch); ok {
+			buf = ir.ExprLocals(br.Cond, buf[:0])
+			for _, l := range buf {
+				graph.BitSet(u, int(l))
+			}
+		}
+		for i := len(b.Stmts) - 1; i >= 0; i-- {
+			s := b.Stmts[i]
+			if l, ok := stmtDef(s); ok {
+				graph.BitClear(u, int(l))
+				graph.BitSet(d, int(l))
+			}
+			buf = stmtUses(s, buf[:0])
+			for _, l := range buf {
+				graph.BitSet(u, int(l))
+			}
+		}
 	}
-	changed := true
-	for changed {
-		changed = false
-		for bi := nb - 1; bi >= 0; bi-- {
-			b := fn.Blocks[bi]
-			out := make([]bool, nl)
-			for _, s := range b.Succs() {
-				for l, v := range in[s.ID] {
-					if v {
-						out[l] = true
-					}
-				}
+
+	preds := fn.Preds()
+	// Every block is evaluated at least once, last block first: liveness
+	// flows backward, so that order settles most rows on the first visit.
+	work := make([]int32, nb)
+	queued := make([]bool, nb)
+	for i := range work {
+		work[i] = int32(i)
+		queued[i] = true
+	}
+	for len(work) > 0 {
+		bi := int(work[len(work)-1])
+		work = work[:len(work)-1]
+		queued[bi] = false
+		o := row(out, bi)
+		for _, s := range fn.Blocks[bi].Succs() {
+			for i, wd := range row(in, s.ID) {
+				o[i] |= wd
 			}
-			// Transfer backward through terminator then statements.
-			cur := make([]bool, nl)
-			copy(cur, out)
-			for _, l := range termUses(b.Term, nil) {
-				cur[l] = true
-			}
-			for i := len(b.Stmts) - 1; i >= 0; i-- {
-				s := b.Stmts[i]
-				if l, ok := stmtDef(s); ok {
-					if _, isSet := s.(*ir.SetElem); !isSet {
-						cur[l] = false
-					}
+		}
+		grew := false
+		u, d, n := row(use, bi), row(def, bi), row(in, bi)
+		for i := range n {
+			v := u[i] | o[i]&^d[i]
+			grew = grew || v != n[i]
+			n[i] = v
+		}
+		if grew {
+			for _, p := range preds[bi] {
+				if !queued[p.ID] {
+					queued[p.ID] = true
+					work = append(work, int32(p.ID))
 				}
-				for _, l := range stmtUses(s, nil) {
-					cur[l] = true
-				}
-			}
-			if !same(out, lv.Out[bi]) || !same(cur, in[bi]) {
-				lv.Out[bi] = out
-				in[bi] = cur
-				changed = true
 			}
 		}
 	}
@@ -253,35 +175,17 @@ func ComputeLiveness(fn *ir.Fn) *Liveness {
 }
 
 // LiveAfter reports whether local is live just after statement idx of
-// block b (i.e. its value may still be read).
+// block b (i.e. its value may still be read): the first later statement of
+// the block that touches it decides, else the terminator, else the block's
+// live-out row.
 func (lv *Liveness) LiveAfter(b *ir.Block, idx int, local ir.LocalID) bool {
-	cur := make([]bool, len(lv.Fn.Locals))
-	copy(cur, lv.Out[b.ID])
-	for _, l := range termUses(b.Term, nil) {
-		cur[l] = true
-	}
-	for i := len(b.Stmts) - 1; i > idx; i-- {
-		s := b.Stmts[i]
-		if l, ok := stmtDef(s); ok {
-			if _, isSet := s.(*ir.SetElem); !isSet {
-				cur[l] = false
-			}
+	for _, s := range b.Stmts[idx+1:] {
+		if stmtReads(s, local) {
+			return true
 		}
-		for _, l := range stmtUses(s, nil) {
-			cur[l] = true
-		}
-	}
-	return cur[local]
-}
-
-func same(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		if l, ok := stmtDef(s); ok && l == local {
 			return false
 		}
 	}
-	return true
+	return termReads(b.Term, local) || graph.BitGet(lv.liveOut(b.ID), int(local))
 }

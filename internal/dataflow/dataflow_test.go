@@ -18,80 +18,6 @@ func localByPrefix(t *testing.T, fn *ir.Fn, prefix string) ir.LocalID {
 	return 0
 }
 
-func TestReachingStraightLine(t *testing.T) {
-	fn := ir.MustBuild(`
-shared int X;
-func main() {
-    local int a = 1;
-    a = 2;
-    X = a;
-}
-`, ir.BuildOptions{})
-	rd := ComputeReaching(fn)
-	a := localByPrefix(t, fn, "a.")
-	// At the store (last statement of the entry block), only a=2 reaches.
-	entry := fn.Blocks[0]
-	defs := rd.ReachingAt(entry, len(entry.Stmts)-1, a)
-	if len(defs) != 1 {
-		t.Fatalf("got %d reaching defs, want 1", len(defs))
-	}
-	if defs[0].Idx != 1 {
-		t.Errorf("reaching def at idx %d, want 1 (the redefinition)", defs[0].Idx)
-	}
-}
-
-func TestReachingMergesBranches(t *testing.T) {
-	fn := ir.MustBuild(`
-shared int X;
-func main() {
-    local int a = 1;
-    if (MYPROC == 0) {
-        a = 2;
-    }
-    X = a;
-}
-`, ir.BuildOptions{})
-	rd := ComputeReaching(fn)
-	a := localByPrefix(t, fn, "a.")
-	// Find the block containing the store.
-	for _, b := range fn.Blocks {
-		for i, s := range b.Stmts {
-			if _, ok := s.(*ir.Store); ok {
-				defs := rd.ReachingAt(b, i, a)
-				if len(defs) != 2 {
-					t.Fatalf("got %d reaching defs at the merge, want 2", len(defs))
-				}
-			}
-		}
-	}
-}
-
-func TestReachingLoopCarried(t *testing.T) {
-	fn := ir.MustBuild(`
-shared int X;
-func main() {
-    local int s = 0;
-    for (local int i = 0; i < 4; i = i + 1) {
-        s = s + i;
-    }
-    X = s;
-}
-`, ir.BuildOptions{})
-	rd := ComputeReaching(fn)
-	s := localByPrefix(t, fn, "s.")
-	// Inside the loop body, both the initial def and the loop def reach.
-	for _, b := range fn.Blocks {
-		for i, st := range b.Stmts {
-			if as, ok := st.(*ir.Assign); ok && as.Dst == s && b.ID != 0 {
-				defs := rd.ReachingAt(b, i, s)
-				if len(defs) != 2 {
-					t.Fatalf("loop body: got %d reaching defs of s, want 2", len(defs))
-				}
-			}
-		}
-	}
-}
-
 func TestLivenessBasic(t *testing.T) {
 	fn := ir.MustBuild(`
 shared int X;
@@ -196,26 +122,5 @@ func main() {
 	entry := fn.Blocks[0]
 	if !lv.LiveAfter(entry, 0, buf) {
 		t.Error("array must remain live across partial updates")
-	}
-}
-
-func TestLoadDefines(t *testing.T) {
-	fn := ir.MustBuild(`
-shared int X;
-func main() {
-    local int v = X;
-    local int w = v + 1;
-}
-`, ir.BuildOptions{})
-	rd := ComputeReaching(fn)
-	v := localByPrefix(t, fn, "v.")
-	found := false
-	for _, d := range rd.Defs {
-		if d.Local == v {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("a Load should be a definition site")
 	}
 }

@@ -274,6 +274,42 @@ func (s *Set) Union(o *Set) *Set {
 	return u
 }
 
+// WithEndpoint returns the pairs of s that have an endpoint in ids:
+// {[a, b] ∈ s : a ∈ ids or b ∈ ids}, in s's storage mode. Whether a pair
+// has a back-path does not depend on which other pairs were asked about,
+// so this is the set Compute returns under Constraints.Endpoints = ids
+// (include mode) and otherwise equal constraints — a target row listed in
+// ids is kept whole, any other row is masked to the listed sources —
+// without the sweep.
+func (s *Set) WithEndpoint(ids []int) *Set {
+	em := make([]uint64, graph.WordsFor(len(s.Fn.Accesses)))
+	for _, x := range ids {
+		graph.BitSet(em, x)
+	}
+	if s.byB == nil {
+		out := NewSet(s.Fn)
+		for p := range s.pairs {
+			if graph.BitGet(em, p.A) || graph.BitGet(em, p.B) {
+				out.pairs[p] = true
+			}
+		}
+		return out
+	}
+	out := NewDenseSet(s.Fn)
+	out.size = -1
+	for b := 0; b < s.byB.N; b++ {
+		src, dst := s.byB.Row(b), out.byB.Row(b)
+		if graph.BitGet(em, b) {
+			copy(dst, src)
+			continue
+		}
+		for i, w := range src {
+			dst[i] = w & em[i]
+		}
+	}
+	return out
+}
+
 // String renders the delay set for diagnostics.
 func (s *Set) String() string {
 	var sb strings.Builder

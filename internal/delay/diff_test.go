@@ -140,6 +140,49 @@ func TestBatchedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWithEndpointMatchesRestrictedCompute proves the identity syncanal's
+// D1 rests on: masking a computed set to the pairs with a listed endpoint
+// gives exactly the set computed under that endpoint restriction. It holds
+// because no engine lets the pairs asked about influence one pair's answer;
+// it is checked for every constraint variant that does not restrict
+// endpoints itself (the exact search included), on the dense sets of the
+// regionized engine and the sparse sets of the whole-graph one, with the
+// synchronization accesses as the listed endpoints.
+func TestWithEndpointMatchesRestrictedCompute(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 150; seed++ {
+		fn := genFn(seed)
+		if fn == nil || len(fn.Accesses) == 0 {
+			continue
+		}
+		ag := ir.BuildAccessGraph(fn)
+		cs := conflict.Compute(fn)
+		syncIDs := []int{}
+		for _, a := range fn.Accesses {
+			if a.Kind.IsSync() {
+				syncIDs = append(syncIDs, a.ID)
+			}
+		}
+		for _, v := range diffVariants(fn, cs) {
+			if v.con.Endpoints != nil || v.con.Exact && len(fn.Accesses) > 18 {
+				continue
+			}
+			for _, eng := range []Engine{EngineRegion, EngineWhole} {
+				con := v.con
+				con.Engine = eng
+				got := Compute(ag, cs, con).WithEndpoint(syncIDs)
+				con.Endpoints = syncIDs
+				label := fmt.Sprintf("seed %d %s engine %d (n=%d)", seed, v.name, eng, len(fn.Accesses))
+				pairsEqual(t, label, got, Compute(ag, cs, con))
+			}
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 150 seeds built, want >= 100", checked)
+	}
+}
+
 // TestComputeDeterministicAcrossWorkers locks down that the worker count
 // never changes the computed set: results land in index-addressed slots
 // and merge in pair order.
@@ -154,7 +197,7 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 	for _, v := range diffVariants(fn, cs) {
 		Workers = 1
 		seq := Compute(ag, cs, v.con)
-		for _, nw := range []int{2, 8} {
+		for _, nw := range []int{2, 3, 8} {
 			Workers = nw
 			par := Compute(ag, cs, v.con)
 			pairsEqual(t, fmt.Sprintf("%s workers=%d", v.name, nw), par, seq)

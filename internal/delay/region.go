@@ -783,6 +783,10 @@ type mixedAdj struct {
 	adj [][]int
 }
 
+// denseRegionMin is the member count from which a region is tried on the
+// dense bitset-row solvers (classSolve, then denseSolve).
+const denseRegionMin = 256
+
 // regionScratch is one worker's reusable state for sccCompute.
 type regionScratch struct {
 	localOf []int32  // global -> local id, valid for the current region only
@@ -792,6 +796,18 @@ type regionScratch struct {
 	vis     []uint64 // denseRestrict visited set
 	teff    []uint64 // denseRestrict effective target set
 	queue   []int32  // denseRestrict BFS queue
+}
+
+func newRegionScratch(n int) *regionScratch {
+	w := graph.WordsFor(n)
+	return &regionScratch{
+		localOf: make([]int32, n),
+		cand:    make([]uint64, w),
+		gv:      make([]uint64, w),
+		cover:   make([]uint64, w),
+		vis:     make([]uint64, w),
+		teff:    make([]uint64, w),
+	}
 }
 
 // sccCompute answers pairs under directed conflict edges by decomposing
@@ -851,31 +867,41 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 
 	nw := workerCount(cd.NComp)
 	scr := make([]*regionScratch, nw)
-
-	parallelFor(cd.NComp, nw, func(wk, c int) {
-		members := cd.Members[c]
+	solve := func(wk, c int, fan bool) {
 		if scr[wk] == nil {
-			scr[wk] = &regionScratch{
-				localOf: make([]int32, n),
-				cand:    make([]uint64, w),
-				gv:      make([]uint64, w),
-				cover:   make([]uint64, w),
-				vis:     make([]uint64, w),
-				teff:    make([]uint64, w),
-			}
+			scr[wk] = newRegionScratch(n)
 		}
-		regionSolve(ag, cs, con, out, cd, c, members, dirOut, dirIn, em, filter, gd, scr[wk])
-	})
+		regionSolve(ag, cs, con, out, cd, c, cd.Members[c], dirOut, dirIn, em, filter, gd, scr[wk], fan)
+	}
+
+	// A region large enough for the class solver is solved on its own, its
+	// tree groups fanned over the workers (see classSolve): SPMD programs
+	// tend to put most of their accesses in one region, and one worker per
+	// region would leave the others idle behind it. The remaining regions
+	// then share the workers one region each. Either way no more than
+	// workerCount goroutines compute at a time.
+	fan := classSolveUsable(con, filter)
+	var pool []int
+	for c, members := range cd.Members {
+		if fan && len(members) >= denseRegionMin {
+			solve(0, c, true)
+		} else {
+			pool = append(pool, c)
+		}
+	}
+	parallelFor(len(pool), nw, func(wk, i int) { solve(wk, pool[i], false) })
 }
 
 // regionSolve runs the per-target searches of one region. Confinement
 // makes every restriction exact: seeds, targets, and interior nodes of
 // any witness walk for a pair inside this region are themselves inside it
-// (a node outside would extend the closed walk through another SCC).
+// (a node outside would extend the closed walk through another SCC). fan
+// lets the class solver spread the region's tree groups over the workers;
+// the caller sets it only while no other region is being solved.
 func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set,
 	cd *graph.Condensation, c int, members []int32,
 	dirOut, dirIn graph.Rows, em []uint64, filter func(a, b int) bool,
-	gd *mixedAdj, sc *regionScratch) {
+	gd *mixedAdj, sc *regionScratch, fan bool) {
 
 	nl := len(members)
 	w := len(sc.cand)
@@ -954,7 +980,7 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 	// fallback replaces per-target dominator trees. Word-op parity sits at
 	// one edge per node word, and the dense path's branch-free inner loop
 	// plus its cheaper fallbacks win from roughly that point on.
-	if nl >= 256 {
+	if nl >= denseRegionMin {
 		eLocal := 0
 		for _, gv := range members {
 			gu := int(gv)
@@ -972,7 +998,7 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 			// class; it declines (writing nothing) when the constraint
 			// shape or class structure doesn't support sharing.
 			if !classSolveUsable(con, filter) ||
-				!classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, em, gd, sc) {
+				!classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, em, gd, sc, fan) {
 				denseSolve(ag, con, out, members, mask, lof, dirOut, dirIn, em, filter, gd, sc)
 			}
 			store()

@@ -256,9 +256,20 @@ func ExprLocals(e Expr, out []LocalID) []LocalID {
 
 // ExprUsesLocal reports whether e reads the given local.
 func ExprUsesLocal(e Expr, id LocalID) bool {
-	for _, l := range ExprLocals(e, nil) {
-		if l == id {
-			return true
+	switch e := e.(type) {
+	case *LocalRef:
+		return e.ID == id
+	case *ElemRef:
+		return e.Arr == id || ExprUsesLocal(e.Index, id)
+	case *Bin:
+		return ExprUsesLocal(e.L, id) || ExprUsesLocal(e.R, id)
+	case *Un:
+		return ExprUsesLocal(e.X, id)
+	case *BuiltinCall:
+		for _, a := range e.Args {
+			if ExprUsesLocal(a, id) {
+				return true
+			}
 		}
 	}
 	return false

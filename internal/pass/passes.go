@@ -122,7 +122,7 @@ var passes = []Pass{
 	&funcPass{"sync-analysis", func(ctx *Context) error {
 		a := ctx.Analysis
 		if a == nil || a.Baseline == nil {
-			return ctx.Errorf("sync-analysis", source.Pos{}, "pass %q requires cycle-detect", "sync-analysis")
+			return ctx.Errorf("sync-analysis", source.Pos{}, "pass %q requires cycle-detect (D1 is read off its baseline set)", "sync-analysis")
 		}
 		a.RefineSync(ctx.analysisOptions())
 		ctx.Count("d1_delays", a.D1.Size())

@@ -1,0 +1,214 @@
+package syncanal
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/delay"
+	"repro/internal/graph"
+	"repro/internal/ir"
+)
+
+// Differentials for the three places RefineSync stopped doing whole-program
+// work: D1 read off the baseline instead of swept, lock confinement asked
+// per lock instead of closed over every access, and the dominant region's
+// tree groups solved on every worker instead of one.
+
+type diffProgram struct {
+	label string
+	fn    *ir.Fn
+}
+
+// diffPrograms returns the inputs every differential below runs on: 150
+// buildable seeds of the progen grid (two locks, so guards occur), the five
+// application kernels, and — outside -short — the pinned acc2048 tier,
+// the only one whose regions reach the dense class solver.
+func diffPrograms(t *testing.T) []diffProgram {
+	t.Helper()
+	var out []diffProgram
+	for seed := int64(0); seed < 250 && len(out) < 150; seed++ {
+		if fn, ok := gridProgram(seed); ok {
+			out = append(out, diffProgram{fmt.Sprintf("seed %d", seed), fn})
+		}
+	}
+	if len(out) < 150 {
+		t.Fatalf("only %d buildable seeds, want >= 150", len(out))
+	}
+	for _, k := range apps.All() {
+		out = append(out, diffProgram{k.Name, ir.MustBuild(k.Source(8, 1), ir.BuildOptions{Procs: 8})})
+	}
+	if !testing.Short() {
+		out = append(out, diffProgram{"acc2048", tierProgram(t, "acc2048")})
+	}
+	return out
+}
+
+// identicalSets requires two delay sets to hold exactly the same pairs,
+// compared row by row when both are dense.
+func identicalSets(t *testing.T, label string, got, want *delay.Set) {
+	t.Helper()
+	if got.Size() != want.Size() {
+		t.Fatalf("%s: %d pairs, want %d", label, got.Size(), want.Size())
+	}
+	n := len(want.Fn.Accesses)
+	if n > 0 && got.TargetRow(0) != nil && want.TargetRow(0) != nil {
+		for b := 0; b < n; b++ {
+			if !reflect.DeepEqual(got.TargetRow(b), want.TargetRow(b)) {
+				t.Fatalf("%s: target row %d differs", label, b)
+			}
+		}
+		return
+	}
+	for _, p := range want.Pairs() {
+		if !got.Has(p.A, p.B) {
+			t.Fatalf("%s: pair [%d,%d] missing", label, p.A, p.B)
+		}
+	}
+}
+
+// TestD1FromBaselineMatchesSweep holds the D1 RefineSync reads off the
+// baseline to the endpoint-restricted sweep a NoBaseline analysis still
+// runs, under every engine selection, and checks D ⊆ Baseline on the way
+// (the refinement only ever removes Shasha–Snir delays).
+func TestD1FromBaselineMatchesSweep(t *testing.T) {
+	for _, p := range diffPrograms(t) {
+		n := len(p.fn.Accesses)
+		for _, v := range []struct {
+			name string
+			opts Options
+			max  int // largest program the variant is affordable on
+		}{
+			{"region", Options{}, 1 << 30},
+			{"whole", Options{Engine: delay.EngineWhole}, 1024},
+			{"reference", Options{Reference: true}, 64},
+			// The simple-path search is exponential on dense progen
+			// conflict graphs.
+			{"exact", Options{Exact: true}, 18},
+		} {
+			if n > v.max {
+				continue
+			}
+			label := fmt.Sprintf("%s %s (n=%d)", p.label, v.name, n)
+			masked := Analyze(p.fn, v.opts)
+			sweep := v.opts
+			sweep.NoBaseline = true
+			swept := Analyze(p.fn, sweep)
+			identicalSets(t, label+" D1", masked.D1, swept.D1)
+			identicalSets(t, label+" D", masked.D, swept.D)
+			for _, d := range masked.D.Pairs() {
+				if !masked.Baseline.Has(d.A, d.B) {
+					t.Fatalf("%s: refined delay [%d,%d] outside the baseline", label, d.A, d.B)
+				}
+			}
+		}
+	}
+}
+
+// confinementReach is the oracle for the demand-driven confinement
+// sweeps: the full reachability closure, over every access, of D1 edges
+// plus direct def-use edges — what computeGuards used to build to answer
+// two questions per guarded access.
+func confinementReach(res *Result) *graph.BitMatrix {
+	fn := res.Fn
+	n := len(fn.Accesses)
+	users := make(map[ir.LocalID][]int)
+	for _, c := range fn.Accesses {
+		for _, l := range accessLocals(c, nil) {
+			users[l] = append(users[l], c.ID)
+		}
+	}
+	edges := graph.NewBitMatrix(n)
+	for _, p := range res.D1.Pairs() {
+		edges.Set(p.A, p.B)
+	}
+	for _, blk := range fn.Blocks {
+		for _, s := range blk.Stmts {
+			if ld, ok := s.(*ir.Load); ok {
+				for _, c := range users[ld.Dst] {
+					if c != ld.Acc.ID {
+						edges.Set(ld.Acc.ID, c)
+					}
+				}
+			}
+		}
+	}
+	iter := func(u int, visit func(v int32)) {
+		for v := 0; v < n; v++ {
+			if edges.Has(u, v) {
+				visit(int32(v))
+			}
+		}
+	}
+	return graph.Condense(n, iter).ReachRows(n, iter)
+}
+
+// guardsFromClosure is section 5.3's definition read straight off the
+// closure, scanning every access for the dominating lock and the dominated
+// unlock.
+func guardsFromClosure(res *Result) map[int]map[string]bool {
+	fn := res.Fn
+	guards := make(map[int]map[string]bool)
+	confined := confinementReach(res)
+	held := mustHeldLocks(fn)
+	for _, a := range fn.Accesses {
+		for l := range held[a.ID] {
+			ok1, ok2 := false, false
+			for _, c := range fn.Accesses {
+				switch {
+				case c.Kind != ir.AccLock && c.Kind != ir.AccUnlock, accessKey(fn, c) != l:
+				case c.Kind == ir.AccLock:
+					ok1 = ok1 || res.Dom.StmtDominates(c, a) && confined.Has(c.ID, a.ID)
+				default:
+					ok2 = ok2 || res.Dom.StmtDominates(a, c) && confined.Has(a.ID, c.ID)
+				}
+			}
+			if ok1 && ok2 {
+				if guards[a.ID] == nil {
+					guards[a.ID] = make(map[string]bool)
+				}
+				guards[a.ID][l] = true
+			}
+		}
+	}
+	return guards
+}
+
+func TestDemandGuardsMatchClosure(t *testing.T) {
+	guarded := 0
+	for _, p := range diffPrograms(t) {
+		res := Analyze(p.fn, Options{})
+		want := guardsFromClosure(res)
+		if !reflect.DeepEqual(res.Guards, want) {
+			t.Fatalf("%s: demand-driven guards %v, closure guards %v", p.label, res.Guards, want)
+		}
+		guarded += len(want)
+	}
+	if guarded < 100 {
+		t.Fatalf("only %d guarded accesses over the whole suite; the comparison is near-vacuous", guarded)
+	}
+}
+
+// TestAnalyzeDeterministicAcrossWorkers extends the delay package's
+// worker-count determinism check to the oriented pass: the refined set D
+// is bit-identical whether one worker solves the tree groups of a region
+// in order or several claim them as they come. Run under -race in CI, it
+// is also the check that the workers share nothing they write.
+func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
+	defer func(w int) { delay.Workers = w }(delay.Workers)
+	for _, p := range diffPrograms(t) {
+		delay.Workers = 1
+		want := Analyze(p.fn, Options{})
+		for _, nw := range []int{2, 3, 8} {
+			delay.Workers = nw
+			got := Analyze(p.fn, Options{})
+			label := fmt.Sprintf("%s workers=%d", p.label, nw)
+			identicalSets(t, label+" D1", got.D1, want.D1)
+			identicalSets(t, label+" D", got.D, want.D)
+			if got.R.Size() != want.R.Size() {
+				t.Fatalf("%s: |R| %d, want %d", label, got.R.Size(), want.R.Size())
+			}
+		}
+	}
+}

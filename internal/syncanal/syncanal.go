@@ -50,9 +50,9 @@ type Options struct {
 	// search: the regionized engine by default, or the whole-graph batched
 	// engine (delay.EngineWhole) as the retained oracle.
 	Engine delay.Engine
-	// NoBaseline makes ComputeBaseline a no-op. The baseline Shasha–Snir
-	// set is an ablation artifact, not an input of the refinement; callers
-	// that only need D (the incremental analysis in particular) skip it.
+	// NoBaseline makes ComputeBaseline a no-op, for callers that only need
+	// D. Result.Baseline stays nil, and RefineSync, which otherwise reads D1
+	// off the baseline, computes it with a sync-restricted sweep instead.
 	NoBaseline bool
 	// PerAccessR stores the precedence relation with one bitset row per
 	// access instead of the default class-condensed partition. It is the
@@ -385,15 +385,19 @@ func (res *Result) ComputeBaseline(opts Options) {
 
 // RefineSync runs steps 2–6 of section 5.1: the synchronization-restricted
 // initial delay set D1, the precedence relation R, lock guards, barrier
-// phase partitioning, and the final refined delay set D. Requires Prepare
-// (but not ComputeBaseline).
+// phase partitioning, and the final refined delay set D. Requires Prepare.
+// When ComputeBaseline has run, D1 is read off res.Baseline; without it
+// (Options.NoBaseline) D1 costs a back-path sweep of its own.
 func (res *Result) RefineSync(opts Options) {
 	fn := res.Fn
 
-	// Step 2: D1. The sync-pair restriction is an endpoint set, not an
-	// opaque filter: the batched engines can then skip non-sync targets
-	// wholesale (and flip to reverse sweeps when sync accesses are sparse)
-	// instead of testing every candidate pair.
+	// Step 2: D1 is by definition the Shasha–Snir set restricted to pairs
+	// with a synchronization endpoint, and the back-path test of one pair
+	// never looks at which other pairs are asked about: with the baseline
+	// in hand D1 is a row mask of it. Only a session that skipped the
+	// baseline sweeps, and then with the restriction as an endpoint set the
+	// engine can exploit (non-sync targets skipped wholesale, reverse
+	// sweeps when sync accesses are sparse).
 	t0 := time.Now()
 	syncIDs := []int{}
 	for _, a := range fn.Accesses {
@@ -404,13 +408,17 @@ func (res *Result) RefineSync(opts Options) {
 	if cached := opts.matCache.lookupD1(res); cached != nil {
 		res.D1 = cached
 	} else {
-		res.D1 = delay.Compute(res.AG, res.CS, delay.Constraints{
-			Endpoints: syncIDs,
-			Exact:     opts.Exact,
-			Reference: opts.Reference,
-			Engine:    opts.Engine,
-			Cache:     opts.regionCache,
-		})
+		if res.Baseline != nil {
+			res.D1 = res.Baseline.WithEndpoint(syncIDs)
+		} else {
+			res.D1 = delay.Compute(res.AG, res.CS, delay.Constraints{
+				Endpoints: syncIDs,
+				Exact:     opts.Exact,
+				Reference: opts.Reference,
+				Engine:    opts.Engine,
+				Cache:     opts.regionCache,
+			})
+		}
 		opts.matCache.store(res, res.Baseline, res.D1)
 	}
 	res.Timing.D1 = time.Since(t0)
@@ -1343,19 +1351,31 @@ func computeGuards(res *Result) map[int]map[string]bool {
 		}
 	}
 	if !locked {
-		// Lock-free program: nothing is guarded, so the confinement
-		// closure — the expensive part — never needs to be built.
+		// Lock-free program: nothing is guarded, so the confinement graph
+		// never needs to be built.
 		return guards
 	}
-	confined := confinementReach(res)
+	locks := make(map[string][]*ir.Access)
+	unlocks := make(map[string][]*ir.Access)
+	for _, c := range fn.Accesses {
+		switch c.Kind {
+		case ir.AccLock:
+			k := accessKey(fn, c)
+			locks[k] = append(locks[k], c)
+		case ir.AccUnlock:
+			k := accessKey(fn, c)
+			unlocks[k] = append(unlocks[k], c)
+		}
+	}
+	confined := newConfinement(res)
 	for _, a := range fn.Accesses {
 		for l := range held[a.ID] {
-			b1 := dominatingLock(res, a, l)
-			if b1 == nil || !confined.Has(b1.ID, a.ID) {
+			b1 := dominatingLock(res, a, locks[l])
+			if b1 == nil || !confined.follows(b1.ID, a.ID) {
 				continue
 			}
-			b2 := dominatedUnlock(res, a, l)
-			if b2 == nil || !confined.Has(a.ID, b2.ID) {
+			b2 := dominatedUnlock(res, a, unlocks[l])
+			if b2 == nil || !confined.precedes(a.ID, b2.ID) {
 				continue
 			}
 			if guards[a.ID] == nil {
@@ -1367,38 +1387,48 @@ func computeGuards(res *Result) map[int]map[string]bool {
 	return guards
 }
 
-// confinementReach builds the reachability closure of D1 edges plus direct
+// confinement answers the two questions the guard test asks — does b1
+// reach a, does a reach b2 — over the graph of D1 edges plus direct
 // def-use edges (a Load's destination local used in a later access's
 // expressions forces the load's completion before that access initiates —
-// an operand dependence the hardware enforces unconditionally). Def-use
-// edges come from a local -> reading-accesses index, so edge collection is
-// linear in the number of uses instead of loads x accesses.
-//
-// The D1 component is consumed straight from the set's dense A-major
-// matrix — no Pairs() materialization, no per-source adjacency slices —
-// and because D1 and def-use edges both run forward in execution order the
-// graph is almost always acyclic: a Kahn sort certifies that, and the
-// closure is then a reverse-topological row-OR DP with the same
-// transitive-skip invariant graph.ReachRows uses (a successor bit already
-// present came paired with its full closure), skipping the condensation
-// entirely. Loop-carried edges that do close a cycle fall back to the
-// condensation path.
-func confinementReach(res *Result) *graph.BitMatrix {
+// an operand dependence the hardware enforces unconditionally). b1 is
+// always a lock and b2 an unlock, so one forward sweep per distinct lock
+// access and one backward sweep per distinct unlock access, memoized,
+// answer every query; no closure of the whole graph is built.
+type confinement struct {
+	succ, pred func(u int) []uint64 // D1 targets / sources of u
+	use, def   [][]int32            // def-use edges and their reverse
+	from, into map[int][]uint64     // memoized sweeps, by start access
+	queue      []int32
+}
+
+func newConfinement(res *Result) *confinement {
 	fn := res.Fn
 	n := len(fn.Accesses)
-	byA := res.D1.SourceMatrix()
-
-	// Def-use edges, deduplicated against D1 (the Kahn in-degrees below
-	// must count each edge exactly once).
+	c := &confinement{
+		use: make([][]int32, n), def: make([][]int32, n),
+		from: make(map[int][]uint64), into: make(map[int][]uint64),
+	}
+	if byA := res.D1.SourceMatrix(); byA != nil {
+		c.succ, c.pred = byA.Row, res.D1.TargetRow
+	} else {
+		// Sparse D1 (small programs, or the oracle engines).
+		byA = graph.NewBitMatrix(n)
+		for _, p := range res.D1.Pairs() {
+			byA.Set(p.A, p.B)
+		}
+		c.succ, c.pred = byA.Row, byA.Transpose().Row
+	}
+	// Def-use edges come from a local -> reading-accesses index, so edge
+	// collection is linear in the number of uses instead of loads x accesses.
 	users := make(map[ir.LocalID][]int32)
 	var locals []ir.LocalID
-	for _, c := range fn.Accesses {
-		locals = accessLocals(c, locals[:0])
+	for _, a := range fn.Accesses {
+		locals = accessLocals(a, locals[:0])
 		for _, l := range locals {
-			users[l] = append(users[l], int32(c.ID))
+			users[l] = append(users[l], int32(a.ID))
 		}
 	}
-	defuse := make([][]int32, n)
 	for _, blk := range fn.Blocks {
 		for _, s := range blk.Stmts {
 			ld, ok := s.(*ir.Load)
@@ -1406,81 +1436,56 @@ func confinementReach(res *Result) *graph.BitMatrix {
 				continue
 			}
 			for _, cid := range users[ld.Dst] {
-				if int(cid) != ld.Acc.ID && (byA == nil || !graph.BitGet(byA.Row(ld.Acc.ID), int(cid))) {
-					defuse[ld.Acc.ID] = append(defuse[ld.Acc.ID], cid)
+				if int(cid) != ld.Acc.ID {
+					c.use[ld.Acc.ID] = append(c.use[ld.Acc.ID], cid)
+					c.def[cid] = append(c.def[cid], int32(ld.Acc.ID))
 				}
 			}
 		}
 	}
-	iter := func(u int, visit func(v int32)) {
-		if byA != nil {
-			for wi, wd := range byA.Row(u) {
-				for ; wd != 0; wd &= wd - 1 {
-					visit(int32(wi<<6 + bits.TrailingZeros64(wd)))
-				}
-			}
-		} else {
-			for _, p := range res.D1.Successors(u) {
-				visit(int32(p))
-			}
-		}
-		for _, v := range defuse[u] {
-			visit(v)
-		}
-	}
-	if byA == nil {
-		// Sparse D1 (small programs): the condensation path is cheap.
-		return graph.Condense(n, iter).ReachRows(n, iter)
-	}
+	return c
+}
 
-	// Kahn topological order. In-degrees of the D1 component are column
-	// popcounts of the A-major matrix, i.e. row popcounts of the B-major
-	// backing — word-parallel, no edge iteration.
-	indeg := make([]int32, n)
-	for v := 0; v < n; v++ {
-		c := 0
-		for _, wd := range res.D1.TargetRow(v) {
-			c += bits.OnesCount64(wd)
-		}
-		indeg[v] = int32(c)
-	}
-	for _, vs := range defuse {
-		for _, v := range vs {
-			indeg[v]++
-		}
-	}
-	topo := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			topo = append(topo, int32(i))
-		}
-	}
-	for head := 0; head < len(topo); head++ {
-		iter(int(topo[head]), func(v int32) {
-			if indeg[v]--; indeg[v] == 0 {
-				topo = append(topo, v)
-			}
-		})
-	}
-	if len(topo) < n {
-		return graph.Condense(n, iter).ReachRows(n, iter)
-	}
+// follows reports whether some path of one or more edges leads from the
+// lock b1 to a; precedes, from a to the unlock b2. A direct D1 edge — the
+// usual case, a lock or unlock endpoint making the pair a D1 candidate —
+// answers without a sweep.
+func (c *confinement) follows(b1, a int) bool {
+	return graph.BitGet(c.succ(b1), a) || graph.BitGet(c.sweep(c.from, b1, c.succ, c.use), a)
+}
 
-	reach := graph.NewBitMatrix(n)
-	for i := len(topo) - 1; i >= 0; i-- {
-		u := topo[i]
-		row := reach.Row(int(u))
-		iter(int(u), func(v int32) {
-			if graph.BitGet(row, int(v)) {
-				return // bits enter paired with their closure
-			}
-			graph.BitSet(row, int(v))
-			for wi, wd := range reach.Row(int(v)) {
-				row[wi] |= wd
-			}
-		})
+func (c *confinement) precedes(a, b2 int) bool {
+	return graph.BitGet(c.pred(b2), a) || graph.BitGet(c.sweep(c.into, b2, c.pred, c.def), a)
+}
+
+// sweep is one memoized word-parallel BFS from start over the D1 rows plus
+// the listed def-use edges. start itself is marked only when a cycle comes
+// back to it.
+func (c *confinement) sweep(memo map[int][]uint64, start int, rows func(int) []uint64, extra [][]int32) []uint64 {
+	if vis, ok := memo[start]; ok {
+		return vis
 	}
-	return reach
+	vis := make([]uint64, len(rows(start)))
+	q := append(c.queue[:0], int32(start))
+	for i := 0; i < len(q); i++ {
+		x := int(q[i])
+		for wi, wd := range rows(x) {
+			nw := wd &^ vis[wi]
+			vis[wi] |= nw
+			for ; nw != 0; nw &= nw - 1 {
+				q = append(q, int32(wi<<6+bits.TrailingZeros64(nw)))
+			}
+		}
+		for _, y := range extra[x] {
+			if !graph.BitGet(vis, int(y)) {
+				graph.BitSet(vis, int(y))
+				q = append(q, y)
+			}
+		}
+	}
+	c.queue = q
+	memo[start] = vis
+	return vis
 }
 
 // accessLocals appends the locals the access's statement reads.
@@ -1509,13 +1514,6 @@ func accessLocals(a *ir.Access, out []ir.LocalID) []ir.LocalID {
 // mustHeldLocks runs a forward must-dataflow: held[acc] = set of lock keys
 // held on every path reaching the access.
 func mustHeldLocks(fn *ir.Fn) map[int]map[string]bool {
-	// Collect lock keys.
-	keyOf := func(a *ir.Access) string {
-		if a.Index == nil {
-			return a.Sym.Name
-		}
-		return a.Sym.Name + "[" + fn.ExprString(a.Index) + "]"
-	}
 	nb := len(fn.Blocks)
 	// in[b] = set held at block entry. Universal set approximated by nil
 	// with a visited flag.
@@ -1541,9 +1539,9 @@ func mustHeldLocks(fn *ir.Fn) map[int]map[string]bool {
 			}
 			switch a.Kind {
 			case ir.AccLock:
-				out[keyOf(a)] = true
+				out[accessKey(fn, a)] = true
 			case ir.AccUnlock:
-				delete(out, keyOf(a))
+				delete(out, accessKey(fn, a))
 			}
 		}
 		return out
@@ -1604,9 +1602,9 @@ func mustHeldLocks(fn *ir.Fn) map[int]map[string]bool {
 			held[a.ID] = clone(cur)
 			switch a.Kind {
 			case ir.AccLock:
-				cur[keyOf(a)] = true
+				cur[accessKey(fn, a)] = true
 			case ir.AccUnlock:
-				delete(cur, keyOf(a))
+				delete(cur, accessKey(fn, a))
 			}
 		}
 	}
@@ -1625,20 +1623,22 @@ func sameSet(a, b map[string]bool) bool {
 	return true
 }
 
-// dominatingLock finds a lock access with key l that dominates a, or nil.
-func dominatingLock(res *Result, a *ir.Access, l string) *ir.Access {
-	for _, c := range res.Fn.Accesses {
-		if c.Kind == ir.AccLock && accessKey(res.Fn, c) == l && res.Dom.StmtDominates(c, a) {
+// dominatingLock finds among locks (the lock accesses of one key) one that
+// dominates a, or nil.
+func dominatingLock(res *Result, a *ir.Access, locks []*ir.Access) *ir.Access {
+	for _, c := range locks {
+		if res.Dom.StmtDominates(c, a) {
 			return c
 		}
 	}
 	return nil
 }
 
-// dominatedUnlock finds an unlock access with key l dominated by a, or nil.
-func dominatedUnlock(res *Result, a *ir.Access, l string) *ir.Access {
-	for _, c := range res.Fn.Accesses {
-		if c.Kind == ir.AccUnlock && accessKey(res.Fn, c) == l && res.Dom.StmtDominates(a, c) {
+// dominatedUnlock finds among unlocks (the unlock accesses of one key) one
+// dominated by a, or nil.
+func dominatedUnlock(res *Result, a *ir.Access, unlocks []*ir.Access) *ir.Access {
+	for _, c := range unlocks {
+		if res.Dom.StmtDominates(a, c) {
 			return c
 		}
 	}
@@ -1657,7 +1657,9 @@ func (res *Result) Summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "accesses:        %d\n", len(res.Fn.Accesses))
 	fmt.Fprintf(&sb, "conflict pairs:  %d\n", res.CS.Size())
-	fmt.Fprintf(&sb, "baseline delays: %d (Shasha-Snir)\n", res.Baseline.Size())
+	if res.Baseline != nil { // absent under Options.NoBaseline
+		fmt.Fprintf(&sb, "baseline delays: %d (Shasha-Snir)\n", res.Baseline.Size())
+	}
 	fmt.Fprintf(&sb, "D1 delays:       %d\n", res.D1.Size())
 	fmt.Fprintf(&sb, "precedence |R|:  %d\n", res.R.Size())
 	if c := res.R.Classes(); c > 0 {
