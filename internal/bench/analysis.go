@@ -26,21 +26,14 @@ import (
 var AnalysisSizes = []int{64, 128, 256, 512}
 
 // AnalysisTiers returns the pinned progen scale tiers appended to the
-// grid (see progen.ScaleTiers). Only the 2k tier runs by default: the
-// whole-graph comparison column alone costs ~25s there. PSC_SCALE_TIERS=1
-// opts into the 8k and 32k tiers; above wholeEngineCap accesses the
-// whole-graph column is skipped entirely (it needs minutes where the
-// regionized engine needs seconds — the asymmetry is the point).
+// grid (see progen.ScaleTiers). Only the 2k tier runs by default;
+// PSC_SCALE_TIERS=1 opts into the 8k and 32k tiers.
 func AnalysisTiers() []string {
 	if os.Getenv("PSC_SCALE_TIERS") != "" {
 		return []string{"acc2048", "acc8192", "acc32768"}
 	}
 	return []string{"acc2048"}
 }
-
-// wholeEngineCap is the access count above which the whole-graph
-// comparison column is not measured.
-const wholeEngineCap = 8192
 
 // AnalysisRow is one program size's measurements.
 type AnalysisRow struct {
@@ -53,10 +46,9 @@ type AnalysisRow struct {
 	Regions       int     `json:"regions"`
 	RClasses      int     `json:"r_classes"`      // R-equivalence classes of the condensed precedence
 	CondenseRatio float64 `json:"condense_ratio"` // accesses per class — the row-count reduction factor
-	PeakBytes     uint64  `json:"peak_bytes"`     // sampled peak heap growth of one regionized Analyze
+	PeakBytes     uint64  `json:"peak_bytes"`     // sampled peak heap growth of one Analyze
 	DelayMS       float64 `json:"delay_ms"`       // plain Shasha-Snir delay set
-	AnalyzeMS     float64 `json:"analyze_ms"`     // full pipeline, regionized engine
-	WholeMS       float64 `json:"whole_ms"`       // full pipeline, whole-graph engine (0 above wholeEngineCap)
+	AnalyzeMS     float64 `json:"analyze_ms"`     // full pipeline
 	IncrMS        float64 `json:"incr_ms"`        // incremental recheck of an unchanged rebuild
 }
 
@@ -156,8 +148,7 @@ func bestOfMS(reps int, fn func()) float64 {
 
 // measureRow runs the full measurement battery for one selected program.
 // The expensive columns drop to a single repetition on the pinned tiers,
-// where one run already takes seconds, and the whole-graph comparison is
-// skipped entirely above wholeEngineCap accesses, where it needs minutes.
+// where one run already takes seconds.
 func measureRow(fn *ir.Fn, target int, seed int64) AnalysisRow {
 	ag := ir.BuildAccessGraph(fn)
 	cs := conflict.Compute(fn)
@@ -171,12 +162,6 @@ func measureRow(fn *ir.Fn, target int, seed int64) AnalysisRow {
 	ratio := 0.0
 	if res.RClasses > 0 {
 		ratio = float64(len(fn.Accesses)) / float64(res.RClasses)
-	}
-	wholeMS := 0.0
-	if len(fn.Accesses) <= wholeEngineCap {
-		wholeMS = bestOfMS(reps, func() {
-			syncanal.Analyze(fn, syncanal.Options{Engine: delay.EngineWhole})
-		})
 	}
 	// The peak-heap sampling run doubles as the single timed repetition on
 	// the pinned tiers, where one full Analyze is already seconds-to-minutes
@@ -198,14 +183,12 @@ func measureRow(fn *ir.Fn, target int, seed int64) AnalysisRow {
 		PeakBytes:     peakBytes,
 		DelayMS:       bestOfMS(reps, func() { delay.ShashaSnir(ag, cs) }),
 		AnalyzeMS:     analyzeMS,
-		WholeMS:       wholeMS,
 		IncrMS:        bestOfMS(3, func() { inc.Analyze(fn) }),
 	}
 }
 
 // RunAnalysisScaling measures delay.ShashaSnir and the full
-// syncanal.Analyze pipeline — regionized, whole-graph, and incremental —
-// at each target size, then on each named progen scale tier.
+// syncanal.Analyze pipeline — cold and incremental — at each target size, then on each named progen scale tier.
 func RunAnalysisScaling(sizes []int, tiers []string) ([]AnalysisRow, error) {
 	rows := make([]AnalysisRow, 0, len(sizes)+len(tiers))
 	for _, target := range sizes {
@@ -241,16 +224,12 @@ func RunAnalysisScaling(sizes []int, tiers []string) ([]AnalysisRow, error) {
 func FormatAnalysis(rows []AnalysisRow) string {
 	var sb strings.Builder
 	sb.WriteString("Analysis scaling (progen programs; best of 3, tiers best of 1)\n")
-	sb.WriteString("  accesses  conflicts  baseline|D|  final|D|  regions  classes  condense   peak MB   delay ms  analyze ms    whole ms  incr ms\n")
+	sb.WriteString("  accesses  conflicts  baseline|D|  final|D|  regions  classes  condense   peak MB   delay ms  analyze ms  incr ms\n")
 	for _, r := range rows {
-		whole := fmt.Sprintf("%10.2f", r.WholeMS)
-		if r.WholeMS == 0 {
-			whole = "   skipped"
-		}
-		fmt.Fprintf(&sb, "  %8d  %9d  %11d  %8d  %7d  %7d  %7.1fx  %8.1f  %9.2f  %10.2f  %s  %7.2f\n",
+		fmt.Fprintf(&sb, "  %8d  %9d  %11d  %8d  %7d  %7d  %7.1fx  %8.1f  %9.2f  %10.2f  %7.2f\n",
 			r.Accesses, r.ConflictPairs, r.BaselinePairs, r.FinalPairs, r.Regions,
 			r.RClasses, r.CondenseRatio, float64(r.PeakBytes)/(1<<20),
-			r.DelayMS, r.AnalyzeMS, whole, r.IncrMS)
+			r.DelayMS, r.AnalyzeMS, r.IncrMS)
 	}
 	return sb.String()
 }

@@ -43,11 +43,11 @@ func (s *Sig) Bytes(b []byte) {
 	s.Word(w<<8 | uint64(n)) // length-tagged tail: "ab" != "ab\x00"
 }
 
-// RegionCache memoizes per-region results of the regionized directed
-// engine across Compute calls. The key fingerprints everything a region's
-// answer depends on — its induced program-order and directed-conflict
-// subgraphs in local ids, the endpoint restriction, and (via
-// Constraints.NodeSig) the constraint rows behind Removed — so a hit is
+// RegionCache memoizes per-region results of sccCompute across Compute
+// calls. The key fingerprints everything a region's answer depends on —
+// its induced program-order and directed-conflict subgraphs in local ids,
+// the skipped endpoints, and (via Constraints.NodeSig/ClassSig) the
+// constraint rows behind Removed — so a hit is
 // exact by construction, and the stored rows are local-id bitsets, immune
 // to the global renumbering a source edit causes. Incremental analysis
 // hands the same cache to successive Compute calls; regions untouched by
@@ -120,22 +120,22 @@ func (c *RegionCache) put(key Sig, e *cacheEntry) {
 // all: opaque per-pair callbacks defeat memoization unless their state is
 // exposed through NodeSig or ClassSig.
 func cacheUsable(con Constraints) bool {
-	return con.Cache != nil && con.PairFilter == nil &&
+	return con.Cache != nil &&
 		(con.Removed == nil || con.NodeSig != nil || con.ClassSig != nil)
 }
 
-// regionSig fingerprints one region: member count, the endpoint
-// restriction, per-member program-order and directed-conflict successors
+// regionSig fingerprints one region: member count, the skipped
+// endpoints, per-member program-order and directed-conflict successors
 // within the region (as local ids, so access renumbering outside the
 // region cannot disturb the key), and the caller's NodeSig rows. Section
 // sentinels (high-bit-tagged words no local id can produce) keep
 // variable-length parts from aliasing each other.
 func regionSig(ag *ir.AccessGraph, con Constraints, comp []int32, c int,
-	members []int32, mask []uint64, lof []int32, dirOut graph.Rows, em []uint64) Sig {
+	members []int32, mask []uint64, lof []int32, dirOut graph.Rows, skip []uint64) Sig {
 
 	s := NewSig()
 	s.Word(uint64(len(members)))
-	s.Word(uint64(con.EndpointsMode)<<2 | boolBit(con.Removed != nil)<<1 | boolBit(em != nil))
+	s.Word(boolBit(con.Removed != nil)<<1 | boolBit(skip != nil))
 	adj := ag.G.Adj
 	for _, gv := range members {
 		gu := int(gv)
@@ -144,7 +144,7 @@ func regionSig(ag *ir.AccessGraph, con Constraints, comp []int32, c int,
 				s.Word(uint64(lof[v]))
 			}
 		}
-		s.Word(1<<63 | 1<<8 | boolBit(em != nil && graph.BitGet(em, gu)))
+		s.Word(1<<63 | 1<<8 | boolBit(skip != nil && graph.BitGet(skip, gu)))
 		for wi, word := range dirOut.Row(gu) {
 			for m := word & mask[wi]; m != 0; m &= m - 1 {
 				s.Word(uint64(lof[wi<<6+bits.TrailingZeros64(m)]))

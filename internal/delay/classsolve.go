@@ -41,7 +41,7 @@ import (
 // unsupported; the caller then runs denseSolve.
 func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	members []int32, mask []uint64, lof []int32,
-	dirOut, dirIn graph.Rows, em []uint64,
+	dirOut, dirIn graph.Rows, skip []uint64,
 	gd *mixedAdj, sc *regionScratch, fan bool) bool {
 
 	nl := len(members)
@@ -199,7 +199,7 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 					lepoch++
 					cutReady := false
 					cand := sc.cand
-					if !candidateRow(ag, gb, em, con.EndpointsMode, cand) {
+					if !candidateRow(ag, gb, skip, cand) {
 						continue
 					}
 					for i := range cand {
@@ -502,12 +502,10 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 }
 
 // classSolveUsable reports whether the constraint shape supports the
-// class-condensed engine: an access classing must exist, per-pair
-// filters are opaque to sharing, and the Removed stage needs cover rows
-// to localize the removal set per class cell.
-func classSolveUsable(con Constraints, filter func(a, b int) bool) bool {
-	return con.AccessClass != nil && filter == nil &&
-		(con.Removed == nil || con.RemovedCover != nil)
+// class-condensed engine: an access classing must exist, and the Removed
+// stage needs cover rows to localize the removal set per class cell.
+func classSolveUsable(con Constraints) bool {
+	return con.AccessClass != nil && (con.Removed == nil || con.RemovedCover != nil)
 }
 
 // aclsSlot is the per-a-class state of the current tree group, target

@@ -2,6 +2,7 @@ package delay
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/conflict"
@@ -51,10 +52,7 @@ func denseFn(tb testing.TB) *ir.Fn {
 // like the production lock guards — rem(a,b,z) holds iff a, b, and z
 // share a mask bit — so the cover is exactly the removed set and the
 // per-node masks are expressible through NodeSig.
-func denseVariants(fn *ir.Fn, cs *conflict.Set) []struct {
-	name string
-	con  Constraints
-} {
+func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
 	m := make([]uint64, n)
 	for x := 0; x < n; x++ {
@@ -85,10 +83,7 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []struct {
 			}
 		}
 	}
-	return []struct {
-		name string
-		con  Constraints
-	}{
+	return []variant{
 		{"dirrows", Constraints{DirRows: dirRows}},
 		{"dirrows+removed+cover", Constraints{
 			DirRows: dirRows, Removed: rem, RemovedCover: cover}},
@@ -98,42 +93,82 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []struct {
 	}
 }
 
-// TestDenseRegionMatchesWhole is the large-input differential: the
-// regionized engine with its dense-region dispatch and word-parallel
-// restricted pair search must stay pair-identical to the whole-graph
-// batched engine past the n >= 512 activation thresholds.
-func TestDenseRegionMatchesWhole(t *testing.T) {
-	fn := denseFn(t)
-	ag := ir.BuildAccessGraph(fn)
-	cs := conflict.Compute(fn)
-	for _, v := range denseVariants(fn, cs) {
-		got := Compute(ag, cs, v.con)
-		whole := v.con
-		whole.Engine = EngineWhole
-		want := Compute(ag, cs, whole)
-		pairsEqual(t, fmt.Sprintf("dense %s (n=%d)", v.name, len(fn.Accesses)), got, want)
+// denseOracle holds what the large-input differentials share: denseFn's
+// graphs, the dense variants, and the reference engine's set for each and
+// for the plain baseline — a few seconds of per-pair searching apiece,
+// computed once per test binary and side by side (the reference engine only
+// reads the graphs).
+var denseOracle struct {
+	once     sync.Once
+	ag       *ir.AccessGraph
+	cs       *conflict.Set
+	variants []variant
+	want     []*Set // per variant
+	baseline *Set
+}
+
+func denseReference(t *testing.T) {
+	t.Helper()
+	o := &denseOracle
+	o.once.Do(func() {
+		fn := denseFn(t)
+		o.ag = ir.BuildAccessGraph(fn)
+		o.cs = conflict.Compute(fn)
+		o.variants = denseVariants(fn, o.cs)
+		o.want = make([]*Set, len(o.variants))
+		reference := func(con Constraints) *Set {
+			con.Reference = true
+			return Compute(o.ag, o.cs, con)
+		}
+		var wg sync.WaitGroup
+		for i, v := range o.variants {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o.want[i] = reference(v.con)
+			}()
+		}
+		o.baseline = reference(Constraints{})
+		wg.Wait()
+	})
+	if o.baseline == nil {
+		t.Fatal("dense reference sets unavailable (an earlier test failed building them)")
 	}
+}
+
+// TestDenseRegionMatchesReference is the large-input differential: past
+// the activation thresholds (dense-region dispatch at denseRegionMin
+// members, the word-parallel restricted search at n >= 512) the engine
+// must stay pair-identical to the per-pair reference search, on the three
+// directed variants and on the plain baseline the hub solver answers.
+func TestDenseRegionMatchesReference(t *testing.T) {
+	denseReference(t)
+	o := &denseOracle
+	n := len(o.ag.Fn.Accesses)
+	for i, v := range o.variants {
+		pairsEqual(t, fmt.Sprintf("dense %s (n=%d)", v.name, n), Compute(o.ag, o.cs, v.con), o.want[i])
+	}
+	pairsEqual(t, fmt.Sprintf("dense baseline (n=%d)", n), Compute(o.ag, o.cs, Constraints{}), o.baseline)
 }
 
 // TestRegionCacheColdWarm proves the region memo cache is invisible to
 // results: a cold run populating the cache and a warm run replaying it
 // produce pair-identical sets, the warm run actually hits, and both match
-// the whole-graph oracle.
+// the reference oracle.
 func TestRegionCacheColdWarm(t *testing.T) {
-	fn := denseFn(t)
-	ag := ir.BuildAccessGraph(fn)
-	cs := conflict.Compute(fn)
-	for _, v := range denseVariants(fn, cs) {
+	denseReference(t)
+	o := &denseOracle
+	for i, v := range o.variants {
 		cache := NewRegionCache(0)
 		con := v.con
 		con.Cache = cache
-		cold := Compute(ag, cs, con)
+		cold := Compute(o.ag, o.cs, con)
 		misses := cache.Misses
 		usable := cacheUsable(con)
 		if usable && misses == 0 {
 			t.Fatalf("%s: cold run recorded no cache misses; memoization never engaged", v.name)
 		}
-		warm := Compute(ag, cs, con)
+		warm := Compute(o.ag, o.cs, con)
 		if usable && cache.Hits < misses {
 			t.Fatalf("%s: warm run hit %d of %d memoized regions", v.name, cache.Hits, misses)
 		}
@@ -141,8 +176,6 @@ func TestRegionCacheColdWarm(t *testing.T) {
 			t.Fatalf("%s: unfingerprintable constraints still touched the cache", v.name)
 		}
 		pairsEqual(t, v.name+" warm-vs-cold", warm, cold)
-		whole := v.con
-		whole.Engine = EngineWhole
-		pairsEqual(t, v.name+" cold-vs-whole", cold, Compute(ag, cs, whole))
+		pairsEqual(t, v.name+" cold-vs-reference", cold, o.want[i])
 	}
 }

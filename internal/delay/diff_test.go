@@ -34,20 +34,21 @@ func genFn(seed int64) *ir.Fn {
 	return fn
 }
 
-// diffVariants returns the constraint variants the differential tests
-// exercise, spanning every engine mode: plain, oriented (ConflictDir and
-// its DirRows bit-matrix form), pair-filtered, endpoint-restricted in both
-// modes (the sparse include list drives the reverse-sweep flip), per-pair
-// (Removed, with and without a RemovedCover screen), combinations, and the
-// exact search. Hooks are synthetic but deterministic.
-func diffVariants(fn *ir.Fn, cs *conflict.Set) []struct {
+// variant is one named constraint shape of a differential test.
+type variant struct {
 	name string
 	con  Constraints
-} {
+}
+
+// diffVariants returns the constraint variants the differential tests
+// exercise, spanning every shape Constraints can express: plain (the hub
+// solver), oriented (ConflictDir and its DirRows bit-matrix form), skipped
+// endpoints, per-pair removal (with and without a RemovedCover screen), and
+// their combinations — including the symmetric-but-constrained shapes no
+// production caller requests, which Compute must still answer. Hooks are
+// synthetic but deterministic.
+func diffVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
-	isSync := func(a, b int) bool {
-		return fn.Accesses[a].Kind.IsSync() || fn.Accesses[b].Kind.IsSync()
-	}
 	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
 	rem := func(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
 	cover := func(a, b int, scratch []uint64) []uint64 {
@@ -73,22 +74,17 @@ func diffVariants(fn *ir.Fn, cs *conflict.Set) []struct {
 			}
 		}
 	}
-	return []struct {
-		name string
-		con  Constraints
-	}{
+	return []variant{
 		{"plain", Constraints{}},
 		{"dir", Constraints{ConflictDir: cdir}},
 		{"dirrows", Constraints{DirRows: dirRows}},
-		{"filter", Constraints{PairFilter: isSync}},
-		{"endpoints-inc", Constraints{Endpoints: sparse}},
-		{"endpoints-exc", Constraints{Endpoints: sparse, EndpointsMode: EndpointsExclude}},
-		{"endpoints-inc+dir", Constraints{Endpoints: sparse, ConflictDir: cdir}},
+		{"skip", Constraints{SkipEndpoints: sparse}},
+		{"skip+dir", Constraints{SkipEndpoints: sparse, ConflictDir: cdir}},
 		{"removed", Constraints{Removed: rem}},
 		{"removed+cover", Constraints{Removed: rem, RemovedCover: cover}},
-		{"dir+removed+filter", Constraints{ConflictDir: cdir, Removed: rem, PairFilter: isSync}},
-		{"dirrows+removed+cover+inc", Constraints{DirRows: dirRows, Removed: rem, RemovedCover: cover, Endpoints: sparse}},
-		{"exact", Constraints{Exact: true, MaxExactNodes: 1 << 20}},
+		{"removed+cover+skip", Constraints{Removed: rem, RemovedCover: cover, SkipEndpoints: sparse}},
+		{"dir+removed", Constraints{ConflictDir: cdir, Removed: rem}},
+		{"dirrows+removed+cover+skip", Constraints{DirRows: dirRows, Removed: rem, RemovedCover: cover, SkipEndpoints: sparse}},
 	}
 }
 
@@ -100,16 +96,16 @@ func pairsEqual(t *testing.T, label string, got, want *Set) {
 	}
 	for _, p := range want.Pairs() {
 		if !got.Has(p.A, p.B) {
-			t.Fatalf("%s: reference pair [%d,%d] missing from batched engine", label, p.A, p.B)
+			t.Fatalf("%s: reference pair [%d,%d] missing from the engine", label, p.A, p.B)
 		}
 	}
 }
 
-// TestBatchedMatchesReference proves the regionized engine (the default)
-// and the whole-graph batched engine both compute delay sets
-// pair-identical to the per-pair reference search, across progen seeds and
-// every constraint variant.
+// TestBatchedMatchesReference proves the production engine computes delay
+// sets pair-identical to the per-pair reference search, across progen
+// seeds, every constraint variant, and worker counts 1, 2, 3 and 8.
 func TestBatchedMatchesReference(t *testing.T) {
+	defer func(w int) { Workers = w }(Workers)
 	checked := 0
 	for seed := int64(0); seed < 80; seed++ {
 		fn := genFn(seed)
@@ -119,19 +115,14 @@ func TestBatchedMatchesReference(t *testing.T) {
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
 		for _, v := range diffVariants(fn, cs) {
-			if v.con.Exact && len(fn.Accesses) > 18 {
-				continue // the simple-path search is exponential on dense
-				// progen conflict graphs; keep it affordable
-			}
-			label := fmt.Sprintf("seed %d %s (n=%d)", seed, v.name, len(fn.Accesses))
-			got := Compute(ag, cs, v.con)
 			ref := v.con
 			ref.Reference = true
 			want := Compute(ag, cs, ref)
-			pairsEqual(t, label, got, want)
-			whole := v.con
-			whole.Engine = EngineWhole
-			pairsEqual(t, label+" [whole]", Compute(ag, cs, whole), want)
+			for _, nw := range []int{1, 2, 3, 8} {
+				Workers = nw
+				label := fmt.Sprintf("seed %d %s (n=%d, workers=%d)", seed, v.name, len(fn.Accesses), nw)
+				pairsEqual(t, label, Compute(ag, cs, v.con), want)
+			}
 		}
 		checked++
 	}
@@ -142,12 +133,12 @@ func TestBatchedMatchesReference(t *testing.T) {
 
 // TestWithEndpointMatchesRestrictedCompute proves the identity syncanal's
 // D1 rests on: masking a computed set to the pairs with a listed endpoint
-// gives exactly the set computed under that endpoint restriction. It holds
-// because no engine lets the pairs asked about influence one pair's answer;
-// it is checked for every constraint variant that does not restrict
-// endpoints itself (the exact search included), on the dense sets of the
-// regionized engine and the sparse sets of the whole-graph one, with the
-// synchronization accesses as the listed endpoints.
+// gives exactly the set a search restricted to those pairs returns. The
+// restricted search is the oracle's, spelled out: the reference engine's
+// set with each pair kept or dropped on its own endpoints. It holds because
+// the engine never lets the pairs asked about influence one pair's answer;
+// it is checked for every constraint variant that does not skip endpoints
+// itself, with the synchronization accesses as the listed endpoints.
 func TestWithEndpointMatchesRestrictedCompute(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < 150; seed++ {
@@ -164,17 +155,19 @@ func TestWithEndpointMatchesRestrictedCompute(t *testing.T) {
 			}
 		}
 		for _, v := range diffVariants(fn, cs) {
-			if v.con.Endpoints != nil || v.con.Exact && len(fn.Accesses) > 18 {
+			if v.con.SkipEndpoints != nil {
 				continue
 			}
-			for _, eng := range []Engine{EngineRegion, EngineWhole} {
-				con := v.con
-				con.Engine = eng
-				got := Compute(ag, cs, con).WithEndpoint(syncIDs)
-				con.Endpoints = syncIDs
-				label := fmt.Sprintf("seed %d %s engine %d (n=%d)", seed, v.name, eng, len(fn.Accesses))
-				pairsEqual(t, label, got, Compute(ag, cs, con))
+			got := Compute(ag, cs, v.con).WithEndpoint(syncIDs)
+			ref := v.con
+			ref.Reference = true
+			want := NewSet(fn)
+			for _, p := range Compute(ag, cs, ref).Pairs() {
+				if fn.Accesses[p.A].Kind.IsSync() || fn.Accesses[p.B].Kind.IsSync() {
+					want.Add(p.A, p.B)
+				}
 			}
+			pairsEqual(t, fmt.Sprintf("seed %d %s (n=%d)", seed, v.name, len(fn.Accesses)), got, want)
 		}
 		checked++
 	}

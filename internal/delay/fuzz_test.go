@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/conflict"
+	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
-// FuzzBackPathEquivalence fuzzes the regionized engine (the default) and
-// the whole-graph batched engine against the per-pair reference search:
-// any seed/mode combination that produces a buildable program must yield
-// pair-identical delay sets from all three.
+// FuzzBackPathEquivalence fuzzes the production engine against the
+// per-pair reference search: any seed/mode combination that produces a
+// buildable program must yield pair-identical delay sets. The mode bits
+// pick the constraint shape — 1 orientation, 2 removal, 4 orientation as
+// DirRows instead of ConflictDir, 8 skipped endpoints, 16 a RemovedCover
+// screen.
 func FuzzBackPathEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		for mode := uint8(0); mode < 32; mode += 3 {
@@ -23,47 +26,59 @@ func FuzzBackPathEquivalence(f *testing.F) {
 			t.Skip("seed does not build")
 		}
 		n := len(fn.Accesses)
+		ag := ir.BuildAccessGraph(fn)
+		cs := conflict.Compute(fn)
 		con := Constraints{}
 		if mode&1 != 0 {
-			con.ConflictDir = func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
+			cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
+			if mode&4 == 0 {
+				con.ConflictDir = cdir
+			} else {
+				rows := graph.NewBitMatrix(n)
+				for x := 0; x < n; x++ {
+					for _, y := range cs.Partners(x) {
+						if cdir(x, y) {
+							rows.Set(x, y)
+						}
+					}
+				}
+				con.DirRows = rows
+			}
 		}
 		if mode&2 != 0 {
-			con.Removed = func(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
-		}
-		if mode&4 != 0 {
-			con.PairFilter = func(a, b int) bool {
-				return fn.Accesses[a].Kind.IsSync() || fn.Accesses[b].Kind.IsSync()
+			rem := func(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
+			con.Removed = rem
+			if mode&16 != 0 {
+				con.RemovedCover = func(a, b int, scratch []uint64) []uint64 {
+					for i := range scratch {
+						scratch[i] = 0
+					}
+					for z := 0; z < n; z++ {
+						if rem(a, b, z) {
+							graph.BitSet(scratch, z)
+						}
+					}
+					return scratch
+				}
 			}
 		}
 		if mode&8 != 0 {
+			con.SkipEndpoints = []int{}
 			for i := 0; i < n; i += 7 {
-				con.Endpoints = append(con.Endpoints, i)
-			}
-			if con.Endpoints == nil {
-				con.Endpoints = []int{}
-			}
-			if mode&16 != 0 {
-				con.EndpointsMode = EndpointsExclude
+				con.SkipEndpoints = append(con.SkipEndpoints, i)
 			}
 		}
-		ag := ir.BuildAccessGraph(fn)
-		cs := conflict.Compute(fn)
 		ref := con
 		ref.Reference = true
 		want := Compute(ag, cs, ref)
-		for _, eng := range []struct {
-			name string
-			con  Constraints
-		}{{"region", con}, {"whole", func() Constraints { c := con; c.Engine = EngineWhole; return c }()}} {
-			got := Compute(ag, cs, eng.con)
-			if got.Size() != want.Size() {
-				t.Fatalf("mode %d %s: got %d pairs, reference %d\ngot:\n%swant:\n%s",
-					mode, eng.name, got.Size(), want.Size(), got, want)
-			}
-			for _, p := range want.Pairs() {
-				if !got.Has(p.A, p.B) {
-					t.Fatalf("mode %d %s: reference pair [%d,%d] missing", mode, eng.name, p.A, p.B)
-				}
+		got := Compute(ag, cs, con)
+		if got.Size() != want.Size() {
+			t.Fatalf("mode %d: got %d pairs, reference %d\ngot:\n%swant:\n%s",
+				mode, got.Size(), want.Size(), got, want)
+		}
+		for _, p := range want.Pairs() {
+			if !got.Has(p.A, p.B) {
+				t.Fatalf("mode %d: reference pair [%d,%d] missing", mode, p.A, p.B)
 			}
 		}
 	})

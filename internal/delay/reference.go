@@ -2,13 +2,17 @@ package delay
 
 import (
 	"repro/internal/conflict"
+	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
-// computeReference is the pre-batching back-path engine, kept verbatim as
-// the oracle for the differential tests: one search per program-order
-// pair, adjacency materialized through closures. Selected by
-// Constraints.Reference.
+// computeReference is the oracle of the package: the definition of a
+// back-path run once per program-order pair, adjacency materialized through
+// closures, nothing shared between pairs. The differential tests hold the
+// production engine to it (Constraints.Reference), and the exact search
+// (Constraints.Exact) exists only here. It reads the plain fields of
+// Constraints — ConflictDir (or, without one, DirRows), Removed,
+// SkipEndpoints — and none of the engine's accelerators.
 func computeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	out := NewSet(fn)
@@ -17,8 +21,16 @@ func computeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 		return out
 	}
 	cdir := con.ConflictDir
-	if cdir == nil {
+	switch {
+	case cdir != nil:
+	case con.DirRows != nil:
+		cdir = func(x, y int) bool { return graph.BitGet(con.DirRows.Row(x), y) }
+	default:
 		cdir = func(x, y int) bool { return true }
+	}
+	skip := make([]bool, n)
+	for _, x := range con.SkipEndpoints {
+		skip[x] = true
 	}
 	conflictOut := func(x int) []int {
 		var r []int
@@ -37,11 +49,11 @@ func computeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 		return r
 	}
 
-	exact := con.Exact && n <= con.maxExact()
+	exact := con.Exact && n <= ExactLimit
 
 	for _, pr := range ag.OrderedPairs() {
 		a, b := pr[0], pr[1]
-		if con.PairFilter != nil && !con.PairFilter(a, b) {
+		if skip[a] || skip[b] {
 			continue
 		}
 		// Note (a, a) pairs are real: inside a loop they stand for the

@@ -8,9 +8,8 @@ import (
 	"repro/internal/ir"
 )
 
-// This file implements the regionized back-path engine, the default since
-// the whole-graph batched engine stopped scaling past a few thousand
-// accesses. It rests on one confinement fact:
+// This file implements the production back-path engine. It rests on one
+// confinement fact:
 //
 //	A delay pair (a, b) needs a program-order path a -> b and a back-path
 //	walk b -> a, both over mixed edges (program order plus usable conflict
@@ -20,30 +19,33 @@ import (
 //
 // Hence pairs spanning two SCCs are false with zero search, and searches
 // for same-SCC pairs restricted to the induced subgraph are exact — for
-// every constraint mode, because constraints only shrink the edge set the
-// walks may use.
+// every constraint, because constraints only shrink the edge set the walks
+// may use.
 //
-// Two sub-engines split the work:
+// Two solvers split the work, one per shape section 5.1 asks for:
 //
-//   - sccCompute handles directed conflict edges (orientation by the
-//     precedence relation). There the mixed graph decomposes into many
-//     small SCCs — essentially the barrier phases — and each region gets
-//     its own local CSR, local FlowDom, and local per-pair re-searches
-//     when a Removed predicate is present.
+//   - hubCompute takes the unconstrained symmetric query and nothing else
+//     (the Shasha–Snir baseline). There barrier conflict edges glue the
+//     whole program into one giant SCC and regionization is useless.
+//     Instead the Theta(n^2) conflict edges are compressed through
+//     per-group hub nodes: accesses with the same (kind, symbol, index
+//     shape) conflict with exactly the same opponents, so one collector
+//     node per group receives its members and one distributor node re-emits
+//     them, turning each group-pair clique into two hub edges. The BFS per
+//     target then runs on ~2n + g^2 edges instead of n^2, and per-group
+//     first-visit witnesses answer most pair queries in O(1) before the
+//     dominator fallback.
 //
-//   - hubCompute handles the symmetric unoriented case, where barrier
-//     conflict edges glue the whole program into one giant SCC and
-//     regionization is useless. Instead the Theta(n^2) conflict edges are
-//     compressed through per-group hub nodes: accesses with the same
-//     (kind, symbol, index shape) conflict with exactly the same
-//     opponents, so one collector node per group receives its members and
-//     one distributor node re-emits them, turning each group-pair clique
-//     into two hub edges. The BFS per target then runs on ~2n + g^2 edges
-//     instead of n^2, and per-group first-visit witnesses answer most
-//     pair queries in O(1) before the dominator fallback.
+//   - sccCompute takes every constrained query: directed conflict edges
+//     (orientation by the precedence relation), a Removed predicate,
+//     skipped endpoints. Under orientation the mixed graph decomposes into
+//     many small SCCs — essentially the barrier phases — and each region
+//     gets its own local CSR, local FlowDom, and local per-pair
+//     re-searches when a Removed predicate is present; regions past
+//     denseRegionMin move to bitset rows (denseSolve, and classSolve when
+//     the caller supplied an access classing).
 type hubScratch struct {
 	fd     *graph.FlowDom
-	psc    *pairScratch
 	seeds  []int32
 	cand   []uint64
 	y1, y2 []int32 // first/second visited member per group
@@ -70,103 +72,73 @@ type hubScratch struct {
 	cellTick int32
 }
 
-// computeRegion is the regionized engine entry point.
+// pairScratch is the reusable state of one worker's per-pair searches.
+type pairScratch struct {
+	mark  []int32
+	epoch int32
+	stack []int32
+}
+
+// computeRegion is the engine entry point: the unconstrained symmetric
+// query goes to the hub solver, every other shape to the region solver.
 func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	n := len(fn.Accesses)
-	out := NewDenseSet(fn)
+	out := NewSet(fn)
 	if n == 0 {
 		return out
 	}
 	// Force the lazy program-order transpose before any worker fan-out;
 	// its construction is not concurrency-safe.
 	_ = ag.PredRow(0)
-	if con.ConflictDir == nil && con.DirRows == nil {
-		hubCompute(ag, cs, con, out)
+	if con.ConflictDir == nil && con.DirRows == nil && con.Removed == nil && con.SkipEndpoints == nil {
+		hubCompute(ag, cs, out)
 	} else {
 		sccCompute(ag, cs, con, out)
 	}
 	// Workers wrote rows directly; invalidate the derived caches once.
-	out.size = -1
-	out.sorted = nil
-	out.aOff = nil
+	out.touched()
 	return out
 }
 
-// endpointMask materializes Constraints.Endpoints as a bitset.
-func endpointMask(con Constraints, w int) ([]uint64, int) {
-	if con.Endpoints == nil {
-		return nil, 0
+// skipMask materializes Constraints.SkipEndpoints as a bitset, nil when
+// no endpoint is skipped.
+func skipMask(con Constraints, w int) []uint64 {
+	if con.SkipEndpoints == nil {
+		return nil
 	}
-	em := make([]uint64, w)
-	for _, x := range con.Endpoints {
-		graph.BitSet(em, x)
+	skip := make([]uint64, w)
+	for _, x := range con.SkipEndpoints {
+		graph.BitSet(skip, x)
 	}
-	c := 0
-	for _, word := range em {
-		c += bits.OnesCount64(word)
-	}
-	return em, c
+	return skip
 }
 
 // candidateRow fills cand with the considered sources a for target b:
-// program-order predecessors, restricted by the endpoint mask. It reports
-// whether b itself survives the endpoint restriction (a false return means
-// no pair with this target is considered at all).
-func candidateRow(ag *ir.AccessGraph, b int, em []uint64, mode EndpointsMode, cand []uint64) bool {
+// program-order predecessors minus the skipped endpoints. A false return
+// means b itself is skipped and no pair with this target is considered.
+func candidateRow(ag *ir.AccessGraph, b int, skip, cand []uint64) bool {
 	copy(cand, ag.PredRow(b))
-	if em == nil {
+	if skip == nil {
 		return true
 	}
-	if mode == EndpointsExclude {
-		if graph.BitGet(em, b) {
-			return false
-		}
-		for i := range cand {
-			cand[i] &^= em[i]
-		}
-		return true
+	if graph.BitGet(skip, b) {
+		return false
 	}
-	if !graph.BitGet(em, b) {
-		for i := range cand {
-			cand[i] &= em[i]
-		}
+	for i := range cand {
+		cand[i] &^= skip[i]
 	}
 	return true
 }
 
-// applyPairFilter drops candidate bits rejected by the opaque PairFilter.
-// Production callers express restrictions through Endpoints instead; the
-// per-bit calls here keep arbitrary test filters correct.
-func applyPairFilter(filter func(a, b int) bool, b int, cand []uint64) {
-	if filter == nil {
-		return
-	}
-	for wi, w := range cand {
-		for m := w; m != 0; m &= m - 1 {
-			a := wi<<6 + bits.TrailingZeros64(m)
-			if !filter(a, b) {
-				cand[wi] &^= 1 << (uint(a) & 63)
-			}
-		}
-	}
-}
-
-func anyWord(row []uint64) bool {
-	for _, w := range row {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// hubCompute answers every pair with symmetric unrestricted conflicts on
-// the hub-compressed mixed graph. Node layout: accesses [0, n), collector
+// hubCompute answers every program-order pair under symmetric
+// unrestricted conflicts — no orientation, no removal, no skipped endpoint
+// (computeRegion sends anything else to sccCompute) — on the hub-compressed
+// mixed graph. Node layout: accesses [0, n), collector
 // C_g at n+g, distributor D_g at n+G+g; the real conflict edge x -> y is
 // realized as x -> C_{g(x)} -> D_{g(y)} -> y, so reachability and
 // reachability-avoiding-one-access coincide with the uncompressed graph.
-func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set) {
+func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 	n := cs.N()
 	G := cs.NumGroups()
 	w := graph.WordsFor(n)
@@ -231,33 +203,14 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 			}
 		})
 
-	em, ecount := endpointMask(con, w)
-	filter := con.PairFilter
-	// Flip small include-sets to per-source reverse sweeps: D1 touches few
-	// synchronization accesses, so per-target sweeps over all n targets
-	// would dominate.
-	flip := em != nil && con.EndpointsMode == EndpointsInclude &&
-		con.Removed == nil && filter == nil && 4*ecount < n
-
-	nw := workerCount(n)
-	scr := make([]*hubScratch, nw)
-	scratch := func(wk int) *hubScratch {
-		if scr[wk] == nil {
-			scr[wk] = &hubScratch{
-				fd:    graph.NewFlowDom(hub),
-				cand:  make([]uint64, w),
-				y1:    make([]int32, G),
-				y2:    make([]int32, G),
-				gep:   make([]int32, G),
-				seeds: make([]int32, 0, 2),
-			}
-		}
-		return scr[wk]
-	}
-
-	// resolve answers one pair (a, b) after a forward sweep for b: the
-	// mirrors of the whole-graph source() branches, with the per-group
-	// first-visit witnesses screening before the dominator fallback.
+	// resolve answers one pair (a, b) after the cut sweep for b (seeds are
+	// b's conflict successors, b's in-edges are deleted because a walk never
+	// re-enters its own start). The pair is positive iff some y in T(a) —
+	// the accesses with a conflict edge into a — was reached by a path
+	// avoiding a: any reached y when a itself was not, a's own
+	// self-conflict edge when it was, else a witness outside a's subtree
+	// of the first-visit tree (the per-group first two screen cheaply), else
+	// a y that a does not dominate.
 	resolve := func(s *hubScratch, a int) bool {
 		gl := ga[groupOf[a]]
 		hit := false
@@ -302,14 +255,8 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 
 	sweep := func(s *hubScratch, b int) {
 		g := groupOf[b]
-		if len(ga[g]) == 0 {
-			return // no usable conflict edge leaves b
-		}
 		cand := s.cand
-		if !candidateRow(ag, b, em, con.EndpointsMode, cand) {
-			return
-		}
-		applyPairFilter(filter, b, cand)
+		copy(cand, ag.PredRow(b))
 		row := out.byB.Row(b)
 		crb := cs.Row(b)
 		rest := false
@@ -321,7 +268,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 				rest = true
 			}
 		}
-		if !rest && con.Removed == nil {
+		if !rest {
 			return
 		}
 		s.seeds = append(s.seeds[:0], int32(n)+g)
@@ -350,9 +297,6 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 					graph.BitSet(row, a)
 				}
 			}
-		}
-		if con.Removed != nil {
-			hubRestrict(s, hub, cs, con, n, b, row)
 		}
 	}
 
@@ -390,10 +334,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 	)
 	fastSweep := func(s *hubScratch, b int) bool {
 		cand := s.cand
-		if !candidateRow(ag, b, em, con.EndpointsMode, cand) {
-			return true
-		}
-		applyPairFilter(filter, b, cand)
+		copy(cand, ag.PredRow(b))
 		row := out.byB.Row(b)
 		crb := cs.Row(b)
 		rest := false
@@ -488,289 +429,46 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 		return done
 	}
 
-	if con.Removed == nil {
-		// Group-major forward sweeps: one shared base per conflict group.
-		parallelFor(G, nw, func(wk, g int) {
-			if len(ga[g]) == 0 {
-				return
-			}
-			s := scratch(wk)
-			if s.base == nil {
-				s.base = graph.NewFlowDom(hub)
-				s.poolBuf = make([]int32, poolK*G)
-				s.pools = make([][]int32, G)
-			}
-			built := false
-			for _, b32 := range mem[g] {
-				b := int(b32)
-				if flip && !graph.BitGet(em, b) {
-					continue // handled by a reverse sweep below
-				}
-				if !built {
-					built = true
-					s.seeds = append(s.seeds[:0], int32(n)+int32(g))
-					s.base.Reach(s.seeds, -1)
-					for i := range s.pools {
-						s.pools[i] = s.poolBuf[i*poolK : i*poolK : (i+1)*poolK]
-					}
-					for _, v := range s.base.Order() {
-						if v >= int32(n) {
-							continue
-						}
-						if p := s.pools[groupOf[v]]; len(p) < poolK {
-							s.pools[groupOf[v]] = append(p, v)
-						}
-					}
-				}
-				if !fastSweep(s, b) {
-					sweep(s, b)
-				}
-			}
-		})
-	} else {
-		parallelFor(n, nw, func(wk, b int) {
-			if flip && !graph.BitGet(em, b) {
-				return // handled by a reverse sweep below
-			}
-			sweep(scratch(wk), b)
-		})
-	}
-
-	if !flip {
-		return
-	}
-
-	// Reverse sweeps: one per included source a, answering every target b
-	// outside the include set. The reverse of the forward walk
-	// b -> x -> ... -> y -> a starts at T(a) (seeded through a's reversed
-	// distributor), is cut at a, and accepts a target b when some usable
-	// conflict successor x of b is reached by a path avoiding b.
-	rev := hub.Reverse()
-	revAs := make([]int, 0, ecount)
-	for wi, word := range em {
-		for ; word != 0; word &= word - 1 {
-			revAs = append(revAs, wi<<6+bits.TrailingZeros64(word))
-		}
-	}
-	results := make([][]uint64, len(revAs))
-	rscr := make([]*hubScratch, nw)
-	parallelFor(len(revAs), nw, func(wk, i int) {
-		if rscr[wk] == nil {
-			rscr[wk] = &hubScratch{
-				fd:    graph.NewFlowDom(rev),
-				cand:  make([]uint64, w),
-				y1:    make([]int32, G),
-				y2:    make([]int32, G),
-				gep:   make([]int32, G),
-				seeds: make([]int32, 0, 2),
-			}
-		}
-		s := rscr[wk]
-		a := revAs[i]
-		g := groupOf[a]
+	// Group-major sweeps: one shared base per conflict group.
+	nw := workerCount(G)
+	scr := make([]*hubScratch, nw)
+	parallelFor(G, nw, func(wk, g int) {
 		if len(ga[g]) == 0 {
-			return // T(a) empty: no back-path can end at a
+			return // no usable conflict edge leaves any member
 		}
-		cand := s.cand
-		copy(cand, ag.ReachRow(a))
-		for j := range cand {
-			cand[j] &^= em[j] // included targets were answered forward
-		}
-		if !anyWord(cand) {
-			return
-		}
-		res := make([]uint64, w)
-		cra := cs.Row(a)
-		rest := false
-		for j := range cand {
-			d := cra[j] & cand[j] // single conflict edge b -> a
-			res[j] |= d
-			cand[j] &^= d
-			if cand[j] != 0 {
-				rest = true
+		if scr[wk] == nil {
+			scr[wk] = &hubScratch{
+				fd:      graph.NewFlowDom(hub),
+				cand:    make([]uint64, w),
+				y1:      make([]int32, G),
+				y2:      make([]int32, G),
+				gep:     make([]int32, G),
+				seeds:   make([]int32, 0, 2),
+				base:    graph.NewFlowDom(hub),
+				poolBuf: make([]int32, poolK*G),
+				pools:   make([][]int32, G),
 			}
 		}
-		results[i] = res
-		if !rest {
-			return
+		s := scr[wk]
+		s.seeds = append(s.seeds[:0], int32(n)+int32(g))
+		s.base.Reach(s.seeds, -1)
+		for i := range s.pools {
+			s.pools[i] = s.poolBuf[i*poolK : i*poolK : (i+1)*poolK]
 		}
-		s.seeds = append(s.seeds[:0], int32(n+G)+g)
-		if graph.BitGet(sc, a) {
-			s.seeds = append(s.seeds, int32(a))
-		}
-		s.fd.Reach(s.seeds, a)
-		s.epoch++
-		for _, v := range s.fd.Order() {
+		for _, v := range s.base.Order() {
 			if v >= int32(n) {
 				continue
 			}
-			g2 := groupOf[v]
-			if s.gep[g2] != s.epoch {
-				s.gep[g2] = s.epoch
-				s.y1[g2] = v
-				s.y2[g2] = -1
-			} else if s.y2[g2] < 0 {
-				s.y2[g2] = v
+			if p := s.pools[groupOf[v]]; len(p) < poolK {
+				s.pools[groupOf[v]] = append(p, v)
 			}
 		}
-		V := s.fd.VisitedRow()
-		for wi, word := range cand {
-			for ; word != 0; word &= word - 1 {
-				b := wi<<6 + bits.TrailingZeros64(word)
-				gl := ga[groupOf[b]]
-				ok := false
-				hit := false
-				for _, g2 := range gl {
-					if s.gep[g2] == s.epoch {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					continue // no conflict successor of b was reached
-				}
-				if !s.fd.Visited(b) {
-					ok = true // every reverse path trivially avoids b
-				} else if graph.BitGet(sc, b) {
-					ok = true // x = b: the first-visit path to b is interior-clean
-				} else {
-					for _, g2 := range gl {
-						if s.gep[g2] != s.epoch {
-							continue
-						}
-						if x := s.y1[g2]; x != int32(b) && !s.fd.TreeAncestor(b, int(x)) {
-							ok = true
-							break
-						}
-						if x := s.y2[g2]; x >= 0 && x != int32(b) && !s.fd.TreeAncestor(b, int(x)) {
-							ok = true
-							break
-						}
-					}
-					if !ok {
-						tb := cs.Row(b)
-						for wj := 0; wj < w && !ok; wj++ {
-							for m := tb[wj] & V[wj]; m != 0; m &= m - 1 {
-								x := wj<<6 + bits.TrailingZeros64(m)
-								if !s.fd.DomAncestor(b, x) {
-									ok = true
-									break
-								}
-							}
-						}
-					}
-				}
-				if ok {
-					graph.BitSet(res, b)
-				}
+		for _, b := range mem[g] {
+			if !fastSweep(s, int(b)) {
+				sweep(s, int(b))
 			}
 		}
 	})
-	// Merge in source order; the per-sweep buffers make the result
-	// independent of worker scheduling.
-	for i, a := range revAs {
-		res := results[i]
-		if res == nil {
-			continue
-		}
-		for wi, word := range res {
-			for ; word != 0; word &= word - 1 {
-				b := wi<<6 + bits.TrailingZeros64(word)
-				graph.BitSet(out.byB.Row(b), a)
-			}
-		}
-	}
-}
-
-// hubRestrict re-validates target b's accepted pairs under the Removed
-// predicate. Removal only shrinks the walkable graph, so stage-1-false
-// pairs stay false; each stage-1-true pair either shows no removable
-// access among the reached nodes (the unrestricted search already is the
-// restricted one) or re-runs the per-pair search on the hub graph.
-func hubRestrict(s *hubScratch, hub *graph.CSR, cs *conflict.Set, con Constraints, n, b int, row []uint64) {
-	V := s.fd.VisitedRow()
-	var cover []uint64
-	if con.RemovedCover != nil {
-		cover = make([]uint64, len(row))
-	}
-	for wi, word := range row {
-		for ; word != 0; word &= word - 1 {
-			a := wi<<6 + bits.TrailingZeros64(word)
-			if con.RemovedCover != nil {
-				cov := con.RemovedCover(a, b, cover)
-				if !graph.AndAny(cov, V[:len(row)]) {
-					continue // no removable access was even reachable
-				}
-			}
-			if !hubPairSearch(s, hub, cs, n, a, b, con.Removed) {
-				row[wi] &^= 1 << (uint(a) & 63)
-			}
-		}
-	}
-}
-
-// hubPairSearch mirrors the whole-graph pairSearch on the hub-compressed
-// graph: hub nodes are traversal plumbing — never removable, never
-// targets, never endpoints.
-func hubPairSearch(s *hubScratch, hub *graph.CSR, cs *conflict.Set, n, a, b int, rem func(a, b, z int) bool) bool {
-	removed := func(z int) bool {
-		if z == a || z == b {
-			return false
-		}
-		return rem(a, b, z)
-	}
-	ta := cs.Row(a)
-	if graph.BitGet(ta, b) {
-		return true // single conflict edge b -> a
-	}
-	if s.psc == nil {
-		s.psc = &pairScratch{mark: make([]int32, hub.N)}
-	}
-	sc := s.psc
-	sc.epoch++
-	sc.stack = sc.stack[:0]
-	for wi, word := range cs.Row(b) {
-		for ; word != 0; word &= word - 1 {
-			x := wi<<6 + bits.TrailingZeros64(word)
-			if removed(x) {
-				continue
-			}
-			if graph.BitGet(ta, x) {
-				return true
-			}
-			if x == a {
-				continue
-			}
-			if sc.mark[x] != sc.epoch {
-				sc.mark[x] = sc.epoch
-				sc.stack = append(sc.stack, int32(x))
-			}
-		}
-	}
-	for len(sc.stack) > 0 {
-		u := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		for _, v := range hub.Out(int(u)) {
-			vi := int(v)
-			if sc.mark[vi] == sc.epoch {
-				continue
-			}
-			if vi < n {
-				if removed(vi) {
-					continue
-				}
-				if graph.BitGet(ta, vi) {
-					return true
-				}
-				if vi == a || vi == b {
-					continue
-				}
-			}
-			sc.mark[vi] = sc.epoch
-			sc.stack = append(sc.stack, v)
-		}
-	}
-	return false
 }
 
 // mixedAdj is the global mixed adjacency consumed by the word-parallel
@@ -810,31 +508,38 @@ func newRegionScratch(n int) *regionScratch {
 	}
 }
 
-// sccCompute answers pairs under directed conflict edges by decomposing
-// the mixed graph into its strongly connected components and running the
-// whole-graph per-target logic on each induced subgraph. Orientation by
-// the precedence relation collapses cross-phase cycles, so the regions
-// are essentially the barrier phases and the per-region subgraphs stay
-// small even when the program does not.
+// sccCompute answers every constrained query by decomposing the mixed
+// graph into its strongly connected components and running one per-target
+// search per member on each induced subgraph. Orientation by the precedence
+// relation collapses cross-phase cycles, so the regions are essentially the
+// barrier phases and the per-region subgraphs stay small even when the
+// program does not. Without any direction the conflict rows themselves
+// serve, so Compute stays total over Constraints.
 func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set) {
 	n := cs.N()
 	w := graph.WordsFor(n)
 	adj := ag.G.Adj
 
-	var dirOut graph.Rows = con.DirRows
-	if dirOut == nil {
-		cdir := con.ConflictDir
+	var dirOut, dirIn graph.Rows
+	switch {
+	case con.DirRows != nil:
+		dirOut = con.DirRows
+	case con.ConflictDir != nil:
 		dm := graph.NewBitMatrix(n)
 		for x := 0; x < n; x++ {
 			for _, y := range cs.Partners(x) {
-				if cdir(x, y) {
+				if con.ConflictDir(x, y) {
 					dm.Set(x, y)
 				}
 			}
 		}
 		dirOut = dm
+	default:
+		dirOut, dirIn = cs, cs // symmetric: the relation is its own transpose
 	}
-	dirIn := graph.TransposeRows(dirOut)
+	if dirIn == nil {
+		dirIn = graph.TransposeRows(dirOut)
+	}
 
 	cd := con.Comp
 	if cd == nil {
@@ -851,8 +556,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 		cd = graph.Condense(n, iter)
 	}
 
-	em, _ := endpointMask(con, w)
-	filter := con.PairFilter
+	skip := skipMask(con, w)
 
 	// Global mixed adjacency for word-parallel restricted searches: with an
 	// exact removal cover, the per-pair re-search seeds its visited set with
@@ -871,7 +575,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 		if scr[wk] == nil {
 			scr[wk] = newRegionScratch(n)
 		}
-		regionSolve(ag, cs, con, out, cd, c, cd.Members[c], dirOut, dirIn, em, filter, gd, scr[wk], fan)
+		regionSolve(ag, con, out, cd, c, cd.Members[c], dirOut, dirIn, skip, gd, scr[wk], fan)
 	}
 
 	// A region large enough for the class solver is solved on its own, its
@@ -880,7 +584,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 	// region would leave the others idle behind it. The remaining regions
 	// then share the workers one region each. Either way no more than
 	// workerCount goroutines compute at a time.
-	fan := classSolveUsable(con, filter)
+	fan := classSolveUsable(con)
 	var pool []int
 	for c, members := range cd.Members {
 		if fan && len(members) >= denseRegionMin {
@@ -898,9 +602,9 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 // (a node outside would extend the closed walk through another SCC). fan
 // lets the class solver spread the region's tree groups over the workers;
 // the caller sets it only while no other region is being solved.
-func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set,
+func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	cd *graph.Condensation, c int, members []int32,
-	dirOut, dirIn graph.Rows, em []uint64, filter func(a, b int) bool,
+	dirOut, dirIn graph.Rows, skip []uint64,
 	gd *mixedAdj, sc *regionScratch, fan bool) {
 
 	nl := len(members)
@@ -914,7 +618,7 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 	// target in the region has a considered same-region source.
 	anyCand := false
 	for _, gb := range members {
-		if !candidateRow(ag, int(gb), em, con.EndpointsMode, sc.cand) {
+		if !candidateRow(ag, int(gb), skip, sc.cand) {
 			continue
 		}
 		for i := range sc.cand {
@@ -944,7 +648,7 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 	memo := cacheUsable(con) && nl >= 32
 	var key Sig
 	if memo {
-		key = regionSig(ag, con, comp, c, members, mask, lof, dirOut, em)
+		key = regionSig(ag, con, comp, c, members, mask, lof, dirOut, skip)
 		if e := con.Cache.get(key); e != nil {
 			for lb, r := range e.rows {
 				row := out.byB.Row(int(members[lb]))
@@ -997,9 +701,9 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 			// The class-condensed engine shares one BFS tree per target
 			// class; it declines (writing nothing) when the constraint
 			// shape or class structure doesn't support sharing.
-			if !classSolveUsable(con, filter) ||
-				!classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, em, gd, sc, fan) {
-				denseSolve(ag, con, out, members, mask, lof, dirOut, dirIn, em, filter, gd, sc)
+			if !classSolveUsable(con) ||
+				!classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, skip, gd, sc, fan) {
+				denseSolve(ag, con, out, members, mask, lof, dirOut, dirIn, skip, gd, sc)
 			}
 			store()
 			return
@@ -1055,13 +759,12 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 	for lb, gb32 := range members {
 		gb := int(gb32)
 		cand := sc.cand
-		if !candidateRow(ag, gb, em, con.EndpointsMode, cand) {
+		if !candidateRow(ag, gb, skip, cand) {
 			continue
 		}
 		for i := range cand {
 			cand[i] &= mask[i]
 		}
-		applyPairFilter(filter, gb, cand)
 		row := out.byB.Row(gb)
 		drow := dirOut.Row(gb)
 		rest := false
@@ -1170,12 +873,6 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 				graph.BitSet(row, a)
 			}
 		}
-		if con.Removed != nil {
-			// Direct pairs were accepted before the search; the per-pair
-			// reference accepts them unconditionally too (its first check
-			// precedes any removal), so nothing to re-validate.
-			_ = gvReady
-		}
 	}
 	store()
 }
@@ -1187,7 +884,7 @@ func regionSolve(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set
 // the first-visit-tree witness screen fails to certify a pair.
 func denseSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	members []int32, mask []uint64, lof []int32,
-	dirOut, dirIn graph.Rows, em []uint64, filter func(a, b int) bool,
+	dirOut, dirIn graph.Rows, skip []uint64,
 	gd *mixedAdj, sc *regionScratch) {
 
 	nl := len(members)
@@ -1227,13 +924,12 @@ func denseSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	for lb, gb32 := range members {
 		gb := int(gb32)
 		cand := sc.cand
-		if !candidateRow(ag, gb, em, con.EndpointsMode, cand) {
+		if !candidateRow(ag, gb, skip, cand) {
 			continue
 		}
 		for i := range cand {
 			cand[i] &= mask[i]
 		}
-		applyPairFilter(filter, gb, cand)
 		row := out.byB.Row(gb)
 		drow := dirOut.Row(gb)
 		rest := false
@@ -1534,8 +1230,9 @@ func localAvoidSearch(sc *pairScratch, lcsr *graph.CSR, tla []uint64, seeds []in
 	return false
 }
 
-// localPairSearch mirrors the whole-graph pairSearch on one region's
-// induced subgraph, translating ids only at the Removed calls.
+// localPairSearch is the per-pair search under a Removed predicate — the
+// oracle's polyBackPath step for step — on one region's induced subgraph
+// and epoch-stamped scratch, translating ids only at the Removed calls.
 func localPairSearch(sc *pairScratch, lcsr *graph.CSR, tl *graph.BitMatrix,
 	members, seeds []int32, a, la, b, lb int, rem func(a, b, z int) bool) bool {
 

@@ -17,8 +17,8 @@ func fakeFn(n int) *ir.Fn {
 	return fn
 }
 
-// TestSetUnionLazyIndex drives chains of unions across sparse and dense
-// sets, interleaved with queries, and checks Pairs/Successors/Has/Size
+// TestSetUnionLazyIndex drives chains of unions, interleaved with
+// queries, and checks Pairs/Successors/Has/Size
 // against a reference map after every step. Union must not eagerly build
 // the sorted index (laziness is asserted structurally: the cache pointer
 // stays nil until a sorted view is requested).
@@ -28,11 +28,8 @@ func TestSetUnionLazyIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ref := make(map[Pair]bool)
 
-	mk := func(dense bool, k int) *Set {
+	mk := func(k int) *Set {
 		s := NewSet(fn)
-		if dense {
-			s = NewDenseSet(fn)
-		}
 		for i := 0; i < k; i++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			s.Add(a, b)
@@ -41,9 +38,9 @@ func TestSetUnionLazyIndex(t *testing.T) {
 		return s
 	}
 
-	acc := mk(false, 30)
+	acc := mk(30)
 	for step := 0; step < 12; step++ {
-		next := mk(step%2 == 0, 25)
+		next := mk(25)
 		acc = acc.Union(next)
 		if acc.sorted != nil {
 			t.Fatalf("step %d: Union built the sorted index eagerly", step)
@@ -60,19 +57,14 @@ func TestSetUnionLazyIndex(t *testing.T) {
 	}
 	checkAgainstRef(t, acc, ref, n)
 
-	// Adding after an index was built must invalidate it, in both modes.
-	for _, dense := range []bool{false, true} {
-		s := NewSet(fn)
-		if dense {
-			s = NewDenseSet(fn)
-		}
-		s.Add(3, 5)
-		_ = s.Pairs()
-		s.Add(1, 2)
-		p := s.Pairs()
-		if len(p) != 2 || p[0] != (Pair{1, 2}) || p[1] != (Pair{3, 5}) {
-			t.Fatalf("dense=%v: stale index after Add: %v", dense, p)
-		}
+	// Adding after an index was built must invalidate it.
+	s := NewSet(fn)
+	s.Add(3, 5)
+	_ = s.Pairs()
+	s.Add(1, 2)
+	p := s.Pairs()
+	if len(p) != 2 || p[0] != (Pair{1, 2}) || p[1] != (Pair{3, 5}) {
+		t.Fatalf("stale index after Add: %v", p)
 	}
 }
 

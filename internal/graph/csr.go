@@ -38,24 +38,3 @@ func FromDigraph(g *Digraph) *CSR {
 
 // Out returns the out-neighbors of u.
 func (c *CSR) Out(u int) []int32 { return c.Dst[c.Off[u]:c.Off[u+1]] }
-
-// Reverse returns the transpose CSR (every edge u -> v becomes v -> u).
-func (c *CSR) Reverse() *CSR {
-	r := &CSR{N: c.N, Off: make([]int32, c.N+1)}
-	for _, v := range c.Dst {
-		r.Off[v+1]++
-	}
-	for u := 0; u < c.N; u++ {
-		r.Off[u+1] += r.Off[u]
-	}
-	r.Dst = make([]int32, len(c.Dst))
-	pos := make([]int32, c.N)
-	copy(pos, r.Off[:c.N])
-	for u := 0; u < c.N; u++ {
-		for _, v := range c.Out(u) {
-			r.Dst[pos[v]] = int32(u)
-			pos[v]++
-		}
-	}
-	return r
-}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/delay"
 	"repro/internal/diag"
 )
 
@@ -117,6 +118,44 @@ func TestUnsafeCompileWarns(t *testing.T) {
 	}
 	if warns[0].Pass != "split-phase" {
 		t.Errorf("warning attributed to %q, want split-phase", warns[0].Pass)
+	}
+}
+
+// TestExactAboveLimitWarns: asking for the exact search on a program past
+// delay.ExactLimit gets the polynomial search and a warning saying so; at or
+// below the limit the search is exact and silent.
+func TestExactAboveLimitWarns(t *testing.T) {
+	var big strings.Builder
+	big.WriteString("shared int X[8];\nfunc main() {\n")
+	for i := 0; i <= delay.ExactLimit; i++ {
+		big.WriteString("    X[MYPROC] = 1;\n")
+	}
+	big.WriteString("}\n")
+	for _, c := range []struct {
+		src  string
+		warn bool
+	}{{ringSrc, false}, {big.String(), true}} {
+		cfg := fullConfig()
+		cfg.Exact = true
+		ctx := NewContext(c.src, cfg)
+		if _, err := (&Pipeline{Passes: Plan(cfg)}).Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		n := len(ctx.Fn.Accesses)
+		if (n > delay.ExactLimit) != c.warn {
+			t.Fatalf("test program has %d accesses, on the wrong side of the limit %d", n, delay.ExactLimit)
+		}
+		warns := ctx.Diags.BySeverity(diag.Warning)
+		if !c.warn {
+			if len(warns) != 0 {
+				t.Errorf("n = %d: unexpected warnings %v", n, warns)
+			}
+			continue
+		}
+		if len(warns) != 1 || warns[0].Pass != "cycle-detect" ||
+			!strings.Contains(warns[0].Msg, "exact search is bounded at 64 accesses; n = 65") {
+			t.Errorf("n = %d: warnings %v, want one from cycle-detect naming the bound and n", n, warns)
+		}
 	}
 }
 

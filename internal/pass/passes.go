@@ -115,6 +115,10 @@ var passes = []Pass{
 		if ctx.Analysis == nil {
 			return ctx.Errorf("cycle-detect", source.Pos{}, "pass %q requires conflict", "cycle-detect")
 		}
+		if n := len(ctx.Analysis.Fn.Accesses); ctx.Config.Exact && n > delay.ExactLimit {
+			ctx.Diags.Warnf("cycle-detect", source.Pos{},
+				"exact search is bounded at %d accesses; n = %d, using the polynomial search", delay.ExactLimit, n)
+		}
 		ctx.Analysis.ComputeBaseline(ctx.analysisOptions())
 		ctx.Count("baseline_delays", ctx.Analysis.Baseline.Size())
 		return nil

@@ -113,7 +113,7 @@ func (c *matrixCache) lookupD1(res *Result) *delay.Set {
 }
 
 // store records the freshly computed matrices under the current
-// structural signature; either may be nil (NoBaseline sessions).
+// structural signature.
 func (c *matrixCache) store(res *Result, baseline, d1 *delay.Set) {
 	if c == nil {
 		return
@@ -182,28 +182,12 @@ func precedenceSig(res *Result, opts Options) delay.Sig {
 		}
 		s.Word(uint64(a.Kind)<<32 | id)
 	}
-	if len(fn.Accesses) > 0 && res.D1.TargetRow(0) != nil {
-		s.Word(1<<63 | 5)
-		domSig(&s, res)
-		for _, a := range fn.Accesses {
-			for _, w := range res.D1.TargetRow(a.ID) {
-				s.Word(w)
-			}
+	s.Word(1<<63 | 5)
+	domSig(&s, res)
+	for _, a := range fn.Accesses {
+		for _, w := range res.D1.TargetRow(a.ID) {
+			s.Word(w)
 		}
-		return s
-	}
-	// Sparse D1 (small programs): the per-pair walk is cheap there.
-	s.Word(1<<63 | 4)
-	for _, p := range res.D1.Pairs() {
-		a, b := fn.Accesses[p.A], fn.Accesses[p.B]
-		var cls uint64
-		if res.Dom.StmtDominates(a, b) {
-			cls |= 1
-		}
-		if res.PDom.StmtPostDominates(b, a) {
-			cls |= 2
-		}
-		s.Word(uint64(p.A)<<34 | uint64(p.B)<<2 | cls)
 	}
 	return s
 }

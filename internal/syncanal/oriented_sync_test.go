@@ -12,8 +12,10 @@ import (
 // in RefineSync): a sync-involving pair oriented-and-removed is searched
 // in a strict edge-subgraph of D1's instance — orientation only drops
 // directed conflict edges and the endpoint filter is identical — so the
-// oriented sync pass must compute a subset of D1. Both polynomial engines
-// are held to the containment on every buildable seed of the grid.
+// oriented sync pass must compute a subset of D1. The oriented sync pairs
+// are taken both ways — the engine's oriented set masked to sync endpoints,
+// and the reference engine's filtered pair by pair — and both are held to
+// the containment on every buildable seed of the grid.
 func TestOrientedSyncSubsetOfD1(t *testing.T) {
 	opts := progen.Options{
 		Procs: 4, MaxPhases: 4, MaxStmts: 10, MaxDepth: 2,
@@ -37,20 +39,16 @@ func TestOrientedSyncSubsetOfD1(t *testing.T) {
 			continue
 		}
 		orientDir := func(x, y int) bool { return !res.R.Has(y, x) }
-		for _, eng := range []struct {
-			name string
-			e    delay.Engine
-		}{{"region", 0}, {"whole", delay.EngineWhole}} {
-			oriented := delay.Compute(res.AG, res.CS, delay.Constraints{
-				Endpoints:   syncIDs,
-				ConflictDir: orientDir,
-				Engine:      eng.e,
-			})
-			for _, p := range oriented.Pairs() {
-				if !res.D1.Has(p.A, p.B) {
-					t.Fatalf("seed %d %s: oriented sync pair [%d,%d] outside D1",
-						seed, eng.name, p.A, p.B)
-				}
+		for _, p := range delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir}).
+			WithEndpoint(syncIDs).Pairs() {
+			if !res.D1.Has(p.A, p.B) {
+				t.Fatalf("seed %d: oriented sync pair [%d,%d] outside D1", seed, p.A, p.B)
+			}
+		}
+		for _, p := range delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir, Reference: true}).Pairs() {
+			sync := fn.Accesses[p.A].Kind.IsSync() || fn.Accesses[p.B].Kind.IsSync()
+			if sync && !res.D1.Has(p.A, p.B) {
+				t.Fatalf("seed %d reference: oriented sync pair [%d,%d] outside D1", seed, p.A, p.B)
 			}
 		}
 		checked++
@@ -75,10 +73,7 @@ func TestOrientedSyncSubsetOfD1Tier(t *testing.T) {
 		}
 	}
 	orientDir := func(x, y int) bool { return !res.R.Has(y, x) }
-	oriented := delay.Compute(res.AG, res.CS, delay.Constraints{
-		Endpoints:   syncIDs,
-		ConflictDir: orientDir,
-	})
+	oriented := delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir}).WithEndpoint(syncIDs)
 	missing := 0
 	for _, p := range oriented.Pairs() {
 		if !res.D1.Has(p.A, p.B) {

@@ -42,22 +42,13 @@ type Options struct {
 	NoPostWait bool
 	NoBarrier  bool
 	NoLocks    bool
-	// Reference routes every back-path search through the per-pair
-	// reference engine (see delay.Constraints.Reference); used by the
-	// differential tests.
+	// Reference routes every back-path search through the per-pair oracle
+	// (see delay.Constraints.Reference); used by the differential tests.
 	Reference bool
-	// Engine selects the polynomial delay engine for every back-path
-	// search: the regionized engine by default, or the whole-graph batched
-	// engine (delay.EngineWhole) as the retained oracle.
-	Engine delay.Engine
-	// NoBaseline makes ComputeBaseline a no-op, for callers that only need
-	// D. Result.Baseline stays nil, and RefineSync, which otherwise reads D1
-	// off the baseline, computes it with a sync-restricted sweep instead.
-	NoBaseline bool
 	// PerAccessR stores the precedence relation with one bitset row per
 	// access instead of the default class-condensed partition. It is the
 	// retained differential oracle for the condensed representation (the
-	// same pattern as Engine/Reference for the delay engines), not a
+	// same pattern as Reference for the delay engine), not a
 	// performance option: the per-access closure is O(n^2*n/64) where the
 	// condensed one is O(c^2*c/64).
 	PerAccessR bool
@@ -365,9 +356,6 @@ func Prepare(fn *ir.Fn) *Result {
 // ComputeBaseline computes the plain Shasha–Snir delay set (no
 // synchronization analysis) into res.Baseline. Requires Prepare.
 func (res *Result) ComputeBaseline(opts Options) {
-	if opts.NoBaseline {
-		return
-	}
 	t0 := time.Now()
 	if cached := opts.matCache.lookupBaseline(res); cached != nil {
 		// Structural inputs unchanged since the previous edit: the
@@ -377,27 +365,22 @@ func (res *Result) ComputeBaseline(opts Options) {
 		return
 	}
 	res.Baseline = delay.Compute(res.AG, res.CS, delay.Constraints{
-		Exact: opts.Exact, Reference: opts.Reference, Engine: opts.Engine,
-		Cache: opts.regionCache,
+		Exact: opts.Exact, Reference: opts.Reference, Cache: opts.regionCache,
 	})
 	res.Timing.Baseline = time.Since(t0)
 }
 
 // RefineSync runs steps 2–6 of section 5.1: the synchronization-restricted
 // initial delay set D1, the precedence relation R, lock guards, barrier
-// phase partitioning, and the final refined delay set D. Requires Prepare.
-// When ComputeBaseline has run, D1 is read off res.Baseline; without it
-// (Options.NoBaseline) D1 costs a back-path sweep of its own.
+// phase partitioning, and the final refined delay set D. Requires Prepare
+// and ComputeBaseline: D1 is read off res.Baseline.
 func (res *Result) RefineSync(opts Options) {
 	fn := res.Fn
 
 	// Step 2: D1 is by definition the Shasha–Snir set restricted to pairs
 	// with a synchronization endpoint, and the back-path test of one pair
-	// never looks at which other pairs are asked about: with the baseline
-	// in hand D1 is a row mask of it. Only a session that skipped the
-	// baseline sweeps, and then with the restriction as an endpoint set the
-	// engine can exploit (non-sync targets skipped wholesale, reverse
-	// sweeps when sync accesses are sparse).
+	// never looks at which other pairs are asked about: D1 is a row mask of
+	// the baseline.
 	t0 := time.Now()
 	syncIDs := []int{}
 	for _, a := range fn.Accesses {
@@ -408,17 +391,7 @@ func (res *Result) RefineSync(opts Options) {
 	if cached := opts.matCache.lookupD1(res); cached != nil {
 		res.D1 = cached
 	} else {
-		if res.Baseline != nil {
-			res.D1 = res.Baseline.WithEndpoint(syncIDs)
-		} else {
-			res.D1 = delay.Compute(res.AG, res.CS, delay.Constraints{
-				Endpoints: syncIDs,
-				Exact:     opts.Exact,
-				Reference: opts.Reference,
-				Engine:    opts.Engine,
-				Cache:     opts.regionCache,
-			})
-		}
+		res.D1 = res.Baseline.WithEndpoint(syncIDs)
 		opts.matCache.store(res, res.Baseline, res.D1)
 	}
 	res.Timing.D1 = time.Since(t0)
@@ -624,7 +597,7 @@ func (res *Result) refineSyncRest(opts Options, syncIDs []int) {
 		}
 	}
 
-	// Bit-parallel forms of the same constraints for the batched engines.
+	// Bit-parallel forms of the same constraints for the delay engine.
 	// The closure forms above stay on the Constraints so the per-pair
 	// reference oracle re-derives every answer independently of these
 	// precomputed rows. ox[y] = C(x, y) &^ R(y, x): the direction x -> y is
@@ -750,7 +723,7 @@ func (res *Result) refineSyncRest(opts Options, syncIDs []int) {
 		return scratch
 	}
 	// Region statistics: the strongly-connected-component decomposition of
-	// the oriented mixed graph — the partition the regionized engine solves
+	// the oriented mixed graph — the partition the delay engine solves
 	// component by component.
 	mixed := func(u int, visit func(v int32)) {
 		for _, v := range res.AG.G.Adj[u] {
@@ -777,12 +750,12 @@ func (res *Result) refineSyncRest(opts Options, syncIDs []int) {
 	// directed conflict edges, removal only excludes interior nodes, and
 	// the endpoint filter is identical), so every sync-involving oriented
 	// delay is already in D1 and the sync pass contributes nothing to the
-	// union — TestOrientedSyncSubsetOfD1 holds the engines to that
-	// containment. Only the data-data pass (phase filter on top of
+	// union — TestOrientedSyncSubsetOfD1 holds the engine and its oracle
+	// to that containment. Only the data-data pass (phase filter on top of
 	// orientation) can produce pairs outside D1.
 	//
 	// The cover above is exact (each arm of removed() is covered by exactly
-	// its own rows), which lets the regionized engine fold it straight into
+	// its own rows), which lets the delay engine fold it straight into
 	// restricted-search visited sets. nodeSig feeds the same rows into the
 	// per-region memo key for incremental analysis: removed() consults, for
 	// nodes of one region, only R restricted to that region plus the nodes'
@@ -791,8 +764,7 @@ func (res *Result) refineSyncRest(opts Options, syncIDs []int) {
 	// for the region statistics: the phased graph is an edge-subgraph of
 	// the orient graph, so the orient SCCs are closed under phased edges.
 	dataPairs := delay.Compute(res.AG, res.CS, delay.Constraints{
-		Endpoints:     syncIDs,
-		EndpointsMode: delay.EndpointsExclude,
+		SkipEndpoints: syncIDs,
 		ConflictDir:   phasedDir,
 		DirRows:       phasedRows,
 		Comp:          cond,
@@ -805,7 +777,6 @@ func (res *Result) refineSyncRest(opts Options, syncIDs []int) {
 		AccessClass:   classPhased,
 		Exact:         opts.Exact,
 		Reference:     opts.Reference,
-		Engine:        opts.Engine,
 	})
 	res.D = res.D1.Union(dataPairs)
 	res.Timing.Orient = time.Since(t0)
@@ -955,7 +926,7 @@ func eventsMatch(post, wait *ir.Access) bool {
 // orders of magnitude.
 type succClass struct {
 	succs   []int
-	row     []uint64 // filtered target bitset (dense interning path only)
+	row     []uint64 // succs as a bitset: the interning key
 	members []int32
 }
 
@@ -965,29 +936,28 @@ type predClass struct {
 }
 
 // derivationClasses builds the interned producer/consumer classes of the
-// step-4 derivation from the dominator-classified D1 pairs. On a dense D1
-// it filters whole matrix rows against inline dominator-interval tests and
-// interns the filtered rows by hash — no Pairs() materialization, no n x n
-// predecessor matrix; the pair-iterating oracle remains for sparse sets.
+// step-4 derivation from the dominator-classified D1 pairs, without
+// materializing Pairs() or an n x n predecessor matrix: the producer side
+// filters each A-major D1 row to the targets the domination conditions
+// admit, the consumer side filters each B-major row to its dominating
+// sources, and both sides intern the filtered bitsets directly (equal rows
+// — the exact class key — hash to the same bucket; an access with an
+// all-zero filtered row joins no class).
+//
+// Producer side (a1, b1): every execution of a1 must be followed by b1,
+// whose D1 delay then forces a1's completion. The paper states "a1
+// dominates b1"; b1 postdominating a1 is the execution-order dual and
+// covers producers inside loops (a write in a loop body never dominates the
+// post after the loop, but the post does postdominate it). Consumer side
+// (b2, a2): b2 must have executed (and its delay forced) before any
+// execution of a2 — domination proper.
 func (res *Result) derivationClasses() ([]*succClass, []*predClass) {
-	if len(res.Fn.Accesses) == 0 {
-		return nil, nil
-	}
-	if byA := res.D1.SourceMatrix(); byA != nil {
-		return res.derivationClassesRows(byA)
-	}
-	return res.derivationClassesPairs()
-}
-
-// derivationClassesRows is the dense-row path: the producer side filters
-// each A-major D1 row to the targets the domination conditions admit, the
-// consumer side filters each B-major row to its dominating sources, and
-// both sides intern the filtered bitsets directly (equal rows — the exact
-// class key — hash to the same bucket; an access with an all-zero filtered
-// row joins no class, matching the skip of empty succ/pred sets).
-func (res *Result) derivationClassesRows(byA *graph.BitMatrix) ([]*succClass, []*predClass) {
 	fn := res.Fn
 	n := len(fn.Accesses)
+	if n == 0 {
+		return nil, nil
+	}
+	byA := res.D1.SourceMatrix()
 	w := graph.WordsFor(n)
 	blk := make([]int32, n)
 	idx := make([]int32, n)
@@ -1100,79 +1070,6 @@ func (res *Result) derivationClassesRows(byA *graph.BitMatrix) ([]*succClass, []
 			pClasses = append(pClasses, &predClass{row: row})
 		}
 		pClasses[ci].members = append(pClasses[ci].members, int32(a2))
-	}
-	return sClasses, pClasses
-}
-
-// derivationClassesPairs is the sparse-set oracle path.
-func (res *Result) derivationClassesPairs() ([]*succClass, []*predClass) {
-	fn := res.Fn
-	n := len(fn.Accesses)
-	// Precompute D1 adjacency with domination conditions.
-	// d1succDom[a] = {s : [a,s] ∈ D1 and a dominates s}
-	// predDom row a = {s : [s,a] ∈ D1 and s dominates a}, as a bitset so
-	// the derivation check is one word-parallel intersection per b1.
-	d1succDom := make([][]int, n)
-	predDom := graph.NewBitMatrix(n)
-	hasPred := make([]bool, n)
-	for _, p := range res.D1.Pairs() {
-		a, b := fn.Accesses[p.A], fn.Accesses[p.B]
-		// Producer side (a1, b1): we need every execution of a1 to be
-		// followed by b1, whose D1 delay then forces a1's completion. The
-		// paper states "a1 dominates b1"; b1 postdominating a1 is the
-		// execution-order dual and covers producers inside loops (a write
-		// in a loop body never dominates the post after the loop, but the
-		// post does postdominate it).
-		if res.Dom.StmtDominates(a, b) || res.PDom.StmtPostDominates(b, a) {
-			d1succDom[p.A] = append(d1succDom[p.A], p.B)
-		}
-		// Consumer side (b2, a2): b2 must have executed (and its delay
-		// forced) before any execution of a2 — domination proper.
-		if res.Dom.StmtDominates(a, b) {
-			predDom.Set(p.B, p.A)
-			hasPred[p.B] = true
-		}
-	}
-	var sClasses []*succClass
-	sKey := make(map[string]int)
-	var keyBuf []byte
-	for a1 := 0; a1 < n; a1++ {
-		succs := d1succDom[a1]
-		if len(succs) == 0 {
-			continue
-		}
-		keyBuf = keyBuf[:0]
-		for _, s := range succs {
-			keyBuf = append(keyBuf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		idx, ok := sKey[string(keyBuf)]
-		if !ok {
-			idx = len(sClasses)
-			sKey[string(keyBuf)] = idx
-			sClasses = append(sClasses, &succClass{succs: succs})
-		}
-		sClasses[idx].members = append(sClasses[idx].members, int32(a1))
-	}
-	var pClasses []*predClass
-	pKey := make(map[string]int)
-	for a2 := 0; a2 < n; a2++ {
-		if !hasPred[a2] {
-			continue
-		}
-		row := predDom.Row(a2)
-		keyBuf = keyBuf[:0]
-		for _, wd := range row {
-			keyBuf = append(keyBuf,
-				byte(wd), byte(wd>>8), byte(wd>>16), byte(wd>>24),
-				byte(wd>>32), byte(wd>>40), byte(wd>>48), byte(wd>>56))
-		}
-		idx, ok := pKey[string(keyBuf)]
-		if !ok {
-			idx = len(pClasses)
-			pKey[string(keyBuf)] = idx
-			pClasses = append(pClasses, &predClass{row: row})
-		}
-		pClasses[idx].members = append(pClasses[idx].members, int32(a2))
 	}
 	return sClasses, pClasses
 }
@@ -1409,16 +1306,7 @@ func newConfinement(res *Result) *confinement {
 		use: make([][]int32, n), def: make([][]int32, n),
 		from: make(map[int][]uint64), into: make(map[int][]uint64),
 	}
-	if byA := res.D1.SourceMatrix(); byA != nil {
-		c.succ, c.pred = byA.Row, res.D1.TargetRow
-	} else {
-		// Sparse D1 (small programs, or the oracle engines).
-		byA = graph.NewBitMatrix(n)
-		for _, p := range res.D1.Pairs() {
-			byA.Set(p.A, p.B)
-		}
-		c.succ, c.pred = byA.Row, byA.Transpose().Row
-	}
+	c.succ, c.pred = res.D1.SourceMatrix().Row, res.D1.TargetRow
 	// Def-use edges come from a local -> reading-accesses index, so edge
 	// collection is linear in the number of uses instead of loads x accesses.
 	users := make(map[ir.LocalID][]int32)
@@ -1657,9 +1545,7 @@ func (res *Result) Summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "accesses:        %d\n", len(res.Fn.Accesses))
 	fmt.Fprintf(&sb, "conflict pairs:  %d\n", res.CS.Size())
-	if res.Baseline != nil { // absent under Options.NoBaseline
-		fmt.Fprintf(&sb, "baseline delays: %d (Shasha-Snir)\n", res.Baseline.Size())
-	}
+	fmt.Fprintf(&sb, "baseline delays: %d (Shasha-Snir)\n", res.Baseline.Size())
 	fmt.Fprintf(&sb, "D1 delays:       %d\n", res.D1.Size())
 	fmt.Fprintf(&sb, "precedence |R|:  %d\n", res.R.Size())
 	if c := res.R.Classes(); c > 0 {

@@ -350,19 +350,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-// TestSummaryNoBaseline: an analysis that skipped the baseline has no
-// baseline line to print (Summary used to dereference the nil set).
-func TestSummaryNoBaseline(t *testing.T) {
-	res := analyze(t, figure5, 0, Options{NoBaseline: true})
-	if res.Baseline != nil {
-		t.Fatal("NoBaseline analysis computed a baseline")
-	}
-	s := res.Summary()
-	if contains(s, "baseline delays") || !contains(s, "final delays") {
-		t.Errorf("summary of a NoBaseline analysis:\n%s", s)
-	}
-}
-
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && indexOf(s, sub) >= 0
 }
