@@ -8,13 +8,13 @@ import (
 	"repro/internal/ir"
 )
 
-// classSolve is denseSolve restructured around Constraints.AccessClass:
-// accesses of one class share dirOut/dirIn rows (restricted to the region)
-// and removal behaviour, so the per-target cut BFS that denseSolve runs nl
-// times collapses to one uncut BFS per distinct SEED ROW — target classes
-// are ordered so classes sharing a seed row are adjacent — and most
-// per-pair avoid-searches collapse to O(1) interval queries against that
-// shared first-visit tree.
+// classSolve solves one dense region on bitset rows, structured around
+// Constraints.AccessClass: accesses of one class share dirOut/dirIn rows
+// (restricted to the region) and removal behaviour, so the per-target cut
+// BFS the CSR loop runs nl times collapses to one uncut BFS per distinct
+// SEED ROW — target classes are ordered so classes sharing a seed row are
+// adjacent — and most per-pair avoid-searches collapse to O(1) interval
+// queries against that shared first-visit tree.
 //
 // The certificate machinery: one uncut BFS per seed row yields a
 // first-visit tree whose preorder intervals are nested or disjoint, so
@@ -23,13 +23,12 @@ import (
 // subtrees has a tree path avoiding la and lb entirely — an exact TRUE
 // for the pair — and zero reachable witnesses on the UNcut tree is an
 // exact FALSE (uncut reach only over-approximates the reference's cut
-// reach). Pairs the shared tree cannot certify fall to a per-a-class
-// blocked BFS (TRUE-only: blocking the whole class under-approximates
-// blocking one member) and finally to DenseFlow.AvoidReach, the same
-// exact per-pair search denseSolve uses. The Removed stage repeats the
-// pattern on a cover-restricted tree — rebuilt only when the cover or the
-// seed row actually changes — with denseRestrict/densePairSearch as the
-// exact residue.
+// reach). Pairs the shared tree cannot certify fall to the per-target cut
+// tree, then the witness-predecessor certificate, and finally to
+// DenseFlow.AvoidReach, the exact per-pair search. The Removed stage
+// repeats the pattern at cell granularity — a cover screen, then a
+// pessimistic/optimistic bracket — with denseRestrict/densePairSearch as
+// the exact residue.
 //
 // Tree groups are independent units of work — each writes only the target
 // rows of its own classes — so with fan set they are claimed by up to
@@ -37,8 +36,7 @@ import (
 // read-only matrices; without it one worker takes them in order.
 //
 // Returns false — having written nothing — when the region's seed-row
-// diversity makes sharing pointless or the constraint shape is
-// unsupported; the caller then runs denseSolve.
+// diversity makes sharing pointless; the caller then runs its CSR loop.
 func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	members []int32, mask []uint64, lof []int32,
 	dirOut, dirIn graph.Rows, skip []uint64,
@@ -66,16 +64,16 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		byClass[lcOf[lb]] = append(byClass[lcOf[lb]], int32(lb))
 	}
 
-	// Group target classes by localized seed-row content (hash bucket plus
-	// exact compare): the shared tree only depends on the seed row, so
-	// classes differing in guards, R class, or witness rows still share it.
+	// Group target classes by localized seed-row content: the shared tree
+	// only depends on the seed row, so classes differing in guards, R class,
+	// or witness rows still share it.
 	type tgroup struct {
 		row     []uint64 // localized seed row
 		seeds   []int32
 		classes []int32
 	}
 	var groups []*tgroup
-	buckets := make(map[uint64][]*tgroup)
+	var seedRows graph.RowInterner
 	buf := make([]uint64, lw)
 	for bc := 0; bc < ncl; bc++ {
 		drow := dirOut.Row(int(members[byClass[bc][0]]))
@@ -87,40 +85,26 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 				graph.BitSet(buf, int(lof[wi<<6+bits.TrailingZeros64(m)]))
 			}
 		}
-		h := uint64(1469598103934665603)
-		for _, wd := range buf {
-			h ^= wd
-			h *= 1099511628211
-		}
-		var g *tgroup
-		for _, cand := range buckets[h] {
-			if wordsEqual64(cand.row, buf) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			row := make([]uint64, lw)
-			copy(row, buf)
-			var seeds []int32
-			for wi, word := range row {
+		id, fresh := seedRows.Intern(buf)
+		if fresh {
+			g := &tgroup{row: seedRows.Row(id)}
+			for wi, word := range g.row {
 				for ; word != 0; word &= word - 1 {
-					seeds = append(seeds, int32(wi<<6+bits.TrailingZeros64(word)))
+					g.seeds = append(g.seeds, int32(wi<<6+bits.TrailingZeros64(word)))
 				}
 			}
-			g = &tgroup{row: row, seeds: seeds}
-			buckets[h] = append(buckets[h], g)
 			groups = append(groups, g)
 		}
-		g.classes = append(g.classes, int32(bc))
+		groups[id].classes = append(groups[id].classes, int32(bc))
 	}
 	// Too little sharing: the per-tree and per-cell state would not
-	// amortize over denseSolve's straight per-target sweep.
+	// amortize over a straight per-target sweep.
 	if len(groups) > nl/3 {
 		return false
 	}
 
-	// Local dense adjacency, exactly as denseSolve builds it.
+	// Local dense adjacency: program-order and usable conflict successors
+	// within the region, in local ids, and the witness rows T(a).
 	adj := ag.G.Adj
 	L := graph.NewBitMatrix(nl)
 	tl := graph.NewBitMatrix(nl)
@@ -272,7 +256,7 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 							}
 
 							// Tier 1.5: cut-tree certificate. One BFS with lb's
-							// in-edges deleted — exactly denseSolve's per-target
+							// in-edges deleted — the CSR loop's per-target
 							// tree — amortized over every unresolved pair of this
 							// lb. Cut-tree paths are lb-legal by construction
 							// (seed-equal-to-cut is still expanded, matching the
@@ -1128,16 +1112,4 @@ func coveredCount(st *witStats, vis []uint64, tin, tout []int32, la, lb int) int
 // inSubtree reports whether y lies in subtree(v); both must be reached.
 func inSubtree(vis []uint64, tin, tout []int32, v, y int) bool {
 	return graph.BitGet(vis, v) && tin[v] <= tin[y] && tout[y] <= tout[v]
-}
-
-func wordsEqual64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, w := range a {
-		if w != b[i] {
-			return false
-		}
-	}
-	return true
 }

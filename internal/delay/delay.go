@@ -21,7 +21,11 @@
 //     edge, wanders the remote copies along program and conflict edges, and
 //     re-enters the local copy of a on a conflict edge. The engine resolves
 //     all pairs of one target b together and confines every search to one
-//     strongly connected component of the mixed graph;
+//     strongly connected component of the mixed graph. Three solvers share
+//     the work: the hub solver takes the unconstrained symmetric query,
+//     the CSR loop every constrained region, and the class solver the
+//     dense regions whose accesses the caller classed (region.go says
+//     what selects each);
 //   - the oracle (reference.go, Constraints.Reference) runs one search per
 //     program-order pair over adjacency materialized through closures. It
 //     is what the differential tests hold the production engine to, and it

@@ -2,6 +2,7 @@ package delay
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -48,10 +49,11 @@ func denseFn(tb testing.TB) *ir.Fn {
 }
 
 // denseVariants are the directed-engine constraint variants whose code
-// paths only activate on large inputs. The removal predicate is shaped
-// like the production lock guards — rem(a,b,z) holds iff a, b, and z
-// share a mask bit — so the cover is exactly the removed set and the
-// per-node masks are expressible through NodeSig.
+// paths only activate on large inputs, each without and with an access
+// classing. The removal predicate is shaped like the production lock guards
+// — rem(a,b,z) holds iff a, b, and z share a mask bit — so the cover is
+// exactly the removed set and the per-node masks are expressible through
+// NodeSig.
 func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
 	m := make([]uint64, n)
@@ -83,6 +85,36 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 			}
 		}
 	}
+	// The classed variants put the same removal behind an orientation that
+	// depends on an access only through its conflict group, so whole groups
+	// share their directed rows and columns, and hand the engine the
+	// partition that interning (directed row, directed column, conflict
+	// row, removal mask) yields — valid as Constraints.AccessClass by
+	// construction. They are the inputs classSolve accepts;
+	// TestDenseRegionMatchesReference checks that it does.
+	gdir := func(x, y int) bool {
+		gx, gy := cs.GroupOf(x), cs.GroupOf(y)
+		return (gx+gy)%3 != 0 || gx <= gy
+	}
+	gRows := graph.NewBitMatrix(n)
+	for x := 0; x < n; x++ {
+		for _, y := range cs.Partners(x) {
+			if gdir(x, y) {
+				gRows.Set(x, y)
+			}
+		}
+	}
+	gCols := gRows.Transpose()
+	classOf := make([]int32, n)
+	var classes graph.RowInterner
+	var key []uint64
+	for x := 0; x < n; x++ {
+		key = append(key[:0], gRows.Row(x)...)
+		key = append(key, gCols.Row(x)...)
+		key = append(key, cs.Row(x)...)
+		key = append(key, m[x])
+		classOf[x], _ = classes.Intern(key)
+	}
 	return []variant{
 		{"dirrows", Constraints{DirRows: dirRows}},
 		{"dirrows+removed+cover", Constraints{
@@ -90,6 +122,68 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 		{"dirrows+removed+exact", Constraints{
 			DirRows: dirRows, Removed: rem, RemovedCover: cover,
 			RemovedExact: true, NodeSig: nodeSig}},
+		{"classed", Constraints{DirRows: gRows, AccessClass: classOf}},
+		{"classed+removed+cover", Constraints{
+			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover}},
+		{"classed+removed+exact", Constraints{
+			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover,
+			RemovedExact: true, NodeSig: nodeSig}},
+	}
+}
+
+// requireClassSolvePath fails the test unless the largest region of the
+// mixed graph under con.DirRows meets the three conditions on which
+// regionSolve hands a region to classSolve and classSolve keeps it: at
+// least denseRegionMin members, at least one edge per node word, and no
+// more distinct localized seed rows than a third of the members. Without
+// this the classed variants could fall back to the CSR loop and still pass.
+func requireClassSolvePath(t *testing.T, ag *ir.AccessGraph, con Constraints) {
+	t.Helper()
+	n := len(ag.Fn.Accesses)
+	mixed := func(u int, visit func(v int32)) {
+		for _, v := range ag.G.Adj[u] {
+			visit(int32(v))
+		}
+		for wi, word := range con.DirRows.Row(u) {
+			for ; word != 0; word &= word - 1 {
+				visit(int32(wi<<6 + bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	cd := graph.Condense(n, mixed)
+	c := 0
+	for i, mem := range cd.Members {
+		if len(mem) > len(cd.Members[c]) {
+			c = i
+		}
+	}
+	members := cd.Members[c]
+	nl := len(members)
+	mask := make([]uint64, graph.WordsFor(n))
+	for _, v := range members {
+		graph.BitSet(mask, int(v))
+	}
+	eLocal := 0
+	var seedRows graph.RowInterner
+	distinct := 0
+	row := make([]uint64, len(mask))
+	for _, v := range members {
+		for _, u := range ag.G.Adj[v] {
+			if cd.Comp[u] == int32(c) {
+				eLocal++
+			}
+		}
+		for wi, word := range con.DirRows.Row(int(v)) {
+			row[wi] = word & mask[wi]
+			eLocal += bits.OnesCount64(row[wi])
+		}
+		if _, fresh := seedRows.Intern(row); fresh {
+			distinct++
+		}
+	}
+	if nl < denseRegionMin || eLocal < nl*nl/64 || distinct > nl/3 {
+		t.Fatalf("largest region (%d members, %d local edges, %d distinct seed rows) would not be class-solved: need >= %d members, >= %d edges, <= %d seed rows",
+			nl, eLocal, distinct, denseRegionMin, nl*nl/64, nl/3)
 	}
 }
 
@@ -122,6 +216,9 @@ func denseReference(t *testing.T) {
 		}
 		var wg sync.WaitGroup
 		for i, v := range o.variants {
+			if v.con.RemovedExact {
+				continue // shares the set of the variant before it, below
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -130,6 +227,14 @@ func denseReference(t *testing.T) {
 		}
 		o.baseline = reference(Constraints{})
 		wg.Wait()
+		// An exact variant asks the question of the cover variant listed
+		// before it: the oracle reads neither the cover nor the claim that
+		// it is exact.
+		for i, v := range o.variants {
+			if v.con.RemovedExact {
+				o.want[i] = o.want[i-1]
+			}
+		}
 	})
 	if o.baseline == nil {
 		t.Fatal("dense reference sets unavailable (an earlier test failed building them)")
@@ -137,17 +242,31 @@ func denseReference(t *testing.T) {
 }
 
 // TestDenseRegionMatchesReference is the large-input differential: past
-// the activation thresholds (dense-region dispatch at denseRegionMin
+// the activation thresholds (class-solver dispatch at denseRegionMin
 // members, the word-parallel restricted search at n >= 512) the engine
-// must stay pair-identical to the per-pair reference search, on the three
-// directed variants and on the plain baseline the hub solver answers.
+// must stay pair-identical to the per-pair reference search — on the three
+// directed variants without an access classing (one big region on the CSR
+// loop), on their classed counterparts (the same region on classSolve, one
+// worker and fanned over three), and on the plain baseline the hub solver
+// answers.
 func TestDenseRegionMatchesReference(t *testing.T) {
+	saved := Workers
+	defer func() { Workers = saved }()
 	denseReference(t)
 	o := &denseOracle
 	n := len(o.ag.Fn.Accesses)
 	for i, v := range o.variants {
-		pairsEqual(t, fmt.Sprintf("dense %s (n=%d)", v.name, n), Compute(o.ag, o.cs, v.con), o.want[i])
+		workers := []int{saved}
+		if v.con.AccessClass != nil {
+			requireClassSolvePath(t, o.ag, v.con)
+			workers = []int{1, 3}
+		}
+		for _, nw := range workers {
+			Workers = nw
+			pairsEqual(t, fmt.Sprintf("dense %s (n=%d, workers=%d)", v.name, n, nw), Compute(o.ag, o.cs, v.con), o.want[i])
+		}
 	}
+	Workers = saved
 	pairsEqual(t, fmt.Sprintf("dense baseline (n=%d)", n), Compute(o.ag, o.cs, Constraints{}), o.baseline)
 }
 

@@ -22,31 +22,45 @@ import (
 // every constraint, because constraints only shrink the edge set the walks
 // may use.
 //
-// Two solvers split the work, one per shape section 5.1 asks for:
+// Three solvers split the work, each selected by something the engine
+// observes about its input:
 //
 //   - hubCompute takes the unconstrained symmetric query and nothing else
-//     (the Shasha–Snir baseline). There barrier conflict edges glue the
-//     whole program into one giant SCC and regionization is useless.
-//     Instead the Theta(n^2) conflict edges are compressed through
-//     per-group hub nodes: accesses with the same (kind, symbol, index
-//     shape) conflict with exactly the same opponents, so one collector
-//     node per group receives its members and one distributor node re-emits
-//     them, turning each group-pair clique into two hub edges. The BFS per
-//     target then runs on ~2n + g^2 edges instead of n^2, and per-group
-//     first-visit witnesses answer most pair queries in O(1) before the
-//     dominator fallback.
+//     (the Shasha–Snir baseline; computeRegion selects it when no
+//     direction, removal or skipped endpoint is set). There barrier
+//     conflict edges glue the whole program into one giant SCC and
+//     regionization is useless. Instead the Theta(n^2) conflict edges are
+//     compressed through per-group hub nodes: accesses with the same (kind,
+//     symbol, index shape) conflict with exactly the same opponents, so one
+//     collector node per group receives its members and one distributor
+//     node re-emits them, turning each group-pair clique into two hub
+//     edges. The BFS per target then runs on ~2n + g^2 edges instead of
+//     n^2, and per-group first-visit witnesses answer most pair queries in
+//     O(1) before the exact avoid-search.
 //
-//   - sccCompute takes every constrained query: directed conflict edges
-//     (orientation by the precedence relation), a Removed predicate,
-//     skipped endpoints. Under orientation the mixed graph decomposes into
-//     many small SCCs — essentially the barrier phases — and each region
-//     gets its own local CSR, local FlowDom, and local per-pair
-//     re-searches when a Removed predicate is present; regions past
-//     denseRegionMin move to bitset rows (denseSolve, and classSolve when
-//     the caller supplied an access classing).
+//   - the CSR loop of regionSolve is the general path: every constrained
+//     query (directed conflict edges, a Removed predicate, skipped
+//     endpoints), any region size. Under orientation the mixed graph
+//     decomposes into many small SCCs — essentially the barrier phases —
+//     and each region gets its own local CSR, one cut sweep per target, the
+//     first-visit-tree witness screen, one exact avoid-search when the
+//     screen is silent, and local per-pair re-searches when a Removed
+//     predicate is present.
+//
+//   - classSolve is the fast path for the regions that dominate large
+//     programs: at least denseRegionMin members, at least one edge per node
+//     word (eLocal >= nl^2/64), and an access classing from the caller
+//     (Constraints.AccessClass). It shares one BFS tree per distinct seed
+//     row on bitset rows; when it declines (too little sharing) the region
+//     falls through to the CSR loop.
+//
+// DESIGN.md §19 records how much traffic each solver and each fallback
+// inside them carries, and how to re-measure it.
 type hubScratch struct {
 	fd     *graph.FlowDom
 	seeds  []int32
+	psc    *pairScratch // exact avoid-search state, built on first use
+	ta     []uint64     // T(a) widened to the hub graph's node count
 	cand   []uint64
 	y1, y2 []int32 // first/second visited member per group
 	gep    []int32 // epoch stamps for y1/y2
@@ -210,8 +224,10 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 	// avoiding a: any reached y when a itself was not, a's own
 	// self-conflict edge when it was, else a witness outside a's subtree
 	// of the first-visit tree (the per-group first two screen cheaply), else
-	// a y that a does not dominate.
-	resolve := func(s *hubScratch, a int) bool {
+	// whatever one exact search avoiding a finds — the same search the CSR
+	// loop falls back to, over the hub graph (hub nodes are never
+	// witnesses: their bits in the widened target row stay zero).
+	resolve := func(s *hubScratch, a, b int) bool {
 		gl := ga[groupOf[a]]
 		hit := false
 		for _, g2 := range gl {
@@ -240,17 +256,12 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 				return true
 			}
 		}
-		ta := cs.Row(a)
-		V := s.fd.VisitedRow()
-		for wi := 0; wi < w; wi++ {
-			for m := ta[wi] & V[wi]; m != 0; m &= m - 1 {
-				y := wi<<6 + bits.TrailingZeros64(m)
-				if !s.fd.DomAncestor(a, y) {
-					return true
-				}
-			}
+		if s.psc == nil {
+			s.psc = &pairScratch{mark: make([]int32, N)}
+			s.ta = make([]uint64, graph.WordsFor(N))
 		}
-		return false
+		copy(s.ta, cs.Row(a))
+		return localAvoidSearch(s.psc, hub, s.ta, s.seeds, a, b)
 	}
 
 	sweep := func(s *hubScratch, b int) {
@@ -293,7 +304,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 		for wi, word := range cand {
 			for ; word != 0; word &= word - 1 {
 				a := wi<<6 + bits.TrailingZeros64(word)
-				if resolve(s, a) {
+				if resolve(s, a, b) {
 					graph.BitSet(row, a)
 				}
 			}
@@ -482,7 +493,7 @@ type mixedAdj struct {
 }
 
 // denseRegionMin is the member count from which a region is tried on the
-// dense bitset-row solvers (classSolve, then denseSolve).
+// class solver's bitset rows.
 const denseRegionMin = 256
 
 // regionScratch is one worker's reusable state for sccCompute.
@@ -679,12 +690,13 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		con.Cache.put(key, &cacheEntry{rows: rows})
 	}
 
-	// Dense regions flip to bitset-row BFS: per-target cost drops from
-	// O(E) edge visits to O(nl^2/64) word operations, and the avoid-BFS
-	// fallback replaces per-target dominator trees. Word-op parity sits at
-	// one edge per node word, and the dense path's branch-free inner loop
-	// plus its cheaper fallbacks win from roughly that point on.
-	if nl >= denseRegionMin {
+	// A dense region whose accesses the caller classed goes to the class
+	// solver: per-target cost drops from O(E) edge visits to O(nl^2/64)
+	// word operations shared per seed row. Word-op parity sits at one edge
+	// per node word. The class solver declines (writing nothing) when the
+	// region's seed rows are too diverse to share trees; the CSR loop below
+	// handles every shape at any size.
+	if nl >= denseRegionMin && classSolveUsable(con) {
 		eLocal := 0
 		for _, gv := range members {
 			gu := int(gv)
@@ -697,14 +709,8 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 				eLocal += bits.OnesCount64(word & mask[wi])
 			}
 		}
-		if eLocal >= nl*nl/64 {
-			// The class-condensed engine shares one BFS tree per target
-			// class; it declines (writing nothing) when the constraint
-			// shape or class structure doesn't support sharing.
-			if !classSolveUsable(con) ||
-				!classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, skip, gd, sc, fan) {
-				denseSolve(ag, con, out, members, mask, lof, dirOut, dirIn, skip, gd, sc)
-			}
+		if eLocal >= nl*nl/64 &&
+			classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, skip, gd, sc, fan) {
 			store()
 			return
 		}
@@ -804,11 +810,9 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 					res = true
 				default:
 					// Witness screen: any reached y in T(a) whose first-visit
-					// path provably avoids a settles the pair without touching
-					// dominators. Only when every early witness is a tree
-					// descendant of a does the exact avoid-search run; the
-					// lazily built dominator tree is reserved for targets
-					// whose fallback rate would make repeated searches worse.
+					// path provably avoids a settles the pair. Only when
+					// every early witness is a tree descendant of a does the
+					// exact avoid-search run.
 					hit, checked := false, 0
 				screen:
 					for wj := 0; wj < lw; wj++ {
@@ -875,169 +879,6 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		}
 	}
 	store()
-}
-
-// denseSolve runs one dense region's per-target searches on bitset rows:
-// the same acceptance logic as regionSolve, except that the
-// dominator-tree fallback is replaced by DenseFlow.AvoidReach — an exact
-// second BFS that on a dense matrix costs no more than the first — after
-// the first-visit-tree witness screen fails to certify a pair.
-func denseSolve(ag *ir.AccessGraph, con Constraints, out *Set,
-	members []int32, mask []uint64, lof []int32,
-	dirOut, dirIn graph.Rows, skip []uint64,
-	gd *mixedAdj, sc *regionScratch) {
-
-	nl := len(members)
-	lw := graph.WordsFor(nl)
-	adj := ag.G.Adj
-
-	// Local dense adjacency: program-order and usable conflict successors
-	// within the region, in local ids.
-	L := graph.NewBitMatrix(nl)
-	tl := graph.NewBitMatrix(nl)
-	for lu, gv := range members {
-		gu := int(gv)
-		row := L.Row(lu)
-		for _, v := range adj[gu] {
-			if graph.BitGet(mask, v) {
-				graph.BitSet(row, int(lof[v]))
-			}
-		}
-		for wi, word := range dirOut.Row(gu) {
-			for m := word & mask[wi]; m != 0; m &= m - 1 {
-				graph.BitSet(row, int(lof[wi<<6+bits.TrailingZeros64(m)]))
-			}
-		}
-		trow := tl.Row(lu)
-		for wi, word := range dirIn.Row(gu) {
-			for m := word & mask[wi]; m != 0; m &= m - 1 {
-				graph.BitSet(trow, int(lof[wi<<6+bits.TrailingZeros64(m)]))
-			}
-		}
-	}
-
-	df := graph.NewDenseFlow(L)
-	seeds := make([]int32, 0, 64)
-	var pvis []uint64
-	var pstack []int32
-
-	for lb, gb32 := range members {
-		gb := int(gb32)
-		cand := sc.cand
-		if !candidateRow(ag, gb, skip, cand) {
-			continue
-		}
-		for i := range cand {
-			cand[i] &= mask[i]
-		}
-		row := out.byB.Row(gb)
-		drow := dirOut.Row(gb)
-		rest := false
-		for i := range cand {
-			d := drow[i] & cand[i] // single conflict edge b -> a
-			row[i] |= d
-			cand[i] &^= d
-			if cand[i] != 0 {
-				rest = true
-			}
-		}
-		if !rest && con.Removed == nil {
-			continue
-		}
-		seeds = seeds[:0]
-		for wi, word := range drow {
-			for m := word & mask[wi]; m != 0; m &= m - 1 {
-				seeds = append(seeds, lof[wi<<6+bits.TrailingZeros64(m)])
-			}
-		}
-		if len(seeds) == 0 {
-			continue // no usable conflict edge leaves b within the region
-		}
-		df.Reach(seeds, lb)
-		V := df.VisitedRow()
-		gvReady := false
-		for wi, word := range cand {
-			for ; word != 0; word &= word - 1 {
-				a := wi<<6 + bits.TrailingZeros64(word)
-				la := int(lof[a])
-				tla := tl.Row(la)
-				res := false
-				switch {
-				case !graph.BitGet(V, la):
-					res = graph.AndAny(tla, V)
-				case graph.BitGet(tla, la):
-					res = true
-				default:
-					// Witness screen: any reached y in T(a) whose
-					// first-visit path provably avoids a settles the pair.
-					// On dense graphs the BFS tree is shallow, so the first
-					// few witnesses almost always decide; if none does, one
-					// exact avoid-BFS answers.
-					hit, checked := false, 0
-				screen:
-					for wj := 0; wj < lw; wj++ {
-						for m := tla[wj] & V[wj]; m != 0; m &= m - 1 {
-							y := wj<<6 + bits.TrailingZeros64(m)
-							if y == la {
-								continue
-							}
-							hit = true
-							if !df.TreeAncestor(la, y) {
-								res = true
-								break screen
-							}
-							if checked++; checked >= 16 {
-								break screen
-							}
-						}
-					}
-					if !res && hit {
-						res = df.AvoidReach(seeds, lb, la, tla)
-					}
-				}
-				if !res {
-					continue
-				}
-				if con.Removed != nil {
-					var cov []uint64
-					if con.RemovedCover != nil {
-						if !gvReady {
-							gvReady = true
-							for i := range sc.gv {
-								sc.gv[i] = 0
-							}
-							for _, lv := range df.Order() {
-								graph.BitSet(sc.gv, int(members[lv]))
-							}
-						}
-						cov = con.RemovedCover(a, gb, sc.cover)
-						if !graph.AndAny(cov, sc.gv) {
-							graph.BitSet(row, a) // no removable access reachable
-							continue
-						}
-					}
-					if gd != nil {
-						var hitP bool
-						sc.queue, hitP = denseRestrict(gd, mask, cov, dirIn.Row(a), dirOut.Row(gb), a, gb, sc.vis, sc.teff, sc.queue)
-						if !hitP {
-							continue
-						}
-					} else {
-						if pvis == nil {
-							pvis = make([]uint64, lw)
-							pstack = make([]int32, 0, nl)
-						}
-						var hitP bool
-						pstack, hitP = densePairSearch(L, pvis, pstack, tl.Row(la), members, seeds, a, la, gb, lb, con.Removed)
-						if !hitP {
-							continue
-						}
-					}
-				}
-				graph.BitSet(row, a)
-			}
-		}
-	}
 }
 
 // denseRestrict answers one Removed-restricted pair (a, b) word-parallel
@@ -1125,10 +966,10 @@ func denseRestrict(gd *mixedAdj, mask, cov, ta, drow []uint64,
 	return queue, false
 }
 
-// densePairSearch mirrors localPairSearch on the dense local adjacency.
-// Removed nodes are marked visited-without-expansion: they would be
-// skipped on every future encounter anyway, and marking caps the number
-// of Removed-predicate calls at one per node.
+// densePairSearch mirrors localPairSearch on the class solver's dense
+// local adjacency. Removed nodes are marked visited-without-expansion: they
+// would be skipped on every future encounter anyway, and marking caps the
+// number of Removed-predicate calls at one per node.
 func densePairSearch(L *graph.BitMatrix, pvis []uint64, stack []int32,
 	tla []uint64, members, seeds []int32, a, la, b, lb int, rem func(a, b, z int) bool) ([]int32, bool) {
 
@@ -1187,12 +1028,13 @@ func densePairSearch(L *graph.BitMatrix, pvis []uint64, stack []int32,
 	return stack, false
 }
 
-// localAvoidSearch is the exact fallback behind the witness screen: does
-// any node of tla lie on a path from seeds that avoids la? Identical to
+// localAvoidSearch is the exact fallback behind the witness screens of the
+// CSR loop and the hub solver: does any node of tla lie on a path from
+// seeds that avoids la, with lb's in-edges cut? Identical to
 // localPairSearch with no Removed predicate — target tests precede the
-// la/lb interior skips, and lb reappearing as a target is accepted —
-// which is exactly the disjunction over y in T(a) of "y reachable
-// avoiding a" that the dominator fallback used to answer one y at a time.
+// la/lb interior skips, and lb reappearing as a target is accepted — which
+// is the disjunction over y in T(a) of "y reachable avoiding a". tla must
+// span every node of lcsr.
 func localAvoidSearch(sc *pairScratch, lcsr *graph.CSR, tla []uint64, seeds []int32, la, lb int) bool {
 	sc.epoch++
 	sc.stack = sc.stack[:0]

@@ -34,33 +34,10 @@ func (m *BitMatrix) Has(i, j int) bool {
 	return m.b[i*m.W+j>>6]&(1<<(uint(j)&63)) != 0
 }
 
-// OrRow ORs row src into row dst and reports whether dst changed.
-func (m *BitMatrix) OrRow(dst, src int) bool {
-	d := m.Row(dst)
-	s := m.Row(src)
-	changed := false
-	for i, w := range s {
-		if nw := d[i] | w; nw != d[i] {
-			d[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
 // Count returns the number of set bits in the whole matrix.
 func (m *BitMatrix) Count() int {
 	c := 0
 	for _, w := range m.b {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// RowCount returns the number of set bits in row i.
-func (m *BitMatrix) RowCount(i int) int {
-	c := 0
-	for _, w := range m.Row(i) {
 		c += bits.OnesCount64(w)
 	}
 	return c

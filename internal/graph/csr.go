@@ -25,16 +25,5 @@ func BuildCSR(n int, degree func(u int) int, fill func(u int, out []int32)) *CSR
 	return c
 }
 
-// FromDigraph lowers an adjacency-list digraph to CSR form.
-func FromDigraph(g *Digraph) *CSR {
-	return BuildCSR(g.N,
-		func(u int) int { return len(g.Adj[u]) },
-		func(u int, out []int32) {
-			for i, v := range g.Adj[u] {
-				out[i] = int32(v)
-			}
-		})
-}
-
 // Out returns the out-neighbors of u.
 func (c *CSR) Out(u int) []int32 { return c.Dst[c.Off[u]:c.Off[u+1]] }

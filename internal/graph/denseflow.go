@@ -2,140 +2,22 @@ package graph
 
 import "math/bits"
 
-// DenseFlow is FlowDom's sibling for dense graphs: the same
-// "reachable while avoiding one vertex" query family, but over a bitset
-// adjacency matrix. Frontier expansion ORs whole adjacency rows — 64 edges
-// per word operation — so a sweep costs O(|visited| * n/64) words instead
-// of O(E) edge visits, which wins once the graph holds more than ~16 edges
-// per node word. There is no dominator tree here: the exact fallback for
-// inconclusive first-visit-tree screens is AvoidReach, a second masked BFS,
-// which on a dense matrix costs no more than the first one did.
+// DenseFlow answers the exact "reachable while avoiding one vertex" query
+// over a bitset adjacency matrix. Frontier expansion ORs whole adjacency
+// rows — 64 edges per word operation — so a search costs O(|visited| *
+// n/64) words instead of O(E) edge visits, which wins once the graph holds
+// more than ~16 edges per node word.
 //
 // Not safe for concurrent use; give each worker its own.
 type DenseFlow struct {
-	out *BitMatrix
-	n   int   // node count; the virtual BFS root has id n
-	cut int32 // node whose in-edges are deleted for the current source
-
-	visited []uint64
-	order   []int32 // visited nodes in BFS discovery order
-	parent  []int32 // BFS-tree parent of each visited node (root for seeds)
-
-	avoid []uint64 // scratch visited set for AvoidReach
-
-	treeReady    bool
-	ttin, ttout  []int32
-	tHead, tNext []int32
-	stack        []int32
+	out   *BitMatrix
+	vis   []uint64
+	stack []int32
 }
 
 // NewDenseFlow returns a scratch engine over the dense adjacency m.
 func NewDenseFlow(m *BitMatrix) *DenseFlow {
-	n := m.N
-	return &DenseFlow{
-		out: m, n: n,
-		visited: make([]uint64, WordsFor(n)),
-		avoid:   make([]uint64, WordsFor(n)),
-		parent:  make([]int32, n),
-		ttin:    make([]int32, n+1), ttout: make([]int32, n+1),
-		tHead: make([]int32, n+1), tNext: make([]int32, n+1),
-	}
-}
-
-// Reach runs the BFS for one source: from seeds, with cut's in-edges
-// deleted (cut itself may be a seed, and is then expanded). Matches
-// FlowDom.Reach except for neighbor visit order, which no caller may
-// depend on: visited sets are order-independent and both engines answer
-// queries exactly.
-func (f *DenseFlow) Reach(seeds []int32, cut int) {
-	f.order = f.order[:0]
-	f.treeReady = false
-	for i := range f.visited {
-		f.visited[i] = 0
-	}
-	f.cut = int32(cut)
-	root := int32(f.n)
-	for _, s := range seeds {
-		if BitGet(f.visited, int(s)) {
-			continue
-		}
-		BitSet(f.visited, int(s))
-		f.parent[s] = root
-		f.order = append(f.order, s)
-	}
-	cw, cm := cut>>6, uint64(1)<<(uint(cut)&63)
-	for i := 0; i < len(f.order); i++ {
-		u := f.order[i]
-		row := f.out.Row(int(u))
-		for wi := range f.visited {
-			nw := row[wi] &^ f.visited[wi]
-			if wi == cw {
-				nw &^= cm
-			}
-			if nw == 0 {
-				continue
-			}
-			f.visited[wi] |= nw
-			for ; nw != 0; nw &= nw - 1 {
-				v := int32(wi<<6 + bits.TrailingZeros64(nw))
-				f.parent[v] = u
-				f.order = append(f.order, v)
-			}
-		}
-	}
-}
-
-// Order returns the visited nodes of the current source in discovery
-// order, as a shared slice valid until the next Reach.
-func (f *DenseFlow) Order() []int32 { return f.order }
-
-// Visited reports whether v was reached for the current source.
-func (f *DenseFlow) Visited(v int) bool { return BitGet(f.visited, v) }
-
-// VisitedRow returns the visited set as a shared bitset row.
-func (f *DenseFlow) VisitedRow() []uint64 { return f.visited }
-
-// TreeAncestor reports whether a is an ancestor of y in the BFS
-// first-visit tree of the current source (a == y reports true). Both must
-// be visited. False proves y's first-visit path avoids a — an exact
-// positive; true is inconclusive, so callers fall back to AvoidReach.
-func (f *DenseFlow) TreeAncestor(a, y int) bool {
-	if !f.treeReady {
-		f.buildTree()
-	}
-	return f.ttin[a] <= f.ttin[y] && f.ttout[y] <= f.ttout[a]
-}
-
-func (f *DenseFlow) buildTree() {
-	f.treeReady = true
-	root := int32(f.n)
-	f.tHead[root] = -1
-	for _, v := range f.order {
-		f.tHead[v] = -1
-	}
-	for i := len(f.order) - 1; i >= 0; i-- {
-		v := f.order[i]
-		p := f.parent[v]
-		f.tNext[v] = f.tHead[p]
-		f.tHead[p] = v
-	}
-	t := int32(0)
-	f.stack = append(f.stack[:0], root)
-	for len(f.stack) > 0 {
-		v := f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-		if v < 0 {
-			f.ttout[-(v + 1)] = t
-			t++
-			continue
-		}
-		f.ttin[v] = t
-		t++
-		f.stack = append(f.stack, -(v + 1))
-		for c := f.tHead[v]; c != -1; c = f.tNext[c] {
-			f.stack = append(f.stack, c)
-		}
-	}
+	return &DenseFlow{out: m, vis: make([]uint64, WordsFor(m.N))}
 }
 
 // AvoidReach reports whether some node of the targets bitset is reachable
@@ -147,7 +29,7 @@ func (f *DenseFlow) buildTree() {
 // filter — mirroring the reference search, which tests "is this a
 // conflict predecessor of a" before discarding a node as interior.
 func (f *DenseFlow) AvoidReach(seeds []int32, cut, avoid int, targets []uint64) bool {
-	vis := f.avoid
+	vis := f.vis
 	for i := range vis {
 		vis[i] = 0
 	}

@@ -1,41 +1,31 @@
 package graph
 
-// FlowDom answers batched "reachable while avoiding one vertex" queries
-// over a CSR graph. A call to Reach(seeds, cut) runs a BFS of the virtual
-// flowgraph whose root has an edge to every seed and whose edges into
-// `cut` are deleted (cut itself may still be a seed). DomAncestor then
-// uses the dominator tree of that flowgraph: a vertex y is reachable from
-// the seeds without touching vertex a (a != y) exactly when y is visited
-// and a does not dominate y — every dominator of y lies on every
-// root-to-y path, and conversely a first-visit path avoids any
-// non-dominator.
+// FlowDom runs the batched per-target sweep of the back-path engine over a
+// CSR graph and keeps its first-visit tree. A call to Reach(seeds, cut)
+// runs a BFS of the virtual flowgraph whose root has an edge to every seed
+// and whose edges into `cut` are deleted (cut itself may still be a seed).
+// The tree then screens "y reachable from the seeds without touching a":
+// when a is not a tree ancestor of y, y's first-visit path avoids a — an
+// exact positive. The converse does not hold (some other path may avoid a),
+// so callers follow an inconclusive screen with one exact avoid-search.
 //
 // The struct is a reusable scratch: one allocation amortized over many
 // sources. It is not safe for concurrent use; give each worker its own.
 type FlowDom struct {
 	csr *CSR
-	n   int   // node count; the virtual root has id n
-	cut int32 // node whose in-edges are deleted for the current source
+	n   int // node count; the virtual root has id n
 
 	epoch   int32
 	mark    []int32  // mark[v] == epoch: v visited for the current source
 	order   []int32  // visited nodes in BFS discovery order
 	visited []uint64 // bitset of visited nodes
-	seeds   []int32  // deduplicated seeds of the current source
 	parent  []int32  // BFS-tree parent of each visited node (root for seeds)
 
 	// First-visit-tree state, built lazily by TreeAncestor.
 	treeReady    bool
 	ttin, ttout  []int32
 	tHead, tNext []int32
-
-	// Dominator state, built lazily by Doms for the current source.
-	domsReady            bool
-	idom                 []int32 // immediate dominator (root's is itself)
-	bnum                 []int32 // BFS number: root 0, order[i] = i+1
-	tin, tout            []int32 // dominator-tree DFS intervals
-	childHead, childNext []int32 // dominator-tree children lists
-	stack                []int32
+	stack        []int32
 }
 
 // NewFlowDom returns a scratch engine for the given graph.
@@ -48,9 +38,6 @@ func NewFlowDom(csr *CSR) *FlowDom {
 		parent:  make([]int32, n),
 		ttin:    make([]int32, n+1), ttout: make([]int32, n+1),
 		tHead: make([]int32, n+1), tNext: make([]int32, n+1),
-		idom: make([]int32, n+1), bnum: make([]int32, n+1),
-		tin: make([]int32, n+1), tout: make([]int32, n+1),
-		childHead: make([]int32, n+1), childNext: make([]int32, n+1),
 	}
 }
 
@@ -58,10 +45,7 @@ func NewFlowDom(csr *CSR) *FlowDom {
 // in-edges deleted. Pass cut < 0 to delete nothing.
 func (f *FlowDom) Reach(seeds []int32, cut int) {
 	f.epoch++
-	f.cut = int32(cut)
 	f.order = f.order[:0]
-	f.seeds = f.seeds[:0]
-	f.domsReady = false
 	f.treeReady = false
 	for i := range f.visited {
 		f.visited[i] = 0
@@ -75,12 +59,11 @@ func (f *FlowDom) Reach(seeds []int32, cut int) {
 		BitSet(f.visited, int(s))
 		f.parent[s] = root
 		f.order = append(f.order, s)
-		f.seeds = append(f.seeds, s)
 	}
 	for i := 0; i < len(f.order); i++ {
 		u := f.order[i]
 		for _, v := range f.csr.Out(int(u)) {
-			if v == f.cut || f.mark[v] == f.epoch {
+			if v == int32(cut) || f.mark[v] == f.epoch {
 				continue
 			}
 			f.mark[v] = f.epoch
@@ -97,10 +80,8 @@ func (f *FlowDom) Order() []int32 { return f.order }
 
 // TreeAncestor reports whether a is an ancestor of y in the BFS
 // first-visit tree of the current source (a == y reports true). Both must
-// be visited. A false answer proves y's first-visit path avoids a — an
-// exact positive witness that is much cheaper than the dominator tree; a
-// true answer is inconclusive (some other path may still avoid a), so
-// callers fall back to DomAncestor.
+// be visited. A false answer proves y's first-visit path avoids a; a true
+// answer is inconclusive.
 func (f *FlowDom) TreeAncestor(a, y int) bool {
 	if !f.treeReady {
 		f.buildTree()
@@ -159,103 +140,3 @@ func (f *FlowDom) Visited(v int) bool { return f.mark[v] == f.epoch }
 
 // VisitedRow returns the visited set as a shared bitset row.
 func (f *FlowDom) VisitedRow() []uint64 { return f.visited }
-
-// DomAncestor reports whether a dominates y in the current source's
-// flowgraph (every seed-to-y path passes through a). Both a and y must be
-// visited; a == y reports true. Dominators are computed lazily on the
-// first query per source.
-func (f *FlowDom) DomAncestor(a, y int) bool {
-	if !f.domsReady {
-		f.doms()
-	}
-	return f.tin[a] <= f.tin[y] && f.tout[y] <= f.tout[a]
-}
-
-// doms runs the iterate-to-fixpoint immediate-dominator computation
-// (Cooper–Harvey–Kennedy, scatter form: meets are applied along out-edges
-// so no per-source predecessor lists are materialized), then numbers the
-// dominator tree with entry/exit intervals for O(1) ancestor tests.
-func (f *FlowDom) doms() {
-	f.domsReady = true
-	root := int32(f.n)
-	f.idom[root] = root
-	f.bnum[root] = 0
-	for i, v := range f.order {
-		f.idom[v] = -1
-		f.bnum[v] = int32(i + 1)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range f.seeds {
-			if f.meet(root, s) {
-				changed = true
-			}
-		}
-		for _, u := range f.order {
-			for _, v := range f.csr.Out(int(u)) {
-				if v == f.cut || f.mark[v] != f.epoch {
-					continue
-				}
-				if f.meet(u, v) {
-					changed = true
-				}
-			}
-		}
-	}
-	f.childHead[root] = -1
-	for _, v := range f.order {
-		f.childHead[v] = -1
-	}
-	for i := len(f.order) - 1; i >= 0; i-- {
-		v := f.order[i]
-		p := f.idom[v]
-		f.childNext[v] = f.childHead[p]
-		f.childHead[p] = v
-	}
-	t := int32(0)
-	f.stack = append(f.stack[:0], root)
-	for len(f.stack) > 0 {
-		v := f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-		if v < 0 {
-			f.tout[-(v + 1)] = t
-			t++
-			continue
-		}
-		f.tin[v] = t
-		t++
-		f.stack = append(f.stack, -(v + 1))
-		for c := f.childHead[v]; c != -1; c = f.childNext[c] {
-			f.stack = append(f.stack, c)
-		}
-	}
-}
-
-// meet folds flowgraph edge u -> v into idom[v]; reports change.
-func (f *FlowDom) meet(u, v int32) bool {
-	if f.idom[v] == -1 {
-		f.idom[v] = u
-		return true
-	}
-	x := f.intersect(u, f.idom[v])
-	if x != f.idom[v] {
-		f.idom[v] = x
-		return true
-	}
-	return false
-}
-
-// intersect walks both fingers up the current idom chains to their
-// lowest common candidate, ordering by BFS number (every dominator of a
-// node is discovered before it, so chains are bnum-decreasing).
-func (f *FlowDom) intersect(a, b int32) int32 {
-	for a != b {
-		for f.bnum[a] > f.bnum[b] {
-			a = f.idom[a]
-		}
-		for f.bnum[b] > f.bnum[a] {
-			b = f.idom[b]
-		}
-	}
-	return a
-}

@@ -1,6 +1,8 @@
 // Package graph provides the small directed-graph toolkit used by the
-// analyses: reachability, strongly connected components, topological order,
-// and transitive closure over dense integer-indexed node sets.
+// analyses: adjacency-list digraphs with reachability, strongly connected
+// components and transitive closure (the simple forms condense_test.go
+// holds Condense/ReachRows to), bitset rows and matrices, CSR adjacency,
+// the batched avoid-one-vertex searches, and the row interner.
 package graph
 
 // Digraph is a directed graph over nodes 0..N-1 with adjacency lists.
@@ -20,45 +22,10 @@ func (g *Digraph) AddEdge(u, v int) {
 	g.Adj[u] = append(g.Adj[u], v)
 }
 
-// HasEdge reports whether the edge u -> v is present.
-func (g *Digraph) HasEdge(u, v int) bool {
-	for _, w := range g.Adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Reverse returns the transpose graph.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.N)
-	for u, vs := range g.Adj {
-		for _, v := range vs {
-			r.AddEdge(v, u)
-		}
-	}
-	return r
-}
-
 // ReachableFrom returns the set of nodes reachable from src (including src)
 // as a boolean slice.
 func (g *Digraph) ReachableFrom(src int) []bool {
 	seen := make([]bool, g.N)
-	g.reach(src, seen, nil)
-	return seen
-}
-
-// ReachableFromFiltered is ReachableFrom restricted to nodes where
-// allowed(n) is true; src itself is always visited. Edges through
-// disallowed nodes are not followed.
-func (g *Digraph) ReachableFromFiltered(src int, allowed func(int) bool) []bool {
-	seen := make([]bool, g.N)
-	g.reach(src, seen, allowed)
-	return seen
-}
-
-func (g *Digraph) reach(src int, seen []bool, allowed func(int) bool) {
 	stack := []int{src}
 	seen[src] = true
 	for len(stack) > 0 {
@@ -68,13 +35,11 @@ func (g *Digraph) reach(src int, seen []bool, allowed func(int) bool) {
 			if seen[v] {
 				continue
 			}
-			if allowed != nil && !allowed(v) {
-				continue
-			}
 			seen[v] = true
 			stack = append(stack, v)
 		}
 	}
+	return seen
 }
 
 // TransitiveClosure returns reach[u][v] = true iff v is reachable from u
@@ -163,63 +128,4 @@ func (g *Digraph) SCC() (comp []int, ncomp int) {
 	}
 	// Tarjan emits components in reverse topological order already.
 	return comp, ncomp
-}
-
-// Topo returns a topological order of nodes if the graph is acyclic, or
-// ok=false if it has a cycle.
-func (g *Digraph) Topo() (order []int, ok bool) {
-	indeg := make([]int, g.N)
-	for _, vs := range g.Adj {
-		for _, v := range vs {
-			indeg[v]++
-		}
-	}
-	var queue []int
-	for u := 0; u < g.N; u++ {
-		if indeg[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range g.Adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	return order, len(order) == g.N
-}
-
-// HasPath reports whether dst is reachable from src by a path of length >= 1
-// (src itself counts only if it lies on a cycle or has a self-edge).
-func (g *Digraph) HasPath(src, dst int) bool {
-	seen := make([]bool, g.N)
-	stack := []int{}
-	for _, v := range g.Adj[src] {
-		if v == dst {
-			return true
-		}
-		if !seen[v] {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.Adj[u] {
-			if v == dst {
-				return true
-			}
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return false
 }

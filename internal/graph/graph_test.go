@@ -20,63 +20,6 @@ func TestReachableFrom(t *testing.T) {
 	}
 }
 
-func TestReachableFromFiltered(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	r := g.ReachableFromFiltered(0, func(n int) bool { return n != 2 })
-	if !r[1] || r[2] || r[3] {
-		t.Errorf("filtered reach = %v, want node 2 to block the path", r)
-	}
-}
-
-func TestHasEdge(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) || g.HasEdge(0, 2) {
-		t.Error("HasEdge wrong")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
-		t.Error("Reverse wrong")
-	}
-}
-
-func TestHasPath(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if !g.HasPath(0, 2) {
-		t.Error("path 0->2 not found")
-	}
-	if g.HasPath(2, 0) {
-		t.Error("phantom path 2->0")
-	}
-	// src reaches itself only via a cycle
-	if g.HasPath(0, 0) {
-		t.Error("0 should not reach itself without a cycle")
-	}
-	g.AddEdge(2, 0)
-	if !g.HasPath(0, 0) {
-		t.Error("0 should reach itself via cycle")
-	}
-}
-
-func TestHasPathSelfLoop(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 0)
-	if !g.HasPath(0, 0) {
-		t.Error("self-edge should count as a path")
-	}
-}
-
 func TestSCCSimple(t *testing.T) {
 	// 0 <-> 1, 2 alone, 3 -> 0
 	g := New(4)
@@ -126,38 +69,6 @@ func TestSCCBigCycle(t *testing.T) {
 	}
 }
 
-func TestTopo(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
-	order, ok := g.Topo()
-	if !ok {
-		t.Fatal("acyclic graph reported as cyclic")
-	}
-	pos := make([]int, 4)
-	for i, u := range order {
-		pos[u] = i
-	}
-	for u, vs := range g.Adj {
-		for _, v := range vs {
-			if pos[u] >= pos[v] {
-				t.Errorf("edge %d->%d violates topo order", u, v)
-			}
-		}
-	}
-}
-
-func TestTopoCycle(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	if _, ok := g.Topo(); ok {
-		t.Error("cycle not detected")
-	}
-}
-
 func TestTransitiveClosure(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
@@ -195,39 +106,6 @@ func TestSCCAgainstReachability(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Topo succeeds iff the graph has no SCC of size > 1 and no self-loop.
-func TestTopoAgainstSCC(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		g := New(n)
-		for e := 0; e < rng.Intn(2*n); e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		_, ok := g.Topo()
-		comp, _ := g.SCC()
-		sizes := map[int]int{}
-		for _, c := range comp {
-			sizes[c]++
-		}
-		cyclic := false
-		for _, sz := range sizes {
-			if sz > 1 {
-				cyclic = true
-			}
-		}
-		for u := 0; u < n; u++ {
-			if g.HasEdge(u, u) {
-				cyclic = true
-			}
-		}
-		return ok == !cyclic
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -242,6 +242,35 @@ func normalizeCompile(req *CompileRequest) (splitc.Options, Key, error) {
 	return opts, key, nil
 }
 
+// normalizeAnalyze validates and defaults an analyze request: a compile
+// request without the code-generation knobs, under its own key namespace.
+func normalizeAnalyze(req *AnalyzeRequest) (splitc.Options, Key, error) {
+	opts, key, err := normalizeCompile(&CompileRequest{Source: req.Source, Procs: req.Procs,
+		Machine: req.Machine, Level: req.Level, Exact: req.Exact})
+	key.Kind = "analyze"
+	return opts, key, err
+}
+
+// normalizeVerify validates and defaults a verify request (Schedules in
+// place), returning the levels to verify and the cache key: the level list
+// takes the key's Level slot and the schedule-grid knobs go in Extra.
+func normalizeVerify(req *VerifyRequest) ([]splitc.Level, Key, error) {
+	_, key, err := normalizeCompile(&CompileRequest{Source: req.Source, Procs: req.Procs,
+		Machine: req.Machine, Level: "oneway", CSE: req.CSE, Weaken: req.Weaken})
+	if err != nil {
+		return nil, key, err
+	}
+	if req.Schedules <= 0 {
+		req.Schedules = 4
+	}
+	names := strings.Join(req.Levels, ",")
+	levels, err := splitc.ParseLevels(names)
+	key.Kind = "verify"
+	key.Level = names
+	key.Extra = fmt.Sprintf("sched=%d,det=%v", req.Schedules, req.Deterministic)
+	return levels, key, err
+}
+
 // clampTimeout resolves a request's timeout against the server's default
 // and ceiling.
 func clampTimeout(ms int, def, max time.Duration) time.Duration {

@@ -1,11 +1,90 @@
 package serve
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/delay"
 )
+
+// TestNoRequestFieldEscapesTheKey walks every JSON field of the three
+// request types, changes it to another valid value, and requires the
+// normalized cache key's content address to move: a field that reaches the
+// computation but not the key would let one request's artifact answer a
+// different one. timeout_ms is the one exemption — it bounds the work, it
+// does not change the result. A field of a kind the test cannot perturb
+// fails it, so a new knob has to be put in the key or exempted here by
+// name.
+func TestNoRequestFieldEscapesTheKey(t *testing.T) {
+	t.Run("compile", func(t *testing.T) {
+		keyCoversFields(t, CompileRequest{Source: "prog", Procs: 8}, func(req *CompileRequest) (Key, error) {
+			_, key, err := normalizeCompile(req)
+			return key, err
+		})
+	})
+	t.Run("analyze", func(t *testing.T) {
+		keyCoversFields(t, AnalyzeRequest{Source: "prog", Procs: 8}, func(req *AnalyzeRequest) (Key, error) {
+			_, key, err := normalizeAnalyze(req)
+			return key, err
+		})
+	})
+	t.Run("verify", func(t *testing.T) {
+		keyCoversFields(t, VerifyRequest{Source: "prog", Procs: 8}, func(req *VerifyRequest) (Key, error) {
+			_, key, err := normalizeVerify(req)
+			return key, err
+		})
+	})
+}
+
+func keyCoversFields[Req any](t *testing.T, base Req, keyOf func(*Req) (Key, error)) {
+	req := base
+	baseKey, err := keyOf(&req)
+	if err != nil {
+		t.Fatalf("base request rejected: %v", err)
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if name == "timeout_ms" {
+			continue
+		}
+		req := base
+		perturbField(t, reflect.ValueOf(&req).Elem().Field(i), name)
+		key, err := keyOf(&req)
+		if err != nil {
+			t.Errorf("%s.%s: perturbed request rejected: %v", typ.Name(), name, err)
+		} else if key.ID() == baseKey.ID() {
+			t.Errorf("%s.%s does not reach the cache key", typ.Name(), name)
+		}
+	}
+}
+
+// perturbField changes one request field to a different valid value.
+func perturbField(t *testing.T, f reflect.Value, name string) {
+	// Fields whose valid values are constrained, by JSON name.
+	named := map[string]any{
+		"machine": "t3d",
+		"level":   "pipelined",
+		"levels":  []string{"pipelined"},
+		"passes":  []string{"parse", "check"},
+		"weaken":  []WeakenPair{{A: 0, B: 1}},
+	}
+	if v, ok := named[name]; ok {
+		f.Set(reflect.ValueOf(v))
+		return
+	}
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(f.String() + " ")
+	case reflect.Int:
+		f.SetInt(f.Int() + 1)
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	default:
+		t.Fatalf("field %q has kind %s: teach the test to perturb it, and put it in the key", name, f.Kind())
+	}
+}
 
 // TestKeyIDDistinguishesTuple pins the cache-key soundness requirement:
 // any single-field difference in the tuple — same source fingerprint

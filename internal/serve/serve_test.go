@@ -368,6 +368,39 @@ func TestLoggerOutput(t *testing.T) {
 	}
 }
 
+// TestRejectsAreLogged pins one log line per rejected request on every
+// cacheable route: malformed JSON, a non-positive machine size, and unknown
+// level or machine names all answer 400 and log status 400 with
+// "cache":"reject" under the route's own endpoint name.
+func TestRejectsAreLogged(t *testing.T) {
+	var buf lockedBuffer
+	s, _ := newTestServer(t, serve.Config{Logger: log.New(&buf, "", 0)})
+	bodies := map[string][]string{
+		"compile": {`{`, `{"source":"x","procs":0}`, `{"source":"x","procs":8,"level":"turbo"}`, `{"source":"x","procs":8,"machine":"cray-3"}`},
+		"analyze": {`{`, `{"source":"x","procs":0}`, `{"source":"x","procs":8,"level":"turbo"}`, `{"source":"x","procs":8,"machine":"cray-3"}`},
+		"verify":  {`{`, `{"source":"x","procs":0}`, `{"source":"x","procs":8,"levels":["turbo"]}`, `{"source":"x","procs":8,"machine":"cray-3"}`},
+	}
+	for _, route := range []string{"compile", "analyze", "verify"} {
+		for _, body := range bodies[route] {
+			before := buf.String()
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/"+route, strings.NewReader(body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", route, body, rec.Code)
+			}
+			logged := strings.TrimPrefix(buf.String(), before)
+			if strings.Count(logged, "\n") != 1 {
+				t.Errorf("%s %s: logged %d lines, want exactly one: %q", route, body, strings.Count(logged, "\n"), logged)
+			}
+			for _, want := range []string{`"endpoint":"` + route + `"`, `"status":400`, `"cache":"reject"`} {
+				if !strings.Contains(logged, want) {
+					t.Errorf("%s %s: log line missing %s: %q", route, body, want, logged)
+				}
+			}
+		}
+	}
+}
+
 // TestMachineRegistryAccepted accepts every registered cost model.
 func TestMachineRegistryAccepted(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})

@@ -144,8 +144,8 @@ func (s *Server) countRequest(endpoint string) {
 }
 
 // logRequest emits one structured JSON line per completed request.
-// passNs attributes the artifact's per-pass wall time (nil for cache
-// hits and non-compile endpoints).
+// passes attributes the artifact's per-pass wall time (nil off the compile
+// endpoint and for failed requests).
 func (s *Server) logRequest(endpoint, key, cache string, status int, elapsed time.Duration, passes []PassStat) {
 	if s.cfg.Logger == nil {
 		return
@@ -245,34 +245,54 @@ func (s *Server) serveCached(ctx context.Context, id string, compute func(ctx co
 	return body, false, shared, err
 }
 
-// handleCompile serves /v1/compile.
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
+// served is how one request's artifact was obtained: the envelope every
+// cacheable route wraps around its result.
+type served struct {
+	Key           string
+	Cached, Dedup bool
+	ElapsedMs     float64
+}
+
+// handleCached serves one cacheable route — everything /v1/compile,
+// /v1/analyze and /v1/verify share: in-flight and per-endpoint counting,
+// the drain check, decoding, the deadline, the cached execution, status
+// mapping, and exactly one log line per request that got past the drain
+// check. normalize validates and defaults the decoded request and returns
+// its cache key, its timeout_ms, and the computation of its artifact;
+// respond wraps a served artifact in the route's response type and names
+// the per-pass times to log.
+func handleCached[Req, Res any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string,
+	normalize func(req *Req) (Key, int, func(ctx context.Context) (*Res, error), error),
+	respond func(m served, res *Res) (resp any, passes []PassStat)) {
+
 	start := time.Now()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	defer s.countRequest("compile")
+	defer s.countRequest(endpoint)
 	if s.draining.Load() {
 		s.writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
-	var req CompileRequest
+	fail := func(status int, key, cache string, err error) {
+		s.writeError(w, status, err)
+		s.logRequest(endpoint, key, cache, status, time.Since(start), nil)
+	}
+	var req Req
 	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		s.logRequest("compile", "", "reject", http.StatusBadRequest, time.Since(start), nil)
+		fail(http.StatusBadRequest, "", "reject", err)
 		return
 	}
-	opts, key, err := normalizeCompile(&req)
+	key, timeoutMs, compute, err := normalize(&req)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		s.logRequest("compile", "", "reject", http.StatusBadRequest, time.Since(start), nil)
+		fail(http.StatusBadRequest, "", "reject", err)
 		return
 	}
 	id := key.ID()
-	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(req.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
+	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(timeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	defer cancel()
 
 	body, cached, dedup, err := s.serveCached(ctx, id, func(ctx context.Context) ([]byte, error) {
-		res, err := compileResult(ctx, req.Source, opts, req.Passes)
+		res, err := compute(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -283,137 +303,63 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		if status == http.StatusGatewayTimeout {
 			s.timeouts.Add(1)
 		}
-		s.writeError(w, status, err)
-		s.logRequest("compile", key.Short(), cacheLabel(cached, dedup), status, time.Since(start), nil)
+		fail(status, key.Short(), cacheLabel(cached, dedup), err)
 		return
 	}
-	var res CompileResult
+	var res Res
 	if err := json.Unmarshal(body, &res); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		fail(http.StatusInternalServerError, key.Short(), cacheLabel(cached, dedup), err)
 		return
 	}
-	resp := CompileResponse{Key: id, Cached: cached, Dedup: dedup,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000, CompileResult: res}
-	s.writeJSON(w, &resp)
-	s.logRequest("compile", key.Short(), cacheLabel(cached, dedup), http.StatusOK, time.Since(start), res.Passes)
+	resp, passes := respond(served{Key: id, Cached: cached, Dedup: dedup,
+		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000}, &res)
+	s.writeJSON(w, resp)
+	s.logRequest(endpoint, key.Short(), cacheLabel(cached, dedup), http.StatusOK, time.Since(start), passes)
+}
+
+// handleCompile serves /v1/compile.
+func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
+	handleCached(s, w, r, "compile",
+		func(req *CompileRequest) (Key, int, func(context.Context) (*CompileResult, error), error) {
+			opts, key, err := normalizeCompile(req)
+			return key, req.TimeoutMs, func(ctx context.Context) (*CompileResult, error) {
+				return compileResult(ctx, req.Source, opts, req.Passes)
+			}, err
+		},
+		func(m served, res *CompileResult) (any, []PassStat) {
+			return &CompileResponse{Key: m.Key, Cached: m.Cached, Dedup: m.Dedup,
+				ElapsedMs: m.ElapsedMs, CompileResult: *res}, res.Passes
+		})
 }
 
 // handleAnalyze serves /v1/analyze.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer s.countRequest("analyze")
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
-	var req AnalyzeRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	creq := CompileRequest{Source: req.Source, Procs: req.Procs, Machine: req.Machine,
-		Level: req.Level, Exact: req.Exact}
-	opts, key, err := normalizeCompile(&creq)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key.Kind = "analyze"
-	id := key.ID()
-	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(req.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
-
-	body, cached, dedup, err := s.serveCached(ctx, id, func(ctx context.Context) ([]byte, error) {
-		res, err := analyzeResult(ctx, req.Source, opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	})
-	if err != nil {
-		status := errStatus(err)
-		if status == http.StatusGatewayTimeout {
-			s.timeouts.Add(1)
-		}
-		s.writeError(w, status, err)
-		s.logRequest("analyze", key.Short(), cacheLabel(cached, dedup), status, time.Since(start), nil)
-		return
-	}
-	var res AnalyzeResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := AnalyzeResponse{Key: id, Cached: cached, Dedup: dedup,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000, AnalyzeResult: res}
-	s.writeJSON(w, &resp)
-	s.logRequest("analyze", key.Short(), cacheLabel(cached, dedup), http.StatusOK, time.Since(start), nil)
+	handleCached(s, w, r, "analyze",
+		func(req *AnalyzeRequest) (Key, int, func(context.Context) (*AnalyzeResult, error), error) {
+			opts, key, err := normalizeAnalyze(req)
+			return key, req.TimeoutMs, func(ctx context.Context) (*AnalyzeResult, error) {
+				return analyzeResult(ctx, req.Source, opts)
+			}, err
+		},
+		func(m served, res *AnalyzeResult) (any, []PassStat) {
+			return &AnalyzeResponse{Key: m.Key, Cached: m.Cached, Dedup: m.Dedup,
+				ElapsedMs: m.ElapsedMs, AnalyzeResult: *res}, nil
+		})
 }
 
 // handleVerify serves /v1/verify.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer s.countRequest("verify")
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
-	var req VerifyRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	creq := CompileRequest{Source: req.Source, Procs: req.Procs, Machine: req.Machine,
-		Level: "oneway", CSE: req.CSE, Weaken: req.Weaken}
-	_, key, err := normalizeCompile(&creq)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Schedules <= 0 {
-		req.Schedules = 4
-	}
-	levels, err := splitc.ParseLevels(strings.Join(req.Levels, ","))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key.Kind = "verify"
-	key.Level = strings.Join(req.Levels, ",")
-	key.Extra = fmt.Sprintf("sched=%d,det=%v", req.Schedules, req.Deterministic)
-	id := key.ID()
-	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(req.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
-
-	body, cached, dedup, err := s.serveCached(ctx, id, func(ctx context.Context) ([]byte, error) {
-		res, err := verifyResult(ctx, &req, key.Machine, levels)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	})
-	if err != nil {
-		status := errStatus(err)
-		if status == http.StatusGatewayTimeout {
-			s.timeouts.Add(1)
-		}
-		s.writeError(w, status, err)
-		s.logRequest("verify", key.Short(), cacheLabel(cached, dedup), status, time.Since(start), nil)
-		return
-	}
-	var res VerifyResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := VerifyResponse{Key: id, Cached: cached, Dedup: dedup,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000, VerifyResult: res}
-	s.writeJSON(w, &resp)
-	s.logRequest("verify", key.Short(), cacheLabel(cached, dedup), http.StatusOK, time.Since(start), nil)
+	handleCached(s, w, r, "verify",
+		func(req *VerifyRequest) (Key, int, func(context.Context) (*VerifyResult, error), error) {
+			levels, key, err := normalizeVerify(req)
+			return key, req.TimeoutMs, func(ctx context.Context) (*VerifyResult, error) {
+				return verifyResult(ctx, req, key.Machine, levels)
+			}, err
+		},
+		func(m served, res *VerifyResult) (any, []PassStat) {
+			return &VerifyResponse{Key: m.Key, Cached: m.Cached, Dedup: m.Dedup,
+				ElapsedMs: m.ElapsedMs, VerifyResult: *res}, nil
+		})
 }
 
 // handleStats serves /v1/stats.

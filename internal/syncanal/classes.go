@@ -317,32 +317,21 @@ func (p *classPartition) coalesceOnce() bool {
 		}
 	}
 
-	// Group classes by (row, column) — hash bucket plus exact compare.
+	// Group classes by (row, column): intern each side, key on the id pair.
 	rep := make([]int32, nc)
-	buckets := make(map[uint64][]int32)
+	var rowIDs, colIDs graph.RowInterner
+	first := make(map[[2]int32]int32)
 	merged := false
 	for c := 0; c < nc; c++ {
-		h := uint64(1469598103934665603)
-		for _, wd := range p.rows[c][:wc] {
-			h ^= wd
-			h *= 1099511628211
-		}
-		h ^= 0x9e3779b97f4a7c15
-		for _, wd := range cols[c] {
-			h ^= wd
-			h *= 1099511628211
-		}
-		rep[c] = int32(c)
-		found := false
-		for _, c2 := range buckets[h] {
-			if wordsEqual(p.rows[c][:wc], p.rows[c2][:wc]) && wordsEqual(cols[c], cols[c2]) {
-				rep[c] = c2
-				found, merged = true, true
-				break
-			}
-		}
-		if !found {
-			buckets[h] = append(buckets[h], int32(c))
+		r, _ := rowIDs.Intern(p.rows[c][:wc])
+		cl, _ := colIDs.Intern(cols[c])
+		k := [2]int32{r, cl}
+		if c2, ok := first[k]; ok {
+			rep[c] = c2
+			merged = true
+		} else {
+			first[k] = int32(c)
+			rep[c] = int32(c)
 		}
 	}
 	if !merged {
@@ -468,40 +457,17 @@ func (res *Result) accessClasses(guardBits []uint64) (base, phased []int32) {
 	n := len(fn.Accesses)
 	cp := res.R.cp
 
-	// Exact co-phase row interning: equal rows share an id (hash bucket +
-	// word compare, no collision risk). Only data accesses consult their
-	// co-phase row in the phased pass; others keep id 0.
+	// Exact co-phase row interning: equal rows share an id. Only data
+	// accesses consult their co-phase row in the phased pass; others keep
+	// id 0.
 	coID := make([]int32, n)
 	if res.CoPhase != nil {
-		type entry struct {
-			row []uint64
-			id  int32
-		}
-		buckets := make(map[uint64][]entry)
-		next := int32(1)
+		var rows graph.RowInterner
 		for _, a := range fn.Accesses {
-			if !a.Kind.IsData() {
-				continue
+			if a.Kind.IsData() {
+				id, _ := rows.Intern(res.CoPhase.Row(a.ID))
+				coID[a.ID] = id + 1
 			}
-			row := res.CoPhase.Row(a.ID)
-			h := uint64(1469598103934665603)
-			for _, wd := range row {
-				h ^= wd
-				h *= 1099511628211
-			}
-			id := int32(-1)
-			for _, e := range buckets[h] {
-				if wordsEqual(e.row, row) {
-					id = e.id
-					break
-				}
-			}
-			if id < 0 {
-				id = next
-				next++
-				buckets[h] = append(buckets[h], entry{row, id})
-			}
-			coID[a.ID] = id
 		}
 	}
 
@@ -534,18 +500,6 @@ func (res *Result) accessClasses(guardBits []uint64) (base, phased []int32) {
 		phased[i] = id
 	}
 	return base, phased
-}
-
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, w := range a {
-		if w != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // classSigFn returns the delay.Constraints.ClassSig implementation: the
