@@ -42,6 +42,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -281,11 +282,12 @@ func dumpBytecode(src string, procs int, cse bool, levels []splitc.Level) error 
 // the given level, marking the pairs whose individual removal changes the
 // emitted code — the candidates worth passing to -weaken.
 func printDelays(src string, procs int, lvl splitc.Level) error {
-	prog, err := splitc.Compile(src, splitc.Options{Procs: procs, Level: lvl})
+	ctx := context.Background()
+	front, err := splitc.NewFront(ctx, src, splitc.Options{Procs: procs}, nil)
 	if err != nil {
 		return err
 	}
-	effective, err := scverify.EffectiveWeakenings(src, procs, lvl)
+	effective, err := scverify.EffectiveWeakenings(ctx, front, lvl)
 	if err != nil {
 		return err
 	}
@@ -293,15 +295,16 @@ func printDelays(src string, procs int, lvl splitc.Level) error {
 	for _, p := range effective {
 		eff[p] = true
 	}
+	a := front.Analysis
 	fmt.Printf("%d enforced delay pairs at level %s (%d accesses in %d precedence classes; * = removal changes emitted code):\n",
-		prog.Analysis.D.Size(), lvl, len(prog.Fn.Accesses), prog.Analysis.RClasses)
-	for _, p := range prog.Analysis.D.Pairs() {
+		a.D.Size(), lvl, len(front.Fn.Accesses), a.RClasses)
+	for _, p := range a.D.Pairs() {
 		mark := " "
 		if eff[p] {
 			mark = "*"
 		}
 		fmt.Printf("%s %d-%d  %s -> %s\n", mark, p.A, p.B,
-			prog.Fn.AccessByID(p.A).Site(), prog.Fn.AccessByID(p.B).Site())
+			front.Fn.AccessByID(p.A).Site(), front.Fn.AccessByID(p.B).Site())
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/ir"
 	"repro/internal/sem"
@@ -63,26 +64,31 @@ func newEnv(fn *ir.Fn) *env {
 	next := int64(len(fn.Locals))
 	for _, l := range fn.Locals {
 		if l.IsArr {
-			arr := slab[next : next+l.Size : next+l.Size]
+			e.arrays[l.ID] = slab[next : next+l.Size : next+l.Size]
 			next += l.Size
-			// Zero values carry the declared type for clean printing.
-			if l.Type == source.TypeFloat {
-				for i := range arr {
-					arr[i] = ir.FloatVal(0)
-				}
-			} else {
-				for i := range arr {
-					arr[i] = ir.IntVal(0)
-				}
-			}
-			e.arrays[l.ID] = arr
-		} else if l.Type == source.TypeFloat {
-			e.scalars[l.ID] = ir.FloatVal(0)
-		} else {
-			e.scalars[l.ID] = ir.IntVal(0)
 		}
 	}
+	e.reset(fn)
 	return e
+}
+
+// reset gives every local of fn its initial value. Zero values carry the
+// declared type for clean printing.
+func (e *env) reset(fn *ir.Fn) {
+	for _, l := range fn.Locals {
+		zero := ir.IntVal(0)
+		if l.Type == source.TypeFloat {
+			zero = ir.FloatVal(0)
+		}
+		if l.IsArr {
+			arr := e.arrays[l.ID]
+			for i := range arr {
+				arr[i] = zero
+			}
+		} else {
+			e.scalars[l.ID] = zero
+		}
+	}
 }
 
 // evalCtx supplies the processor identity for MYPROC/PROCS.
@@ -212,15 +218,7 @@ func NewMemory(info *sem.Info, procs int) *Memory {
 		m.procsMask = p - 1
 	}
 	for _, s := range info.Shared {
-		vals := make([]ir.Value, s.Size)
-		for i := range vals {
-			if s.Type == source.TypeFloat {
-				vals[i] = ir.FloatVal(s.Init.F)
-			} else {
-				vals[i] = ir.IntVal(s.Init.I)
-			}
-		}
-		m.data[s.ID] = vals
+		m.data[s.ID] = make([]ir.Value, s.Size)
 		switch {
 		case !s.IsArr:
 			m.ownKind[s.ID] = ownScalar
@@ -240,7 +238,22 @@ func NewMemory(info *sem.Info, procs int) *Memory {
 			}
 		}
 	}
+	m.reset()
 	return m
+}
+
+// reset returns every shared variable to its declared initial value.
+func (m *Memory) reset() {
+	for _, s := range m.syms {
+		init := ir.IntVal(s.Init.I)
+		if s.Type == source.TypeFloat {
+			init = ir.FloatVal(s.Init.F)
+		}
+		vals := m.data[s.ID]
+		for i := range vals {
+			vals[i] = init
+		}
+	}
 }
 
 // bitsLen is bits.Len64 without the import (the shift count of a
@@ -316,27 +329,32 @@ func (m *Memory) Snapshot() map[string][]ir.Value {
 // FormatSnapshot renders a snapshot canonically (sorted by name) so
 // outcome sets can be compared as strings.
 func FormatSnapshot(snap map[string][]ir.Value) string {
+	return string(appendSnapshot(nil, snap))
+}
+
+// appendSnapshot appends FormatSnapshot's rendering of snap to buf.
+func appendSnapshot(buf []byte, snap map[string][]ir.Value) []byte {
 	names := make([]string, 0, len(snap))
 	for n := range snap {
 		names = append(names, n)
 	}
 	sortStrings(names)
-	s := ""
 	for _, n := range names {
-		s += n + "=["
+		buf = append(buf, n...)
+		buf = append(buf, "=["...)
 		for i, v := range snap[n] {
 			if i > 0 {
-				s += " "
+				buf = append(buf, ' ')
 			}
 			if v.T == source.TypeFloat {
-				s += formatFloat(v.F)
+				buf = append(buf, formatFloat(v.F)...)
 			} else {
-				s += fmt.Sprintf("%d", v.I)
+				buf = strconv.AppendInt(buf, v.I, 10)
 			}
 		}
-		s += "] "
+		buf = append(buf, "] "...)
 	}
-	return s
+	return buf
 }
 
 func formatFloat(f float64) string {

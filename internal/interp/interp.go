@@ -189,7 +189,8 @@ func (st *evStore) at(r evRef) *event {
 	return &st.pages[r>>evPageShift][r&evPageMask]
 }
 
-// alloc hands out a fresh zeroed slot.
+// alloc hands out the next slot, zeroed: a Runner rewinds used between
+// runs, so the slot may hold an earlier run's event.
 func (st *evStore) alloc() (*event, evRef) {
 	if st.used == len(st.pages)<<evPageShift {
 		st.pages = append(st.pages, make([]event, evPageSize))
@@ -197,7 +198,7 @@ func (st *evStore) alloc() (*event, evRef) {
 	r := evRef(st.used)
 	st.used++
 	e := st.at(r)
-	e.self = r
+	*e = event{self: r}
 	return e, r
 }
 
@@ -318,55 +319,57 @@ type sim struct {
 	nUndep int
 }
 
-// Run executes the target program on the simulated machine.
+// Run executes the target program on the simulated machine: a new Runner,
+// one run.
 func Run(prog *target.Prog, cfg machine.Config, opts RunOptions) (*Result, error) {
+	r, err := NewRunner(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(opts)
+}
+
+// Runner holds the simulator state of one (program, machine) pair — shared
+// memory, the per-processor slabs and environments, the event store and
+// queue, the bytecode machine's frames — so that a caller making many runs
+// of one program (the SC verifier's schedule grid) sets it up once. Every
+// Run resets that state in place and re-seeds; a run's Result shares
+// nothing with the Runner, so callers may keep it across later runs. A
+// Runner is not safe for concurrent use.
+type Runner struct {
+	s sim
+	// rng and vmm are made by the first run that needs them: a jittered or
+	// perturbed one, one on the bytecode engine. rng is re-seeded in place.
+	rng *rand.Rand
+	vmm *vm.Machine
+	// lastCompletion backs the processors' delay-verification tables.
+	lastCompletion []float64
+}
+
+// NewRunner prepares a Runner for prog on the machine cfg.
+func NewRunner(prog *target.Prog, cfg machine.Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MaxEvents == 0 {
-		opts.MaxEvents = 50_000_000
-	}
-	s := &sim{
-		prog:  prog,
-		cfg:   cfg,
-		opts:  opts,
-		mem:   NewMemory(prog.Fn.Info, cfg.Procs),
-		queue: evq{a: make([]evqEntry, 0, 6*cfg.Procs+64)},
-		bar:   barrierState{arrived: make([]float64, cfg.Procs), accID: -1},
-	}
-	// The generator is only consulted under Jitter or Perturb; seeding it
-	// costs more than a whole small deterministic run (the lagged Fibonacci
-	// source initializes 607 words), so plain runs skip it.
-	if opts.Jitter > 0 || opts.Perturb {
-		s.rng = rand.New(rand.NewSource(opts.Seed))
-	}
-	s.fastSync = opts.Tap == nil && !opts.Perturb && opts.Jitter == 0 &&
-		!opts.Contention && len(prog.Fn.Info.Events) == 0 && len(prog.Fn.Info.Locks) == 0
-	for i := range s.bar.arrived {
-		s.bar.arrived[i] = -1
-	}
-	s.niBusy = make([]float64, cfg.Procs)
-	if opts.VerifyDelays != nil {
-		n := len(prog.Fn.Accesses)
-		s.delayPreds = make([][]int, n)
-		for _, pr := range opts.VerifyDelays.Pairs() {
-			s.delayPreds[pr.B] = append(s.delayPreds[pr.B], pr.A)
-		}
-	}
-	s.evs = make([][]eventObj, len(prog.Fn.Info.Events))
-	for _, sym := range prog.Fn.Info.Events {
+	info := prog.Fn.Info
+	r := &Runner{s: sim{
+		prog:   prog,
+		cfg:    cfg,
+		mem:    NewMemory(info, cfg.Procs),
+		queue:  evq{a: make([]evqEntry, 0, 6*cfg.Procs+64)},
+		bar:    barrierState{arrived: make([]float64, cfg.Procs)},
+		niBusy: make([]float64, cfg.Procs),
+		evs:    make([][]eventObj, len(info.Events)),
+		lks:    make([][]lockObj, len(info.Locks)),
+		procs:  make([]*proc, cfg.Procs),
+	}}
+	s := &r.s
+	for _, sym := range info.Events {
 		s.evs[sym.ID] = make([]eventObj, sym.Size)
 	}
-	s.lks = make([][]lockObj, len(prog.Fn.Info.Locks))
-	for _, sym := range prog.Fn.Info.Locks {
-		arr := make([]lockObj, sym.Size)
-		for i := range arr {
-			arr[i].lastRel = -1
-		}
-		s.lks[sym.ID] = arr
+	for _, sym := range info.Locks {
+		s.lks[sym.ID] = make([]lockObj, sym.Size)
 	}
-	s.tap = opts.Tap
-	s.procs = make([]*proc, 0, cfg.Procs)
 	// One slab apiece for the proc structs, counter states, and landing
 	// lists: three allocations for the whole machine instead of three per
 	// processor. Three-index subslices keep a growing lands list from
@@ -378,41 +381,128 @@ func Run(prog *target.Prog, cfg machine.Config, opts RunOptions) (*Result, error
 	for i := range ctrSlab {
 		ctrSlab[i].pending = pendSlab[i*8 : i*8 : (i+1)*8]
 	}
-	for p := 0; p < cfg.Procs; p++ {
+	for p := range procSlab {
 		pr := &procSlab[p]
 		pr.id = p
-		pr.blk = prog.Blocks[0]
 		pr.env = newEnv(prog.Fn)
 		pr.ctrs = ctrSlab[p*prog.Counters : (p+1)*prog.Counters : (p+1)*prog.Counters]
 		pr.lands = landSlab[p*8 : p*8 : (p+1)*8]
-		if opts.VerifyDelays != nil {
-			pr.lastCompletion = make([]float64, len(prog.Fn.Accesses))
-			for i := range pr.lastCompletion {
-				pr.lastCompletion[i] = -1
+		s.procs[p] = pr
+	}
+	return r, nil
+}
+
+// reset returns the simulator to its state before the first event of a run
+// under opts. Whatever the previous run left — a drained queue, or the
+// wreckage of a run that failed midway — is discarded here, not at the end
+// of that run.
+func (r *Runner) reset(opts RunOptions) error {
+	s := &r.s
+	prog, cfg := s.prog, s.cfg
+	s.opts, s.tap = opts, opts.Tap
+	s.queue.a = s.queue.a[:0]
+	s.store.used, s.free = 0, s.free[:0]
+	s.seq, s.nDyn, s.barEp, s.msgs, s.last, s.err, s.nEv, s.nUndep = 0, 0, 0, 0, 0, nil, 0, 0
+	// The generator is only consulted under Jitter or Perturb; seeding it
+	// costs more than a whole small deterministic run (the lagged Fibonacci
+	// source initializes 607 words), so plain runs skip it.
+	s.rng = nil
+	if opts.Jitter > 0 || opts.Perturb {
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(opts.Seed))
+		} else {
+			r.rng.Seed(opts.Seed)
+		}
+		s.rng = r.rng
+	}
+	s.fastSync = opts.Tap == nil && !opts.Perturb && opts.Jitter == 0 &&
+		!opts.Contention && len(prog.Fn.Info.Events) == 0 && len(prog.Fn.Info.Locks) == 0
+	s.mem.reset()
+	s.bar.n, s.bar.accID, s.bar.release = 0, -1, 0
+	for i := range s.bar.arrived {
+		s.bar.arrived[i] = -1
+		s.niBusy[i] = 0
+	}
+	for _, arr := range s.evs {
+		for i := range arr {
+			arr[i] = eventObj{waiters: arr[i].waiters[:0]}
+		}
+	}
+	for _, arr := range s.lks {
+		for i := range arr {
+			arr[i] = lockObj{queue: arr[i].queue[:0], lastRel: -1}
+		}
+	}
+	s.delayPreds = nil
+	if opts.VerifyDelays != nil {
+		n := len(prog.Fn.Accesses)
+		s.delayPreds = make([][]int, n)
+		for _, pr := range opts.VerifyDelays.Pairs() {
+			s.delayPreds[pr.B] = append(s.delayPreds[pr.B], pr.A)
+		}
+		if r.lastCompletion == nil {
+			r.lastCompletion = make([]float64, cfg.Procs*n)
+		}
+		for i := range r.lastCompletion {
+			r.lastCompletion[i] = -1
+		}
+	}
+	s.vmm = nil
+	if opts.Engine == EngineVM {
+		if r.vmm == nil {
+			code, err := vm.Compiled(prog)
+			if err != nil {
+				return err
+			}
+			r.vmm = vm.NewMachine(code, &vmHost{s}, cfg.Procs)
+			// Frames alias the walker's env storage, so landing events
+			// (evGetLand writes env.scalars) work identically for both engines.
+			for _, pr := range s.procs {
+				r.vmm.SetFrame(pr.id, pr.env.scalars, pr.env.arrays)
 			}
 		}
-		s.procs = append(s.procs, pr)
+		s.vmm = r.vmm
+		s.vmm.Reset()
+		// With no tap attached, per-block EnterBlock callbacks observe
+		// nothing; eliding them defers ALU charge flushes across block
+		// boundaries but keeps the additions in order, so clocks match.
+		s.vmm.SetTrace(s.tap != nil)
+	}
+	for _, pr := range s.procs {
+		for i := range pr.ctrs {
+			pr.ctrs[i].pending = pr.ctrs[i].pending[:0]
+		}
+		pr.env.reset(prog.Fn)
+		*pr = proc{
+			id:      pr.id,
+			blk:     prog.Blocks[0],
+			env:     pr.env,
+			ctrs:    pr.ctrs,
+			lands:   pr.lands[:0],
+			scratch: pr.scratch[:0],
+			prints:  pr.prints[:0],
+		}
+		if s.delayPreds != nil {
+			n := len(prog.Fn.Accesses)
+			pr.lastCompletion = r.lastCompletion[pr.id*n : (pr.id+1)*n]
+		}
 		if s.tap != nil {
 			s.tap.Block(pr.id, 0)
 		}
 		s.scheduleResume(0, pr)
 	}
-	if opts.Engine == EngineVM {
-		code, err := vm.Compiled(prog)
-		if err != nil {
-			return nil, err
-		}
-		s.vmm = vm.NewMachine(code, &vmHost{s}, cfg.Procs)
-		// With no tap attached, per-block EnterBlock callbacks observe
-		// nothing; eliding them defers ALU charge flushes across block
-		// boundaries but keeps the additions in order, so clocks match.
-		s.vmm.SetTrace(s.tap != nil)
-		// Frames alias the walker's env storage, so landing events
-		// (evGetLand writes env.scalars) work identically for both engines.
-		for _, pr := range s.procs {
-			s.vmm.SetFrame(pr.id, pr.env.scalars, pr.env.arrays)
-		}
+	return nil
+}
+
+// Run executes the program once under opts.
+func (r *Runner) Run(opts RunOptions) (*Result, error) {
+	if opts.MaxEvents == 0 {
+		opts.MaxEvents = 50_000_000
 	}
+	if err := r.reset(opts); err != nil {
+		return nil, err
+	}
+	s := &r.s
 	for s.queue.len() > 0 && s.err == nil {
 		s.nEv++
 		if s.nEv > opts.MaxEvents {
@@ -462,6 +552,7 @@ func Run(prog *target.Prog, cfg machine.Config, opts RunOptions) (*Result, error
 	}
 	res := &Result{
 		Time:     s.last,
+		Stats:    make([]ProcStats, 0, len(s.procs)),
 		Memory:   s.mem.Snapshot(),
 		Messages: s.msgs,
 		Events:   s.nEv,

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"strconv"
-	"strings"
 
 	"repro/internal/ir"
 )
@@ -19,19 +18,12 @@ import (
 // share a key. The snapshot part never contains '|' (symbol names are
 // identifiers and values are numerals), so the encoding is injective.
 func OutcomeKey(mem map[string][]ir.Value, prints []string) string {
-	var sb strings.Builder
-	sb.WriteString(FormatSnapshot(mem))
-	appendPrintSegments(&sb, prints)
-	return sb.String()
-}
-
-// appendPrintSegments writes the length-prefixed print-log segments of an
-// outcome key.
-func appendPrintSegments(sb *strings.Builder, prints []string) {
+	buf := appendSnapshot(nil, mem)
 	for _, p := range prints {
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(len(p)))
-		sb.WriteByte(':')
-		sb.WriteString(p)
+		buf = append(buf, '|')
+		buf = strconv.AppendInt(buf, int64(len(p)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, p...)
 	}
+	return string(buf)
 }

@@ -24,6 +24,7 @@
 package scverify
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -81,18 +82,34 @@ func Schedules(n int) []Schedule {
 // the violation if the trace is not SC-embeddable (nil otherwise), and
 // any simulation error.
 func RunOne(prog *target.Prog, cfg machine.Config, sch Schedule) (*interp.Result, *Violation, error) {
-	col := NewCollector()
-	res, err := interp.Run(prog, cfg, interp.RunOptions{
+	runner, err := interp.NewRunner(prog, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return new(arena).runOne(runner, sch)
+}
+
+// arena is the trace-side state Verify reuses across the runs of one
+// verdict: the collector's trace buffers and the checker's graph.
+type arena struct {
+	col Collector
+	chk checker
+}
+
+// runOne is RunOne on a runner and an arena that earlier runs have used.
+func (a *arena) runOne(runner *interp.Runner, sch Schedule) (*interp.Result, *Violation, error) {
+	a.col.Reset()
+	res, err := runner.Run(interp.RunOptions{
 		Seed:    sch.Seed,
 		Jitter:  sch.Jitter,
 		Perturb: sch.Perturb,
-		Tap:     col,
+		Tap:     &a.col,
 		Engine:  sch.Engine,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	v := CheckTrace(col.Trace())
+	v := a.chk.check(a.col.Trace())
 	if v != nil {
 		v.Schedule = sch
 	}
@@ -201,6 +218,21 @@ func outcomeKey(mem map[string][]ir.Value, prints []string) string {
 // admits (blocking-reference equality for deterministic programs, SC
 // outcome-set membership for racy ones).
 func Verify(src string, opts Options) (*Report, error) {
+	return VerifyContext(context.Background(), src, opts)
+}
+
+// VerifyContext is Verify under a cancellation/deadline context. ctx is
+// checked at every pass boundary of the compiles (so between levels too)
+// and before every run, so a canceled verdict returns within one pass or
+// one run of the signal, with an error wrapping ctx.Err(). (The SC outcome
+// enumeration of a racy program is bounded by EnumBudget, not by ctx.)
+//
+// A verdict does each piece of work once: one front half and one analysis
+// for the source (splitc.Front), from which every level (and a
+// deterministic program's blocking reference) is generated; one simulator state per generated program
+// (interp.Runner); and one trace collector and happens-before graph, reset
+// between runs.
+func VerifyContext(ctx context.Context, src string, opts Options) (*Report, error) {
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("scverify: Options.Procs must be positive")
 	}
@@ -221,16 +253,21 @@ func Verify(src string, opts Options) (*Report, error) {
 		opts.EnumBudget = 1_000_000
 	}
 
-	// The unweakened blocking compile is the reference semantics.
-	ref, err := splitc.Compile(src, splitc.Options{Procs: opts.Procs, Level: splitc.LevelBlocking})
+	front, err := splitc.NewFront(ctx, src, splitc.Options{Procs: opts.Procs}, nil)
 	if err != nil {
 		return nil, err
 	}
 	report := &Report{ExactOracle: true}
 
+	// The reference semantics: the unweakened blocking compile's run for a
+	// deterministic program, the IR's SC outcome set for a racy one.
 	var refKey string
 	var scOutcomes map[string]bool
 	if opts.Deterministic {
+		ref, err := front.Generate(ctx, splitc.Options{Procs: opts.Procs, Level: splitc.LevelBlocking}, nil)
+		if err != nil {
+			return nil, err
+		}
 		res, err := ref.Run(cfg, interp.RunOptions{Engine: opts.Engine})
 		if err != nil {
 			return nil, fmt.Errorf("scverify: blocking reference run: %w", err)
@@ -238,24 +275,32 @@ func Verify(src string, opts Options) (*Report, error) {
 		refKey = outcomeKey(res.Memory, res.Prints)
 	} else {
 		var stats interp.EnumStats
-		scOutcomes, stats, report.ExactOracle = interp.EnumerateSCStats(ref.Fn, opts.Procs, opts.EnumBudget)
+		scOutcomes, stats, report.ExactOracle = interp.EnumerateSCStats(front.Fn, opts.Procs, opts.EnumBudget)
 		report.Enum = &stats
 	}
 
+	var a arena
 	for _, level := range opts.Levels {
-		prog, err := splitc.Compile(src, splitc.Options{
+		prog, err := front.Generate(ctx, splitc.Options{
 			Procs:  opts.Procs,
 			Level:  level,
 			CSE:    opts.CSE,
 			Weaken: opts.Weaken,
-		})
+		}, nil)
+		if err != nil {
+			return nil, err
+		}
+		runner, err := interp.NewRunner(prog.Target, cfg)
 		if err != nil {
 			return nil, err
 		}
 		lr := &LevelReport{Level: level, DelayPairs: prog.Analysis.D.Size() - len(opts.Weaken)}
 		for _, sch := range opts.Schedules {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("scverify: aborted at %s %v: %w", level, sch, err)
+			}
 			sch.Engine = opts.Engine
-			res, viol, err := RunOne(prog.Target, cfg, sch)
+			res, viol, err := a.runOne(runner, sch)
 			if err != nil {
 				return nil, fmt.Errorf("scverify: %s %v: %w", level, sch, err)
 			}
@@ -287,21 +332,22 @@ func Verify(src string, opts Options) (*Report, error) {
 	return report, nil
 }
 
-// EffectiveWeakenings returns the delay pairs of src's full analysis whose
+// EffectiveWeakenings returns the delay pairs of the front's analysis whose
 // individual removal changes the emitted code at the given level — the
 // weakenings that can possibly matter dynamically. Pairs whose removal
-// compiles to identical target code are filtered out.
-func EffectiveWeakenings(src string, procs int, level splitc.Level) ([]delay.Pair, error) {
-	base, err := splitc.Compile(src, splitc.Options{Procs: procs, Level: level})
+// compiles to identical target code are filtered out. The front half is
+// shared: one code generation for the unweakened program and one per pair.
+func EffectiveWeakenings(ctx context.Context, front *splitc.Front, level splitc.Level) ([]delay.Pair, error) {
+	opts := splitc.Options{Procs: front.Procs, Exact: front.Exact, Level: level}
+	base, err := front.Generate(ctx, opts, nil)
 	if err != nil {
 		return nil, err
 	}
 	baseText := base.TargetText()
 	var out []delay.Pair
-	for _, p := range base.Analysis.D.Pairs() {
-		weak, err := splitc.Compile(src, splitc.Options{
-			Procs: procs, Level: level, Weaken: []delay.Pair{p},
-		})
+	for _, p := range front.Analysis.D.Pairs() {
+		opts.Weaken = []delay.Pair{p}
+		weak, err := front.Generate(ctx, opts, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -73,6 +73,16 @@ type Collector struct {
 // NewCollector returns an empty collector, ready to pass as RunOptions.Tap.
 func NewCollector() *Collector { return &Collector{} }
 
+// Reset empties the collector for another run, keeping every buffer's
+// capacity. The Trace returned earlier is the collector's own and is
+// overwritten by the next run.
+func (c *Collector) Reset() {
+	tr := &c.tr
+	tr.Ops, tr.MemOrder, tr.Observes, tr.Episode = tr.Ops[:0], tr.MemOrder[:0], tr.Observes[:0], tr.Episode[:0]
+	tr.ByProc, tr.Episodes = tr.ByProc[:0], 0
+	c.curVisit, c.curBlk = c.curVisit[:0], c.curBlk[:0]
+}
+
 // Trace returns the collected trace.
 func (c *Collector) Trace() *Trace { return &c.tr }
 
@@ -80,7 +90,13 @@ func (c *Collector) growProc(proc int) {
 	for len(c.curVisit) <= proc {
 		c.curVisit = append(c.curVisit, -1)
 		c.curBlk = append(c.curBlk, -1)
-		c.tr.ByProc = append(c.tr.ByProc, nil)
+		// A processor list an earlier run grew is reused, emptied.
+		if n := len(c.tr.ByProc); n < cap(c.tr.ByProc) {
+			c.tr.ByProc = c.tr.ByProc[:n+1]
+			c.tr.ByProc[n] = c.tr.ByProc[n][:0]
+		} else {
+			c.tr.ByProc = append(c.tr.ByProc, nil)
+		}
 	}
 }
 

@@ -301,6 +301,41 @@ func TestVerifyEndpoint(t *testing.T) {
 	}
 }
 
+// TestVerifyTimeout pins the deadline on /v1/verify: the verifier polls
+// the request context before every simulated run, so a verdict of some
+// 900 runs under a 1 ms deadline answers 504 long before the verdict
+// would have finished, and counts as a timeout.
+func TestVerifyTimeout(t *testing.T) {
+	s, c := newTestServer(t, serve.Config{DefaultTimeout: 2 * time.Minute})
+	req := &serve.VerifyRequest{
+		Source: apps.Ocean().Source(4, 1), Procs: 4, Schedules: 300, Deterministic: true, TimeoutMs: 1,
+	}
+	start := time.Now()
+	_, err := c.Verify(context.Background(), req)
+	timedOut := time.Since(start)
+	if !client.IsTimeout(err) {
+		t.Fatalf("err = %v, want request-timeout", err)
+	}
+	if st := s.Stats(); st.Timeouts != 1 {
+		t.Fatalf("Timeouts = %d, want 1", st.Timeouts)
+	}
+	// The same verdict with room to finish: not cached by the failure, and
+	// several times the wall of the one that was cut short.
+	req.TimeoutMs = 0
+	start = time.Now()
+	resp, err := c.Verify(context.Background(), req)
+	full := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Cached || !resp.OK || resp.Runs != 900 {
+		t.Fatalf("full verdict: cached=%v ok=%v runs=%d, want a fresh clean verdict of 900 runs", resp.Cached, resp.OK, resp.Runs)
+	}
+	if timedOut > full/4 {
+		t.Fatalf("timed-out verify took %v, the full verdict %v: the deadline did not cut the schedule grid short", timedOut, full)
+	}
+}
+
 // TestStatsEndpoint pins the stats surface.
 func TestStatsEndpoint(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{Workers: 3})

@@ -444,17 +444,15 @@ func analyzeResult(ctx context.Context, src string, opts splitc.Options) (*Analy
 }
 
 // verifyResult runs the dynamic SC verifier. The verifier compiles and
-// simulates internally; ctx bounds it only between levels (a verify of a
-// pathological program still finishes its current level).
+// simulates internally; it checks ctx at every pass boundary and before
+// every simulated run, so a timed-out verify stops within one pass or one
+// run of the deadline.
 func verifyResult(ctx context.Context, req *VerifyRequest, mach string, levels []splitc.Level) (*VerifyResult, error) {
 	cfg, err := machine.ByName(mach, req.Procs)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep, err := scverify.Verify(req.Source, scverify.Options{
+	rep, err := scverify.VerifyContext(ctx, req.Source, scverify.Options{
 		Procs:         req.Procs,
 		Levels:        levels,
 		Machine:       cfg,

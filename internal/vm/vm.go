@@ -259,6 +259,15 @@ func (m *Machine) SetFrame(p int, scalars []ir.Value, arrays [][]ir.Value) {
 	m.frames[p].Arrays = arrays
 }
 
+// Reset rewinds every processor to the program's entry, as NewMachine left
+// it. Frame bindings stay; the storage behind them is the host's to reset.
+func (m *Machine) Reset() {
+	for p := range m.frames {
+		fr := &m.frames[p]
+		fr.PC, fr.Done, fr.Pending, fr.PendIdx = 0, false, false, 0
+	}
+}
+
 // SetTrace enables the per-block EnterBlock host callback. When off (no
 // tap is attached), jumps skip the host call entirely and ALU charges
 // accumulate across block boundaries; the deferred charges are applied in

@@ -225,7 +225,8 @@ func CompilePipeline(src string, opts Options, pl *pass.Pipeline) (*Program, err
 }
 
 // CompilePipelineContext is CompilePipeline under a cancellation/deadline
-// context (see CompileContext).
+// context (see CompileContext). Without an explicit pass list it is
+// NewFront followed by Generate.
 func CompilePipelineContext(ctx context.Context, src string, opts Options, pl *pass.Pipeline) (*Program, error) {
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("splitc: Options.Procs must be positive")
@@ -238,15 +239,30 @@ func CompilePipelineContext(ctx context.Context, src string, opts Options, pl *p
 		pl = &pass.Pipeline{}
 	}
 	if pl.Passes == nil {
-		pl.Passes = pass.Plan(cfg)
+		f, err := NewFront(ctx, src, opts, pl)
+		if err != nil {
+			return programOf(f.passContext(ctx, cfg), opts, f.Passes), err
+		}
+		return f.Generate(ctx, opts, pl)
 	}
+	pctx := newPassContext(ctx, src, cfg)
+	stats, err := pl.Run(pctx)
+	return programOf(pctx, opts, stats), err
+}
+
+// newPassContext prepares a pass context that carries ctx's cancellation.
+func newPassContext(ctx context.Context, src string, cfg pass.Config) *pass.Context {
 	pctx := pass.NewContext(src, cfg)
 	if ctx != nil && ctx != context.Background() {
 		pctx.Ctx = ctx
 	}
-	stats, err := pl.Run(pctx)
-	prog := &Program{
-		Source:   src,
+	return pctx
+}
+
+// programOf packages whatever pctx holds after a pipeline run.
+func programOf(pctx *pass.Context, opts Options, stats []pass.Stat) *Program {
+	return &Program{
+		Source:   pctx.Source,
 		Opts:     opts,
 		AST:      pctx.AST,
 		Info:     pctx.Info,
@@ -257,10 +273,109 @@ func CompilePipelineContext(ctx context.Context, src string, opts Options, pl *p
 		Passes:   stats,
 		Diags:    pctx.Diags.All(),
 	}
-	if err != nil {
-		return prog, err
+}
+
+// Front is the level-independent front half of a compile: the six passes
+// parse, check, build-ir, conflict, cycle-detect and sync-analysis, which
+// depend only on the source text, Options.Procs and Options.Exact. Generate
+// runs the level's code generation passes, split-phase onward, over it, so
+// a caller that needs one source at several levels (the dynamic verifier,
+// EffectiveWeakenings) pays for parsing and the analyses once.
+//
+// Generate reads AST, Info, Fn and Analysis and writes none of them; every
+// Program generated from a Front shares them, so callers must treat them as
+// read-only too. A Front is not safe for concurrent Generate calls: the
+// delay sets inside Analysis memoize Size and Pairs on first read.
+type Front struct {
+	Source   string
+	Procs    int
+	Exact    bool
+	AST      *source.Program
+	Info     *sem.Info
+	Fn       *ir.Fn
+	Analysis *syncanal.Result
+	// Passes and Diags are the front passes' instrumentation and
+	// diagnostics; every generated Program's lists start with them.
+	Passes []pass.Stat
+	Diags  []diag.Diagnostic
+}
+
+// planHalves splits the canonical plan for cfg at split-phase, the first
+// pass that reads anything but Procs and Exact from the configuration.
+func planHalves(cfg pass.Config) (front, back []pass.Pass) {
+	plan := pass.Plan(cfg)
+	for i, p := range plan {
+		if p.Name() == "split-phase" {
+			return plan[:i], plan[i:]
+		}
 	}
-	return prog, nil
+	return plan, nil
+}
+
+// NewFront runs the front half on src for a machine of opts.Procs
+// processors; of opts only Procs and Exact are read. ctx is checked at
+// every pass boundary, as in CompileContext. pl, which may be nil,
+// supplies the instrumentation (Observer, MeasureAllocs); its pass list is
+// not used. When a pass fails, the returned Front holds what the passes
+// before it produced, alongside the error.
+func NewFront(ctx context.Context, src string, opts Options, pl *pass.Pipeline) (*Front, error) {
+	if opts.Procs <= 0 {
+		return nil, fmt.Errorf("splitc: Options.Procs must be positive")
+	}
+	cfg := pass.Config{Procs: opts.Procs, Exact: opts.Exact}
+	passes, _ := planHalves(cfg)
+	pctx := newPassContext(ctx, src, cfg)
+	stats, err := instrumented(pl, passes).Run(pctx)
+	return &Front{
+		Source:   src,
+		Procs:    opts.Procs,
+		Exact:    opts.Exact,
+		AST:      pctx.AST,
+		Info:     pctx.Info,
+		Fn:       pctx.Fn,
+		Analysis: pctx.Analysis,
+		Passes:   stats,
+		Diags:    pctx.Diags.All(),
+	}, err
+}
+
+// instrumented returns a pipeline running passes under pl's instrumentation.
+func instrumented(pl *pass.Pipeline, passes []pass.Pass) *pass.Pipeline {
+	out := &pass.Pipeline{Passes: passes}
+	if pl != nil {
+		out.MeasureAllocs, out.Observer = pl.MeasureAllocs, pl.Observer
+	}
+	return out
+}
+
+// Generate compiles the front's source at opts.Level, running the passes
+// from split-phase on. opts.Procs and opts.Exact must be the front's. The
+// Program is what Compile(f.Source, opts) returns, sharing the front's AST,
+// Info, Fn and Analysis; ctx and pl are as in NewFront.
+func (f *Front) Generate(ctx context.Context, opts Options, pl *pass.Pipeline) (*Program, error) {
+	if opts.Procs != f.Procs || opts.Exact != f.Exact {
+		return nil, fmt.Errorf("splitc: front built for procs=%d exact=%v, Generate asked for procs=%d exact=%v",
+			f.Procs, f.Exact, opts.Procs, opts.Exact)
+	}
+	cfg, err := PipelineConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	_, passes := planHalves(cfg)
+	pctx := f.passContext(ctx, cfg)
+	stats, err := instrumented(pl, passes).Run(pctx)
+	return programOf(pctx, opts, append(f.Passes[:len(f.Passes):len(f.Passes)], stats...)), err
+}
+
+// passContext returns a pass context in the state the front passes left
+// theirs in — what they produced and what they reported — configured by cfg.
+func (f *Front) passContext(ctx context.Context, cfg pass.Config) *pass.Context {
+	pctx := newPassContext(ctx, f.Source, cfg)
+	pctx.AST, pctx.Info, pctx.Fn, pctx.Analysis = f.AST, f.Info, f.Fn, f.Analysis
+	for _, d := range f.Diags {
+		pctx.Diags.Report(d)
+	}
+	return pctx
 }
 
 // MustCompile is Compile for tests and examples; it panics on error.
