@@ -16,6 +16,16 @@
 //
 //	-in FILE     read benchmark output from FILE instead of stdin
 //	-tol PCT     allowed regression percentage (default 25)
+//	-update      do not gate: rewrite the baselines from the output
+//
+// With -update the same per-metric minimums are written into the baseline
+// files instead of compared with them: for every entry the run measured,
+// the numbers its "after" block records, host_cpus, and the fields derived
+// from before and after. Everything else in the file — layout, notes,
+// "before" blocks, entries the run did not measure — is left byte for
+// byte, so a baseline number is never typed by hand:
+//
+//	go test -bench=... -benchtime=3x -count=3 ./... | benchgate -update BENCH_interp.json
 package main
 
 import (
@@ -52,6 +62,7 @@ type baseline struct {
 // width is the `-N` GOMAXPROCS suffix of the measured run (0 if absent).
 type metrics struct {
 	NsOp     *float64 `json:"ns_op"`
+	BytesOp  *float64 `json:"bytes_op"` // recorded by -update, not gated
 	AllocsOp *float64 `json:"allocs_op"`
 	width    int
 }
@@ -84,12 +95,16 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 			got.width, _ = strconv.Atoi(m[2])
 		}
 		if m[5] != "" {
+			if by, err := strconv.ParseFloat(m[4], 64); err == nil {
+				got.BytesOp = &by
+			}
 			if al, err := strconv.ParseFloat(m[5], 64); err == nil {
 				got.AllocsOp = &al
 			}
 		}
 		if prev, ok := out[m[1]]; ok {
 			got.NsOp = minMetric(prev.NsOp, got.NsOp)
+			got.BytesOp = minMetric(prev.BytesOp, got.BytesOp)
 			got.AllocsOp = minMetric(prev.AllocsOp, got.AllocsOp)
 		}
 		out[m[1]] = got
@@ -190,6 +205,7 @@ func run(benchOut io.Reader, baselineFiles []string, tol float64, w io.Writer) (
 func main() {
 	in := flag.String("in", "", "benchmark output file (default stdin)")
 	tol := flag.Float64("tol", 25, "allowed regression percentage")
+	upd := flag.Bool("update", false, "rewrite the baselines' after blocks from the benchmark output instead of gating")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: benchgate [flags] baseline.json...")
@@ -204,6 +220,12 @@ func main() {
 		}
 		defer f.Close()
 		src = f
+	}
+	if *upd {
+		if err := update(src, flag.Args(), os.Stdout); err != nil {
+			fatal(err)
+		}
+		return
 	}
 	failures, err := run(src, flag.Args(), *tol, os.Stdout)
 	if err != nil {

@@ -154,3 +154,109 @@ func TestRunGateNoMatches(t *testing.T) {
 		t.Error("expected error when nothing matches the baseline")
 	}
 }
+
+// TestUpdate: -update writes the run's per-metric minimums into the after
+// blocks of the entries it measured, recomputes what is derived from them,
+// and leaves every other byte of the file alone — whatever the layout.
+func TestUpdate(t *testing.T) {
+	const fixture = `{
+  "description": "kept: {\"after\": 1} inside a string is not an after block",
+  "benchmarks": [
+    {
+      "name": "BenchmarkInterpEM3D",
+      "unit_procs": 8,
+      "host_cpus": 1,
+      "before": {"ns_op": 480000, "bytes_op": 57032, "allocs_op": 400},
+      "after": {"ns_op": 256000, "bytes_op": 37786, "allocs_op": 199},
+      "allocs_reduction_pct": 50.2,
+      "time_reduction_pct": 46.7,
+      "note": "a note, kept"
+    },
+    {
+      "name": "BenchmarkInterpOcean",
+      "before": {
+        "ns_op": 10216000
+      },
+      "after": {
+        "ns_op": 1108000,
+        "allocs_op": 400
+      },
+      "speedup_x": 9.2
+    },
+    {"name": "BenchmarkFigure12", "host_cpus": 1, "parallel_pool": true,
+     "after": {"ns_op": 53800000}},
+    {"name": "BenchmarkNotRun",
+     "after": {"ns_op": 1}},
+    {"name": "BenchmarkNoAfter", "before": {"ns_op": 7}}
+  ]
+}
+`
+	const want = `{
+  "description": "kept: {\"after\": 1} inside a string is not an after block",
+  "benchmarks": [
+    {
+      "name": "BenchmarkInterpEM3D",
+      "unit_procs": 8,
+      "host_cpus": 4,
+      "before": {"ns_op": 480000, "bytes_op": 57032, "allocs_op": 400},
+      "after": {"ns_op": 240000, "bytes_op": 56000, "allocs_op": 200},
+      "allocs_reduction_pct": 50.0,
+      "time_reduction_pct": 50.0,
+      "note": "a note, kept"
+    },
+    {
+      "name": "BenchmarkInterpOcean",
+      "before": {
+        "ns_op": 10216000
+      },
+      "after": {
+        "ns_op": 5108000,
+        "allocs_op": 389
+      },
+      "speedup_x": 2.0
+    },
+    {"name": "BenchmarkFigure12", "host_cpus": 4, "parallel_pool": true,
+     "after": {"ns_op": 54000000}},
+    {"name": "BenchmarkNotRun",
+     "after": {"ns_op": 1}},
+    {"name": "BenchmarkNoAfter", "before": {"ns_op": 7}}
+  ]
+}
+`
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(base, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := update(strings.NewReader(sampleBench), []string{base}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("updated file:\n%s\nwant:\n%s", got, want)
+	}
+	if out := sb.String(); !strings.Contains(out, "3 entries updated") || !strings.Contains(out, "BenchmarkNotRun") {
+		t.Errorf("report:\n%s", out)
+	}
+	// The file -update wrote gates the run it was written from.
+	sb.Reset()
+	if failures, err := run(strings.NewReader(sampleBench), []string{base}, 0, &sb); err != nil || failures != 0 {
+		t.Errorf("gating the updated file against its own run: %d failures, err %v\n%s", failures, err, sb.String())
+	}
+
+	// An after block that records allocations cannot be written from a run
+	// without -benchmem columns, and nothing may be half-written.
+	if err := update(strings.NewReader("BenchmarkInterpEM3D-4 5 1 ns/op\n"), []string{base}, &sb); err == nil {
+		t.Error("expected an error: bytes_op/allocs_op recorded, none measured")
+	}
+	if again, _ := os.ReadFile(base); string(again) != want {
+		t.Error("a failed update modified the file")
+	}
+	if err := update(strings.NewReader("PASS\n"), []string{base}, &sb); err == nil {
+		t.Error("expected an error when the run matches no entry")
+	}
+}

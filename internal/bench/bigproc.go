@@ -13,8 +13,8 @@ import (
 // The big-proc tier scales the simulated machine instead of the problem:
 // one kernel on hundreds to thousands of simulated processors. It guards
 // the executor structures whose cost grows with the processor count (the
-// event queue's depth, per-processor slabs, barrier fan-in, the lazy-read
-// forcing scan) and doubles as an engine-equivalence check at scale: each
+// event queue's depth, per-processor slabs, barrier fan-in, the lazy reads'
+// forcing bound) and doubles as an engine-equivalence check at scale: each
 // configuration runs under both the bytecode VM and the AST walker, and
 // the row fails unless the two agree on every simulated observable.
 

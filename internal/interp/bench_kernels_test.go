@@ -2,8 +2,8 @@ package interp_test
 
 // Micro-benchmarks over single kernel simulations, tracking the
 // interpreter's per-event cost (ns/op) and allocation behavior
-// (allocs/op). BENCH_interp.json records the before/after trajectory of
-// the closure-free event loop and symbol-interned memory.
+// (allocs/op). BENCH_interp.json holds the values cmd/benchgate gates them
+// against; `benchgate -update` writes it.
 //
 // These live in an external test package because the kernel sources come
 // from internal/apps, which imports interp for its result validators.
@@ -83,14 +83,25 @@ func BenchmarkWalkOcean(b *testing.B) {
 }
 
 // BenchmarkVMBigProc scales the simulated machine instead of the problem:
-// EM3D on 256 and 1024 simulated processors. The tier guards the
-// structures whose cost grows with the processor count — the event
-// queue's depth, the per-processor slabs, and the lazy-read forcing scan
-// — which the 8-processor benchmarks cannot see.
+// EM3D on 256 and 1024 simulated processors, Ocean on 256. The tier guards
+// the structures whose cost grows with the processor count — the event
+// queue's depth, the per-processor slabs, and the lazy reads' forcing
+// bound (without it every write dispatch scans all processors, which is
+// quadratic in machine size) — which the 8-processor benchmarks cannot see.
 func BenchmarkVMBigProc(b *testing.B) {
-	for _, procs := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("EM3D/procs=%d", procs), func(b *testing.B) {
-			benchEngineKernel(b, "EM3D", procs, interp.RunOptions{Engine: interp.EngineVM})
+	for _, c := range []struct {
+		kernel string
+		procs  int
+	}{{"EM3D", 256}, {"EM3D", 1024}, {"Ocean", 256}} {
+		b.Run(fmt.Sprintf("%s/procs=%d", c.kernel, c.procs), func(b *testing.B) {
+			benchEngineKernel(b, c.kernel, c.procs, interp.RunOptions{Engine: interp.EngineVM})
 		})
 	}
+}
+
+// BenchmarkVMCholesky simulates the post/wait kernel on 64 processors at
+// the one-way level: a quarter of a million gets a run, in a program with
+// event objects, which take the lazy-read path like any other.
+func BenchmarkVMCholesky(b *testing.B) {
+	benchEngineKernel(b, "Cholesky", 64, interp.RunOptions{Engine: interp.EngineVM})
 }

@@ -7,9 +7,11 @@ package interp_test
 // order — so every comparison here is exact equality, not tolerance.
 //
 // Each program runs twice per schedule: once with a recording tap
-// attached (the general executor path, the one scverify depends on) and
-// once tapless (the fastSync lazy-read path, which reorders nothing
-// observable but takes different code).
+// attached (every get-read goes through the event queue — the path
+// scverify depends on) and once tapless (on the deterministic schedule
+// get-reads are then lazy: sampled on demand, never queued). The two
+// engines are compared inside each mode; the modes are compared with each
+// other in lazy_diff_test.go.
 
 import (
 	"fmt"
@@ -94,20 +96,28 @@ func diffRun(t *testing.T, label string, prog *splitc.Program, cfg machine.Confi
 		if vmErr != "" {
 			continue // both failed identically; nothing further to compare
 		}
-		if vmRes.Time != wkRes.Time || vmRes.Messages != wkRes.Messages || vmRes.Events != wkRes.Events {
-			t.Fatalf("%s (%s): clock divergence: vm (t=%v msgs=%d ev=%d) walk (t=%v msgs=%d ev=%d)",
-				label, mode, vmRes.Time, vmRes.Messages, vmRes.Events, wkRes.Time, wkRes.Messages, wkRes.Events)
-		}
-		if vk, wk := interp.OutcomeKey(vmRes.Memory, vmRes.Prints), interp.OutcomeKey(wkRes.Memory, wkRes.Prints); vk != wk {
-			t.Fatalf("%s (%s): outcome divergence:\nvm:   %s\nwalk: %s", label, mode, vk, wk)
-		}
-		if !reflect.DeepEqual(vmRes.Stats, wkRes.Stats) {
-			t.Fatalf("%s (%s): per-processor stats diverge:\nvm:   %+v\nwalk: %+v", label, mode, vmRes.Stats, wkRes.Stats)
-		}
+		sameResult(t, fmt.Sprintf("%s (%s)", label, mode), "vm", vmRes, "walk", wkRes)
 		if tapped && !reflect.DeepEqual(vmTap, wkTap) {
 			t.Fatalf("%s (%s): tap stream divergence at line %d:\nvm:   %s\nwalk: %s",
 				label, mode, firstDiff(vmTap, wkTap), pick(vmTap, firstDiff(vmTap, wkTap)), pick(wkTap, firstDiff(vmTap, wkTap)))
 		}
+	}
+}
+
+// sameResult fails unless two runs agree on every observable a Result
+// carries: clocks, message and event counts, final memory and prints, and
+// per-processor stats.
+func sameResult(t *testing.T, label, an string, a *interp.Result, bn string, b *interp.Result) {
+	t.Helper()
+	if a.Time != b.Time || a.Messages != b.Messages || a.Events != b.Events {
+		t.Fatalf("%s: clock divergence: %s (t=%v msgs=%d ev=%d) %s (t=%v msgs=%d ev=%d)",
+			label, an, a.Time, a.Messages, a.Events, bn, b.Time, b.Messages, b.Events)
+	}
+	if ak, bk := interp.OutcomeKey(a.Memory, a.Prints), interp.OutcomeKey(b.Memory, b.Prints); ak != bk {
+		t.Fatalf("%s: outcome divergence:\n%s: %s\n%s: %s", label, an, ak, bn, bk)
+	}
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Fatalf("%s: per-processor stats diverge:\n%s: %+v\n%s: %+v", label, an, a.Stats, bn, b.Stats)
 	}
 }
 

@@ -1,0 +1,45 @@
+package interp
+
+import "fmt"
+
+// Test hooks for lazy_diff_test.go, which lives in interp_test because it
+// compiles through the root package (which imports this one).
+
+// SetQueueReads makes r's later runs push every get-read through the event
+// queue (the path a tapped, jittered or perturbed run takes) whatever
+// their options say.
+func (r *Runner) SetQueueReads(on bool) { r.s.queueReads = on }
+
+// CheckForcingBound makes every evMemWrite dispatch of r's later runs
+// check the invariant the write-forcing shortcut rests on — minArr is no
+// later than the arrival of any lazy read not yet sampled — reporting a
+// violation to fail. It returns a counter of the dispatches that found at
+// least one such read outstanding, so a test can tell that the lazy path
+// was really taken.
+func (r *Runner) CheckForcingBound(fail func(msg string)) *int {
+	s := &r.s
+	sawPending := new(int)
+	s.onWrite = func(e *event) {
+		if !s.lazy {
+			return
+		}
+		pending := false
+		for _, p := range s.procs {
+			for i := range p.lands {
+				l := &p.lands[i]
+				if l.deposited {
+					continue
+				}
+				pending = true
+				if l.arr < s.minArr {
+					fail(fmt.Sprintf("write at t=%v seq=%d: proc %d has an unsampled read arriving at %v, bound says %v",
+						e.t, e.seq, p.id, l.arr, s.minArr))
+				}
+			}
+		}
+		if pending {
+			*sawPending++
+		}
+	}
+	return sawPending
+}

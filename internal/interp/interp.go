@@ -109,7 +109,7 @@ type landRec struct {
 	symID     int32 // shared symbol the read samples
 	dyn       int32 // dynamic-op id for the Tap; -1/0 when untapped
 	dead      bool  // applied; slot retired (a queued read may still name it)
-	deposited bool  // the read event has dispatched and filled val
+	deposited bool  // the read has been sampled into val; holds once dead
 	val       ir.Value
 }
 
@@ -126,8 +126,8 @@ func (l *landRec) landBefore(t, pri float64, seq int64) bool {
 }
 
 // arrBefore reports whether the landing's read-arrival key — the key its
-// queued get-read entry carries (or would have carried on the lazy fast
-// path) — precedes (t, pri, seq). The read entry is allocated the seq
+// queued get-read entry carries (or, for a lazy read, would have carried)
+// — precedes (t, pri, seq). The read entry is allocated the seq
 // immediately before the landing's, so the arrival key is
 // (arr, pri, seq-1).
 func (l *landRec) arrBefore(t, pri float64, seq int64) bool {
@@ -170,7 +170,7 @@ type evRef = int32
 
 // Pages are deliberately small: with resumes and get-reads inlined in the
 // queue, only writes/posts/lock traffic hits the store, and the free list
-// recycles those — steady state for a fast-path run is a page or two.
+// recycles those — steady state is a page or two.
 const (
 	evPageShift = 5
 	evPageSize  = 1 << evPageShift
@@ -306,17 +306,25 @@ type sim struct {
 	last   float64
 	err    error
 	nEv    int
-	// fastSync enables the lazy get-read fast path (see syncCtr and
-	// depositUpTo): reads skip the event queue and sample on demand, and
-	// syncs with no outstanding reads resume without a queue round trip.
-	// Sound only when runs are fully deterministic (no Perturb priorities
-	// or rng draws), untapped (run order shifts reorder tap calls),
-	// uncontended (niBusy is updated in issue order), and free of
-	// event/lock objects (their flags are read inline during runs).
-	fastSync bool
-	// nUndep counts fast-path reads issued but not yet sampled; a zero
-	// lets write dispatches skip the per-processor forcing scan.
-	nUndep int
+	// lazy makes get-reads skip the event queue: a read is sampled at the
+	// first later-keyed point that could disturb or observe its cell — a
+	// memory write's dispatch (forceReads) or its landing's application
+	// (applyLands). Memory changes only at evMemWrite dispatch, and run
+	// order, seq allocation and the deliver/niBusy stamps made at issue are
+	// untouched, so event objects, locks and Contention do not matter. The
+	// gate is the untapped deterministic run: a tap sees reads' MemEffects
+	// in dispatch order, which this changes, and seeded schedules (Jitter,
+	// Perturb) stay on the queued path lazy_diff_test.go holds this one to.
+	lazy bool
+	// minArr is a lower bound on the arrival time of every lazy read not
+	// yet sampled (+Inf when there is none): issueGetAt lowers it, the
+	// forcing scan it triggers recomputes it exactly. A write dispatching
+	// before it has nothing to force and skips the scan.
+	minArr float64
+	// queueReads and onWrite are test hooks (lazy_diff_test.go): force
+	// every read through the queue; observe each evMemWrite dispatch.
+	queueReads bool
+	onWrite    func(e *event)
 }
 
 // Run executes the target program on the simulated machine: a new Runner,
@@ -402,7 +410,7 @@ func (r *Runner) reset(opts RunOptions) error {
 	s.opts, s.tap = opts, opts.Tap
 	s.queue.a = s.queue.a[:0]
 	s.store.used, s.free = 0, s.free[:0]
-	s.seq, s.nDyn, s.barEp, s.msgs, s.last, s.err, s.nEv, s.nUndep = 0, 0, 0, 0, 0, nil, 0, 0
+	s.seq, s.nDyn, s.barEp, s.msgs, s.last, s.err, s.nEv = 0, 0, 0, 0, 0, nil, 0
 	// The generator is only consulted under Jitter or Perturb; seeding it
 	// costs more than a whole small deterministic run (the lagged Fibonacci
 	// source initializes 607 words), so plain runs skip it.
@@ -415,8 +423,8 @@ func (r *Runner) reset(opts RunOptions) error {
 		}
 		s.rng = r.rng
 	}
-	s.fastSync = opts.Tap == nil && !opts.Perturb && opts.Jitter == 0 &&
-		!opts.Contention && len(prog.Fn.Info.Events) == 0 && len(prog.Fn.Info.Locks) == 0
+	s.lazy = opts.Tap == nil && !opts.Perturb && opts.Jitter == 0 && !s.queueReads
+	s.minArr = math.Inf(1)
 	s.mem.reset()
 	s.bar.n, s.bar.accID, s.bar.release = 0, -1, 0
 	for i := range s.bar.arrived {
@@ -504,9 +512,7 @@ func (r *Runner) Run(opts RunOptions) (*Result, error) {
 	}
 	s := &r.s
 	for s.queue.len() > 0 && s.err == nil {
-		s.nEv++
-		if s.nEv > opts.MaxEvents {
-			s.err = fmt.Errorf("simulation exceeded %d events (livelock?)", opts.MaxEvents)
+		if !s.count(1) {
 			break
 		}
 		ent := s.queue.pop()
@@ -517,9 +523,6 @@ func (r *Runner) Run(opts RunOptions) (*Result, error) {
 			// Inline event: the payload is the entry itself.
 			p := s.procs[-(ent.ref + 1)]
 			if ent.aux < 0 {
-				// All of this processor's outstanding reads are keyed
-				// before its resume; sample any the fast path deferred.
-				s.depositUpTo(p, ent.t, ent.pri, ent.seq)
 				s.applyLands(p, ent.t, ent.pri, ent.seq)
 				s.resume(p)
 			} else {
@@ -535,11 +538,13 @@ func (r *Runner) Run(opts RunOptions) (*Result, error) {
 		return nil, s.err
 	}
 	// Landings from gets that were never synced before ret still complete
-	// on the wire; account them like the drained queue would have. Memory
-	// is final here, so any reads the fast path deferred sample first.
+	// on the wire; account them like the drained queue would have. The
+	// drain's events count against the budget like the loop's.
 	for _, p := range s.procs {
-		s.depositUpTo(p, math.Inf(1), 0, s.seq+1)
 		s.applyLands(p, math.Inf(1), 0, s.seq+1)
+	}
+	if !s.count(0) {
+		return nil, s.err
 	}
 	for _, p := range s.procs {
 		if !p.done {
@@ -621,43 +626,64 @@ func (s *sim) scheduleResume(t float64, p *proc) {
 	s.queue.pushInline(t, pri, s.seq, int32(p.id), -1)
 }
 
+// sample reads a get's cell into its landing record.
+func (s *sim) sample(l *landRec) {
+	l.val = s.mem.ReadID(l.symID, l.idx)
+	l.deposited = true
+}
+
 // depositRead dispatches an inline get-read event: sample memory at the
 // arrival time, deposit into the landing slot.
 func (s *sim) depositRead(p *proc, slot int32, t float64, seq int64) {
 	l := &p.lands[slot]
-	l.val = s.mem.ReadID(l.symID, l.idx)
-	l.deposited = true
+	s.sample(l)
 	if s.tap != nil {
 		s.tap.MemEffect(int(l.dyn), false, l.val, t)
 	}
 }
 
-// depositUpTo lazily samples p's pending fast-path reads whose arrival
-// key precedes (t, pri, seq). On the fast path reads never enter the
-// event queue; a sample is forced at the first later-keyed point that
-// could observe or disturb it — a memory write's dispatch, the owning
-// processor's resume, or the final drain. Until then the cell is
-// untouched since the read's arrival (every earlier-keyed write forced a
-// sample before applying), so the deferred sample returns exactly the
-// value the queued read would have. Each sample is charged against the
-// event budget just as popping its queued entry would have been.
-func (s *sim) depositUpTo(p *proc, t, pri float64, seq int64) {
-	if p.nDead == len(p.lands) {
-		return
-	}
-	for i := range p.lands {
-		l := &p.lands[i]
-		if l.deposited || l.dead || !l.arrBefore(t, pri, seq) {
-			continue
-		}
-		l.val = s.mem.ReadID(l.symID, l.idx)
-		l.deposited = true
-		s.nUndep--
-		s.nEv++
-	}
+// count charges n dispatched events against the run's budget and reports
+// whether the run may go on.
+func (s *sim) count(n int) bool {
+	s.nEv += n
 	if s.nEv > s.opts.MaxEvents {
 		s.err = fmt.Errorf("simulation exceeded %d events (livelock?)", s.opts.MaxEvents)
+		return false
 	}
+	return true
+}
+
+// forceReads samples, ahead of the write e, every lazy read keyed before
+// it, and makes minArr exact again. A lazy read never enters the event
+// queue; its sample is taken here or, failing a write, when its landing is
+// applied (applyLands). Until then the cell is untouched since the read's
+// arrival — every earlier-keyed write forced a sample before applying —
+// so the deferred sample returns exactly the value the queued read would
+// have, and it is charged against the event budget just as popping its
+// queued entry would have been. forceReads runs only when the write's time
+// has reached minArr: the scan visits every processor, and a write
+// dispatch that paid for it unconditionally would be quadratic in machine
+// size.
+func (s *sim) forceReads(e *event) {
+	min, n := math.Inf(1), 0
+	for _, q := range s.procs {
+		if q.nDead == len(q.lands) {
+			continue
+		}
+		for i := range q.lands {
+			l := &q.lands[i]
+			switch {
+			case l.deposited:
+			case l.arrBefore(e.t, e.pri, e.seq):
+				s.sample(l)
+				n++
+			case l.arr < min:
+				min = l.arr
+			}
+		}
+	}
+	s.minArr = min
+	s.count(n)
 }
 
 // dispatch runs one popped event-store event. Resumes and get-reads never
@@ -665,12 +691,11 @@ func (s *sim) depositUpTo(p *proc, t, pri float64, seq int64) {
 func (s *sim) dispatch(e *event) {
 	switch e.kind {
 	case evMemWrite:
-		if s.nUndep > 0 {
-			// Fast-path pending reads keyed before this write must
-			// sample the cell's pre-write value.
-			for _, q := range s.procs {
-				s.depositUpTo(q, e.t, e.pri, e.seq)
-			}
+		if s.onWrite != nil {
+			s.onWrite(e)
+		}
+		if e.t >= s.minArr {
+			s.forceReads(e)
 		}
 		s.mem.WriteID(e.symID, e.idx, e.val)
 		if s.tap != nil {
@@ -683,24 +708,6 @@ func (s *sim) dispatch(e *event) {
 	case evLockRel:
 		s.unlockArrive(e)
 	}
-}
-
-// phantomResume accounts the resume event the fast sync path never
-// schedules: the event count (and its livelock bound), the makespan
-// high-water mark, and the landing application at the resume's exact
-// boundary key all match what dispatching a real resume would have done.
-// It reports false when the event bound is exhausted.
-func (s *sim) phantomResume(p *proc, wake float64, bSeq int64) bool {
-	s.nEv++
-	if s.nEv > s.opts.MaxEvents {
-		s.err = fmt.Errorf("simulation exceeded %d events (livelock?)", s.opts.MaxEvents)
-		return false
-	}
-	if wake > s.last {
-		s.last = wake
-	}
-	s.applyLands(p, wake, 0, bSeq)
-	return true
 }
 
 // applyLands writes every pending get landing whose key precedes the
@@ -734,6 +741,12 @@ func (s *sim) applyLands(p *proc, t, pri float64, seq int64) {
 	}
 	for _, i := range sc {
 		l := &p.lands[i]
+		if !l.deposited {
+			// A lazy read no write has forced: the cell still holds what
+			// it held at the read's arrival.
+			s.sample(l)
+			s.nEv++
+		}
 		p.env.scalars[l.dst] = l.val
 		if l.t > s.last {
 			s.last = l.t
@@ -973,12 +986,14 @@ func (s *sim) issueGetAt(p *proc, acc *ir.Access, idx int64, owner int, dst ir.L
 		pri = s.rng.Float64()
 	}
 	slot := int32(len(p.lands))
-	if s.fastSync {
-		// Lazy read: no queue entry. The sample is forced at the first
-		// later-keyed write dispatch, at this processor's resume, or at
-		// the final drain (see depositUpTo); the seq draws stay so every
-		// event key matches the queued schedule exactly.
-		s.nUndep++
+	if s.lazy {
+		// No queue entry: the sample is taken at the first later-keyed
+		// write dispatch or when the landing is applied (see forceReads);
+		// the seq draws stay so every event key matches the queued
+		// schedule exactly.
+		if arrival < s.minArr {
+			s.minArr = arrival
+		}
 	} else {
 		s.queue.pushInline(arrival, pri, readSeq, int32(p.id), slot)
 	}
@@ -1089,45 +1104,12 @@ func (s *sim) syncCtr(p *proc, ctr target.Ctr) bool {
 				wake = op.t
 			}
 		}
-		if s.fastSync {
-			// The resume event this sync would schedule has key
-			// (wake, 0, s.seq+1); the only pending work that can affect
-			// this processor before that key is its own unsampled reads
-			// (everything else it observes is keyed independently: issues
-			// stamp times from p.time, barrier release values are
-			// order-free maxima, and the gates on fastSync exclude
-			// inline-read shared state). If it has none, proceed
-			// immediately without a queue round trip. Otherwise queue a
-			// real resume at the boundary: dispatching it after every
-			// earlier-keyed write guarantees the deferred samples it
-			// forces (see depositUpTo) read the values the queued reads
-			// would have.
-			bSeq := s.seq + 1
-			n := 0
-			for i := range p.lands {
-				l := &p.lands[i]
-				if !l.deposited && !l.dead &&
-					(l.arr < wake || (l.arr == wake && l.seq-1 < bSeq)) {
-					n++
-				}
-			}
-			if n > 0 {
-				p.waiting = true
-				s.scheduleResume(wake, p)
-				return false
-			}
-			if !s.phantomResume(p, wake, bSeq) {
-				return false
-			}
-		} else {
-			p.waiting = true
-			s.tapIssue(p, OpSyncCtr, nil, int64(ctr))
-			s.scheduleResume(wake, p)
-			return false
-		}
-	} else {
-		p.waiting = false
+		p.waiting = true
+		s.tapIssue(p, OpSyncCtr, nil, int64(ctr))
+		s.scheduleResume(wake, p)
+		return false
 	}
+	p.waiting = false
 	// Insertion sort by completion time: pending lists are short (a few
 	// outstanding ops per counter) and this avoids sort.Slice's closure.
 	ops := st.pending

@@ -76,7 +76,7 @@ func checkReuse(t *testing.T, label string, prog *splitc.Program, cfg machine.Co
 	}
 }
 
-// reuseSteps alternates engines, the tapped and the fast-sync paths,
+// reuseSteps alternates engines, the tapped and the lazy-read paths,
 // jittered and plain runs, and puts an abandoned run in the middle.
 func reuseSteps() []runStep {
 	return []runStep{
@@ -87,7 +87,7 @@ func reuseSteps() []runStep {
 		{name: "plain tapped vm", opts: interp.RunOptions{}, tapped: true},
 		{name: "contended jittered walker", opts: interp.RunOptions{Jitter: 2, Seed: 7, Contention: true, Engine: interp.EngineWalker}, tapped: true},
 		{name: "same seed again, vm", opts: interp.RunOptions{Jitter: 2, Seed: 7, Contention: true}, tapped: true},
-		{name: "plain vm, fast sync", opts: interp.RunOptions{}},
+		{name: "plain vm, lazy reads", opts: interp.RunOptions{}},
 	}
 }
 

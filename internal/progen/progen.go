@@ -35,10 +35,9 @@ type Options struct {
 }
 
 // BigProc returns generation options for many-processor runs (hundreds to
-// thousands of simulated processors): no events or locks, so the
-// executor's deterministic fast path engages and run time stays bounded
-// by the phase structure rather than lock convoys, and a slightly wider
-// phase mix so barrier fan-in at scale is actually exercised.
+// thousands of simulated processors): no events or locks, so run time
+// stays bounded by the phase structure rather than lock convoys, and a
+// slightly wider phase mix so barrier fan-in at scale is actually exercised.
 func BigProc(procs int) Options {
 	return Options{
 		Procs:     procs,
