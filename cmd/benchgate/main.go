@@ -17,6 +17,8 @@
 //	-in FILE     read benchmark output from FILE instead of stdin
 //	-tol PCT     allowed regression percentage (default 25)
 //	-update      do not gate: rewrite the baselines from the output
+//	-before FILE with -update: also rewrite "before" blocks from FILE, the
+//	             same benchmarks' output at the parent commit
 //
 // With -update the same per-metric minimums are written into the baseline
 // files instead of compared with them: for every entry the run measured,
@@ -26,6 +28,11 @@
 // byte, so a baseline number is never typed by hand:
 //
 //	go test -bench=... -benchtime=3x -count=3 ./... | benchgate -update BENCH_interp.json
+//
+// A re-registration that also moves the reference point runs the same
+// benchmarks at the parent commit, alternated with the change on one host,
+// and passes that output as -before: entries both runs measured get their
+// "before" block rewritten from it, the same minimums, the same fields.
 package main
 
 import (
@@ -206,6 +213,7 @@ func main() {
 	in := flag.String("in", "", "benchmark output file (default stdin)")
 	tol := flag.Float64("tol", 25, "allowed regression percentage")
 	upd := flag.Bool("update", false, "rewrite the baselines' after blocks from the benchmark output instead of gating")
+	beforeIn := flag.String("before", "", "with -update: the parent commit's benchmark output, written into the before blocks")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: benchgate [flags] baseline.json...")
@@ -221,8 +229,20 @@ func main() {
 		defer f.Close()
 		src = f
 	}
+	if *beforeIn != "" && !*upd {
+		fatal(fmt.Errorf("-before only means something with -update"))
+	}
 	if *upd {
-		if err := update(src, flag.Args(), os.Stdout); err != nil {
+		var before io.Reader
+		if *beforeIn != "" {
+			f, err := os.Open(*beforeIn)
+			if err != nil {
+				fatal(err)
+			}
+			defer f.Close()
+			before = f
+		}
+		if err := update(src, before, flag.Args(), os.Stdout); err != nil {
 			fatal(err)
 		}
 		return

@@ -229,7 +229,7 @@ func TestUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := update(strings.NewReader(sampleBench), []string{base}, &sb); err != nil {
+	if err := update(strings.NewReader(sampleBench), nil, []string{base}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(base)
@@ -250,13 +250,61 @@ func TestUpdate(t *testing.T) {
 
 	// An after block that records allocations cannot be written from a run
 	// without -benchmem columns, and nothing may be half-written.
-	if err := update(strings.NewReader("BenchmarkInterpEM3D-4 5 1 ns/op\n"), []string{base}, &sb); err == nil {
+	if err := update(strings.NewReader("BenchmarkInterpEM3D-4 5 1 ns/op\n"), nil, []string{base}, &sb); err == nil {
 		t.Error("expected an error: bytes_op/allocs_op recorded, none measured")
 	}
 	if again, _ := os.ReadFile(base); string(again) != want {
 		t.Error("a failed update modified the file")
 	}
-	if err := update(strings.NewReader("PASS\n"), []string{base}, &sb); err == nil {
+	if err := update(strings.NewReader("PASS\n"), nil, []string{base}, &sb); err == nil {
 		t.Error("expected an error when the run matches no entry")
+	}
+}
+
+// TestUpdateBefore: with the parent commit's output as -before, the before
+// blocks of the entries both runs measured are rewritten from it — the same
+// per-metric minimums, only the fields the block already records — and the
+// derived fields follow both sides; an entry the parent run did not measure
+// keeps its before block byte for byte.
+func TestUpdateBefore(t *testing.T) {
+	const fixture = `{"benchmarks": [
+  {"name": "BenchmarkInterpEM3D", "host_cpus": 1,
+   "before": {"ns_op": 1, "allocs_op": 1},
+   "after": {"ns_op": 1, "bytes_op": 1, "allocs_op": 1},
+   "time_reduction_pct": 0.0, "allocs_reduction_pct": 0.0, "speedup_x": 1.0},
+  {"name": "BenchmarkInterpOcean",
+   "before": {"ns_op": 10216000},
+   "after": {"ns_op": 1},
+   "speedup_x": 1.0}
+]}
+`
+	const parent = `
+BenchmarkInterpEM3D-4     	       5	    500000 ns/op	   99000 B/op	     450 allocs/op
+BenchmarkInterpEM3D-4     	       5	    480000 ns/op	   99000 B/op	     400 allocs/op
+`
+	const want = `{"benchmarks": [
+  {"name": "BenchmarkInterpEM3D", "host_cpus": 4,
+   "before": {"ns_op": 480000, "allocs_op": 400},
+   "after": {"ns_op": 240000, "bytes_op": 56000, "allocs_op": 200},
+   "time_reduction_pct": 50.0, "allocs_reduction_pct": 50.0, "speedup_x": 2.0},
+  {"name": "BenchmarkInterpOcean",
+   "before": {"ns_op": 10216000},
+   "after": {"ns_op": 5108000},
+   "speedup_x": 2.0}
+]}
+`
+	base := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(base, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := update(strings.NewReader(sampleBench), strings.NewReader(parent), []string{base}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(base); string(got) != want {
+		t.Errorf("updated file:\n%s\nwant:\n%s", got, want)
+	}
+	if out := sb.String(); !strings.Contains(out, "before BenchmarkInterpEM3D") || strings.Contains(out, "before BenchmarkInterpOcean") {
+		t.Errorf("report:\n%s", out)
 	}
 }

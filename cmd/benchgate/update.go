@@ -73,14 +73,54 @@ func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 // tenth rounds to one decimal, the precision the derived fields carry.
 func tenth(v float64) string { return strconv.FormatFloat(math.Round(v*10)/10, 'f', 1, 64) }
 
+// rewriteBlock queues edits replacing each ns_op/bytes_op/allocs_op the
+// block at data[blk.lo:blk.hi] already records by cur's value, and returns
+// the block's metrics as they read now and as they will read afterwards.
+// With measured false it only reads the block.
+func rewriteBlock(data []byte, name string, blk *member, cur metrics, measured bool, edits *[]edit) (old, now metrics, err error) {
+	if err := json.Unmarshal(data[blk.lo:blk.hi], &old); err != nil {
+		return old, now, fmt.Errorf("%s: %s: %w", name, blk.key, err)
+	}
+	now = old
+	if !measured {
+		return old, now, nil
+	}
+	fields, err := children(data, blk.lo, blk.hi)
+	if err != nil {
+		return old, now, err
+	}
+	for _, f := range fields {
+		var v *float64
+		switch f.key {
+		case "ns_op":
+			v, now.NsOp = cur.NsOp, cur.NsOp
+		case "bytes_op":
+			v, now.BytesOp = cur.BytesOp, cur.BytesOp
+		case "allocs_op":
+			v, now.AllocsOp = cur.AllocsOp, cur.AllocsOp
+		default:
+			continue
+		}
+		if v == nil {
+			return old, now, fmt.Errorf("%s: %s records %s but the run has no -benchmem columns", name, blk.key, f.key)
+		}
+		*edits = append(*edits, edit{f.lo, f.hi, num(*v)})
+	}
+	return old, now, nil
+}
+
 // updateBaseline returns data with, for every benchmark entry that got
 // measured and that has an "after" block, each ns_op/bytes_op/allocs_op
 // the block already records replaced by the measured value; host_cpus
 // replaced by the run's width; and the fields derived from before and
 // after (time_reduction_pct, allocs_reduction_pct, speedup_x) recomputed
-// where the entry carries them. It never adds or removes a field, so
-// which metrics an entry gates stays a decision made in the file.
-func updateBaseline(data []byte, got map[string]metrics, w io.Writer) ([]byte, int, error) {
+// where the entry carries them. When gotBefore — a run of the commit the
+// change is measured against — also measured the entry and the entry has
+// a "before" block, that block is rewritten from it the same way, so
+// neither side of a re-registration is typed by hand. It never adds or
+// removes a field, so which metrics an entry gates stays a decision made
+// in the file.
+func updateBaseline(data []byte, got, gotBefore map[string]metrics, w io.Writer) ([]byte, int, error) {
 	top, err := children(data, 0, len(data))
 	if err != nil {
 		return nil, 0, err
@@ -113,31 +153,9 @@ func updateBaseline(data []byte, got map[string]metrics, w io.Writer) ([]byte, i
 			fmt.Fprintf(w, "skip   %-42s not in this run\n", name)
 			continue
 		}
-		var now, before metrics
-		if err := json.Unmarshal(data[after.lo:after.hi], &now); err != nil {
-			return nil, 0, fmt.Errorf("%s: after: %w", name, err)
-		}
-		old := now
-		fields, err := children(data, after.lo, after.hi)
+		old, now, err := rewriteBlock(data, name, after, cur, true, &edits)
 		if err != nil {
 			return nil, 0, err
-		}
-		for _, f := range fields {
-			var v *float64
-			switch f.key {
-			case "ns_op":
-				v, now.NsOp = cur.NsOp, cur.NsOp
-			case "bytes_op":
-				v, now.BytesOp = cur.BytesOp, cur.BytesOp
-			case "allocs_op":
-				v, now.AllocsOp = cur.AllocsOp, cur.AllocsOp
-			default:
-				continue
-			}
-			if v == nil {
-				return nil, 0, fmt.Errorf("%s: after records %s but the run has no -benchmem columns", name, f.key)
-			}
-			edits = append(edits, edit{f.lo, f.hi, num(*v)})
 		}
 		if hc := find(ms, "host_cpus"); hc != nil {
 			width := cur.width
@@ -146,10 +164,14 @@ func updateBaseline(data []byte, got map[string]metrics, w io.Writer) ([]byte, i
 			}
 			edits = append(edits, edit{hc.lo, hc.hi, strconv.Itoa(width)})
 		}
+		var wasBefore, before metrics
+		parent, reran := gotBefore[name]
 		if b := find(ms, "before"); b != nil {
-			if err := json.Unmarshal(data[b.lo:b.hi], &before); err != nil {
-				return nil, 0, fmt.Errorf("%s: before: %w", name, err)
+			if wasBefore, before, err = rewriteBlock(data, name, b, parent, reran, &edits); err != nil {
+				return nil, 0, err
 			}
+		} else {
+			reran = false
 		}
 		for _, d := range []struct {
 			key      string
@@ -174,6 +196,9 @@ func updateBaseline(data []byte, got map[string]metrics, w io.Writer) ([]byte, i
 			edits = append(edits, edit{f.lo, f.hi, text})
 		}
 		fmt.Fprintf(w, "update %-42s ns/op %s -> %s\n", name, show(old.NsOp), show(now.NsOp))
+		if reran {
+			fmt.Fprintf(w, "before %-42s ns/op %s -> %s\n", name, show(wasBefore.NsOp), show(before.NsOp))
+		}
 		updated++
 	}
 	sort.Slice(edits, func(i, j int) bool { return edits[i].lo < edits[j].lo })
@@ -196,11 +221,18 @@ func show(v *float64) string {
 }
 
 // update is the -update mode: rewrite each baseline file in place from
-// the benchmark output.
-func update(benchOut io.Reader, baselineFiles []string, w io.Writer) error {
+// the benchmark output and, when beforeOut is not nil, from the output of
+// the same benchmarks at the commit the change is measured against.
+func update(benchOut, beforeOut io.Reader, baselineFiles []string, w io.Writer) error {
 	got, err := parseBench(benchOut)
 	if err != nil {
 		return fmt.Errorf("reading benchmark output: %w", err)
+	}
+	var gotBefore map[string]metrics
+	if beforeOut != nil {
+		if gotBefore, err = parseBench(beforeOut); err != nil {
+			return fmt.Errorf("reading the -before benchmark output: %w", err)
+		}
 	}
 	total := 0
 	for _, file := range baselineFiles {
@@ -208,7 +240,7 @@ func update(benchOut io.Reader, baselineFiles []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		out, n, err := updateBaseline(data, got, w)
+		out, n, err := updateBaseline(data, got, gotBefore, w)
 		if err != nil {
 			return fmt.Errorf("%s: %w", file, err)
 		}

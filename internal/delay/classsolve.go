@@ -24,11 +24,11 @@ import (
 // for the pair — and zero reachable witnesses on the UNcut tree is an
 // exact FALSE (uncut reach only over-approximates the reference's cut
 // reach). Pairs the shared tree cannot certify fall to the per-target cut
-// tree, then the witness-predecessor certificate, and finally to
-// DenseFlow.AvoidReach, the exact per-pair search. The Removed stage
-// repeats the pattern at cell granularity — a cover screen, then a
-// pessimistic/optimistic bracket — with denseRestrict/densePairSearch as
-// the exact residue.
+// tree, then the witness-predecessor certificate, and finally to the exact
+// search, which by then is confined to subtree(la) of the cut tree
+// (classFlow.reachAvoiding). The Removed stage repeats the pattern at cell
+// granularity — a cover screen, then a pessimistic/optimistic bracket —
+// with denseRestrict/densePairSearch as the exact residue.
 //
 // Tree groups are independent units of work — each writes only the target
 // rows of its own classes — so with fan set they are claimed by up to
@@ -139,7 +139,7 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	}
 
 	// solver returns one worker's solve-a-tree-group function. Everything a
-	// solve mutates — the two trees, the exact-search engine, the per-class
+	// solve mutates — the two trees and their search scratch, the per-class
 	// slots and their epochs, the scratch rows — is the worker's own; L, tl
 	// and the class tables above are only read. A group writes the target
 	// rows of its own classes and nothing else, and the state a slot carries
@@ -149,7 +149,6 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	solver := func(sc *regionScratch) func(g *tgroup) {
 		flowB := newClassFlow(nl) // shared uncut tree of the current seed row
 		flowC := newClassFlow(nl) // per-target cut tree, derived incrementally
-		df := graph.NewDenseFlow(L)
 		slots := make([]aclsSlot, ncl)
 		tw := graph.WordsFor(2 * (nl + 2))
 
@@ -159,9 +158,8 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		var pstack []int32
 		bG := make([]uint64, len(mask)) // global members of the current target class
 		bGEp := int32(0)
-		var lt *graph.BitMatrix // transposed(), once this worker has asked
-		var cvis []uint64
-		var ctin, ctout []int32
+		var lt *graph.BitMatrix    // transposed(), once this worker has asked
+		var cut *classFlow         // the current target's cut tree: flowB or flowC
 		var sbS, tbS, vbS []uint64 // sparse-bracket scratch (survivors, targets, visited)
 		slBuf := make([]int32, 0, sparseCap+1)
 		var selfT []int32
@@ -208,7 +206,7 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 					}
 					if !treeReady {
 						treeReady = true
-						flowB.reach(L, seedsRow, nil)
+						flowB.reach(L, seedsRow)
 					}
 
 					for wi, word := range cand {
@@ -274,24 +272,24 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 										// own cut, so the cut tree IS the shared
 										// tree: every tree path has lb only in
 										// start position, which is legal.
-										cvis, ctin, ctout = flowB.vis, flowB.tin, flowB.tout
+										cut = flowB
 									} else {
 										if lt == nil {
 											lt = transposed()
 										}
 										flowC.reachCutFrom(L, lt, flowB, lb)
-										cvis, ctin, ctout = flowC.vis, flowC.tin, flowC.tout
+										cut = flowC
 									}
 								}
 								if st.eC != lepoch {
 									st.eC = lepoch
-									st.wCut.build(tla, cvis, ctin, tw)
+									st.wCut.build(tla, cut.vis, cut.tin, tw)
 								}
 								if st.wCut.total == 0 {
 									dec = true
-								} else if coveredCount(&st.wCut, cvis, ctin, ctout, la, la) < st.wCut.total {
+								} else if coveredCount(&st.wCut, cut.vis, cut.tin, cut.tout, la, la) < st.wCut.total {
 									dec, res = true, true
-								} else if selfConf && graph.BitGet(cvis, la) {
+								} else if selfConf && graph.BitGet(cut.vis, la) {
 									// Witness y == a: accepted on generation by the
 									// reference, and its cut-tree path has la only
 									// as its endpoint.
@@ -325,18 +323,25 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 									}
 									if st.eP != lepoch {
 										st.eP = lepoch
-										st.wP.build(st.p, cvis, ctin, tw)
+										st.wP.build(st.p, cut.vis, cut.tin, tw)
 									}
 									if st.wP.total > 0 &&
-										coveredCount(&st.wP, cvis, ctin, ctout, la, la) < st.wP.total {
+										coveredCount(&st.wP, cut.vis, cut.tin, cut.tout, la, la) < st.wP.total {
 										dec, res = true, true
 									}
 								}
 							}
 
-							// Tier 2: the exact per-pair search.
+							// Tier 2: the exact per-pair search, confined. The
+							// tiers above leave exactly one question open: the
+							// witnesses' predecessors st.p all sit in subtree(la)
+							// of the cut tree — is one of them, other than la,
+							// reachable without passing la or entering lb?
 							if !dec {
-								res = df.AvoidReach(seeds, lb, la, tl.Row(la))
+								res = cut.reachAvoiding(L, lt, la, st.p)
+								if exactTierHook != nil {
+									exactTierHook(L, seeds, lb, la, tl.Row(la), res)
+								}
 							}
 							if !res {
 								continue
@@ -484,6 +489,13 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	})
 	return true
 }
+
+// exactTierHook, when a test sets it, sees every query that reaches tier 2
+// and the verdict the confined search gave — enough to re-ask the
+// exhaustive search. Workers call it concurrently; it is nil outside tests,
+// one nil check per tier-2 query in production. A test that sets it must
+// not run in parallel with another that drives classSolve.
+var exactTierHook func(L *graph.BitMatrix, seeds []int32, lb, la int, targets []uint64, got bool)
 
 // classSolveUsable reports whether the constraint shape supports the
 // class-condensed engine: an access classing must exist, and the Removed
@@ -792,14 +804,12 @@ func restrictSweep(gd *mixedAdj, drow, mask, vis, teff []uint64, queue *[]int32)
 	return false
 }
 
-// classFlow runs one uncut BFS over the local dense adjacency with an
-// optional blocked set folded into visited up front (blocked nodes are
-// never ordered, expanded, or given tree positions), then assigns
+// classFlow runs one uncut BFS over the local dense adjacency, then assigns
 // preorder entry/exit times over the first-visit tree. Subtree(v) is the
 // time interval [tin[v], tout[v]]; intervals of distinct nodes are
 // nested or disjoint, which is what makes witness counting additive.
 type classFlow struct {
-	nl, lw     int
+	nl         int
 	vis        []uint64
 	order      []int32
 	parent     []int32
@@ -807,7 +817,8 @@ type classFlow struct {
 	head, next []int32
 	stack      []int32
 
-	// reachCutFrom scratch: subtree members, their bitset, full order.
+	// reachCutFrom and reachAvoiding scratch: subtree members, their bitset
+	// (clean between calls), full order.
 	subs   []int32
 	smask  []uint64
 	forder []int32
@@ -815,11 +826,26 @@ type classFlow struct {
 
 func newClassFlow(nl int) *classFlow {
 	return &classFlow{
-		nl: nl, lw: graph.WordsFor(nl),
+		nl:     nl,
 		vis:    make([]uint64, graph.WordsFor(nl)),
 		parent: make([]int32, nl),
 		tin:    make([]int32, nl+1), tout: make([]int32, nl+1),
 		head: make([]int32, nl+1), next: make([]int32, nl),
+		smask: make([]uint64, graph.WordsFor(nl)),
+	}
+}
+
+// subtree collects subtree(v) of t's first-visit tree into f.subs, v first,
+// and marks it in f.smask.
+func (f *classFlow) subtree(t *classFlow, v int) {
+	f.subs = append(f.subs[:0], int32(v))
+	for i := 0; i < len(f.subs); i++ {
+		for c := t.head[f.subs[i]]; c != -1; c = t.next[c] {
+			f.subs = append(f.subs, c)
+		}
+	}
+	for _, u := range f.subs {
+		graph.BitSet(f.smask, int(u))
 	}
 }
 
@@ -842,27 +868,17 @@ func (f *classFlow) reachCutFrom(L, lt *graph.BitMatrix, base *classFlow, lb int
 		f.buildIntervals(f.forder)
 		return
 	}
-	if f.smask == nil {
-		f.smask = make([]uint64, f.lw)
-	}
-	// Collect subtree(lb) via base's child lists and unhook it.
-	f.subs = append(f.subs[:0], int32(lb))
-	for i := 0; i < len(f.subs); i++ {
-		for c := base.head[f.subs[i]]; c != -1; c = base.next[c] {
-			f.subs = append(f.subs, c)
-		}
-	}
+	// Unhook subtree(lb). lb itself is gone for good: it leaves the mask,
+	// so the fixpoint cannot re-enter it through an edge back to it.
+	f.subtree(base, lb)
 	for _, v := range f.subs {
 		graph.BitClear(f.vis, int(v))
-		graph.BitSet(f.smask, int(v))
 	}
+	graph.BitClear(f.smask, lb)
 	copy(f.parent, base.parent)
 	// Re-entry scan: a subtree member (never lb itself) with any surviving
 	// predecessor is reachable again through it.
-	for _, v := range f.subs {
-		if int(v) == lb {
-			continue
-		}
+	for _, v := range f.subs[1:] {
 		for wi, word := range lt.Row(int(v)) {
 			if m := word & f.vis[wi]; m != 0 {
 				f.parent[v] = int32(wi<<6 + bits.TrailingZeros64(m))
@@ -907,14 +923,71 @@ func (f *classFlow) reachCutFrom(L, lt *graph.BitMatrix, base *classFlow, lb int
 	f.buildIntervals(f.forder)
 }
 
-func (f *classFlow) reach(L *graph.BitMatrix, seedsRow, blocked []uint64) {
-	f.order = f.order[:0]
-	if blocked != nil {
-		copy(f.vis, blocked)
-	} else {
-		for i := range f.vis {
-			f.vis[i] = 0
+// reachAvoiding answers the exact avoid-search for a pair whose target's
+// cut tree is f: is some node of p, other than la, reachable from the
+// tree's seeds by a path that never passes la (and, f being a cut tree,
+// never enters the target)? It relies on what the certificate tiers have
+// established by the time they give up: la is in the tree and no tree node
+// outside subtree(la) is in p. Every such outside node is reachable — its
+// tree path avoids la — so the search is only over subtree(la)∖{la}, by the
+// move reachCutFrom makes: a member is re-entered iff a reachable node
+// carries an edge into it, and re-entered members may reach deeper ones. No
+// seed is in the subtree unless it is la, which the reference search skips
+// as a start node; subtree(la) is then everything first reached through it.
+func (f *classFlow) reachAvoiding(L, lt *graph.BitMatrix, la int, p []uint64) bool {
+	// smask holds the subtree members not known reachable, la among them
+	// throughout: f.vis &^ f.smask is the reachable set so far.
+	f.subtree(f, la)
+	defer func() {
+		for _, v := range f.subs {
+			graph.BitClear(f.smask, int(v))
 		}
+	}()
+	inner, queue := f.subs[1:], f.stack[:0]
+	defer func() { f.stack = queue[:0] }()
+	any := false
+	for _, v := range inner {
+		any = any || graph.BitGet(p, int(v))
+	}
+	if !any {
+		return false
+	}
+	for _, v := range inner {
+		for wi, word := range lt.Row(int(v)) {
+			if word&f.vis[wi]&^f.smask[wi] != 0 {
+				if graph.BitGet(p, int(v)) {
+					return true
+				}
+				graph.BitClear(f.smask, int(v))
+				queue = append(queue, v)
+				break
+			}
+		}
+	}
+	law, lam := la>>6, uint64(1)<<(uint(la)&63)
+	for i := 0; i < len(queue); i++ {
+		row := L.Row(int(queue[i]))
+		for wi := range f.smask {
+			nw := row[wi] & f.smask[wi]
+			if wi == law {
+				nw &^= lam
+			}
+			if nw&p[wi] != 0 {
+				return true
+			}
+			f.smask[wi] &^= nw
+			for ; nw != 0; nw &= nw - 1 {
+				queue = append(queue, int32(wi<<6+bits.TrailingZeros64(nw)))
+			}
+		}
+	}
+	return false
+}
+
+func (f *classFlow) reach(L *graph.BitMatrix, seedsRow []uint64) {
+	f.order = f.order[:0]
+	for i := range f.vis {
+		f.vis[i] = 0
 	}
 	root := int32(f.nl)
 	for wi := range f.vis {

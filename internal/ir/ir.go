@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -60,11 +61,13 @@ func (v Value) Float() float64 {
 }
 
 // String renders the value.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendTo(nil)) }
+
+func (v Value) appendTo(b []byte) []byte {
 	if v.T == source.TypeFloat {
-		return fmt.Sprintf("%g", v.F)
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64) // what %g prints
 	}
-	return fmt.Sprintf("%d", v.I)
+	return strconv.AppendInt(b, v.I, 10)
 }
 
 // Local describes a function-local variable.

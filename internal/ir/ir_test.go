@@ -635,6 +635,59 @@ func main() {
 	}
 }
 
+// TestPrintIRExact pins the printed form byte for byte on a program with
+// every statement, terminator and expression form: the text is the input of
+// syncanal.Fingerprint and of the conflict keys, not only a debugging aid.
+func TestPrintIRExact(t *testing.T) {
+	fn := MustBuild(`
+shared float X[8];
+shared int N;
+event e;
+lock l;
+func main() {
+    local int v = N;
+    local float w[4];
+    w[v % 4] = 1.5e10 * -X[(MYPROC + 1) % PROCS];
+    if (!(v < 3) && v != 7) {
+        X[MYPROC] = fabs(w[0]) + itof(imin(v, 2)) + 0.25;
+    }
+    lock(l); N = v + 1; unlock(l);
+    post(e); wait(e);
+    barrier;
+    print("v\t", v, "w", w[1]);
+}
+`, BuildOptions{Procs: 4})
+	const want = `func main (procs=4, 9 accesses)
+b0:
+    v.0 = load N    ; a0
+    t1 = load X[((MYPROC + 1) % 4)]    ; a1
+    w.1[(v.0 % 4)] = (1.5e+10 * -(t1))
+    branch (!((v.0 < 3)) && (v.0 != 7)) ? b1 : b2
+b1:
+    store X[MYPROC] = ((fabs(w.1[0]) + itof(imin(v.0, 2))) + 0.25)    ; a2
+    jump b2
+b2:
+    lock l    ; a3
+    store N = (v.0 + 1)    ; a4
+    unlock l    ; a5
+    post e    ; a6
+    wait e    ; a7
+    barrier    ; a8
+    print "v\t", v.0, "w", w.1[1]
+    ret
+`
+	if got := fn.String(); got != want {
+		t.Errorf("printed IR:\n%s\nwant:\n%s", got, want)
+	}
+	st := fn.Blocks[0].Stmts[2]
+	if got, want := fn.StmtString(st), "w.1[(v.0 % 4)] = (1.5e+10 * -(t1))"; got != want {
+		t.Errorf("StmtString = %q, want %q", got, want)
+	}
+	if got, want := fn.ExprString(fn.Accesses[1].Index), "((MYPROC + 1) % 4)"; got != want {
+		t.Errorf("ExprString = %q, want %q", got, want)
+	}
+}
+
 func TestValueHelpers(t *testing.T) {
 	if !IntVal(3).IsTrue() || IntVal(0).IsTrue() {
 		t.Error("int truth wrong")

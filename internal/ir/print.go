@@ -2,107 +2,177 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
+
+// The printer appends to one byte slice all the way down: the text is the
+// analysis session's fingerprint input (syncanal.Fingerprint) and the
+// conflict key of every indexed access, so it is rendered once per edit,
+// not only for debugging.
 
 // String renders the function's CFG in a readable text form for debugging,
 // golden tests, and the compiler driver's -dump-ir mode.
 func (f *Fn) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s (procs=%d, %d accesses)\n", f.Name, f.Procs, len(f.Accesses))
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "b%d:\n", b.ID)
-		for _, s := range b.Stmts {
-			fmt.Fprintf(&sb, "    %s\n", f.StmtString(s))
+	b := append([]byte("func "), f.Name...)
+	b = append(b, " (procs="...)
+	b = strconv.AppendInt(b, int64(f.Procs), 10)
+	b = append(b, ", "...)
+	b = strconv.AppendInt(b, int64(len(f.Accesses)), 10)
+	b = append(b, " accesses)\n"...)
+	for _, blk := range f.Blocks {
+		b = appendBlockID(b, blk)
+		b = append(b, ":\n"...)
+		for _, s := range blk.Stmts {
+			b = append(b, "    "...)
+			b = f.appendStmt(b, s)
+			b = append(b, '\n')
 		}
-		switch t := b.Term.(type) {
+		switch t := blk.Term.(type) {
 		case *Jump:
-			fmt.Fprintf(&sb, "    jump b%d\n", t.To.ID)
+			b = append(b, "    jump "...)
+			b = appendBlockID(b, t.To)
+			b = append(b, '\n')
 		case *Branch:
-			fmt.Fprintf(&sb, "    branch %s ? b%d : b%d\n", f.ExprString(t.Cond), t.Then.ID, t.Else.ID)
+			b = append(b, "    branch "...)
+			b = f.appendExpr(b, t.Cond)
+			b = append(b, " ? "...)
+			b = appendBlockID(b, t.Then)
+			b = append(b, " : "...)
+			b = appendBlockID(b, t.Else)
+			b = append(b, '\n')
 		case *Ret:
-			fmt.Fprintf(&sb, "    ret\n")
+			b = append(b, "    ret\n"...)
 		case nil:
-			fmt.Fprintf(&sb, "    <no terminator>\n")
+			b = append(b, "    <no terminator>\n"...)
 		}
 	}
-	return sb.String()
+	return string(b)
+}
+
+func appendBlockID(b []byte, blk *Block) []byte {
+	return strconv.AppendInt(append(b, 'b'), int64(blk.ID), 10)
+}
+
+// appendAccID appends the "    ; a3" trailer of an access statement.
+func appendAccID(b []byte, a *Access) []byte {
+	return strconv.AppendInt(append(b, "    ; a"...), int64(a.ID), 10)
 }
 
 // StmtString renders one statement.
-func (f *Fn) StmtString(s Stmt) string {
+func (f *Fn) StmtString(s Stmt) string { return string(f.appendStmt(nil, s)) }
+
+func (f *Fn) appendStmt(b []byte, s Stmt) []byte {
 	switch s := s.(type) {
 	case *Assign:
-		return fmt.Sprintf("%s = %s", f.localName(s.Dst), f.ExprString(s.Src))
+		b = f.appendLocal(b, s.Dst)
+		b = append(b, " = "...)
+		return f.appendExpr(b, s.Src)
 	case *SetElem:
-		return fmt.Sprintf("%s[%s] = %s", f.localName(s.Arr), f.ExprString(s.Index), f.ExprString(s.Src))
+		b = f.appendLocal(b, s.Arr)
+		b = append(b, '[')
+		b = f.appendExpr(b, s.Index)
+		b = append(b, "] = "...)
+		return f.appendExpr(b, s.Src)
 	case *Load:
-		return fmt.Sprintf("%s = load %s    ; a%d", f.localName(s.Dst), f.refString(s.Acc), s.Acc.ID)
+		b = f.appendLocal(b, s.Dst)
+		b = append(b, " = load "...)
+		b = f.appendRef(b, s.Acc)
+		return appendAccID(b, s.Acc)
 	case *Store:
-		return fmt.Sprintf("store %s = %s    ; a%d", f.refString(s.Acc), f.ExprString(s.Src), s.Acc.ID)
+		b = append(b, "store "...)
+		b = f.appendRef(b, s.Acc)
+		b = append(b, " = "...)
+		b = f.appendExpr(b, s.Src)
+		return appendAccID(b, s.Acc)
 	case *SyncOp:
-		if s.Acc.Kind == AccBarrier {
-			return fmt.Sprintf("barrier    ; a%d", s.Acc.ID)
+		b = append(b, s.Acc.Kind.String()...)
+		if s.Acc.Kind != AccBarrier {
+			b = append(b, ' ')
+			b = f.appendRef(b, s.Acc)
 		}
-		return fmt.Sprintf("%s %s    ; a%d", s.Acc.Kind, f.refString(s.Acc), s.Acc.ID)
+		return appendAccID(b, s.Acc)
 	case *Print:
-		var parts []string
-		for _, a := range s.Args {
+		b = append(b, "print "...)
+		for i, a := range s.Args {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
 			if a.IsStr {
-				parts = append(parts, fmt.Sprintf("%q", a.Str))
+				b = strconv.AppendQuote(b, a.Str)
 			} else {
-				parts = append(parts, f.ExprString(a.E))
+				b = f.appendExpr(b, a.E)
 			}
 		}
-		return "print " + strings.Join(parts, ", ")
+		return b
 	default:
-		return fmt.Sprintf("?stmt %T", s)
+		return fmt.Appendf(b, "?stmt %T", s)
 	}
 }
 
-func (f *Fn) refString(a *Access) string {
+func (f *Fn) appendRef(b []byte, a *Access) []byte {
 	if a.Sym == nil {
-		return ""
+		return b
 	}
+	b = append(b, a.Sym.Name...)
 	if a.Index != nil {
-		return fmt.Sprintf("%s[%s]", a.Sym.Name, f.ExprString(a.Index))
+		b = append(b, '[')
+		b = f.appendExpr(b, a.Index)
+		b = append(b, ']')
 	}
-	return a.Sym.Name
+	return b
 }
 
-func (f *Fn) localName(id LocalID) string {
+func (f *Fn) appendLocal(b []byte, id LocalID) []byte {
 	if int(id) < len(f.Locals) {
-		return f.Locals[id].Name
+		return append(b, f.Locals[id].Name...)
 	}
-	return fmt.Sprintf("l%d", id)
+	return strconv.AppendInt(append(b, 'l'), int64(id), 10)
 }
 
 // ExprString renders one expression.
-func (f *Fn) ExprString(e Expr) string {
+func (f *Fn) ExprString(e Expr) string { return string(f.appendExpr(nil, e)) }
+
+func (f *Fn) appendExpr(b []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case *Const:
-		return e.Val.String()
+		return e.Val.appendTo(b)
 	case *LocalRef:
-		return f.localName(e.ID)
+		return f.appendLocal(b, e.ID)
 	case *ElemRef:
-		return fmt.Sprintf("%s[%s]", f.localName(e.Arr), f.ExprString(e.Index))
+		b = f.appendLocal(b, e.Arr)
+		b = append(b, '[')
+		b = f.appendExpr(b, e.Index)
+		return append(b, ']')
 	case *MyProc:
-		return "MYPROC"
+		return append(b, "MYPROC"...)
 	case *Procs:
-		return "PROCS"
+		return append(b, "PROCS"...)
 	case *Bin:
-		return fmt.Sprintf("(%s %s %s)", f.ExprString(e.L), e.Op, f.ExprString(e.R))
+		b = append(b, '(')
+		b = f.appendExpr(b, e.L)
+		b = append(b, ' ')
+		b = append(b, e.Op.String()...)
+		b = append(b, ' ')
+		b = f.appendExpr(b, e.R)
+		return append(b, ')')
 	case *Un:
-		return fmt.Sprintf("%s(%s)", e.Op, f.ExprString(e.X))
+		b = append(b, e.Op.String()...)
+		b = append(b, '(')
+		b = f.appendExpr(b, e.X)
+		return append(b, ')')
 	case *BuiltinCall:
-		var args []string
-		for _, a := range e.Args {
-			args = append(args, f.ExprString(a))
+		b = append(b, e.Name...)
+		b = append(b, '(')
+		for i, a := range e.Args {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = f.appendExpr(b, a)
 		}
-		return fmt.Sprintf("%s(%s)", e.Name, strings.Join(args, ", "))
+		return append(b, ')')
 	case nil:
-		return "<nil>"
+		return append(b, "<nil>"...)
 	default:
-		return fmt.Sprintf("?expr %T", e)
+		return fmt.Appendf(b, "?expr %T", e)
 	}
 }

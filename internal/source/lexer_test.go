@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/progen"
 )
 
 func kinds(t *testing.T, src string) []Kind {
@@ -271,4 +273,26 @@ func itoa(n uint64) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestTokenizeAllocatesOnce holds Tokenize to a handful of allocations on
+// the 108 KB source of the acc2048 tier: the token slice is sized from the
+// source length up front (a doubling ladder allocates 6.5 MB for this 1.3 MB
+// result) and identifier and number texts are slices of the source.
+func TestTokenizeAllocatesOnce(t *testing.T) {
+	tier, ok := progen.FindScaleTier("acc2048")
+	if !ok {
+		t.Fatal("no acc2048 tier")
+	}
+	src := progen.Generate(tier.Seed, tier.Opts)
+	toks, err := Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) > len(src)/3+16 {
+		t.Fatalf("%d tokens from %d bytes: the size estimate no longer covers the tier", len(toks), len(src))
+	}
+	if allocs := testing.AllocsPerRun(5, func() { Tokenize(src) }); allocs > 4 {
+		t.Fatalf("Tokenize allocates %.0f times on the acc2048 source, want <= 4", allocs)
+	}
 }

@@ -171,7 +171,10 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 // IsValid reports whether the position has been set.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Token is a single lexical token with its source position.
+// Token is a single lexical token with its source position. The Text of
+// an IDENT, INTLIT or FLOATLIT is a slice of the source string, so a name
+// taken from it keeps the whole source alive: hold it next to the source
+// (as splitc.Program and Front do) or strings.Clone it.
 type Token struct {
 	Kind Kind
 	Text string // raw text for IDENT, INTLIT, FLOATLIT, STRINGLIT

@@ -13,8 +13,8 @@ import (
 // relation R. The relation the paper's step 4 computes is highly
 // class-structured: accesses in the same phase of the same statement end up
 // with identical R rows, because every rule that grows R — the post->wait
-// seed rectangles, the dominator derivation (which fires per
-// successor-class x predecessor-class pair), and transitive closure — adds
+// seed rectangles, the dominator derivation (at most one rectangle per
+// class and round, precedence.go), and transitive closure — adds
 // *rectangles* over sets of accesses, never individual edges.
 //
 // classPartition therefore stores R as a partition of the accesses into
@@ -239,6 +239,61 @@ func (p *classPartition) addRect(A, B []int32) bool {
 		p.size = -1
 	}
 	return changed
+}
+
+// addRectBits is addRect for two access bitsets, except that a rectangle R
+// already contains is left alone — addRect splits every class straddling
+// either side before it looks at the relation. It reports whether any pair
+// was new.
+func (p *classPartition) addRectBits(A, B []uint64) bool {
+	if p.containsRect(A, B) {
+		return false
+	}
+	return p.addRect(appendBits(nil, A), appendBits(nil, B))
+}
+
+// appendBits appends the set bit positions of row to dst, ascending.
+func appendBits(dst []int32, row []uint64) []int32 {
+	for wi, wd := range row {
+		for ; wd != 0; wd &= wd - 1 {
+			dst = append(dst, int32(wi<<6+bits.TrailingZeros64(wd)))
+		}
+	}
+	return dst
+}
+
+// containsRect reports whether R already holds every pair of A x B, both
+// given as access bitsets. The test runs in class coordinates — B's classes
+// as one class-bit vector against the row of each distinct class of A — and
+// splits nothing.
+func (p *classPartition) containsRect(A, B []uint64) bool {
+	bm := p.bmask[:p.wc()]
+	for i := range bm {
+		bm[i] = 0
+	}
+	for wi, wd := range B {
+		for ; wd != 0; wd &= wd - 1 {
+			graph.BitSet(bm, int(p.classOf[wi<<6+bits.TrailingZeros64(wd)]))
+		}
+	}
+	p.epoch++
+	e := p.epoch
+	for wi, wd := range A {
+		for ; wd != 0; wd &= wd - 1 {
+			c := p.classOf[wi<<6+bits.TrailingZeros64(wd)]
+			if p.cStamp[c] == e {
+				continue
+			}
+			p.cStamp[c] = e
+			row := p.rows[c]
+			for i, word := range bm {
+				if word&^row[i] != 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func (p *classPartition) has(a, b int) bool {

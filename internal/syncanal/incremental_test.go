@@ -184,10 +184,27 @@ func TestIncrementalFingerprintHit(t *testing.T) {
 	}
 }
 
+// fastest returns the shortest of n timings of f. Scheduling, GC and the
+// other packages `go test ./...` runs beside this one only ever add to a
+// wall-clock reading, so the minimum is the one that measures the code.
+func fastest(n int, f func()) time.Duration {
+	best := time.Duration(-1)
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start); best < 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // TestIncrementalTierSpeedup measures the session economics on the pinned
 // 2k-access tier: the fingerprint fast path must be at least 20x faster
 // than the cold analysis, and a one-statement edit must beat a cold
-// re-analysis while reusing memoized regions.
+// re-analysis while reusing memoized regions. Each side of a ratio is the
+// fastest of several runs, and the session's Stats counters say every fast
+// run was answered by the tier it is timed for.
 func TestIncrementalTierSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second tier analysis in -short mode")
@@ -198,16 +215,20 @@ func TestIncrementalTierSpeedup(t *testing.T) {
 	if fn == nil {
 		t.Fatal("acc2048 tier source does not build")
 	}
-	inc := NewIncremental(Options{})
-	start := time.Now()
-	inc.Analyze(fn)
-	cold := time.Since(start)
+	const reps = 5
+	var inc *Incremental
+	cold := fastest(3, func() {
+		inc = NewIncremental(Options{})
+		inc.Analyze(fn)
+	})
 
 	rebuilt := buildSrc(src, tier.Opts.Procs)
-	start = time.Now()
-	r := inc.Analyze(rebuilt)
-	warm := time.Since(start)
-	if r == nil || warm*20 > cold {
+	var r *Result
+	warm := fastest(reps, func() { r = inc.Analyze(rebuilt) })
+	if st := inc.Stats(); r == nil || st.FullHits != reps {
+		t.Fatalf("rebuilt source: FullHits = %d, want %d (stats %+v)", st.FullHits, reps, st)
+	}
+	if warm*20 > cold {
 		t.Fatalf("fingerprint fast path %v vs cold %v: below 20x", warm, cold)
 	}
 
@@ -218,13 +239,22 @@ func TestIncrementalTierSpeedup(t *testing.T) {
 	if src2 == "" || fn2 == nil {
 		t.Fatal("acc2048 tier source has no editable literal")
 	}
-	start = time.Now()
+	start := time.Now()
 	incRes := inc.Analyze(fn2)
 	edited := time.Since(start)
 	coldRes := Analyze(fn2, Options{})
 	requireSameResult(t, "acc2048 literal-edit", incRes, coldRes)
 	if st := inc.Stats(); st.InputHits != 1 {
 		t.Fatalf("literal edit: InputHits = %d, want 1 (stats %+v)", st.InputHits, st)
+	}
+	// Undoing and redoing the edit is the same tier each way: the printed
+	// body differs from the last one seen, the analysis inputs do not.
+	flip, i := []*ir.Fn{rebuilt, fn2}, 0
+	if d := fastest(2*(reps-1), func() { inc.Analyze(flip[i%2]); i++ }); d < edited {
+		edited = d
+	}
+	if st := inc.Stats(); st.InputHits != 2*reps-1 {
+		t.Fatalf("literal edit undone and redone: InputHits = %d, want %d (stats %+v)", st.InputHits, 2*reps-1, st)
 	}
 	if edited*20 > cold {
 		t.Fatalf("class-preserving edit %v vs cold %v: below 20x", edited, cold)

@@ -226,31 +226,34 @@ func (res *Result) seedPrecedence(opts Options) {
 	}
 }
 
-// succClass and predClass intern the two sides of the dominator
-// derivation. Whether [a1, a2] is derivable depends only on a1's
-// dominated-successor list and a2's dominating-predecessor row, so
-// accesses sharing those collapse into one class and the quadratic scan
-// runs over class pairs. In barrier-phase-heavy programs whole phases
-// share their dominating-successor structure, shrinking the scan by
-// orders of magnitude.
-type succClass struct {
-	succs   []int
-	members []int32
-}
+// Step 4 is a boolean product. The dominator rule
+//
+//	[a1,b1] ∈ D1, a1 dom b1 (or b1 pdom a1)   producer side
+//	[b1,b2] ∈ R
+//	[b2,a2] ∈ D1, b2 dom a2                   consumer side
+//	⇒ [a1,a2] ∈ R
+//
+// reads R ∪= PSᵀ · R · CS for two filter matrices that never change during
+// refinement:
+//
+//	PS.Row(b1) = {a1 : [a1,b1] ∈ D1 ∧ (a1 dom b1 ∨ b1 pdom a1)}
+//	CS.Row(b2) = {a2 : [b2,a2] ∈ D1 ∧ b2 dom a2}
+//
+// and refineR iterates that product with transitive closure to the least
+// fixpoint. On the class backing one round is at most nc rectangles: R is
+// constant on a class, so every b1 of class c contributes the same
+// successor classes crel(c), and the round's whole yield through c is
+// Hit_c x ⋃_{c' ∈ crel(c)} Q_c' with Hit_c = ⋃_{b ∈ c} PS.Row(b) and
+// Q_c = ⋃_{b ∈ c} CS.Row(b). The union over c of those rectangles is
+// exactly the set of pairs the rule derives from the current R — every
+// derivation [a1,b1],[b1,b2],[b2,a2] has b1 in some class c, b2 in some
+// c' ∈ crel(c), hence a1 ∈ Hit_c and a2 ∈ Q_c', and conversely every pair
+// of such a rectangle has those witnesses. Applying them and closing again
+// is therefore one step of the same monotone operator the per-pair rule
+// iterates, and a monotone operator has one least fixpoint whatever the
+// order or grouping of its applications.
 
-type predClass struct {
-	row     []uint64 // dominating D1 predecessors, as an access bitset
-	members []int32
-}
-
-// derivationClasses builds the interned producer/consumer classes of the
-// step-4 derivation from the dominator-classified D1 pairs, without
-// materializing Pairs() or an n x n predecessor matrix: the producer side
-// filters each A-major D1 row to the targets the domination conditions
-// admit, the consumer side filters each B-major row to its dominating
-// sources, and both sides intern the filtered bitsets directly (equal rows
-// are the exact class key; an access with an all-zero filtered row joins
-// no class).
+// dominatorFilters builds PS and CS in one pass over D1's target rows.
 //
 // Producer side (a1, b1): every execution of a1 must be followed by b1,
 // whose D1 delay then forces a1's completion. The paper states "a1
@@ -258,246 +261,169 @@ type predClass struct {
 // covers producers inside loops (a write in a loop body never dominates the
 // post after the loop, but the post does postdominate it). Consumer side
 // (b2, a2): b2 must have executed (and its delay forced) before any
-// execution of a2 — domination proper.
-func (res *Result) derivationClasses() ([]*succClass, []*predClass) {
+// execution of a2 — domination proper. A pair [a, b] of D1 with a dom b
+// therefore lands on both sides: a ∈ PS.Row(b) and b ∈ CS.Row(a). Both
+// sides are written as filtered target rows, whole words at a time; CS is
+// the transpose of its target-major form.
+func (res *Result) dominatorFilters() (ps, cs *graph.BitMatrix) {
 	fn := res.Fn
 	n := len(fn.Accesses)
-	if n == 0 {
-		return nil, nil
-	}
-	byA := res.D1.SourceMatrix()
-	w := graph.WordsFor(n)
-	blk := make([]int32, n)
-	idx := make([]int32, n)
+	blk := make([]int, n)
+	idx := make([]int, n)
 	for i, a := range fn.Accesses {
-		blk[i] = int32(a.Blk.ID)
-		idx[i] = int32(a.Idx)
+		blk[i], idx[i] = a.Blk.ID, a.Idx
 	}
 	dom, pdom := res.Dom, res.PDom
-	rowBuf := make([]uint64, w)
-
-	// Producer side: keep b when a dominates b (same block: earlier index;
-	// the postdomination arm collapses to the same index test in-block) or
-	// b postdominates a.
-	var sClasses []*succClass
-	var sRows graph.RowInterner
-	for a := 0; a < n; a++ {
-		nz := false
-		for wi, wd := range byA.Row(a) {
-			out := uint64(0)
+	ps = graph.NewBitMatrix(n)
+	cst := graph.NewBitMatrix(n) // cst.Row(a2) = {b2 : [b2,a2] ∈ D1 ∧ b2 dom a2}
+	for b := 0; b < n; b++ {
+		prow, crow := ps.Row(b), cst.Row(b)
+		for wi, wd := range res.D1.TargetRow(b) {
+			var doms, keeps uint64
 			for m := wd; m != 0; m &= m - 1 {
-				b := wi<<6 + bits.TrailingZeros64(m)
-				var keep bool
+				a := wi<<6 + bits.TrailingZeros64(m)
+				bit := m & -m
+				// In one block both domination tests are the index test.
 				if blk[a] == blk[b] {
-					keep = idx[b] > idx[a]
-				} else {
-					keep = dom.Dominates(int(blk[a]), int(blk[b])) ||
-						pdom.PostDominates(int(blk[b]), int(blk[a]))
-				}
-				if keep {
-					out |= 1 << (uint(b) & 63)
-				}
-			}
-			rowBuf[wi] = out
-			nz = nz || out != 0
-		}
-		if !nz {
-			continue
-		}
-		ci, fresh := sRows.Intern(rowBuf)
-		if fresh {
-			sc := &succClass{}
-			for wi, wd := range rowBuf {
-				for ; wd != 0; wd &= wd - 1 {
-					sc.succs = append(sc.succs, wi<<6+bits.TrailingZeros64(wd))
+					if idx[a] < idx[b] {
+						doms |= bit
+					}
+				} else if dom.Dominates(blk[a], blk[b]) {
+					doms |= bit
+				} else if pdom.PostDominates(blk[b], blk[a]) {
+					keeps |= bit
 				}
 			}
-			sClasses = append(sClasses, sc)
+			prow[wi], crow[wi] = doms|keeps, doms
 		}
-		sClasses[ci].members = append(sClasses[ci].members, int32(a))
 	}
-
-	// Consumer side: keep s when s dominates a2.
-	var pClasses []*predClass
-	var pRows graph.RowInterner
-	for a2 := 0; a2 < n; a2++ {
-		nz := false
-		for wi, wd := range res.D1.TargetRow(a2) {
-			out := uint64(0)
-			for m := wd; m != 0; m &= m - 1 {
-				s := wi<<6 + bits.TrailingZeros64(m)
-				var keep bool
-				if blk[s] == blk[a2] {
-					keep = idx[s] < idx[a2]
-				} else {
-					keep = dom.Dominates(int(blk[s]), int(blk[a2]))
-				}
-				if keep {
-					out |= 1 << (uint(s) & 63)
-				}
-			}
-			rowBuf[wi] = out
-			nz = nz || out != 0
-		}
-		if !nz {
-			continue
-		}
-		ci, fresh := pRows.Intern(rowBuf)
-		if fresh {
-			pClasses = append(pClasses, &predClass{row: pRows.Row(ci)})
-		}
-		pClasses[ci].members = append(pClasses[ci].members, int32(a2))
-	}
-	return sClasses, pClasses
+	return ps, cst.Transpose()
 }
 
-// refineR iterates the dominator-based derivation and transitive closure
-// until fixpoint (step 4 of section 5.1), dispatching on the backing.
+// refineR iterates the dominator rule and transitive closure until fixpoint
+// (step 4 of section 5.1), dispatching on the backing.
 func (res *Result) refineR() {
-	sClasses, pClasses := res.derivationClasses()
+	ps, cs := res.dominatorFilters()
 	if res.R.cp != nil {
-		res.refineRClass(sClasses, pClasses)
+		res.refineRClass(ps, cs)
 	} else {
-		res.refineRPerAccess(sClasses, pClasses)
+		res.refineRPerAccess(ps, cs)
 	}
 }
 
-// refineRPerAccess runs the fixpoint on the per-access oracle backing.
-func (res *Result) refineRPerAccess(sClasses []*succClass, pClasses []*predClass) {
-	w := graph.WordsFor(len(res.Fn.Accesses))
-	// derived memoizes class pairs already added to R; R only grows, so a
-	// derivation never needs re-checking once it fires.
-	derived := make([]bool, len(sClasses)*len(pClasses))
-	u := make([]uint64, w)
+// refineRPerAccess runs the fixpoint on the per-access oracle backing, as
+// the rule reads: for each producer a1, u is the union of the R rows of its
+// b1's — every b2 some b1 precedes — and a1 then precedes every consumer
+// of every such b2. Rows grow in place during the scan, which a monotone
+// fixpoint tolerates.
+func (res *Result) refineRPerAccess(ps, cs *graph.BitMatrix) {
+	rel := res.R.rel
+	pst := ps.Transpose() // pst.Row(a1) = {b1 : a1 ∈ PS.Row(b1)}
+	u := make([]uint64, rel.W)
 	for {
-		changed := res.R.transClose()
-		for si, sc := range sClasses {
+		res.R.transClose()
+		added := false
+		for a1 := 0; a1 < rel.N; a1++ {
 			for i := range u {
 				u[i] = 0
 			}
-			for _, b1 := range sc.succs {
-				rb := res.R.Row(b1)
-				for i := range u {
-					u[i] |= rb[i]
-				}
-			}
-			for pi, pc := range pClasses {
-				if derived[si*len(pClasses)+pi] || !graph.AndAny(u, pc.row) {
-					continue
-				}
-				// Some b1 in succs and b2 in preds have [b1, b2] ∈ R: every
-				// member pair of the two classes joins R.
-				derived[si*len(pClasses)+pi] = true
-				if res.R.addRect(sc.members, pc.members) {
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// refineRClass runs the same fixpoint on the class-condensed backing. The
-// per-round state lives in class coordinates: each producer class's union
-// of R-successors and each consumer class's dominating-predecessor set
-// become nc-bit class vectors, so the derivation test is an intersection
-// of c-bit rows instead of n-bit rows, and a firing derivation adds one
-// rectangle instead of |members|^2 edges.
-//
-// Rectangle application is deferred to the end of the round. The scan
-// therefore runs against a frozen partition — the screening vectors built
-// after the closure stay exact for the whole scan, with no re-verification
-// of hits against live membership (an earlier design applied rectangles
-// mid-scan and had to chase the splits they caused). Deferral loses
-// nothing: a derivation enabled by a rectangle applied this round fires
-// next round, which the relation growth forces anyway. The batch is
-// grouped by consumer class — all firing producers' members concatenate
-// into a single addRect per consumer — so the consumer side is split once
-// per round instead of once per fire, and the fixpoint (confluent, since
-// R only grows toward the same closure) is reached with the same final
-// relation as eager application.
-func (res *Result) refineRClass(sClasses []*succClass, pClasses []*predClass) {
-	cp := res.R.cp
-	derived := make([]bool, len(sClasses)*len(pClasses))
-	fired := make([][]int32, len(pClasses)) // pi -> concatenated producer members
-	var firedOrder []int
-	for {
-		// Coalescing before each closure keeps the class count near the
-		// number of distinct R rows: the seed rectangles and batch-apply
-		// splits fragment the partition far beyond that, and the closure
-		// that follows is cubic in the class count. The final round fires
-		// nothing, so the fixpoint state is itself coalesced and closed.
-		cp.coalesce()
-		changed := cp.transClose()
-		wc := cp.wc()
-		pcm := make([][]uint64, len(pClasses))
-		for pi, pc := range pClasses {
-			v := make([]uint64, wc)
-			for wi, wd := range pc.row {
+			for wi, wd := range pst.Row(a1) {
 				for ; wd != 0; wd &= wd - 1 {
-					b2 := wi<<6 + bits.TrailingZeros64(wd)
-					graph.BitSet(v, int(cp.classOf[b2]))
+					orRow(u, rel.Row(wi<<6+bits.TrailingZeros64(wd)))
 				}
 			}
-			pcm[pi] = v
-		}
-		firedOrder = firedOrder[:0]
-		u := make([]uint64, wc)
-		for si, sc := range sClasses {
-			for i := range u {
-				u[i] = 0
-			}
-			for _, b1 := range sc.succs {
-				row := cp.rows[cp.classOf[b1]]
-				for i := range u {
-					u[i] |= row[i]
+			row := rel.Row(a1)
+			for wi, wd := range u {
+				for ; wd != 0; wd &= wd - 1 {
+					if orRow(row, cs.Row(wi<<6+bits.TrailingZeros64(wd))) {
+						added = true
+					}
 				}
-			}
-			for pi := range pClasses {
-				if derived[si*len(pClasses)+pi] {
-					continue
-				}
-				if firstCommonBit(u, pcm[pi]) < 0 {
-					continue
-				}
-				derived[si*len(pClasses)+pi] = true
-				if len(fired[pi]) == 0 {
-					firedOrder = append(firedOrder, pi)
-				}
-				fired[pi] = append(fired[pi], sc.members...)
 			}
 		}
-		for _, pi := range firedOrder {
-			if cp.addRect(fired[pi], pClasses[pi].members) {
-				changed = true
-			}
-			fired[pi] = fired[pi][:0]
+		// A scan of the closed relation that adds nothing: the fixpoint.
+		if !added {
+			return
 		}
-		// Splits without new crel content cannot enable a derivation (they
-		// leave the access-level relation untouched, and the vectors the
-		// scan used were exact for it), so an unchanged relation after a
-		// complete scan certifies the fixpoint.
-		if !changed {
+		res.R.rt = nil
+	}
+}
+
+// orRow ORs src into dst and reports whether dst gained a bit.
+func orRow(dst, src []uint64) bool {
+	grew := false
+	for i, wd := range src {
+		if wd&^dst[i] != 0 {
+			dst[i] |= wd
+			grew = true
+		}
+	}
+	return grew
+}
+
+// refineRClass runs the same fixpoint on the class-condensed backing, one
+// round per closure. Each round coalesces and closes the partition, then —
+// on that frozen partition — gathers Hit_c and Q_c with one row-OR per
+// access and side and forms each class's rectangle Hit_c x ⋃_{c' ∈ crel(c)}
+// Q_c'. The rectangles are applied after the scan: addRect splits classes,
+// and the gathered rows are indexed by the class ids of the partition they
+// were gathered on. addRectBits drops a rectangle R already contains
+// instead of re-applying it, which would fragment the partition for no new
+// pair and leave a fixpoint state that is not the coalesced one.
+func (res *Result) refineRClass(ps, cs *graph.BitMatrix) {
+	cp := res.R.cp
+	n, w := cp.n, cp.w
+	for {
+		// Coalescing before each closure keeps the class count at the
+		// number of distinct R rows and columns; the closure that follows
+		// is cubic in it.
+		cp.coalesce()
+		closed := cp.transClose()
+		nc, wc := cp.nc, cp.wc()
+		slab := make([]uint64, 3*nc*w) // a few rounds of ≤ 3·nc rows each
+		hit := func(c int) []uint64 { return slab[c*w : (c+1)*w] }
+		q := func(c int) []uint64 { return slab[(nc+c)*w : (nc+c+1)*w] }
+		qu := func(c int) []uint64 { return slab[(2*nc+c)*w : (2*nc+c+1)*w] }
+		for b := 0; b < n; b++ {
+			c := int(cp.classOf[b])
+			orRow(hit(c), ps.Row(b))
+			orRow(q(c), cs.Row(b))
+		}
+		for c := 0; c < nc; c++ {
+			if !anyBit(hit(c)) {
+				continue
+			}
+			for wi, wd := range cp.rows[c][:wc] {
+				for ; wd != 0; wd &= wd - 1 {
+					orRow(qu(c), q(wi<<6+bits.TrailingZeros64(wd)))
+				}
+			}
+		}
+		added := false
+		for c := 0; c < nc; c++ {
+			if cp.addRectBits(hit(c), qu(c)) {
+				added = true
+			}
+		}
+		// The scan derived every pair the rule yields from the closed
+		// relation, so a round that adds none leaves R closed and
+		// saturated: the fixpoint. Rows this round's closure changed may
+		// have become equal; one more coalesce leaves the state coalesced
+		// as well as closed.
+		if !added {
+			if closed {
+				cp.coalesce()
+			}
 			return
 		}
 	}
 }
 
-// firstCommonBit returns the lowest bit set in both rows' common prefix,
-// or -1. The rows may differ in length when a mid-round class split grew
-// one side; bits beyond the shorter row correspond to classes the other
-// vector was built without, which the next round re-tests.
-func firstCommonBit(a, b []uint64) int {
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	for i := 0; i < m; i++ {
-		if w := a[i] & b[i]; w != 0 {
-			return i<<6 + bits.TrailingZeros64(w)
+func anyBit(row []uint64) bool {
+	for _, wd := range row {
+		if wd != 0 {
+			return true
 		}
 	}
-	return -1
+	return false
 }

@@ -1,6 +1,7 @@
 package syncanal
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/delay"
@@ -36,31 +37,46 @@ func TestAnalyzeMidsizeMatchesReference(t *testing.T) {
 }
 
 // TestScaleTierAnalysisPinned pins the full-pipeline result shape on the
-// deterministic acc2048 tier: region decomposition and the sizes of the
-// baseline, D1, R and the refined delay set must not drift. A changed size
-// here means the engine produced different pairs at scale — precisely the
-// regression the differential suites, whose oracle is affordable only to
-// several hundred accesses, cannot see.
+// deterministic acc2048 tier — and, under PSC_SCALE_TIERS=1, acc8192: region
+// decomposition, the sizes of the baseline, D1, R and the refined delay set,
+// and the class count of R must not drift. A changed size here means the
+// engine produced different pairs at scale — precisely the regression the
+// differential suites, whose oracle is affordable only to several hundred
+// accesses, cannot see. A changed class count with |R| intact means
+// refinement left the partition fragmented: 35 is the number of distinct
+// R rows and columns at both tiers.
 func TestScaleTierAnalysisPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second tier build in -short mode")
 	}
-	fn := tierProgram(t, "acc2048")
-	res := Analyze(fn, Options{})
-	if res.Regions != 3 || res.LargestRegion != 1700 {
-		t.Fatalf("region decomposition drifted: %d regions, largest %d (want 3, 1700)",
-			res.Regions, res.LargestRegion)
+	type pin struct {
+		tier                    string
+		regions, largest        int
+		baseline, d1, r, d, rcl int
 	}
-	if n := res.Baseline.Size(); n != 2019476 {
-		t.Fatalf("|Baseline| = %d, pinned 2019476", n)
+	pins := []pin{{"acc2048", 3, 1700, 2019476, 1108695, 1821813, 1195464, 35}}
+	if os.Getenv("PSC_SCALE_TIERS") != "" {
+		pins = append(pins, pin{"acc8192", 3, 7751, 36097679, 19320041, 32707937, 20893293, 35})
 	}
-	if n := res.D1.Size(); n != 1108695 {
-		t.Fatalf("|D1| = %d, pinned 1108695", n)
-	}
-	if n := res.R.Size(); n != 1821813 {
-		t.Fatalf("|R| = %d, pinned 1821813", n)
-	}
-	if n := res.D.Size(); n != 1195464 {
-		t.Fatalf("|D| = %d, pinned 1195464", n)
+	for _, p := range pins {
+		res := Analyze(tierProgram(t, p.tier), Options{})
+		if res.Regions != p.regions || res.LargestRegion != p.largest {
+			t.Fatalf("%s: region decomposition drifted: %d regions, largest %d (want %d, %d)",
+				p.tier, res.Regions, res.LargestRegion, p.regions, p.largest)
+		}
+		for _, s := range []struct {
+			name      string
+			got, want int
+		}{
+			{"|Baseline|", res.Baseline.Size(), p.baseline},
+			{"|D1|", res.D1.Size(), p.d1},
+			{"|R|", res.R.Size(), p.r},
+			{"|D|", res.D.Size(), p.d},
+			{"RClasses", res.RClasses, p.rcl},
+		} {
+			if s.got != s.want {
+				t.Fatalf("%s: %s = %d, pinned %d", p.tier, s.name, s.got, s.want)
+			}
+		}
 	}
 }

@@ -79,14 +79,14 @@ type Timing struct {
 	// D1 is the synchronization-restricted initial delay set (step 2).
 	D1 time.Duration
 	// Condense is the structural class-partition maintenance share of
-	// steps 3–4: splitting classes the refinement distinguishes and
-	// coalescing indistinguishable ones back together. Stamp-only
-	// splitBySet passes that split nothing are left in Precedence — they
-	// are part of every rectangle insertion and too cheap to time
-	// individually. Zero under Options.PerAccessR.
+	// steps 3–4: splitting classes the seed and step-4 rectangles
+	// distinguish (at most one rectangle per class and round) and
+	// coalescing indistinguishable ones back together before each closure.
+	// Zero under Options.PerAccessR.
 	Condense time.Duration
 	// Precedence covers seeding and refining R (steps 3–4), minus the
-	// partition maintenance reported as Condense.
+	// partition maintenance reported as Condense: building the two
+	// dominator filter matrices from D1 is nearly all of it.
 	Precedence time.Duration
 	// Guards is the lock-guard computation (section 5.3).
 	Guards time.Duration
