@@ -68,8 +68,10 @@ type CompileResult struct {
 	Warnings []string `json:"warnings,omitempty"`
 }
 
-// CompileResponse is the wire response of /v1/compile.
-type CompileResponse struct {
+// Envelope is how one request's artifact was obtained: the fields every
+// cacheable route puts in front of its result. The server splices the stored
+// artifact in behind it, so no *Result field may reuse one of these names.
+type Envelope struct {
 	// Key is the artifact's content address.
 	Key string `json:"key"`
 	// Cached reports whether the body came from the artifact cache;
@@ -78,6 +80,11 @@ type CompileResponse struct {
 	Dedup  bool `json:"dedup,omitempty"`
 	// ElapsedMs is the server-side latency of this request.
 	ElapsedMs float64 `json:"elapsed_ms"`
+}
+
+// CompileResponse is the wire response of /v1/compile.
+type CompileResponse struct {
+	Envelope
 	CompileResult
 }
 
@@ -116,10 +123,7 @@ type AnalyzeResult struct {
 
 // AnalyzeResponse is the wire response of /v1/analyze.
 type AnalyzeResponse struct {
-	Key       string  `json:"key"`
-	Cached    bool    `json:"cached"`
-	Dedup     bool    `json:"dedup,omitempty"`
-	ElapsedMs float64 `json:"elapsed_ms"`
+	Envelope
 	AnalyzeResult
 }
 
@@ -160,10 +164,7 @@ type VerifyResult struct {
 
 // VerifyResponse is the wire response of /v1/verify.
 type VerifyResponse struct {
-	Key       string  `json:"key"`
-	Cached    bool    `json:"cached"`
-	Dedup     bool    `json:"dedup,omitempty"`
-	ElapsedMs float64 `json:"elapsed_ms"`
+	Envelope
 	VerifyResult
 }
 
@@ -182,6 +183,12 @@ type StatsResponse struct {
 	Errors int64 `json:"errors"`
 	// Timeouts counts requests that hit their deadline server-side.
 	Timeouts int64 `json:"timeouts"`
+	// Panics counts computations that panicked on a pool worker and were
+	// answered 500. StoreMalformed counts bodies a store returned that were
+	// not a JSON object and were recomputed instead of served (the disk
+	// backend's own frame check is DiskStore.CorruptRecovered).
+	Panics         int64 `json:"panics"`
+	StoreMalformed int64 `json:"store_malformed"`
 	// InFlight is the number of requests currently executing or queued.
 	InFlight int64 `json:"in_flight"`
 	// StoreLen/StoreBytes describe the artifact store.

@@ -2,7 +2,9 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -103,4 +105,31 @@ func BenchmarkServeThroughput(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeHitHandler measures the cache-hit path inside the server
+// alone — request decode, key, store get, splice, write — on a recorder:
+// no socket, no client, so allocs/op is the handler's own and stable.
+func BenchmarkServeHitHandler(b *testing.B) {
+	s := serve.New(serve.Config{})
+	b.Cleanup(s.Close)
+	req, err := json.Marshal(&serve.CompileRequest{Source: heavySource(), Procs: 8, Level: "oneway"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := string(req)
+	if rec := post(s, "compile", body); rec.Code != http.StatusOK {
+		b.Fatalf("priming compile: %d %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := post(s, "compile", body); rec.Code != http.StatusOK {
+			b.Fatalf("status %d", rec.Code)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.CacheHits != int64(b.N) {
+		b.Fatalf("%d hits in %d iterations", st.CacheHits, b.N)
+	}
 }

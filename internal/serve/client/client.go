@@ -96,7 +96,7 @@ func (c *Client) do(hreq *http.Request, resp any) error {
 		return err
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(hresp.Body)
+	data, err := serve.ReadSized(hresp.Body, hresp.ContentLength)
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,7 @@
 // /v1/compile, /v1/analyze, and /v1/verify, with singleflight deduplication
 // of identical in-flight requests, a bounded worker pool (internal/bench's
 // Pool), and a content-addressed artifact cache behind a pluggable Store
-// interface (in-memory LRU and on-disk backends now; the distributed
-// verification farm of ROADMAP item 5 swaps in its own).
+// interface (in-memory LRU and on-disk backends).
 //
 // Cache soundness rests on compilation being a pure function of the
 // request tuple: the same (source, procs, machine, level, pass list,

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"log"
 	"net/http"
@@ -30,6 +31,14 @@ func newTestServer(t *testing.T, cfg serve.Config) (*serve.Server, *client.Clien
 		s.Close()
 	})
 	return s, client.New(hs.URL, client.WithHTTPClient(hs.Client()))
+}
+
+// post sends body to a cacheable route through the handler alone: a
+// recorder, no socket and no client.
+func post(s *serve.Server, route, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/"+route, strings.NewReader(body)))
+	return rec
 }
 
 // slowSource is a program whose compile takes tens of milliseconds — big
@@ -418,8 +427,7 @@ func TestRejectsAreLogged(t *testing.T) {
 	for _, route := range []string{"compile", "analyze", "verify"} {
 		for _, body := range bodies[route] {
 			before := buf.String()
-			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/"+route, strings.NewReader(body)))
+			rec := post(s, route, body)
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("%s %s: status %d, want 400", route, body, rec.Code)
 			}
@@ -433,6 +441,86 @@ func TestRejectsAreLogged(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReadSized pins the sized read against an announced length that is
+// right, unknown, short of the body, and beyond it: the bytes are the
+// body's either way, and the right length costs a single buffer.
+func TestReadSized(t *testing.T) {
+	body := strings.Repeat("0123456789abcdef", 1000)
+	for _, n := range []int64{int64(len(body)), -1, 0, 100, 1 << 30} {
+		got, err := serve.ReadSized(strings.NewReader(body), n)
+		if err != nil || string(got) != body {
+			t.Errorf("announced %d: read %d bytes, err %v", n, len(got), err)
+		}
+	}
+	r := strings.NewReader(body)
+	if allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		serve.ReadSized(r, int64(len(body)))
+	}); allocs > 2 {
+		t.Errorf("a body of the announced length cost %.0f allocations, want the buffer and its header", allocs)
+	}
+}
+
+// plantedStore answers every Get with the planted bytes until a Put
+// overwrites them: a backend that hands back something pscd did not store.
+type plantedStore struct {
+	serve.Store
+	planted []byte
+}
+
+func (p *plantedStore) Get(id string) ([]byte, bool, error) {
+	if p.planted != nil {
+		return p.planted, true, nil
+	}
+	return p.Store.Get(id)
+}
+
+func (p *plantedStore) Put(id string, body []byte) error {
+	p.planted = nil
+	return p.Store.Put(id, body)
+}
+
+// TestMalformedStoredBody pins what the splice trusts and what it does
+// otherwise: a stored body that is not a JSON object is a miss — recomputed,
+// overwritten, counted — never served and never a 500; the empty object is
+// an object, and splices to an envelope-only response.
+func TestMalformedStoredBody(t *testing.T) {
+	src := apps.EM3D().Source(8, 1)
+	want := splitc.MustCompile(src, splitc.Options{Procs: 8, Level: splitc.LevelOneWay}).Target.String()
+	for _, garbage := range []string{"garbage", "", "{", `{"target":"x"`, `"target":"x"}`, "[]"} {
+		store := &plantedStore{Store: serve.NewMemStore(0), planted: []byte(garbage)}
+		s, c := newTestServer(t, serve.Config{Store: store})
+		req := &serve.CompileRequest{Source: src, Procs: 8}
+		for i, wantCached := range []bool{false, true} {
+			resp, err := c.Compile(context.Background(), req)
+			if err != nil {
+				t.Fatalf("stored %q, request %d: %v", garbage, i, err)
+			}
+			if resp.Cached != wantCached || resp.Target != want {
+				t.Fatalf("stored %q, request %d: cached %v, target match %v; want a fresh compile, then a hit on what it stored",
+					garbage, i, resp.Cached, resp.Target == want)
+			}
+		}
+		if st := s.Stats(); st.StoreMalformed != 1 || st.CacheMisses != 1 || st.CacheHits != 1 || st.Errors != 0 {
+			t.Fatalf("stored %q: stats %+v, want 1 malformed, 1 miss, 1 hit, no errors", garbage, st)
+		}
+	}
+
+	store := &plantedStore{Store: serve.NewMemStore(0), planted: []byte("{}")}
+	s, _ := newTestServer(t, serve.Config{Store: store})
+	rec := post(s, "compile", `{"source":"x","procs":8}`)
+	var resp serve.CompileResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("stored {}: status %d, body %q: %v", rec.Code, rec.Body, err)
+	}
+	if !resp.Cached || resp.Key == "" || resp.Target != "" || !strings.HasSuffix(rec.Body.String(), "}\n") || strings.Contains(rec.Body.String(), ",}") {
+		t.Fatalf("stored {}: body %q, want the envelope alone", rec.Body)
+	}
+	if st := s.Stats(); st.StoreMalformed != 0 || st.CacheHits != 1 {
+		t.Fatalf("stored {}: stats %+v, want a plain hit", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,13 +60,15 @@ type Server struct {
 	reqMu    sync.Mutex
 	requests map[string]int64
 
-	hits     atomic.Int64
-	misses   atomic.Int64
-	dedups   atomic.Int64
-	errors   atomic.Int64
-	timeouts atomic.Int64
-	inflight atomic.Int64
-	draining atomic.Bool
+	hits      atomic.Int64
+	misses    atomic.Int64
+	dedups    atomic.Int64
+	errors    atomic.Int64
+	timeouts  atomic.Int64
+	panics    atomic.Int64
+	malformed atomic.Int64
+	inflight  atomic.Int64
+	draining  atomic.Bool
 }
 
 // New creates a Server and starts its worker pool.
@@ -123,17 +128,19 @@ func (s *Server) Stats() StatsResponse {
 	}
 	s.reqMu.Unlock()
 	return StatsResponse{
-		UptimeSec:   time.Since(s.start).Seconds(),
-		Workers:     s.pool.Size(),
-		Requests:    reqs,
-		CacheHits:   s.hits.Load(),
-		CacheMisses: s.misses.Load(),
-		DedupHits:   s.dedups.Load(),
-		Errors:      s.errors.Load(),
-		Timeouts:    s.timeouts.Load(),
-		InFlight:    s.inflight.Load(),
-		StoreLen:    s.store.Len(),
-		StoreBytes:  s.store.SizeBytes(),
+		UptimeSec:      time.Since(s.start).Seconds(),
+		Workers:        s.pool.Size(),
+		Requests:       reqs,
+		CacheHits:      s.hits.Load(),
+		CacheMisses:    s.misses.Load(),
+		DedupHits:      s.dedups.Load(),
+		Errors:         s.errors.Load(),
+		Timeouts:       s.timeouts.Load(),
+		Panics:         s.panics.Load(),
+		StoreMalformed: s.malformed.Load(),
+		InFlight:       s.inflight.Load(),
+		StoreLen:       s.store.Len(),
+		StoreBytes:     s.store.SizeBytes(),
 	}
 }
 
@@ -144,9 +151,10 @@ func (s *Server) countRequest(endpoint string) {
 }
 
 // logRequest emits one structured JSON line per completed request.
-// passes attributes the artifact's per-pass wall time (nil off the compile
-// endpoint and for failed requests).
-func (s *Server) logRequest(endpoint, key, cache string, status int, elapsed time.Duration, passes []PassStat) {
+// passes attributes the per-pass wall time of the compile this request ran
+// (nil off the compile endpoint, for hits and followers, which ran none,
+// and for failed requests); stack is a panicked computation's.
+func (s *Server) logRequest(endpoint, key, cache string, status int, elapsed time.Duration, passes []PassStat, stack []byte) {
 	if s.cfg.Logger == nil {
 		return
 	}
@@ -164,6 +172,9 @@ func (s *Server) logRequest(endpoint, key, cache string, status int, elapsed tim
 		}
 		entry["pass_ms"] = pw
 	}
+	if len(stack) > 0 {
+		entry["stack"] = string(stack)
+	}
 	b, err := json.Marshal(entry)
 	if err != nil {
 		return
@@ -179,22 +190,44 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
 }
 
+// panicError is a computation that panicked on a pool worker. It reaches
+// the leader and every singleflight follower like any compute error.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("internal error: panic: %v", e.value) }
+
 // errStatus maps an execution error to an HTTP status: deadline/cancel to
-// 504, queue-full/drain to 503, everything else (compile errors) to 422.
+// 504, queue-full/drain to 503, a panic to 500, everything else (compile
+// errors) to 422.
 func errStatus(err error) int {
+	var pe *panicError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
+	case errors.As(err, &pe):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusUnprocessableEntity
 	}
 }
 
+// ReadSized reads r to its end into one buffer sized for the n bytes its
+// Content-Length announced (negative: unknown; at most 16 MiB on a header's
+// word alone) plus the MinRead spare bytes ReadFrom wants before it sees EOF.
+func ReadSized(r io.Reader, n int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(n, 0), 16<<20)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // decode reads and unmarshals a size-limited request body.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	body, err := ReadSized(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes), min(r.ContentLength, s.cfg.MaxRequestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -207,14 +240,20 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) error 
 
 // serveCached executes one cacheable request end to end: cache lookup,
 // singleflight, pool execution under the request deadline, cache fill.
-// compute runs on a pool worker and must honor ctx. The returned body is
-// the cached artifact; cached/dedup report how it was obtained.
+// compute runs on a pool worker and must honor ctx; a panic in it is
+// contained there and becomes a *panicError. The returned body is the
+// cached artifact, a JSON object; cached/dedup report how it was obtained.
 func (s *Server) serveCached(ctx context.Context, id string, compute func(ctx context.Context) ([]byte, error)) (body []byte, cached, dedup bool, err error) {
 	// A backend error degrades to compute-always — a sick store must not
-	// take the service down — so any non-hit is a miss.
+	// take the service down — so any non-hit is a miss. So is a body that
+	// is not an object: writeSpliced could not serve it, and the recompute
+	// overwrites it.
 	if body, ok, gerr := s.store.Get(id); gerr == nil && ok {
-		s.hits.Add(1)
-		return body, true, false, nil
+		if n := len(body); n >= 2 && body[0] == '{' && body[n-1] == '}' {
+			s.hits.Add(1)
+			return body, true, false, nil
+		}
+		s.malformed.Add(1)
 	}
 	s.misses.Add(1)
 	body, shared, err := s.flight.Do(ctx, id, func() ([]byte, error) {
@@ -223,6 +262,12 @@ func (s *Server) serveCached(ctx context.Context, id string, compute func(ctx co
 		var cerr error
 		if serr := s.pool.Submit(ctx, func() {
 			defer close(out)
+			defer func() {
+				if p := recover(); p != nil {
+					s.panics.Add(1)
+					cerr = &panicError{value: p, stack: debug.Stack()}
+				}
+			}()
 			b, cerr = compute(ctx)
 		}); serr != nil {
 			return nil, serr
@@ -245,25 +290,16 @@ func (s *Server) serveCached(ctx context.Context, id string, compute func(ctx co
 	return body, false, shared, err
 }
 
-// served is how one request's artifact was obtained: the envelope every
-// cacheable route wraps around its result.
-type served struct {
-	Key           string
-	Cached, Dedup bool
-	ElapsedMs     float64
-}
-
 // handleCached serves one cacheable route — everything /v1/compile,
 // /v1/analyze and /v1/verify share: in-flight and per-endpoint counting,
 // the drain check, decoding, the deadline, the cached execution, status
-// mapping, and exactly one log line per request that got past the drain
-// check. normalize validates and defaults the decoded request and returns
-// its cache key, its timeout_ms, and the computation of its artifact;
-// respond wraps a served artifact in the route's response type and names
-// the per-pass times to log.
+// mapping, the response, and exactly one log line per request that got
+// past the drain check. normalize validates and defaults the decoded
+// request and returns its cache key, its timeout_ms, and the computation of
+// its artifact. Res is a struct: its encoding is marshalled once, on the
+// pool worker, and from there to the socket the artifact is bytes.
 func handleCached[Req, Res any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string,
-	normalize func(req *Req) (Key, int, func(ctx context.Context) (*Res, error), error),
-	respond func(m served, res *Res) (resp any, passes []PassStat)) {
+	normalize func(req *Req) (Key, int, func(ctx context.Context) (*Res, error), error)) {
 
 	start := time.Now()
 	s.inflight.Add(1)
@@ -275,7 +311,12 @@ func handleCached[Req, Res any](s *Server, w http.ResponseWriter, r *http.Reques
 	}
 	fail := func(status int, key, cache string, err error) {
 		s.writeError(w, status, err)
-		s.logRequest(endpoint, key, cache, status, time.Since(start), nil)
+		var stack []byte
+		var pe *panicError
+		if errors.As(err, &pe) {
+			cache, stack = "panic", pe.stack
+		}
+		s.logRequest(endpoint, key, cache, status, time.Since(start), nil, stack)
 	}
 	var req Req
 	if err := s.decode(w, r, &req); err != nil {
@@ -291,10 +332,14 @@ func handleCached[Req, Res any](s *Server, w http.ResponseWriter, r *http.Reques
 	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(timeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	defer cancel()
 
+	var passes []PassStat // of the compile this request ran, if it ran one
 	body, cached, dedup, err := s.serveCached(ctx, id, func(ctx context.Context) ([]byte, error) {
 		res, err := compute(ctx)
 		if err != nil {
 			return nil, err
+		}
+		if cr, ok := any(res).(*CompileResult); ok {
+			passes = cr.Passes
 		}
 		return json.Marshal(res)
 	})
@@ -306,15 +351,26 @@ func handleCached[Req, Res any](s *Server, w http.ResponseWriter, r *http.Reques
 		fail(status, key.Short(), cacheLabel(cached, dedup), err)
 		return
 	}
-	var res Res
-	if err := json.Unmarshal(body, &res); err != nil {
-		fail(http.StatusInternalServerError, key.Short(), cacheLabel(cached, dedup), err)
-		return
+	s.writeSpliced(w, Envelope{Key: id, Cached: cached, Dedup: dedup,
+		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000}, body)
+	s.logRequest(endpoint, key.Short(), cacheLabel(cached, dedup), http.StatusOK, time.Since(start), passes, nil)
+}
+
+// writeSpliced answers 200 with env's fields in front of the artifact's:
+// the bytes json.NewEncoder writes for the route's typed *Response, without
+// decoding the artifact. body is an object (serveCached), possibly empty.
+func (s *Server) writeSpliced(w http.ResponseWriter, env Envelope, body []byte) {
+	head, _ := json.Marshal(env) // strings, bools and a finite float: cannot fail
+	out := append(make([]byte, 0, len(head)+len(body)+1), head[:len(head)-1]...)
+	if len(body) > 2 {
+		out = append(out, ',')
 	}
-	resp, passes := respond(served{Key: id, Cached: cached, Dedup: dedup,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000}, &res)
-	s.writeJSON(w, resp)
-	s.logRequest(endpoint, key.Short(), cacheLabel(cached, dedup), http.StatusOK, time.Since(start), passes)
+	out = append(append(out, body[1:]...), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	if _, err := w.Write(out); err != nil && s.cfg.Logger != nil {
+		s.cfg.Logger.Printf(`{"event":"write_error","error":%q}`, err.Error())
+	}
 }
 
 // handleCompile serves /v1/compile.
@@ -325,10 +381,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			return key, req.TimeoutMs, func(ctx context.Context) (*CompileResult, error) {
 				return compileResult(ctx, req.Source, opts, req.Passes)
 			}, err
-		},
-		func(m served, res *CompileResult) (any, []PassStat) {
-			return &CompileResponse{Key: m.Key, Cached: m.Cached, Dedup: m.Dedup,
-				ElapsedMs: m.ElapsedMs, CompileResult: *res}, res.Passes
 		})
 }
 
@@ -340,10 +392,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return key, req.TimeoutMs, func(ctx context.Context) (*AnalyzeResult, error) {
 				return analyzeResult(ctx, req.Source, opts)
 			}, err
-		},
-		func(m served, res *AnalyzeResult) (any, []PassStat) {
-			return &AnalyzeResponse{Key: m.Key, Cached: m.Cached, Dedup: m.Dedup,
-				ElapsedMs: m.ElapsedMs, AnalyzeResult: *res}, nil
 		})
 }
 
@@ -355,22 +403,14 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			return key, req.TimeoutMs, func(ctx context.Context) (*VerifyResult, error) {
 				return verifyResult(ctx, req, key.Machine, levels)
 			}, err
-		},
-		func(m served, res *VerifyResult) (any, []PassStat) {
-			return &VerifyResponse{Key: m.Key, Cached: m.Cached, Dedup: m.Dedup,
-				ElapsedMs: m.ElapsedMs, VerifyResult: *res}, nil
 		})
 }
 
 // handleStats serves /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-	s.writeJSON(w, &st)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil && s.cfg.Logger != nil {
+	if err := json.NewEncoder(w).Encode(&st); err != nil && s.cfg.Logger != nil {
 		s.cfg.Logger.Printf(`{"event":"write_error","error":%q}`, err.Error())
 	}
 }

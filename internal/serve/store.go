@@ -5,11 +5,13 @@ package serve
 // the server would otherwise recompute. Implementations must be safe for
 // concurrent use and must return the exact bytes stored — a backend that
 // cannot (corruption, eviction, unavailability) reports a miss or an
-// error, never wrong bytes.
+// error, never wrong bytes. The server stores JSON objects and serves them
+// without decoding them; a body that comes back as anything else is a miss
+// it recomputes and overwrites (StatsResponse.StoreMalformed).
 //
 // The interface is deliberately small so backends stay swappable: the
-// daemon ships an in-memory LRU and an on-disk store, and the distributed
-// verification farm (ROADMAP item 5) will add a shared one. All backends
+// daemon ships an in-memory LRU and an on-disk store (a shared one belongs
+// to the distributed verification farm, which ROADMAP parks). All backends
 // are exercised by one conformance suite (store_conformance_test.go),
 // the typed-store-plus-shared-test-suite pattern.
 // Callers must treat stored and returned byte slices as immutable;
