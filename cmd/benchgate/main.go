@@ -1,24 +1,36 @@
 // Command benchgate is the benchmark-regression gate: it parses `go test
 // -bench` output and compares ns/op and allocs/op against the "after"
-// blocks of the checked-in baseline files (BENCH_analysis.json,
-// BENCH_interp.json), failing when a benchmark regresses beyond the
-// tolerance. Improvements never fail; benchmarks absent from the run or
-// metrics absent from a baseline are reported and skipped.
+// blocks of the checked-in baseline files (BENCH_*.json), failing when a
+// benchmark regresses beyond the tolerance. Improvements never fail;
+// benchmarks absent from the run or metrics absent from a baseline are
+// reported and skipped, so an entry gates exactly the metrics its "after"
+// block names.
 //
-// When a benchmark appears several times in the input (go test -count=N),
-// the gate keeps the minimum of each metric: the minimum is the standard
-// noise-robust estimate of a benchmark's true cost, which is what lets a
-// tight tolerance hold on shared CI runners.
+// When a benchmark appears several times in the input, the gate keeps the
+// minimum of each metric: the minimum is the standard noise-robust estimate
+// of a benchmark's true cost.
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=3x -count=3 ./... | benchgate baseline.json...
+//	.github/scripts/bench-smoke.sh | benchgate baseline.json...
 //
 //	-in FILE     read benchmark output from FILE instead of stdin
 //	-tol PCT     allowed regression percentage (default 25)
 //	-update      do not gate: rewrite the baselines from the output
 //	-before FILE with -update: also rewrite "before" blocks from FILE, the
 //	             same benchmarks' output at the parent commit
+//
+// There is one protocol, and .github/scripts/bench-smoke.sh is it: the
+// benchgate job gates that script's output and a baseline is recorded from
+// that script's output with more rounds, on the host that will gate. Each
+// benchmark runs at a fixed iteration count long enough to time its steady
+// state — three iterations of a sub-millisecond operation time its warm-up
+// — and its samples are spread over the run, one a round. Absolute ns/op
+// does not carry from one host to another, and on a host shared with other
+// tenants not from one quarter-hour to the next; an entry whose wall time
+// cannot hold the tolerance on unchanged code names no ns_op and gates
+// allocs/op alone, because a gate that fails on unchanged code carries no
+// information.
 //
 // With -update the same per-metric minimums are written into the baseline
 // files instead of compared with them: for every entry the run measured,
@@ -27,7 +39,7 @@
 // "before" blocks, entries the run did not measure — is left byte for
 // byte, so a baseline number is never typed by hand:
 //
-//	go test -bench=... -benchtime=3x -count=3 ./... | benchgate -update BENCH_interp.json
+//	.github/scripts/bench-smoke.sh 10 | benchgate -update BENCH_interp.json
 //
 // A re-registration that also moves the reference point runs the same
 // benchmarks at the parent commit, alternated with the change on one host,

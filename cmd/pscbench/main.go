@@ -6,14 +6,6 @@
 //	pscbench [flags]
 //
 //	-exp E      table1 | fig12 | fig13 | ablation | messages | cse | all (default all)
-//	            passes: per-pass optimizer counters for every kernel
-//	            (not part of all)
-//	            analysis: compiler-side scaling of the delay-set and
-//	            synchronization analyses (not part of all; timings are
-//	            machine-dependent)
-//	            serve: cold vs hot compile latency through the pscd
-//	            service stack (not part of all; timings are
-//	            machine-dependent)
 //	-procs N    processors for fig12/ablation/messages (default 64)
 //	-scale N    problem scale (default 1)
 //	-parallel   fan the experiment grids across all CPUs; output is
@@ -24,17 +16,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 
 	"repro/internal/bench"
-	"repro/internal/serve"
-	"repro/internal/serve/client"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig12|fig13|ablation|messages|cse|passes|bigproc|analysis|serve|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig12|fig13|ablation|messages|cse|all")
 	procs := flag.Int("procs", 64, "processors for fig12/ablation/messages")
 	scale := flag.Int("scale", 1, "problem scale")
 	parallel := flag.Bool("parallel", false, "fan experiment grids across all CPUs (deterministic output)")
@@ -111,55 +100,6 @@ func main() {
 		}
 		fmt.Println(bench.FormatMessages(rows, *procs, *scale))
 		emit("messages", bench.MessagesJSON(rows, *procs, *scale))
-	}
-	// Per-pass counters for every kernel; excluded from "all" to keep the
-	// checked-in golden outputs focused on the paper's tables.
-	if *exp == "passes" {
-		any = true
-		rows, err := bench.RunPassStats(*procs, *scale)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatPassStats(rows, *procs))
-		emit("passes", rows)
-	}
-	// Machine-scaling tier (hundreds to thousands of simulated
-	// processors); excluded from "all" to keep the default run quick.
-	if *exp == "bigproc" {
-		any = true
-		res, err := bench.RunBigProc(bench.BigProcCounts, *scale)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Format())
-		emit("bigproc", res.JSON())
-	}
-	// Compiler-side timing; excluded from "all" so the default output
-	// stays machine-independent.
-	if *exp == "analysis" {
-		any = true
-		rows, err := bench.RunAnalysisScaling(bench.AnalysisSizes, bench.AnalysisTiers())
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatAnalysis(rows))
-		emit("analysis", bench.AnalysisJSON(rows))
-	}
-	// Service-stack latency; excluded from "all" so the default output
-	// stays machine-independent.
-	if *exp == "serve" {
-		any = true
-		s := serve.New(serve.Config{})
-		hs := httptest.NewServer(s.Handler())
-		rows, err := serve.RunLatencyExperiment(
-			client.New(hs.URL, client.WithHTTPClient(hs.Client())), 8, 3, 5)
-		hs.Close()
-		s.Close()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(serve.FormatLatency(rows))
-		emit("serve", serve.LatencyJSON(rows))
 	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "pscbench: unknown experiment %q\n", *exp)

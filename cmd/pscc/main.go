@@ -9,8 +9,6 @@
 //	-level L        blocking | baseline | pipelined | oneway (default oneway)
 //	-cse            enable communication elimination
 //	-exact          exact (exponential) simple-path search
-//	-passes LIST    run an explicit comma-separated pass list instead of
-//	                the level's planned pipeline
 //	-dump-after P   dump compiler state after the named passes (comma list)
 //	-dump-ast       dump after parse (the parsed program)
 //	-dump-ir        dump after build-ir (the mid-level IR)
@@ -24,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +39,6 @@ func main() {
 	level := flag.String("level", "oneway", "optimization level: blocking|baseline|pipelined|oneway")
 	cse := flag.Bool("cse", false, "enable communication elimination")
 	exact := flag.Bool("exact", false, "exact simple-path search")
-	passList := flag.String("passes", "", "explicit comma-separated pass list (default: the level's pipeline)")
 	dumpAfter := flag.String("dump-after", "", "dump compiler state after these passes (comma list)")
 	dumpAST := flag.Bool("dump-ast", false, "dump the parsed program (after parse)")
 	dumpIR := flag.Bool("dump-ir", false, "dump the mid-level IR (after build-ir)")
@@ -64,18 +62,9 @@ func main() {
 	}
 	opts := splitc.Options{Procs: *procs, Level: lvl, CSE: *cse, Exact: *exact}
 
-	pl := &pass.Pipeline{MeasureAllocs: *passStats}
-	if *passList != "" {
-		pl.Passes, err = pass.ParseList(*passList)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		cfg, err := splitc.PipelineConfig(opts)
-		if err != nil {
-			fatal(err)
-		}
-		pl.Passes = pass.Plan(cfg)
+	names, err := splitc.PassNames(opts)
+	if err != nil {
+		fatal(err)
 	}
 
 	targetSet := false
@@ -84,25 +73,29 @@ func main() {
 			targetSet = true
 		}
 	})
-	dumps, err := resolveDumps(*dumpAST, *dumpIR, *dumpTarget, targetSet, *dumpAfter, pl)
+	dumps, err := resolveDumps(*dumpAST, *dumpIR, *dumpTarget, targetSet, *dumpAfter, names)
 	if err != nil {
 		fatal(err)
 	}
-	pl.Observer = func(p pass.Pass, ctx *pass.Context) {
+	pl := &pass.Pipeline{MeasureAllocs: *passStats, Observer: func(p pass.Pass, ctx *pass.Context) {
 		if !dumps[p.Name()] {
 			return
 		}
 		fmt.Printf("== %s ==\n", p.Name())
 		fmt.Println(dumpState(ctx))
-	}
+	}}
 
-	prog, err := splitc.CompilePipeline(string(text), opts, pl)
-	if prog != nil {
-		for _, d := range prog.Diags {
-			if d.Sev == diag.Warning {
-				fmt.Fprintln(os.Stderr, "pscc: "+d.String())
-			}
+	ctx := context.Background()
+	front, err := splitc.NewFront(ctx, string(text), opts, pl)
+	if err != nil {
+		if front != nil {
+			printWarnings(front.Diags)
 		}
+		fatal(err)
+	}
+	prog, err := front.Generate(ctx, opts, pl)
+	if prog != nil {
+		printWarnings(prog.Diags)
 	}
 	if err != nil {
 		fatal(err)
@@ -122,26 +115,19 @@ func main() {
 // build-ir, and -dump-target after the pipeline's final pass. -dump-target
 // stays on by default but yields when any other dump is requested without
 // it being set explicitly.
-func resolveDumps(dumpAST, dumpIR, dumpTarget, targetSet bool, dumpAfter string, pl *pass.Pipeline) (map[string]bool, error) {
+func resolveDumps(dumpAST, dumpIR, dumpTarget, targetSet bool, dumpAfter string, names []string) (map[string]bool, error) {
 	dumps := make(map[string]bool)
-	has := func(name string) bool {
-		for _, p := range pl.Passes {
-			if p.Name() == name {
-				return true
-			}
-		}
-		return false
+	planned := make(map[string]bool, len(names))
+	for _, name := range names {
+		planned[name] = true
 	}
 	for _, name := range strings.Split(dumpAfter, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		if _, ok := pass.Lookup(name); !ok {
-			return nil, fmt.Errorf("-dump-after: unknown pass %q", name)
-		}
-		if !has(name) {
-			return nil, fmt.Errorf("-dump-after: pass %q is not in the pipeline", name)
+		if !planned[name] {
+			return nil, fmt.Errorf("-dump-after: pass %q is not in the pipeline (%s)", name, strings.Join(names, ", "))
 		}
 		dumps[name] = true
 	}
@@ -152,7 +138,7 @@ func resolveDumps(dumpAST, dumpIR, dumpTarget, targetSet bool, dumpAfter string,
 		dumps["build-ir"] = true
 	}
 	if dumpTarget && (targetSet || len(dumps) == 0) {
-		dumps[pl.Passes[len(pl.Passes)-1].Name()] = true
+		dumps[names[len(names)-1]] = true
 	}
 	return dumps, nil
 }
@@ -191,6 +177,14 @@ func formatPassStats(stats []pass.Stat) string {
 		fmt.Fprintf(&b, "%-*s  %12s  %10d  %s\n", width, st.Name, st.Wall, st.Allocs, strings.Join(parts, " "))
 	}
 	return b.String()
+}
+
+func printWarnings(ds []diag.Diagnostic) {
+	for _, d := range ds {
+		if d.Sev == diag.Warning {
+			fmt.Fprintln(os.Stderr, "pscc: "+d.String())
+		}
+	}
 }
 
 func fatal(err error) {

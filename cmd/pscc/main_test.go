@@ -8,18 +8,18 @@ import (
 	"repro/internal/pass"
 )
 
-func plan(t *testing.T, opts splitc.Options) *pass.Pipeline {
+func plan(t *testing.T, opts splitc.Options) []string {
 	t.Helper()
-	cfg, err := splitc.PipelineConfig(opts)
+	names, err := splitc.PassNames(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &pass.Pipeline{Passes: pass.Plan(cfg)}
+	return names
 }
 
 func TestResolveDumpsDefaultsToTarget(t *testing.T) {
-	pl := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
-	dumps, err := resolveDumps(false, false, true, false, "", pl)
+	names := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
+	dumps, err := resolveDumps(false, false, true, false, "", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func TestResolveDumpsDefaultsToTarget(t *testing.T) {
 func TestResolveDumpsTargetYields(t *testing.T) {
 	// Another dump requested without -dump-target set explicitly: the
 	// default target dump must switch off.
-	pl := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
-	dumps, err := resolveDumps(true, true, true, false, "", pl)
+	names := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
+	dumps, err := resolveDumps(true, true, true, false, "", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestResolveDumpsTargetYields(t *testing.T) {
 		t.Errorf("dumps = %v, want %v", dumps, want)
 	}
 	// Explicitly set -dump-target composes with the others.
-	dumps, err = resolveDumps(true, false, true, true, "", pl)
+	dumps, err = resolveDumps(true, false, true, true, "", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +51,19 @@ func TestResolveDumpsTargetYields(t *testing.T) {
 }
 
 func TestResolveDumpsDumpAfter(t *testing.T) {
-	pl := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
-	dumps, err := resolveDumps(false, false, true, false, "sync-motion, one-way", pl)
+	names := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
+	dumps, err := resolveDumps(false, false, true, false, "sync-motion, one-way", names)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dumps["sync-motion"] || !dumps["one-way"] || dumps["insert-syncs"] {
 		t.Errorf("dumps = %v, want sync-motion and one-way only", dumps)
 	}
-	if _, err := resolveDumps(false, false, true, false, "no-such-pass", pl); err == nil {
+	if _, err := resolveDumps(false, false, true, false, "no-such-pass", names); err == nil {
 		t.Error("unknown -dump-after pass should fail")
 	}
-	// A registered pass that is not in this pipeline is also an error:
-	// LevelBlocking plans no one-way pass.
+	// A pass another level runs is also an error: LevelBlocking plans no
+	// one-way pass.
 	blocking := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelBlocking})
 	if _, err := resolveDumps(false, false, true, false, "one-way", blocking); err == nil {
 		t.Error("-dump-after for a pass outside the pipeline should fail")

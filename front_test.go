@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -37,6 +38,45 @@ func diagStrings(ds []diag.Diagnostic) []string {
 	return out
 }
 
+// sameProgram reports the first way a Program generated from a shared
+// front differs from a separate compile of the same source and options:
+// target text, codegen statistics, pass names and counters, diagnostics.
+func sameProgram(got, want *Program) error {
+	if got.TargetText() != want.TargetText() {
+		return fmt.Errorf("target text differs from a separate compile\n--- front ---\n%s--- compile ---\n%s",
+			got.TargetText(), want.TargetText())
+	}
+	if got.Codegen != want.Codegen {
+		return fmt.Errorf("codegen stats %+v, separate compile %+v", got.Codegen, want.Codegen)
+	}
+	if g, w := passNames(got.Passes), passNames(want.Passes); !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("passes %v, separate compile %v", g, w)
+	}
+	for i, st := range got.Passes {
+		if !reflect.DeepEqual(st.Counters, want.Passes[i].Counters) {
+			return fmt.Errorf("pass %s counters %v, separate compile %v", st.Name, st.Counters, want.Passes[i].Counters)
+		}
+	}
+	if g, w := diagStrings(got.Diags), diagStrings(want.Diags); !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("diagnostics %q, separate compile %q", g, w)
+	}
+	return nil
+}
+
+// optionGrid lists every level x CSE on/off x weakening: what one program is
+// generated as.
+func optionGrid(procs int, weakenings [][]delay.Pair) []Options {
+	var out []Options
+	for _, lvl := range Levels() {
+		for _, cse := range []bool{false, true} {
+			for _, weaken := range weakenings {
+				out = append(out, Options{Procs: procs, Level: lvl, CSE: cse, Weaken: weaken})
+			}
+		}
+	}
+	return out
+}
+
 // checkFrontMatchesCompile generates every level x CSE on/off x weakening
 // from ONE front, in sequence, and holds each Program to what a separate
 // splitc.Compile of the same source and options returns; then it holds the
@@ -49,41 +89,21 @@ func checkFrontMatchesCompile(t *testing.T, name, src string, procs int, weakeni
 		t.Fatalf("%s: NewFront: %v", name, err)
 	}
 	before := frontShape(front)
-	for _, lvl := range Levels() {
-		for _, cse := range []bool{false, true} {
-			for _, weaken := range weakenings {
-				opts := Options{Procs: procs, Level: lvl, CSE: cse, Weaken: weaken}
-				got, err := front.Generate(ctx, opts, nil)
-				if err != nil {
-					t.Fatalf("%s %s cse=%v weaken=%v: Generate: %v", name, lvl, cse, weaken, err)
-				}
-				want, err := Compile(src, opts)
-				if err != nil {
-					t.Fatalf("%s %s cse=%v weaken=%v: Compile: %v", name, lvl, cse, weaken, err)
-				}
-				id := fmt.Sprintf("%s %s cse=%v weaken=%v", name, lvl, cse, weaken)
-				if got.TargetText() != want.TargetText() {
-					t.Fatalf("%s: target text differs from a separate compile\n--- front ---\n%s--- compile ---\n%s",
-						id, got.TargetText(), want.TargetText())
-				}
-				if got.Codegen != want.Codegen {
-					t.Fatalf("%s: codegen stats %+v, separate compile %+v", id, got.Codegen, want.Codegen)
-				}
-				if g, w := passNames(got.Passes), passNames(want.Passes); !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s: passes %v, separate compile %v", id, g, w)
-				}
-				for i, st := range got.Passes {
-					if !reflect.DeepEqual(st.Counters, want.Passes[i].Counters) {
-						t.Fatalf("%s: pass %s counters %v, separate compile %v", id, st.Name, st.Counters, want.Passes[i].Counters)
-					}
-				}
-				if g, w := diagStrings(got.Diags), diagStrings(want.Diags); !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s: diagnostics %q, separate compile %q", id, g, w)
-				}
-				if got.Fn != front.Fn || got.Analysis != front.Analysis {
-					t.Fatalf("%s: Program does not share the front's Fn/Analysis", id)
-				}
-			}
+	for _, opts := range optionGrid(procs, weakenings) {
+		id := fmt.Sprintf("%s %s cse=%v weaken=%v", name, opts.Level, opts.CSE, opts.Weaken)
+		got, err := front.Generate(ctx, opts, nil)
+		if err != nil {
+			t.Fatalf("%s: Generate: %v", id, err)
+		}
+		want, err := Compile(src, opts)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", id, err)
+		}
+		if err := sameProgram(got, want); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got.Fn != front.Fn || got.Analysis != front.Analysis {
+			t.Fatalf("%s: Program does not share the front's Fn/Analysis", id)
 		}
 	}
 	if after := frontShape(front); after != before {
@@ -129,5 +149,92 @@ func TestFrontRejectsOtherMachine(t *testing.T) {
 	}
 	if _, err := front.Generate(ctx, Options{Procs: 2, Exact: true}, nil); err == nil {
 		t.Error("Generate for another cycle search succeeded")
+	}
+}
+
+// generateVariants is the option grid with two weakenings: none, and the
+// middle pair of pairs.
+func generateVariants(procs int, pairs []delay.Pair) []Options {
+	weakenings := [][]delay.Pair{nil}
+	if len(pairs) > 0 {
+		weakenings = append(weakenings, []delay.Pair{pairs[len(pairs)/2]})
+	}
+	return optionGrid(procs, weakenings)
+}
+
+// TestFrontConcurrentGenerate: a Front is immutable, so one per program
+// serves eight goroutines at once, each doing what a request against a
+// shared front does — read the delay set's pairs to pick a weakening, then
+// generate every variant, starting at its own offset so that at any moment
+// the goroutines are at different variants. Each Program must equal a
+// separate Compile, and the front must come out as it went in. Run under
+// -race: while delay.Set remembered its decoded pairs, the first two readers
+// of Pairs raced to fill the memo.
+func TestFrontConcurrentGenerate(t *testing.T) {
+	type program struct {
+		name, src string
+		procs     int
+	}
+	var progs []program
+	for _, k := range apps.All() {
+		progs = append(progs, program{k.Name, k.Source(16, 1), 16})
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		progs = append(progs, program{fmt.Sprintf("progen-%d", seed), progen.Generate(seed, progen.Options{Procs: 4}), 4})
+	}
+	if !testing.Short() {
+		tier, _ := progen.FindScaleTier("acc2048")
+		progs = append(progs, program{tier.Name, progen.Generate(tier.Seed, tier.Opts), tier.Opts.Procs})
+	}
+
+	ctx := context.Background()
+	for _, p := range progs {
+		// The references are separate compiles, and the weakening they
+		// share is read off one of them: nothing touches the front between
+		// NewFront and the goroutines but frontShape.
+		first, err := Compile(p.src, Options{Procs: p.procs})
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", p.name, err)
+		}
+		variants := generateVariants(p.procs, first.Analysis.D.Pairs())
+		want := make([]*Program, len(variants))
+		for i, opts := range variants {
+			if want[i], err = Compile(p.src, opts); err != nil {
+				t.Fatalf("%s %+v: Compile: %v", p.name, opts, err)
+			}
+		}
+		front, err := NewFront(ctx, p.src, Options{Procs: p.procs}, nil)
+		if err != nil {
+			t.Fatalf("%s: NewFront: %v", p.name, err)
+		}
+		before := frontShape(front)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				mine := generateVariants(p.procs, front.Analysis.D.Pairs())
+				if !reflect.DeepEqual(mine, variants) {
+					t.Errorf("%s: the shared front's pairs give variants %+v, a separate compile's %+v", p.name, mine, variants)
+					return
+				}
+				for k := range mine {
+					i := (k + g*len(mine)/8) % len(mine)
+					got, err := front.Generate(ctx, mine[i], nil)
+					if err != nil {
+						t.Errorf("%s %+v: Generate: %v", p.name, mine[i], err)
+						return
+					}
+					if err := sameProgram(got, want[i]); err != nil {
+						t.Errorf("%s %+v: %v", p.name, mine[i], err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if after := frontShape(front); after != before {
+			t.Fatalf("%s: concurrent code generation wrote to the shared front half\n--- before ---\n%s\n--- after ---\n%s", p.name, before, after)
+		}
 	}
 }

@@ -117,9 +117,16 @@ type Result struct {
 	Stats Stats
 }
 
-// Generate compiles fn with the given delay set and options. It is the
-// canonical composition of the stepwise Generator API below; the pass
-// pipeline (internal/pass) invokes the same steps one named pass at a time.
+// Generate compiles fn with the given delay set and options: the canonical
+// composition of the stepwise Generator API below, in one call. No compile
+// outside tests goes through it — splitc runs the same steps one named pass
+// at a time, in the order pass.Plan fixes — so the step order is written
+// down twice, and this copy stays for the tests that cannot reach the other:
+// this package's own (internal/pass imports codegen, so they cannot import
+// it back) and internal/interp's unit tests, which build target code from an
+// ir.Fn and a hand-picked delay.Set that no level describes. The root
+// package's TestPipelineMatchesLegacy* hold the two byte-equal over the five
+// kernels, thirty generated programs and every level with and without CSE.
 func Generate(fn *ir.Fn, opts Options) *Result {
 	g := New(fn, opts)
 	g.Lower()

@@ -67,15 +67,15 @@ type Pair struct {
 // the Theta(n^2)-pair results of programs with tens of thousands of
 // accesses.
 //
-// The sorted views used by codegen (Pairs, Successors) are served from a
-// cached index built lazily — never on Add or Union, so chains of
-// per-region merges don't pay O(size) each — and invalidated by mutation.
+// The rows are the whole state: Size counts them and Pairs decodes them on
+// every call, and nothing is remembered between calls. Reading a Set
+// therefore never writes to it, so a finished Set can be shared between
+// goroutines (every Program generated from one splitc.Front reads the same
+// four); the callers of Size and Pairs each ask a handful of times per
+// compile, which is what made the memo they replace not worth its race.
 type Set struct {
-	Fn     *ir.Fn
-	byB    *graph.BitMatrix
-	size   int     // -1 when stale
-	sorted []Pair  // sorted cache; nil when stale
-	aOff   []int32 // sorted[aOff[a]:aOff[a+1]] are the pairs with A == a
+	Fn  *ir.Fn
+	byB *graph.BitMatrix
 }
 
 // NewSet returns an empty delay set for fn.
@@ -83,31 +83,14 @@ func NewSet(fn *ir.Fn) *Set {
 	return &Set{Fn: fn, byB: graph.NewBitMatrix(len(fn.Accesses))}
 }
 
-// touched invalidates everything derived from the rows.
-func (s *Set) touched() {
-	s.size = -1
-	s.sorted = nil
-	s.aOff = nil
-}
-
 // Add inserts a delay edge.
-func (s *Set) Add(a, b int) {
-	if !s.byB.Has(b, a) {
-		s.byB.Set(b, a)
-		s.touched()
-	}
-}
+func (s *Set) Add(a, b int) { s.byB.Set(b, a) }
 
 // Has reports whether [a, b] is a delay edge.
 func (s *Set) Has(a, b int) bool { return s.byB.Has(b, a) }
 
-// Size returns the number of delay edges.
-func (s *Set) Size() int {
-	if s.size < 0 {
-		s.size = s.byB.Count()
-	}
-	return s.size
-}
+// Size returns the number of delay edges, counted over the n^2/64 words.
+func (s *Set) Size() int { return s.byB.Count() }
 
 // TargetRow returns target b's row as a source-access bitset (bit a set iff
 // [a, b] present). Callers must not modify the row. This is the
@@ -120,12 +103,14 @@ func (s *Set) TargetRow(b int) []uint64 { return s.byB.Row(b) }
 // caller owns it.
 func (s *Set) SourceMatrix() *graph.BitMatrix { return s.byB.Transpose() }
 
-// index (re)builds the sorted cache and the per-A offset table.
-func (s *Set) index() {
-	if s.sorted != nil || s.Size() == 0 {
-		return
+// Pairs returns the delay edges sorted by (A, B). The slice is freshly
+// decoded on each call; the caller owns it.
+func (s *Set) Pairs() []Pair {
+	n := s.Size()
+	if n == 0 {
+		return nil
 	}
-	out := make([]Pair, 0, s.Size())
+	out := make([]Pair, 0, n)
 	// Transposing to A-major rows makes the decode emit pairs already in
 	// (A, B) order: no sort needed.
 	byA := s.byB.Transpose()
@@ -136,53 +121,17 @@ func (s *Set) index() {
 			}
 		}
 	}
-	s.sorted = out
-	n := len(s.Fn.Accesses)
-	s.aOff = make([]int32, n+1)
-	k := 0
-	for a := 0; a < n; a++ {
-		for k < len(out) && out[k].A == a {
-			k++
-		}
-		s.aOff[a+1] = int32(k)
-	}
-}
-
-// Pairs returns the delay edges sorted for deterministic output. The
-// slice is a shared cache; callers must not modify it.
-func (s *Set) Pairs() []Pair {
-	s.index()
-	return s.sorted
-}
-
-// Successors returns the accesses that must wait for a's completion
-// (the b's of every delay edge [a, b]), sorted.
-func (s *Set) Successors(a int) []int {
-	s.index()
-	if s.aOff == nil || a < 0 || a+1 >= len(s.aOff) {
-		return nil
-	}
-	seg := s.sorted[s.aOff[a]:s.aOff[a+1]]
-	if len(seg) == 0 {
-		return nil
-	}
-	out := make([]int, len(seg))
-	for i, p := range seg {
-		out[i] = p.B
-	}
 	return out
 }
 
 // Union returns a new set containing the edges of both sets (word-parallel
-// row ORs); no sorted index is built — it stays lazy until Pairs or
-// Successors is asked for.
+// row ORs).
 func (s *Set) Union(o *Set) *Set {
 	u := NewSet(s.Fn)
 	uw, ow := u.byB.Words(), o.byB.Words()
 	for i, w := range s.byB.Words() {
 		uw[i] = w | ow[i]
 	}
-	u.touched()
 	return u
 }
 
@@ -198,7 +147,6 @@ func (s *Set) WithEndpoint(ids []int) *Set {
 		graph.BitSet(em, x)
 	}
 	out := NewSet(s.Fn)
-	out.touched()
 	for b := 0; b < s.byB.N; b++ {
 		src, dst := s.byB.Row(b), out.byB.Row(b)
 		if graph.BitGet(em, b) {

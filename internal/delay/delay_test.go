@@ -279,9 +279,6 @@ func main() {
 	if !u.Has(0, 1) || !u.Has(1, 2) || u.Size() != 2 {
 		t.Errorf("union wrong: %s", u)
 	}
-	if got := u.Successors(1); len(got) != 1 || got[0] != 2 {
-		t.Errorf("successors(1) = %v, want [2]", got)
-	}
 	pairs := u.Pairs()
 	if len(pairs) != 2 || pairs[0] != (Pair{0, 1}) {
 		t.Errorf("pairs not sorted: %v", pairs)

@@ -110,8 +110,6 @@ func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	} else {
 		sccCompute(ag, cs, con, out)
 	}
-	// Workers wrote rows directly; invalidate the derived caches once.
-	out.touched()
 	return out
 }
 

@@ -209,8 +209,8 @@ func TestEnginesDiffProgen(t *testing.T) {
 
 // TestEnginesDiffBigProc is the scaled equivalence check: EM3D on 256
 // simulated processors, both engines, exact clock and outcome equality.
-// (BenchmarkVMBigProc measures the same configuration's cost; pscbench
-// -exp bigproc re-checks 256 and 1024.)
+// (BenchmarkVMBigProc measures the same configuration's cost, and EM3D at
+// 1024.)
 func TestEnginesDiffBigProc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("big-proc diff skipped in -short mode")

@@ -3,8 +3,8 @@ package interp_test
 // Benchmarks for the SC outcome oracle: the partial-order-reduced model
 // checker (BenchmarkEnumerateSC) against the unreduced deep-copy
 // enumerator it replaced (BenchmarkEnumerateSCReference), on the same
-// three programs. BENCH_enum.json records the before/after trajectory and
-// cmd/benchgate holds the reduced engine to it in CI.
+// three programs. BENCH_enum.json records the reduced engine's allocation
+// counts and cmd/benchgate holds it to them in CI.
 //
 // The programs cover the oracle's workload shapes: dekker is the
 // sync-heavy store-buffering race (every shared access conflicts),

@@ -12,8 +12,10 @@
 //	[hoist] -> sync-motion -> [one-way] ->              (section 6)
 //	counter-alloc -> insert-syncs
 //
-// Plan builds that sequence from a Config; drivers may also assemble
-// arbitrary pass lists by name through Lookup/ParseList.
+// Plan builds that sequence from a Config, and nothing else orders passes:
+// the paper's guarantee holds for section 6's steps in section 6's order
+// (one-way conversion reads the sync positions motion placed), so there is
+// no way to name a subset or a permutation.
 package pass
 
 import (
@@ -35,7 +37,7 @@ import (
 
 // Pass is one named pipeline stage.
 type Pass interface {
-	// Name is the stable registry name (e.g. "sync-analysis").
+	// Name is the pass's stable name (e.g. "sync-analysis").
 	Name() string
 	// Run advances the Context. A non-nil error aborts the pipeline; the
 	// pass must also record it in ctx.Diags (use ctx.Errorf).
@@ -58,8 +60,8 @@ const (
 )
 
 // Config selects what the planned pipeline does. splitc translates its
-// public Level/CSE/NoHoist knobs into a Config; the pass layer itself has
-// no notion of levels.
+// public Level and CSE knobs into a Config; the pass layer itself has no
+// notion of levels.
 type Config struct {
 	// Procs is the compile-time machine size (required, positive).
 	Procs int
@@ -82,8 +84,8 @@ type Config struct {
 }
 
 // Context is the state shared by the passes of one compilation. Front-end
-// passes fill the fields top to bottom; later passes require earlier fields
-// and report a structured error when run out of order.
+// passes fill the fields top to bottom; later passes read the earlier
+// fields, which Plan's ordering guarantees are set.
 type Context struct {
 	// Source is the MiniSplit program text (input).
 	Source string
@@ -161,7 +163,7 @@ func (ctx *Context) CodegenStats() codegen.Stats {
 
 // Stat is the measured record of one executed pass.
 type Stat struct {
-	// Name is the pass's registry name.
+	// Name is the pass's name.
 	Name string
 	// Wall is the pass's elapsed wall time.
 	Wall time.Duration

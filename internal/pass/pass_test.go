@@ -22,42 +22,32 @@ func fullConfig() Config {
 	return Config{Procs: 8, Motion: true, Hoist: true, OneWay: true, CSE: true}
 }
 
+// TestRegistryComplete: the full configuration plans every pass once, and
+// every other plan is that sequence with steps left out — never reordered.
 func TestRegistryComplete(t *testing.T) {
+	full := PlanNames(fullConfig())
+	if len(full) != len(passes) {
+		t.Fatalf("full plan has %d passes, %d are defined", len(full), len(passes))
+	}
 	seen := make(map[string]bool)
-	for _, name := range Names() {
+	for _, name := range full {
 		if seen[name] {
 			t.Errorf("duplicate pass name %q", name)
 		}
 		seen[name] = true
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("Names() lists %q but Lookup fails", name)
-		}
 	}
-	for _, cfg := range []Config{{}, fullConfig(), {Motion: true}, {CSE: true}} {
+	for _, cfg := range []Config{{}, {Motion: true}, {CSE: true}, {Hoist: true}, {OneWay: true}} {
+		k := 0
 		for _, name := range PlanNames(cfg) {
-			if !seen[name] {
-				t.Errorf("PlanNames(%+v) includes unregistered pass %q", cfg, name)
+			for k < len(full) && full[k] != name {
+				k++
 			}
+			if k == len(full) {
+				t.Errorf("PlanNames(%+v) = %v is not a subsequence of the full plan %v", cfg, PlanNames(cfg), full)
+				break
+			}
+			k++
 		}
-	}
-	if _, ok := Lookup("no-such-pass"); ok {
-		t.Error("Lookup of unknown pass succeeded")
-	}
-}
-
-func TestParseList(t *testing.T) {
-	ps, err := ParseList(" parse, check ,build-ir ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 3 || ps[2].Name() != "build-ir" {
-		t.Errorf("ParseList = %v", ps)
-	}
-	if _, err := ParseList("parse,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("ParseList(bogus) err = %v", err)
-	}
-	if _, err := ParseList(" , "); err == nil {
-		t.Error("empty list should fail")
 	}
 }
 

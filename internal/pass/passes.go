@@ -1,9 +1,6 @@
 package pass
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/codegen"
 	"repro/internal/delay"
 	"repro/internal/ir"
@@ -33,9 +30,6 @@ type codegenPass struct {
 func (p *codegenPass) Name() string { return p.name }
 
 func (p *codegenPass) Run(ctx *Context) error {
-	if ctx.Gen == nil {
-		return ctx.Errorf(p.name, source.Pos{}, "pass %q requires split-phase", p.name)
-	}
 	before := ctx.Gen.Stats()
 	p.step(ctx.Gen)
 	for k, v := range ctx.Gen.Stats().Sub(before).Map() {
@@ -51,9 +45,10 @@ func (ctx *Context) analysisOptions() syncanal.Options {
 	return syncanal.Options{Exact: ctx.Config.Exact}
 }
 
-// The named passes. Front-end and analysis passes validate their
-// prerequisites at run time so hand-assembled pass lists fail with a
-// structured diagnostic instead of a nil dereference.
+// passes is every pass in pipeline order. Each reads what the ones before
+// it left in the Context and checks none of it: Plan is the only thing that
+// orders them, and every plan is this sequence minus the steps a Config
+// switches off, so a pass never runs before its inputs exist.
 var passes = []Pass{
 	&funcPass{"parse", func(ctx *Context) error {
 		ast, err := source.Parse(ctx.Source)
@@ -69,9 +64,6 @@ var passes = []Pass{
 		return nil
 	}},
 	&funcPass{"check", func(ctx *Context) error {
-		if ctx.AST == nil {
-			return ctx.Errorf("check", source.Pos{}, "pass %q requires parse", "check")
-		}
 		info, err := sem.Check(ctx.AST)
 		if err != nil {
 			if se, ok := err.(*sem.Error); ok {
@@ -86,9 +78,6 @@ var passes = []Pass{
 		return nil
 	}},
 	&funcPass{"build-ir", func(ctx *Context) error {
-		if ctx.Info == nil {
-			return ctx.Errorf("build-ir", source.Pos{}, "pass %q requires check", "build-ir")
-		}
 		fn, err := ir.Build(ctx.Info, ir.BuildOptions{Procs: ctx.Config.Procs})
 		if err != nil {
 			if se, ok := err.(*sem.Error); ok {
@@ -103,18 +92,12 @@ var passes = []Pass{
 		return nil
 	}},
 	&funcPass{"conflict", func(ctx *Context) error {
-		if ctx.Fn == nil {
-			return ctx.Errorf("conflict", source.Pos{}, "pass %q requires build-ir", "conflict")
-		}
 		ctx.Analysis = syncanal.Prepare(ctx.Fn)
 		ctx.Count("accesses", ctx.Analysis.CS.N())
 		ctx.Count("conflict_pairs", ctx.Analysis.CS.Size())
 		return nil
 	}},
 	&funcPass{"cycle-detect", func(ctx *Context) error {
-		if ctx.Analysis == nil {
-			return ctx.Errorf("cycle-detect", source.Pos{}, "pass %q requires conflict", "cycle-detect")
-		}
 		if n := len(ctx.Analysis.Fn.Accesses); ctx.Config.Exact && n > delay.ExactLimit {
 			ctx.Diags.Warnf("cycle-detect", source.Pos{},
 				"exact search is bounded at %d accesses; n = %d, using the polynomial search", delay.ExactLimit, n)
@@ -125,9 +108,6 @@ var passes = []Pass{
 	}},
 	&funcPass{"sync-analysis", func(ctx *Context) error {
 		a := ctx.Analysis
-		if a == nil || a.Baseline == nil {
-			return ctx.Errorf("sync-analysis", source.Pos{}, "pass %q requires cycle-detect (D1 is read off its baseline set)", "sync-analysis")
-		}
 		a.RefineSync(ctx.analysisOptions())
 		ctx.Count("d1_delays", a.D1.Size())
 		ctx.Count("precedence_pairs", a.R.Size())
@@ -145,9 +125,6 @@ var passes = []Pass{
 	}},
 	&funcPass{"split-phase", func(ctx *Context) error {
 		a := ctx.Analysis
-		if ctx.Fn == nil || a == nil || a.D == nil {
-			return ctx.Errorf("split-phase", source.Pos{}, "pass %q requires sync-analysis", "split-phase")
-		}
 		switch ctx.Config.Delays {
 		case DelayBaseline:
 			ctx.Delays = a.Baseline
@@ -220,73 +197,38 @@ var passes = []Pass{
 	}},
 }
 
-var byName = func() map[string]Pass {
-	m := make(map[string]Pass, len(passes))
+// Plan builds the pipeline for cfg: the canonical sequence without the
+// steps cfg leaves off. It performs exactly the steps codegen.Generate
+// would, in the same order, so compiling through a plan is byte-identical to
+// that single call.
+func Plan(cfg Config) []Pass {
+	out := make([]Pass, 0, len(passes))
 	for _, p := range passes {
-		m[p.Name()] = p
-	}
-	return m
-}()
-
-// Names returns every registered pass name in canonical pipeline order.
-func Names() []string {
-	out := make([]string, len(passes))
-	for i, p := range passes {
-		out[i] = p.Name()
-	}
-	return out
-}
-
-// Lookup returns the registered pass with the given name.
-func Lookup(name string) (Pass, bool) {
-	p, ok := byName[name]
-	return p, ok
-}
-
-// ParseList resolves a comma-separated pass list ("parse,check,build-ir").
-func ParseList(spec string) ([]Pass, error) {
-	var out []Pass
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		p, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown pass %q (known: %s)", name, strings.Join(Names(), ", "))
+		switch p.Name() {
+		case "cse", "licm", "global-reuse":
+			if !cfg.CSE {
+				continue
+			}
+		case "hoist":
+			if !cfg.Hoist {
+				continue
+			}
+		case "one-way":
+			if !cfg.OneWay {
+				continue
+			}
 		}
 		out = append(out, p)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty pass list")
-	}
-	return out, nil
-}
-
-// PlanNames returns the pass names Plan would run for cfg, in order.
-func PlanNames(cfg Config) []string {
-	names := []string{"parse", "check", "build-ir", "conflict", "cycle-detect", "sync-analysis", "split-phase"}
-	if cfg.CSE {
-		names = append(names, "cse", "licm", "global-reuse")
-	}
-	if cfg.Hoist {
-		names = append(names, "hoist")
-	}
-	names = append(names, "sync-motion")
-	if cfg.OneWay {
-		names = append(names, "one-way")
-	}
-	return append(names, "counter-alloc", "insert-syncs")
-}
-
-// Plan builds the canonical pipeline for cfg. The sequence performs exactly
-// the steps codegen.Generate would, in the same order, so compiling through
-// a planned pipeline is byte-identical to the legacy single-call path.
-func Plan(cfg Config) []Pass {
-	names := PlanNames(cfg)
-	out := make([]Pass, len(names))
-	for i, n := range names {
-		out[i] = byName[n]
-	}
 	return out
+}
+
+// PlanNames returns the names of the passes Plan runs for cfg, in order.
+func PlanNames(cfg Config) []string {
+	plan := Plan(cfg)
+	names := make([]string, len(plan))
+	for i, p := range plan {
+		names[i] = p.Name()
+	}
+	return names
 }

@@ -32,9 +32,6 @@ type CompileRequest struct {
 	CSE bool `json:"cse,omitempty"`
 	// Exact uses the exponential simple-path search in cycle detection.
 	Exact bool `json:"exact,omitempty"`
-	// Passes optionally names an explicit pass list to run instead of the
-	// level's planned pipeline.
-	Passes []string `json:"passes,omitempty"`
 	// Weaken lists delay pairs codegen must drop (seeds SC violations for
 	// verification; empty for real compiles).
 	Weaken []WeakenPair `json:"weaken,omitempty"`
@@ -243,9 +240,6 @@ func normalizeCompile(req *CompileRequest) (splitc.Options, Key, error) {
 	}
 	opts.Level = level
 	key.Level = lvl
-	if len(req.Passes) > 0 {
-		key.Passes = strings.Join(req.Passes, ",")
-	}
 	return opts, key, nil
 }
 

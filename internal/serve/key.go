@@ -1,16 +1,16 @@
 // Package serve is the compilation-as-a-service layer: a long-running
-// HTTP/JSON daemon (cmd/pscd) wrapping the internal/pass pipeline behind
+// HTTP/JSON daemon (cmd/pscd) wrapping splitc.NewFront and Generate behind
 // /v1/compile, /v1/analyze, and /v1/verify, with singleflight deduplication
 // of identical in-flight requests, a bounded worker pool (internal/bench's
 // Pool), and a content-addressed artifact cache behind a pluggable Store
 // interface (in-memory LRU and on-disk backends).
 //
 // Cache soundness rests on compilation being a pure function of the
-// request tuple: the same (source, procs, machine, level, pass list,
-// CSE/exact knobs, weaken spec) always produces byte-identical target code
-// and analysis results, so an artifact stored under the tuple's digest can
-// be replayed for any later identical request. DESIGN.md §14 gives the
-// argument and its relation to syncanal.Fingerprint's in-process fast path.
+// request tuple: the same (source, procs, machine, level, CSE/exact knobs,
+// weaken spec) always produces byte-identical target code and analysis
+// results, so an artifact stored under the tuple's digest can be replayed
+// for any later identical request. DESIGN.md §14 gives the argument and its
+// relation to syncanal.Fingerprint's in-process fast path.
 package serve
 
 import (
@@ -45,9 +45,6 @@ type Key struct {
 	Machine string
 	// Level is the optimization level name.
 	Level string
-	// Passes is the explicit pass list, comma-joined ("" = the level's
-	// planned pipeline).
-	Passes string
 	// CSE and Exact mirror splitc.Options.
 	CSE   bool
 	Exact bool
@@ -110,7 +107,6 @@ func (k Key) ID() string {
 	field(strconv.Itoa(k.Procs))
 	field(k.Machine)
 	field(k.Level)
-	field(k.Passes)
 	field(boolStr(k.CSE))
 	field(boolStr(k.Exact))
 	field(k.Weaken)

@@ -67,7 +67,6 @@ func perturbField(t *testing.T, f reflect.Value, name string) {
 		"machine": "t3d",
 		"level":   "pipelined",
 		"levels":  []string{"pipelined"},
-		"passes":  []string{"parse", "check"},
 		"weaken":  []WeakenPair{{A: 0, B: 1}},
 	}
 	if v, ok := named[name]; ok {
@@ -101,7 +100,6 @@ func TestKeyIDDistinguishesTuple(t *testing.T) {
 		{"procs", func(k Key) Key { k.Procs = 16; return k }},
 		{"machine", func(k Key) Key { k.Machine = "t3d"; return k }},
 		{"level", func(k Key) Key { k.Level = "pipelined"; return k }},
-		{"passes", func(k Key) Key { k.Passes = "parse,check"; return k }},
 		{"cse", func(k Key) Key { k.CSE = true; return k }},
 		{"exact", func(k Key) Key { k.Exact = true; return k }},
 		{"weaken", func(k Key) Key { k.Weaken = "0-1"; return k }},
@@ -123,10 +121,10 @@ func TestKeyIDDistinguishesTuple(t *testing.T) {
 // TestKeyIDFieldBoundaries guards the length-prefixed encoding: moving
 // a character across a field boundary must change the address.
 func TestKeyIDFieldBoundaries(t *testing.T) {
-	a := Key{Kind: "compile", Level: "one", Passes: "way"}
-	b := Key{Kind: "compile", Level: "onew", Passes: "ay"}
+	a := Key{Kind: "compile", Machine: "t3", Level: "doneway"}
+	b := Key{Kind: "compile", Machine: "t3d", Level: "oneway"}
 	if a.ID() == b.ID() {
-		t.Fatalf("field boundary collision: %q/%q vs %q/%q", a.Level, a.Passes, b.Level, b.Passes)
+		t.Fatalf("field boundary collision: %q/%q vs %q/%q", a.Machine, a.Level, b.Machine, b.Level)
 	}
 }
 

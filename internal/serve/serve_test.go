@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +78,62 @@ func TestCompileMatchesDirect(t *testing.T) {
 				t.Errorf("%s/%s: no pass stats in response", k.Name, lvl)
 			}
 		}
+	}
+}
+
+// mpLitmus is the message-passing litmus (benchmark/litmus/mp.ms): p0 writes
+// X and posts the event p1 waits on before reading X.
+const mpLitmus = `
+shared int X on 1 = 0;
+shared int R on 1 = 0;
+event E[2];
+func main() {
+	if (MYPROC == 0) {
+		X = 7;
+		post(E[1]);
+	}
+	if (MYPROC == 1) {
+		wait(E[1]);
+		R = X;
+	}
+}
+`
+
+// TestNoPassListOnTheWire: the steps of section 6 run in section 6's order
+// and a request cannot say otherwise. A "passes" member that puts one-way
+// conversion before sync motion — which, while the server honoured it,
+// answered 200 with p0's write a one-way store racing the post — is not a
+// request field: the answer is the artifact of the same request without it,
+// and p0 still completes its put before it posts.
+func TestNoPassListOnTheWire(t *testing.T) {
+	s := serve.New(serve.Config{})
+	defer s.Close()
+	compile := func(extra string) serve.CompileResponse {
+		t.Helper()
+		src, _ := json.Marshal(mpLitmus)
+		rec := post(s, "compile", `{"source":`+string(src)+`,"procs":2,"level":"oneway"`+extra+`}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var resp serve.CompileResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	listed := compile(`,"passes":["parse","check","build-ir","conflict","cycle-detect","sync-analysis",` +
+		`"split-phase","one-way","sync-motion","counter-alloc","insert-syncs"]`)
+	plain := compile("")
+	if listed.Target != plain.Target || listed.Key != plain.Key {
+		t.Errorf("a passes member changed the answer:\n--- with ---\n%s--- without ---\n%s", listed.Target, plain.Target)
+	}
+	at := 0
+	for _, want := range []string{"put_ctr X = 7", "sync_ctr", "post E[1]"} {
+		i := strings.Index(listed.Target[at:], want)
+		if i < 0 {
+			t.Fatalf("target lacks %q after offset %d: p0 must put, sync, then post\n%s", want, at, listed.Target)
+		}
+		at += i + len(want)
 	}
 }
 
@@ -248,6 +305,35 @@ func TestBadRequests(t *testing.T) {
 	}
 	if st := s.Stats(); st.Errors != int64(len(cases))+1 {
 		t.Errorf("Errors = %d, want %d", st.Errors, len(cases)+1)
+	}
+}
+
+// TestDeepNestingIsRefused: a request body inside the 8 MiB limit used to be
+// able to kill the process — a million nested parentheses, or a sum of three
+// million terms, overflowed the goroutine stack, which no recover catches.
+// Both are now a parse error on every route: 422 with a position, well
+// under a second, and the server answers the next request.
+func TestDeepNestingIsRefused(t *testing.T) {
+	s, c := newTestServer(t, serve.Config{})
+	positioned := regexp.MustCompile(`"\d+:\d+: nested too deeply`)
+	for name, src := range map[string]string{
+		"parens": "func main() { x = " + strings.Repeat("(", 1_000_000) + "1" + strings.Repeat(")", 1_000_000) + "; }",
+		"sum":    "shared int X;\nfunc main() { X = 1" + strings.Repeat("+1", 3_000_000) + "; }",
+	} {
+		body, _ := json.Marshal(map[string]any{"source": src, "procs": 2})
+		for _, route := range []string{"compile", "analyze", "verify"} {
+			start := time.Now()
+			rec := post(s, route, string(body))
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s on %s: answered after %v, want under a second", name, route, d)
+			}
+			if rec.Code != http.StatusUnprocessableEntity || !positioned.MatchString(rec.Body.String()) {
+				t.Errorf("%s on %s: status %d, body %.200s; want 422 and a positioned parse error naming the bound", name, route, rec.Code, rec.Body)
+			}
+		}
+	}
+	if _, err := c.Compile(context.Background(), &serve.CompileRequest{Source: apps.Ocean().Source(4, 1), Procs: 4}); err != nil {
+		t.Errorf("the request after the refusals: %v", err)
 	}
 }
 

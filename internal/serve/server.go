@@ -12,7 +12,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -379,7 +378,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		func(req *CompileRequest) (Key, int, func(context.Context) (*CompileResult, error), error) {
 			opts, key, err := normalizeCompile(req)
 			return key, req.TimeoutMs, func(ctx context.Context) (*CompileResult, error) {
-				return compileResult(ctx, req.Source, opts, req.Passes)
+				return compileResult(ctx, req.Source, opts)
 			}, err
 		})
 }
@@ -426,22 +425,11 @@ func cacheLabel(cached, dedup bool) string {
 	}
 }
 
-// compileResult runs the pipeline and packages the cacheable artifact.
-func compileResult(ctx context.Context, src string, opts splitc.Options, passNames []string) (*CompileResult, error) {
-	pl := &pass.Pipeline{}
-	if len(passNames) > 0 {
-		passes, err := pass.ParseList(strings.Join(passNames, ","))
-		if err != nil {
-			return nil, err
-		}
-		pl.Passes = passes
-	}
-	prog, err := splitc.CompilePipelineContext(ctx, src, opts, pl)
+// compileResult compiles src and packages the cacheable artifact.
+func compileResult(ctx context.Context, src string, opts splitc.Options) (*CompileResult, error) {
+	prog, err := splitc.CompileContext(ctx, src, opts)
 	if err != nil {
 		return nil, err
-	}
-	if prog.Target == nil {
-		return nil, fmt.Errorf("pass list did not produce target code")
 	}
 	res := &CompileResult{
 		Target:        prog.Target.String(),
@@ -458,21 +446,15 @@ func compileResult(ctx context.Context, src string, opts splitc.Options, passNam
 	return res, nil
 }
 
-// analyzeResult runs the pipeline through sync-analysis only.
+// analyzeResult runs the front half only: parse through sync-analysis.
 func analyzeResult(ctx context.Context, src string, opts splitc.Options) (*AnalyzeResult, error) {
-	pl := &pass.Pipeline{}
-	passes, err := pass.ParseList("parse,check,build-ir,conflict,cycle-detect,sync-analysis")
+	front, err := splitc.NewFront(ctx, src, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	pl.Passes = passes
-	prog, err := splitc.CompilePipelineContext(ctx, src, opts, pl)
-	if err != nil {
-		return nil, err
-	}
-	a := prog.Analysis
+	a := front.Analysis
 	return &AnalyzeResult{
-		Accesses:      len(prog.Fn.Accesses),
+		Accesses:      len(front.Fn.Accesses),
 		BaselinePairs: a.Baseline.Size(),
 		D1Pairs:       a.D1.Size(),
 		DelayPairs:    a.D.Size(),

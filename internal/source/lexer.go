@@ -304,7 +304,9 @@ func (lx *Lexer) lexString(pos Pos) Token {
 }
 
 // Tokenize lexes the entire input and returns all tokens up to and
-// including the EOF token, or the first lexical error.
+// including the EOF token, or the first lexical error. Parse does not call
+// it — it reads tokens from a Lexer as it goes — so this is the form for
+// callers that want the whole stream at once, the lexer's own tests first.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
 	// MiniSplit source runs a little over three bytes to the token (the 2k

@@ -14,24 +14,44 @@ type ParseError struct {
 // Error implements the error interface.
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parser is a recursive-descent parser for MiniSplit.
+// maxNesting bounds how deep a program nests: blocks inside blocks (an
+// else-if chain counts a level per link), expressions inside parentheses,
+// subscripts, call arguments and unary operators, and operands along a chain
+// of binary operators — the one height here a loop builds rather than a
+// recursion. No path from a function body to a leaf of the tree the parser
+// returns passes through more than maxNesting such levels, so every later
+// recursion over that tree (sem, ir, fold, the printers) is bounded with it,
+// and so is the parser's own stack: without the bound, a request of a
+// million parentheses, or a sum of three million terms, overflowed the
+// goroutine stack, which is fatal to the process and which recover cannot
+// catch. It is a constant, not an option, because nothing legitimate comes
+// near it: of the programs in this tree the five kernels reach 16 levels
+// (Epithel; any machine size), testdata/ 12, the examples 7, the three
+// progen scale tiers 9 and 4 000 generated programs 11.
+const maxNesting = 1000
+
+// Parser is a recursive-descent parser for MiniSplit. It reads tokens from
+// the lexer as it goes, one ahead of the current one, so refusing an input
+// costs what was read of it, not its length.
 type Parser struct {
-	toks []Token
-	i    int
+	lx        *Lexer
+	tok, next Token // the current token and the one after it
+	// depth counts the nesting levels open at the current token; h is the
+	// height of the expression most recently parsed, in the same levels.
+	depth, h int
 }
 
-// Parse lexes and parses a complete MiniSplit program.
+// Parse lexes and parses a complete MiniSplit program. A lexical error the
+// lexer has reached takes precedence over the syntax error it causes (the
+// lexer answers EOF from there on).
 func Parse(src string) (*Program, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lx: NewLexer(src)}
+	p.tok, p.next = p.lx.Next(), p.lx.Next()
 	prog, err := p.parseProgram()
-	if err != nil {
-		return nil, err
+	if lerr := p.lx.Err(); lerr != nil {
+		return nil, lerr
 	}
-	return prog, nil
+	return prog, err
 }
 
 // MustParse parses src and panics on error. It is intended for tests and
@@ -44,24 +64,33 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-func (p *Parser) cur() Token { return p.toks[p.i] }
-func (p *Parser) peek() Token { // token after current
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) peek() Token { return p.next }
 
 func (p *Parser) advance() Token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
-		p.i++
+	t := p.tok
+	if t.Kind != EOF {
+		p.tok, p.next = p.next, p.lx.Next()
 	}
 	return t
 }
 
 func (p *Parser) errorf(pos Pos, format string, args ...any) error {
 	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (p *Parser) tooDeep(pos Pos) error {
+	return p.errorf(pos, "nested too deeply (more than %d levels)", maxNesting)
+}
+
+// enter opens a nesting level at the current token; the caller closes it
+// with p.depth-- once the construct is parsed. A level always has room for
+// a leaf under it.
+func (p *Parser) enter() error {
+	if p.depth++; p.depth >= maxNesting {
+		return p.tooDeep(p.cur().Pos)
+	}
+	return nil
 }
 
 func (p *Parser) expect(k Kind) (Token, error) {
@@ -256,6 +285,9 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	b := &BlockStmt{Pos: lb.Pos}
 	for p.cur().Kind != RBRACE {
 		if p.cur().Kind == EOF {
@@ -268,6 +300,7 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 		b.Stmts = append(b.Stmts, s)
 	}
 	p.advance() // }
+	p.depth--
 	return b, nil
 }
 
@@ -507,10 +540,14 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if p.accept(KWELSE) {
 		if p.cur().Kind == KWIF {
 			// else-if: wrap in a block
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
 			inner, err := p.parseIf()
 			if err != nil {
 				return nil, err
 			}
+			p.depth--
 			st.Else = &BlockStmt{Pos: inner.Position(), Stmts: []Stmt{inner}}
 		} else {
 			st.Else, err = p.parseBlock()
@@ -601,6 +638,7 @@ func (p *Parser) parseCall() (*CallExpr, error) {
 		return nil, err
 	}
 	c := &CallExpr{Pos: name.Pos, Name: name.Text}
+	h := 0
 	for p.cur().Kind != RPAREN {
 		if len(c.Args) > 0 {
 			if _, err := p.expect(COMMA); err != nil {
@@ -612,8 +650,10 @@ func (p *Parser) parseCall() (*CallExpr, error) {
 			return nil, err
 		}
 		c.Args = append(c.Args, a)
+		h = max(h, p.h)
 	}
 	p.advance() // )
+	p.h = h + 1
 	return c, nil
 }
 
@@ -628,7 +668,23 @@ func (p *Parser) parseCall() (*CallExpr, error) {
 //	unary  := (-|!) unary | primary
 //	primary:= literal | varref | call | MYPROC | PROCS | "(" expr ")"
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	p.depth--
+	return e, err
+}
+
+// binary builds "l op r" for an l that is hl levels high and the r just
+// parsed, and leaves the new node's height in p.h.
+func (p *Parser) binary(pos Pos, op BinOp, l Expr, hl int, r Expr) (Expr, error) {
+	if p.h = 1 + max(hl, p.h); p.depth+p.h > maxNesting {
+		return nil, p.tooDeep(pos)
+	}
+	return &BinExpr{Pos: pos, Op: op, L: l, R: r}, nil
+}
 
 func (p *Parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -636,12 +692,14 @@ func (p *Parser) parseOr() (Expr, error) {
 		return nil, err
 	}
 	for p.cur().Kind == OROR {
-		pos := p.advance().Pos
+		pos, hl := p.advance().Pos, p.h
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Pos: pos, Op: OpOr, L: l, R: r}
+		if l, err = p.binary(pos, OpOr, l, hl, r); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -652,12 +710,14 @@ func (p *Parser) parseAnd() (Expr, error) {
 		return nil, err
 	}
 	for p.cur().Kind == ANDAND {
-		pos := p.advance().Pos
+		pos, hl := p.advance().Pos, p.h
 		r, err := p.parseCmp()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Pos: pos, Op: OpAnd, L: l, R: r}
+		if l, err = p.binary(pos, OpAnd, l, hl, r); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -677,12 +737,12 @@ func (p *Parser) parseCmp() (Expr, error) {
 		return nil, err
 	}
 	if op, ok := cmpOps[p.cur().Kind]; ok {
-		pos := p.advance().Pos
+		pos, hl := p.advance().Pos, p.h
 		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{Pos: pos, Op: op, L: l, R: r}, nil
+		return p.binary(pos, op, l, hl, r)
 	}
 	return l, nil
 }
@@ -697,12 +757,14 @@ func (p *Parser) parseAdd() (Expr, error) {
 		if p.cur().Kind == MINUS {
 			op = OpSub
 		}
-		pos := p.advance().Pos
+		pos, hl := p.advance().Pos, p.h
 		r, err := p.parseMul()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Pos: pos, Op: op, L: l, R: r}
+		if l, err = p.binary(pos, op, l, hl, r); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -724,36 +786,45 @@ func (p *Parser) parseMul() (Expr, error) {
 		default:
 			return l, nil
 		}
-		pos := p.advance().Pos
+		pos, hl := p.advance().Pos, p.h
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Pos: pos, Op: op, L: l, R: r}
+		if l, err = p.binary(pos, op, l, hl, r); err != nil {
+			return nil, err
+		}
 	}
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
+	var op UnOp
 	switch p.cur().Kind {
 	case MINUS:
-		pos := p.advance().Pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnExpr{Pos: pos, Op: OpNeg, X: x}, nil
+		op = OpNeg
 	case NOT:
-		pos := p.advance().Pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnExpr{Pos: pos, Op: OpNot, X: x}, nil
+		op = OpNot
+	default:
+		return p.parsePrimary()
 	}
-	return p.parsePrimary()
+	pos := p.advance().Pos
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	p.depth--
+	p.h++
+	return &UnExpr{Pos: pos, Op: op, X: x}, nil
 }
 
+// parsePrimary leaves p.h at 1 for a leaf, one above the subscript's or the
+// highest argument's for a subscripted variable or a call, and where the
+// inner expression left it for a parenthesised one, which adds no node.
 func (p *Parser) parsePrimary() (Expr, error) {
+	p.h = 1
 	switch p.cur().Kind {
 	case INTLIT:
 		t := p.advance()
@@ -800,6 +871,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 				return nil, err
 			}
 			ref.Index = idx
+			p.h++
 		}
 		return ref, nil
 	default:

@@ -3,7 +3,9 @@ package syncanal
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/ir"
 	"repro/internal/progen"
@@ -11,15 +13,12 @@ import (
 	"repro/internal/source"
 )
 
-// scalingSizes are the access-count buckets of the analysis scaling study
-// (mirrored by bench.RunAnalysisScaling for `pscbench -exp analysis`).
+// scalingSizes are the access-count buckets of the analysis scaling study.
 var scalingSizes = []int{64, 128, 256, 512}
 
 // scalingProgram deterministically picks a progen program with roughly
 // target accesses: fixed generator options scaled by target, first seed
-// whose built function lands within [0.9, 1.25]x the target. The same
-// selection rule lives in bench.RunAnalysisScaling so the benchmark and
-// the pscbench experiment measure identical programs.
+// whose built function lands within [0.9, 1.25]x the target.
 func scalingProgram(tb testing.TB, target int) *ir.Fn {
 	tb.Helper()
 	opts := progen.Options{
@@ -70,6 +69,46 @@ func tierProgram(tb testing.TB, name string) *ir.Fn {
 	return fn
 }
 
+// analyzeLoop is the body of every BenchmarkAnalysisScaling leg: b.N full
+// analyses, with the peak live heap they reached reported as "peak-MB". A
+// sampler polls HeapAlloc every 5 ms while the loop runs, against a post-GC
+// reading taken before it; a sampled peak is a lower bound (the poller can
+// miss the true maximum between collections), but it tracks the matrix
+// footprint closely enough to show what a tier needs — the figure ROADMAP
+// item 3 asks for at 33k — and an asymptotic regression in row storage.
+func analyzeLoop(b *testing.B, fn *ir.Fn) {
+	b.ReportAllocs()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	base, peak := m.HeapAlloc, m.HeapAlloc
+	done, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		var s runtime.MemStats
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			runtime.ReadMemStats(&s)
+			peak = max(peak, s.HeapAlloc)
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Analyze(fn, Options{})
+	}
+	b.StopTimer()
+	close(done)
+	<-stopped
+	runtime.ReadMemStats(&m)
+	b.ReportMetric(float64(max(peak, m.HeapAlloc)-base)/1e6, "peak-MB")
+}
+
 // BenchmarkAnalysisScaling measures the full synchronization analysis
 // (conflict set, baseline + D1 + refined delay sets, precedence closure)
 // on progen programs of growing size. The small sizes scan for a seed; the
@@ -77,12 +116,7 @@ func tierProgram(tb testing.TB, name string) *ir.Fn {
 func BenchmarkAnalysisScaling(b *testing.B) {
 	for _, size := range scalingSizes {
 		fn := scalingProgram(b, size)
-		b.Run(fmt.Sprintf("acc%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Analyze(fn, Options{})
-			}
-		})
+		b.Run(fmt.Sprintf("acc%d", size), func(b *testing.B) { analyzeLoop(b, fn) })
 	}
 	if os.Getenv("PSC_SCALE_TIERS") == "" {
 		b.Log("set PSC_SCALE_TIERS=1 to run the multi-minute scale tiers")
@@ -90,11 +124,6 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 	}
 	for _, name := range []string{"acc2048", "acc8192", "acc32768"} {
 		fn := tierProgram(b, name)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Analyze(fn, Options{})
-			}
-		})
+		b.Run(name, func(b *testing.B) { analyzeLoop(b, fn) })
 	}
 }

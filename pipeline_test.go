@@ -7,17 +7,18 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/delay"
 	"repro/internal/ir"
-	"repro/internal/pass"
 	"repro/internal/progen"
 	"repro/internal/sem"
 	"repro/internal/source"
 	"repro/internal/syncanal"
 )
 
-// legacyCompile reproduces the pre-pipeline Compile path: monolithic
-// analysis followed by a single codegen.Generate call. The pass pipeline
-// must match its output byte for byte.
-func legacyCompile(t *testing.T, src string, opts Options) (*codegen.Result, *syncanal.Result) {
+// referenceCompile is a compile written out by hand, without internal/pass:
+// the front end, one syncanal.Analyze, and one codegen.Generate call with
+// the level spelled as codegen options. It is the second statement of the
+// step order (codegen.Generate's doc comment says why there is one), and the
+// pipeline must match its output byte for byte.
+func referenceCompile(t *testing.T, src string, opts Options) (*codegen.Result, *syncanal.Result) {
 	t.Helper()
 	ast, err := source.Parse(src)
 	if err != nil {
@@ -42,12 +43,12 @@ func legacyCompile(t *testing.T, src string, opts Options) (*codegen.Result, *sy
 	case LevelPipelined:
 		cg.Delays = analysis.D
 		cg.Pipeline = true
-		cg.Hoist = !opts.NoHoist
+		cg.Hoist = true
 	case LevelOneWay:
 		cg.Delays = analysis.D
 		cg.Pipeline = true
 		cg.OneWay = true
-		cg.Hoist = !opts.NoHoist
+		cg.Hoist = true
 	case LevelUnsafe:
 		cg.Delays = delay.NewSet(fn)
 		cg.Pipeline = true
@@ -60,21 +61,21 @@ func legacyCompile(t *testing.T, src string, opts Options) (*codegen.Result, *sy
 
 func checkPipelineMatchesLegacy(t *testing.T, name, src string, opts Options) {
 	t.Helper()
-	want, wantAnalysis := legacyCompile(t, src, opts)
+	want, wantAnalysis := referenceCompile(t, src, opts)
 	got, err := Compile(src, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	if g, w := got.TargetText(), want.Prog.String(); g != w {
-		t.Errorf("%s @ %s: pipeline target text differs from legacy path\npipeline:\n%s\nlegacy:\n%s",
+		t.Errorf("%s @ %s: pipeline target text differs from the reference compile\npipeline:\n%s\nreference:\n%s",
 			name, opts.Level, g, w)
 	}
 	if got.Codegen != want.Stats {
-		t.Errorf("%s @ %s: stats differ: pipeline %+v, legacy %+v",
+		t.Errorf("%s @ %s: stats differ: pipeline %+v, reference %+v",
 			name, opts.Level, got.Codegen, want.Stats)
 	}
 	if g, w := got.Analysis.D.Size(), wantAnalysis.D.Size(); g != w {
-		t.Errorf("%s @ %s: final delay set size %d, legacy %d", name, opts.Level, g, w)
+		t.Errorf("%s @ %s: final delay set size %d, reference %d", name, opts.Level, g, w)
 	}
 }
 
@@ -103,8 +104,6 @@ func TestPipelineMatchesLegacyGenerated(t *testing.T) {
 
 func TestPipelineMatchesLegacyAblations(t *testing.T) {
 	src := apps.All()[0].Source(16, 1)
-	checkPipelineMatchesLegacy(t, "nohoist", src, Options{Procs: 16, Level: LevelPipelined, NoHoist: true})
-	checkPipelineMatchesLegacy(t, "nohoist-oneway", src, Options{Procs: 16, Level: LevelOneWay, NoHoist: true, CSE: true})
 	checkPipelineMatchesLegacy(t, "exact", src, Options{Procs: 16, Level: LevelOneWay, Exact: true})
 }
 
@@ -166,48 +165,4 @@ func TestPassStatsReproduceCodegenStats(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPassPrerequisites checks that hand-assembled pass lists fail with a
-// structured diagnostic rather than a crash when run out of order.
-func TestPassPrerequisites(t *testing.T) {
-	cases := [][]string{
-		{"check"},
-		{"parse", "build-ir"},
-		{"parse", "check", "conflict"},
-		{"parse", "check", "build-ir", "cycle-detect"},
-		{"parse", "check", "build-ir", "conflict", "sync-analysis"},
-		{"parse", "check", "build-ir", "split-phase"},
-		{"parse", "check", "build-ir", "sync-motion"},
-	}
-	for _, names := range cases {
-		passes, err := pass.ParseList(joinNames(names))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := pass.NewContext("func main() { }", pass.Config{Procs: 2})
-		pl := &pass.Pipeline{Passes: passes}
-		stats, err := pl.Run(ctx)
-		if err == nil {
-			t.Errorf("pass list %v: expected prerequisite error", names)
-			continue
-		}
-		if !ctx.Diags.HasErrors() {
-			t.Errorf("pass list %v: error not recorded in diagnostics", names)
-		}
-		if len(stats) != len(names) {
-			t.Errorf("pass list %v: %d stats, want %d (failing pass included)", names, len(stats), len(names))
-		}
-	}
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ","
-		}
-		out += n
-	}
-	return out
 }

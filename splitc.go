@@ -124,9 +124,6 @@ type Options struct {
 	CSE bool
 	// Exact uses the exponential simple-path search in cycle detection.
 	Exact bool
-	// NoHoist disables initiation back-motion at the pipelined levels
-	// (an ablation knob; hoisting is part of the paper's pipelining).
-	NoHoist bool
 	// Weaken lists delay pairs the code generator deliberately ignores,
 	// seeding sequential-consistency violations for the dynamic verifier's
 	// negative tests (internal/scverify). Leave empty for real compiles.
@@ -171,12 +168,12 @@ func PipelineConfig(opts Options) (pass.Config, error) {
 	case LevelPipelined:
 		cfg.Delays = pass.DelayFinal
 		cfg.Motion = true
-		cfg.Hoist = !opts.NoHoist
+		cfg.Hoist = true
 	case LevelOneWay:
 		cfg.Delays = pass.DelayFinal
 		cfg.Motion = true
 		cfg.OneWay = true
-		cfg.Hoist = !opts.NoHoist
+		cfg.Hoist = true
 	case LevelUnsafe:
 		cfg.Delays = pass.DelayNone
 		cfg.Motion = true
@@ -198,11 +195,11 @@ func PassNames(opts Options) ([]string, error) {
 }
 
 // Compile parses, checks, analyzes, and compiles src for a machine of
-// opts.Procs processors. It runs the canonical pass pipeline for the
-// selected level; drivers that need instrumentation hooks use
-// CompilePipeline directly.
+// opts.Procs processors: NewFront followed by Generate, the one way target
+// code is produced. Drivers that need instrumentation hooks call the two
+// halves themselves.
 func Compile(src string, opts Options) (*Program, error) {
-	return CompilePipeline(src, opts, nil)
+	return CompileContext(context.Background(), src, opts)
 }
 
 // CompileContext is Compile under a cancellation/deadline context. The
@@ -212,42 +209,11 @@ func Compile(src string, opts Options) (*Program, error) {
 // the entry point the serving daemon (internal/serve) uses to bound
 // per-request work.
 func CompileContext(ctx context.Context, src string, opts Options) (*Program, error) {
-	return CompilePipelineContext(ctx, src, opts, nil)
-}
-
-// CompilePipeline compiles src through pl, a pipeline the caller may have
-// customized (explicit pass list, per-pass observer, allocation
-// measurement). A nil pl — or one with no explicit pass list — runs the
-// canonical pipeline for opts. On error the returned Program carries the
-// passes that did run and their diagnostics alongside the error.
-func CompilePipeline(src string, opts Options, pl *pass.Pipeline) (*Program, error) {
-	return CompilePipelineContext(context.Background(), src, opts, pl)
-}
-
-// CompilePipelineContext is CompilePipeline under a cancellation/deadline
-// context (see CompileContext). Without an explicit pass list it is
-// NewFront followed by Generate.
-func CompilePipelineContext(ctx context.Context, src string, opts Options, pl *pass.Pipeline) (*Program, error) {
-	if opts.Procs <= 0 {
-		return nil, fmt.Errorf("splitc: Options.Procs must be positive")
-	}
-	cfg, err := PipelineConfig(opts)
+	f, err := NewFront(ctx, src, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	if pl == nil {
-		pl = &pass.Pipeline{}
-	}
-	if pl.Passes == nil {
-		f, err := NewFront(ctx, src, opts, pl)
-		if err != nil {
-			return programOf(f.passContext(ctx, cfg), opts, f.Passes), err
-		}
-		return f.Generate(ctx, opts, pl)
-	}
-	pctx := newPassContext(ctx, src, cfg)
-	stats, err := pl.Run(pctx)
-	return programOf(pctx, opts, stats), err
+	return f.Generate(ctx, opts, nil)
 }
 
 // newPassContext prepares a pass context that carries ctx's cancellation.
@@ -282,10 +248,12 @@ func programOf(pctx *pass.Context, opts Options, stats []pass.Stat) *Program {
 // a caller that needs one source at several levels (the dynamic verifier,
 // EffectiveWeakenings) pays for parsing and the analyses once.
 //
-// Generate reads AST, Info, Fn and Analysis and writes none of them; every
-// Program generated from a Front shares them, so callers must treat them as
-// read-only too. A Front is not safe for concurrent Generate calls: the
-// delay sets inside Analysis memoize Size and Pairs on first read.
+// A Front is immutable once NewFront returns. Generate reads AST, Info, Fn
+// and Analysis and writes none of them, and nothing behind them fills in on
+// first read (a delay.Set counts and decodes per call), so any number of
+// goroutines may Generate from one Front at once. Every Program generated
+// from a Front shares those four, so callers must treat them as read-only
+// too.
 type Front struct {
 	Source   string
 	Procs    int

@@ -1,11 +1,15 @@
 package splitc
 
 import (
+	"errors"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/interp"
 	"repro/internal/machine"
+	"repro/internal/source"
 )
 
 const stencilSrc = `
@@ -104,6 +108,48 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile("func main() { }", Options{Procs: 2, Level: Level(99)}); err == nil {
 		t.Error("bad level should fail")
+	}
+}
+
+// TestNestingLimitCompiles: the parser's bound on nesting is the only one a
+// program meets. For both shapes that used to overflow the stack, the
+// deepest program the parser accepts goes through every later recursion —
+// sem, IR construction, folding, code generation — and simulates to the
+// right answer; the next deeper one is a positioned parse diagnostic.
+func TestNestingLimitCompiles(t *testing.T) {
+	shapes := map[string]func(k int) string{
+		"parens": func(k int) string {
+			return "shared int X;\nfunc main() { X = " + strings.Repeat("(", k) + "MYPROC" + strings.Repeat(")", k) + " + 7; }"
+		},
+		"sum": func(k int) string {
+			return "shared int X;\nfunc main() { X = MYPROC" + strings.Repeat("+1", k) + "; }"
+		},
+	}
+	for name, src := range shapes {
+		first := sort.Search(1<<16, func(k int) bool {
+			_, err := source.Parse(src(k))
+			return err != nil
+		})
+		if first == 1<<16 {
+			t.Fatalf("%s: no depth up to %d is refused", name, first)
+		}
+		prog, err := Compile(src(first-1), Options{Procs: 1, Level: LevelOneWay, CSE: true})
+		if err != nil {
+			t.Fatalf("%s at depth %d, the deepest the parser accepts: %v", name, first-1, err)
+		}
+		res, err := prog.Run(machine.CM5(1), interp.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s at depth %d: run: %v", name, first-1, err)
+		}
+		want := map[string]int64{"parens": 7, "sum": int64(first - 1)}[name]
+		if got := res.Memory["X"][0].I; got != want {
+			t.Errorf("%s at depth %d: X = %v, want %v", name, first-1, got, want)
+		}
+		_, err = Compile(src(first), Options{Procs: 1})
+		var d *diag.Diagnostic
+		if !errors.As(err, &d) || d.Pass != "parse" || !d.Pos.IsValid() || !strings.Contains(d.Msg, "nested too deeply") {
+			t.Errorf("%s at depth %d: error %v, want a positioned parse diagnostic naming the nesting bound", name, first, err)
+		}
 	}
 }
 
