@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -99,17 +100,33 @@ func EnumerateSC(fn *ir.Fn, procs, maxStates int) (outcomes map[string]bool, ok 
 // states; the partial-order-reduced states are cheap enough that the
 // budget is an order of magnitude above the old enumerator's).
 func EnumerateSCStats(fn *ir.Fn, procs, maxStates int) (map[string]bool, EnumStats, bool) {
+	outcomes, stats, ok, _ := EnumerateSCContext(context.Background(), fn, procs, maxStates)
+	return outcomes, stats, ok
+}
+
+// EnumerateSCContext is EnumerateSCStats under a cancellation/deadline
+// context, polled every enumPollStates visited states: an exploration cut
+// off by ctx returns no outcome set and an error wrapping ctx.Err(). A
+// budget that runs out is still ok=false with a nil error.
+func EnumerateSCContext(ctx context.Context, fn *ir.Fn, procs, maxStates int) (map[string]bool, EnumStats, bool, error) {
 	if maxStates <= 0 {
 		maxStates = DefaultEnumBudget
 	}
-	st := newMCState(fn, procs, maxStates)
+	st := newMCState(ctx, fn, procs, maxStates)
 	st.explore(1)
 	st.stats.Outcomes = len(st.outcomes)
-	if st.stats.Truncated {
-		return nil, st.stats, false
+	if st.canceled != nil {
+		return nil, st.stats, false, fmt.Errorf("SC enumeration stopped after %d states: %w", st.stats.States, st.canceled)
 	}
-	return st.outcomes, st.stats, true
+	if st.stats.Truncated {
+		return nil, st.stats, false, nil
+	}
+	return st.outcomes, st.stats, true, nil
 }
+
+// enumPollStates is how many states the enumerator visits between looks at
+// its context: at a microsecond or two a state, a millisecond or two.
+const enumPollStates = 1024
 
 // DefaultEnumBudget is the default visited-state budget of EnumerateSC.
 const DefaultEnumBudget = 4_000_000
@@ -195,12 +212,18 @@ type mcState struct {
 	maxStates int
 	maxTrans  int
 	stats     EnumStats
+
+	// cancel is polled every enumPollStates states; canceled is its error
+	// once it has one, set together with stats.Truncated.
+	cancel   context.Context
+	canceled error
 }
 
 // newMCState builds the initial model-checker state and its static
 // reduction tables.
-func newMCState(fn *ir.Fn, procs, maxStates int) *mcState {
+func newMCState(ctx context.Context, fn *ir.Fn, procs, maxStates int) *mcState {
 	st := &mcState{
+		cancel:    ctx,
 		fn:        fn,
 		nproc:     procs,
 		mem:       NewMemory(fn.Info, procs).data,
@@ -760,6 +783,13 @@ func (st *mcState) explore(depth int) {
 		st.stats.Truncated = true
 		st.revert(mark)
 		return
+	}
+	if st.stats.States%enumPollStates == 0 {
+		if err := st.cancel.Err(); err != nil {
+			st.stats.Truncated, st.canceled = true, err
+			st.revert(mark)
+			return
+		}
 	}
 
 	allDone := true

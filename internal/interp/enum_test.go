@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ir"
 )
@@ -151,6 +154,52 @@ func main() {
 `, ir.BuildOptions{Procs: 2})
 	if _, ok := EnumerateSC(fn, 2, 50); ok {
 		t.Error("tiny budget should report failure")
+	}
+}
+
+// manyStatesSrc races two accumulators over a short loop: a few thousand
+// distinct values of T at every pair of loop positions, millions of states.
+const manyStatesSrc = `
+shared int S;
+shared int T;
+func main() {
+    for (local int i = 0; i < 6; i = i + 1) {
+        S = S + 1;
+        T = T + S;
+    }
+}
+`
+
+// TestEnumerateSCDeadline: the enumerator looks at its context every
+// enumPollStates states, so an exploration that would visit 10⁵ states and
+// more gives up within a poll interval of a deadline, with an error
+// wrapping the context's.
+func TestEnumerateSCDeadline(t *testing.T) {
+	fn := ir.MustBuild(manyStatesSrc, ir.BuildOptions{Procs: 2})
+	if _, st, ok := EnumerateSCStats(fn, 2, 100_000); ok || st.States <= 100_000 {
+		t.Fatalf("enumeration ended after %d states (ok=%v): the test needs one of more than 100000", st.States, ok)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	outcomes, st, ok, err := EnumerateSCContext(ctx, fn, 2, 0)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || ok || outcomes != nil {
+		t.Fatalf("outcomes %v, ok %v, err %v after %d states; want none, false and an error wrapping context.DeadlineExceeded", outcomes, ok, err, st.States)
+	}
+	if took > 100*time.Millisecond {
+		t.Errorf("gave up %v after a 1 ms deadline (%d states), want within 100 ms", took, st.States)
+	}
+	if st.States%enumPollStates != 0 || !st.Truncated {
+		t.Errorf("stopped at %d states, truncated=%v: want a multiple of %d and truncated", st.States, st.Truncated, enumPollStates)
+	}
+
+	// A context already canceled stops the first poll; one that never is
+	// changes nothing.
+	ctx, cancel = context.WithCancel(context.Background())
+	cancel()
+	if _, st, _, err := EnumerateSCContext(ctx, fn, 2, 0); !errors.Is(err, context.Canceled) || st.States != enumPollStates {
+		t.Errorf("canceled from the start: err %v after %d states, want context.Canceled after %d", err, st.States, enumPollStates)
 	}
 }
 

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/delay"
 	"repro/internal/ir"
@@ -277,7 +276,7 @@ type sim struct {
 	prog  *target.Prog
 	cfg   machine.Config
 	opts  RunOptions
-	rng   *rand.Rand
+	rng   schedRNG // consulted only under Jitter or Perturb
 	queue evq
 	seq   int64
 	mem   *Memory
@@ -346,9 +345,7 @@ func Run(prog *target.Prog, cfg machine.Config, opts RunOptions) (*Result, error
 // Runner is not safe for concurrent use.
 type Runner struct {
 	s sim
-	// rng and vmm are made by the first run that needs them: a jittered or
-	// perturbed one, one on the bytecode engine. rng is re-seeded in place.
-	rng *rand.Rand
+	// vmm is made by the first run on the bytecode engine.
 	vmm *vm.Machine
 	// lastCompletion backs the processors' delay-verification tables.
 	lastCompletion []float64
@@ -411,18 +408,7 @@ func (r *Runner) reset(opts RunOptions) error {
 	s.queue.a = s.queue.a[:0]
 	s.store.used, s.free = 0, s.free[:0]
 	s.seq, s.nDyn, s.barEp, s.msgs, s.last, s.err, s.nEv = 0, 0, 0, 0, 0, nil, 0
-	// The generator is only consulted under Jitter or Perturb; seeding it
-	// costs more than a whole small deterministic run (the lagged Fibonacci
-	// source initializes 607 words), so plain runs skip it.
-	s.rng = nil
-	if opts.Jitter > 0 || opts.Perturb {
-		if r.rng == nil {
-			r.rng = rand.New(rand.NewSource(opts.Seed))
-		} else {
-			r.rng.Seed(opts.Seed)
-		}
-		s.rng = r.rng
-	}
+	s.rng.seed(opts.Seed)
 	s.lazy = opts.Tap == nil && !opts.Perturb && opts.Jitter == 0 && !s.queueReads
 	s.minArr = math.Inf(1)
 	s.mem.reset()

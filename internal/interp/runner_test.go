@@ -221,3 +221,37 @@ func main() {
 		{name: "plain", opts: interp.RunOptions{}},
 	})
 }
+
+// TestSeededRunAllocatesLikePlain: drawing a schedule costs no allocation.
+// Once a Runner is warm, a jittered and perturbed run allocates exactly
+// what a deterministic one does — its Result — seeding the generator
+// included.
+func TestSeededRunAllocatesLikePlain(t *testing.T) {
+	prog, err := splitc.Compile(apps.ByName("EM3D").Source(4, 1), splitc.Options{Procs: 4, Level: splitc.LevelOneWay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := interp.NewRunner(prog.Target, machine.CM5(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts interp.RunOptions) {
+		if _, err := runner.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up: every seed measured below, so queue and slabs are at their
+	// high-water mark.
+	for seed := int64(0); seed <= 21; seed++ {
+		run(interp.RunOptions{Seed: seed, Jitter: 8, Perturb: true})
+	}
+	plain := testing.AllocsPerRun(20, func() { run(interp.RunOptions{}) })
+	seed := int64(0)
+	seeded := testing.AllocsPerRun(20, func() {
+		run(interp.RunOptions{Seed: seed, Jitter: 8, Perturb: true})
+		seed++
+	})
+	if seeded != plain {
+		t.Fatalf("a seeded run allocates %v times, a plain one %v", seeded, plain)
+	}
+}

@@ -26,7 +26,9 @@ package scverify
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"strings"
+	"sync"
 
 	splitc "repro"
 	"repro/internal/delay"
@@ -86,15 +88,27 @@ func RunOne(prog *target.Prog, cfg machine.Config, sch Schedule) (*interp.Result
 	if err != nil {
 		return nil, nil, err
 	}
-	return new(arena).runOne(runner, sch)
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return a.runOne(runner, sch)
 }
 
-// arena is the trace-side state Verify reuses across the runs of one
-// verdict: the collector's trace buffers and the checker's graph.
+// arena is the trace-side state reused from run to run: the collector's
+// trace buffers and the checker's graph.
 type arena struct {
 	col Collector
 	chk checker
 }
+
+// arenas keeps arenas across verdicts, so a verdict's first trace lands in
+// buffers an earlier one grew instead of growing them from nil. An arena
+// is held by one goroutine from Get to Put, and nothing a run hands out —
+// Result, Violation — refers to it; a run starts by resetting all of it, so
+// one put back by an error or a panic midway is as good as any. A pooled
+// arena's spare capacity still points at the symbols and values of the last
+// program traced in it, until the next run overwrites them or the garbage
+// collector empties the pool.
+var arenas = sync.Pool{New: func() any { return new(arena) }}
 
 // runOne is RunOne on a runner and an arena that earlier runs have used.
 func (a *arena) runOne(runner *interp.Runner, sch Schedule) (*interp.Result, *Violation, error) {
@@ -135,7 +149,9 @@ type Options struct {
 	// outcome set (skipped if enumeration exceeds EnumBudget states).
 	Deterministic bool
 	// Validate, if non-nil, additionally checks each run's final memory
-	// (the apps' sequential oracles).
+	// (the apps' sequential oracles). The levels of a verdict call it from
+	// several goroutines at once: it must not share unsynchronised state
+	// between calls.
 	Validate func(mem map[string][]ir.Value) error
 	// Weaken passes delay pairs for codegen to ignore — the seeded-
 	// violation mode used by the negative tests and the pscverify CLI.
@@ -222,16 +238,26 @@ func Verify(src string, opts Options) (*Report, error) {
 }
 
 // VerifyContext is Verify under a cancellation/deadline context. ctx is
-// checked at every pass boundary of the compiles (so between levels too)
-// and before every run, so a canceled verdict returns within one pass or
-// one run of the signal, with an error wrapping ctx.Err(). (The SC outcome
-// enumeration of a racy program is bounded by EnumBudget, not by ctx.)
+// checked at every pass boundary of the compiles, before every run, and
+// every 1024 states of a racy program's SC enumeration, so a canceled
+// verdict returns within one pass, one run or 1024 states of the signal,
+// with an error wrapping ctx.Err().
 //
 // A verdict does each piece of work once: one front half and one analysis
 // for the source (splitc.Front), from which every level (and a
-// deterministic program's blocking reference) is generated; one simulator state per generated program
-// (interp.Runner); and one trace collector and happens-before graph, reset
-// between runs.
+// deterministic program's blocking reference) is generated; one simulator
+// state per generated program (interp.Runner); and per level one pooled
+// trace arena, reset between runs.
+//
+// The reference and the levels run side by side, one goroutine apiece —
+// len(Levels)+1 of them, so the request itself bounds the width. Each owns
+// everything it mutates (its generated program, Runner and arena) and only
+// reads the front, and a run is a pure function of (program, machine,
+// schedule), so the Report does not depend on how the goroutines
+// interleave: it is assembled in Levels order once all have finished, the
+// first error in reference-then-Levels order is the one returned (the
+// others still run to their own end), and a panic on one of the goroutines
+// is raised again on the caller's, with the stack it came from.
 func VerifyContext(ctx context.Context, src string, opts Options) (*Report, error) {
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("scverify: Options.Procs must be positive")
@@ -257,79 +283,172 @@ func VerifyContext(ctx context.Context, src string, opts Options) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	report := &Report{ExactOracle: true}
 
-	// The reference semantics: the unweakened blocking compile's run for a
-	// deterministic program, the IR's SC outcome set for a racy one.
-	var refKey string
-	var scOutcomes map[string]bool
-	if opts.Deterministic {
-		ref, err := front.Generate(ctx, splitc.Options{Procs: opts.Procs, Level: splitc.LevelBlocking}, nil)
+	// Slot 0 is the reference, slot i+1 is Levels[i].
+	errs := make([]error, 1+len(opts.Levels))
+	panics := make([]*relayedPanic, len(errs))
+	var wg sync.WaitGroup
+	spawn := func(slot int, part func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panics[slot] = &relayedPanic{value: v, stack: debug.Stack()}
+				}
+			}()
+			errs[slot] = part()
+		}()
+	}
+	var ref reference
+	spawn(0, func() (err error) {
+		ref, err = newReference(ctx, front, cfg, &opts)
+		return err
+	})
+	levels := make([]levelRuns, len(opts.Levels))
+	for i, level := range opts.Levels {
+		spawn(i+1, func() (err error) {
+			levels[i], err = runLevel(ctx, front, cfg, &opts, level)
+			return err
+		})
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		res, err := ref.Run(cfg, interp.RunOptions{Engine: opts.Engine})
-		if err != nil {
-			return nil, fmt.Errorf("scverify: blocking reference run: %w", err)
-		}
-		refKey = outcomeKey(res.Memory, res.Prints)
-	} else {
-		var stats interp.EnumStats
-		scOutcomes, stats, report.ExactOracle = interp.EnumerateSCStats(front.Fn, opts.Procs, opts.EnumBudget)
-		report.Enum = &stats
 	}
 
-	var a arena
-	for _, level := range opts.Levels {
-		prog, err := front.Generate(ctx, splitc.Options{
-			Procs:  opts.Procs,
-			Level:  level,
-			CSE:    opts.CSE,
-			Weaken: opts.Weaken,
-		}, nil)
-		if err != nil {
-			return nil, err
-		}
-		runner, err := interp.NewRunner(prog.Target, cfg)
-		if err != nil {
-			return nil, err
-		}
-		lr := &LevelReport{Level: level, DelayPairs: prog.Analysis.D.Size() - len(opts.Weaken)}
-		for _, sch := range opts.Schedules {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("scverify: aborted at %s %v: %w", level, sch, err)
-			}
-			sch.Engine = opts.Engine
-			res, viol, err := a.runOne(runner, sch)
-			if err != nil {
-				return nil, fmt.Errorf("scverify: %s %v: %w", level, sch, err)
-			}
-			lr.Runs++
-			if viol != nil {
-				lr.Violations = append(lr.Violations, viol)
-			}
-			key := outcomeKey(res.Memory, res.Prints)
+	report := &Report{ExactOracle: ref.exact, Enum: ref.enum}
+	for i := range levels {
+		lr := levels[i].report
+		for j, out := range levels[i].outcomes {
+			sch := opts.Schedules[j]
 			switch {
 			case opts.Deterministic:
-				if key != refKey {
+				if out.key != ref.key {
 					lr.OutcomeErrs = append(lr.OutcomeErrs, fmt.Errorf(
-						"%s %v: final state differs from blocking reference", level, sch))
+						"%s %v: final state differs from blocking reference", lr.Level, sch))
 				}
-				if opts.Validate != nil {
-					if err := opts.Validate(res.Memory); err != nil {
-						lr.OutcomeErrs = append(lr.OutcomeErrs, fmt.Errorf("%s %v: %w", level, sch, err))
-					}
+				if out.invalid != nil {
+					lr.OutcomeErrs = append(lr.OutcomeErrs, fmt.Errorf("%s %v: %w", lr.Level, sch, out.invalid))
 				}
-			case report.ExactOracle:
-				if !scOutcomes[key] {
+			case ref.exact:
+				if !ref.outcomes[out.key] {
 					lr.OutcomeErrs = append(lr.OutcomeErrs, fmt.Errorf(
-						"%s %v: final state unreachable by any SC interleaving", level, sch))
+						"%s %v: final state unreachable by any SC interleaving", lr.Level, sch))
 				}
 			}
 		}
 		report.Levels = append(report.Levels, lr)
 	}
 	return report, nil
+}
+
+// relayedPanic is the value VerifyContext panics with when one of its
+// goroutines panicked: what that goroutine panicked with and its stack at
+// the time, which the caller's own stack no longer shows.
+type relayedPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *relayedPanic) Error() string {
+	return fmt.Sprintf("%v\n\ngoroutine of the verdict that panicked:\n%s", p.value, p.stack)
+}
+
+// reference is the semantics a run's outcome is held to: the unweakened
+// blocking compile's run for a deterministic program, the IR's SC outcome
+// set for a racy one.
+type reference struct {
+	key      string          // deterministic: the blocking run's outcome
+	outcomes map[string]bool // racy: every SC outcome, when exact
+	exact    bool            // false: the enumeration outran EnumBudget
+	enum     *interp.EnumStats
+}
+
+func newReference(ctx context.Context, front *splitc.Front, cfg machine.Config, opts *Options) (reference, error) {
+	if !opts.Deterministic {
+		outcomes, stats, exact, err := interp.EnumerateSCContext(ctx, front.Fn, opts.Procs, opts.EnumBudget)
+		if err != nil {
+			return reference{}, fmt.Errorf("scverify: %w", err)
+		}
+		return reference{outcomes: outcomes, exact: exact, enum: &stats}, nil
+	}
+	prog, err := front.Generate(ctx, splitc.Options{Procs: opts.Procs, Level: splitc.LevelBlocking}, nil)
+	if err != nil {
+		return reference{}, err
+	}
+	res, err := prog.Run(cfg, interp.RunOptions{Engine: opts.Engine})
+	if err != nil {
+		return reference{}, fmt.Errorf("scverify: blocking reference run: %w", err)
+	}
+	return reference{key: outcomeKey(res.Memory, res.Prints), exact: true}, nil
+}
+
+// levelRuns is one level's share of a verdict: its report but for the
+// outcome errors, and what the merge needs to fill those in.
+type levelRuns struct {
+	report   *LevelReport
+	outcomes []runOutcome // per run, in Schedules order
+}
+
+type runOutcome struct {
+	key     string // outcomeKey of the run's final state
+	invalid error  // what Options.Validate made of it
+}
+
+// runLevel generates the program at level and makes and checks its run
+// under every schedule.
+func runLevel(ctx context.Context, front *splitc.Front, cfg machine.Config, opts *Options, level splitc.Level) (levelRuns, error) {
+	prog, err := front.Generate(ctx, splitc.Options{
+		Procs:  opts.Procs,
+		Level:  level,
+		CSE:    opts.CSE,
+		Weaken: opts.Weaken,
+	}, nil)
+	if err != nil {
+		return levelRuns{}, err
+	}
+	runner, err := interp.NewRunner(prog.Target, cfg)
+	if err != nil {
+		return levelRuns{}, err
+	}
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	lr := &LevelReport{Level: level, DelayPairs: prog.Analysis.D.Size() - len(opts.Weaken)}
+	outcomes := make([]runOutcome, 0, len(opts.Schedules))
+	for _, sch := range opts.Schedules {
+		if err := ctx.Err(); err != nil {
+			return levelRuns{}, fmt.Errorf("scverify: aborted at %s %v: %w", level, sch, err)
+		}
+		sch.Engine = opts.Engine
+		res, viol, err := a.runOne(runner, sch)
+		if err != nil {
+			return levelRuns{}, fmt.Errorf("scverify: %s %v: %w", level, sch, err)
+		}
+		lr.Runs++
+		if viol != nil {
+			lr.Violations = append(lr.Violations, viol)
+		}
+		out := runOutcome{key: outcomeKey(res.Memory, res.Prints)}
+		// The keys are kept until the merge, and a 64-processor kernel's is
+		// 90 kB: runs that end like the one before them — every run of a
+		// deterministic program — share its string.
+		if n := len(outcomes); n > 0 && outcomes[n-1].key == out.key {
+			out.key = outcomes[n-1].key
+		}
+		if opts.Deterministic && opts.Validate != nil {
+			out.invalid = opts.Validate(res.Memory)
+		}
+		outcomes = append(outcomes, out)
+	}
+	return levelRuns{report: lr, outcomes: outcomes}, nil
 }
 
 // EffectiveWeakenings returns the delay pairs of the front's analysis whose

@@ -466,9 +466,11 @@ func analyzeResult(ctx context.Context, src string, opts splitc.Options) (*Analy
 }
 
 // verifyResult runs the dynamic SC verifier. The verifier compiles and
-// simulates internally; it checks ctx at every pass boundary and before
-// every simulated run, so a timed-out verify stops within one pass or one
-// run of the deadline.
+// simulates internally; it checks ctx at every pass boundary, before every
+// simulated run and every 1024 states of the SC enumeration, so a
+// timed-out verify stops within one of those of the deadline. It runs the
+// levels on goroutines of its own and waits for them; a panic on one comes
+// back as a panic here, on the pool worker that contains it.
 func verifyResult(ctx context.Context, req *VerifyRequest, mach string, levels []splitc.Level) (*VerifyResult, error) {
 	cfg, err := machine.ByName(mach, req.Procs)
 	if err != nil {
