@@ -229,26 +229,6 @@ type Constraints struct {
 	// denser the removal, the cheaper the search. Declaring exactness for
 	// a strict over-approximation yields wrong results.
 	RemovedExact bool
-	// Cache, when non-nil, memoizes per-region results across Compute
-	// calls (see RegionCache). Ignored by the oracle, by the hub path of
-	// the unconstrained case, and whenever the constraints cannot be
-	// fingerprinted (a Removed predicate without NodeSig or ClassSig).
-	Cache *RegionCache
-	// NodeSig, when set alongside Cache and Removed, folds into s the
-	// per-node constraint state behind Removed/RemovedCover: everything
-	// those callbacks may consult about node x for pairs whose endpoints
-	// and witnesses lie inside x's region. mask is the region's member
-	// bitset and lof maps member global ids to dense local ids;
-	// implementations must hash via local ids so that renumbering outside
-	// the region cannot disturb the fingerprint.
-	NodeSig func(x int, mask []uint64, lof []int32, s *Sig)
-	// ClassSig is the class-condensed alternative to NodeSig, for callers
-	// that also set AccessClass: called once per region (not once per
-	// node), it folds in each member's constraint class and the class-level
-	// relation behind Removed/RemovedCover, in the same local-id discipline
-	// as NodeSig. When both are set, both are hashed. Must be safe for
-	// concurrent calls from the engine's worker pool.
-	ClassSig func(members []int32, mask []uint64, lof []int32, s *Sig)
 	// AccessClass, when non-nil, partitions the accesses into constraint
 	// classes the engine may treat as interchangeable: two accesses with
 	// equal class ids must have identical DirRows rows AND columns,

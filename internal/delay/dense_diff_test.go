@@ -52,8 +52,7 @@ func denseFn(tb testing.TB) *ir.Fn {
 // paths only activate on large inputs, each without and with an access
 // classing. The removal predicate is shaped like the production lock guards
 // — rem(a,b,z) holds iff a, b, and z share a mask bit — so the cover is
-// exactly the removed set and the per-node masks are expressible through
-// NodeSig.
+// exactly the removed set.
 func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
 	m := make([]uint64, n)
@@ -72,9 +71,6 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 			}
 		}
 		return scratch
-	}
-	nodeSig := func(x int, mask []uint64, lof []int32, s *Sig) {
-		s.Word(m[x])
 	}
 	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
 	dirRows := graph.NewBitMatrix(n)
@@ -120,14 +116,13 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 		{"dirrows+removed+cover", Constraints{
 			DirRows: dirRows, Removed: rem, RemovedCover: cover}},
 		{"dirrows+removed+exact", Constraints{
-			DirRows: dirRows, Removed: rem, RemovedCover: cover,
-			RemovedExact: true, NodeSig: nodeSig}},
+			DirRows: dirRows, Removed: rem, RemovedCover: cover, RemovedExact: true}},
 		{"classed", Constraints{DirRows: gRows, AccessClass: classOf}},
 		{"classed+removed+cover", Constraints{
 			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover}},
 		{"classed+removed+exact", Constraints{
 			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover,
-			RemovedExact: true, NodeSig: nodeSig}},
+			RemovedExact: true}},
 	}
 }
 
@@ -268,33 +263,4 @@ func TestDenseRegionMatchesReference(t *testing.T) {
 	}
 	Workers = saved
 	pairsEqual(t, fmt.Sprintf("dense baseline (n=%d)", n), Compute(o.ag, o.cs, Constraints{}), o.baseline)
-}
-
-// TestRegionCacheColdWarm proves the region memo cache is invisible to
-// results: a cold run populating the cache and a warm run replaying it
-// produce pair-identical sets, the warm run actually hits, and both match
-// the reference oracle.
-func TestRegionCacheColdWarm(t *testing.T) {
-	denseReference(t)
-	o := &denseOracle
-	for i, v := range o.variants {
-		cache := NewRegionCache(0)
-		con := v.con
-		con.Cache = cache
-		cold := Compute(o.ag, o.cs, con)
-		misses := cache.Misses
-		usable := cacheUsable(con)
-		if usable && misses == 0 {
-			t.Fatalf("%s: cold run recorded no cache misses; memoization never engaged", v.name)
-		}
-		warm := Compute(o.ag, o.cs, con)
-		if usable && cache.Hits < misses {
-			t.Fatalf("%s: warm run hit %d of %d memoized regions", v.name, cache.Hits, misses)
-		}
-		if !usable && cache.Hits+cache.Misses > 0 {
-			t.Fatalf("%s: unfingerprintable constraints still touched the cache", v.name)
-		}
-		pairsEqual(t, v.name+" warm-vs-cold", warm, cold)
-		pairsEqual(t, v.name+" cold-vs-reference", cold, o.want[i])
-	}
 }

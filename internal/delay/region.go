@@ -651,43 +651,6 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	comp := cd.Comp
 	adj := ag.G.Adj
 
-	// Memoized regions replay their stored rows. The fingerprint is in
-	// local ids, so a hit is exact even across the global renumbering a
-	// source edit causes; tiny regions are not worth the key computation.
-	memo := cacheUsable(con) && nl >= 32
-	var key Sig
-	if memo {
-		key = regionSig(ag, con, comp, c, members, mask, lof, dirOut, skip)
-		if e := con.Cache.get(key); e != nil {
-			for lb, r := range e.rows {
-				row := out.byB.Row(int(members[lb]))
-				for wi, word := range r {
-					for ; word != 0; word &= word - 1 {
-						graph.BitSet(row, int(members[wi<<6+bits.TrailingZeros64(word)]))
-					}
-				}
-			}
-			return
-		}
-	}
-	store := func() {
-		if !memo {
-			return
-		}
-		lw := graph.WordsFor(nl)
-		rows := make([][]uint64, nl)
-		for lb, gb := range members {
-			r := make([]uint64, lw)
-			for wi, word := range out.byB.Row(int(gb)) {
-				for m := word & mask[wi]; m != 0; m &= m - 1 {
-					graph.BitSet(r, int(lof[wi<<6+bits.TrailingZeros64(m)]))
-				}
-			}
-			rows[lb] = r
-		}
-		con.Cache.put(key, &cacheEntry{rows: rows})
-	}
-
 	// A dense region whose accesses the caller classed goes to the class
 	// solver: per-target cost drops from O(E) edge visits to O(nl^2/64)
 	// word operations shared per seed row. Word-op parity sits at one edge
@@ -709,7 +672,6 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		}
 		if eLocal >= nl*nl/64 &&
 			classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, skip, gd, sc, fan) {
-			store()
 			return
 		}
 	}
@@ -876,7 +838,6 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 			}
 		}
 	}
-	store()
 }
 
 // denseRestrict answers one Removed-restricted pair (a, b) word-parallel

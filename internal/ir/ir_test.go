@@ -637,7 +637,7 @@ func main() {
 
 // TestPrintIRExact pins the printed form byte for byte on a program with
 // every statement, terminator and expression form: the text is the input of
-// syncanal.Fingerprint and of the conflict keys, not only a debugging aid.
+// the conflict keys, not only a debugging aid.
 func TestPrintIRExact(t *testing.T) {
 	fn := MustBuild(`
 shared float X[8];

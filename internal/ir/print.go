@@ -5,10 +5,9 @@ import (
 	"strconv"
 )
 
-// The printer appends to one byte slice all the way down: the text is the
-// analysis session's fingerprint input (syncanal.Fingerprint) and the
-// conflict key of every indexed access, so it is rendered once per edit,
-// not only for debugging.
+// The printer appends to one byte slice all the way down: ExprString's text
+// is the conflict key of every indexed access, so it is rendered once per
+// compile, not only for -dump-ir, the goldens and TestPrintIRExact.
 
 // String renders the function's CFG in a readable text form for debugging,
 // golden tests, and the compiler driver's -dump-ir mode.

@@ -50,9 +50,9 @@ func BigProc(procs int) Options {
 
 // ScaleTier names one deterministic large program of the analysis scaling
 // study: fixed generation options plus a pinned seed, so the scaling
-// benchmarks, the incremental-analysis tests and the system benchmark's
-// compile-2k workload all measure the same program without scanning seeds at
-// run time. Accesses
+// benchmarks, the pinned-size tests and the system benchmark's compile-2k
+// workload all measure the same program without scanning seeds at run time.
+// Accesses
 // records the built program's access count; the progen package tests pin it
 // so a generator change that silently reshapes the tiers fails loudly.
 type ScaleTier struct {

@@ -10,7 +10,7 @@ import (
 
 // TestScaleTiersPinned builds every scaling tier and pins its access and
 // barrier counts: the tiers are shared coordinates between the benchmarks,
-// the incremental-analysis tests, and pscbench, so a generator change that
+// the pinned-size tests and the system benchmark, so a generator change that
 // moves them must be deliberate (and update the recorded numbers here and
 // in ScaleTiers).
 func TestScaleTiersPinned(t *testing.T) {

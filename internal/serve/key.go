@@ -9,8 +9,7 @@
 // request tuple: the same (source, procs, machine, level, CSE/exact knobs,
 // weaken spec) always produces byte-identical target code and analysis
 // results, so an artifact stored under the tuple's digest can be replayed
-// for any later identical request. DESIGN.md §14 gives the argument and its
-// relation to syncanal.Fingerprint's in-process fast path.
+// for any later identical request. DESIGN.md §14 gives the argument.
 package serve
 
 import (
@@ -34,8 +33,7 @@ type Key struct {
 	// Fingerprint is the hex SHA-256 of the program source. The raw text
 	// (not the parsed form) is hashed: two sources that differ only in
 	// comments get distinct keys, trading a few spurious misses for a
-	// fingerprint that needs no front-end work. syncanal.Fingerprint
-	// plays the complementary role after parsing (DESIGN.md §14).
+	// fingerprint that needs no front-end work.
 	Fingerprint string
 	// Procs is the compile-time machine size.
 	Procs int

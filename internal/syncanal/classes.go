@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/delay"
 	"repro/internal/graph"
 )
 
@@ -555,45 +554,4 @@ func (res *Result) accessClasses(guardBits []uint64) (base, phased []int32) {
 		phased[i] = id
 	}
 	return base, phased
-}
-
-// classSigFn returns the delay.Constraints.ClassSig implementation: the
-// class-condensed replacement for the per-node R-row hashing of the
-// per-access oracle's NodeSig. It folds into the region memo key, in
-// renumber-stable local ids, (a) each member's class under R plus its
-// guard mask, and (b) the class relation restricted to the classes present
-// in the region. Two regions with equal signatures then agree, member by
-// member, on every R and lock consultation removed()/RemovedCover can make
-// for intra-region triples — the same soundness argument as NodeSig
-// (DESIGN.md §13), paid once per region instead of once per node. Safe for
-// concurrent calls: all state is call-local.
-func (res *Result) classSigFn(guardBits []uint64) func(members []int32, mask []uint64, lof []int32, s *delay.Sig) {
-	cp := res.R.cp
-	return func(members []int32, mask []uint64, lof []int32, s *delay.Sig) {
-		var order []int32
-		lid := make(map[int32]int32, 16)
-		for _, gv := range members {
-			c := cp.classOf[gv]
-			id, ok := lid[c]
-			if !ok {
-				id = int32(len(order))
-				lid[c] = id
-				order = append(order, c)
-			}
-			s.Word(uint64(id))
-			if guardBits != nil {
-				s.Word(guardBits[gv])
-			}
-		}
-		s.Word(1<<63 | 1)
-		for _, c := range order {
-			row := cp.rows[c]
-			for id2, c2 := range order {
-				if graph.BitGet(row, int(c2)) {
-					s.Word(uint64(id2))
-				}
-			}
-			s.Word(1<<63 | 2)
-		}
-	}
 }

@@ -46,20 +46,10 @@ func (res *Result) orientAndDetect(opts Options, syncIDs []int) {
 	// Class partitions for the oriented pass, computed before the
 	// orientation rows so those can be built in class coordinates. Nil
 	// under the per-access oracle backing (and for >64 distinct locks),
-	// where the engine gets materialized per-access rows instead. The sig
-	// functions feed the same constraint state into the per-region memo key
-	// for incremental analysis: removed() consults, for nodes of one region,
-	// only R restricted to that region plus the nodes' lock-guard sets, so
-	// hashing those (in local ids) makes region reuse exact under global
-	// renumbering.
-	var nodeSig func(x int, mask []uint64, lof []int32, s *delay.Sig)
-	var classSig func(members []int32, mask []uint64, lof []int32, s *delay.Sig)
+	// where the engine gets materialized per-access rows instead.
 	var classBase, classPhased []int32
 	if res.R.cp != nil {
-		classSig = res.classSigFn(lk.bits)
 		classBase, classPhased = res.accessClasses(lk.bits)
-	} else {
-		nodeSig = res.nodeSigFn(lk.bits)
 	}
 	orientRows, phasedRows := res.orientationRows(classBase, classPhased)
 	removed, cover := res.removal(lk)
@@ -79,9 +69,6 @@ func (res *Result) orientAndDetect(opts Options, syncIDs []int) {
 		Removed:       removed,
 		RemovedCover:  cover,
 		RemovedExact:  true,
-		Cache:         opts.regionCache,
-		NodeSig:       nodeSig,
-		ClassSig:      classSig,
 		AccessClass:   classPhased,
 		Exact:         opts.Exact,
 		Reference:     opts.Reference,
@@ -121,8 +108,8 @@ func newLockMasks(guards map[int]map[string]bool, n int) *lockMasks {
 	if len(lk.byName) > 64 {
 		return lk
 	}
-	// Deterministic bit assignment (sorted names), so region memo keys
-	// hashing guard masks are stable across runs.
+	// Deterministic bit assignment (sorted names), so guard masks are the
+	// same on every run.
 	names := make([]string, 0, len(lk.byName))
 	for l := range lk.byName {
 		names = append(names, l)
@@ -278,23 +265,6 @@ func (res *Result) removal(lk *lockMasks) (removed func(a, b, z int) bool, cover
 		return scratch
 	}
 	return removed, cover
-}
-
-// nodeSigFn returns the delay.Constraints.NodeSig implementation of the
-// per-access oracle backing: x's R row restricted to its region, in local
-// ids, plus its guard mask (see classSigFn for the condensed counterpart).
-func (res *Result) nodeSigFn(guardBits []uint64) func(x int, mask []uint64, lof []int32, s *delay.Sig) {
-	return func(x int, mask []uint64, lof []int32, s *delay.Sig) {
-		for wi, wd := range res.R.Row(x) {
-			for m := wd & mask[wi]; m != 0; m &= m - 1 {
-				s.Word(uint64(lof[wi<<6+bits.TrailingZeros64(m)]))
-			}
-		}
-		s.Word(1 << 63)
-		if guardBits != nil {
-			s.Word(guardBits[x])
-		}
-	}
 }
 
 // regionStats records the strongly-connected-component decomposition of the

@@ -4,8 +4,29 @@ import (
 	"testing"
 
 	"repro/internal/delay"
+	"repro/internal/ir"
 	"repro/internal/progen"
+	"repro/internal/sem"
+	"repro/internal/source"
 )
+
+// buildSrc compiles program text to IR, or nil when any front-end stage
+// rejects it.
+func buildSrc(src string, procs int) *ir.Fn {
+	prog, err := source.Parse(src)
+	if err != nil {
+		return nil
+	}
+	info, err := sem.Check(prog)
+	if err != nil {
+		return nil
+	}
+	fn, err := ir.Build(info, ir.BuildOptions{Procs: procs})
+	if err != nil {
+		return nil
+	}
+	return fn
+}
 
 // TestOrientedSyncSubsetOfD1 verifies the sync-pass-redundancy theorem the
 // single collapsed orientation pass relies on (see the steps 5-6 comment

@@ -53,18 +53,6 @@ type Options struct {
 	// performance option: the per-access closure is O(n^2*n/64) where the
 	// condensed one is O(c^2*c/64).
 	PerAccessR bool
-
-	// regionCache, when set (by Incremental), memoizes per-region results
-	// of the directed delay computations across Analyze calls.
-	regionCache *delay.RegionCache
-	// precCache, when set (by Incremental), carries the class partition of
-	// the previous edit's R so an unchanged precedence input skips the
-	// seed + refine fixpoint entirely.
-	precCache *precedenceCache
-	// matCache, when set (by Incremental), carries the baseline and D1
-	// matrices of the previous edit so unchanged structural inputs skip
-	// the two whole-program back-path computations.
-	matCache *matrixCache
 }
 
 // Timing records the wall time of each analysis sub-phase, so drivers (and
@@ -190,15 +178,8 @@ func Prepare(fn *ir.Fn) *Result {
 // synchronization analysis) into res.Baseline. Requires Prepare.
 func (res *Result) ComputeBaseline(opts Options) {
 	t0 := time.Now()
-	if cached := opts.matCache.lookupBaseline(res); cached != nil {
-		// Structural inputs unchanged since the previous edit: the
-		// baseline is a pure function of them, reused read-only.
-		res.Baseline = cached
-		res.Timing.Baseline = time.Since(t0)
-		return
-	}
 	res.Baseline = delay.Compute(res.AG, res.CS, delay.Constraints{
-		Exact: opts.Exact, Reference: opts.Reference, Cache: opts.regionCache,
+		Exact: opts.Exact, Reference: opts.Reference,
 	})
 	res.Timing.Baseline = time.Since(t0)
 }
@@ -221,12 +202,7 @@ func (res *Result) RefineSync(opts Options) {
 			syncIDs = append(syncIDs, a.ID)
 		}
 	}
-	if cached := opts.matCache.lookupD1(res); cached != nil {
-		res.D1 = cached
-	} else {
-		res.D1 = res.Baseline.WithEndpoint(syncIDs)
-		opts.matCache.store(res, res.Baseline, res.D1)
-	}
+	res.D1 = res.Baseline.WithEndpoint(syncIDs)
 	res.Timing.D1 = time.Since(t0)
 
 	// Steps 3-4: seed R and close it under the dominator rule and
@@ -235,17 +211,6 @@ func (res *Result) RefineSync(opts Options) {
 	n := len(fn.Accesses)
 	if opts.PerAccessR {
 		res.R = NewPrecedence(n)
-	} else if cached := opts.precCache.lookup(res, opts); cached != nil {
-		// The precedence inputs (access kinds/symbols, dominator-classified
-		// D1 pairs, refinement toggles) are unchanged since the previous
-		// edit: R is a pure function of them, so the previous partition is
-		// reused read-only and steps 3-4 are skipped.
-		res.R = cached
-		res.RClasses = res.R.Classes()
-		res.RClassSplits = res.R.ClassSplits()
-		res.Timing.Precedence = time.Since(t0)
-		res.orientAndDetect(opts, syncIDs)
-		return
 	} else {
 		res.R = newClassPrecedence(n)
 	}
@@ -256,7 +221,6 @@ func (res *Result) RefineSync(opts Options) {
 		res.Timing.Condense = res.R.cp.maint
 		res.RClasses = res.R.Classes()
 		res.RClassSplits = res.R.ClassSplits()
-		opts.precCache.store(res.R)
 	}
 	res.Timing.Precedence = phase - res.Timing.Condense
 
