@@ -13,22 +13,31 @@ import (
 // (restricted to the region) and removal behaviour, so the per-target cut
 // BFS the CSR loop runs nl times collapses to one uncut BFS per distinct
 // SEED ROW — target classes are ordered so classes sharing a seed row are
-// adjacent — and most per-pair avoid-searches collapse to O(1) interval
-// queries against that shared first-visit tree.
+// adjacent — and every question is asked at the coarsest granularity at
+// which its answer is exact.
 //
-// The certificate machinery: one uncut BFS per seed row yields a
-// first-visit tree whose preorder intervals are nested or disjoint, so
-// "how many witnesses of T(a) lie under subtree(la) ∪ subtree(lb)" is two
-// rank queries on a bitset of witness entry times. A witness outside both
-// subtrees has a tree path avoiding la and lb entirely — an exact TRUE
-// for the pair — and zero reachable witnesses on the UNcut tree is an
-// exact FALSE (uncut reach only over-approximates the reference's cut
-// reach). Pairs the shared tree cannot certify fall to the per-target cut
-// tree, then the witness-predecessor certificate, and finally to the exact
-// search, which by then is confined to subtree(la) of the cut tree
-// (classFlow.reachAvoiding). The Removed stage repeats the pattern at cell
-// granularity — a cover screen, then a pessimistic/optimistic bracket —
-// with denseRestrict/densePairSearch as the exact residue.
+// Under a Removed predicate the first question is the removal's, asked once
+// per (a-class, target class) cell (decideCell): a cover screen, a survivor
+// screen, then a pessimistic/optimistic bracket of two exact searches. A
+// back-path that survives the removal is a back-path, and one the removal
+// cannot leave standing is none, so a cell that keeps or drops is the whole
+// answer for its pairs: it is applied to every later target of the class as
+// two row operations, and no per-pair work runs for it. What remains is the
+// cell the cover cannot reach — there the plain back-path decides — and the
+// cell the bracket leaves open, whose pairs pay denseRestrict or
+// densePairSearch once they are known to have a back-path at all.
+//
+// The plain back-path is decided per pair by certificates: one uncut BFS
+// per seed row yields a first-visit tree whose preorder intervals are
+// nested or disjoint, so "how many witnesses of T(a) lie under subtree(la) ∪
+// subtree(lb)" is two rank queries on a bitset of witness entry times. A
+// witness outside both subtrees has a tree path avoiding la and lb entirely
+// — an exact TRUE for the pair — and zero reachable witnesses on the UNcut
+// tree is an exact FALSE (uncut reach only over-approximates the
+// reference's cut reach). Pairs the shared tree cannot certify fall to the
+// per-target cut tree, then the witness-predecessor certificate, and
+// finally to the exact search, which by then is confined to subtree(la) of
+// the cut tree (classFlow.reachAvoiding).
 //
 // Tree groups are independent units of work — each writes only the target
 // rows of its own classes — so with fan set they are claimed by up to
@@ -140,13 +149,14 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 
 	// solver returns one worker's solve-a-tree-group function. Everything a
 	// solve mutates — the two trees and their search scratch, the per-class
-	// slots and their epochs, the scratch rows — is the worker's own; L, tl
-	// and the class tables above are only read. A group writes the target
-	// rows of its own classes and nothing else, and the state a slot carries
-	// from one group to the next (witness-predecessor rows, class member
-	// masks) is a function of the class alone, so which worker solves which
-	// group, and in what order, cannot change a bit of the result.
-	solver := func(sc *regionScratch) func(g *tgroup) {
+	// slots and their epochs, the decided-cell masks, the scratch rows, the
+	// work counts — is the worker's own; L, tl and the class tables above are
+	// only read. A group writes the target rows of its own classes and
+	// nothing else, and the state a slot carries from one group to the next
+	// (witness-predecessor rows, class member masks) is a function of the
+	// class alone, so which worker solves which group, and in what order,
+	// cannot change a bit of the result or a count of the work.
+	solver := func(sc *regionScratch, work *classWork) func(g *tgroup) {
 		flowB := newClassFlow(nl) // shared uncut tree of the current seed row
 		flowC := newClassFlow(nl) // per-target cut tree, derived incrementally
 		slots := make([]aclsSlot, ncl)
@@ -158,6 +168,10 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		var pstack []int32
 		bG := make([]uint64, len(mask)) // global members of the current target class
 		bGEp := int32(0)
+		// The a-classes whose removal cell against the current target class
+		// is decided — kept whole, dropped whole — as global source masks.
+		keepG := make([]uint64, len(mask))
+		dropG := make([]uint64, len(mask))
 		var lt *graph.BitMatrix    // transposed(), once this worker has asked
 		var cut *classFlow         // the current target's cut tree: flowB or flowC
 		var sbS, tbS, vbS []uint64 // sparse-bracket scratch (survivors, targets, visited)
@@ -167,6 +181,100 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		bepoch := int32(0) // advances per target class
 		lepoch := int32(0) // advances per target access
 
+		// decideCell answers the removal question for the (a-class, target
+		// class) cell of the pair (a, gb), from data that is class-invariant
+		// on both sides — cover, conflict rows, witness rows — so the verdict
+		// holds for every pair of the cell. It needs the group's shared tree
+		// (flowB) and nothing of any pair's own back-path search.
+		//
+		// The screen: every search of the pair, with or without the
+		// removal, seeds from the target's conflict row and stays within the
+		// group's uncut reach; a cover that reach never touches removes
+		// nothing, and the plain back-path alone decides (s2Plain). A cell
+		// none of whose surviving witnesses (outside the cover, or exempt as
+		// the a-class) is uncut-reachable drops outright. Then two exact
+		// searches bracket the cell: blocking BOTH whole classes
+		// under-approximates blocking just {a, b}, so a hit is a back-path
+		// of every pair that survives the removal — and so of the plain
+		// query, which only has more nodes to walk — and the cell is TRUE;
+		// blocking neither endpoint and widening the targets to the whole
+		// a-class over-approximates every pair, so a miss proves the cell
+		// FALSE. Only cells the bracket cannot settle pay per-pair searches.
+		decideCell := func(st *aclsSlot, a, la, gb int, bc int32) uint8 {
+			covG := con.RemovedCover(a, gb, sc.cover)
+			if visGEp != tepoch {
+				visGEp = tepoch
+				for i := range visG {
+					visG[i] = 0
+				}
+				for wi, word := range flowB.vis {
+					for ; word != 0; word &= word - 1 {
+						graph.BitSet(visG, int(members[wi<<6+bits.TrailingZeros64(word)]))
+					}
+				}
+			}
+			covHit := false
+			for i, w := range visG {
+				if covG[i]&mask[i]&w != 0 {
+					covHit = true
+					break
+				}
+			}
+			if !covHit {
+				return s2Plain // no removable access reachable
+			}
+			if st.aG == nil {
+				st.aG = make([]uint64, len(mask))
+				for _, v := range byClass[lcOf[la]] {
+					graph.BitSet(st.aG, int(members[v]))
+				}
+			}
+			ta := dirIn.Row(a)
+			survReach := false
+			for i, w := range visG {
+				t := ta[i] & mask[i]
+				if s := t&^covG[i] | t&st.aG[i]; s&w != 0 {
+					survReach = true
+					break
+				}
+			}
+			if !survReach {
+				return s2Drop
+			}
+			if gd == nil {
+				return s2PerPair
+			}
+			if bGEp != bepoch {
+				bGEp = bepoch
+				for i := range bG {
+					bG[i] = 0
+				}
+				for _, v := range byClass[bc] {
+					graph.BitSet(bG, int(members[v]))
+				}
+			}
+			var s2 uint8
+			var sparse bool
+			slBuf, sparse = survivorList(mask, covG, slBuf, sparseCap)
+			if sparse {
+				if sbS == nil {
+					sbS = make([]uint64, len(mask))
+					tbS = make([]uint64, len(mask))
+					vbS = make([]uint64, len(mask))
+				}
+				selfT = selfT[:0]
+				for _, v := range byClass[lcOf[la]] {
+					if gv := int(members[v]); graph.BitGet(ta, gv) {
+						selfT = append(selfT, int32(gv))
+					}
+				}
+				s2, sc.queue = sparseCellRestrict(gd, ta, dirOut.Row(gb), st.aG, bG, slBuf, selfT, sbS, tbS, vbS, sc.queue)
+			} else {
+				s2, sc.queue = cellRestrict(gd, mask, covG, ta, dirOut.Row(gb), st.aG, bG, sc.vis, sc.teff, sc.queue)
+			}
+			return s2
+		}
+
 		return func(g *tgroup) {
 			tepoch++
 			treeReady := false
@@ -174,6 +282,9 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 
 			for _, bc := range g.classes {
 				bepoch++
+				for i := range keepG {
+					keepG[i], dropG[i] = 0, 0
+				}
 
 				for _, lb32 := range byClass[bc] {
 					lb := int(lb32)
@@ -184,17 +295,21 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 					if !candidateRow(ag, gb, skip, cand) {
 						continue
 					}
-					for i := range cand {
-						cand[i] &= mask[i]
-					}
+					// Whole rows first: a single conflict edge b -> a is a
+					// back-path by itself, and a cell an earlier target of
+					// this class decided holds for this target too — its
+					// sources are set or cleared here and the per-pair loop
+					// below sees undecided cells only.
 					row := out.byB.Row(gb)
 					drow := dirOut.Row(gb)
 					rest := false
 					for i := range cand {
-						d := drow[i] & cand[i] // single conflict edge b -> a
-						row[i] |= d
-						cand[i] &^= d
-						if cand[i] != 0 {
+						c := cand[i] & mask[i]
+						k := c & (drow[i] | keepG[i])
+						row[i] |= k
+						c &^= k | dropG[i]
+						cand[i] = c
+						if c != 0 {
 							rest = true
 						}
 					}
@@ -214,6 +329,37 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 							a := wi<<6 + bits.TrailingZeros64(word)
 							la := int(lof[a])
 							st := &slots[lcOf[la]]
+							work.Pairs++
+
+							// The removal question first, once per cell: a
+							// back-path that survives the removal is a
+							// back-path, so a cell that drops or keeps is
+							// the answer and no tier below runs for it.
+							if con.Removed != nil {
+								if st.e2 != bepoch {
+									st.e2 = bepoch
+									st.s2 = decideCell(st, a, la, gb, bc)
+									work.Cells++
+									switch st.s2 {
+									case s2Keep:
+										work.BracketKeeps++
+										for i, w := range st.aG {
+											keepG[i] |= w
+										}
+									case s2Drop:
+										for i, w := range st.aG {
+											dropG[i] |= w
+										}
+									}
+								}
+								if st.s2 == s2Drop {
+									continue
+								}
+								if st.s2 == s2Keep {
+									graph.BitSet(row, a)
+									continue
+								}
+							}
 
 							// Tier 0: a seed that is itself a witness is accepted
 							// by the reference before any la/lb filtering — even
@@ -279,6 +425,7 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 										}
 										flowC.reachCutFrom(L, lt, flowB, lb)
 										cut = flowC
+										work.CutTrees++
 									}
 								}
 								if st.eC != lepoch {
@@ -339,6 +486,7 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 							// reachable without passing la or entering lb?
 							if !dec {
 								res = cut.reachAvoiding(L, lt, la, st.p)
+								work.ExactSearches++
 								if exactTierHook != nil {
 									exactTierHook(L, seeds, lb, la, tl.Row(la), res)
 								}
@@ -347,124 +495,23 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 								continue
 							}
 
-							if con.Removed != nil {
-								// Stage 2 runs at cell granularity: the removal
-								// data (cover, conflict rows, witness rows) is
-								// class-invariant, so one decision usually covers
-								// every pair of the (a-class, target class) cell.
-								// The screen: a cover untouched by the shared
-								// tree's global uncut reach cannot remove any
-								// pair. Then two exact searches bracket the cell:
-								// blocking BOTH whole classes under-approximates
-								// blocking just {a, b}, so a hit proves the cell
-								// TRUE; blocking neither endpoint and widening
-								// the targets to the whole a-class
-								// over-approximates every pair, so a miss proves
-								// the cell FALSE. Only cells the bracket cannot
-								// settle pay per-pair searches.
-								if st.e2 != bepoch {
-									st.e2 = bepoch
+							// What the bracket left open is asked per pair, of the
+							// pairs that have a back-path at all. (s2Plain is the
+							// zero value: with no Removed every slot stays there.)
+							if st.s2 == s2PerPair {
+								var hitP bool
+								if gd != nil {
 									covG := con.RemovedCover(a, gb, sc.cover)
-									if visGEp != tepoch {
-										visGEp = tepoch
-										for i := range visG {
-											visG[i] = 0
-										}
-										for wi, word := range flowB.vis {
-											for ; word != 0; word &= word - 1 {
-												graph.BitSet(visG, int(members[wi<<6+bits.TrailingZeros64(word)]))
-											}
-										}
+									sc.queue, hitP = denseRestrict(gd, mask, covG, dirIn.Row(a), dirOut.Row(gb), a, gb, sc.vis, sc.teff, sc.queue)
+								} else {
+									if pvis == nil {
+										pvis = make([]uint64, lw)
+										pstack = make([]int32, 0, nl)
 									}
-									covHit := false
-									for i, w := range visG {
-										if covG[i]&mask[i]&w != 0 {
-											covHit = true
-											break
-										}
-									}
-									if !covHit {
-										st.s2 = s2Keep // no removable access reachable
-									} else {
-										if st.aG == nil {
-											st.aG = make([]uint64, len(mask))
-											for _, v := range byClass[lcOf[la]] {
-												graph.BitSet(st.aG, int(members[v]))
-											}
-										}
-										// Drop screen: every removal-stage search —
-										// bracket passes and per-pair residues alike —
-										// seeds from the target's conflict row and so
-										// reaches only within the group's uncut reach.
-										// A cell none of whose surviving witnesses
-										// (outside the cover, or exempt as the
-										// a-class) is uncut-reachable drops outright.
-										ta := dirIn.Row(a)
-										survReach := false
-										for i, w := range visG {
-											t := ta[i] & mask[i]
-											if s := t&^covG[i] | t&st.aG[i]; s&w != 0 {
-												survReach = true
-												break
-											}
-										}
-										if !survReach {
-											st.s2 = s2Drop
-										} else if gd == nil {
-											st.s2 = s2PerPair
-										} else {
-											if bGEp != bepoch {
-												bGEp = bepoch
-												for i := range bG {
-													bG[i] = 0
-												}
-												for _, v := range byClass[bc] {
-													graph.BitSet(bG, int(members[v]))
-												}
-											}
-											var sparse bool
-											slBuf, sparse = survivorList(mask, covG, slBuf, sparseCap)
-											if sparse {
-												if sbS == nil {
-													sbS = make([]uint64, len(mask))
-													tbS = make([]uint64, len(mask))
-													vbS = make([]uint64, len(mask))
-												}
-												selfT = selfT[:0]
-												for _, v := range byClass[lcOf[la]] {
-													if gv := int(members[v]); graph.BitGet(ta, gv) {
-														selfT = append(selfT, int32(gv))
-													}
-												}
-												st.s2, sc.queue = sparseCellRestrict(gd, ta, dirOut.Row(gb), st.aG, bG, slBuf, selfT, sbS, tbS, vbS, sc.queue)
-											} else {
-												st.s2 = cellRestrict(gd, mask, covG, ta, dirOut.Row(gb), st.aG, bG, sc.vis, sc.teff, sc.queue)
-											}
-										}
-									}
+									pstack, hitP = densePairSearch(L, pvis, pstack, tl.Row(la), members, seeds, a, la, gb, lb, con.Removed)
 								}
-								if st.s2 == s2Drop {
+								if !hitP {
 									continue
-								}
-								if st.s2 == s2PerPair {
-									if gd != nil {
-										covG := con.RemovedCover(a, gb, sc.cover)
-										var hitP bool
-										sc.queue, hitP = denseRestrict(gd, mask, covG, dirIn.Row(a), dirOut.Row(gb), a, gb, sc.vis, sc.teff, sc.queue)
-										if !hitP {
-											continue
-										}
-									} else {
-										if pvis == nil {
-											pvis = make([]uint64, lw)
-											pstack = make([]int32, 0, nl)
-										}
-										var hitP bool
-										pstack, hitP = densePairSearch(L, pvis, pstack, tl.Row(la), members, seeds, a, la, gb, lb, con.Removed)
-										if !hitP {
-											continue
-										}
-									}
 								}
 							}
 							graph.BitSet(row, a)
@@ -480,15 +527,46 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 		nw = workerCount(len(groups))
 	}
 	solves := make([]func(g *tgroup), nw)
-	solves[0] = solver(sc)
+	works := make([]classWork, nw)
+	solves[0] = solver(sc, &works[0])
 	parallelFor(len(groups), nw, func(wk, i int) {
 		if solves[wk] == nil {
-			solves[wk] = solver(newRegionScratch(len(lof)))
+			solves[wk] = solver(newRegionScratch(len(lof)), &works[wk])
 		}
 		solves[wk](groups[i])
 	})
+	if classWorkHook != nil {
+		var sum classWork
+		for _, w := range works {
+			sum.add(w)
+		}
+		classWorkHook(sum)
+	}
 	return true
 }
+
+// classWork counts what one classSolve did, in units that repeat exactly on
+// any host and at any worker count — a tree group's work does not depend on
+// which worker solves it: the pairs the per-pair loop visited (what the
+// whole-row operations left), the removal cells decided and how many of them
+// the bracket kept, the cut trees derived, the tier-2 searches run.
+type classWork struct {
+	Pairs, Cells, BracketKeeps, CutTrees, ExactSearches int
+}
+
+func (w *classWork) add(o classWork) {
+	w.Pairs += o.Pairs
+	w.Cells += o.Cells
+	w.BracketKeeps += o.BracketKeeps
+	w.CutTrees += o.CutTrees
+	w.ExactSearches += o.ExactSearches
+}
+
+// classWorkHook, when a test sets it, receives each classSolve's counts
+// summed over its workers. It is nil outside tests — one nil check per
+// solved region — and like exactTierHook must not be set by two tests at
+// once.
+var classWorkHook func(classWork)
 
 // exactTierHook, when a test sets it, sees every query that reaches tier 2
 // and the verdict the confined search gave — enough to re-ask the
@@ -537,7 +615,8 @@ type aclsSlot struct {
 
 // Cell decisions for the Removed stage.
 const (
-	s2Keep    uint8 = iota // every pair of the cell survives removal
+	s2Plain   uint8 = iota // removal cannot touch the cell: the plain back-path decides
+	s2Keep                 // every pair of the cell has a back-path that survives removal
 	s2Drop                 // no pair survives
 	s2PerPair              // bracket inconclusive: exact per-pair search
 )
@@ -554,7 +633,7 @@ const sparseCap = 128
 // a-class as exempt targets — an over-approximation — so exhausting it
 // proves all pairs FALSE. Targets are tested before the interior filter,
 // matching the reference's removed-before-target ordering.
-func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64, queue []int32) uint8 {
+func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64, queue []int32) (uint8, []int32) {
 	// Pessimistic pass: interior = region complement ∪ cover ∪ both classes.
 	any := false
 	for i := range teff {
@@ -568,7 +647,7 @@ func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64,
 		}
 		queue = queue[:0]
 		if restrictSweep(gd, drow, mask, vis, teff, &queue) {
-			return s2Keep
+			return s2Keep, queue
 		}
 	}
 	// Optimistic pass: interior = region complement ∪ cover only; targets
@@ -581,7 +660,7 @@ func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64,
 		any = any || t != 0
 	}
 	if !any {
-		return s2Drop
+		return s2Drop, queue
 	}
 	for i := range vis {
 		vis[i] = ^mask[i] | cov[i]
@@ -597,9 +676,9 @@ func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64,
 		}
 	}
 	if restrictSweep(gd, drow, mask, vis, teff, &queue) {
-		return s2PerPair
+		return s2PerPair, queue
 	}
-	return s2Drop
+	return s2Drop, queue
 }
 
 // survivorList collects the region nodes outside the cover, bailing out

@@ -264,3 +264,59 @@ func TestDenseRegionMatchesReference(t *testing.T) {
 	Workers = saved
 	pairsEqual(t, fmt.Sprintf("dense baseline (n=%d)", n), Compute(o.ag, o.cs, Constraints{}), o.baseline)
 }
+
+// subsetOf fails the test unless every pair of got is in want.
+func subsetOf(t *testing.T, label string, got, want *Set) {
+	t.Helper()
+	for _, p := range got.Pairs() {
+		if !want.Has(p.A, p.B) {
+			t.Fatalf("%s: pair [%d,%d] survives the removal but has no back-path without it", label, p.A, p.B)
+		}
+	}
+}
+
+// TestRemovedSetWithinPlainSet holds the engine to the containment
+// classSolve's order of questions rests on: removal only takes nodes away
+// from a search, so the set computed under a Removed predicate lies within
+// the reference's set for the same query with Removed nil. classSolve keeps
+// a whole (a-class, target class) cell on the bracket's pessimistic hit
+// without asking whether its pairs have a plain back-path; this is the test
+// that every such pair does — on the dense variants, where the bracket must
+// be seen to keep cells, and on the 150-seed grid's removal variants.
+func TestRemovedSetWithinPlainSet(t *testing.T) {
+	denseReference(t)
+	o := &denseOracle
+	plain := -1
+	for i, v := range o.variants {
+		if v.con.Removed == nil {
+			plain = i // the removal variants that follow restrict this one
+			continue
+		}
+		work := WatchClassWork(t)
+		subsetOf(t, "dense "+v.name, Compute(o.ag, o.cs, v.con), o.want[plain])
+		if v.con.AccessClass != nil && v.con.RemovedExact && work.BracketKeeps == 0 {
+			t.Fatalf("dense %s: the bracket kept no cell (%+v); the containment was not exercised where it matters", v.name, *work)
+		}
+	}
+	checked := 0
+	for seed := int64(0); seed < 150; seed++ {
+		fn := genFn(seed)
+		if fn == nil || len(fn.Accesses) == 0 {
+			continue
+		}
+		ag := ir.BuildAccessGraph(fn)
+		cs := conflict.Compute(fn)
+		for _, v := range diffVariants(fn, cs) {
+			if v.con.Removed == nil {
+				continue
+			}
+			ref := v.con
+			ref.Removed, ref.RemovedCover, ref.Reference = nil, nil, true
+			subsetOf(t, fmt.Sprintf("seed %d %s", seed, v.name), Compute(ag, cs, v.con), Compute(ag, cs, ref))
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 150 seeds built, want >= 100", checked)
+	}
+}

@@ -124,6 +124,20 @@ func (ty *ExactTierTally) Require(t testing.TB, label string, minTotal, minEach 
 		label, ty.True, ty.False, ty.LbSeed, ty.LaSeed)
 }
 
+// ClassWork is classSolve's work in classWork's units, exported for the
+// acc2048 count test in package delay_test.
+type ClassWork = classWork
+
+// WatchClassWork sums the counts of every classSolve until the test ends.
+// Compute solves its class regions one after another, so the hook is never
+// called concurrently.
+func WatchClassWork(t testing.TB) *ClassWork {
+	sum := &ClassWork{}
+	classWorkHook = sum.add
+	t.Cleanup(func() { classWorkHook = nil })
+	return sum
+}
+
 // TestExactTierMatchesAvoidReachDense drives classSolve over the three
 // classed variants of TestDenseRegionMatchesReference, one worker and three,
 // and checks whatever reaches tier 2 against the exhaustive search. These

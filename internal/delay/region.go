@@ -51,8 +51,12 @@ import (
 //     programs: at least denseRegionMin members, at least one edge per node
 //     word (eLocal >= nl^2/64), and an access classing from the caller
 //     (Constraints.AccessClass). It shares one BFS tree per distinct seed
-//     row on bitset rows; when it declines (too little sharing) the region
-//     falls through to the CSR loop.
+//     row on bitset rows and, under a Removed predicate, asks the removal
+//     question before the back-path one: each (source class, target class)
+//     cell is decided once and a cell that keeps or drops is applied to
+//     whole target rows, so the per-pair certificates run only where the
+//     cell leaves the pair open. When it declines (too little sharing) the
+//     region falls through to the CSR loop.
 //
 // DESIGN.md §19 records how much traffic each solver and each fallback
 // inside them carries, and how to re-measure it.

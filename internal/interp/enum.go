@@ -231,7 +231,7 @@ func newMCState(ctx context.Context, fn *ir.Fn, procs, maxStates int) *mcState {
 		locks:     make([][]int, len(fn.Info.Locks)),
 		barID:     -1,
 		barWait:   make([]bool, procs),
-		visited:   make(map[fp]struct{}, 1024),
+		visited:   map[fp]struct{}{},
 		outcomes:  map[string]bool{},
 		maxStates: maxStates,
 	}
