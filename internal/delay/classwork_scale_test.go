@@ -1,0 +1,79 @@
+package delay_test
+
+import (
+	"testing"
+
+	"repro/internal/delay"
+	"repro/internal/ir"
+	"repro/internal/progen"
+	"repro/internal/sem"
+	"repro/internal/source"
+	"repro/internal/syncanal"
+)
+
+// editBaseFn builds the program of the serve-mix benchmark's first edit
+// session: progen seed 2 under the benchmark's edit-base options (restated
+// here), at 4 processors. Its oriented pass class-solves one 306-member
+// region of a program under 512 accesses, so every open pair runs
+// densePairSearch — the side of the search selection acc2048 never takes.
+func editBaseFn(t *testing.T) *ir.Fn {
+	t.Helper()
+	opts := progen.Options{Procs: 4, MaxPhases: 12, MaxStmts: 48, Arrays: 4, Scalars: 4, Events: 3, Locks: 2}
+	prog, err := source.Parse(progen.Generate(2, opts))
+	if err != nil {
+		t.Fatalf("edit base: parse: %v", err)
+	}
+	info, err := sem.Check(prog)
+	if err != nil {
+		t.Fatalf("edit base: sem: %v", err)
+	}
+	fn, err := ir.Build(info, ir.BuildOptions{Procs: opts.Procs})
+	if err != nil {
+		t.Fatalf("edit base: build: %v", err)
+	}
+	return fn
+}
+
+// TestClassSolveWorkAcc2048 pins classSolve's work with counts, which
+// repeat exactly on any host: per analysis, how many pairs the per-pair loop
+// visits, how many removal cells it decides (and how many of those the
+// bracket keeps), and how many restricted searches the pairs of open cells
+// run (and how many of those find a back-path) — identical at one worker and
+// at three. It pins both sides of the search selection: acc2048's
+// 1,700-member region is in a program past 512 accesses, so its open pairs
+// run denseRestrict; the serve-mix edit base is under that size and runs
+// densePairSearch. Asked back-path first, the acc2048 analysis decided
+// 184,100 cells; asking the cell first may decide cells no back-path would
+// have reached, and the test bounds that at 1 %.
+func TestClassSolveWorkAcc2048(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two tier analyses in -short mode")
+	}
+	saved := delay.Workers
+	defer func() { delay.Workers = saved }()
+	acc2048 := delay.ClassWork{Pairs: 354762, Cells: 185039, BracketKeeps: 22514, PairSearches: 153, PairHits: 153}
+	for _, in := range []struct {
+		name    string
+		fn      *ir.Fn
+		largest int
+		want    delay.ClassWork
+	}{
+		{"acc2048", delay.TierFn(t, "acc2048"), 1700, acc2048},
+		{"serve-mix edit base", editBaseFn(t), 306,
+			delay.ClassWork{Pairs: 16488, Cells: 12034, BracketKeeps: 0, PairSearches: 11663, PairHits: 2797}},
+	} {
+		for _, nw := range []int{1, 3} {
+			delay.Workers = nw
+			got := delay.WatchClassWork(t)
+			if res := syncanal.Analyze(in.fn, syncanal.Options{}); res.LargestRegion != in.largest {
+				t.Fatalf("%s: largest region %d, want %d", in.name, res.LargestRegion, in.largest)
+			}
+			if *got != in.want {
+				t.Fatalf("%s, workers=%d: classSolve work %+v, want %+v", in.name, nw, *got, in.want)
+			}
+		}
+	}
+	if limit := 184100 * 101 / 100; acc2048.Cells > limit {
+		t.Fatalf("%d removal cells decided at acc2048, want <= %d (1.01 x the 184,100 of the back-path-first order)", acc2048.Cells, limit)
+	}
+}

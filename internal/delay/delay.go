@@ -24,8 +24,8 @@
 //     strongly connected component of the mixed graph. Three solvers share
 //     the work: the hub solver takes the unconstrained symmetric query,
 //     the CSR loop every constrained region, and the class solver the
-//     dense regions whose accesses the caller classed (region.go says
-//     what selects each);
+//     dense regions of the oriented-and-removed query whose accesses the
+//     caller classed (region.go says what selects each);
 //   - the oracle (reference.go, Constraints.Reference) runs one search per
 //     program-order pair over adjacency materialized through closures. It
 //     is what the differential tests hold the production engine to, and it
@@ -234,11 +234,12 @@ type Constraints struct {
 	// equal class ids must have identical DirRows rows AND columns,
 	// identical RemovedCover output in either pair position (for any fixed
 	// partner), Removed answers that depend on each pair endpoint only
-	// through its class, and identical conflict rows. The dense region
-	// path then runs one reachability tree per target class — with
-	// subtree-interval certificates deciding most pairs in O(1) — instead
-	// of one per target, falling back to the exact per-pair searches
-	// whenever a certificate cannot decide. Declaring interchangeability
+	// through its class, and identical conflict rows. Alongside Removed
+	// and RemovedCover, the dense region path then runs one uncut
+	// reachability sweep per distinct target seed row instead of one cut
+	// sweep per target, decides the removal once per (source class, target
+	// class) cell, and runs the exact per-pair search only in the cells
+	// that decision leaves open. Declaring interchangeability
 	// that does not hold yields wrong results; the per-access oracle
 	// (syncanal's Options.PerAccessR) exists to check it differentially.
 	AccessClass []int32

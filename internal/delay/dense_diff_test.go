@@ -241,9 +241,10 @@ func denseReference(t *testing.T) {
 // members, the word-parallel restricted search at n >= 512) the engine
 // must stay pair-identical to the per-pair reference search — on the three
 // directed variants without an access classing (one big region on the CSR
-// loop), on their classed counterparts (the same region on classSolve, one
-// worker and fanned over three), and on the plain baseline the hub solver
-// answers.
+// loop), on their classed counterparts (the same region; the two with a
+// removal on classSolve, one worker and fanned over three, the one without
+// on the CSR loop, since classSolve takes only the oriented pass's shape),
+// and on the plain baseline the hub solver answers.
 func TestDenseRegionMatchesReference(t *testing.T) {
 	saved := Workers
 	defer func() { Workers = saved }()
@@ -251,14 +252,19 @@ func TestDenseRegionMatchesReference(t *testing.T) {
 	o := &denseOracle
 	n := len(o.ag.Fn.Accesses)
 	for i, v := range o.variants {
+		classed := v.con.AccessClass != nil && v.con.Removed != nil
 		workers := []int{saved}
-		if v.con.AccessClass != nil {
+		if classed {
 			requireClassSolvePath(t, o.ag, v.con)
 			workers = []int{1, 3}
 		}
 		for _, nw := range workers {
 			Workers = nw
+			work := WatchClassWork(t)
 			pairsEqual(t, fmt.Sprintf("dense %s (n=%d, workers=%d)", v.name, n, nw), Compute(o.ag, o.cs, v.con), o.want[i])
+			if classed != (work.Pairs != 0) {
+				t.Fatalf("dense %s: classSolve visited %d pairs; it must answer the removal variants of a classing and nothing else", v.name, work.Pairs)
+			}
 		}
 	}
 	Workers = saved
@@ -275,14 +281,15 @@ func subsetOf(t *testing.T, label string, got, want *Set) {
 	}
 }
 
-// TestRemovedSetWithinPlainSet holds the engine to the containment
-// classSolve's order of questions rests on: removal only takes nodes away
-// from a search, so the set computed under a Removed predicate lies within
-// the reference's set for the same query with Removed nil. classSolve keeps
-// a whole (a-class, target class) cell on the bracket's pessimistic hit
-// without asking whether its pairs have a plain back-path; this is the test
-// that every such pair does — on the dense variants, where the bracket must
-// be seen to keep cells, and on the 150-seed grid's removal variants.
+// TestRemovedSetWithinPlainSet holds the engine to the containment every
+// answer classSolve gives rests on: removal only takes nodes away from a
+// search, so the set computed under a Removed predicate lies within the
+// reference's set for the same query with Removed nil. classSolve never asks
+// whether a pair has a plain back-path — a cell the bracket keeps is kept
+// whole, and a pair of an open cell is answered by its restricted search
+// alone — so this is the test that every pair it sets has one: on the dense
+// variants, where the bracket must be seen to keep cells, and on the
+// 150-seed grid's removal variants.
 func TestRemovedSetWithinPlainSet(t *testing.T) {
 	denseReference(t)
 	o := &denseOracle

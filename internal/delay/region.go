@@ -49,14 +49,14 @@ import (
 //
 //   - classSolve is the fast path for the regions that dominate large
 //     programs: at least denseRegionMin members, at least one edge per node
-//     word (eLocal >= nl^2/64), and an access classing from the caller
-//     (Constraints.AccessClass). It shares one BFS tree per distinct seed
-//     row on bitset rows and, under a Removed predicate, asks the removal
-//     question before the back-path one: each (source class, target class)
-//     cell is decided once and a cell that keeps or drops is applied to
-//     whole target rows, so the per-pair certificates run only where the
-//     cell leaves the pair open. When it declines (too little sharing) the
-//     region falls through to the CSR loop.
+//     word (eLocal >= nl^2/64), and the oriented pass's shape from the
+//     caller: an access classing (Constraints.AccessClass) and a Removed
+//     predicate with its cover. On bitset rows it shares one uncut BFS per
+//     distinct seed row and decides the removal question once per (source
+//     class, target class) cell; a cell that keeps or drops is applied to
+//     whole target rows, and each pair of a cell left open pays one exact
+//     restricted search. When it declines (too little sharing) the region
+//     falls through to the CSR loop.
 //
 // DESIGN.md §19 records how much traffic each solver and each fallback
 // inside them carries, and how to re-measure it.
@@ -746,7 +746,7 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 				rest = true
 			}
 		}
-		if !rest && con.Removed == nil {
+		if !rest {
 			continue
 		}
 		seeds = seeds[:0]
