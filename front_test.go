@@ -15,11 +15,25 @@ import (
 )
 
 // frontShape is what generating code from a Front must leave alone: the
-// shared IR's text and the sizes of the shared analysis' sets.
+// shared IR's text and the sizes of the shared analysis' sets. It leaves
+// out the deferred baseline, whose first read fills it: a shape taken
+// before code generation would fill it there, and a concurrent Generate at
+// LevelBaseline would never race that fill.
 func frontShape(f *Front) string {
 	a := f.Analysis
-	return fmt.Sprintf("%s\n|Baseline|=%d |D1|=%d |R|=%d |D|=%d",
-		f.Fn.String(), a.Baseline.Size(), a.D1.Size(), a.R.Size(), a.D.Size())
+	return fmt.Sprintf("%s\n|D1|=%d |R|=%d |D|=%d", f.Fn.String(), a.D1.Size(), a.R.Size(), a.D.Size())
+}
+
+// sameBaseline holds the front's baseline, read after code generation, to a
+// separate compile's, row for row.
+func sameBaseline(f *Front, want *Program) error {
+	got, w := f.Analysis.Baseline, want.Analysis.Baseline
+	for b := range f.Fn.Accesses {
+		if !reflect.DeepEqual(got.TargetRow(b), w.TargetRow(b)) {
+			return fmt.Errorf("front baseline target row %d differs from a separate compile's", b)
+		}
+	}
+	return nil
 }
 
 func passNames(stats []pass.Stat) []string {
@@ -89,14 +103,14 @@ func checkFrontMatchesCompile(t *testing.T, name, src string, procs int, weakeni
 		t.Fatalf("%s: NewFront: %v", name, err)
 	}
 	before := frontShape(front)
+	var want *Program
 	for _, opts := range optionGrid(procs, weakenings) {
 		id := fmt.Sprintf("%s %s cse=%v weaken=%v", name, opts.Level, opts.CSE, opts.Weaken)
 		got, err := front.Generate(ctx, opts, nil)
 		if err != nil {
 			t.Fatalf("%s: Generate: %v", id, err)
 		}
-		want, err := Compile(src, opts)
-		if err != nil {
+		if want, err = Compile(src, opts); err != nil {
 			t.Fatalf("%s: Compile: %v", id, err)
 		}
 		if err := sameProgram(got, want); err != nil {
@@ -108,6 +122,9 @@ func checkFrontMatchesCompile(t *testing.T, name, src string, procs int, weakeni
 	}
 	if after := frontShape(front); after != before {
 		t.Fatalf("%s: code generation wrote to the shared front half\n--- before ---\n%s\n--- after ---\n%s", name, before, after)
+	}
+	if err := sameBaseline(front, want); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -153,7 +170,8 @@ func TestFrontRejectsOtherMachine(t *testing.T) {
 }
 
 // generateVariants is the option grid with two weakenings: none, and the
-// middle pair of pairs.
+// middle pair of pairs. Its LevelBaseline variants are the ones that read
+// the front's deferred baseline.
 func generateVariants(procs int, pairs []delay.Pair) []Options {
 	weakenings := [][]delay.Pair{nil}
 	if len(pairs) > 0 {
@@ -162,14 +180,17 @@ func generateVariants(procs int, pairs []delay.Pair) []Options {
 	return optionGrid(procs, weakenings)
 }
 
-// TestFrontConcurrentGenerate: a Front is immutable, so one per program
-// serves eight goroutines at once, each doing what a request against a
-// shared front does — read the delay set's pairs to pick a weakening, then
-// generate every variant, starting at its own offset so that at any moment
-// the goroutines are at different variants. Each Program must equal a
-// separate Compile, and the front must come out as it went in. Run under
-// -race: while delay.Set remembered its decoded pairs, the first two readers
-// of Pairs raced to fill the memo.
+// TestFrontConcurrentGenerate: a Front is immutable but for its deferred
+// baseline, so one per program serves eight goroutines at once, each doing
+// what a request against a shared front does — read the delay set's pairs
+// to pick a weakening, then generate every variant, starting at its own
+// offset so that at any moment the goroutines are at different variants.
+// Nothing reads the baseline before the goroutines start, so their
+// LevelBaseline variants race to fill it. Each Program must equal a
+// separate Compile, and the front must come out as it went in, its
+// baseline a separate compile's. Run under -race: while delay.Set
+// remembered its decoded pairs, the first two readers of Pairs raced to
+// fill the memo.
 func TestFrontConcurrentGenerate(t *testing.T) {
 	type program struct {
 		name, src string
@@ -197,6 +218,9 @@ func TestFrontConcurrentGenerate(t *testing.T) {
 			t.Fatalf("%s: Compile: %v", p.name, err)
 		}
 		variants := generateVariants(p.procs, first.Analysis.D.Pairs())
+		if !hasLevel(variants, LevelBaseline) {
+			t.Fatalf("%s: no LevelBaseline variant, so nothing races the baseline fill", p.name)
+		}
 		want := make([]*Program, len(variants))
 		for i, opts := range variants {
 			if want[i], err = Compile(p.src, opts); err != nil {
@@ -236,5 +260,17 @@ func TestFrontConcurrentGenerate(t *testing.T) {
 		if after := frontShape(front); after != before {
 			t.Fatalf("%s: concurrent code generation wrote to the shared front half\n--- before ---\n%s\n--- after ---\n%s", p.name, before, after)
 		}
+		if err := sameBaseline(front, first); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
 	}
+}
+
+func hasLevel(variants []Options, l Level) bool {
+	for _, o := range variants {
+		if o.Level == l {
+			return true
+		}
+	}
+	return false
 }

@@ -38,7 +38,7 @@ import (
 // diversity makes sharing pointless; the caller then runs its CSR loop.
 func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	members []int32, mask []uint64, lof []int32,
-	dirOut, dirIn graph.Rows, skip []uint64,
+	dirOut, dirIn graph.Rows, ends endpointMask,
 	gd *mixedAdj, sc *regionScratch, fan bool) bool {
 
 	nl := len(members)
@@ -254,7 +254,7 @@ func classSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 					lb := int(lb32)
 					gb := int(members[lb])
 					cand := sc.cand
-					if !candidateRow(ag, gb, skip, cand) {
+					if !candidateRow(ag, gb, ends, cand) {
 						continue
 					}
 					// Whole rows first: a single conflict edge b -> a is a

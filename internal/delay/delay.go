@@ -22,10 +22,10 @@
 //     re-enters the local copy of a on a conflict edge. The engine resolves
 //     all pairs of one target b together and confines every search to one
 //     strongly connected component of the mixed graph. Three solvers share
-//     the work: the hub solver takes the unconstrained symmetric query,
-//     the CSR loop every constrained region, and the class solver the
-//     dense regions of the oriented-and-removed query whose accesses the
-//     caller classed (region.go says what selects each);
+//     the work: the hub solver takes the symmetric query without removal,
+//     whatever its endpoint filter, the CSR loop every other region, and
+//     the class solver the dense regions of the oriented-and-removed query
+//     whose accesses the caller classed (region.go says what selects each);
 //   - the oracle (reference.go, Constraints.Reference) runs one search per
 //     program-order pair over adjacency materialized through closures. It
 //     is what the differential tests hold the production engine to, and it
@@ -35,11 +35,13 @@
 //     programs and for the ablation comparing delay-set sizes.
 //
 // Section 5.1 asks the question in two shapes, and Constraints describes
-// exactly those: unconstrained (the Shasha–Snir baseline, of which D1 is a
-// row mask — Set.WithEndpoint), and oriented-and-removed over the data–data
-// pairs (directed conflict edges from the precedence relation R, per-pair
-// node removal by precedence and mutual exclusion, synchronization
-// endpoints skipped).
+// exactly those: unconstrained over the pairs with a synchronization
+// endpoint (step 2's D1, an endpoint filter that keeps), and
+// oriented-and-removed over the data–data pairs (directed conflict edges
+// from the precedence relation R, per-pair node removal by precedence and
+// mutual exclusion, synchronization endpoints skipped). The Shasha–Snir
+// baseline is D1 plus the unconstrained query that skips the same
+// endpoints; a caller that may never read it builds it as a Deferred set.
 package delay
 
 import (
@@ -73,9 +75,16 @@ type Pair struct {
 // goroutines (every Program generated from one splitc.Front reads the same
 // four); the callers of Size and Pairs each ask a handful of times per
 // compile, which is what made the memo they replace not worth its race.
+//
+// A Deferred set is the one exception, and it writes once: its rows are
+// computed by the first read of any kind, under a sync.Once, so concurrent
+// first readers wait for a single fill and every later read sees the
+// finished rows. Every method reaches the rows through rows().
 type Set struct {
-	Fn  *ir.Fn
-	byB *graph.BitMatrix
+	Fn   *ir.Fn
+	byB  *graph.BitMatrix
+	fill func() *Set // deferred form only; set at construction, never written after
+	once sync.Once
 }
 
 // NewSet returns an empty delay set for fn.
@@ -83,25 +92,40 @@ func NewSet(fn *ir.Fn) *Set {
 	return &Set{Fn: fn, byB: graph.NewBitMatrix(len(fn.Accesses))}
 }
 
+// Deferred returns a delay set for fn whose pairs are fill's, computed on
+// the set's first read rather than now. fill runs at most once, on the
+// goroutine of that first read, and must not read the set it fills.
+func Deferred(fn *ir.Fn, fill func() *Set) *Set {
+	return &Set{Fn: fn, fill: fill}
+}
+
+// rows returns the set's target rows, filling a deferred set first.
+func (s *Set) rows() *graph.BitMatrix {
+	if s.fill != nil {
+		s.once.Do(func() { s.byB = s.fill().rows() })
+	}
+	return s.byB
+}
+
 // Add inserts a delay edge.
-func (s *Set) Add(a, b int) { s.byB.Set(b, a) }
+func (s *Set) Add(a, b int) { s.rows().Set(b, a) }
 
 // Has reports whether [a, b] is a delay edge.
-func (s *Set) Has(a, b int) bool { return s.byB.Has(b, a) }
+func (s *Set) Has(a, b int) bool { return s.rows().Has(b, a) }
 
 // Size returns the number of delay edges, counted over the n^2/64 words.
-func (s *Set) Size() int { return s.byB.Count() }
+func (s *Set) Size() int { return s.rows().Count() }
 
 // TargetRow returns target b's row as a source-access bitset (bit a set iff
 // [a, b] present). Callers must not modify the row. This is the
 // word-parallel consumption path: the precedence derivation filters whole
 // target rows against dominator masks instead of iterating Pairs.
-func (s *Set) TargetRow(b int) []uint64 { return s.byB.Row(b) }
+func (s *Set) TargetRow(b int) []uint64 { return s.rows().Row(b) }
 
 // SourceMatrix returns the A-major transpose of the set (row a holds the
 // targets of every [a, b]). The matrix is freshly built on each call; the
 // caller owns it.
-func (s *Set) SourceMatrix() *graph.BitMatrix { return s.byB.Transpose() }
+func (s *Set) SourceMatrix() *graph.BitMatrix { return s.rows().Transpose() }
 
 // Pairs returns the delay edges sorted by (A, B). The slice is freshly
 // decoded on each call; the caller owns it.
@@ -113,7 +137,7 @@ func (s *Set) Pairs() []Pair {
 	out := make([]Pair, 0, n)
 	// Transposing to A-major rows makes the decode emit pairs already in
 	// (A, B) order: no sort needed.
-	byA := s.byB.Transpose()
+	byA := s.SourceMatrix()
 	for a := 0; a < byA.N; a++ {
 		for wi, w := range byA.Row(a) {
 			for ; w != 0; w &= w - 1 {
@@ -128,36 +152,11 @@ func (s *Set) Pairs() []Pair {
 // row ORs).
 func (s *Set) Union(o *Set) *Set {
 	u := NewSet(s.Fn)
-	uw, ow := u.byB.Words(), o.byB.Words()
-	for i, w := range s.byB.Words() {
+	uw, ow := u.byB.Words(), o.rows().Words()
+	for i, w := range s.rows().Words() {
 		uw[i] = w | ow[i]
 	}
 	return u
-}
-
-// WithEndpoint returns the pairs of s that have an endpoint in ids:
-// {[a, b] ∈ s : a ∈ ids or b ∈ ids} — a target row listed in ids is kept
-// whole, any other row is masked to the listed sources. Whether a pair has
-// a back-path does not depend on which other pairs were asked about, so
-// this is the set a search restricted to those pairs would return; step 2
-// of section 5.1 reads D1 off the baseline this way, without a sweep.
-func (s *Set) WithEndpoint(ids []int) *Set {
-	em := make([]uint64, graph.WordsFor(len(s.Fn.Accesses)))
-	for _, x := range ids {
-		graph.BitSet(em, x)
-	}
-	out := NewSet(s.Fn)
-	for b := 0; b < s.byB.N; b++ {
-		src, dst := s.byB.Row(b), out.byB.Row(b)
-		if graph.BitGet(em, b) {
-			copy(dst, src)
-			continue
-		}
-		for i, w := range src {
-			dst[i] = w & em[i]
-		}
-	}
-	return out
 }
 
 // String renders the delay set for diagnostics.
@@ -192,10 +191,11 @@ type Constraints struct {
 	// delay sets; production callers leave it false.
 	Reference bool
 
-	// SkipEndpoints, when non-nil, drops every pair (a, b) with a or b
-	// listed. The data–data pass of section 5.1 lists the synchronization
-	// accesses: their pairs are already in D1.
-	SkipEndpoints []int
+	// Endpoints restricts the pairs considered by their endpoints (see
+	// EndpointFilter). Step 2 of section 5.1 keeps the pairs with a
+	// synchronization endpoint, which is D1; the data–data pass skips them,
+	// because they are already in D1.
+	Endpoints EndpointFilter
 	// DirRows, when non-nil, supplies the directed conflict adjacency as
 	// row bitsets (bit (x, y) set iff the conflict edge x -> y is usable).
 	// It must agree with ConflictDir when both are set. The production
@@ -243,6 +243,36 @@ type Constraints struct {
 	// that does not hold yields wrong results; the per-access oracle
 	// (syncanal's Options.PerAccessR) exists to check it differentially.
 	AccessClass []int32
+}
+
+// EndpointFilter selects program-order pairs by their endpoints. With Keep
+// it considers only the pairs (a, b) with a or b listed in IDs; without it,
+// only the pairs with neither listed. The zero value considers every pair.
+// The two polarities over the same IDs partition the pairs, and a pair's
+// back-path does not depend on which other pairs are asked about, so the
+// keep and skip sets of one query are disjoint and their union is the
+// unfiltered set.
+type EndpointFilter struct {
+	IDs  []int
+	Keep bool
+}
+
+// endpointMask is an EndpointFilter as a bitset over the accesses; a nil
+// bits means the filter considers every pair.
+type endpointMask struct {
+	bits []uint64
+	keep bool
+}
+
+func (f EndpointFilter) mask(w int) endpointMask {
+	if !f.Keep && len(f.IDs) == 0 {
+		return endpointMask{}
+	}
+	m := endpointMask{bits: make([]uint64, w), keep: f.Keep}
+	for _, x := range f.IDs {
+		graph.BitSet(m.bits, x)
+	}
+	return m
 }
 
 // ExactLimit is the largest program, in accesses, the exact search

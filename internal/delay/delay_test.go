@@ -216,10 +216,15 @@ func TestRemovalKillsBackPath(t *testing.T) {
 func TestSkipEndpoints(t *testing.T) {
 	// Skipping write-Data drops exactly the pairs it is an endpoint of; the
 	// read-side delay, whose back-path still runs through it, stays.
+	// Keeping write-Data is the other half of the same split.
 	_, ag, cs := setup(t, figure1, 0)
-	d := Compute(ag, cs, Constraints{SkipEndpoints: []int{0}})
+	d := Compute(ag, cs, Constraints{Endpoints: EndpointFilter{IDs: []int{0}}})
 	if d.Has(0, 1) || !d.Has(2, 3) {
 		t.Errorf("skipping a0 should drop [a0,a1] and keep [a2,a3]:\n%s", d)
+	}
+	k := Compute(ag, cs, Constraints{Endpoints: EndpointFilter{IDs: []int{0}, Keep: true}})
+	if !k.Has(0, 1) || k.Has(2, 3) {
+		t.Errorf("keeping a0 should keep [a0,a1] and drop [a2,a3]:\n%s", k)
 	}
 }
 

@@ -43,10 +43,10 @@ type variant struct {
 // diffVariants returns the constraint variants the differential tests
 // exercise, spanning every shape Constraints can express: plain (the hub
 // solver), oriented (ConflictDir and its DirRows bit-matrix form), skipped
-// endpoints, per-pair removal (with and without a RemovedCover screen), and
-// their combinations — including the symmetric-but-constrained shapes no
-// production caller requests, which Compute must still answer. Hooks are
-// synthetic but deterministic.
+// and kept endpoints, per-pair removal (with and without a RemovedCover
+// screen), and their combinations — including the symmetric-but-removed
+// shapes no production caller requests, which Compute must still answer.
+// Hooks are synthetic but deterministic.
 func diffVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
 	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
@@ -74,18 +74,34 @@ func diffVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 			}
 		}
 	}
+	skip := EndpointFilter{IDs: sparse}
+	keep := EndpointFilter{IDs: sparse, Keep: true}
 	return []variant{
 		{"plain", Constraints{}},
 		{"dir", Constraints{ConflictDir: cdir}},
 		{"dirrows", Constraints{DirRows: dirRows}},
-		{"skip", Constraints{SkipEndpoints: sparse}},
-		{"skip+dir", Constraints{SkipEndpoints: sparse, ConflictDir: cdir}},
+		{"skip", Constraints{Endpoints: skip}},
+		{"keep", Constraints{Endpoints: keep}},
+		{"skip+dir", Constraints{Endpoints: skip, ConflictDir: cdir}},
+		{"keep+dir", Constraints{Endpoints: keep, ConflictDir: cdir}},
 		{"removed", Constraints{Removed: rem}},
 		{"removed+cover", Constraints{Removed: rem, RemovedCover: cover}},
-		{"removed+cover+skip", Constraints{Removed: rem, RemovedCover: cover, SkipEndpoints: sparse}},
+		{"removed+cover+skip", Constraints{Removed: rem, RemovedCover: cover, Endpoints: skip}},
+		{"removed+cover+keep", Constraints{Removed: rem, RemovedCover: cover, Endpoints: keep}},
 		{"dir+removed", Constraints{ConflictDir: cdir, Removed: rem}},
-		{"dirrows+removed+cover+skip", Constraints{DirRows: dirRows, Removed: rem, RemovedCover: cover, SkipEndpoints: sparse}},
+		{"dirrows+removed+cover+skip", Constraints{DirRows: dirRows, Removed: rem, RemovedCover: cover, Endpoints: skip}},
 	}
+}
+
+// syncIDsOf lists fn's synchronization accesses, the endpoints of D1.
+func syncIDsOf(fn *ir.Fn) []int {
+	ids := []int{}
+	for _, a := range fn.Accesses {
+		if a.Kind.IsSync() {
+			ids = append(ids, a.ID)
+		}
+	}
+	return ids
 }
 
 func pairsEqual(t *testing.T, label string, got, want *Set) {
@@ -131,15 +147,15 @@ func TestBatchedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWithEndpointMatchesRestrictedCompute proves the identity syncanal's
-// D1 rests on: masking a computed set to the pairs with a listed endpoint
-// gives exactly the set a search restricted to those pairs returns. The
-// restricted search is the oracle's, spelled out: the reference engine's
-// set with each pair kept or dropped on its own endpoints. It holds because
-// the engine never lets the pairs asked about influence one pair's answer;
-// it is checked for every constraint variant that does not skip endpoints
-// itself, with the synchronization accesses as the listed endpoints.
-func TestWithEndpointMatchesRestrictedCompute(t *testing.T) {
+// TestEndpointFilterMatchesPerPairFilter proves the identity syncanal's D1
+// and its deferred baseline rest on: a query under an endpoint filter
+// returns exactly the unfiltered set with each pair kept or dropped on its
+// own endpoints. The right-hand side is the oracle's, spelled out: the
+// reference engine's unfiltered set, filtered pair by pair. It holds because
+// no solver lets the pairs asked about influence one pair's answer; it is
+// checked in both polarities for every constraint variant (its own filter
+// replaced), with the synchronization accesses as the listed endpoints.
+func TestEndpointFilterMatchesPerPairFilter(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < 150; seed++ {
 		fn := genFn(seed)
@@ -148,32 +164,69 @@ func TestWithEndpointMatchesRestrictedCompute(t *testing.T) {
 		}
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
-		syncIDs := []int{}
-		for _, a := range fn.Accesses {
-			if a.Kind.IsSync() {
-				syncIDs = append(syncIDs, a.ID)
-			}
-		}
+		syncIDs := syncIDsOf(fn)
 		for _, v := range diffVariants(fn, cs) {
-			if v.con.SkipEndpoints != nil {
-				continue
-			}
-			got := Compute(ag, cs, v.con).WithEndpoint(syncIDs)
 			ref := v.con
-			ref.Reference = true
-			want := NewSet(fn)
-			for _, p := range Compute(ag, cs, ref).Pairs() {
-				if fn.Accesses[p.A].Kind.IsSync() || fn.Accesses[p.B].Kind.IsSync() {
-					want.Add(p.A, p.B)
+			ref.Endpoints, ref.Reference = EndpointFilter{}, true
+			all := Compute(ag, cs, ref).Pairs()
+			for _, keep := range []bool{true, false} {
+				con := v.con
+				con.Endpoints = EndpointFilter{IDs: syncIDs, Keep: keep}
+				want := NewSet(fn)
+				for _, p := range all {
+					if sync := fn.Accesses[p.A].Kind.IsSync() || fn.Accesses[p.B].Kind.IsSync(); sync == keep {
+						want.Add(p.A, p.B)
+					}
 				}
+				pairsEqual(t, fmt.Sprintf("seed %d %s keep=%v (n=%d)", seed, v.name, keep, len(fn.Accesses)), Compute(ag, cs, con), want)
 			}
-			pairsEqual(t, fmt.Sprintf("seed %d %s (n=%d)", seed, v.name, len(fn.Accesses)), got, want)
 		}
 		checked++
 	}
 	if checked < 100 {
 		t.Fatalf("only %d of 150 seeds built, want >= 100", checked)
 	}
+}
+
+// TestEndpointPolaritiesPartition holds the production engine to the split
+// syncanal builds the baseline from: the keep and skip queries over the
+// synchronization accesses (D1 and the remainder) are disjoint and their
+// union is the unfiltered set, pair-identical, for every constraint variant
+// on the 150-seed grid. TestHubWorkAcc2048 checks the same split at 2k
+// accesses.
+func TestEndpointPolaritiesPartition(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 150; seed++ {
+		fn := genFn(seed)
+		if fn == nil || len(fn.Accesses) == 0 {
+			continue
+		}
+		ag := ir.BuildAccessGraph(fn)
+		cs := conflict.Compute(fn)
+		syncIDs := syncIDsOf(fn)
+		for _, v := range diffVariants(fn, cs) {
+			label := fmt.Sprintf("seed %d %s (n=%d)", seed, v.name, len(fn.Accesses))
+			whole := v.con
+			whole.Endpoints = EndpointFilter{}
+			keep, skip := v.con, v.con
+			keep.Endpoints = EndpointFilter{IDs: syncIDs, Keep: true}
+			skip.Endpoints = EndpointFilter{IDs: syncIDs}
+			checkPartition(t, label, Compute(ag, cs, keep), Compute(ag, cs, skip), Compute(ag, cs, whole))
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 150 seeds built, want >= 100", checked)
+	}
+}
+
+// checkPartition requires keep and skip to be disjoint with union whole.
+func checkPartition(t *testing.T, label string, keep, skip, whole *Set) {
+	t.Helper()
+	if keep.Size()+skip.Size() != whole.Size() {
+		t.Fatalf("%s: |keep| %d + |skip| %d != |whole| %d", label, keep.Size(), skip.Size(), whole.Size())
+	}
+	pairsEqual(t, label+" keep ∪ skip", keep.Union(skip), whole)
 }
 
 // TestComputeDeterministicAcrossWorkers locks down that the worker count

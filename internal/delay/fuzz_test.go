@@ -12,11 +12,11 @@ import (
 // per-pair reference search: any seed/mode combination that produces a
 // buildable program must yield pair-identical delay sets. The mode bits
 // pick the constraint shape — 1 orientation, 2 removal, 4 orientation as
-// DirRows instead of ConflictDir, 8 skipped endpoints, 16 a RemovedCover
-// screen.
+// DirRows instead of ConflictDir, 8 an endpoint filter (skipping its
+// endpoints, or keeping them with 32), 16 a RemovedCover screen.
 func FuzzBackPathEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		for mode := uint8(0); mode < 32; mode += 3 {
+		for mode := uint8(0); mode < 64; mode += 3 {
 			f.Add(seed, mode)
 		}
 	}
@@ -63,9 +63,9 @@ func FuzzBackPathEquivalence(f *testing.F) {
 			}
 		}
 		if mode&8 != 0 {
-			con.SkipEndpoints = []int{}
+			con.Endpoints.Keep = mode&32 != 0
 			for i := 0; i < n; i += 7 {
-				con.SkipEndpoints = append(con.SkipEndpoints, i)
+				con.Endpoints.IDs = append(con.Endpoints.IDs, i)
 			}
 		}
 		ref := con

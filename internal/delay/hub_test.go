@@ -1,6 +1,55 @@
 package delay
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/conflict"
+	"repro/internal/ir"
+)
+
+// TestHubWorkAcc2048 pins the hub solver's work at the 2k tier with counts,
+// which repeat exactly on any host, at one worker and at three: the plain
+// Shasha–Snir query, step 2's D1 (the pairs with a synchronization
+// endpoint; 660 of the 2,010 accesses are sync) and the remainder (the
+// pairs with none). The endpoint filter splits the candidates, so D1's and
+// the remainder's add up to the baseline's, and no pair is searched twice;
+// the groups with no considered pair skip their base sweep. The three sets
+// are checked to partition the same way.
+func TestHubWorkAcc2048(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 2k-tier delay sets in -short mode")
+	}
+	defer func(w int) { Workers = w }(Workers)
+	fn := tierFn(t, "acc2048")
+	ag := ir.BuildAccessGraph(fn)
+	cs := conflict.Compute(fn)
+	syncIDs := syncIDsOf(fn)
+	if len(fn.Accesses) != 2010 || len(syncIDs) != 660 {
+		t.Fatalf("acc2048 has %d accesses, %d of them sync; the pins are for 2010 and 660", len(fn.Accesses), len(syncIDs))
+	}
+	base := HubWork{Candidates: 1820759, BaseSweeps: 111, CutSweeps: 13}
+	d1 := HubWork{Candidates: 1005762, BaseSweeps: 111, CutSweeps: 13}
+	rest := HubWork{Candidates: 814997, BaseSweeps: 100, CutSweeps: 0}
+	if d1.Candidates+rest.Candidates != base.Candidates {
+		t.Fatalf("D1 %d + remainder %d candidates != baseline %d", d1.Candidates, rest.Candidates, base.Candidates)
+	}
+	for _, nw := range []int{1, 3} {
+		Workers = nw
+		run := func(name string, f EndpointFilter, want HubWork) *Set {
+			w := WatchHubWork(t)
+			s := Compute(ag, cs, Constraints{Endpoints: f})
+			if got := w.Queries(); len(got) != 1 || got[0].Work != want {
+				t.Fatalf("%s, workers=%d: hub queries %+v, want one doing %+v", name, nw, got, want)
+			}
+			return s
+		}
+		whole := run("baseline", EndpointFilter{}, base)
+		keep := run("D1", EndpointFilter{IDs: syncIDs, Keep: true}, d1)
+		skip := run("remainder", EndpointFilter{IDs: syncIDs}, rest)
+		checkPartition(t, fmt.Sprintf("acc2048 workers=%d", nw), keep, skip, whole)
+	}
+}
 
 // The hub solver's last arm: a candidate a that the cut sweep visited, that
 // has no self-conflict edge, and whose per-group first two witnesses all sit

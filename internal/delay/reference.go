@@ -12,7 +12,7 @@ import (
 // production engine to it (Constraints.Reference), and the exact search
 // (Constraints.Exact) exists only here. It reads the plain fields of
 // Constraints — ConflictDir (or, without one, DirRows), Removed,
-// SkipEndpoints — and none of the engine's accelerators.
+// Endpoints — and none of the engine's accelerators.
 func computeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	out := NewSet(fn)
@@ -28,9 +28,16 @@ func computeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 	default:
 		cdir = func(x, y int) bool { return true }
 	}
-	skip := make([]bool, n)
-	for _, x := range con.SkipEndpoints {
-		skip[x] = true
+	listed := make([]bool, n)
+	for _, x := range con.Endpoints.IDs {
+		listed[x] = true
+	}
+	// considered is the endpoint filter, asked of each pair on its own.
+	considered := func(a, b int) bool {
+		if con.Endpoints.Keep {
+			return listed[a] || listed[b]
+		}
+		return !listed[a] && !listed[b]
 	}
 	conflictOut := func(x int) []int {
 		var r []int
@@ -53,7 +60,7 @@ func computeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 
 	for _, pr := range ag.OrderedPairs() {
 		a, b := pr[0], pr[1]
-		if skip[a] || skip[b] {
+		if !considered(a, b) {
 			continue
 		}
 		// Note (a, a) pairs are real: inside a loop they stand for the

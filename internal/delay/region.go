@@ -25,22 +25,24 @@ import (
 // Three solvers split the work, each selected by something the engine
 // observes about its input:
 //
-//   - hubCompute takes the unconstrained symmetric query and nothing else
-//     (the Shasha–Snir baseline; computeRegion selects it when no
-//     direction, removal or skipped endpoint is set). There barrier
-//     conflict edges glue the whole program into one giant SCC and
-//     regionization is useless. Instead the Theta(n^2) conflict edges are
-//     compressed through per-group hub nodes: accesses with the same (kind,
-//     symbol, index shape) conflict with exactly the same opponents, so one
-//     collector node per group receives its members and one distributor
-//     node re-emits them, turning each group-pair clique into two hub
-//     edges. The BFS per target then runs on ~2n + g^2 edges instead of
-//     n^2, and per-group first-visit witnesses answer most pair queries in
-//     O(1) before the exact avoid-search.
+//   - hubCompute takes the symmetric query without removal, under any
+//     endpoint filter (step 2's D1 and the rest of the Shasha–Snir
+//     baseline; computeRegion selects it when no direction or removal is
+//     set). There barrier conflict edges glue the whole program into one
+//     giant SCC and regionization is useless. Instead the Theta(n^2)
+//     conflict edges are compressed through per-group hub nodes: accesses
+//     with the same (kind, symbol, index shape) conflict with exactly the
+//     same opponents, so one collector node per group receives its members
+//     and one distributor node re-emits them, turning each group-pair
+//     clique into two hub edges. The BFS per target then runs on ~2n + g^2
+//     edges instead of n^2, and per-group first-visit witnesses answer most
+//     pair queries in O(1) before the exact avoid-search. The endpoint
+//     filter narrows each target's candidates, and a conflict group none
+//     of whose members has a candidate skips its base sweep.
 //
-//   - the CSR loop of regionSolve is the general path: every constrained
-//     query (directed conflict edges, a Removed predicate, skipped
-//     endpoints), any region size. Under orientation the mixed graph
+//   - the CSR loop of regionSolve is the general path: every query with
+//     directed conflict edges or a Removed predicate, under any endpoint
+//     filter, any region size. Under orientation the mixed graph
 //     decomposes into many small SCCs — essentially the barrier phases —
 //     and each region gets its own local CSR, one cut sweep per target, the
 //     first-visit-tree witness screen, one exact avoid-search when the
@@ -88,6 +90,8 @@ type hubScratch struct {
 	cellMin  []int32
 	cellMax  []int32
 	cellTick int32
+
+	work hubWork // this worker's share of the counts
 }
 
 // pairScratch is the reusable state of one worker's per-pair searches.
@@ -97,8 +101,8 @@ type pairScratch struct {
 	stack []int32
 }
 
-// computeRegion is the engine entry point: the unconstrained symmetric
-// query goes to the hub solver, every other shape to the region solver.
+// computeRegion is the engine entry point: the symmetric query without
+// removal goes to the hub solver, every other shape to the region solver.
 func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	n := len(fn.Accesses)
@@ -109,52 +113,65 @@ func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	// Force the lazy program-order transpose before any worker fan-out;
 	// its construction is not concurrency-safe.
 	_ = ag.PredRow(0)
-	if con.ConflictDir == nil && con.DirRows == nil && con.Removed == nil && con.SkipEndpoints == nil {
-		hubCompute(ag, cs, out)
+	ends := con.Endpoints.mask(graph.WordsFor(n))
+	if con.ConflictDir == nil && con.DirRows == nil && con.Removed == nil {
+		hubCompute(ag, cs, ends, out)
 	} else {
-		sccCompute(ag, cs, con, out)
+		sccCompute(ag, cs, con, ends, out)
 	}
 	return out
 }
 
-// skipMask materializes Constraints.SkipEndpoints as a bitset, nil when
-// no endpoint is skipped.
-func skipMask(con Constraints, w int) []uint64 {
-	if con.SkipEndpoints == nil {
-		return nil
-	}
-	skip := make([]uint64, w)
-	for _, x := range con.SkipEndpoints {
-		graph.BitSet(skip, x)
-	}
-	return skip
-}
-
-// candidateRow fills cand with the considered sources a for target b:
-// program-order predecessors minus the skipped endpoints. A false return
-// means b itself is skipped and no pair with this target is considered.
-func candidateRow(ag *ir.AccessGraph, b int, skip, cand []uint64) bool {
+// candidateRow fills cand with the considered sources a for target b: the
+// program-order predecessors the endpoint filter lets through with b. A
+// false return means no pair with this target is considered.
+func candidateRow(ag *ir.AccessGraph, b int, ends endpointMask, cand []uint64) bool {
 	copy(cand, ag.PredRow(b))
-	if skip == nil {
-		return true
-	}
-	if graph.BitGet(skip, b) {
-		return false
-	}
-	for i := range cand {
-		cand[i] &^= skip[i]
+	switch {
+	case ends.bits == nil:
+	case graph.BitGet(ends.bits, b):
+		return ends.keep // a listed target: its whole row, or none of it
+	case ends.keep:
+		for i := range cand {
+			cand[i] &= ends.bits[i]
+		}
+	default:
+		for i := range cand {
+			cand[i] &^= ends.bits[i]
+		}
 	}
 	return true
 }
 
-// hubCompute answers every program-order pair under symmetric
-// unrestricted conflicts — no orientation, no removal, no skipped endpoint
-// (computeRegion sends anything else to sccCompute) — on the hub-compressed
-// mixed graph. Node layout: accesses [0, n), collector
+// hubWork counts what one hubCompute did, in units that repeat exactly on
+// any host and at any worker count: the candidate pairs its per-target
+// sweeps decided after the single-conflict-edge step, the shared uncut base
+// sweeps (one per conflict group with a considered pair) and the per-target
+// cut sweeps run where a base sweep left a candidate undecided.
+type hubWork struct {
+	Candidates, BaseSweeps, CutSweeps int
+}
+
+func (w *hubWork) add(o hubWork) {
+	w.Candidates += o.Candidates
+	w.BaseSweeps += o.BaseSweeps
+	w.CutSweeps += o.CutSweeps
+}
+
+// hubWorkHook, when a test sets it, receives each hubCompute's endpoint
+// filter and its counts summed over its workers. It is nil outside tests.
+var hubWorkHook func(endpointMask, hubWork)
+
+// hubCompute answers every program-order pair the endpoint filter
+// considers under symmetric unrestricted conflicts — no orientation, no
+// removal (computeRegion sends anything else to sccCompute) — on the
+// hub-compressed mixed graph. Node layout: accesses [0, n), collector
 // C_g at n+g, distributor D_g at n+G+g; the real conflict edge x -> y is
 // realized as x -> C_{g(x)} -> D_{g(y)} -> y, so reachability and
 // reachability-avoiding-one-access coincide with the uncompressed graph.
-func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
+// The filter only narrows each target's candidate sources: the walks
+// themselves may pass through any access.
+func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Set) {
 	n := cs.N()
 	G := cs.NumGroups()
 	w := graph.WordsFor(n)
@@ -267,9 +284,10 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 	}
 
 	sweep := func(s *hubScratch, b int) {
+		s.work.CutSweeps++
 		g := groupOf[b]
 		cand := s.cand
-		copy(cand, ag.PredRow(b))
+		candidateRow(ag, b, ends, cand) // fastSweep returned false: b is considered
 		row := out.byB.Row(b)
 		crb := cs.Row(b)
 		rest := false
@@ -347,19 +365,20 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 	)
 	fastSweep := func(s *hubScratch, b int) bool {
 		cand := s.cand
-		copy(cand, ag.PredRow(b))
+		if !candidateRow(ag, b, ends, cand) {
+			return true
+		}
 		row := out.byB.Row(b)
 		crb := cs.Row(b)
-		rest := false
+		left := 0
 		for i := range cand {
 			d := crb[i] & cand[i] // single conflict edge b -> a
 			row[i] |= d
 			cand[i] &^= d
-			if cand[i] != 0 {
-				rest = true
-			}
+			left += bits.OnesCount64(cand[i])
 		}
-		if !rest {
+		s.work.Candidates += left
+		if left == 0 {
 			return true
 		}
 		base := s.base
@@ -442,6 +461,22 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 		return done
 	}
 
+	// considered reports whether some member of group g has a considered
+	// source.
+	considered := func(s *hubScratch, g int) bool {
+		for _, b := range mem[g] {
+			if !candidateRow(ag, int(b), ends, s.cand) {
+				continue
+			}
+			for _, word := range s.cand {
+				if word != 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
 	// Group-major sweeps: one shared base per conflict group.
 	nw := workerCount(G)
 	scr := make([]*hubScratch, nw)
@@ -463,6 +498,10 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 			}
 		}
 		s := scr[wk]
+		if !considered(s, g) {
+			return // the endpoint filter leaves no member a source
+		}
+		s.work.BaseSweeps++
 		s.seeds = append(s.seeds[:0], int32(n)+int32(g))
 		s.base.Reach(s.seeds, -1)
 		for i := range s.pools {
@@ -482,6 +521,15 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, out *Set) {
 			}
 		}
 	})
+	if hubWorkHook != nil {
+		var sum hubWork
+		for _, s := range scr {
+			if s != nil {
+				sum.add(s.work)
+			}
+		}
+		hubWorkHook(ends, sum)
+	}
 }
 
 // mixedAdj is the global mixed adjacency consumed by the word-parallel
@@ -528,9 +576,8 @@ func newRegionScratch(n int) *regionScratch {
 // barrier phases and the per-region subgraphs stay small even when the
 // program does not. Without any direction the conflict rows themselves
 // serve, so Compute stays total over Constraints.
-func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set) {
+func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endpointMask, out *Set) {
 	n := cs.N()
-	w := graph.WordsFor(n)
 	adj := ag.G.Adj
 
 	var dirOut, dirIn graph.Rows
@@ -569,8 +616,6 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 		cd = graph.Condense(n, iter)
 	}
 
-	skip := skipMask(con, w)
-
 	// Global mixed adjacency for word-parallel restricted searches: with an
 	// exact removal cover, the per-pair re-search seeds its visited set with
 	// the cover and sweeps the directed conflict rows word-parallel (one
@@ -588,7 +633,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 		if scr[wk] == nil {
 			scr[wk] = newRegionScratch(n)
 		}
-		regionSolve(ag, con, out, cd, c, cd.Members[c], dirOut, dirIn, skip, gd, scr[wk], fan)
+		regionSolve(ag, con, out, cd, c, cd.Members[c], dirOut, dirIn, ends, gd, scr[wk], fan)
 	}
 
 	// A region large enough for the class solver is solved on its own, its
@@ -617,7 +662,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, out *Set)
 // the caller sets it only while no other region is being solved.
 func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	cd *graph.Condensation, c int, members []int32,
-	dirOut, dirIn graph.Rows, skip []uint64,
+	dirOut, dirIn graph.Rows, ends endpointMask,
 	gd *mixedAdj, sc *regionScratch, fan bool) {
 
 	nl := len(members)
@@ -631,7 +676,7 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	// target in the region has a considered same-region source.
 	anyCand := false
 	for _, gb := range members {
-		if !candidateRow(ag, int(gb), skip, sc.cand) {
+		if !candidateRow(ag, int(gb), ends, sc.cand) {
 			continue
 		}
 		for i := range sc.cand {
@@ -675,7 +720,7 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 			}
 		}
 		if eLocal >= nl*nl/64 &&
-			classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, skip, gd, sc, fan) {
+			classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, ends, gd, sc, fan) {
 			return
 		}
 	}
@@ -729,7 +774,7 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 	for lb, gb32 := range members {
 		gb := int(gb32)
 		cand := sc.cand
-		if !candidateRow(ag, gb, skip, cand) {
+		if !candidateRow(ag, gb, ends, cand) {
 			continue
 		}
 		for i := range cand {

@@ -81,8 +81,8 @@ func TestPipelineRunsAndCounts(t *testing.T) {
 	if byName["build-ir"].Counters["accesses"] == 0 {
 		t.Error("build-ir reported no accesses")
 	}
-	if byName["cycle-detect"].Counters["baseline_delays"] == 0 {
-		t.Error("cycle-detect reported no baseline delays")
+	if byName["cycle-detect"].Counters["d1_delays"] == 0 {
+		t.Error("cycle-detect reported no D1 delays")
 	}
 	if byName["insert-syncs"].Counters["stores"] == 0 {
 		t.Error("one-way ring should end with stores")

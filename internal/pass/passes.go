@@ -102,14 +102,13 @@ var passes = []Pass{
 			ctx.Diags.Warnf("cycle-detect", source.Pos{},
 				"exact search is bounded at %d accesses; n = %d, using the polynomial search", delay.ExactLimit, n)
 		}
-		ctx.Analysis.ComputeBaseline(ctx.analysisOptions())
-		ctx.Count("baseline_delays", ctx.Analysis.Baseline.Size())
+		ctx.Analysis.ComputeD1(ctx.analysisOptions())
+		ctx.Count("d1_delays", ctx.Analysis.D1.Size())
 		return nil
 	}},
 	&funcPass{"sync-analysis", func(ctx *Context) error {
 		a := ctx.Analysis
 		a.RefineSync(ctx.analysisOptions())
-		ctx.Count("d1_delays", a.D1.Size())
 		ctx.Count("precedence_pairs", a.R.Size())
 		ctx.Count("r_classes", a.RClasses)
 		ctx.Count("final_delays", a.D.Size())

@@ -52,10 +52,11 @@ type PassStat struct {
 type CompileResult struct {
 	// Target is the generated split-phase code.
 	Target string `json:"target"`
-	// DelayPairs and BaselinePairs are the enforced and plain Shasha–Snir
-	// delay-set sizes.
+	// DelayPairs is the size of the delay set the analysis refined, D.
+	// BaselinePairs is the plain Shasha–Snir set's, reported only at level
+	// baseline, the one compile that enforces (and so computes) that set.
 	DelayPairs    int `json:"delay_pairs"`
-	BaselinePairs int `json:"baseline_pairs"`
+	BaselinePairs int `json:"baseline_pairs,omitempty"`
 	// Codegen is the optimizer statistics rendered as counters.
 	Codegen map[string]int `json:"codegen,omitempty"`
 	// Passes is the per-pass wall time and counters of the compile that

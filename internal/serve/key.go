@@ -86,10 +86,17 @@ func SourceFingerprint(src string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// keyVersion is the shape of the artifacts a Key addresses. ID hashes it
+// before the tuple, so changing it retires every stored artifact at once,
+// on disk too: raise it whenever a result type gains, loses or redefines a
+// field. Version 2: a compile reports baseline_pairs only at level
+// baseline.
+const keyVersion = "2"
+
 // ID is the content address of the tuple: the hex SHA-256 of a
-// length-prefixed encoding of every field. Length prefixes make the
-// encoding injective — no arrangement of field values can collide with a
-// different arrangement (the same construction as the interpreter's
+// length-prefixed encoding of keyVersion and every field. Length prefixes
+// make the encoding injective — no arrangement of field values can collide
+// with a different arrangement (the same construction as the interpreter's
 // OutcomeKey), so two requests share an ID exactly when every field of
 // their tuples is equal.
 func (k Key) ID() string {
@@ -100,6 +107,7 @@ func (k Key) ID() string {
 		h.Write(lenbuf[:])
 		h.Write([]byte(s))
 	}
+	field(keyVersion)
 	field(k.Kind)
 	field(k.Fingerprint)
 	field(strconv.Itoa(k.Procs))

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,16 +89,16 @@ func perturbField(t *testing.T, f reflect.Value, name string) {
 	}
 }
 
-// TestKeyIDDistinguishesTuple pins the cache-key soundness requirement:
-// any single-field difference in the tuple — same source fingerprint
-// included — must produce a distinct content address.
-func TestKeyIDDistinguishesTuple(t *testing.T) {
-	base := Key{Kind: "compile", Fingerprint: SourceFingerprint("prog"), Procs: 8,
+// keyVariant is a key tuple changed in one field.
+type keyVariant struct {
+	name string
+	mut  func(k Key) Key
+}
+
+func keyVariants() (base Key, variants []keyVariant) {
+	base = Key{Kind: "compile", Fingerprint: SourceFingerprint("prog"), Procs: 8,
 		Machine: "cm5", Level: "oneway"}
-	variants := []struct {
-		name string
-		mut  func(k Key) Key
-	}{
+	return base, []keyVariant{
 		{"kind", func(k Key) Key { k.Kind = "analyze"; return k }},
 		{"fingerprint", func(k Key) Key { k.Fingerprint = SourceFingerprint("prog "); return k }},
 		{"procs", func(k Key) Key { k.Procs = 16; return k }},
@@ -105,6 +109,13 @@ func TestKeyIDDistinguishesTuple(t *testing.T) {
 		{"weaken", func(k Key) Key { k.Weaken = "0-1"; return k }},
 		{"extra", func(k Key) Key { k.Extra = "sched=4"; return k }},
 	}
+}
+
+// TestKeyIDDistinguishesTuple pins the cache-key soundness requirement:
+// any single-field difference in the tuple — same source fingerprint
+// included — must produce a distinct content address.
+func TestKeyIDDistinguishesTuple(t *testing.T) {
+	base, variants := keyVariants()
 	seen := map[string]string{base.ID(): "base"}
 	for _, v := range variants {
 		id := v.mut(base).ID()
@@ -115,6 +126,35 @@ func TestKeyIDDistinguishesTuple(t *testing.T) {
 	}
 	if got := base.ID(); got != base.ID() {
 		t.Errorf("ID not deterministic")
+	}
+}
+
+// TestKeyVersionChangesEveryID: artifacts stored before the version field
+// existed were addressed by the same encoding without it. A disk cache
+// holding them must never replay one — a compile artifact of that shape
+// reports baseline_pairs at every level — so no tuple may keep its old
+// address.
+func TestKeyVersionChangesEveryID(t *testing.T) {
+	unversioned := func(k Key) string {
+		h := sha256.New()
+		for _, s := range []string{k.Kind, k.Fingerprint, strconv.Itoa(k.Procs), k.Machine, k.Level,
+			boolStr(k.CSE), boolStr(k.Exact), k.Weaken, k.Extra} {
+			var lenbuf [8]byte
+			binary.LittleEndian.PutUint64(lenbuf[:], uint64(len(s)))
+			h.Write(lenbuf[:])
+			h.Write([]byte(s))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	base, variants := keyVariants()
+	keys := []Key{base, {}}
+	for _, v := range variants {
+		keys = append(keys, v.mut(base))
+	}
+	for _, k := range keys {
+		if k.ID() == unversioned(k) {
+			t.Errorf("%+v: ID is the unversioned address", k)
+		}
 	}
 }
 

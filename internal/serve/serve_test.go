@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +78,39 @@ func TestCompileMatchesDirect(t *testing.T) {
 			if len(resp.Passes) == 0 {
 				t.Errorf("%s/%s: no pass stats in response", k.Name, lvl)
 			}
+		}
+	}
+}
+
+// TestCompileReportsBaselineOnlyAtBaseline: the plain Shasha–Snir set is
+// computed only when something reads it, so a compile reports its size only
+// at level baseline, where it is the enforced set. A one-way response has
+// no baseline_pairs member at all; a baseline response's equals the
+// library's.
+func TestCompileReportsBaselineOnlyAtBaseline(t *testing.T) {
+	s := serve.New(serve.Config{})
+	t.Cleanup(s.Close)
+	src := apps.Ocean().Source(8, 1)
+	for _, lvl := range []splitc.Level{splitc.LevelOneWay, splitc.LevelBaseline} {
+		body, _ := json.Marshal(&serve.CompileRequest{Source: src, Procs: 8, Level: lvl.String()})
+		rec := post(s, "compile", string(body))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %.200s", lvl, rec.Code, rec.Body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &fields); err != nil {
+			t.Fatalf("%s: response does not decode: %v", lvl, err)
+		}
+		raw, present := fields["baseline_pairs"]
+		if lvl != splitc.LevelBaseline {
+			if present {
+				t.Errorf("%s: response carries baseline_pairs %s", lvl, raw)
+			}
+			continue
+		}
+		want := splitc.MustCompile(src, splitc.Options{Procs: 8, Level: lvl}).Analysis.Baseline.Size()
+		if got, err := strconv.Atoi(string(raw)); err != nil || got != want {
+			t.Errorf("%s: baseline_pairs %q, want %d", lvl, raw, want)
 		}
 	}
 }

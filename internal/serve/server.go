@@ -432,11 +432,13 @@ func compileResult(ctx context.Context, src string, opts splitc.Options) (*Compi
 		return nil, err
 	}
 	res := &CompileResult{
-		Target:        prog.Target.String(),
-		DelayPairs:    prog.Analysis.D.Size(),
-		BaselinePairs: prog.Analysis.Baseline.Size(),
-		Codegen:       codegenCounters(prog),
-		Passes:        passStats(prog.Passes),
+		Target:     prog.Target.String(),
+		DelayPairs: prog.Analysis.D.Size(),
+		Codegen:    codegenCounters(prog),
+		Passes:     passStats(prog.Passes),
+	}
+	if opts.Level == splitc.LevelBaseline {
+		res.BaselinePairs = prog.Analysis.Baseline.Size()
 	}
 	for _, d := range prog.Diags {
 		if d.Sev == diag.Warning {

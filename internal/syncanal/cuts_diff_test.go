@@ -11,10 +11,10 @@ import (
 	"repro/internal/ir"
 )
 
-// Differentials for the three places RefineSync does no whole-program
-// work: D1 read off the baseline instead of swept, lock confinement asked
-// per lock instead of closed over every access, and the dominant region's
-// tree groups solved on every worker instead of one.
+// Differentials for the three places the analysis does no whole-program
+// work: D1 searched over the sync pairs alone with the baseline deferred,
+// lock confinement asked per lock instead of closed over every access, and
+// the dominant region's tree groups solved on every worker instead of one.
 
 type diffProgram struct {
 	label string
@@ -59,26 +59,30 @@ func identicalSets(t *testing.T, label string, got, want *delay.Set) {
 	}
 }
 
-// TestD1FromBaselineMatchesSweep holds the D1 RefineSync reads off the
-// baseline to the sweep it stands in for: the per-pair reference search
-// over the whole program, each pair kept iff one of its endpoints is a
-// synchronization access (on every program the reference engine can afford;
-// acc2048's |D1| is pinned in TestScaleTierAnalysisPinned). On every
+// TestD1AndBaselineMatchReference holds the two sets step 2 builds to the
+// per-pair reference search over the whole program: D1, the engine's query
+// over the pairs with a synchronization endpoint, to the reference's pairs
+// kept iff one endpoint is a synchronization access; and the deferred
+// baseline, D1 plus the query over the other pairs, to the reference's set
+// itself (on every program the reference engine can afford; acc2048's |D1|
+// and |Baseline| are pinned in TestScaleTierAnalysisPinned). On every
 // program it checks D ⊆ Baseline on the way — the refinement only ever
 // removes Shasha–Snir delays.
-func TestD1FromBaselineMatchesSweep(t *testing.T) {
+func TestD1AndBaselineMatchReference(t *testing.T) {
 	for _, p := range diffPrograms(t) {
 		n := len(p.fn.Accesses)
 		label := fmt.Sprintf("%s (n=%d)", p.label, n)
 		res := Analyze(p.fn, Options{})
 		if n <= 1024 {
+			ref := delay.Compute(res.AG, res.CS, delay.Constraints{Reference: true})
 			swept := delay.NewSet(p.fn)
-			for _, d := range delay.Compute(res.AG, res.CS, delay.Constraints{Reference: true}).Pairs() {
+			for _, d := range ref.Pairs() {
 				if p.fn.Accesses[d.A].Kind.IsSync() || p.fn.Accesses[d.B].Kind.IsSync() {
 					swept.Add(d.A, d.B)
 				}
 			}
 			identicalSets(t, label+" D1", res.D1, swept)
+			identicalSets(t, label+" Baseline", res.Baseline, ref)
 		}
 		for _, d := range res.D.Pairs() {
 			if !res.Baseline.Has(d.A, d.B) {

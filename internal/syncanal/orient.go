@@ -62,16 +62,16 @@ func (res *Result) orientAndDetect(opts Options, syncIDs []int) {
 	// phased graph is an edge-subgraph of the orient graph, so the orient
 	// SCCs are closed under phased edges.
 	dataPairs := delay.Compute(res.AG, res.CS, delay.Constraints{
-		SkipEndpoints: syncIDs,
-		ConflictDir:   res.phasedDir,
-		DirRows:       phasedRows,
-		Comp:          cond,
-		Removed:       removed,
-		RemovedCover:  cover,
-		RemovedExact:  true,
-		AccessClass:   classPhased,
-		Exact:         opts.Exact,
-		Reference:     opts.Reference,
+		Endpoints:    delay.EndpointFilter{IDs: syncIDs},
+		ConflictDir:  res.phasedDir,
+		DirRows:      phasedRows,
+		Comp:         cond,
+		Removed:      removed,
+		RemovedCover: cover,
+		RemovedExact: true,
+		AccessClass:  classPhased,
+		Exact:        opts.Exact,
+		Reference:    opts.Reference,
 	})
 	res.D = res.D1.Union(dataPairs)
 	res.Timing.Orient = time.Since(t0)

@@ -34,9 +34,9 @@ func buildSrc(src string, procs int) *ir.Fn {
 // in a strict edge-subgraph of D1's instance — orientation only drops
 // directed conflict edges and the endpoint filter is identical — so the
 // oriented sync pass must compute a subset of D1. The oriented sync pairs
-// are taken both ways — the engine's oriented set masked to sync endpoints,
-// and the reference engine's filtered pair by pair — and both are held to
-// the containment on every buildable seed of the grid.
+// are taken both ways — the engine's oriented query keeping sync
+// endpoints, and the reference engine's filtered pair by pair — and both
+// are held to the containment on every buildable seed of the grid.
 func TestOrientedSyncSubsetOfD1(t *testing.T) {
 	opts := progen.Options{
 		Procs: 4, MaxPhases: 4, MaxStmts: 10, MaxDepth: 2,
@@ -60,8 +60,8 @@ func TestOrientedSyncSubsetOfD1(t *testing.T) {
 			continue
 		}
 		orientDir := func(x, y int) bool { return !res.R.Has(y, x) }
-		for _, p := range delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir}).
-			WithEndpoint(syncIDs).Pairs() {
+		keepSync := delay.EndpointFilter{IDs: syncIDs, Keep: true}
+		for _, p := range delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir, Endpoints: keepSync}).Pairs() {
 			if !res.D1.Has(p.A, p.B) {
 				t.Fatalf("seed %d: oriented sync pair [%d,%d] outside D1", seed, p.A, p.B)
 			}
@@ -94,7 +94,8 @@ func TestOrientedSyncSubsetOfD1Tier(t *testing.T) {
 		}
 	}
 	orientDir := func(x, y int) bool { return !res.R.Has(y, x) }
-	oriented := delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir}).WithEndpoint(syncIDs)
+	oriented := delay.Compute(res.AG, res.CS, delay.Constraints{
+		ConflictDir: orientDir, Endpoints: delay.EndpointFilter{IDs: syncIDs, Keep: true}})
 	missing := 0
 	for _, p := range oriented.Pairs() {
 		if !res.D1.Has(p.A, p.B) {

@@ -19,7 +19,12 @@
 //     common-lock guarding (section 5.3).
 //
 // Steps 1-2 live in this file, 3-4 in precedence.go, 5-6 in orient.go;
-// guards.go is section 5.3 and cophase.go section 5.2.
+// guards.go is section 5.3 and cophase.go section 5.2. Step 2 runs the
+// endpoint-filtered query it describes and nothing more. The plain
+// Shasha–Snir set, which no step reads, is D1 plus the same query over the
+// pairs with no synchronization endpoint; Result.Baseline computes that
+// remainder on its first read, so a compile that enforces D never pays for
+// it.
 package syncanal
 
 import (
@@ -57,14 +62,15 @@ type Options struct {
 
 // Timing records the wall time of each analysis sub-phase, so drivers (and
 // the pass pipeline's `sync-analysis` stage) can report where analysis time
-// goes without re-instrumenting the algorithm.
+// goes without re-instrumenting the algorithm. The deferred baseline's fill
+// is not a sub-phase: it runs on whichever reader asks first, possibly
+// concurrently with others, and is timed by none of them.
 type Timing struct {
 	// Prepare covers the shared inputs: access graph, conflict set,
 	// dominator and postdominator trees.
 	Prepare time.Duration
-	// Baseline is the plain Shasha–Snir delay-set computation.
-	Baseline time.Duration
-	// D1 is the synchronization-restricted initial delay set (step 2).
+	// D1 is step 2: back-path detection over the pairs with a
+	// synchronization endpoint.
 	D1 time.Duration
 	// Condense is the structural class-partition maintenance share of
 	// steps 3–4: splitting classes the seed and step-4 rectangles
@@ -87,7 +93,7 @@ type Timing struct {
 
 // Total sums the sub-phase times.
 func (t Timing) Total() time.Duration {
-	return t.Prepare + t.Baseline + t.D1 + t.Condense + t.Precedence + t.Guards + t.CoPhase + t.Orient
+	return t.Prepare + t.D1 + t.Condense + t.Precedence + t.Guards + t.CoPhase + t.Orient
 }
 
 // String renders the timing as one line per sub-phase.
@@ -97,7 +103,7 @@ func (t Timing) String() string {
 		name string
 		d    time.Duration
 	}{
-		{"prepare", t.Prepare}, {"baseline", t.Baseline}, {"d1", t.D1},
+		{"prepare", t.Prepare}, {"d1", t.D1},
 		{"condense", t.Condense}, {"precedence", t.Precedence},
 		{"guards", t.Guards}, {"cophase", t.CoPhase}, {"orient", t.Orient},
 	} {
@@ -115,7 +121,9 @@ type Result struct {
 	Dom  *ir.DomTree
 	PDom *ir.PostDomTree
 	// Baseline is the plain Shasha–Snir delay set (no synchronization
-	// analysis): the paper's Figure 12 "unoptimized" compiler.
+	// analysis): the paper's Figure 12 "unoptimized" compiler. It is a
+	// delay.Deferred set, computed on its first read: nothing the analysis
+	// does reads it.
 	Baseline *delay.Set
 	// D1 is the initial delay set restricted to synchronization pairs.
 	D1 *delay.Set
@@ -150,11 +158,11 @@ type Result struct {
 
 // Analyze runs the full pipeline on fn. It is the composition of the three
 // sub-phases the pass pipeline runs separately: Prepare (shared inputs),
-// ComputeBaseline (Shasha–Snir cycle detection), and RefineSync (the
-// synchronization analysis of section 5).
+// ComputeD1 (cycle detection over the synchronization pairs), and
+// RefineSync (the rest of the synchronization analysis of section 5).
 func Analyze(fn *ir.Fn, opts Options) *Result {
 	res := Prepare(fn)
-	res.ComputeBaseline(opts)
+	res.ComputeD1(opts)
 	res.RefineSync(opts)
 	return res
 }
@@ -174,40 +182,48 @@ func Prepare(fn *ir.Fn) *Result {
 	return res
 }
 
-// ComputeBaseline computes the plain Shasha–Snir delay set (no
-// synchronization analysis) into res.Baseline. Requires Prepare.
-func (res *Result) ComputeBaseline(opts Options) {
-	t0 := time.Now()
-	res.Baseline = delay.Compute(res.AG, res.CS, delay.Constraints{
-		Exact: opts.Exact, Reference: opts.Reference,
-	})
-	res.Timing.Baseline = time.Since(t0)
+// syncIDs lists the synchronization accesses of fn.
+func syncIDs(fn *ir.Fn) []int {
+	ids := []int{}
+	for _, a := range fn.Accesses {
+		if a.Kind.IsSync() {
+			ids = append(ids, a.ID)
+		}
+	}
+	return ids
 }
 
-// RefineSync runs steps 2–6 of section 5.1: the synchronization-restricted
-// initial delay set D1, the precedence relation R, lock guards, barrier
-// phase partitioning, and the final refined delay set D. Requires Prepare
-// and ComputeBaseline: D1 is read off res.Baseline.
+// ComputeD1 runs step 2 of section 5.1: back-path detection restricted to
+// the pairs with a synchronization endpoint, into res.D1. It sets
+// res.Baseline to the plain Shasha–Snir set in deferred form: on its first
+// read, D1 plus the same search over the pairs with no synchronization
+// endpoint. A pair's answer does not depend on which other pairs are asked
+// about, so the two searches split the baseline's pairs and none is searched
+// twice. Requires Prepare.
+func (res *Result) ComputeD1(opts Options) {
+	t0 := time.Now()
+	ids := syncIDs(res.Fn)
+	keep := delay.Constraints{Exact: opts.Exact, Reference: opts.Reference,
+		Endpoints: delay.EndpointFilter{IDs: ids, Keep: true}}
+	rest := keep
+	rest.Endpoints.Keep = false
+	res.D1 = delay.Compute(res.AG, res.CS, keep)
+	d1, ag, cs := res.D1, res.AG, res.CS
+	res.Baseline = delay.Deferred(res.Fn, func() *delay.Set {
+		return d1.Union(delay.Compute(ag, cs, rest))
+	})
+	res.Timing.D1 = time.Since(t0)
+}
+
+// RefineSync runs steps 3–6 of section 5.1: the precedence relation R,
+// lock guards, barrier phase partitioning, and the final refined delay set
+// D. Requires Prepare and ComputeD1.
 func (res *Result) RefineSync(opts Options) {
 	fn := res.Fn
 
-	// Step 2: D1 is by definition the Shasha–Snir set restricted to pairs
-	// with a synchronization endpoint, and the back-path test of one pair
-	// never looks at which other pairs are asked about: D1 is a row mask of
-	// the baseline.
-	t0 := time.Now()
-	syncIDs := []int{}
-	for _, a := range fn.Accesses {
-		if a.Kind.IsSync() {
-			syncIDs = append(syncIDs, a.ID)
-		}
-	}
-	res.D1 = res.Baseline.WithEndpoint(syncIDs)
-	res.Timing.D1 = time.Since(t0)
-
 	// Steps 3-4: seed R and close it under the dominator rule and
 	// transitivity (precedence.go).
-	t0 = time.Now()
+	t0 := time.Now()
 	n := len(fn.Accesses)
 	if opts.PerAccessR {
 		res.R = NewPrecedence(n)
@@ -224,7 +240,7 @@ func (res *Result) RefineSync(opts Options) {
 	}
 	res.Timing.Precedence = phase - res.Timing.Condense
 
-	res.orientAndDetect(opts, syncIDs)
+	res.orientAndDetect(opts, syncIDs(fn))
 }
 
 // Summary renders a human-readable account of the analysis for the driver.

@@ -421,7 +421,7 @@ func TestSubPhasesMatchAnalyze(t *testing.T) {
 	whole := Analyze(fn, Options{})
 
 	split := Prepare(fn)
-	split.ComputeBaseline(Options{})
+	split.ComputeD1(Options{})
 	split.RefineSync(Options{})
 
 	if got, want := split.Baseline.Size(), whole.Baseline.Size(); got != want {

@@ -249,11 +249,13 @@ func programOf(pctx *pass.Context, opts Options, stats []pass.Stat) *Program {
 // EffectiveWeakenings) pays for parsing and the analyses once.
 //
 // A Front is immutable once NewFront returns. Generate reads AST, Info, Fn
-// and Analysis and writes none of them, and nothing behind them fills in on
-// first read (a delay.Set counts and decodes per call), so any number of
-// goroutines may Generate from one Front at once. Every Program generated
-// from a Front shares those four, so callers must treat them as read-only
-// too.
+// and Analysis and writes none of them, so any number of goroutines may
+// Generate from one Front at once. Exactly one field behind them fills in
+// on first read: Analysis.Baseline, the plain Shasha–Snir set, which only a
+// LevelBaseline compile enforces, is computed once under a sync.Once by
+// whichever reader asks first (every other delay.Set counts and decodes per
+// call). Every Program generated from a Front shares those four, so callers
+// must treat them as read-only too.
 type Front struct {
 	Source   string
 	Procs    int
