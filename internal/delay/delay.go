@@ -214,12 +214,14 @@ type Constraints struct {
 	// that already condensed a supergraph (syncanal's region statistics)
 	// share the result.
 	Comp *graph.Condensation
-	// RemovedCover, when non-nil alongside Removed, writes into scratch a
-	// bitset covering every access the Removed predicate would exclude for
-	// the pair (a, b) (extra bits are fine) and returns it. The engine
-	// skips the per-pair restricted re-search when no covered access was
-	// reachable in the unrestricted search, which is what makes Removed
-	// constraints affordable at tens of thousands of accesses.
+	// RemovedCover, when non-nil alongside Removed, returns a bitset
+	// covering every access the Removed predicate would exclude for the
+	// pair (a, b) (extra bits are fine). It may build the row in scratch or
+	// return a row it shares between pairs and between concurrent calls;
+	// either way the caller only reads it. The engine skips the per-pair
+	// restricted re-search when no covered access was reachable in the
+	// unrestricted search, which is what makes Removed constraints
+	// affordable at tens of thousands of accesses.
 	RemovedCover func(a, b int, scratch []uint64) []uint64
 	// RemovedExact declares that RemovedCover is not merely a cover but
 	// exactly the set Removed excludes for the pair (up to the endpoint

@@ -497,16 +497,10 @@ func (p *classPartition) pairCount() int {
 //   - the conflict similarity group (conflict rows are built per group, and
 //     the group key includes the access kind, so sync-ness and data-ness
 //     ride along);
-//   - the lock-guard bit mask (the shared-lock arms of removed/cover);
+//   - the guard set (the shared-lock arms of removed/cover);
 //   - for the phased pass only, the interned co-phase row (the barrier
 //     filter ANDs it into data rows and columns).
-//
-// Returns nil partitions (disabling class solving) in the >64-locks
-// fallback, where guard sets are maps the key cannot capture cheaply.
-func (res *Result) accessClasses(guardBits []uint64) (base, phased []int32) {
-	if guardBits == nil && len(res.Guards) > 0 {
-		return nil, nil
-	}
+func (res *Result) accessClasses(lk *lockMasks) (base, phased []int32) {
 	fn := res.Fn
 	n := len(fn.Accesses)
 	cp := res.R.cp
@@ -525,20 +519,13 @@ func (res *Result) accessClasses(guardBits []uint64) (base, phased []int32) {
 		}
 	}
 
-	type key struct {
-		rc, cg, co int32
-		gb         uint64
-	}
+	type key struct{ rc, cg, co, gs int32 }
 	base = make([]int32, n)
 	phased = make([]int32, n)
 	bIdx := make(map[key]int32)
 	pIdx := make(map[key]int32)
 	for i := 0; i < n; i++ {
-		var gb uint64
-		if guardBits != nil {
-			gb = guardBits[i]
-		}
-		k := key{rc: cp.classOf[i], cg: res.CS.GroupOf(i), gb: gb}
+		k := key{rc: cp.classOf[i], cg: res.CS.GroupOf(i), gs: lk.set[i]}
 		id, ok := bIdx[k]
 		if !ok {
 			id = int32(len(bIdx))

@@ -23,8 +23,9 @@ type diffProgram struct {
 
 // diffPrograms returns the inputs every differential below runs on: 150
 // buildable seeds of the progen grid (two locks, so guards occur), the five
-// application kernels, and — outside -short — the pinned acc2048 tier,
-// the only one whose regions reach the dense class solver.
+// application kernels, the 70-lock-key program whose guard sets span two
+// words, and — outside -short — the pinned acc2048 tier, the only one
+// whose regions reach the dense class solver.
 func diffPrograms(t *testing.T) []diffProgram {
 	t.Helper()
 	var out []diffProgram
@@ -39,6 +40,7 @@ func diffPrograms(t *testing.T) []diffProgram {
 	for _, k := range apps.All() {
 		out = append(out, diffProgram{k.Name, ir.MustBuild(k.Source(8, 1), ir.BuildOptions{Procs: 8})})
 	}
+	out = append(out, manyLocksProgram())
 	if !testing.Short() {
 		out = append(out, diffProgram{"acc2048", tierProgram(t, "acc2048")})
 	}
@@ -132,12 +134,13 @@ func confinementReach(res *Result) *graph.BitMatrix {
 
 // guardsFromClosure is section 5.3's definition read straight off the
 // closure, scanning every access for the dominating lock and the dominated
-// unlock.
+// unlock. Its held sets come from the map oracle, so it shares no dataflow
+// with the production guards.
 func guardsFromClosure(res *Result) map[int]map[string]bool {
 	fn := res.Fn
 	guards := make(map[int]map[string]bool)
 	confined := confinementReach(res)
-	held := mustHeldLocks(fn)
+	held := mustHeldLocksMap(fn)
 	for _, a := range fn.Accesses {
 		for l := range held[a.ID] {
 			ok1, ok2 := false, false

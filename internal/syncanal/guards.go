@@ -2,6 +2,7 @@ package syncanal
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -12,7 +13,70 @@ import (
 // sequence; orient.go turns the guard sets computed here into the
 // shared-lock arm of the removal predicate.
 
-// computeGuards implements the guarded-access definition of section 5.3.
+// lockKeys interns the lock keys — the lock symbol, plus the printed index
+// for a lock array element — of a function's lock and unlock accesses, in
+// first-seen access order. Every guard set below is a bitset over these ids.
+type lockKeys struct {
+	names []string // key id -> key
+	of    []int32  // access id -> key id of a lock or unlock access, -1 otherwise
+}
+
+func internLockKeys(fn *ir.Fn) lockKeys {
+	k := lockKeys{of: make([]int32, len(fn.Accesses))}
+	ids := make(map[string]int32)
+	for _, a := range fn.Accesses {
+		k.of[a.ID] = -1
+		if a.Kind != ir.AccLock && a.Kind != ir.AccUnlock {
+			continue
+		}
+		name := accessKey(fn, a)
+		id, ok := ids[name]
+		if !ok {
+			id = int32(len(k.names))
+			ids[name] = id
+			k.names = append(k.names, name)
+		}
+		k.of[a.ID] = id
+	}
+	return k
+}
+
+// keySets holds one lock-key bitset of kw words per access.
+type keySets struct {
+	kw    int
+	words []uint64
+}
+
+func newKeySets(n, keys int) keySets {
+	kw := graph.WordsFor(keys)
+	return keySets{kw: kw, words: make([]uint64, n*kw)}
+}
+
+func (s keySets) row(x int) []uint64 { return s.words[x*s.kw : (x+1)*s.kw] }
+
+// byAccess renders the sets as Result.Guards: access ID -> set of lock
+// keys, holding only the accesses with a non-empty set.
+func (s keySets) byAccess(keys lockKeys) map[int]map[string]bool {
+	out := make(map[int]map[string]bool)
+	if s.kw == 0 {
+		return out
+	}
+	for x := 0; x < len(s.words)/s.kw; x++ {
+		for wi, wd := range s.row(x) {
+			for ; wd != 0; wd &= wd - 1 {
+				if out[x] == nil {
+					out[x] = make(map[string]bool)
+				}
+				out[x][keys.names[wi<<6+bits.TrailingZeros64(wd)]] = true
+			}
+		}
+	}
+	return out
+}
+
+// computeGuards implements the guarded-access definition of section 5.3,
+// returning each access's guard set over the interned lock keys. src is D1
+// in A-major form (D1.SourceMatrix), which the confinement sweeps read.
 //
 // An access a is guarded by lock l when:
 //  1. a is dominated by a lock(l) operation b1 with no intervening
@@ -23,52 +87,44 @@ import (
 //     before b2 ([a, b2] likewise). The def-use component covers reads
 //     whose completion is forced by the first use of their value (as in a
 //     read-modify-write), which D1 alone does not record.
-func computeGuards(res *Result) map[int]map[string]bool {
+func computeGuards(res *Result, src *graph.BitMatrix) (lockKeys, keySets) {
 	fn := res.Fn
-	guards := make(map[int]map[string]bool)
-	held := mustHeldLocks(fn)
-	locked := false
-	for _, ls := range held {
-		if len(ls) > 0 {
-			locked = true
-			break
-		}
-	}
-	if !locked {
+	keys := internLockKeys(fn)
+	held := mustHeldLocks(fn, keys)
+	guards := newKeySets(len(fn.Accesses), len(keys.names))
+	if !anyBit(held.words) {
 		// Lock-free program: nothing is guarded, so the confinement graph
 		// never needs to be built.
-		return guards
+		return keys, guards
 	}
-	locks := make(map[string][]*ir.Access)
-	unlocks := make(map[string][]*ir.Access)
+	locks := make([][]*ir.Access, len(keys.names))
+	unlocks := make([][]*ir.Access, len(keys.names))
 	for _, c := range fn.Accesses {
 		switch c.Kind {
 		case ir.AccLock:
-			k := accessKey(fn, c)
-			locks[k] = append(locks[k], c)
+			locks[keys.of[c.ID]] = append(locks[keys.of[c.ID]], c)
 		case ir.AccUnlock:
-			k := accessKey(fn, c)
-			unlocks[k] = append(unlocks[k], c)
+			unlocks[keys.of[c.ID]] = append(unlocks[keys.of[c.ID]], c)
 		}
 	}
-	confined := newConfinement(res)
+	confined := newConfinement(res, src)
 	for _, a := range fn.Accesses {
-		for l := range held[a.ID] {
-			b1 := dominatingLock(res, a, locks[l])
-			if b1 == nil || !confined.follows(b1.ID, a.ID) {
-				continue
+		for wi, wd := range held.row(a.ID) {
+			for ; wd != 0; wd &= wd - 1 {
+				l := wi<<6 + bits.TrailingZeros64(wd)
+				b1 := dominatingLock(res, a, locks[l])
+				if b1 == nil || !confined.follows(b1.ID, a.ID) {
+					continue
+				}
+				b2 := dominatedUnlock(res, a, unlocks[l])
+				if b2 == nil || !confined.precedes(a.ID, b2.ID) {
+					continue
+				}
+				graph.BitSet(guards.row(a.ID), l)
 			}
-			b2 := dominatedUnlock(res, a, unlocks[l])
-			if b2 == nil || !confined.precedes(a.ID, b2.ID) {
-				continue
-			}
-			if guards[a.ID] == nil {
-				guards[a.ID] = make(map[string]bool)
-			}
-			guards[a.ID][l] = true
 		}
 	}
-	return guards
+	return keys, guards
 }
 
 // confinement answers the two questions the guard test asks — does b1
@@ -86,14 +142,14 @@ type confinement struct {
 	queue      []int32
 }
 
-func newConfinement(res *Result) *confinement {
+func newConfinement(res *Result, src *graph.BitMatrix) *confinement {
 	fn := res.Fn
 	n := len(fn.Accesses)
 	c := &confinement{
 		use: make([][]int32, n), def: make([][]int32, n),
 		from: make(map[int][]uint64), into: make(map[int][]uint64),
 	}
-	c.succ, c.pred = res.D1.SourceMatrix().Row, res.D1.TargetRow
+	c.succ, c.pred = src.Row, res.D1.TargetRow
 	// Def-use edges come from a local -> reading-accesses index, so edge
 	// collection is linear in the number of uses instead of loads x accesses.
 	users := make(map[ir.LocalID][]int32)
@@ -186,116 +242,97 @@ func accessLocals(a *ir.Access, out []ir.LocalID) []ir.LocalID {
 	return out
 }
 
-// mustHeldLocks runs a forward must-dataflow: held[acc] = set of lock keys
-// held on every path reaching the access.
-func mustHeldLocks(fn *ir.Fn) map[int]map[string]bool {
+// mustHeldLocks runs a forward must-dataflow over lock-key bitsets: the
+// returned row of an access holds the keys locked on every path reaching
+// it. A block's transfer is one gen/kill pair — kill every key the block
+// locks or unlocks, gen the keys its last operation on them locks — so a
+// round of the round-robin iteration costs a few words per edge. Blocks not
+// yet reached from the entry are TOP and skipped in the meet, which makes
+// the fixpoint the greatest one; blocks the entry never reaches hold
+// nothing.
+func mustHeldLocks(fn *ir.Fn, keys lockKeys) keySets {
+	held := newKeySets(len(fn.Accesses), len(keys.names))
+	kw := held.kw
+	if kw == 0 {
+		return held
+	}
 	nb := len(fn.Blocks)
-	// in[b] = set held at block entry. Universal set approximated by nil
-	// with a visited flag.
-	in := make([]map[string]bool, nb)
-	visited := make([]bool, nb)
-	preds := fn.Preds()
-
-	clone := func(m map[string]bool) map[string]bool {
-		out := make(map[string]bool, len(m))
-		for k, v := range m {
-			if v {
-				out[k] = true
-			}
-		}
-		return out
-	}
-	transfer := func(b *ir.Block, s map[string]bool) map[string]bool {
-		out := clone(s)
+	blockRow := func(s []uint64, b int) []uint64 { return s[b*kw : (b+1)*kw] }
+	gen, kill := make([]uint64, nb*kw), make([]uint64, nb*kw)
+	for _, b := range fn.Blocks {
+		g, k := blockRow(gen, b.ID), blockRow(kill, b.ID)
 		for _, st := range b.Stmts {
-			a := ir.AccessOf(st)
-			if a == nil {
-				continue
-			}
-			switch a.Kind {
-			case ir.AccLock:
-				out[accessKey(fn, a)] = true
-			case ir.AccUnlock:
-				delete(out, accessKey(fn, a))
-			}
-		}
-		return out
-	}
-	intersect := func(a, b map[string]bool) map[string]bool {
-		out := make(map[string]bool)
-		for k := range a {
-			if b[k] {
-				out[k] = true
+			if a := ir.AccessOf(st); a != nil && keys.of[a.ID] >= 0 {
+				l := int(keys.of[a.ID])
+				graph.BitSet(k, l)
+				if a.Kind == ir.AccLock {
+					graph.BitSet(g, l)
+				} else {
+					graph.BitClear(g, l)
+				}
 			}
 		}
-		return out
 	}
 
-	in[0] = map[string]bool{}
+	in := make([]uint64, nb*kw) // held at block entry; the entry's stays empty
+	visited := make([]bool, nb)
 	visited[0] = true
+	preds := fn.Preds()
+	meet := make([]uint64, kw)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range fn.Blocks {
-			if b.ID != 0 {
-				var meet map[string]bool
-				any := false
-				for _, p := range preds[b.ID] {
-					if !visited[p.ID] {
-						continue
-					}
-					out := transfer(p, in[p.ID])
-					if !any {
-						meet = out
-						any = true
-					} else {
-						meet = intersect(meet, out)
-					}
-				}
-				if !any {
+			if b.ID == 0 {
+				continue
+			}
+			any := false
+			for _, p := range preds[b.ID] {
+				if !visited[p.ID] {
 					continue
 				}
-				if !visited[b.ID] || !sameSet(in[b.ID], meet) {
-					in[b.ID] = meet
-					visited[b.ID] = true
-					changed = true
+				pin, g, k := blockRow(in, p.ID), blockRow(gen, p.ID), blockRow(kill, p.ID)
+				for i := range meet {
+					out := pin[i]&^k[i] | g[i]
+					if any {
+						out &= meet[i]
+					}
+					meet[i] = out
 				}
+				any = true
+			}
+			if !any {
+				continue
+			}
+			if bin := blockRow(in, b.ID); !visited[b.ID] || !slices.Equal(bin, meet) {
+				copy(bin, meet)
+				visited[b.ID] = true
+				changed = true
 			}
 		}
 	}
 
-	held := make(map[int]map[string]bool)
+	cur := make([]uint64, kw)
 	for _, b := range fn.Blocks {
 		if !visited[b.ID] {
 			continue
 		}
-		cur := clone(in[b.ID])
+		copy(cur, blockRow(in, b.ID))
 		for _, st := range b.Stmts {
 			a := ir.AccessOf(st)
 			if a == nil {
 				continue
 			}
-			held[a.ID] = clone(cur)
-			switch a.Kind {
-			case ir.AccLock:
-				cur[accessKey(fn, a)] = true
-			case ir.AccUnlock:
-				delete(cur, accessKey(fn, a))
+			copy(held.row(a.ID), cur)
+			if l := int(keys.of[a.ID]); l >= 0 {
+				if a.Kind == ir.AccLock {
+					graph.BitSet(cur, l)
+				} else {
+					graph.BitClear(cur, l)
+				}
 			}
 		}
 	}
 	return held
-}
-
-func sameSet(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // dominatingLock finds among locks (the lock accesses of one key) one that

@@ -2,7 +2,8 @@ package syncanal
 
 import (
 	"math/bits"
-	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/delay"
@@ -23,13 +24,15 @@ import (
 // contributes nothing to the union — TestOrientedSyncSubsetOfD1 holds the
 // engine and its oracle to that containment. Only the data-data pass (phase
 // filter on top of orientation) can produce pairs outside D1.
-func (res *Result) orientAndDetect(opts Options, syncIDs []int) {
+func (res *Result) orientAndDetect(opts Options, syncIDs []int, src *graph.BitMatrix) {
 	t0 := time.Now()
+	n := len(res.Fn.Accesses)
+	keys, guards := lockKeys{}, newKeySets(n, 0)
 	if !opts.NoLocks {
-		res.Guards = computeGuards(res)
-	} else {
-		res.Guards = map[int]map[string]bool{}
+		keys, guards = computeGuards(res, src)
 	}
+	lk := newLockMasks(n, guards)
+	res.Guards = guards.byAccess(keys)
 	res.Timing.Guards = time.Since(t0)
 
 	t0 = time.Now()
@@ -41,91 +44,86 @@ func (res *Result) orientAndDetect(opts Options, syncIDs []int) {
 	res.Timing.CoPhase = time.Since(t0)
 
 	t0 = time.Now()
-	lk := newLockMasks(res.Guards, len(res.Fn.Accesses))
+	con, _ := res.orientedConstraints(lk, opts, syncIDs)
+	res.D = res.D1.Union(delay.Compute(res.AG, res.CS, con))
+	res.Timing.Orient = time.Since(t0)
+}
 
+// orientedConstraints assembles step 6's query — D = D1 ∪ {[a, b] ∈ P :
+// back-path in P ∪ C1} over the data–data pairs — and returns it with the
+// memo behind its RemovedCover. The closure forms stay on the Constraints so
+// the per-pair reference oracle re-derives every answer independently of
+// the precomputed rows. Comp shares the condensation computed for the
+// region statistics: the phased graph is an edge-subgraph of the orient
+// graph, so the orient SCCs are closed under phased edges.
+func (res *Result) orientedConstraints(lk *lockMasks, opts Options, syncIDs []int) (delay.Constraints, *coverMemo) {
 	// Class partitions for the oriented pass, computed before the
 	// orientation rows so those can be built in class coordinates. Nil
-	// under the per-access oracle backing (and for >64 distinct locks),
-	// where the engine gets materialized per-access rows instead.
+	// under the per-access oracle backing, where the engine gets
+	// materialized per-access rows instead.
 	var classBase, classPhased []int32
 	if res.R.cp != nil {
-		classBase, classPhased = res.accessClasses(lk.bits)
+		classBase, classPhased = res.accessClasses(lk)
 	}
 	orientRows, phasedRows := res.orientationRows(classBase, classPhased)
-	removed, cover := res.removal(lk)
+	removed, covers := res.removal(lk)
 	cond := res.regionStats(orientRows)
-
-	// Step 6: D = D1 ∪ {[a, b] ∈ P : back-path in P ∪ C1}. The closure
-	// forms stay on the Constraints so the per-pair reference oracle
-	// re-derives every answer independently of the precomputed rows. Comp
-	// shares the condensation computed for the region statistics: the
-	// phased graph is an edge-subgraph of the orient graph, so the orient
-	// SCCs are closed under phased edges.
-	dataPairs := delay.Compute(res.AG, res.CS, delay.Constraints{
+	return delay.Constraints{
 		Endpoints:    delay.EndpointFilter{IDs: syncIDs},
 		ConflictDir:  res.phasedDir,
 		DirRows:      phasedRows,
 		Comp:         cond,
 		Removed:      removed,
-		RemovedCover: cover,
+		RemovedCover: covers.cover,
 		RemovedExact: true,
 		AccessClass:  classPhased,
 		Exact:        opts.Exact,
 		Reference:    opts.Reference,
-	})
-	res.D = res.D1.Union(dataPairs)
-	res.Timing.Orient = time.Since(t0)
+	}, covers
 }
 
-// lockMasks holds the guard sets of section 5.3 as bitsets, so the
-// shared-lock test on a triple is one AND of three words instead of three
-// map lookups plus an iteration — it runs once per visited node of every
-// restricted per-pair search.
+// lockMasks holds the guard sets of section 5.3 in the two orientations the
+// removal predicate and its cover read: per access, the bitset of lock keys
+// guarding it (so the shared-lock test on a triple is an AND of three
+// words per 64 keys — it runs once per visited node of every restricted
+// per-pair search), and per key, the bitset of accesses it guards.
 type lockMasks struct {
-	guards map[int]map[string]bool
-	// bits[x] has bit l set iff lock l guards access x. Nil with more than
-	// 64 distinct locks, where the map form answers instead.
-	bits []uint64
-	// rows[l] is the access bitset lock l guards (by bit when bits is set),
-	// byName the same by lock key.
-	rows   [][]uint64
-	byName map[string][]uint64
+	guards keySets
+	rows   [][]uint64 // key id -> the accesses it guards; nil if none
+	// set numbers the distinct guard sets: accesses with equal sets share
+	// an id, which the access classes and the cover memo key on.
+	set []int32
 }
 
-func newLockMasks(guards map[int]map[string]bool, n int) *lockMasks {
-	lk := &lockMasks{guards: guards, byName: make(map[string][]uint64)}
+func newLockMasks(n int, guards keySets) *lockMasks {
+	lk := &lockMasks{guards: guards, rows: make([][]uint64, guards.kw*64), set: make([]int32, n)}
 	w := graph.WordsFor(n)
-	for id, ls := range guards {
-		for l := range ls {
-			m := lk.byName[l]
-			if m == nil {
-				m = make([]uint64, w)
-				lk.byName[l] = m
-			}
-			graph.BitSet(m, id)
-		}
-	}
-	if len(lk.byName) > 64 {
-		return lk
-	}
-	// Deterministic bit assignment (sorted names), so guard masks are the
-	// same on every run.
-	names := make([]string, 0, len(lk.byName))
-	for l := range lk.byName {
-		names = append(names, l)
-	}
-	sort.Strings(names)
-	lk.bits = make([]uint64, n)
-	lk.rows = make([][]uint64, len(names))
-	for bit, l := range names {
-		lk.rows[bit] = lk.byName[l]
-		for wi, wd := range lk.rows[bit] {
+	var sets graph.RowInterner
+	for x := 0; x < n; x++ {
+		g := guards.row(x)
+		lk.set[x], _ = sets.Intern(g)
+		for wi, wd := range g {
 			for ; wd != 0; wd &= wd - 1 {
-				lk.bits[wi<<6+bits.TrailingZeros64(wd)] |= 1 << bit
+				l := wi<<6 + bits.TrailingZeros64(wd)
+				if lk.rows[l] == nil {
+					lk.rows[l] = make([]uint64, w)
+				}
+				graph.BitSet(lk.rows[l], x)
 			}
 		}
 	}
 	return lk
+}
+
+// shareLock reports whether some lock guards all three accesses.
+func (lk *lockMasks) shareLock(a, b, z int) bool {
+	ga, gb, gz := lk.guards.row(a), lk.guards.row(b), lk.guards.row(z)
+	for i := range ga {
+		if ga[i]&gb[i]&gz[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // phasedDir is step 5 — C1 = C − {[a2, a1] : [a1, a2] ∈ R}: the direction
@@ -224,47 +222,115 @@ func (res *Result) orientationRows(classBase, classPhased []int32) (orient, phas
 // triple — which lets the delay engine fold it straight into
 // restricted-search visited sets; a search whose visited set misses the
 // cover is identical to the unrestricted one.
-func (res *Result) removal(lk *lockMasks) (removed func(a, b, z int) bool, cover func(a, b int, scratch []uint64) []uint64) {
+func (res *Result) removal(lk *lockMasks) (removed func(a, b, z int) bool, covers *coverMemo) {
 	removed = func(a, b, z int) bool {
-		if res.R.Has(a, z) || res.R.Has(z, b) {
-			return true
-		}
-		if lk.bits != nil {
-			return lk.bits[a]&lk.bits[b]&lk.bits[z] != 0
-		}
-		ga, gb, gz := lk.guards[a], lk.guards[b], lk.guards[z]
-		for l := range ga {
-			if gb[l] && gz[l] {
-				return true
-			}
-		}
-		return false
+		return res.R.Has(a, z) || res.R.Has(z, b) || lk.shareLock(a, b, z)
 	}
-	cover = func(a, b int, scratch []uint64) []uint64 {
-		ra, rb := res.R.Row(a), res.R.ColRow(b)
-		for i := range scratch {
-			scratch[i] = ra[i] | rb[i]
-		}
-		or := func(row []uint64) {
-			for i, wd := range row {
-				scratch[i] |= wd
-			}
-		}
-		if lk.bits != nil {
-			for m := lk.bits[a] & lk.bits[b]; m != 0; m &= m - 1 {
-				or(lk.rows[bits.TrailingZeros64(m)])
-			}
-			return scratch
-		}
-		ga, gb := lk.guards[a], lk.guards[b]
-		for l := range ga {
-			if gb[l] {
-				or(lk.byName[l])
-			}
-		}
-		return scratch
+	return removed, newCoverMemo(res, lk)
+}
+
+// coverMemo hands out the removal covers. A cover depends on its pair only
+// through a's R class, b's R class and the locks guarding both, so one row
+// per such triple serves every pair: at acc2048 the oriented pass asks for
+// 185,039 cells' covers and the memo builds a few dozen rows. Every pair is
+// handed the memo's row itself, shared and never written after it is
+// built. The per-access oracle backing has no R classes and builds each
+// cover afresh into the caller's scratch.
+type coverMemo struct {
+	res *Result
+	lk  *lockMasks
+	// key numbers the (R class, guard set) combinations of the accesses;
+	// slots[key[a]*nkey+key[b]] points at the cover of every pair with that
+	// key pair once one of them has asked. Nil under the per-access backing,
+	// and when there are more slots than 64 per access: the table would
+	// then outweigh an access row each, and the rows it saves with it.
+	key   []int32
+	nkey  int
+	slots []atomic.Pointer[[]uint64]
+	// A slot's first reader fills it under mu, from rows: the built covers
+	// by (R class of a, R class of b, id of the shared guard set).
+	mu     sync.Mutex
+	rows   map[[3]int32][]uint64
+	shared graph.RowInterner
+}
+
+func newCoverMemo(res *Result, lk *lockMasks) *coverMemo {
+	m := &coverMemo{res: res, lk: lk}
+	if res.R.cp == nil {
+		return m
 	}
-	return removed, cover
+	ids := make(map[[2]int32]int32)
+	key := make([]int32, len(lk.set))
+	for x, gs := range lk.set {
+		k := [2]int32{res.R.ClassOf(x), gs}
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(ids))
+			ids[k] = id
+		}
+		key[x] = id
+	}
+	if len(ids)*len(ids) > 64*len(key) {
+		return m
+	}
+	m.key, m.nkey = key, len(ids)
+	m.slots = make([]atomic.Pointer[[]uint64], m.nkey*m.nkey)
+	m.rows = make(map[[3]int32][]uint64)
+	return m
+}
+
+// cover is the Constraints.RemovedCover of the oriented pass.
+func (m *coverMemo) cover(a, b int, scratch []uint64) []uint64 {
+	if m.key == nil {
+		return m.build(a, b, scratch)
+	}
+	slot := &m.slots[int(m.key[a])*m.nkey+int(m.key[b])]
+	if row := slot.Load(); row != nil {
+		return *row
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if row := slot.Load(); row != nil {
+		return *row
+	}
+	ga, gb := m.lk.guards.row(a), m.lk.guards.row(b)
+	sh := make([]uint64, len(ga))
+	for i := range sh {
+		sh[i] = ga[i] & gb[i]
+	}
+	sid, _ := m.shared.Intern(sh)
+	k := [3]int32{m.res.R.ClassOf(a), m.res.R.ClassOf(b), sid}
+	row, ok := m.rows[k]
+	if !ok {
+		row = m.build(a, b, make([]uint64, graph.WordsFor(len(m.key))))
+		m.rows[k] = row
+	}
+	slot.Store(&row)
+	return row
+}
+
+// built reports how many distinct covers the memo has built.
+func (m *coverMemo) built() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.rows)
+}
+
+// build writes the cover of (a, b) into dst and returns it.
+func (m *coverMemo) build(a, b int, dst []uint64) []uint64 {
+	ra, rb := m.res.R.Row(a), m.res.R.ColRow(b)
+	for i := range dst {
+		dst[i] = ra[i] | rb[i]
+	}
+	ga, gb := m.lk.guards.row(a), m.lk.guards.row(b)
+	for wi := range ga {
+		for s := ga[wi] & gb[wi]; s != 0; s &= s - 1 {
+			for i, wd := range m.lk.rows[wi<<6+bits.TrailingZeros64(s)] {
+				dst[i] |= wd
+			}
+		}
+	}
+	return dst
 }
 
 // regionStats records the strongly-connected-component decomposition of the

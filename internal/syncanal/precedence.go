@@ -253,7 +253,8 @@ func (res *Result) seedPrecedence(opts Options) {
 // iterates, and a monotone operator has one least fixpoint whatever the
 // order or grouping of its applications.
 
-// dominatorFilters builds PS and CS in one pass over D1's target rows.
+// dominatorFilters builds PS and CS with one walk over each dominator tree;
+// src is D1 in A-major form (D1.SourceMatrix).
 //
 // Producer side (a1, b1): every execution of a1 must be followed by b1,
 // whose D1 delay then forces a1's completion. The paper states "a1
@@ -262,48 +263,110 @@ func (res *Result) seedPrecedence(opts Options) {
 // post after the loop, but the post does postdominate it). Consumer side
 // (b2, a2): b2 must have executed (and its delay forced) before any
 // execution of a2 — domination proper. A pair [a, b] of D1 with a dom b
-// therefore lands on both sides: a ∈ PS.Row(b) and b ∈ CS.Row(a). Both
-// sides are written as filtered target rows, whole words at a time; CS is
-// the transpose of its target-major form.
-func (res *Result) dominatorFilters() (ps, cs *graph.BitMatrix) {
+// therefore lands on both sides: a ∈ PS.Row(b) and b ∈ CS.Row(a).
+//
+// The accesses that dominate b are those of the strict dominator-tree
+// ancestors of b's block plus the earlier ones of b's own block, so a
+// depth-first walk of the dominator tree that carries that set as a running
+// mask yields b's dominating D1 sources as D1.TargetRow(b) & mask, a word at
+// a time. The walk of the postdominator tree does the same for the sources:
+// the accesses that postdominate a from another block are those of the
+// strict ancestors of a's block, and src.Row(a) & mask, transposed, is the
+// keep arm. In one block both domination tests are the index test, which
+// the dominator walk already applies; a block the entry never reaches is a
+// root of its own, with nothing above it, and a block that never reaches
+// the exit is postdominated by nothing.
+func (res *Result) dominatorFilters(src *graph.BitMatrix) (ps, cs *graph.BitMatrix) {
 	fn := res.Fn
 	n := len(fn.Accesses)
-	blk := make([]int, n)
-	idx := make([]int, n)
-	for i, a := range fn.Accesses {
-		blk[i], idx[i] = a.Blk.ID, a.Idx
-	}
-	dom, pdom := res.Dom, res.PDom
-	ps = graph.NewBitMatrix(n)
-	cst := graph.NewBitMatrix(n) // cst.Row(a2) = {b2 : [b2,a2] ∈ D1 ∧ b2 dom a2}
-	for b := 0; b < n; b++ {
-		prow, crow := ps.Row(b), cst.Row(b)
-		for wi, wd := range res.D1.TargetRow(b) {
-			var doms, keeps uint64
-			for m := wd; m != 0; m &= m - 1 {
-				a := wi<<6 + bits.TrailingZeros64(m)
-				bit := m & -m
-				// In one block both domination tests are the index test.
-				if blk[a] == blk[b] {
-					if idx[a] < idx[b] {
-						doms |= bit
-					}
-				} else if dom.Dominates(blk[a], blk[b]) {
-					doms |= bit
-				} else if pdom.PostDominates(blk[b], blk[a]) {
-					keeps |= bit
-				}
+	nb := len(fn.Blocks)
+	accs := make([][]int32, nb) // block -> its accesses in statement order
+	for _, b := range fn.Blocks {
+		for _, st := range b.Stmts {
+			if a := ir.AccessOf(st); a != nil {
+				accs[b.ID] = append(accs[b.ID], int32(a.ID))
 			}
-			prow[wi], crow[wi] = doms|keeps, doms
 		}
+	}
+	mask := make([]uint64, graph.WordsFor(n))
+	// walk runs a depth-first walk of the tree below root (children of v:
+	// kids[v]), calling visit(v) with mask holding the accesses of v's strict
+	// ancestors; visit may add v's own, which leave the mask when the walk
+	// leaves v's subtree.
+	walk := func(root int, kids [][]int32, visit func(v int)) {
+		stack := []int32{int32(root)}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if v < 0 {
+				if int(^v) < nb {
+					for _, x := range accs[^v] {
+						graph.BitClear(mask, int(x))
+					}
+				}
+				continue
+			}
+			visit(int(v))
+			stack = append(stack, ^v)
+			stack = append(stack, kids[v]...)
+		}
+	}
+	children := func(nodes int, parent func(v int) int) [][]int32 {
+		kids := make([][]int32, nodes)
+		for v := 0; v < nb; v++ {
+			if p := parent(v); p >= 0 && p != v {
+				kids[p] = append(kids[p], int32(v))
+			}
+		}
+		return kids
+	}
+
+	cst := graph.NewBitMatrix(n) // cst.Row(a2) = {b2 : [b2,a2] ∈ D1 ∧ b2 dom a2}
+	domVisit := func(v int) {
+		for _, x := range accs[v] {
+			row, t := cst.Row(int(x)), res.D1.TargetRow(int(x))
+			for i := range row {
+				row[i] = t[i] & mask[i]
+			}
+			graph.BitSet(mask, int(x))
+		}
+	}
+	dkids := children(nb, res.Dom.Idom)
+	for v := 0; v < nb; v++ {
+		if v == 0 || res.Dom.Idom(v) < 0 {
+			walk(v, dkids, domVisit)
+		}
+	}
+
+	keep := graph.NewBitMatrix(n) // keep.Row(a1) = {b1 : [a1,b1] ∈ D1 ∧ b1 strictly pdom a1}
+	exit := res.PDom.ExitID()
+	walk(exit, children(exit+1, res.PDom.Ipdom), func(v int) {
+		if v == exit {
+			return
+		}
+		for _, x := range accs[v] {
+			row, s := keep.Row(int(x)), src.Row(int(x))
+			for i := range row {
+				row[i] = s[i] & mask[i]
+			}
+		}
+		for _, x := range accs[v] {
+			graph.BitSet(mask, int(x))
+		}
+	})
+
+	ps = keep.Transpose()
+	for b := 0; b < n; b++ {
+		orRow(ps.Row(b), cst.Row(b))
 	}
 	return ps, cst.Transpose()
 }
 
 // refineR iterates the dominator rule and transitive closure until fixpoint
-// (step 4 of section 5.1), dispatching on the backing.
-func (res *Result) refineR() {
-	ps, cs := res.dominatorFilters()
+// (step 4 of section 5.1), dispatching on the backing. src is D1 in
+// A-major form.
+func (res *Result) refineR(src *graph.BitMatrix) {
+	ps, cs := res.dominatorFilters(src)
 	if res.R.cp != nil {
 		res.refineRClass(ps, cs)
 	} else {

@@ -1,9 +1,12 @@
 package syncanal
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/ir"
 )
 
 // Tests of step 4 as a product (precedence.go): the filter matrices against
@@ -26,7 +29,7 @@ func TestDominatorFiltersMatchPerPairDefinition(t *testing.T) {
 			continue
 		}
 		res := Analyze(fn, Options{})
-		ps, cs := res.dominatorFilters()
+		ps, cs := res.dominatorFilters(res.D1.SourceMatrix())
 		acc := fn.Accesses
 		for a := range acc {
 			for b := range acc {
@@ -53,6 +56,92 @@ func TestDominatorFiltersMatchPerPairDefinition(t *testing.T) {
 	if checked < 60 || domPairs == 0 || pdomOnly == 0 {
 		t.Fatalf("%d programs, %d dominating D1 pairs, %d postdominating only: the grid no longer exercises both arms",
 			checked, domPairs, pdomOnly)
+	}
+}
+
+// dominatorFiltersPerPair builds PS and CS the way the tree walks replaced:
+// one block-level Dominates / PostDominates query per D1 pair.
+func dominatorFiltersPerPair(res *Result) (ps, cs *graph.BitMatrix) {
+	fn := res.Fn
+	n := len(fn.Accesses)
+	blk := make([]int, n)
+	idx := make([]int, n)
+	for i, a := range fn.Accesses {
+		blk[i], idx[i] = a.Blk.ID, a.Idx
+	}
+	ps = graph.NewBitMatrix(n)
+	cst := graph.NewBitMatrix(n)
+	for b := 0; b < n; b++ {
+		for wi, wd := range res.D1.TargetRow(b) {
+			for m := wd; m != 0; m &= m - 1 {
+				a := wi<<6 + bits.TrailingZeros64(m)
+				switch {
+				case blk[a] == blk[b]:
+					if idx[a] < idx[b] {
+						ps.Set(b, a)
+						cst.Set(b, a)
+					}
+				case res.Dom.Dominates(blk[a], blk[b]):
+					ps.Set(b, a)
+					cst.Set(b, a)
+				case res.PDom.PostDominates(blk[b], blk[a]):
+					ps.Set(b, a)
+				}
+			}
+		}
+	}
+	return ps, cst.Transpose()
+}
+
+// unreachableBlockSource has code after main's return: its accesses sit in
+// a block the dominator tree does not reach, which still reaches the exit.
+const unreachableBlockSource = `
+shared int X;
+shared int Y;
+event E;
+func main() {
+    local int r = 0;
+    if (MYPROC == 0) {
+        X = 1;
+        post(E);
+    } else {
+        wait(E);
+        r = X;
+    }
+    Y = r;
+    return;
+    wait(E);
+    Y = X;
+    X = Y + 1;
+    post(E);
+}
+`
+
+// TestDominatorFilterWalksMatchPerPairLoop holds the two tree walks to the
+// per-pair loop they replaced, matrix for matrix, on the differential
+// programs (acc2048 among them outside -short) and on a program with an
+// unreachable block.
+func TestDominatorFilterWalksMatchPerPairLoop(t *testing.T) {
+	progs := append(diffPrograms(t), diffProgram{"unreachable block",
+		ir.MustBuild(unreachableBlockSource, ir.BuildOptions{Procs: 4})})
+	for _, p := range progs {
+		res := Analyze(p.fn, Options{})
+		ps, cs := res.dominatorFilters(res.D1.SourceMatrix())
+		wps, wcs := dominatorFiltersPerPair(res)
+		if !slices.Equal(ps.Words(), wps.Words()) || !slices.Equal(cs.Words(), wcs.Words()) {
+			t.Fatalf("%s: tree-walk filters differ from the per-pair loop", p.label)
+		}
+	}
+	// The unreachable block must hold D1 pairs, or its case is untested.
+	res := Analyze(progs[len(progs)-1].fn, Options{})
+	dead := 0
+	for _, a := range res.Fn.Accesses {
+		if res.Dom.Idom(a.Blk.ID) < 0 && anyBit(res.D1.TargetRow(a.ID)) {
+			dead++
+		}
+	}
+	if dead == 0 {
+		t.Fatal("no D1 pair targets an access of the unreachable block")
 	}
 }
 

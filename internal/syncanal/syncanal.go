@@ -79,8 +79,10 @@ type Timing struct {
 	// Zero under Options.PerAccessR.
 	Condense time.Duration
 	// Precedence covers seeding and refining R (steps 3–4), minus the
-	// partition maintenance reported as Condense: building the two
-	// dominator filter matrices from D1 is nearly all of it.
+	// partition maintenance reported as Condense. Most of it is matrix
+	// work on D1 that the fixpoint does not repeat: D1's A-major
+	// transpose (which the lock guards read too), the two dominator-tree
+	// walks that filter it into PS and CS, and their transposes.
 	Precedence time.Duration
 	// Guards is the lock-guard computation (section 5.3).
 	Guards time.Duration
@@ -222,7 +224,8 @@ func (res *Result) RefineSync(opts Options) {
 	fn := res.Fn
 
 	// Steps 3-4: seed R and close it under the dominator rule and
-	// transitivity (precedence.go).
+	// transitivity (precedence.go). D1's A-major form feeds both the
+	// dominator filters and the lock confinement sweeps.
 	t0 := time.Now()
 	n := len(fn.Accesses)
 	if opts.PerAccessR {
@@ -230,8 +233,9 @@ func (res *Result) RefineSync(opts Options) {
 	} else {
 		res.R = newClassPrecedence(n)
 	}
+	src := res.D1.SourceMatrix()
 	res.seedPrecedence(opts)
-	res.refineR()
+	res.refineR(src)
 	phase := time.Since(t0)
 	if res.R.cp != nil {
 		res.Timing.Condense = res.R.cp.maint
@@ -240,7 +244,7 @@ func (res *Result) RefineSync(opts Options) {
 	}
 	res.Timing.Precedence = phase - res.Timing.Condense
 
-	res.orientAndDetect(opts, syncIDs(fn))
+	res.orientAndDetect(opts, syncIDs(fn), src)
 }
 
 // Summary renders a human-readable account of the analysis for the driver.
