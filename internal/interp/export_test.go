@@ -2,8 +2,9 @@ package interp
 
 import "fmt"
 
-// Test hooks for lazy_diff_test.go, which lives in interp_test because it
-// compiles through the root package (which imports this one).
+// Test hooks for lazy_diff_test.go and queue_traffic_test.go, which live in
+// interp_test because they compile through the root package (which imports
+// this one).
 
 // SetQueueReads makes r's later runs push every get-read through the event
 // queue (the path a tapped, jittered or perturbed run takes) whatever
@@ -43,3 +44,7 @@ func (r *Runner) CheckForcingBound(fail func(msg string)) *int {
 	}
 	return sawPending
 }
+
+// QueueTraffic reports where the last run's event-queue pushes went: how
+// many the sorted run took and how many the heap took.
+func (r *Runner) QueueTraffic() (run, heap int) { return r.s.queue.tail, r.s.queue.heapPushes }

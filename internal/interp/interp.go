@@ -361,7 +361,7 @@ func NewRunner(prog *target.Prog, cfg machine.Config) (*Runner, error) {
 		prog:   prog,
 		cfg:    cfg,
 		mem:    NewMemory(info, cfg.Procs),
-		queue:  evq{a: make([]evqEntry, 0, 6*cfg.Procs+64)},
+		queue:  newEvq(6*cfg.Procs + 64),
 		bar:    barrierState{arrived: make([]float64, cfg.Procs)},
 		niBusy: make([]float64, cfg.Procs),
 		evs:    make([][]eventObj, len(info.Events)),
@@ -405,7 +405,7 @@ func (r *Runner) reset(opts RunOptions) error {
 	s := &r.s
 	prog, cfg := s.prog, s.cfg
 	s.opts, s.tap = opts, opts.Tap
-	s.queue.a = s.queue.a[:0]
+	s.queue.reset()
 	s.store.used, s.free = 0, s.free[:0]
 	s.seq, s.nDyn, s.barEp, s.msgs, s.last, s.err, s.nEv = 0, 0, 0, 0, 0, nil, 0
 	s.rng.seed(opts.Seed)

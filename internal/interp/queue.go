@@ -21,17 +21,62 @@ type evqEntry struct {
 	aux int32 // inline events: landRec slot for a read, -1 for a resume
 }
 
-// evq is a 4-ary min-heap over (t, pri, seq) — the simulator's strict
-// total event order. A 4-ary shape halves the tree depth of a binary heap
-// and keeps each node's children adjacent in one pair of cache lines.
+// evq orders events by (t, pri, seq) — the simulator's strict total event
+// order — in two tiers:
+//
+//   - run, a FIFO of entries in ascending key order. A push keyed after the
+//     run's last entry, or any push while the run is empty, appends there
+//     in O(1). Most pushes are such: a processor's next resume or a message
+//     one wire latency out lands behind everything queued, 77 % of a
+//     simulate-apps lap's pushes and 98.6 % on Cholesky@64 baseline.
+//   - heap, a 4-ary min-heap, takes every other push. A 4-ary shape halves
+//     the tree depth of a binary heap and keeps each node's children
+//     adjacent in one pair of cache lines.
+//
+// pop takes the lesser of the run's head and the heap's top. Each is its
+// tier's minimum — the run is ascending by construction, the heap by its
+// invariant — and no two keys tie (seq is unique), so the lesser is the
+// queue's minimum and events leave in exactly the order one heap gave:
+// every clock, count and tap stream is unchanged. The heap stays because
+// much traffic is out of order: Ocean@256 puts 69,953 of its 148,012
+// pushes in front of the run's tail.
+//
+// The run is a power-of-two ring addressed by free-running counters: it
+// holds the entries numbered head..tail-1, entry i at i&(len(run)-1).
+// Neither counter rewinds before a reset, so tail also counts the run's
+// appends. Both tiers are carved from one array, and when either is full
+// both move to one array twice its size, so a growth is one allocation
+// and copies each live entry once.
 type evq struct {
-	a []evqEntry
+	run        []evqEntry
+	head, tail int
+	heap       []evqEntry
+	heapPushes int // pushes the heap took since the last reset
 }
 
-func (q *evq) len() int { return len(q.a) }
+// newEvq carves both tiers from one backing array of n >= 2 entries: the
+// run gets the largest power of two no more than half of it, the heap the
+// rest. The heap's share is never the smaller, so a growth at least
+// doubles the run.
+func newEvq(n int) evq {
+	r := 1
+	for 2*r <= n/2 {
+		r *= 2
+	}
+	a := make([]evqEntry, n)
+	return evq{run: a[:r], heap: a[r:r]}
+}
+
+// reset empties both tiers, keeping their storage.
+func (q *evq) reset() {
+	q.head, q.tail, q.heapPushes = 0, 0, 0
+	q.heap = q.heap[:0]
+}
+
+func (q *evq) len() int { return q.tail - q.head + len(q.heap) }
 
 // entryLess orders entries by time, then perturbation band, then sequence
-// number — identical to the executor's historical comparator, so the heap
+// number — identical to the executor's historical comparator, so the queue
 // pops events in the same order (the key is a strict total order: seq is
 // unique).
 func entryLess(x, y *evqEntry) bool {
@@ -44,7 +89,7 @@ func entryLess(x, y *evqEntry) bool {
 	return x.seq < y.seq
 }
 
-// push inserts an event, sifting it up from the tail.
+// push schedules a store event.
 func (q *evq) push(e *event) {
 	q.insert(evqEntry{t: e.t, pri: e.pri, seq: e.seq, ref: e.self})
 }
@@ -56,8 +101,20 @@ func (q *evq) pushInline(t, pri float64, seq int64, proc, aux int32) {
 }
 
 func (q *evq) insert(ent evqEntry) {
-	q.a = append(q.a, ent)
-	a := q.a
+	if q.head == q.tail || entryLess(&q.run[(q.tail-1)&(len(q.run)-1)], &ent) {
+		if q.tail-q.head == len(q.run) {
+			q.grow()
+		}
+		q.run[q.tail&(len(q.run)-1)] = ent
+		q.tail++
+		return
+	}
+	q.heapPushes++
+	if len(q.heap) == cap(q.heap) {
+		q.grow()
+	}
+	q.heap = append(q.heap, ent)
+	a := q.heap
 	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -70,23 +127,48 @@ func (q *evq) insert(ent evqEntry) {
 	a[i] = ent
 }
 
-// pop removes and returns the minimum entry. The root hole is refilled
-// with Floyd's bottom-up scheme: promote the least child down to a leaf
-// (three comparisons per level), then sift the displaced tail entry up
-// from there. Tail entries are late arrivals that nearly always belong at
-// a leaf, so the up-phase usually terminates immediately — one comparison
-// per level cheaper than sifting the tail entry down against each level's
-// least child.
+// grow moves both tiers to one array twice the size of the two together,
+// carved as newEvq carves. Each run entry moves to its number's index
+// under the new mask, so head and tail stay as they are; the heap moves
+// as it lies.
+func (q *evq) grow() {
+	nq := newEvq(2 * (len(q.run) + cap(q.heap)))
+	for i := q.head; i < q.tail; i++ {
+		nq.run[i&(len(nq.run)-1)] = q.run[i&(len(q.run)-1)]
+	}
+	q.run = nq.run
+	q.heap = append(nq.heap, q.heap...)
+}
+
+// pop removes and returns the minimum entry.
 func (q *evq) pop() evqEntry {
-	a := q.a
+	if q.head != q.tail {
+		first := &q.run[q.head&(len(q.run)-1)]
+		if len(q.heap) == 0 || entryLess(first, &q.heap[0]) {
+			q.head++
+			return *first
+		}
+	}
+	return q.popHeap()
+}
+
+// popHeap removes and returns the heap's minimum. The root hole is
+// refilled with Floyd's bottom-up scheme: promote the least child down to
+// a leaf (three comparisons per level), then sift the displaced tail entry
+// up from there. Tail entries are late arrivals that nearly always belong
+// at a leaf, so the up-phase usually terminates immediately — one
+// comparison per level cheaper than sifting the tail entry down against
+// each level's least child.
+func (q *evq) popHeap() evqEntry {
+	a := q.heap
 	min := a[0]
 	n := len(a) - 1
 	ent := a[n]
-	q.a = a[:n]
+	q.heap = a[:n]
 	if n == 0 {
 		return min
 	}
-	a = q.a
+	a = q.heap
 	i := 0
 	for {
 		c := i<<2 + 1
