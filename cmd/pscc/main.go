@@ -6,7 +6,8 @@
 //	pscc [flags] file.ms
 //
 //	-procs N        compile for N processors (default 8)
-//	-level L        blocking | baseline | pipelined | oneway (default oneway)
+//	-level L        blocking | baseline | pipelined | oneway | unsafe
+//	                (default oneway)
 //	-cse            enable communication elimination
 //	-exact          exact (exponential) simple-path search
 //	-dump-after P   dump compiler state after the named passes (comma list)
@@ -36,7 +37,7 @@ import (
 
 func main() {
 	procs := flag.Int("procs", 8, "number of processors")
-	level := flag.String("level", "oneway", "optimization level: blocking|baseline|pipelined|oneway")
+	level := flag.String("level", "oneway", "optimization level: blocking|baseline|pipelined|oneway|unsafe")
 	cse := flag.Bool("cse", false, "enable communication elimination")
 	exact := flag.Bool("exact", false, "exact simple-path search")
 	dumpAfter := flag.String("dump-after", "", "dump compiler state after these passes (comma list)")

@@ -7,15 +7,15 @@
 //	pscsim [flags] file.ms
 //
 //	-procs N       number of processors (default 8)
-//	-machine M     cm5 | t3d | dash | ideal (default cm5)
-//	-level L       blocking | baseline | pipelined | oneway (default oneway)
+//	-machine M     cm5 | t3d | dash | jmachine | ideal (default cm5)
+//	-level L       blocking | baseline | pipelined | oneway | unsafe
+//	               (default oneway)
 //	-cse           enable communication elimination
 //	-jitter F      network latency jitter fraction (default 0)
 //	-seed N        jitter seed
 //	-sc            also run the sequentially consistent oracle and compare
 //	-mem           print final shared memory
 //	-stats         print per-processor statistics
-//	-engine E      block-execution engine: vm | walk (default vm)
 //	-dump-bytecode print the compiled bytecode before running
 package main
 
@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
 	"repro/internal/interp"
@@ -32,7 +33,7 @@ import (
 
 func main() {
 	procs := flag.Int("procs", 8, "number of processors")
-	mach := flag.String("machine", "cm5", "machine model: cm5|t3d|dash|ideal")
+	mach := flag.String("machine", "cm5", "machine model: "+strings.Join(machine.Names(), "|"))
 	level := flag.String("level", "oneway", "optimization level")
 	cse := flag.Bool("cse", false, "enable communication elimination")
 	jitter := flag.Float64("jitter", 0, "network latency jitter fraction")
@@ -40,7 +41,6 @@ func main() {
 	sc := flag.Bool("sc", false, "compare against the sequentially consistent oracle")
 	mem := flag.Bool("mem", false, "print final shared memory")
 	stats := flag.Bool("stats", false, "print per-processor statistics")
-	engine := flag.String("engine", "vm", "block-execution engine: vm|walk")
 	dumpBC := flag.Bool("dump-bytecode", false, "print the compiled bytecode before running")
 	flag.Parse()
 
@@ -65,10 +65,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	if *dumpBC {
 		bc, err := vm.Compiled(prog.Target)
 		if err != nil {
@@ -76,7 +72,7 @@ func main() {
 		}
 		fmt.Print(bc.Disasm())
 	}
-	res, err := prog.Run(cfg, interp.RunOptions{Jitter: *jitter, Seed: *seed, Engine: eng})
+	res, err := prog.Run(cfg, interp.RunOptions{Jitter: *jitter, Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}

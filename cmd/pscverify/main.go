@@ -33,10 +33,7 @@
 //	                (default: the verifier's 1,000,000-state budget)
 //	-enum-stats     print the model checker's exploration statistics
 //	                (states, transitions, deterministic steps, branch
-//	                points, peak depth) and the partial-order-reduction
-//	                factor against the unreduced reference enumerator
-//	-engine E       block-execution engine for every verified run:
-//	                vm | walk (default vm)
+//	                points, peak depth)
 //	-dump-bytecode  print the compiled bytecode of the file under
 //	                verification at each requested level, then exit
 package main
@@ -52,7 +49,6 @@ import (
 	splitc "repro"
 	"repro/internal/apps"
 	"repro/internal/delay"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/progen"
@@ -74,15 +70,10 @@ func main() {
 	progenN := flag.Int("progen", 0, "verify N generated programs instead of a file")
 	maxStates := flag.Int("max-states", 0, "state budget for the exact SC enumeration (0 = verifier default)")
 	enumStats := flag.Bool("enum-stats", false, "print SC model-checker exploration statistics")
-	engineFlag := flag.String("engine", "vm", "block-execution engine: vm|walk")
 	dumpBC := flag.Bool("dump-bytecode", false, "print the compiled bytecode at each level and exit")
 	flag.Parse()
 
 	levels, err := splitc.ParseLevels(*level)
-	if err != nil {
-		fatal(err)
-	}
-	engine, err := interp.ParseEngine(*engineFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,7 +94,6 @@ func main() {
 		Weaken:        pairs,
 		CSE:           *cse,
 		EnumBudget:    *maxStates,
-		Engine:        engine,
 	}
 	showEnumStats = *enumStats
 
@@ -146,9 +136,8 @@ func main() {
 var showEnumStats bool
 
 // printEnumStats reports the model checker's effort on one verified
-// program, plus the partial-order-reduction factor measured against the
-// unreduced reference enumerator when the latter fits the same budget.
-func printEnumStats(src string, opts scverify.Options, rep *scverify.Report) {
+// program.
+func printEnumStats(rep *scverify.Report) {
 	if rep.Enum == nil {
 		return
 	}
@@ -156,20 +145,9 @@ func printEnumStats(src string, opts scverify.Options, rep *scverify.Report) {
 	fmt.Printf("enum: states=%d transitions=%d local-steps=%d branches=%d peak-frontier=%d outcomes=%d",
 		s.States, s.Transitions, s.LocalSteps, s.Branches, s.PeakFrontier, s.Outcomes)
 	if s.Truncated {
-		fmt.Printf(" TRUNCATED\n")
-		return
+		fmt.Print(" TRUNCATED")
 	}
-	budget := opts.EnumBudget
-	if budget <= 0 {
-		budget = 1_000_000
-	}
-	fn := ir.MustBuild(src, ir.BuildOptions{Procs: opts.Procs})
-	if _, ref, ok := interp.EnumerateSCReferenceStats(fn, opts.Procs, budget); ok {
-		fmt.Printf(" por-reduction=%.1fx (reference: %d states)\n", s.ReductionFactor(ref.States), ref.States)
-	} else {
-		fmt.Printf(" por-reduction=>%.1fx (reference over budget at %d states)\n",
-			s.ReductionFactor(ref.States), ref.States)
-	}
+	fmt.Println()
 }
 
 // runOne verifies one source program and prints its report.
@@ -180,7 +158,7 @@ func runOne(name, src string, opts scverify.Options) int {
 	}
 	fmt.Printf("%s:\n%s", name, rep.Summary())
 	if showEnumStats {
-		printEnumStats(src, opts, rep)
+		printEnumStats(rep)
 	}
 	printViolations(rep)
 	if !rep.OK() {
@@ -245,7 +223,7 @@ func runProgen(n int, opts scverify.Options) int {
 		}
 		if showEnumStats {
 			fmt.Printf("seed %d: ", seed)
-			printEnumStats(src, opts, rep)
+			printEnumStats(rep)
 		}
 		if !rep.OK() {
 			status = 1

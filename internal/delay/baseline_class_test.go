@@ -42,7 +42,7 @@ func TestBaselineClassCondensedGrid(t *testing.T) {
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
 		got := Compute(ag, cs, Constraints{})
-		want := Compute(ag, cs, Constraints{Reference: true})
+		want := ComputeReference(ag, cs, Constraints{})
 		pairsEqual(t, fmt.Sprintf("baseline seed %d (n=%d)", seed, len(fn.Accesses)), got, want)
 		checked++
 	}

@@ -76,7 +76,7 @@ func BenchmarkAnalysisDelayCompute(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ShashaSnir(ag, cs)
+				Compute(ag, cs, Constraints{})
 			}
 		})
 	}

@@ -26,7 +26,7 @@
 //     whatever its endpoint filter, the CSR loop every other region, and
 //     the class solver the dense regions of the oriented-and-removed query
 //     whose accesses the caller classed (region.go says what selects each);
-//   - the oracle (reference.go, Constraints.Reference) runs one search per
+//   - the oracle (reference.go, ComputeReference) runs one search per
 //     program-order pair over adjacency materialized through closures. It
 //     is what the differential tests hold the production engine to, and it
 //     alone carries the exact search (Constraints.Exact), which enumerates
@@ -186,10 +186,6 @@ type Constraints struct {
 	// Exact enables the exponential simple-path search on programs of at
 	// most ExactLimit accesses; larger ones get the polynomial search.
 	Exact bool
-	// Reference forces the per-pair oracle (reference.go). It exists so the
-	// differential tests can prove the production engine returns identical
-	// delay sets; production callers leave it false.
-	Reference bool
 
 	// Endpoints restricts the pairs considered by their endpoints (see
 	// EndpointFilter). Step 2 of section 5.1 keeps the pairs with a
@@ -242,8 +238,9 @@ type Constraints struct {
 	// sweep per target, decides the removal once per (source class, target
 	// class) cell, and runs the exact per-pair search only in the cells
 	// that decision leaves open. Declaring interchangeability
-	// that does not hold yields wrong results; the per-access oracle
-	// (syncanal's Options.PerAccessR) exists to check it differentially.
+	// that does not hold yields wrong results; syncanal's per-access
+	// precedence, selected only by its tests, exists to check it
+	// differentially.
 	AccessClass []int32
 }
 
@@ -338,23 +335,12 @@ func parallelFor(n, nw int, fn func(worker, i int)) {
 // or conflict edges (in their allowed direction).
 //
 // The production engine (region.go) answers every polynomial query; the
-// per-pair oracle (reference.go) answers when asked for by name and runs
-// the exact search, which only it implements.
+// per-pair oracle (ComputeReference) runs the exact search, which only it
+// implements. The zero Constraints is the plain Shasha & Snir delay set,
+// the baseline the paper's Figure 12 compares against.
 func Compute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
-	if con.Reference || con.Exact && len(ag.Fn.Accesses) <= ExactLimit {
-		return computeReference(ag, cs, con)
+	if con.Exact && len(ag.Fn.Accesses) <= ExactLimit {
+		return ComputeReference(ag, cs, con)
 	}
 	return computeRegion(ag, cs, con)
-}
-
-// ShashaSnir computes the plain Shasha & Snir delay set: no orientation, no
-// removal, every program-order pair considered. This is the baseline the
-// paper's Figure 12 compares against.
-func ShashaSnir(ag *ir.AccessGraph, cs *conflict.Set) *Set {
-	return Compute(ag, cs, Constraints{})
-}
-
-// ShashaSnirExact is ShashaSnir with the simple-path search.
-func ShashaSnirExact(ag *ir.AccessGraph, cs *conflict.Set) *Set {
-	return Compute(ag, cs, Constraints{Exact: true})
 }

@@ -30,7 +30,7 @@ func main() {
 
 func TestFigure1Delays(t *testing.T) {
 	_, ag, cs := setup(t, figure1, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	// The two delay edges that make Figure 1 sequentially consistent:
 	// the writes must stay ordered, and so must the reads.
 	if !d.Has(0, 1) {
@@ -43,7 +43,7 @@ func TestFigure1Delays(t *testing.T) {
 
 func TestFigure1DelaysExact(t *testing.T) {
 	_, ag, cs := setup(t, figure1, 0)
-	d := ShashaSnirExact(ag, cs)
+	d := Compute(ag, cs, Constraints{Exact: true})
 	if !d.Has(0, 1) || !d.Has(2, 3) {
 		t.Errorf("exact search missing Figure 1 delays\n%s", d)
 	}
@@ -66,7 +66,7 @@ func main() {
     }
 }
 `, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	if d.Size() != 0 {
 		t.Errorf("expected empty delay set, got:\n%s", d)
 	}
@@ -82,7 +82,7 @@ func main() {
     local int r = X;   // a1
 }
 `, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	if !d.Has(0, 1) {
 		t.Errorf("missing delay [write X -> read X]\n%s", d)
 	}
@@ -100,7 +100,7 @@ func main() {
     Y = 2;    // a1
 }
 `, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	// Back-path for [a0,a1]: a1 -C-> a1' requires a conflict partner of a1
 	// that reaches a conflict partner of a0. a1 conflicts only with itself;
 	// from a1, program order continues to nothing. A back-path
@@ -122,7 +122,7 @@ func main() {
     Y = MYPROC;    // a1
 }
 `, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	if d.Has(0, 1) {
 		t.Errorf("writes to X and Y with no observers should not be delayed:\n%s", d)
 	}
@@ -145,7 +145,7 @@ func main() {
     }
 }
 `, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	if !d.Has(0, 1) || !d.Has(2, 3) {
 		t.Errorf("Dekker delays missing:\n%s", d)
 	}
@@ -163,7 +163,7 @@ func main() {
     }
 }
 `, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	if !d.Has(0, 0) {
 		t.Errorf("missing self delay for loop-carried conflicting write:\n%s", d)
 	}
@@ -178,7 +178,7 @@ func main() {
     }
 }
 `, 8)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	if d.Has(0, 0) {
 		t.Errorf("owner-computes loop write should not self-delay:\n%s", d)
 	}
@@ -257,8 +257,8 @@ func main() {
 	}
 	for i, src := range srcs {
 		_, ag, cs := setup(t, src, 4)
-		poly := ShashaSnir(ag, cs)
-		exact := ShashaSnirExact(ag, cs)
+		poly := Compute(ag, cs, Constraints{})
+		exact := Compute(ag, cs, Constraints{Exact: true})
 		for _, p := range exact.Pairs() {
 			if !poly.Has(p.A, p.B) {
 				t.Errorf("case %d: exact found [%d,%d] missing from poly (poly must over-approximate)", i, p.A, p.B)
@@ -305,7 +305,7 @@ func main() {
     local int v = X;     // a2
 }
 `, 0)
-	d := ShashaSnir(ag, cs)
+	d := Compute(ag, cs, Constraints{})
 	if !d.Has(0, 1) {
 		t.Errorf("missing delay [write X -> barrier]:\n%s", d)
 	}

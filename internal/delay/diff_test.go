@@ -131,9 +131,7 @@ func TestBatchedMatchesReference(t *testing.T) {
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
 		for _, v := range diffVariants(fn, cs) {
-			ref := v.con
-			ref.Reference = true
-			want := Compute(ag, cs, ref)
+			want := ComputeReference(ag, cs, v.con)
 			for _, nw := range []int{1, 2, 3, 8} {
 				Workers = nw
 				label := fmt.Sprintf("seed %d %s (n=%d, workers=%d)", seed, v.name, len(fn.Accesses), nw)
@@ -167,8 +165,8 @@ func TestEndpointFilterMatchesPerPairFilter(t *testing.T) {
 		syncIDs := syncIDsOf(fn)
 		for _, v := range diffVariants(fn, cs) {
 			ref := v.con
-			ref.Endpoints, ref.Reference = EndpointFilter{}, true
-			all := Compute(ag, cs, ref).Pairs()
+			ref.Endpoints = EndpointFilter{}
+			all := ComputeReference(ag, cs, ref).Pairs()
 			for _, keep := range []bool{true, false} {
 				con := v.con
 				con.Endpoints = EndpointFilter{IDs: syncIDs, Keep: keep}

@@ -68,9 +68,7 @@ func FuzzBackPathEquivalence(f *testing.F) {
 				con.Endpoints.IDs = append(con.Endpoints.IDs, i)
 			}
 		}
-		ref := con
-		ref.Reference = true
-		want := Compute(ag, cs, ref)
+		want := ComputeReference(ag, cs, con)
 		got := Compute(ag, cs, con)
 		if got.Size() != want.Size() {
 			t.Fatalf("mode %d: got %d pairs, reference %d\ngot:\n%swant:\n%s",

@@ -6,14 +6,14 @@ import (
 	"repro/internal/ir"
 )
 
-// computeReference is the oracle of the package: the definition of a
+// ComputeReference is the oracle of the package: the definition of a
 // back-path run once per program-order pair, adjacency materialized through
-// closures, nothing shared between pairs. The differential tests hold the
-// production engine to it (Constraints.Reference), and the exact search
+// closures, nothing shared between pairs. The differential tests call it by
+// name and hold Compute to its answer, and the exact search
 // (Constraints.Exact) exists only here. It reads the plain fields of
 // Constraints — ConflictDir (or, without one, DirRows), Removed,
 // Endpoints — and none of the engine's accelerators.
-func computeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
+func ComputeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	out := NewSet(fn)
 	n := len(fn.Accesses)

@@ -38,16 +38,23 @@ func compileKernel(tb testing.TB, name string, procs int) *target.Prog {
 }
 
 func benchInterpKernel(b *testing.B, name string) {
-	benchEngineKernel(b, name, 8, interp.RunOptions{})
+	benchEngineKernel(b, name, 8, false)
 }
 
-func benchEngineKernel(b *testing.B, name string, procs int, opts interp.RunOptions) {
+// benchEngineKernel times one run of the kernel on a fresh Runner — what
+// interp.Run does — on the bytecode VM or, with walker, on the AST walker.
+func benchEngineKernel(b *testing.B, name string, procs int, walker bool) {
 	prog := compileKernel(b, name, procs)
 	cfg := machine.CM5(procs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := interp.Run(prog, cfg, opts); err != nil {
+		r, err := interp.NewRunner(prog, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.SetWalker(walker)
+		if _, err := r.Run(interp.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,26 +68,17 @@ func BenchmarkInterpEM3D(b *testing.B) { benchInterpKernel(b, "EM3D") }
 // simulated CM-5 processors.
 func BenchmarkInterpOcean(b *testing.B) { benchInterpKernel(b, "Ocean") }
 
-// BenchmarkVMEM3D and BenchmarkVMOcean pin the bytecode-VM engine
-// explicitly (today's default, but the pin keeps the number meaningful if
-// the default ever changes); BenchmarkWalkEM3D and BenchmarkWalkOcean pin
-// the AST-walking reference engine, so the VM-vs-walker ratio is always
-// measurable from one bench run.
-func BenchmarkVMEM3D(b *testing.B) {
-	benchEngineKernel(b, "EM3D", 8, interp.RunOptions{Engine: interp.EngineVM})
-}
+// BenchmarkVMEM3D and BenchmarkVMOcean run the bytecode VM, as every run
+// outside the tests does; BenchmarkWalkEM3D and BenchmarkWalkOcean select
+// the AST-walking reference through the Runner's test hook, so the
+// VM-vs-walker ratio is always measurable from one bench run.
+func BenchmarkVMEM3D(b *testing.B) { benchEngineKernel(b, "EM3D", 8, false) }
 
-func BenchmarkVMOcean(b *testing.B) {
-	benchEngineKernel(b, "Ocean", 8, interp.RunOptions{Engine: interp.EngineVM})
-}
+func BenchmarkVMOcean(b *testing.B) { benchEngineKernel(b, "Ocean", 8, false) }
 
-func BenchmarkWalkEM3D(b *testing.B) {
-	benchEngineKernel(b, "EM3D", 8, interp.RunOptions{Engine: interp.EngineWalker})
-}
+func BenchmarkWalkEM3D(b *testing.B) { benchEngineKernel(b, "EM3D", 8, true) }
 
-func BenchmarkWalkOcean(b *testing.B) {
-	benchEngineKernel(b, "Ocean", 8, interp.RunOptions{Engine: interp.EngineWalker})
-}
+func BenchmarkWalkOcean(b *testing.B) { benchEngineKernel(b, "Ocean", 8, true) }
 
 // BenchmarkVMBigProc scales the simulated machine instead of the problem:
 // EM3D on 256 and 1024 simulated processors, Ocean on 256. The tier guards
@@ -94,7 +92,7 @@ func BenchmarkVMBigProc(b *testing.B) {
 		procs  int
 	}{{"EM3D", 256}, {"EM3D", 1024}, {"Ocean", 256}} {
 		b.Run(fmt.Sprintf("%s/procs=%d", c.kernel, c.procs), func(b *testing.B) {
-			benchEngineKernel(b, c.kernel, c.procs, interp.RunOptions{Engine: interp.EngineVM})
+			benchEngineKernel(b, c.kernel, c.procs, false)
 		})
 	}
 }
@@ -103,5 +101,5 @@ func BenchmarkVMBigProc(b *testing.B) {
 // the one-way level: a quarter of a million gets a run, in a program with
 // event objects, which take the lazy-read path like any other.
 func BenchmarkVMCholesky(b *testing.B) {
-	benchEngineKernel(b, "Cholesky", 64, interp.RunOptions{Engine: interp.EngineVM})
+	benchEngineKernel(b, "Cholesky", 64, false)
 }

@@ -1,56 +1,15 @@
 package interp
 
 import (
-	"fmt"
-
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/vm"
 )
 
-// Engine selects the block-execution engine of the weak-memory executor.
-// The two engines are semantically byte-identical — same outcomes, same
-// event timing, same tap streams — and are differential-tested against
-// each other (engines_diff_test.go); the walker survives as the reference
-// implementation, mirroring the Constraints.Reference and
-// EnumerateSCReference pattern used elsewhere in the codebase.
-type Engine uint8
-
-// Engines. The zero value is the bytecode VM, making it the default.
-const (
-	// EngineVM compiles target blocks to flat bytecode (internal/vm) and
-	// executes them on an explicit value stack.
-	EngineVM Engine = iota
-	// EngineWalker walks the target AST statement by statement — the
-	// original executor, kept as the differential reference.
-	EngineWalker
-)
-
-// String names the engine as accepted by ParseEngine.
-func (e Engine) String() string {
-	switch e {
-	case EngineVM:
-		return "vm"
-	case EngineWalker:
-		return "walk"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine resolves an engine name ("vm" or "walk"); the CLIs share it.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "vm":
-		return EngineVM, nil
-	case "walk", "walker":
-		return EngineWalker, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want vm or walk)", name)
-	}
-}
-
-// vmHost adapts the simulator to the VM's Host interface. The methods are
+// vmHost adapts the simulator to the VM's Host interface. Every run
+// executes blocks on the bytecode VM (internal/vm); the AST walker of
+// interp.go survives as its differential reference, selected only by the
+// package's tests (export_test.go, engines_diff_test.go). The methods are
 // the walker's statement bodies minus operand evaluation (the bytecode did
 // that already), so both engines share one implementation of the event
 // semantics, the cost model, and the tap protocol.

@@ -1,7 +1,8 @@
 package interp_test
 
 // Differential testing of the two block-execution engines: the bytecode
-// VM (the default) against the AST-walking reference. The engines claim
+// VM, which every run outside the tests uses, against the AST-walking
+// reference, selected through the Runner's SetWalker hook. The engines claim
 // byte-identical semantics — same outcomes, same simulated clocks, same
 // event and message counts, and the same tap callback stream in the same
 // order — so every comparison here is exact equality, not tolerance.
@@ -15,6 +16,8 @@ package interp_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -57,17 +60,22 @@ func (t *traceTap) Episode(dyn, ep int) {
 	t.lines = append(t.lines, fmt.Sprintf("episode %d ep %d", dyn, ep))
 }
 
-// runEngine executes prog once under the given engine, returning the
-// result, the recorded tap stream (nil when tap is false), and the
-// error's string ("" for success) so failing programs also compare.
-func runEngine(prog *splitc.Program, cfg machine.Config, opts interp.RunOptions, eng interp.Engine, tap bool) (*interp.Result, []string, string) {
-	opts.Engine = eng
+// runEngine executes prog once on a fresh Runner, on the AST walker or the
+// bytecode VM, returning the result, the recorded tap stream (nil when tap
+// is false), and the error's string ("" for success) so failing programs
+// also compare.
+func runEngine(prog *splitc.Program, cfg machine.Config, opts interp.RunOptions, walker, tap bool) (*interp.Result, []string, string) {
 	var tr *traceTap
 	if tap {
 		tr = &traceTap{}
 		opts.Tap = tr
 	}
-	res, err := prog.Run(cfg, opts)
+	var res *interp.Result
+	r, err := interp.NewRunner(prog.Target, cfg)
+	if err == nil {
+		r.SetWalker(walker)
+		res, err = r.Run(opts)
+	}
 	errStr := ""
 	if err != nil {
 		errStr = err.Error()
@@ -84,8 +92,8 @@ func runEngine(prog *splitc.Program, cfg machine.Config, opts interp.RunOptions,
 func diffRun(t *testing.T, label string, prog *splitc.Program, cfg machine.Config, opts interp.RunOptions) {
 	t.Helper()
 	for _, tapped := range []bool{true, false} {
-		vmRes, vmTap, vmErr := runEngine(prog, cfg, opts, interp.EngineVM, tapped)
-		wkRes, wkTap, wkErr := runEngine(prog, cfg, opts, interp.EngineWalker, tapped)
+		vmRes, vmTap, vmErr := runEngine(prog, cfg, opts, false, tapped)
+		wkRes, wkTap, wkErr := runEngine(prog, cfg, opts, true, tapped)
 		mode := "tapless"
 		if tapped {
 			mode = "tapped"
@@ -164,13 +172,73 @@ func diffProgram(t *testing.T, label, src string, procs int, level splitc.Level,
 }
 
 // TestEnginesDiffApps runs the five paper kernels under both engines at
-// the two extreme optimization levels.
+// the two extreme optimization levels on 8 processors, and at the
+// pipelined level on 4 without communication elimination, the compile the
+// SC verifier's app grid makes.
 func TestEnginesDiffApps(t *testing.T) {
 	for _, k := range apps.All() {
-		for _, level := range []splitc.Level{splitc.LevelBlocking, splitc.LevelOneWay} {
-			src := k.Source(8, 1)
-			diffProgram(t, fmt.Sprintf("%s/%s", k.Name, level), src, 8, level, true)
+		for _, c := range []struct {
+			procs int
+			level splitc.Level
+			cse   bool
+		}{
+			{8, splitc.LevelBlocking, true},
+			{8, splitc.LevelOneWay, true},
+			{4, splitc.LevelPipelined, false},
+		} {
+			src := k.Source(c.procs, 1)
+			diffProgram(t, fmt.Sprintf("%s/p%d/%s", k.Name, c.procs, c.level), src, c.procs, c.level, c.cse)
 		}
+	}
+}
+
+// TestEnginesDiffSamples runs every sample program of testdata/ under both
+// engines at pscsim's defaults: 8 processors at the oneway level, with
+// communication elimination off and on.
+func TestEnginesDiffSamples(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*.ms")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no sample programs found: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cse := range []bool{false, true} {
+			diffProgram(t, fmt.Sprintf("%s/cse=%v", filepath.Base(f), cse), string(src), 8, splitc.LevelOneWay, cse)
+		}
+	}
+}
+
+// TestWalkerHookBuildsNoVM holds SetWalker to what every engine
+// differential relies on: a Runner whose runs were all on the walker has
+// never built the bytecode machine, so the walker side of a comparison
+// really ran the walker. The same Runner builds it at its first VM run.
+func TestWalkerHookBuildsNoVM(t *testing.T) {
+	prog, err := splitc.Compile(apps.ByName("EM3D").Source(4, 1), splitc.Options{Procs: 4, Level: splitc.LevelOneWay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := interp.NewRunner(prog.Target, machine.CM5(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetWalker(true)
+	for _, opts := range []interp.RunOptions{{}, {Tap: &traceTap{}}} {
+		if _, err := r.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.MadeVM() {
+		t.Fatal("a Runner set to the walker built the bytecode machine")
+	}
+	r.SetWalker(false)
+	if _, err := r.Run(interp.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !r.MadeVM() {
+		t.Fatal("a run on the VM did not build the bytecode machine")
 	}
 }
 

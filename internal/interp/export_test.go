@@ -2,9 +2,16 @@ package interp
 
 import "fmt"
 
-// Test hooks for lazy_diff_test.go and queue_traffic_test.go, which live in
-// interp_test because they compile through the root package (which imports
-// this one).
+// Test hooks for the tests in interp_test, which live there because they
+// compile through the root package (which imports this one).
+
+// SetWalker makes r's later runs execute blocks on the AST walker, the
+// bytecode VM's differential reference, instead of the VM.
+func (r *Runner) SetWalker(on bool) { r.s.walker = on }
+
+// MadeVM reports whether r has built its bytecode machine, which only a
+// run on the VM does: a Runner whose every run was on the walker has not.
+func (r *Runner) MadeVM() bool { return r.vmm != nil }
 
 // SetQueueReads makes r's later runs push every get-read through the event
 // queue (the path a tapped, jittered or perturbed run takes) whatever

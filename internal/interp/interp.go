@@ -42,9 +42,6 @@ type RunOptions struct {
 	Tap Tap
 	// MaxEvents bounds the simulation (0 means 50 million).
 	MaxEvents int
-	// Engine selects the block-execution engine; the zero value is the
-	// bytecode VM (see Engine).
-	Engine Engine
 }
 
 // ProcStats counts one processor's activity.
@@ -280,8 +277,8 @@ type sim struct {
 	queue evq
 	seq   int64
 	mem   *Memory
-	// vmm is the bytecode machine when opts.Engine is EngineVM; nil under
-	// the walker. resume delegates to it.
+	// vmm is the bytecode machine; nil under the walker. resume delegates
+	// to it.
 	vmm *vm.Machine
 	// evs and lks are indexed by the checker's dense per-category symbol
 	// IDs (Symbol.ID), replacing per-access map lookups.
@@ -320,10 +317,12 @@ type sim struct {
 	// forcing scan it triggers recomputes it exactly. A write dispatching
 	// before it has nothing to force and skips the scan.
 	minArr float64
-	// queueReads and onWrite are test hooks (lazy_diff_test.go): force
-	// every read through the queue; observe each evMemWrite dispatch.
+	// queueReads, onWrite and walker are test hooks (export_test.go): force
+	// every read through the queue; observe each evMemWrite dispatch; run
+	// blocks on the AST walker, the VM's differential reference.
 	queueReads bool
 	onWrite    func(e *event)
+	walker     bool
 }
 
 // Run executes the target program on the simulated machine: a new Runner,
@@ -345,7 +344,7 @@ func Run(prog *target.Prog, cfg machine.Config, opts RunOptions) (*Result, error
 // Runner is not safe for concurrent use.
 type Runner struct {
 	s sim
-	// vmm is made by the first run on the bytecode engine.
+	// vmm is made by the first run on the bytecode VM.
 	vmm *vm.Machine
 	// lastCompletion backs the processors' delay-verification tables.
 	lastCompletion []float64
@@ -442,7 +441,7 @@ func (r *Runner) reset(opts RunOptions) error {
 		}
 	}
 	s.vmm = nil
-	if opts.Engine == EngineVM {
+	if !s.walker {
 		if r.vmm == nil {
 			code, err := vm.Compiled(prog)
 			if err != nil {

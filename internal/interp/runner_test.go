@@ -19,11 +19,13 @@ import (
 	"repro/internal/progen"
 )
 
-// runStep is one run of a reuse sequence; tapped attaches a recording tap.
+// runStep is one run of a reuse sequence; tapped attaches a recording tap,
+// walker runs it on the AST walker instead of the bytecode VM.
 type runStep struct {
 	name   string
 	opts   interp.RunOptions
 	tapped bool
+	walker bool
 	// wantErr, if set, must appear in the run's error: the step exists to
 	// abandon the simulator mid-run.
 	wantErr string
@@ -32,7 +34,17 @@ type runStep struct {
 	halfBudget bool
 }
 
-// checkReuse makes every step on one Runner and on a fresh interp.Run.
+// freshRun makes one run on a new Runner, on the walker or the VM.
+func freshRun(prog *splitc.Program, cfg machine.Config, opts interp.RunOptions, walker bool) (*interp.Result, error) {
+	r, err := interp.NewRunner(prog.Target, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.SetWalker(walker)
+	return r.Run(opts)
+}
+
+// checkReuse makes every step on one Runner and on a fresh one.
 func checkReuse(t *testing.T, label string, prog *splitc.Program, cfg machine.Config, steps []runStep) {
 	t.Helper()
 	runner, err := interp.NewRunner(prog.Target, cfg)
@@ -43,7 +55,7 @@ func checkReuse(t *testing.T, label string, prog *splitc.Program, cfg machine.Co
 		id := fmt.Sprintf("%s step %d (%s)", label, i, st.name)
 		var reused, fresh *traceTap
 		if st.halfBudget {
-			full, err := interp.Run(prog.Target, cfg, st.opts)
+			full, err := freshRun(prog, cfg, st.opts, st.walker)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -55,8 +67,9 @@ func checkReuse(t *testing.T, label string, prog *splitc.Program, cfg machine.Co
 			reused, fresh = &traceTap{}, &traceTap{}
 			ropts.Tap, fopts.Tap = reused, fresh
 		}
+		runner.SetWalker(st.walker)
 		got, gotErr := runner.Run(ropts)
-		want, wantErr := interp.Run(prog.Target, cfg, fopts)
+		want, wantErr := freshRun(prog, cfg, fopts, st.walker)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: error %v on the reused runner, %v fresh", id, gotErr, wantErr)
 		}
@@ -82,10 +95,10 @@ func reuseSteps() []runStep {
 	return []runStep{
 		{name: "plain vm", opts: interp.RunOptions{}},
 		{name: "perturbed tapped vm", opts: interp.RunOptions{Jitter: 5, Seed: 3, Perturb: true}, tapped: true},
-		{name: "plain walker", opts: interp.RunOptions{Engine: interp.EngineWalker}},
+		{name: "plain walker", opts: interp.RunOptions{}, walker: true},
 		{name: "event budget exhausted", opts: interp.RunOptions{Jitter: 2, Seed: 7}, tapped: true, halfBudget: true},
 		{name: "plain tapped vm", opts: interp.RunOptions{}, tapped: true},
-		{name: "contended jittered walker", opts: interp.RunOptions{Jitter: 2, Seed: 7, Contention: true, Engine: interp.EngineWalker}, tapped: true},
+		{name: "contended jittered walker", opts: interp.RunOptions{Jitter: 2, Seed: 7, Contention: true}, tapped: true, walker: true},
 		{name: "same seed again, vm", opts: interp.RunOptions{Jitter: 2, Seed: 7, Contention: true}, tapped: true},
 		{name: "plain vm, lazy reads", opts: interp.RunOptions{}},
 	}
@@ -160,7 +173,7 @@ func main() {
 		{name: "verifier off", opts: interp.RunOptions{Jitter: 2, Seed: 1}, tapped: true},
 		{name: "verifier on", opts: interp.RunOptions{Jitter: 2, Seed: 1, VerifyDelays: d}, tapped: true, wantErr: "delay violation"},
 		{name: "verifier off again", opts: interp.RunOptions{Jitter: 2, Seed: 1}, tapped: true},
-		{name: "verifier on, walker", opts: interp.RunOptions{VerifyDelays: d, Engine: interp.EngineWalker}, wantErr: "delay violation"},
+		{name: "verifier on, walker", opts: interp.RunOptions{VerifyDelays: d}, walker: true, wantErr: "delay violation"},
 		{name: "plain", opts: interp.RunOptions{}},
 	})
 }
@@ -209,15 +222,15 @@ func main() {
 	if len(dead) < 2 || len(clean) < 2 {
 		t.Fatalf("400 seeds gave %d deadlocking and %d clean schedules, want 2 of each", len(dead), len(clean))
 	}
-	jit := func(seed int64, eng interp.Engine) interp.RunOptions {
-		return interp.RunOptions{Jitter: 8, Seed: seed, Engine: eng}
+	jit := func(seed int64) interp.RunOptions {
+		return interp.RunOptions{Jitter: 8, Seed: seed}
 	}
 	checkReuse(t, "racy-deadlock", prog, cfg, []runStep{
-		{name: "deadlock", opts: jit(dead[0], interp.EngineVM), tapped: true, wantErr: "deadlock"},
-		{name: "clean", opts: jit(clean[0], interp.EngineVM), tapped: true},
-		{name: "deadlock, walker", opts: jit(dead[1], interp.EngineWalker), wantErr: "deadlock"},
-		{name: "clean, walker", opts: jit(clean[1], interp.EngineWalker), tapped: true},
-		{name: "deadlock again", opts: jit(dead[0], interp.EngineVM), wantErr: "deadlock"},
+		{name: "deadlock", opts: jit(dead[0]), tapped: true, wantErr: "deadlock"},
+		{name: "clean", opts: jit(clean[0]), tapped: true},
+		{name: "deadlock, walker", opts: jit(dead[1]), walker: true, wantErr: "deadlock"},
+		{name: "clean, walker", opts: jit(clean[1]), tapped: true, walker: true},
+		{name: "deadlock again", opts: jit(dead[0]), wantErr: "deadlock"},
 		{name: "plain", opts: interp.RunOptions{}},
 	})
 }

@@ -57,7 +57,7 @@ func checkRecycledRun(t *testing.T, id string, a *arena, runner *interp.Runner, 
 	got, gotV, gotErr := a.runOne(runner, sch)
 	col := NewCollector()
 	want, wantErr := interp.Run(prog, cfg, interp.RunOptions{
-		Seed: sch.Seed, Jitter: sch.Jitter, Perturb: sch.Perturb, Tap: col, Engine: sch.Engine,
+		Seed: sch.Seed, Jitter: sch.Jitter, Perturb: sch.Perturb, Tap: col,
 	})
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: error %v recycled, %v fresh", id, gotErr, wantErr)

@@ -44,10 +44,6 @@ type Schedule struct {
 	Seed    int64
 	Jitter  float64
 	Perturb bool
-	// Engine selects the executor's block-execution engine for this
-	// schedule's run; the zero value is the bytecode VM. Verify stamps
-	// every schedule with Options.Engine.
-	Engine interp.Engine
 }
 
 // String renders the schedule compactly, e.g. "seed=3 jitter=0.45 perturb".
@@ -118,7 +114,6 @@ func (a *arena) runOne(runner *interp.Runner, sch Schedule) (*interp.Result, *Vi
 		Jitter:  sch.Jitter,
 		Perturb: sch.Perturb,
 		Tap:     &a.col,
-		Engine:  sch.Engine,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -162,10 +157,6 @@ type Options struct {
 	// (default 1_000_000 states; the partial-order-reduced checker makes
 	// this cheap).
 	EnumBudget int
-	// Engine selects the block-execution engine for every verified run
-	// (and the blocking reference). The zero value is the bytecode VM;
-	// EngineWalker rechecks the same schedules under the AST walker.
-	Engine interp.Engine
 }
 
 // LevelReport is the verification outcome for one optimization level.
@@ -384,7 +375,7 @@ func newReference(ctx context.Context, front *splitc.Front, cfg machine.Config, 
 	if err != nil {
 		return reference{}, err
 	}
-	res, err := prog.Run(cfg, interp.RunOptions{Engine: opts.Engine})
+	res, err := prog.Run(cfg, interp.RunOptions{})
 	if err != nil {
 		return reference{}, fmt.Errorf("scverify: blocking reference run: %w", err)
 	}
@@ -427,7 +418,6 @@ func runLevel(ctx context.Context, front *splitc.Front, cfg machine.Config, opts
 		if err := ctx.Err(); err != nil {
 			return levelRuns{}, fmt.Errorf("scverify: aborted at %s %v: %w", level, sch, err)
 		}
-		sch.Engine = opts.Engine
 		res, viol, err := a.runOne(runner, sch)
 		if err != nil {
 			return levelRuns{}, fmt.Errorf("scverify: %s %v: %w", level, sch, err)

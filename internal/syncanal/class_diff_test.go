@@ -52,7 +52,7 @@ func sameRelation(t *testing.T, label string, got, want *Precedence, n int) {
 // TestClassCondensedMatchesPerAccessGrid runs the full pipeline twice on
 // every buildable seed of a 150-program progen grid — class-condensed
 // precedence (the default) against the retained per-access oracle
-// (Options.PerAccessR) — and requires the precedence relation and the
+// (Options.perAccessR) — and requires the precedence relation and the
 // refined delay set to be pair-identical. The class representation is an
 // exact condensation, not an approximation, so any divergence is a bug.
 func TestClassCondensedMatchesPerAccessGrid(t *testing.T) {
@@ -63,7 +63,7 @@ func TestClassCondensedMatchesPerAccessGrid(t *testing.T) {
 			continue
 		}
 		got := Analyze(fn, Options{})
-		want := Analyze(fn, Options{PerAccessR: true})
+		want := Analyze(fn, Options{perAccessR: true})
 		label := fmt.Sprintf("seed %d", seed)
 		sameRelation(t, label, got.R, want.R, len(fn.Accesses))
 		if got.D.Size() != want.D.Size() {
@@ -146,7 +146,7 @@ func TestScaleTierClassCondensedMatchesPerAccess(t *testing.T) {
 	}
 	fn := tierProgram(t, "acc2048")
 	got := Analyze(fn, Options{})
-	want := Analyze(fn, Options{PerAccessR: true})
+	want := Analyze(fn, Options{perAccessR: true})
 	sameRelation(t, "acc2048", got.R, want.R, len(fn.Accesses))
 	if got.D.Size() != want.D.Size() {
 		t.Fatalf("acc2048: |D| %d vs per-access %d", got.D.Size(), want.D.Size())

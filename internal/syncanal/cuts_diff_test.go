@@ -76,7 +76,7 @@ func TestD1AndBaselineMatchReference(t *testing.T) {
 		label := fmt.Sprintf("%s (n=%d)", p.label, n)
 		res := Analyze(p.fn, Options{})
 		if n <= 1024 {
-			ref := delay.Compute(res.AG, res.CS, delay.Constraints{Reference: true})
+			ref := delay.ComputeReference(res.AG, res.CS, delay.Constraints{})
 			swept := delay.NewSet(p.fn)
 			for _, d := range ref.Pairs() {
 				if p.fn.Accesses[d.A].Kind.IsSync() || p.fn.Accesses[d.B].Kind.IsSync() {

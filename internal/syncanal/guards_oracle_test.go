@@ -197,8 +197,8 @@ func TestManyLockKeysMatchReference(t *testing.T) {
 	if !wide {
 		t.Fatal("no data access is guarded by a key past the first word")
 	}
-	identicalSets(t, "reference D", got.D, Analyze(fn, Options{Reference: true}).D)
-	identicalSets(t, "per-access R D", got.D, Analyze(fn, Options{PerAccessR: true}).D)
+	identicalSets(t, "reference D", got.D, Analyze(fn, Options{reference: true}).D)
+	identicalSets(t, "per-access R D", got.D, Analyze(fn, Options{perAccessR: true}).D)
 	if unlocked := Analyze(fn, Options{NoLocks: true}).D.Size(); got.D.Size() >= unlocked {
 		t.Fatalf("|D| %d with guards, %d without: the locks remove nothing", got.D.Size(), unlocked)
 	}

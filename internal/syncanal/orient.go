@@ -45,7 +45,7 @@ func (res *Result) orientAndDetect(opts Options, syncIDs []int, src *graph.BitMa
 
 	t0 = time.Now()
 	con, _ := res.orientedConstraints(lk, opts, syncIDs)
-	res.D = res.D1.Union(delay.Compute(res.AG, res.CS, con))
+	res.D = res.D1.Union(opts.computeDelays(res.AG, res.CS, con))
 	res.Timing.Orient = time.Since(t0)
 }
 
@@ -78,7 +78,6 @@ func (res *Result) orientedConstraints(lk *lockMasks, opts Options, syncIDs []in
 		RemovedExact: true,
 		AccessClass:  classPhased,
 		Exact:        opts.Exact,
-		Reference:    opts.Reference,
 	}, covers
 }
 

@@ -66,7 +66,7 @@ func TestOrientedSyncSubsetOfD1(t *testing.T) {
 				t.Fatalf("seed %d: oriented sync pair [%d,%d] outside D1", seed, p.A, p.B)
 			}
 		}
-		for _, p := range delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir, Reference: true}).Pairs() {
+		for _, p := range delay.ComputeReference(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir}).Pairs() {
 			sync := fn.Accesses[p.A].Kind.IsSync() || fn.Accesses[p.B].Kind.IsSync()
 			if sync && !res.D1.Has(p.A, p.B) {
 				t.Fatalf("seed %d reference: oriented sync pair [%d,%d] outside D1", seed, p.A, p.B)

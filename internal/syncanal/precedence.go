@@ -19,9 +19,10 @@ import (
 // Two backings implement it. The default is the class-condensed partition
 // of classes.go: one bitset row per R-equivalence class plus membership
 // vectors, with expanded per-access rows materialized lazily for the
-// consumers that want bitsets. NewPrecedence builds the retained
+// consumers that want bitsets. newPrecedence builds the retained
 // per-access form (one n-bit row per access) — the differential oracle,
-// selected by Options.PerAccessR. Both answer Has/Row/Size identically.
+// which only this package's tests select (Options.perAccessR). Both answer
+// Has/Row/Size identically.
 type Precedence struct {
 	n   int
 	rel *graph.BitMatrix // per-access backing (oracle mode)
@@ -29,8 +30,8 @@ type Precedence struct {
 	cp  *classPartition  // class-condensed backing (default mode)
 }
 
-// NewPrecedence returns an empty per-access relation over n accesses.
-func NewPrecedence(n int) *Precedence {
+// newPrecedence returns an empty per-access relation over n accesses.
+func newPrecedence(n int) *Precedence {
 	return &Precedence{n: n, rel: graph.NewBitMatrix(n)}
 }
 

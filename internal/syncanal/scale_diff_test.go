@@ -20,7 +20,7 @@ func TestAnalyzeMidsizeMatchesReference(t *testing.T) {
 		t.Fatalf("program below the gates it exists to cross: %d accesses (want >= 512), largest region %d (want >= 256)",
 			n, got.LargestRegion)
 	}
-	want := Analyze(fn, Options{Reference: true})
+	want := Analyze(fn, Options{reference: true})
 	for _, s := range []struct {
 		label     string
 		got, want *delay.Set

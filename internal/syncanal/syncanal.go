@@ -48,16 +48,27 @@ type Options struct {
 	NoPostWait bool
 	NoBarrier  bool
 	NoLocks    bool
-	// Reference routes every back-path search through the per-pair oracle
-	// (see delay.Constraints.Reference); used by the differential tests.
-	Reference bool
-	// PerAccessR stores the precedence relation with one bitset row per
+	// reference and perAccessR select the oracles the differential tests
+	// hold the production path to; nothing outside the package sets them.
+	//
+	// reference routes every back-path search through the per-pair oracle,
+	// delay.ComputeReference.
+	reference bool
+	// perAccessR stores the precedence relation with one bitset row per
 	// access instead of the default class-condensed partition. It is the
-	// retained differential oracle for the condensed representation (the
-	// same pattern as Reference for the delay engine), not a
+	// retained differential oracle for the condensed representation, not a
 	// performance option: the per-access closure is O(n^2*n/64) where the
 	// condensed one is O(c^2*c/64).
-	PerAccessR bool
+	perAccessR bool
+}
+
+// computeDelays runs one back-path query: on delay.Compute, or on the
+// per-pair oracle when the differential tests select it.
+func (opts Options) computeDelays(ag *ir.AccessGraph, cs *conflict.Set, con delay.Constraints) *delay.Set {
+	if opts.reference {
+		return delay.ComputeReference(ag, cs, con)
+	}
+	return delay.Compute(ag, cs, con)
 }
 
 // Timing records the wall time of each analysis sub-phase, so drivers (and
@@ -76,7 +87,7 @@ type Timing struct {
 	// steps 3–4: splitting classes the seed and step-4 rectangles
 	// distinguish (at most one rectangle per class and round) and
 	// coalescing indistinguishable ones back together before each closure.
-	// Zero under Options.PerAccessR.
+	// Zero under the per-access oracle backing.
 	Condense time.Duration
 	// Precedence covers seeding and refining R (steps 3–4), minus the
 	// partition maintenance reported as Condense. Most of it is matrix
@@ -151,7 +162,7 @@ type Result struct {
 	// RClasses and RClassSplits describe the class-condensed precedence
 	// representation: how many R-equivalence classes the final partition
 	// has and how many splits refinement forced. Zero when the per-access
-	// oracle was selected (Options.PerAccessR).
+	// oracle backing was selected (see Precedence).
 	RClasses     int
 	RClassSplits int
 	// Timing records how long each sub-phase took.
@@ -205,14 +216,14 @@ func syncIDs(fn *ir.Fn) []int {
 func (res *Result) ComputeD1(opts Options) {
 	t0 := time.Now()
 	ids := syncIDs(res.Fn)
-	keep := delay.Constraints{Exact: opts.Exact, Reference: opts.Reference,
+	keep := delay.Constraints{Exact: opts.Exact,
 		Endpoints: delay.EndpointFilter{IDs: ids, Keep: true}}
 	rest := keep
 	rest.Endpoints.Keep = false
-	res.D1 = delay.Compute(res.AG, res.CS, keep)
+	res.D1 = opts.computeDelays(res.AG, res.CS, keep)
 	d1, ag, cs := res.D1, res.AG, res.CS
 	res.Baseline = delay.Deferred(res.Fn, func() *delay.Set {
-		return d1.Union(delay.Compute(ag, cs, rest))
+		return d1.Union(opts.computeDelays(ag, cs, rest))
 	})
 	res.Timing.D1 = time.Since(t0)
 }
@@ -228,8 +239,8 @@ func (res *Result) RefineSync(opts Options) {
 	// dominator filters and the lock confinement sweeps.
 	t0 := time.Now()
 	n := len(fn.Accesses)
-	if opts.PerAccessR {
-		res.R = NewPrecedence(n)
+	if opts.perAccessR {
+		res.R = newPrecedence(n)
 	} else {
 		res.R = newClassPrecedence(n)
 	}

@@ -318,7 +318,7 @@ func TestRefinedNeverLargerThanBaseline(t *testing.T) {
 }
 
 func TestPrecedenceBasics(t *testing.T) {
-	r := NewPrecedence(3)
+	r := newPrecedence(3)
 	if r.Size() != 0 || r.Has(0, 1) {
 		t.Fatal("fresh relation should be empty")
 	}
