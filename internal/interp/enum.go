@@ -12,10 +12,12 @@ import (
 	"repro/internal/source"
 )
 
-// This file is the explicit-state model checker behind the SC outcome
-// oracle. It explores the sequentially consistent state space of a
-// program, but unlike the naive enumerator it keeps as
-// EnumerateSCReference, it is built to scale:
+// This file is the package's one sequentially consistent transition
+// system (mcState.step) and the explicit-state model checker over it. The
+// same steps serve three drivers: EnumerateSC explores them under
+// partial-order reduction, EnumerateSCReference explores them unreduced
+// with an exact visited set, and RunSC (sc.go) walks one seeded schedule.
+// The reduced enumerator is built to scale:
 //
 //   - Partial-order reduction. Processor-local steps (assignments, local
 //     array writes, prints, control flow) and shared accesses that cannot
@@ -38,11 +40,12 @@ import (
 //     buffer (symbol and local order interned once per run, no sorting or
 //     fmt in the hot path) and deduplicated by a 128-bit multiply-xor
 //     fingerprint, so the visited set costs 16 bytes per state instead of
-//     a formatted string.
+//     the encoding itself.
 //
-// The two engines are differential-tested against each other on the app
-// kernels, the hand-written violation programs, and progen grids
-// (enum_diff_test.go); scverify and the fuzz harnesses consume this one.
+// The reference keeps the encoding itself and runs no reduction, so the
+// differential suite (enum_diff_test.go) checks exactly those two: the
+// ample sets and the fingerprints. scverify and the fuzz harnesses consume
+// the reduced engine.
 
 // EnumStats reports the model checker's exploration effort.
 type EnumStats struct {
@@ -112,9 +115,7 @@ func EnumerateSCContext(ctx context.Context, fn *ir.Fn, procs, maxStates int) (m
 	if maxStates <= 0 {
 		maxStates = DefaultEnumBudget
 	}
-	st := newMCState(ctx, fn, procs, maxStates)
-	st.explore(1)
-	st.stats.Outcomes = len(st.outcomes)
+	st := enumerate(ctx, fn, procs, maxStates, true)
 	if st.canceled != nil {
 		return nil, st.stats, false, fmt.Errorf("SC enumeration stopped after %d states: %w", st.stats.States, st.canceled)
 	}
@@ -130,6 +131,74 @@ const enumPollStates = 1024
 
 // DefaultEnumBudget is the default visited-state budget of EnumerateSC.
 const DefaultEnumBudget = 4_000_000
+
+// EnumerateSCReference explores the same transition system as EnumerateSC
+// without partial-order reduction — from every reachable state, every
+// processor that can move takes the next atomic step — and deduplicates
+// states on their full encoding rather than its 128-bit fingerprint. It
+// returns the set of final-state outcome keys, or ok=false if the
+// exploration exceeded maxStates.
+//
+// Both enumerators share mcState.step, so this does not check the step
+// semantics; it checks what EnumerateSC adds on top of them, the ample sets
+// and the fingerprints (enum_diff_test.go).
+func EnumerateSCReference(fn *ir.Fn, procs, maxStates int) (outcomes map[string]bool, ok bool) {
+	outcomes, _, ok = EnumerateSCReferenceStats(fn, procs, maxStates)
+	return outcomes, ok
+}
+
+// EnumerateSCReferenceStats is EnumerateSCReference with exploration
+// statistics. A maxStates of zero or less selects the reference default
+// of 2,000,000 states (half the reduced engine's default: unreduced, every
+// intermediate state is a visited state, and each keeps its encoding).
+func EnumerateSCReferenceStats(fn *ir.Fn, procs, maxStates int) (map[string]bool, EnumStats, bool) {
+	if maxStates <= 0 {
+		maxStates = 2_000_000
+	}
+	st := enumerate(context.Background(), fn, procs, maxStates, false)
+	if st.stats.Truncated {
+		return nil, st.stats, false
+	}
+	return st.outcomes, st.stats, true
+}
+
+// enumerate runs the DFS over fn's state space. reduce selects the reduced
+// engine: partial-order reduction over the conflict tables, and a visited
+// set of 128-bit fingerprints. Without it every step branches and the
+// visited set keys on the exact state encoding.
+func enumerate(ctx context.Context, fn *ir.Fn, procs, maxStates int, reduce bool) *mcState {
+	st := newMCState(fn, procs)
+	st.cancel = ctx
+	st.maxStates = maxStates
+	st.outcomes = map[string]bool{}
+	st.reduce, st.exact = reduce, !reduce
+	if st.exact {
+		st.exactVisited = map[string]struct{}{}
+	} else {
+		st.visited = map[fp]struct{}{}
+	}
+	// The transition cap guards against programs whose local computation
+	// diverges (an infinite processor-local loop makes no new canonical
+	// states, so the state budget alone would never trip).
+	st.maxTrans = max(64*maxStates, 1<<22)
+	for _, l := range fn.Locals {
+		if l.IsArr {
+			st.arrayIDs = append(st.arrayIDs, l.ID)
+		}
+	}
+	st.pcBase = make([]uint64, len(fn.Blocks))
+	next := uint64(0)
+	for _, b := range fn.Blocks {
+		st.pcBase[b.ID] = next
+		next += uint64(len(b.Stmts)) + 1
+	}
+	if reduce {
+		st.buildReduction()
+	}
+	st.explore(1)
+	st.stats.Outcomes = len(st.outcomes)
+	return st
+}
 
 // fp is a 128-bit state fingerprint.
 type fp struct{ hi, lo uint64 }
@@ -170,8 +239,9 @@ type mcProc struct {
 	prints []string
 }
 
-// mcState is the model checker's single mutable state plus its search
-// bookkeeping.
+// mcState is the SC machine's single mutable state plus the bookkeeping of
+// whichever driver runs it: the enumerators fill in the search fields,
+// RunSC only steps.
 type mcState struct {
 	fn    *ir.Fn
 	nproc int
@@ -189,7 +259,7 @@ type mcState struct {
 
 	trail []undoEntry
 
-	// Partial-order reduction tables.
+	// Partial-order reduction tables, built only when reduce is set.
 	localOnly []bool       // access id -> empty conflict row
 	confRows  [][]uint64   // access id -> conflict row bitset
 	future    [][][]uint64 // block id -> stmt position -> reachable-access bitset
@@ -205,9 +275,15 @@ type mcState struct {
 	// instead of two.
 	pcBase []uint64
 
-	buf      []byte
-	visited  map[fp]struct{}
-	outcomes map[string]bool
+	// reduce runs the partial-order reduction between branch points; exact
+	// keys the visited set on the state encoding itself (exactVisited)
+	// instead of its fingerprint (visited). Both are fixed for a run.
+	reduce, exact bool
+
+	buf          []byte
+	visited      map[fp]struct{}
+	exactVisited map[string]struct{}
+	outcomes     map[string]bool
 
 	maxStates int
 	maxTrans  int
@@ -219,28 +295,18 @@ type mcState struct {
 	canceled error
 }
 
-// newMCState builds the initial model-checker state and its static
-// reduction tables.
-func newMCState(ctx context.Context, fn *ir.Fn, procs, maxStates int) *mcState {
+// newMCState builds the initial state of fn on procs processors: shared
+// memory at its declared values, every event unposted and lock free, each
+// processor at the entry block.
+func newMCState(fn *ir.Fn, procs int) *mcState {
 	st := &mcState{
-		cancel:    ctx,
-		fn:        fn,
-		nproc:     procs,
-		mem:       NewMemory(fn.Info, procs).data,
-		posts:     make([][]bool, len(fn.Info.Events)),
-		locks:     make([][]int, len(fn.Info.Locks)),
-		barID:     -1,
-		barWait:   make([]bool, procs),
-		visited:   map[fp]struct{}{},
-		outcomes:  map[string]bool{},
-		maxStates: maxStates,
-	}
-	// The transition cap guards against programs whose local computation
-	// diverges (an infinite processor-local loop makes no new canonical
-	// states, so the state budget alone would never trip).
-	st.maxTrans = 64 * maxStates
-	if st.maxTrans < 1<<22 {
-		st.maxTrans = 1 << 22
+		fn:      fn,
+		nproc:   procs,
+		mem:     NewMemory(fn.Info, procs).data,
+		posts:   make([][]bool, len(fn.Info.Events)),
+		locks:   make([][]int, len(fn.Info.Locks)),
+		barID:   -1,
+		barWait: make([]bool, procs),
 	}
 	for _, s := range fn.Info.Events {
 		st.posts[s.ID] = make([]bool, s.Size)
@@ -255,23 +321,16 @@ func newMCState(ctx context.Context, fn *ir.Fn, procs, maxStates int) *mcState {
 	for p := 0; p < procs; p++ {
 		st.procs = append(st.procs, mcProc{blk: fn.Blocks[0], env: newEnv(fn)})
 	}
-	for _, l := range fn.Locals {
-		if l.IsArr {
-			st.arrayIDs = append(st.arrayIDs, l.ID)
-		}
-	}
-	st.pcBase = make([]uint64, len(fn.Blocks))
-	next := uint64(0)
-	for _, b := range fn.Blocks {
-		st.pcBase[b.ID] = next
-		next += uint64(len(b.Stmts)) + 1
-	}
+	return st
+}
 
-	// Conflict classification: the rows drive both the static "never
-	// conflicts with anything" fast path and the dynamic ample check
-	// against other processors' future access sets.
-	conf := conflict.Compute(fn)
-	n := len(fn.Accesses)
+// buildReduction computes the partial-order reduction's static tables.
+// The conflict rows drive both the static "never conflicts with anything"
+// fast path and the dynamic ample check against other processors' future
+// access sets.
+func (st *mcState) buildReduction() {
+	conf := conflict.Compute(st.fn)
+	n := len(st.fn.Accesses)
 	st.words = (n + 63) / 64
 	st.localOnly = make([]bool, n)
 	st.confRows = make([][]uint64, n)
@@ -280,7 +339,6 @@ func newMCState(ctx context.Context, fn *ir.Fn, procs, maxStates int) *mcState {
 		st.localOnly[a] = len(conf.Partners(a)) == 0
 	}
 	st.buildFutureTable()
-	return st
 }
 
 // buildFutureTable precomputes, for every (block, statement position), the
@@ -476,10 +534,11 @@ func (st *mcState) ctx(p int) evalCtx { return evalCtx{proc: p, procs: st.nproc}
 // step executes one statement (or terminator) of processor p, recording
 // deltas on the trail. It returns progressed=false when the processor is
 // blocked (wait on an unposted event, held lock, open barrier) — the
-// trail is untouched in that case. A returned error kills the whole path:
-// the caller reverts to its mark and records no outcome, mirroring the
-// reference semantics (a runtime error means the weak run would have
-// failed too, and the erring processor can never terminate).
+// trail is untouched in that case. This is the package's only SC step
+// semantics. A returned error kills the whole path: an enumerator reverts
+// to its mark and records no outcome (a runtime error means the weak run
+// would have failed too, and the erring processor can never terminate);
+// RunSC reports it against p.
 func (st *mcState) step(p int) (progressed bool, err error) {
 	pr := &st.procs[p]
 	if pr.idx >= len(pr.blk.Stmts) {
@@ -768,16 +827,27 @@ func (st *mcState) explore(depth int) {
 		st.stats.PeakFrontier = depth
 	}
 	mark := len(st.trail)
-	if err := st.runLocal(); err != nil {
-		st.revert(mark)
-		return
+	if st.reduce {
+		if err := st.runLocal(); err != nil {
+			st.revert(mark)
+			return
+		}
 	}
-	f := st.fingerprint()
-	if _, seen := st.visited[f]; seen {
-		st.revert(mark)
-		return
+	st.encode()
+	if st.exact {
+		if _, seen := st.exactVisited[string(st.buf)]; seen {
+			st.revert(mark)
+			return
+		}
+		st.exactVisited[string(st.buf)] = struct{}{}
+	} else {
+		f := hash128(st.buf)
+		if _, seen := st.visited[f]; seen {
+			st.revert(mark)
+			return
+		}
+		st.visited[f] = struct{}{}
 	}
-	st.visited[f] = struct{}{}
 	st.stats.States++
 	if st.stats.States > st.maxStates {
 		st.stats.Truncated = true
@@ -833,15 +903,25 @@ func (st *mcState) explore(depth int) {
 
 // outcomeKey renders the current (terminal) state's outcome.
 func (st *mcState) outcomeKey() string {
+	return OutcomeKey(st.snapshot(), st.allPrints())
+}
+
+// snapshot copies shared memory out by symbol name.
+func (st *mcState) snapshot() map[string][]ir.Value {
 	snap := make(map[string][]ir.Value, len(st.fn.Info.Shared))
 	for _, sym := range st.fn.Info.Shared {
 		snap[sym.Name] = append([]ir.Value(nil), st.mem[sym.ID]...)
 	}
+	return snap
+}
+
+// allPrints is every processor's print log, processor by processor.
+func (st *mcState) allPrints() []string {
 	var prints []string
 	for p := range st.procs {
 		prints = append(prints, st.procs[p].prints...)
 	}
-	return OutcomeKey(snap, prints)
+	return prints
 }
 
 // ---- state fingerprinting --------------------------------------------------
@@ -862,11 +942,12 @@ func (st *mcState) putVal(v ir.Value) {
 	}
 }
 
-// fingerprint encodes the whole state into the reused flat buffer —
-// shared memory, sync objects, and per-processor control, locals, and
-// print logs, all in interned (dense-ID) order — and hashes it to 128
-// bits. No sorting, maps, or fmt on this path.
-func (st *mcState) fingerprint() fp {
+// encode writes the whole state into the reused flat buffer — shared
+// memory, sync objects, and per-processor control, locals, and print logs,
+// all in interned (dense-ID) order. The encoding is injective; the reduced
+// engine hashes it to 128 bits (hash128), the reference keys on it as is.
+// No sorting, maps, or fmt on this path.
+func (st *mcState) encode() {
 	st.buf = st.buf[:0]
 	for _, vals := range st.mem {
 		for _, v := range vals {
@@ -913,7 +994,6 @@ func (st *mcState) fingerprint() fp {
 			st.buf = append(st.buf, line...)
 		}
 	}
-	return hash128(st.buf)
 }
 
 func boolBit(b bool) uint64 {

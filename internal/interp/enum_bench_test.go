@@ -1,9 +1,9 @@
 package interp_test
 
 // Benchmarks for the SC outcome oracle: the partial-order-reduced model
-// checker (BenchmarkEnumerateSC) against the unreduced deep-copy
-// enumerator it replaced (BenchmarkEnumerateSCReference), on the same
-// three programs. BENCH_enum.json records the reduced engine's allocation
+// checker (BenchmarkEnumerateSC) against the same transition system
+// explored unreduced with an exact visited set
+// (BenchmarkEnumerateSCReference), on the same three programs. BENCH_enum.json records the reduced engine's allocation
 // counts and cmd/benchgate holds it to them in CI.
 //
 // The programs cover the oracle's workload shapes: dekker is the

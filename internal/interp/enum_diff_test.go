@@ -13,9 +13,11 @@ import (
 // This file is the differential harness backing the partial-order-reduced
 // model checker: on every program where the unreduced reference
 // enumeration fits its budget, both engines must produce byte-identical
-// outcome sets. The cases are the hand-written racy negatives (Dekker
-// store buffering, post/wait message passing, barrier publication), the
-// five paper kernels at small configurations, and a progen seed grid.
+// outcome sets. Both explore the same steps (mcState.step), so what this
+// checks is the reduction and the fingerprinted visited set. The cases
+// are the hand-written racy negatives (Dekker store buffering, post/wait
+// message passing, barrier publication), the five paper kernels at small
+// configurations, and a progen seed grid.
 
 // diffSrcs are the hand-written programs from the scverify negative suite
 // (TestWeakenedFlagged): each has a genuinely racy or sync-ordered shape
@@ -134,6 +136,26 @@ func diffEngines(t *testing.T, name string, fn *ir.Fn, procs, refBudget int) (po
 	return por, ref, true
 }
 
+// TestReferenceIsUnreducedAndExact: the reference shares the reduced
+// engine's steps, so what it checks is the reduction itself. It must run
+// none (no deterministic local steps) and visit strictly more states than
+// the reduced engine on every hand-written program; a reference that
+// quietly ran the reduced engine would fail here.
+func TestReferenceIsUnreducedAndExact(t *testing.T) {
+	for _, tc := range diffSrcs {
+		fn := ir.MustBuild(tc.src, ir.BuildOptions{Procs: 2})
+		_, ref, refOK := interp.EnumerateSCReferenceStats(fn, 2, 0)
+		_, por, porOK := interp.EnumerateSCStats(fn, 2, 0)
+		if !refOK || !porOK {
+			t.Fatalf("%s: truncated (reference ok=%v, reduced ok=%v)", tc.name, refOK, porOK)
+		}
+		if ref.LocalSteps != 0 || ref.States <= por.States {
+			t.Errorf("%s: reference %d states with %d local steps, reduced %d states: want no local steps and more states",
+				tc.name, ref.States, ref.LocalSteps, por.States)
+		}
+	}
+}
+
 // TestEnumDiffHandwritten compares the engines on the hand-written sync
 // idioms and asserts the POR engine's headline claim: at least 5x fewer
 // states on the sync-heavy programs, with identical outcome sets.
@@ -195,7 +217,7 @@ func TestEnumDiffApps(t *testing.T) {
 			continue
 		}
 		for seed := int64(0); seed < 20; seed++ {
-			res, err := interp.RunSC(fn, interp.SCOptions{Procs: procs, Seed: seed})
+			res, err := interp.RunSC(fn, procs, seed)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", k.Name, seed, err)
 			}

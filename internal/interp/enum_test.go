@@ -218,7 +218,7 @@ func main() {
 		t.Fatal("should enumerate")
 	}
 	for seed := int64(0); seed < 200; seed++ {
-		res, err := RunSC(fn, SCOptions{Procs: 2, Seed: seed})
+		res, err := RunSC(fn, 2, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,11 @@
 //
 //   - RunSC: a blocking *sequentially consistent* reference executor over
 //     the mid-level IR, used as the oracle: every shared access happens
-//     atomically at a global interleaving point chosen by a (seedable)
-//     scheduler. Property tests check that weak-memory outcomes are
-//     explainable by some SC schedule.
+//     atomically at a global interleaving point, each step's processor
+//     drawn uniformly from the unblocked ones by the seeded schedRNG. It
+//     walks the same transition relation (mcState.step) that EnumerateSC
+//     and EnumerateSCReference explore exhaustively, so property tests can
+//     check weak-memory outcomes against the exact SC outcome set.
 package interp
 
 import (

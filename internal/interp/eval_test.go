@@ -173,7 +173,7 @@ func main() {
     a[i] = 1;
 }
 `, ir.BuildOptions{Procs: 1})
-	if _, err := RunSC(fn, SCOptions{Procs: 1, Seed: 1}); err == nil {
+	if _, err := RunSC(fn, 1, 1); err == nil {
 		t.Error("local array overflow should fail")
 	}
 }
@@ -188,7 +188,7 @@ func main() {
     R[3] = itof(ftoi(3.9));
 }
 `, ir.BuildOptions{Procs: 1})
-	res, err := RunSC(fn, SCOptions{Procs: 1, Seed: 1})
+	res, err := RunSC(fn, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func main() {
     local float x = fsqrt(0.0 - 1.0);
 }
 `, ir.BuildOptions{Procs: 1})
-	if _, err := RunSC(fn, SCOptions{Procs: 1, Seed: 1}); err == nil {
+	if _, err := RunSC(fn, 1, 1); err == nil {
 		t.Error("sqrt of a negative should fail")
 	}
 }

@@ -5,10 +5,10 @@ package interp
 // latency jitter, and every observed outcome must be producible by some
 // sequentially consistent interleaving (the paper's system contract).
 //
-// The SC outcome set is sampled, so in principle a legal weak outcome
-// could be missed; the sampling budget grows adaptively before a failure
-// is declared, and in practice the generated programs' outcome spaces are
-// tiny.
+// The SC outcome set is exact (EnumerateSC). A program whose state space
+// exceeds the enumeration budget is skipped and counted; a test fails if
+// more than a tenth of its seeds are skipped, so it cannot silently empty
+// out.
 
 import (
 	"os"
@@ -30,38 +30,17 @@ func outcomeKey(mem map[string][]ir.Value, prints []string) string {
 	return OutcomeKey(mem, prints)
 }
 
-// scOutcomeSet samples n SC interleavings across scheduling policies:
-// uniform, bursty (several expected lengths), and the extreme run-ahead
-// priority orders. Policy diversity matters much more than raw sample
-// count for covering "one processor runs far ahead" outcomes.
-func scOutcomeSet(t *testing.T, fn *ir.Fn, n int, startSeed int64) map[string]bool {
+// fuzzBudget is the enumeration budget per generated program; the largest
+// of the default seeds needs about ten thousand states.
+const fuzzBudget = 1_000_000
+
+// checkSkips fails t when more than a tenth of its seeds were too large to
+// enumerate exactly.
+func checkSkips(t *testing.T, skipped, seeds int64) {
 	t.Helper()
-	out := map[string]bool{}
-	run := func(opts SCOptions) {
-		opts.Procs = fuzzProcs
-		res, err := RunSC(fn, opts)
-		if err != nil {
-			t.Fatalf("sc run: %v", err)
-		}
-		out[outcomeKey(res.Memory, res.Prints)] = true
+	if skipped*10 > seeds {
+		t.Errorf("%d of %d seeds exceeded the enumeration budget and were skipped", skipped, seeds)
 	}
-	// The extreme priority rotations first (cheap, high value).
-	for r := 0; r < fuzzProcs; r++ {
-		run(SCOptions{Seed: int64(r), Policy: PolicyPriority})
-	}
-	for seed := startSeed; seed < startSeed+int64(n); seed++ {
-		switch seed % 4 {
-		case 0:
-			run(SCOptions{Seed: seed, Policy: PolicyUniform})
-		case 1:
-			run(SCOptions{Seed: seed, Policy: PolicyBurst, BurstLen: 4})
-		case 2:
-			run(SCOptions{Seed: seed, Policy: PolicyBurst, BurstLen: 16})
-		default:
-			run(SCOptions{Seed: seed, Policy: PolicyBurst, BurstLen: 64})
-		}
-	}
-	return out
 }
 
 func TestFuzzWeakOutcomesAreSC(t *testing.T) {
@@ -94,6 +73,7 @@ func TestFuzzWeakOutcomesAreSC(t *testing.T) {
 			seeds = n
 		}
 	}
+	skipped := int64(0)
 	for seed := int64(0); seed < seeds; seed++ {
 		src := progen.Generate(seed, progen.Options{Procs: fuzzProcs})
 		prog, err := source.Parse(src)
@@ -109,14 +89,10 @@ func TestFuzzWeakOutcomesAreSC(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		analysis := syncanal.Analyze(fn, syncanal.Options{})
-		// Prefer the exact model checker: for programs whose state space
-		// fits the budget, the outcome set is complete and a miss is a
-		// definite sequential-consistency violation. Larger programs fall
-		// back to sampled schedules, where a miss after the adaptive
-		// top-up is only reported, not failed (sampling is incomplete).
-		sc, exact := EnumerateSC(fn, fuzzProcs, 1_000_000)
+		sc, exact := EnumerateSC(fn, fuzzProcs, fuzzBudget)
 		if !exact {
-			sc = scOutcomeSet(t, fn, 300, 0)
+			skipped++
+			continue
 		}
 		for _, lvl := range levels {
 			lvlOpts := lvl.opts(analysis)
@@ -128,38 +104,26 @@ func TestFuzzWeakOutcomesAreSC(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d/%s/ws %d: %v\n%s", seed, lvl.name, ws, err, src)
 				}
-				key := outcomeKey(res.Memory, res.Prints)
-				if sc[key] {
-					continue
-				}
-				if exact {
-					t.Fatalf("program seed %d, level %s, weak seed %d: SC VIOLATION (exact oracle)\noutcome: %s\nSC set: %d entries\nprogram:\n%s",
+				if key := outcomeKey(res.Memory, res.Prints); !sc[key] {
+					t.Fatalf("program seed %d, level %s, weak seed %d: SC VIOLATION\noutcome: %s\nSC set: %d entries\nprogram:\n%s",
 						seed, lvl.name, ws, key, len(sc), src)
-				}
-				// Adaptive: sample more SC schedules before reporting.
-				more := scOutcomeSet(t, fn, 3000, 1_000_000)
-				for k := range more {
-					sc[k] = true
-				}
-				if !sc[key] {
-					t.Logf("program seed %d, level %s, weak seed %d: outcome not found by sampled oracle (inconclusive; state space too large to enumerate)",
-						seed, lvl.name, ws)
 				}
 			}
 		}
 	}
+	checkSkips(t, skipped, seeds)
 }
 
-// TestFuzzLevelsAgreeWhenDeterministic: when the jitter-free weak runs of
-// all levels agree with each other and with one SC run, the program is
-// (very likely) determinate, and every jittered run must produce that same
-// outcome. This catches lost updates or misplaced syncs that happen to be
-// SC-explainable but change a determinate program's result.
+// TestFuzzDeterministicProgramsStable: when a generated program has exactly
+// one SC outcome it is determinate, and every jittered run of its most
+// optimized code must produce that outcome.
 func TestFuzzDeterministicProgramsStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing skipped in -short mode")
 	}
-	for seed := int64(100); seed < 140; seed++ {
+	const first, last = 100, 140
+	skipped := int64(0)
+	for seed := int64(first); seed < last; seed++ {
 		src := progen.Generate(seed, progen.Options{Procs: fuzzProcs})
 		prog, err := source.Parse(src)
 		if err != nil {
@@ -173,16 +137,14 @@ func TestFuzzDeterministicProgramsStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Determinacy probe: prefer exact enumeration; fall back to
-		// sampled schedules.
-		probe, exact := EnumerateSC(fn, fuzzProcs, 1_000_000)
+		probe, exact := EnumerateSC(fn, fuzzProcs, fuzzBudget)
 		if !exact {
-			probe = scOutcomeSet(t, fn, 30, 0)
+			skipped++
+			continue
 		}
 		if len(probe) != 1 {
 			continue // racy program; covered by the containment fuzz
 		}
-		_ = exact
 		var want string
 		for k := range probe {
 			want = k
@@ -197,14 +159,10 @@ func TestFuzzDeterministicProgramsStable(t *testing.T) {
 				t.Fatalf("seed %d ws %d: %v\n%s", seed, ws, err, src)
 			}
 			if got := outcomeKey(res.Memory, res.Prints); got != want {
-				// The program might still be racy (probe undersampled);
-				// check whether the outcome is SC-producible at all.
-				sc := scOutcomeSet(t, fn, 3000, 2_000_000)
-				if !sc[got] {
-					t.Fatalf("seed %d ws %d: optimized run diverged and is not SC-explainable\ngot:  %s\nwant: %s\nprogram:\n%s",
-						seed, ws, got, want, src)
-				}
+				t.Fatalf("seed %d ws %d: optimized run diverged from the program's only SC outcome\ngot:  %s\nwant: %s\nprogram:\n%s",
+					seed, ws, got, want, src)
 			}
 		}
 	}
+	checkSkips(t, skipped, last-first)
 }

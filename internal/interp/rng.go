@@ -1,11 +1,12 @@
 package interp
 
-// schedRNG is the generator behind Jitter and Perturb: SplitMix64 (Steele,
-// Lea and Flood, "Fast splittable pseudorandom number generators", 2014),
-// a 64-bit counter stepped by the golden-ratio increment and read through
-// a bijective finalizer. Its whole state is one word, so seeding a run is
-// one store where math/rand's lagged-Fibonacci source fills 607 — more
-// than a short tapped run costs. The zero value is a valid generator.
+// schedRNG is the generator behind Jitter, Perturb and RunSC: SplitMix64
+// (Steele, Lea and Flood, "Fast splittable pseudorandom number
+// generators", 2014), a 64-bit counter stepped by the golden-ratio
+// increment and read through a bijective finalizer. Its whole state is one
+// word, so seeding a run is one store where math/rand's lagged-Fibonacci
+// source fills 607 — more than a short tapped run costs. The zero value is
+// a valid generator.
 type schedRNG struct{ state uint64 }
 
 const goldenGamma = 0x9e3779b97f4a7c15

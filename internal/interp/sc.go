@@ -2,393 +2,75 @@ package interp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/ir"
-	"repro/internal/sem"
 )
-
-// SCPolicy selects the reference executor's scheduling policy. Outcome
-// sets are sampled, so diverse policies matter: uniform scheduling almost
-// never produces "one processor runs far ahead" interleavings, which burst
-// and priority scheduling cover.
-type SCPolicy int
-
-// Scheduling policies.
-const (
-	// PolicyUniform picks a uniformly random runnable processor per step.
-	PolicyUniform SCPolicy = iota
-	// PolicyBurst keeps running the same processor for a geometrically
-	// distributed number of steps (expected BurstLen).
-	PolicyBurst
-	// PolicyPriority always runs the runnable processor with the highest
-	// priority under a seed-dependent rotation — the extreme run-ahead
-	// schedules.
-	PolicyPriority
-)
-
-// SCOptions configures the sequentially consistent reference executor.
-type SCOptions struct {
-	// Procs is the machine size.
-	Procs int
-	// Seed selects the interleaving.
-	Seed int64
-	// Policy is the scheduling policy (default PolicyUniform).
-	Policy SCPolicy
-	// BurstLen is the expected burst length for PolicyBurst (default 8).
-	BurstLen int
-	// MaxSteps bounds execution (0 means 50 million).
-	MaxSteps int
-}
 
 // SCResult is the outcome of a sequentially consistent run.
 type SCResult struct {
 	Memory map[string][]ir.Value
 	Prints []string
-	Steps  int
 }
 
-type scProc struct {
-	id      int
-	blk     *ir.Block
-	idx     int
-	env     *env
-	done    bool
-	blocked bool
-	prints  []string
-}
+// maxSCSteps bounds a RunSC walk: a program still running after this many
+// steps is reported as a livelock.
+const maxSCSteps = 50_000_000
 
-type scState struct {
-	fn    *ir.Fn
-	mem   *Memory
-	posts map[*sem.Symbol][]bool
-	locks map[*sem.Symbol][]int // -1 free, else holder
-	bar   map[int]bool          // procs waiting at the open barrier
-	barID int
-	procs []*scProc
-	rng   *rand.Rand
-	steps int
-	// ord is the interned canonical encoding order; set only by the
-	// enumerators (encodeState needs it), nil for scheduled runs.
-	ord *encOrder
-}
-
-// RunSC executes the IR under a random sequentially consistent
-// interleaving: one whole statement at a time, shared accesses atomic.
-func RunSC(fn *ir.Fn, opts SCOptions) (*SCResult, error) {
-	if opts.Procs <= 0 {
+// RunSC executes the IR under one random sequentially consistent
+// interleaving: a walk over the enumerators' own transition relation
+// (mcState.step), one whole statement at a time, shared accesses atomic.
+//
+// Each step picks uniformly among the live processors not marked blocked,
+// drawing from seed's schedRNG stream (the generator behind the
+// simulator's jitter). A step that cannot progress marks its processor
+// blocked; any step that progresses clears every mark; a run whose live
+// processors are all marked has deadlocked. A seed names a schedule of
+// this generator only: which interleaving it picks on a racy program
+// changes with the generator, while a race-free program's answer does not
+// depend on the seed at all. The trail is dropped after every step, so a
+// long run holds only the machine state. A runtime error is a
+// *RuntimeError naming the processor that raised it.
+func RunSC(fn *ir.Fn, procs int, seed int64) (*SCResult, error) {
+	if procs <= 0 {
 		return nil, fmt.Errorf("sc: procs must be positive")
 	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 50_000_000
-	}
-	st := &scState{
-		fn:    fn,
-		mem:   NewMemory(fn.Info, opts.Procs),
-		posts: make(map[*sem.Symbol][]bool),
-		locks: make(map[*sem.Symbol][]int),
-		bar:   map[int]bool{},
-		barID: -1,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-	}
-	for _, s := range fn.Info.Events {
-		st.posts[s] = make([]bool, s.Size)
-	}
-	for _, s := range fn.Info.Locks {
-		held := make([]int, s.Size)
-		for i := range held {
-			held[i] = -1
-		}
-		st.locks[s] = held
-	}
-	for p := 0; p < opts.Procs; p++ {
-		st.procs = append(st.procs, &scProc{id: p, blk: fn.Blocks[0], env: newEnv(fn)})
-	}
-	burstLen := opts.BurstLen
-	if burstLen <= 0 {
-		burstLen = 8
-	}
-	rotation := int(opts.Seed % int64(opts.Procs))
-	if rotation < 0 {
-		rotation += opts.Procs
-	}
-	var current *scProc
-	for {
-		// Collect runnable processors.
-		var runnable []*scProc
-		alldone := true
-		for _, p := range st.procs {
-			if p.done {
+	st := newMCState(fn, procs)
+	var rng schedRNG
+	rng.seed(seed)
+	blocked := make([]bool, procs)
+	ready := make([]int, 0, procs)
+	for steps := 0; ; steps++ {
+		ready = ready[:0]
+		live := false
+		for p := range st.procs {
+			if st.procs[p].done {
 				continue
 			}
-			alldone = false
-			if !p.blocked {
-				runnable = append(runnable, p)
+			live = true
+			if !blocked[p] {
+				ready = append(ready, p)
 			}
 		}
-		if alldone {
+		if !live {
 			break
 		}
-		if len(runnable) == 0 {
+		if len(ready) == 0 {
 			return nil, fmt.Errorf("sc: deadlock (all live processors blocked)")
 		}
-		var p *scProc
-		switch opts.Policy {
-		case PolicyBurst:
-			if current != nil && !current.done && !current.blocked && st.rng.Intn(burstLen) != 0 {
-				p = current
-			} else {
-				p = runnable[st.rng.Intn(len(runnable))]
-			}
-		case PolicyPriority:
-			// Highest priority = lowest (id + rotation) mod procs.
-			best := -1
-			for _, q := range runnable {
-				pr := (q.id + rotation) % opts.Procs
-				if best == -1 || pr < (p.id+rotation)%opts.Procs {
-					p = q
-					best = pr
-				}
-			}
-		default:
-			p = runnable[st.rng.Intn(len(runnable))]
+		if steps == maxSCSteps {
+			return nil, fmt.Errorf("sc: exceeded %d steps (livelock?)", maxSCSteps)
 		}
-		current = p
-		if err := st.step(p); err != nil {
-			return nil, err
-		}
-		st.steps++
-		if st.steps > opts.MaxSteps {
-			return nil, fmt.Errorf("sc: exceeded %d steps (livelock?)", opts.MaxSteps)
-		}
-	}
-	res := &SCResult{Memory: st.mem.Snapshot(), Steps: st.steps}
-	for _, p := range st.procs {
-		res.Prints = append(res.Prints, p.prints...)
-	}
-	return res, nil
-}
-
-func (st *scState) ctx(p *scProc) evalCtx { return evalCtx{proc: p.id, procs: len(st.procs)} }
-
-// step executes one statement (or terminator) of p. Blocking statements
-// set p.blocked and retry on a later schedule (unblocking is re-checked
-// each step: progress of other processors clears the condition).
-func (st *scState) step(p *scProc) error {
-	if p.idx >= len(p.blk.Stmts) {
-		return st.terminator(p)
-	}
-	s := p.blk.Stmts[p.idx]
-	switch s := s.(type) {
-	case *ir.Assign:
-		v, err := eval(s.Src, p.env, st.ctx(p))
+		p := ready[int(rng.Float64()*float64(len(ready)))]
+		progressed, err := st.step(p)
 		if err != nil {
-			return st.errf(p, "%v", err)
+			return nil, &RuntimeError{Proc: p, Msg: err.Error()}
 		}
-		p.env.scalars[s.Dst] = v
-		p.idx++
-	case *ir.SetElem:
-		idx, err := evalInt(s.Index, p.env, st.ctx(p))
-		if err != nil {
-			return st.errf(p, "%v", err)
-		}
-		arr := p.env.arrays[s.Arr]
-		if idx < 0 || idx >= int64(len(arr)) {
-			return st.errf(p, "local array index %d out of range", idx)
-		}
-		v, err := eval(s.Src, p.env, st.ctx(p))
-		if err != nil {
-			return st.errf(p, "%v", err)
-		}
-		arr[idx] = v
-		p.idx++
-	case *ir.Load:
-		idx, err := st.sharedIndex(p, s.Acc)
-		if err != nil {
-			return err
-		}
-		p.env.scalars[s.Dst] = st.mem.Read(s.Acc.Sym, idx)
-		p.idx++
-	case *ir.Store:
-		idx, err := st.sharedIndex(p, s.Acc)
-		if err != nil {
-			return err
-		}
-		v, err := eval(s.Src, p.env, st.ctx(p))
-		if err != nil {
-			return st.errf(p, "%v", err)
-		}
-		st.mem.Write(s.Acc.Sym, idx, v)
-		p.idx++
-	case *ir.SyncOp:
-		return st.syncOp(p, s.Acc)
-	case *ir.Print:
-		line := fmt.Sprintf("[p%d]", p.id)
-		for _, a := range s.Args {
-			if a.IsStr {
-				line += " " + a.Str
-			} else {
-				v, err := eval(a.E, p.env, st.ctx(p))
-				if err != nil {
-					return st.errf(p, "%v", err)
-				}
-				line += " " + v.String()
-			}
-		}
-		p.prints = append(p.prints, line)
-		p.idx++
-	default:
-		return st.errf(p, "unhandled statement %T", s)
-	}
-	return nil
-}
-
-func (st *scState) terminator(p *scProc) error {
-	switch t := p.blk.Term.(type) {
-	case *ir.Jump:
-		p.blk, p.idx = t.To, 0
-	case *ir.Branch:
-		v, err := eval(t.Cond, p.env, st.ctx(p))
-		if err != nil {
-			return st.errf(p, "%v", err)
-		}
-		if v.IsTrue() {
-			p.blk = t.Then
+		st.trail = st.trail[:0]
+		if progressed {
+			clear(blocked)
 		} else {
-			p.blk = t.Else
-		}
-		p.idx = 0
-	case *ir.Ret:
-		p.done = true
-	default:
-		return st.errf(p, "missing terminator")
-	}
-	return nil
-}
-
-func (st *scState) sharedIndex(p *scProc, acc *ir.Access) (int64, error) {
-	idx := int64(0)
-	if acc.Index != nil {
-		v, err := evalInt(acc.Index, p.env, st.ctx(p))
-		if err != nil {
-			return 0, st.errf(p, "%v", err)
-		}
-		idx = v
-	}
-	if err := st.mem.CheckIndex(acc.Sym, idx); err != nil {
-		return 0, st.errf(p, "%v", err)
-	}
-	return idx, nil
-}
-
-func (st *scState) syncIndex(p *scProc, acc *ir.Access, size int) (int64, error) {
-	idx := int64(0)
-	if acc.Index != nil {
-		v, err := evalInt(acc.Index, p.env, st.ctx(p))
-		if err != nil {
-			return 0, st.errf(p, "%v", err)
-		}
-		idx = v
-	}
-	if idx < 0 || idx >= int64(size) {
-		return 0, st.errf(p, "sync index %d out of range for %s", idx, acc.Sym.Name)
-	}
-	return idx, nil
-}
-
-func (st *scState) syncOp(p *scProc, acc *ir.Access) error {
-	switch acc.Kind {
-	case ir.AccPost:
-		flags := st.posts[acc.Sym]
-		idx, err := st.syncIndex(p, acc, len(flags))
-		if err != nil {
-			return err
-		}
-		if flags[idx] {
-			return st.errf(p, "event %s posted twice", acc.Sym.Name)
-		}
-		flags[idx] = true
-		st.unblockAll()
-		p.idx++
-	case ir.AccWait:
-		flags := st.posts[acc.Sym]
-		idx, err := st.syncIndex(p, acc, len(flags))
-		if err != nil {
-			return err
-		}
-		if !flags[idx] {
-			p.blocked = true
-			return nil
-		}
-		p.blocked = false
-		p.idx++
-	case ir.AccLock:
-		held := st.locks[acc.Sym]
-		idx, err := st.syncIndex(p, acc, len(held))
-		if err != nil {
-			return err
-		}
-		if held[idx] != -1 {
-			p.blocked = true
-			return nil
-		}
-		held[idx] = p.id
-		p.blocked = false
-		p.idx++
-	case ir.AccUnlock:
-		held := st.locks[acc.Sym]
-		idx, err := st.syncIndex(p, acc, len(held))
-		if err != nil {
-			return err
-		}
-		if held[idx] != p.id {
-			return st.errf(p, "unlock of %s not held by this processor", acc.Sym.Name)
-		}
-		held[idx] = -1
-		st.unblockAll()
-		p.idx++
-	case ir.AccBarrier:
-		if st.barID == -1 {
-			st.barID = acc.ID
-		} else if st.barID != acc.ID {
-			return st.errf(p, "barrier misalignment: a%d vs a%d", acc.ID, st.barID)
-		}
-		st.bar[p.id] = true
-		live := 0
-		for _, q := range st.procs {
-			if !q.done {
-				live++
-			}
-		}
-		if len(st.bar) == live {
-			// Release everyone.
-			for _, q := range st.procs {
-				if st.bar[q.id] {
-					q.blocked = false
-					q.idx++
-				}
-			}
-			st.bar = map[int]bool{}
-			st.barID = -1
-		} else {
-			p.blocked = true
-		}
-	default:
-		return st.errf(p, "unhandled sync op %s", acc.Kind)
-	}
-	return nil
-}
-
-// unblockAll clears blocked flags so waiting processors re-check their
-// conditions (waits and locks re-evaluate in step).
-func (st *scState) unblockAll() {
-	for _, p := range st.procs {
-		if !p.done && !st.bar[p.id] {
-			p.blocked = false
+			blocked[p] = true
 		}
 	}
-}
-
-func (st *scState) errf(p *scProc, format string, args ...any) error {
-	return &RuntimeError{Proc: p.id, Msg: fmt.Sprintf(format, args...)}
+	return &SCResult{Memory: st.snapshot(), Prints: st.allPrints()}, nil
 }

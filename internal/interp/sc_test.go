@@ -1,6 +1,10 @@
 package interp
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -11,7 +15,7 @@ import (
 
 func runSC(t *testing.T, fn *ir.Fn, procs int, seed int64) *SCResult {
 	t.Helper()
-	res, err := RunSC(fn, SCOptions{Procs: procs, Seed: seed})
+	res, err := RunSC(fn, procs, seed)
 	if err != nil {
 		t.Fatalf("RunSC: %v", err)
 	}
@@ -94,7 +98,7 @@ func main() {
     wait(e);
 }
 `, ir.BuildOptions{Procs: 2})
-	if _, err := RunSC(fn, SCOptions{Procs: 2, Seed: 1}); err == nil {
+	if _, err := RunSC(fn, 2, 1); err == nil {
 		t.Fatal("expected deadlock")
 	}
 }
@@ -106,7 +110,7 @@ func main() {
     post(e);
 }
 `, ir.BuildOptions{Procs: 2})
-	if _, err := RunSC(fn, SCOptions{Procs: 2, Seed: 1}); err == nil {
+	if _, err := RunSC(fn, 2, 1); err == nil {
 		t.Fatal("expected double-post error")
 	}
 }
@@ -120,23 +124,107 @@ func main() {
     }
 }
 `, ir.BuildOptions{Procs: 2})
-	if _, err := RunSC(fn, SCOptions{Procs: 2, Seed: 1}); err == nil {
+	if _, err := RunSC(fn, 2, 1); err == nil {
 		t.Fatal("expected unlock-not-held error")
 	}
 }
 
-// scOutcomes collects the set of SC outcomes over many schedules.
-func scOutcomes(t *testing.T, fn *ir.Fn, procs int, runs int) map[string]bool {
-	t.Helper()
-	out := map[string]bool{}
-	for seed := int64(0); seed < int64(runs); seed++ {
-		res, err := RunSC(fn, SCOptions{Procs: procs, Seed: seed})
-		if err != nil {
-			t.Fatalf("sc seed %d: %v", seed, err)
-		}
-		out[OutcomeKey(res.Memory, res.Prints)] = true
+// TestRunSCErrorsNameTheProcessor: every runtime error of a walk is a
+// *RuntimeError naming the processor whose step raised it. Each program
+// errs on processor 1 only, so a Proc left at its zero value fails.
+func TestRunSCErrorsNameTheProcessor(t *testing.T) {
+	cases := []struct{ name, body, msg string }{
+		{"double post", "post(e); post(e);", "posted twice"},
+		{"unlock not held", "unlock(m);", "not held"},
+		{"shared index", "local int i = 5; A[i] = 1;", "out of range for A"},
+		{"local array", "local int a[2]; local int i = 5; a[i] = 1;", "local array index"},
+		{"negative fsqrt", "local float x = fsqrt(0.0 - 1.0);", "sqrt"},
 	}
-	return out
+	for _, tc := range cases {
+		fn := ir.MustBuild(`
+shared int A[2];
+event e;
+lock m;
+func main() {
+    if (MYPROC == 1) {
+        `+tc.body+`
+    }
+}
+`, ir.BuildOptions{Procs: 2})
+		for seed := int64(0); seed < 4; seed++ {
+			_, err := RunSC(fn, 2, seed)
+			var re *RuntimeError
+			if !errors.As(err, &re) || re.Proc != 1 || !strings.Contains(re.Msg, tc.msg) {
+				t.Errorf("%s, seed %d: got %v, want a *RuntimeError on proc 1 mentioning %q", tc.name, seed, err, tc.msg)
+			}
+		}
+	}
+
+	// Misaligned barriers: whichever processor joins second errs, and the
+	// message names its own barrier first.
+	fn := ir.MustBuild(`
+func main() {
+    if (MYPROC == 0) {
+        barrier;
+    } else {
+        barrier;
+    }
+}
+`, ir.BuildOptions{Procs: 2})
+	var bars []int
+	for _, a := range fn.Accesses {
+		if a.Kind == ir.AccBarrier {
+			bars = append(bars, a.ID)
+		}
+	}
+	if len(bars) != 2 {
+		t.Fatalf("want two barrier sites, got %v", bars)
+	}
+	seen := map[int]bool{}
+	for seed := int64(0); seed < 16; seed++ {
+		_, err := RunSC(fn, 2, seed)
+		var re *RuntimeError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "misalignment") {
+			t.Fatalf("seed %d: got %v, want a barrier misalignment *RuntimeError", seed, err)
+		}
+		if own := fmt.Sprintf("a%d vs", bars[re.Proc]); !strings.Contains(re.Msg, own) {
+			t.Errorf("seed %d: proc %d reported %q, whose own barrier is a%d", seed, re.Proc, re.Msg, bars[re.Proc])
+		}
+		seen[re.Proc] = true
+	}
+	if !seen[0] || !seen[1] {
+		t.Errorf("16 seeds blamed only procs %v; each processor should join second under some seed", seen)
+	}
+}
+
+// TestRunSCMemoryIndependentOfSteps: the walk drops its undo trail after
+// every step, so a processor-local loop of millions of steps allocates
+// about what a run of a dozen does.
+func TestRunSCMemoryIndependentOfSteps(t *testing.T) {
+	alloc := func(n int) uint64 {
+		fn := ir.MustBuild(fmt.Sprintf(`
+shared int S;
+func main() {
+    local int i = 0;
+    while (i < %d) {
+        i = i + 1;
+    }
+    S = i;
+}
+`, n), ir.BuildOptions{Procs: 1})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := runSC(t, fn, 1, 1)
+		runtime.ReadMemStats(&after)
+		if got := res.Memory["S"][0].I; got != int64(n) {
+			t.Fatalf("S = %d, want %d", got, n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := alloc(3), alloc(500_000) // about 10 and 1.5 million steps
+	if long > short+1<<20 {
+		t.Errorf("a 1.5M-step walk allocated %d bytes, a 10-step one %d: the walk keeps per-step state", long, short)
+	}
 }
 
 // TestWeakOutcomesAreSC is the paper's system contract, tested end to end:
@@ -210,10 +298,9 @@ func main() {
 		fn := ir.MustBuild(src, ir.BuildOptions{Procs: 2})
 		res := syncanal.Analyze(fn, syncanal.Options{})
 		prog := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: true, OneWay: true}).Prog
-		// The exact model checker gives the complete SC outcome set.
-		sc, exactOK := EnumerateSC(fn, 2, 0)
-		if !exactOK {
-			sc = scOutcomes(t, fn, 2, 400)
+		sc, ok := EnumerateSC(fn, 2, 0)
+		if !ok {
+			t.Fatalf("case %d: SC enumeration truncated", ci)
 		}
 		for seed := int64(0); seed < 100; seed++ {
 			r, err := Run(prog, machine.CM5(2), RunOptions{Jitter: 6.0, Seed: seed})

@@ -370,7 +370,7 @@ func (p *Program) Run(cfg machine.Config, ropts interp.RunOptions) (*interp.Resu
 // RunSC executes the program's IR under a sequentially consistent random
 // interleaving (the reference semantics).
 func (p *Program) RunSC(seed int64) (*interp.SCResult, error) {
-	return interp.RunSC(p.Fn, interp.SCOptions{Procs: p.Opts.Procs, Seed: seed})
+	return interp.RunSC(p.Fn, p.Opts.Procs, seed)
 }
 
 // DelaySummary renders the analysis results (delay-set sizes etc.).
