@@ -13,26 +13,35 @@ import (
 // the walker's statement bodies minus operand evaluation (the bytecode did
 // that already), so both engines share one implementation of the event
 // semantics, the cost model, and the tap protocol.
-type vmHost struct{ s *sim }
+type vmHost struct {
+	s     *sim
+	calls hostCalls // this run's crossings, by method
+}
 
-// ChargeALUN applies n accumulated ALU charges one at a time: the
-// floating-point additions hitting p.time are the walker's, in the
-// walker's order, so clocks stay bit-identical.
+// hostCalls counts one run's calls into the simulator by vm.Host method
+// (Fail, which ends the run, is not counted).
+type hostCalls struct {
+	ChargeALUN, EnterBlock, Print, Get, Put, Store, SyncCtr, Sync int
+}
+
+// ChargeALUN applies n accumulated ALU charges where no access carries
+// them: at ret, and before a traced block entry. Like the charges an
+// access carries (its alu argument), they are n separate additions — the
+// walker's, in the walker's order — so clocks stay bit-identical.
 func (h *vmHost) ChargeALUN(p, n int) {
-	pr := h.s.procs[p]
-	c := h.s.cfg.ALUCost
-	for i := 0; i < n; i++ {
-		pr.charge(c)
-	}
+	h.calls.ChargeALUN++
+	h.s.procs[p].chargeN(n, h.s.cfg.ALUCost)
 }
 
 func (h *vmHost) EnterBlock(p, blk int) {
+	h.calls.EnterBlock++
 	if h.s.tap != nil {
 		h.s.tap.Block(p, blk)
 	}
 }
 
 func (h *vmHost) Print(p int, line string) {
+	h.calls.Print++
 	pr := h.s.procs[p]
 	pr.prints = append(pr.prints, line)
 }
@@ -41,9 +50,11 @@ func (h *vmHost) Fail(p int, format string, args ...any) {
 	h.s.fail(h.s.procs[p], format, args...)
 }
 
-func (h *vmHost) Get(p, accID int, idx int64, dst ir.LocalID, ctr int) bool {
+func (h *vmHost) Get(p, alu, accID int, idx int64, dst ir.LocalID, ctr int) bool {
+	h.calls.Get++
 	s := h.s
 	pr := s.procs[p]
+	pr.chargeN(alu, s.cfg.ALUCost)
 	acc := s.prog.Fn.Accesses[accID]
 	s.verifyDelays(pr, acc)
 	if err := s.mem.CheckIndex(acc.Sym, idx); err != nil {
@@ -54,9 +65,11 @@ func (h *vmHost) Get(p, accID int, idx int64, dst ir.LocalID, ctr int) bool {
 	return s.err == nil
 }
 
-func (h *vmHost) Put(p, accID int, idx int64, v ir.Value, ctr int) bool {
+func (h *vmHost) Put(p, alu, accID int, idx int64, v ir.Value, ctr int) bool {
+	h.calls.Put++
 	s := h.s
 	pr := s.procs[p]
+	pr.chargeN(alu, s.cfg.ALUCost)
 	acc := s.prog.Fn.Accesses[accID]
 	s.verifyDelays(pr, acc)
 	if err := s.mem.CheckIndex(acc.Sym, idx); err != nil {
@@ -67,9 +80,11 @@ func (h *vmHost) Put(p, accID int, idx int64, v ir.Value, ctr int) bool {
 	return s.err == nil
 }
 
-func (h *vmHost) Store(p, accID int, idx int64, v ir.Value) bool {
+func (h *vmHost) Store(p, alu, accID int, idx int64, v ir.Value) bool {
+	h.calls.Store++
 	s := h.s
 	pr := s.procs[p]
+	pr.chargeN(alu, s.cfg.ALUCost)
 	acc := s.prog.Fn.Accesses[accID]
 	s.verifyDelays(pr, acc)
 	if err := s.mem.CheckIndex(acc.Sym, idx); err != nil {
@@ -80,13 +95,22 @@ func (h *vmHost) Store(p, accID int, idx int64, v ir.Value) bool {
 	return s.err == nil
 }
 
-func (h *vmHost) SyncCtr(p, ctr int) bool {
-	return h.s.syncCtr(h.s.procs[p], target.Ctr(ctr))
+// SyncCtr always yields: the run loop finishes the wait (finishSyncCtr)
+// when it dispatches the resume this schedules.
+func (h *vmHost) SyncCtr(p, alu, ctr int) bool {
+	h.calls.SyncCtr++
+	pr := h.s.procs[p]
+	pr.chargeN(alu, h.s.cfg.ALUCost)
+	h.s.syncCtr(pr, target.Ctr(ctr))
+	return false
 }
 
-func (h *vmHost) Sync(p, accID int, idx int64) bool {
+func (h *vmHost) Sync(p, alu, accID int, idx int64) bool {
+	h.calls.Sync++
 	s := h.s
-	return s.syncOpAt(s.procs[p], s.prog.Fn.Accesses[accID], idx)
+	pr := s.procs[p]
+	pr.chargeN(alu, s.cfg.ALUCost)
+	return s.syncOpAt(pr, s.prog.Fn.Accesses[accID], idx)
 }
 
 // vm.Host conformance check.

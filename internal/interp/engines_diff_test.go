@@ -28,6 +28,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/progen"
+	"repro/internal/source"
+	"repro/internal/vm"
 )
 
 // traceTap records the full tap callback stream as formatted lines, so
@@ -319,4 +321,102 @@ func FuzzVMEquivalence(f *testing.F) {
 		}
 		diffRun(t, strings.TrimSpace(fmt.Sprintf("progen seed %d", progSeed)), prog, machine.CM5(p), opts)
 	})
+}
+
+// TestEnginesDiffFusedFailures holds the failure paths of the fused ops to
+// the walker's: each program fails inside one (the disassembly must show
+// it), and both engines must report the same error text from the same
+// processor (DESIGN §12's contract covers error strings). A fused op checks
+// in the unfused sequence's order — a store's index before its value is
+// read, a chained pair's first operator before its second.
+func TestEnginesDiffFusedFailures(t *testing.T) {
+	const head = `
+shared int S[2];
+func main() {
+	local int i = MYPROC + 3;
+	local int v = 2;
+	local int buf[4];
+	local int idx[2];
+`
+	cases := []struct {
+		name, body, op, want string
+		floatIdx             bool // retype idx to float
+	}{
+		{"setelem.x range", "buf[i + 1] = v;", "setelem.x", "local array index 4 out of range [0,4)", false},
+		{"setelem.ll range", "i = i + 2; buf[i] = v;", "setelem.ll", "local array index 5 out of range [0,4)", false},
+		{"setelem.x float index", "buf[idx[0]] = v;", "setelem.x", "index is not an integer", true},
+		{"setelem.ll float index", "local int k = idx[1]; buf[k] = v;", "setelem.ll", "index is not an integer", true},
+		{"br.lc mod zero", "if (i % 0) { v = 1; }", "br.lc", "division by zero", false},
+		{"br.lc div zero", "while (i / 0) { v = 1; }", "br.lc", "division by zero", false},
+		{"bin2.lcl mod zero", "S[MYPROC] = i % 0 + v;", "bin2.lcl", "division by zero", false},
+		{"bin2.lcl div zero", "v = i / 0 - v;", "bin2.lcl", "division by zero", false},
+		{"get.tc mod zero", "v = S[(i + v) % 0];", "get.tc", "division by zero", false},
+		{"get.tc float index", "v = S[idx[0] + 2];", "get.tc", "index is not an integer", true},
+	}
+	cfg := machine.CM5(2)
+	for _, c := range cases {
+		prog, err := splitc.Compile(head+"\t"+c.body+"\n\tS[MYPROC] = v;\n}\n", splitc.Options{Procs: 2, Level: splitc.LevelOneWay})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", c.name, err)
+		}
+		// MiniSplit has no float index (sem rejects one), so the float
+		// cases make one at run time: idx is never written, so once
+		// retyped to float its elements start as float zeros.
+		if c.floatIdx {
+			for _, l := range prog.Fn.Locals {
+				if strings.HasPrefix(l.Name, "idx") {
+					l.Type = source.TypeFloat
+				}
+			}
+		}
+		bc, err := vm.Compile(prog.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dis := bc.Disasm(); !strings.Contains(dis, "  "+c.op+" ") {
+			t.Fatalf("%s: no %s op in the bytecode:\n%s", c.name, c.op, dis)
+		}
+		if _, _, vmErr := runEngine(prog, cfg, interp.RunOptions{}, false, false); !strings.Contains(vmErr, c.want) {
+			t.Fatalf("%s: VM error %q, want one saying %q", c.name, vmErr, c.want)
+		}
+		for i, opts := range diffSchedules {
+			diffRun(t, fmt.Sprintf("%s/sched%d", c.name, i), prog, cfg, opts)
+		}
+	}
+}
+
+// TestLandingsApplyInKeyOrder: a resume applies exactly the landings keyed
+// before it, whatever order their gets issued in. Each processor issues a
+// remote get, then a local one on another counter, and syncs the local one
+// first: at that resume the later-issued landing is due and the earlier
+// one is not, so a resume that applied landings in issue order, stopping
+// at the first one not due, would print b before it lands. Both engines,
+// with get-reads lazy (tapless) and queued (tapped).
+func TestLandingsApplyInKeyOrder(t *testing.T) {
+	prog, err := splitc.Compile(`
+shared int X[2];
+func main() {
+	X[MYPROC] = MYPROC + 5;
+	barrier;
+	local int a = X[1 - MYPROC];
+	local int b = X[MYPROC];
+	print("b", b);
+	print("a", a);
+}
+`, splitc.Options{Procs: 2, Level: splitc.LevelPipelined})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "[[p0] b 5 [p0] a 6 [p1] b 6 [p1] a 5]"
+	for _, walker := range []bool{false, true} {
+		for _, tapped := range []bool{false, true} {
+			res, _, errStr := runEngine(prog, machine.CM5(2), interp.RunOptions{}, walker, tapped)
+			if errStr != "" {
+				t.Fatal(errStr)
+			}
+			if got := fmt.Sprint(res.Prints); got != want {
+				t.Errorf("walker %v, tapped %v: prints %s, want %s\n%s", walker, tapped, got, want, prog.TargetText())
+			}
+		}
+	}
 }

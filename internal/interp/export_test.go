@@ -55,3 +55,12 @@ func (r *Runner) CheckForcingBound(fail func(msg string)) *int {
 // QueueTraffic reports where the last run's event-queue pushes went: how
 // many the sorted run took and how many the heap took.
 func (r *Runner) QueueTraffic() (run, heap int) { return r.s.queue.tail, r.s.queue.heapPushes }
+
+// VMCrossings counts a run's calls into the simulator by vm.Host method.
+type VMCrossings = hostCalls
+
+// VMTraffic reports the last run's work on the bytecode VM: the ops it
+// dispatched and its host calls by method.
+func (r *Runner) VMTraffic() (ops int, calls VMCrossings) {
+	return r.vmm.Dispatched(), r.host.calls
+}

@@ -91,10 +91,10 @@ const (
 // destination local at the completion time. Landings never enter the event
 // queue — a landing's only observable effect is the scalar write, and the
 // owning processor cannot look before its next resume, so each processor
-// keeps a private list and the resume applies every landing whose key
-// precedes the resume event's. This halves the queue's traffic (and its
-// depth, which sets the per-pop sift cost) while dispatching landings in
-// exactly the order the queue would have.
+// keeps a private list, indexed in key order, and the resume applies every
+// landing whose key precedes the resume event's. This halves the queue's
+// traffic (and its depth, which sets the per-pop sift cost) while
+// dispatching landings in exactly the order the queue would have.
 type landRec struct {
 	t         float64
 	pri       float64
@@ -104,8 +104,7 @@ type landRec struct {
 	dst       int32
 	symID     int32 // shared symbol the read samples
 	dyn       int32 // dynamic-op id for the Tap; -1/0 when untapped
-	dead      bool  // applied; slot retired (a queued read may still name it)
-	deposited bool  // the read has been sampled into val; holds once dead
+	deposited bool  // the read has been sampled into val; holds once applied
 	val       ir.Value
 }
 
@@ -215,6 +214,18 @@ func (p *proc) charge(c float64) {
 	p.stats.Busy += c
 }
 
+// chargeN charges c n times, as n separate additions: the walker charges
+// each statement as it runs, and the VM's batched ALU charges must round
+// exactly as those additions do.
+func (p *proc) chargeN(n int, c float64) {
+	t, b := p.time, p.stats.Busy
+	for ; n > 0; n-- {
+		t += c
+		b += c
+	}
+	p.time, p.stats.Busy = t, b
+}
+
 type proc struct {
 	id       int
 	blk      *target.Block
@@ -222,16 +233,19 @@ type proc struct {
 	time     float64
 	env      *env
 	ctrs     []ctrState
-	waiting  bool // two-phase flag for blocking statements
+	waiting  bool // two-phase flag for post/wait/lock/barrier
 	wakeTime float64
 	pendDyn  int // dynamic-op id of the in-flight blocking op (tap)
 	barEp    int // barrier episode joined at arrival (tap)
-	// lands holds outstanding get landings; applied at the next resume
-	// (see landRec). nDead counts applied slots — the list resets once
-	// every slot is retired, so queued reads never see a slot move.
-	lands   []landRec
-	nDead   int
-	scratch []int32 // applyLands' qualifying-slot sort buffer (reused)
+	// ctrWait is the counter of the sync_ctr that yielded, finished by the
+	// next resume (finishSyncCtr); -1 when none is.
+	ctrWait int32
+	// lands holds get landings, applied at a later resume (see landRec);
+	// live indexes the slots not yet applied, in landing-key order. Slots
+	// never move — queued reads name them — and the list resets once live
+	// is empty.
+	lands []landRec
+	live  []int32
 	// lastCompletion[acc] is the latest computed completion time among
 	// this processor's issues of get/put access acc (delay verification).
 	lastCompletion []float64
@@ -344,8 +358,10 @@ func Run(prog *target.Prog, cfg machine.Config, opts RunOptions) (*Result, error
 // Runner is not safe for concurrent use.
 type Runner struct {
 	s sim
-	// vmm is made by the first run on the bytecode VM.
-	vmm *vm.Machine
+	// vmm and the host it calls are made by the first run on the bytecode
+	// VM.
+	vmm  *vm.Machine
+	host *vmHost
 	// lastCompletion backs the processors' delay-verification tables.
 	lastCompletion []float64
 }
@@ -374,14 +390,15 @@ func NewRunner(prog *target.Prog, cfg machine.Config) (*Runner, error) {
 	for _, sym := range info.Locks {
 		s.lks[sym.ID] = make([]lockObj, sym.Size)
 	}
-	// One slab apiece for the proc structs, counter states, and landing
-	// lists: three allocations for the whole machine instead of three per
-	// processor. Three-index subslices keep a growing lands list from
-	// spilling into its neighbor's region.
+	// One slab apiece for the proc structs, counter states, landing lists
+	// and their key-order indexes: a few allocations for the whole machine
+	// instead of a few per processor. Three-index subslices keep a growing
+	// list from spilling into its neighbor's region.
 	procSlab := make([]proc, cfg.Procs)
 	ctrSlab := make([]ctrState, cfg.Procs*prog.Counters)
 	pendSlab := make([]pendingOp, 8*cfg.Procs*prog.Counters)
 	landSlab := make([]landRec, 8*cfg.Procs)
+	liveSlab := make([]int32, 8*cfg.Procs)
 	for i := range ctrSlab {
 		ctrSlab[i].pending = pendSlab[i*8 : i*8 : (i+1)*8]
 	}
@@ -391,6 +408,7 @@ func NewRunner(prog *target.Prog, cfg machine.Config) (*Runner, error) {
 		pr.env = newEnv(prog.Fn)
 		pr.ctrs = ctrSlab[p*prog.Counters : (p+1)*prog.Counters : (p+1)*prog.Counters]
 		pr.lands = landSlab[p*8 : p*8 : (p+1)*8]
+		pr.live = liveSlab[p*8 : p*8 : (p+1)*8]
 		s.procs[p] = pr
 	}
 	return r, nil
@@ -447,7 +465,8 @@ func (r *Runner) reset(opts RunOptions) error {
 			if err != nil {
 				return err
 			}
-			r.vmm = vm.NewMachine(code, &vmHost{s}, cfg.Procs)
+			r.host = &vmHost{s: s}
+			r.vmm = vm.NewMachine(code, r.host, cfg.Procs)
 			// Frames alias the walker's env storage, so landing events
 			// (evGetLand writes env.scalars) work identically for both engines.
 			for _, pr := range s.procs {
@@ -456,9 +475,10 @@ func (r *Runner) reset(opts RunOptions) error {
 		}
 		s.vmm = r.vmm
 		s.vmm.Reset()
+		r.host.calls = hostCalls{}
 		// With no tap attached, per-block EnterBlock callbacks observe
-		// nothing; eliding them defers ALU charge flushes across block
-		// boundaries but keeps the additions in order, so clocks match.
+		// nothing; eliding them defers ALU charges across block boundaries
+		// but keeps the additions in order, so clocks match.
 		s.vmm.SetTrace(s.tap != nil)
 	}
 	for _, pr := range s.procs {
@@ -471,8 +491,9 @@ func (r *Runner) reset(opts RunOptions) error {
 			blk:     prog.Blocks[0],
 			env:     pr.env,
 			ctrs:    pr.ctrs,
+			ctrWait: -1,
 			lands:   pr.lands[:0],
-			scratch: pr.scratch[:0],
+			live:    pr.live[:0],
 			prints:  pr.prints[:0],
 		}
 		if s.delayPreds != nil {
@@ -509,6 +530,9 @@ func (r *Runner) Run(opts RunOptions) (*Result, error) {
 			p := s.procs[-(ent.ref + 1)]
 			if ent.aux < 0 {
 				s.applyLands(p, ent.t, ent.pri, ent.seq)
+				if p.ctrWait >= 0 {
+					s.finishSyncCtr(p)
+				}
 				s.resume(p)
 			} else {
 				s.depositRead(p, ent.aux, ent.t, ent.seq)
@@ -652,7 +676,7 @@ func (s *sim) count(n int) bool {
 func (s *sim) forceReads(e *event) {
 	min, n := math.Inf(1), 0
 	for _, q := range s.procs {
-		if q.nDead == len(q.lands) {
+		if len(q.live) == 0 {
 			continue
 		}
 		for i := range q.lands {
@@ -697,35 +721,15 @@ func (s *sim) dispatch(e *event) {
 
 // applyLands writes every pending get landing whose key precedes the
 // resume event's key (those the queue would have dispatched first) into
-// the processor's locals, in key order. Later landings stay pending —
-// their gets have not been synced yet.
+// the processor's locals, in key order: the due prefix of p.live. Later
+// landings stay pending — their gets have not been synced yet.
 func (s *sim) applyLands(p *proc, t, pri float64, seq int64) {
-	if len(p.lands) == 0 {
-		return
-	}
-	sc := p.scratch[:0]
-	for i := range p.lands {
+	n := 0
+	for _, i := range p.live {
 		l := &p.lands[i]
-		if !l.dead && l.landBefore(t, pri, seq) {
-			sc = append(sc, int32(i))
+		if !l.landBefore(t, pri, seq) {
+			break
 		}
-	}
-	// Insertion-sort the qualifying slots into event-key order: slots are
-	// already in ascending seq (issue) order, so the sort only moves
-	// entries across unequal completion times — local completions
-	// interleaving with slower remote ones. Applying in key order keeps
-	// same-destination landings in exactly the order the queue would have.
-	for i := 1; i < len(sc); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &p.lands[sc[j]], &p.lands[sc[j-1]]
-			if !a.landBefore(b.t, b.pri, b.seq) {
-				break
-			}
-			sc[j], sc[j-1] = sc[j-1], sc[j]
-		}
-	}
-	for _, i := range sc {
-		l := &p.lands[i]
 		if !l.deposited {
 			// A lazy read no write has forced: the cell still holds what
 			// it held at the read's arrival.
@@ -737,13 +741,14 @@ func (s *sim) applyLands(p *proc, t, pri float64, seq int64) {
 			s.last = l.t
 		}
 		s.nEv++
-		l.dead = true
+		n++
 	}
-	p.nDead += len(sc)
-	p.scratch = sc[:0]
-	if p.nDead == len(p.lands) {
+	if n == 0 {
+		return
+	}
+	p.live = p.live[:copy(p.live, p.live[n:])]
+	if len(p.live) == 0 {
 		p.lands = p.lands[:0]
-		p.nDead = 0
 	}
 }
 
@@ -826,9 +831,8 @@ func (s *sim) resume(p *proc) {
 			s.issueStore(p, st)
 			p.idx++
 		case *target.SyncCtr:
-			if !s.syncCtr(p, st.Ctr) {
-				return
-			}
+			s.syncCtr(p, st.Ctr)
+			return
 		default:
 			s.fail(p, "unhandled target statement %T", st)
 			return
@@ -996,8 +1000,21 @@ func (s *sim) issueGetAt(p *proc, acc *ir.Access, idx int64, owner int, dst ir.L
 	l := &p.lands[slot]
 	l.t, l.pri, l.seq, l.arr, l.idx = completion, pri, s.seq, arrival, idx
 	l.dst, l.symID, l.dyn = int32(dst), int32(acc.Sym.ID), int32(dyn)
-	l.dead, l.deposited = false, false
+	l.deposited = false
 	l.val = ir.Value{}
+	// Index the slot in key order. Its seq is the largest yet, so it goes
+	// behind every landing due no later; that is almost always the tail.
+	live := append(p.live, slot)
+	j := len(live) - 1
+	for ; j > 0; j-- {
+		b := &p.lands[live[j-1]]
+		if !l.landBefore(b.t, b.pri, b.seq) {
+			break
+		}
+		live[j] = live[j-1]
+	}
+	live[j] = slot
+	p.live = live
 }
 
 func (s *sim) issuePut(p *proc, pt *target.Put) {
@@ -1072,29 +1089,30 @@ func (s *sim) issueStoreAt(p *proc, acc *ir.Access, idx int64, owner int, v ir.V
 	w.symID, w.idx, w.val, w.dyn = int32(acc.Sym.ID), idx, v, int32(dyn)
 }
 
-// syncCtr executes a sync_ctr; false means p yielded to the event loop.
-// The two-phase structure guarantees that all reply events at or before
-// the wake time are applied before execution proceeds.
-//
-// The cost model processes replies in arrival order: the handler cost of
-// one ack overlaps the wait for later completions, so waiting for several
-// outstanding operations on one counter costs the same as draining them
-// through separate counters.
-func (s *sim) syncCtr(p *proc, ctr target.Ctr) bool {
-	st := &p.ctrs[ctr]
-	if !p.waiting {
-		wake := p.time
-		for _, op := range st.pending {
-			if op.t > wake {
-				wake = op.t
-			}
+// syncCtr begins a sync_ctr and yields to the event loop: it schedules p's
+// resume at the wake time, the latest completion pending on the counter,
+// so every reply landing at or before it is applied first; the run loop
+// then finishes the wait (finishSyncCtr) ahead of the resume.
+func (s *sim) syncCtr(p *proc, ctr target.Ctr) {
+	wake := p.time
+	for _, op := range p.ctrs[ctr].pending {
+		if op.t > wake {
+			wake = op.t
 		}
-		p.waiting = true
-		s.tapIssue(p, OpSyncCtr, nil, int64(ctr))
-		s.scheduleResume(wake, p)
-		return false
 	}
-	p.waiting = false
+	p.ctrWait = int32(ctr)
+	s.tapIssue(p, OpSyncCtr, nil, int64(ctr))
+	s.scheduleResume(wake, p)
+}
+
+// finishSyncCtr completes the sync_ctr p yielded at: the clock advances to
+// each completion and pays RecvOv per ack. The cost model processes
+// replies in arrival order: the handler cost of one ack overlaps the wait
+// for later completions, so waiting for several outstanding operations on
+// one counter costs the same as draining them through separate counters.
+func (s *sim) finishSyncCtr(p *proc) {
+	st := &p.ctrs[p.ctrWait]
+	p.ctrWait = -1
 	// Insertion sort by completion time: pending lists are short (a few
 	// outstanding ops per counter) and this avoids sort.Slice's closure.
 	ops := st.pending
@@ -1103,7 +1121,7 @@ func (s *sim) syncCtr(p *proc, ctr target.Ctr) bool {
 			ops[j], ops[j-1] = ops[j-1], ops[j]
 		}
 	}
-	for _, op := range st.pending {
+	for _, op := range ops {
 		if op.t > p.time {
 			p.time = op.t
 		}
@@ -1112,9 +1130,8 @@ func (s *sim) syncCtr(p *proc, ctr target.Ctr) bool {
 			p.stats.AcksRecv++
 		}
 	}
-	st.pending = st.pending[:0]
+	st.pending = ops[:0]
 	p.idx++
-	return true
 }
 
 // syncOp executes post/wait/lock/unlock/barrier; false means p yielded.

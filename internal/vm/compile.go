@@ -76,7 +76,9 @@ func Compile(tp *target.Prog) (*Program, error) {
 		switch op.Code {
 		case OpJump:
 			op.A = c.out.BlockPC[op.A]
-		case OpBranch:
+		case OpIncJump:
+			op.C = c.out.BlockPC[op.C]
+		case OpBranch, OpBrLC:
 			op.A = c.out.BlockPC[op.A]
 			op.B = c.out.BlockPC[op.B]
 		}
@@ -158,24 +160,30 @@ func (c *compiler) emitBin(binop int32) {
 			c.fuseTail(2, Op{Code: OpBinML, A: binop, B: code[n-1].A}, -1)
 			return
 		// Chains: the left operand's code ends in a one-dispatch bin op
-		// whose operator can ride in A's high bits alongside this one.
+		// whose operator rides in X beside this one's in Y.
 		case x == OpBinMC && y == OpLocal:
-			c.fuseTail(2, Op{Code: OpBin2MCL, A: code[n-2].A | binop<<8, B: code[n-2].B, C: code[n-1].A}, -1)
+			c.fuseTail(2, Op{Code: OpBin2MCL, X: uint8(code[n-2].A), Y: uint8(binop), B: code[n-2].B, C: code[n-1].A}, -1)
 			return
 		case x == OpBinMC && y == OpConst:
-			c.fuseTail(2, Op{Code: OpBin2MCC, A: code[n-2].A | binop<<8, B: code[n-2].B, C: code[n-1].A}, -1)
+			c.fuseTail(2, Op{Code: OpBin2MCC, X: uint8(code[n-2].A), Y: uint8(binop), B: code[n-2].B, C: code[n-1].A}, -1)
 			return
 		case x == OpBinTC && y == OpLocal:
-			c.fuseTail(2, Op{Code: OpBin2TCL, A: code[n-2].A | binop<<8, B: code[n-2].B, C: code[n-1].A}, -1)
+			c.fuseTail(2, Op{Code: OpBin2TCL, X: uint8(code[n-2].A), Y: uint8(binop), B: code[n-2].B, C: code[n-1].A}, -1)
 			return
 		case x == OpBinTC && y == OpConst:
-			c.fuseTail(2, Op{Code: OpBin2TCC, A: code[n-2].A | binop<<8, B: code[n-2].B, C: code[n-1].A}, -1)
+			c.fuseTail(2, Op{Code: OpBin2TCC, X: uint8(code[n-2].A), Y: uint8(binop), B: code[n-2].B, C: code[n-1].A}, -1)
 			return
 		case x == OpBinTL && y == OpLocal:
-			c.fuseTail(2, Op{Code: OpBin2TLL, A: code[n-2].A | binop<<8, B: code[n-2].B, C: code[n-1].A}, -1)
+			c.fuseTail(2, Op{Code: OpBin2TLL, X: uint8(code[n-2].A), Y: uint8(binop), B: code[n-2].B, C: code[n-1].A}, -1)
 			return
 		case x == OpBinTL && y == OpConst:
-			c.fuseTail(2, Op{Code: OpBin2TLC, A: code[n-2].A | binop<<8, B: code[n-2].B, C: code[n-1].A}, -1)
+			c.fuseTail(2, Op{Code: OpBin2TLC, X: uint8(code[n-2].A), Y: uint8(binop), B: code[n-2].B, C: code[n-1].A}, -1)
+			return
+		case x == OpBinLC && y == OpLocal:
+			c.fuseTail(2, Op{Code: OpBin2LCL, X: uint8(code[n-2].A), Y: uint8(binop), A: code[n-2].B, B: code[n-2].C, C: code[n-1].A}, -1)
+			return
+		case x == OpBinLC && y == OpConst:
+			c.fuseTail(2, Op{Code: OpBin2LCC, X: uint8(code[n-2].A), Y: uint8(binop), A: code[n-2].B, B: code[n-2].C, C: code[n-1].A}, -1)
 			return
 		}
 	}
@@ -277,6 +285,13 @@ func (c *compiler) compileStmt(s target.Stmt) error {
 			if err := c.compileExpr(s.Acc.Index); err != nil {
 				return err
 			}
+			// An index ending in v <op> c: the operator and the constant's
+			// pool index (below 256) ride in X and Y.
+			if n := len(c.out.Code); n > 0 && c.out.Code[n-1].Code == OpBinTC && c.out.Code[n-1].B < 256 {
+				last := c.out.Code[n-1]
+				c.fuseTail(1, Op{Code: OpGetTC, X: uint8(last.A), Y: uint8(last.B), A: int32(s.Acc.ID), B: int32(s.Dst), C: int32(s.Ctr)}, -1)
+				return nil
+			}
 			c.emit(OpGet, int32(s.Acc.ID), int32(s.Dst), int32(s.Ctr))
 		} else {
 			c.emit(OpGet0, int32(s.Acc.ID), int32(s.Dst), int32(s.Ctr))
@@ -355,6 +370,17 @@ func (c *compiler) compileWrapped(s ir.Stmt) error {
 		if err := c.compileExpr(s.Src); err != nil {
 			return err
 		}
+		// A local source behind the index check: one op for the three.
+		if n := len(c.out.Code); n >= 2 && c.out.Code[n-1].Code == OpLocal {
+			switch idx, v := c.out.Code[n-2], c.out.Code[n-1].A; idx.Code {
+			case OpSetIdx:
+				c.fuseTail(2, Op{Code: OpSetElemX, A: int32(s.Arr), B: v}, -2)
+				return nil
+			case OpSetIdxL:
+				c.fuseTail(2, Op{Code: OpSetElemLL, A: int32(s.Arr), B: idx.B, C: v}, -2)
+				return nil
+			}
+		}
 		c.emit(OpSetElem, int32(s.Arr), 0, 0)
 	case *ir.Print:
 		nexpr := int32(0)
@@ -384,13 +410,29 @@ func (c *compiler) compileWrapped(s ir.Stmt) error {
 	return nil
 }
 
+// compileTerm emits the block's terminator. A jump fuses with an i = i + c
+// ending the block (the loop back-edge), a branch with a local-constant
+// condition; the last op emitted is the block's own, since every block
+// ends in its terminator.
 func (c *compiler) compileTerm(b *target.Block) error {
 	switch t := b.Term.(type) {
 	case *target.Jump:
+		if n := len(c.out.Code); n > 0 && c.out.Code[n-1].Code == OpIncLC {
+			last := c.out.Code[n-1]
+			c.fuseTail(1, Op{Code: OpIncJump, A: last.A, B: last.B, C: int32(t.To.ID)}, 0)
+			return nil
+		}
 		c.emit(OpJump, int32(t.To.ID), 0, 0)
 	case *target.Branch:
 		if err := c.compileExpr(t.Cond); err != nil {
 			return err
+		}
+		// br.lc carries the constant's pool index in Y, so it needs one
+		// below 256.
+		if n := len(c.out.Code); n > 0 && c.out.Code[n-1].Code == OpBinLC && c.out.Code[n-1].C < 256 {
+			last := c.out.Code[n-1]
+			c.fuseTail(1, Op{Code: OpBrLC, X: uint8(last.A), Y: uint8(last.C), A: int32(t.Then.ID), B: int32(t.Else.ID), C: last.B}, -1)
+			return nil
 		}
 		c.emit(OpBranch, int32(t.Then.ID), int32(t.Else.ID), 0)
 	case *target.Ret:

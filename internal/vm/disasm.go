@@ -59,6 +59,8 @@ func (p *Program) operands(fn *ir.Fn, pc int, op Op) string {
 		return fmt.Sprintf(" -> %d (b%d) : %d (b%d)", op.A, p.PcBlock[op.A], op.B, p.PcBlock[op.B])
 	case OpGet, OpGet0:
 		return fmt.Sprintf(" %s, dst %s, c%d    ; %s", access(op.A), local(op.B), op.C, pos(fn, op.A))
+	case OpGetTC:
+		return fmt.Sprintf(" %s [. %s %s], dst %s, c%d    ; %s", access(op.A), source.BinOp(op.X), p.Consts[op.Y], local(op.B), op.C, pos(fn, op.A))
 	case OpPut, OpPut0:
 		return fmt.Sprintf(" %s, c%d    ; %s", access(op.A), op.C, pos(fn, op.A))
 	case OpStore, OpStore0, OpSync, OpSync0:
@@ -88,17 +90,30 @@ func (p *Program) operands(fn *ir.Fn, pc int, op Op) string {
 	case OpIncLC:
 		return fmt.Sprintf(" %s += %s", local(op.A), p.Consts[op.B])
 	case OpBin2MCL:
-		return fmt.Sprintf(" (myproc %s %s) %s %s", source.BinOp(op.A&0xff), p.Consts[op.B], source.BinOp(op.A>>8), local(op.C))
+		return fmt.Sprintf(" (myproc %s %s) %s %s", source.BinOp(op.X), p.Consts[op.B], source.BinOp(op.Y), local(op.C))
 	case OpBin2MCC:
-		return fmt.Sprintf(" (myproc %s %s) %s %s", source.BinOp(op.A&0xff), p.Consts[op.B], source.BinOp(op.A>>8), p.Consts[op.C])
+		return fmt.Sprintf(" (myproc %s %s) %s %s", source.BinOp(op.X), p.Consts[op.B], source.BinOp(op.Y), p.Consts[op.C])
 	case OpBin2TCL:
-		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.A&0xff), p.Consts[op.B], source.BinOp(op.A>>8), local(op.C))
+		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.X), p.Consts[op.B], source.BinOp(op.Y), local(op.C))
 	case OpBin2TCC:
-		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.A&0xff), p.Consts[op.B], source.BinOp(op.A>>8), p.Consts[op.C])
+		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.X), p.Consts[op.B], source.BinOp(op.Y), p.Consts[op.C])
 	case OpBin2TLL:
-		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.A&0xff), local(op.B), source.BinOp(op.A>>8), local(op.C))
+		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.X), local(op.B), source.BinOp(op.Y), local(op.C))
 	case OpBin2TLC:
-		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.A&0xff), local(op.B), source.BinOp(op.A>>8), p.Consts[op.C])
+		return fmt.Sprintf(" (. %s %s) %s %s", source.BinOp(op.X), local(op.B), source.BinOp(op.Y), p.Consts[op.C])
+	case OpBin2LCL:
+		return fmt.Sprintf(" (%s %s %s) %s %s", local(op.A), source.BinOp(op.X), p.Consts[op.B], source.BinOp(op.Y), local(op.C))
+	case OpBin2LCC:
+		return fmt.Sprintf(" (%s %s %s) %s %s", local(op.A), source.BinOp(op.X), p.Consts[op.B], source.BinOp(op.Y), p.Consts[op.C])
+	case OpBrLC:
+		return fmt.Sprintf(" %s %s %s -> %d (b%d) : %d (b%d)", local(op.C), source.BinOp(op.X), p.Consts[op.Y],
+			op.A, p.PcBlock[op.A], op.B, p.PcBlock[op.B])
+	case OpIncJump:
+		return fmt.Sprintf(" %s += %s -> %d (b%d)", local(op.A), p.Consts[op.B], op.C, p.PcBlock[op.C])
+	case OpSetElemX:
+		return fmt.Sprintf(" %s[.] <- %s", local(op.A), local(op.B))
+	case OpSetElemLL:
+		return fmt.Sprintf(" %s[%s] <- %s", local(op.A), local(op.B), local(op.C))
 	default:
 		return ""
 	}

@@ -19,14 +19,15 @@
 //
 //   - A statement begins and ends with an empty value stack, and the only
 //     ops that yield to the event loop (OpSyncCtr, OpSync*) pop their
-//     operands before yielding, saving the evaluated sync index in the
-//     frame. Re-entry therefore re-executes the blocking op itself — the
-//     walker's two-phase p.waiting protocol — without re-running operand
-//     code.
-//   - ALU charges accumulate in a counter and are flushed as individual
-//     cfg.ALUCost additions immediately before any host call that reads
-//     the processor clock, so the floating-point addition sequence applied
-//     to p.time is exactly the walker's.
+//     operands before yielding. A yielded sync_ctr is never re-executed:
+//     the host finishes the wait before the processor's next Resume, which
+//     starts at the op after it. A yielded OpSync* saves its evaluated
+//     index in the frame and re-executes on re-entry — the walker's
+//     two-phase p.waiting protocol — without re-running operand code.
+//   - ALU charges accumulate in a counter and ride on the next host call
+//     that reads the processor clock, which applies them first as
+//     individual cfg.ALUCost additions, so the floating-point addition
+//     sequence applied to p.time is exactly the walker's.
 package vm
 
 import (
@@ -96,15 +97,25 @@ const (
 	OpBinML   // push MYPROC <binop A> scalars[B]
 	OpIncLC   // scalars[A] = scalars[A] + consts[B]; charge ALU
 
-	// Chained pairs: two binary operations in one dispatch. A packs both
-	// operators (op1 = A&0xff, op2 = A>>8); the suffix names the shapes:
-	// M = MYPROC, C = constant, L = local, T = value on the stack.
+	// Chained pairs: two binary operations in one dispatch. X and Y hold
+	// the operators (op1, op2); the suffix names the shapes: M = MYPROC,
+	// C = constant, L = local, T = value on the stack.
 	OpBin2MCL // push (MYPROC <op1> consts[B]) <op2> scalars[C]
 	OpBin2MCC // push (MYPROC <op1> consts[B]) <op2> consts[C]
 	OpBin2TCL // v := pop; push (v <op1> consts[B]) <op2> scalars[C]
 	OpBin2TCC // v := pop; push (v <op1> consts[B]) <op2> consts[C]
 	OpBin2TLL // v := pop; push (v <op1> scalars[B]) <op2> scalars[C]
 	OpBin2TLC // v := pop; push (v <op1> scalars[B]) <op2> consts[C]
+	OpBin2LCL // push (scalars[A] <op1> consts[B]) <op2> scalars[C]
+	OpBin2LCC // push (scalars[A] <op1> consts[B]) <op2> consts[C]
+
+	// Fused statements and terminators, each one dispatch for the hot
+	// pair or triple the unfused code spent two or three on.
+	OpBrLC      // branch on scalars[C] <X> consts[Y]: OpBinLC + OpBranch
+	OpIncJump   // scalars[A] += consts[B]; pc = C: OpIncLC + OpJump
+	OpSetElemX  // pop idx; local array A element idx = scalars[B] (checked)
+	OpSetElemLL // local array A element scalars[B] = scalars[C] (checked)
+	OpGetTC     // v := pop; OpGet at element v <X> consts[Y]: OpBinTC + OpGet
 )
 
 // String names the opcode as printed by the disassembler.
@@ -129,6 +140,9 @@ var opNames = [...]string{
 	OpBinMC: "bin.mc", OpBinML: "bin.ml", OpIncLC: "inc.lc",
 	OpBin2MCL: "bin2.mcl", OpBin2MCC: "bin2.mcc", OpBin2TCL: "bin2.tcl",
 	OpBin2TCC: "bin2.tcc", OpBin2TLL: "bin2.tll", OpBin2TLC: "bin2.tlc",
+	OpBin2LCL: "bin2.lcl", OpBin2LCC: "bin2.lcc",
+	OpBrLC: "br.lc", OpIncJump: "inc.jump", OpSetElemX: "setelem.x", OpSetElemLL: "setelem.ll",
+	OpGetTC: "get.tc",
 }
 
 // evalBin is ir.EvalBin with the all-integer add/sub/mul/compare cases —
@@ -171,9 +185,13 @@ func evalBin(op source.BinOp, l, r ir.Value) (ir.Value, bool) {
 }
 
 // Op is one bytecode instruction: an opcode plus up to three dense operand
-// indices (constant pool, local, access, counter, or jump target).
+// indices (constant pool, local, access, counter, or jump target). X and Y
+// sit in what would be the struct's padding, so an Op is 16 bytes: they
+// carry the operators of a two-operator op, and the operator and constant
+// of br.lc and get.tc.
 type Op struct {
 	Code    OpCode
+	X, Y    uint8
 	A, B, C int32
 }
 
@@ -182,9 +200,15 @@ type Op struct {
 // bodies minus operand evaluation. Methods returning bool report whether
 // the processor may continue executing: false means it yielded to the
 // event loop or the run failed (the host records the error either way).
+//
+// The access and sync methods read the processor clock, so each takes alu,
+// the ALU charges accumulated since the last host call, and applies them
+// first, as alu individual cfg.ALUCost additions (FP-identical to the
+// walker, which charges each statement as it runs).
 type Host interface {
-	// ChargeALUN applies n accumulated per-statement ALU charges as n
-	// individual cfg.ALUCost additions (FP-identical to the walker).
+	// ChargeALUN applies n accumulated ALU charges the same way, where no
+	// access follows to carry them: at ret, and before a traced block
+	// entry.
 	ChargeALUN(p, n int)
 	// EnterBlock reports that processor p entered target block blk.
 	EnterBlock(p, blk int)
@@ -194,16 +218,19 @@ type Host interface {
 	Fail(p int, format string, args ...any)
 	// Get issues a split-phase read of access acc at element idx into dst,
 	// tracked by counter ctr.
-	Get(p, acc int, idx int64, dst ir.LocalID, ctr int) bool
+	Get(p, alu, acc int, idx int64, dst ir.LocalID, ctr int) bool
 	// Put issues a split-phase acknowledged write of v.
-	Put(p, acc int, idx int64, v ir.Value, ctr int) bool
+	Put(p, alu, acc int, idx int64, v ir.Value, ctr int) bool
 	// Store issues a one-way unacknowledged write of v.
-	Store(p, acc int, idx int64, v ir.Value) bool
-	// SyncCtr waits for counter ctr to drain (two-phase; false = yielded).
-	SyncCtr(p, ctr int) bool
+	Store(p, alu, acc int, idx int64, v ir.Value) bool
+	// SyncCtr waits for counter ctr to drain. False means p yielded, and the
+	// host finishes the wait before p's next Resume, which continues after
+	// the op: a yielded sync_ctr is never dispatched again.
+	SyncCtr(p, alu, ctr int) bool
 	// Sync executes a post/wait/lock/unlock/barrier access (two-phase for
-	// the blocking kinds; false = yielded).
-	Sync(p, acc int, idx int64) bool
+	// the blocking kinds; false = yielded, and the next Resume calls Sync
+	// again with the saved index).
+	Sync(p, alu, acc int, idx int64) bool
 }
 
 // Frame is one processor's execution state. Scalars and Arrays alias the
@@ -230,6 +257,7 @@ type Machine struct {
 	stack  []ir.Value
 	procsV ir.Value
 	trace  bool
+	ops    int // ops dispatched since the last Reset
 }
 
 // NewMachine builds an executor for procs processors. Frames must be bound
@@ -260,13 +288,19 @@ func (m *Machine) SetFrame(p int, scalars []ir.Value, arrays [][]ir.Value) {
 }
 
 // Reset rewinds every processor to the program's entry, as NewMachine left
-// it. Frame bindings stay; the storage behind them is the host's to reset.
+// it, and zeroes the dispatch count. Frame bindings stay; the storage
+// behind them is the host's to reset.
 func (m *Machine) Reset() {
 	for p := range m.frames {
 		fr := &m.frames[p]
 		fr.PC, fr.Done, fr.Pending, fr.PendIdx = 0, false, false, 0
 	}
+	m.ops = 0
 }
+
+// Dispatched reports how many ops the machine has dispatched since the
+// last Reset — the VM's work count, exact on any host.
+func (m *Machine) Dispatched() int { return m.ops }
 
 // SetTrace enables the per-block EnterBlock host callback. When off (no
 // tap is attached), jumps skip the host call entirely and ALU charges
@@ -293,6 +327,12 @@ func (m *Machine) Resume(p int) {
 	if fr.Done {
 		return
 	}
+	m.ops += m.run(p, fr)
+}
+
+// run is Resume's dispatch loop. It returns the number of ops it
+// dispatched, a count it keeps in a register.
+func (m *Machine) run(p int, fr *Frame) int {
 	var (
 		code    = m.prog.Code
 		consts  = m.prog.Consts
@@ -304,8 +344,10 @@ func (m *Machine) Resume(p int) {
 		pc      = int(fr.PC)
 		sp      = 0
 		alu     = 0
+		n       = 0
 	)
 	for {
+		n++
 		op := &code[pc]
 		switch op.Code {
 		case OpConst:
@@ -320,12 +362,12 @@ func (m *Machine) Resume(p int) {
 			v := stack[sp-1]
 			if v.T == source.TypeFloat {
 				host.Fail(p, "index is not an integer")
-				return
+				return n
 			}
 			arr := arrays[op.A]
 			if v.I < 0 || v.I >= int64(len(arr)) {
 				host.Fail(p, "local array index %d out of range [0,%d)", v.I, len(arr))
-				return
+				return n
 			}
 			stack[sp-1] = arr[v.I]
 			pc++
@@ -341,7 +383,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := evalBin(source.BinOp(op.A), stack[sp-2], stack[sp-1])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			sp--
 			stack[sp-1] = v
@@ -350,7 +392,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := ir.EvalUn(source.UnOp(op.A), stack[sp-1])
 			if !ok {
 				host.Fail(p, "bad unary operation")
-				return
+				return n
 			}
 			stack[sp-1] = v
 			pc++
@@ -360,12 +402,12 @@ func (m *Machine) Resume(p int) {
 			name := m.prog.Builtins[op.A]
 			if name == "fsqrt" && args[0].Float() < 0 {
 				host.Fail(p, "fsqrt of negative value %g", args[0].Float())
-				return
+				return n
 			}
 			v, ok := ir.EvalBuiltin(name, args)
 			if !ok {
 				host.Fail(p, "unknown builtin %s", name)
-				return
+				return n
 			}
 			sp -= n
 			stack[sp] = v
@@ -380,12 +422,12 @@ func (m *Machine) Resume(p int) {
 			v := stack[sp-1]
 			if v.T == source.TypeFloat {
 				host.Fail(p, "index is not an integer")
-				return
+				return n
 			}
 			arr := arrays[op.A]
 			if v.I < 0 || v.I >= int64(len(arr)) {
 				host.Fail(p, "local array index %d out of range [0,%d)", v.I, len(arr))
-				return
+				return n
 			}
 			pc++
 		case OpSetElem:
@@ -440,7 +482,7 @@ func (m *Machine) Resume(p int) {
 			}
 			fr.Done = true
 			fr.PC = int32(pc)
-			return
+			return n
 		case OpGet, OpGet0:
 			var idx int64
 			if op.Code == OpGet {
@@ -448,18 +490,15 @@ func (m *Machine) Resume(p int) {
 				v := stack[sp]
 				if v.T == source.TypeFloat {
 					host.Fail(p, "index is not an integer")
-					return
+					return n
 				}
 				idx = v.I
 			}
-			if alu != 0 {
-				host.ChargeALUN(p, alu)
-				alu = 0
-			}
-			if !host.Get(p, int(op.A), idx, ir.LocalID(op.B), int(op.C)) {
+			if !host.Get(p, alu, int(op.A), idx, ir.LocalID(op.B), int(op.C)) {
 				fr.PC = int32(pc)
-				return
+				return n
 			}
+			alu = 0
 			pc++
 		case OpPut, OpPut0:
 			sp--
@@ -470,18 +509,15 @@ func (m *Machine) Resume(p int) {
 				iv := stack[sp]
 				if iv.T == source.TypeFloat {
 					host.Fail(p, "index is not an integer")
-					return
+					return n
 				}
 				idx = iv.I
 			}
-			if alu != 0 {
-				host.ChargeALUN(p, alu)
-				alu = 0
-			}
-			if !host.Put(p, int(op.A), idx, v, int(op.C)) {
+			if !host.Put(p, alu, int(op.A), idx, v, int(op.C)) {
 				fr.PC = int32(pc)
-				return
+				return n
 			}
+			alu = 0
 			pc++
 		case OpStore, OpStore0:
 			sp--
@@ -492,28 +528,24 @@ func (m *Machine) Resume(p int) {
 				iv := stack[sp]
 				if iv.T == source.TypeFloat {
 					host.Fail(p, "index is not an integer")
-					return
+					return n
 				}
 				idx = iv.I
 			}
-			if alu != 0 {
-				host.ChargeALUN(p, alu)
-				alu = 0
-			}
-			if !host.Store(p, int(op.A), idx, v) {
+			if !host.Store(p, alu, int(op.A), idx, v) {
 				fr.PC = int32(pc)
-				return
+				return n
 			}
+			alu = 0
 			pc++
 		case OpSyncCtr:
-			if alu != 0 {
-				host.ChargeALUN(p, alu)
-				alu = 0
+			// The host finishes a yielded wait itself before the next
+			// Resume, so the frame saves the pc after the op.
+			if !host.SyncCtr(p, alu, int(op.A)) {
+				fr.PC = int32(pc + 1)
+				return n
 			}
-			if !host.SyncCtr(p, int(op.A)) {
-				fr.PC = int32(pc)
-				return
-			}
+			alu = 0
 			pc++
 		case OpSync, OpSync0:
 			var idx int64
@@ -524,27 +556,24 @@ func (m *Machine) Resume(p int) {
 				v := stack[sp]
 				if v.T == source.TypeFloat {
 					host.Fail(p, "index is not an integer")
-					return
+					return n
 				}
 				idx = v.I
 			}
-			if alu != 0 {
-				host.ChargeALUN(p, alu)
-				alu = 0
-			}
-			if !host.Sync(p, int(op.A), idx) {
+			if !host.Sync(p, alu, int(op.A), idx) {
 				fr.Pending = true
 				fr.PendIdx = idx
 				fr.PC = int32(pc)
-				return
+				return n
 			}
 			fr.Pending = false
+			alu = 0
 			pc++
 		case OpBinLL:
 			v, ok := evalBin(source.BinOp(op.A), scalars[op.B], scalars[op.C])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
@@ -553,7 +582,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := evalBin(source.BinOp(op.A), scalars[op.B], consts[op.C])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
@@ -562,7 +591,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := evalBin(source.BinOp(op.A), consts[op.B], scalars[op.C])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
@@ -571,7 +600,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := evalBin(source.BinOp(op.A), stack[sp-1], scalars[op.B])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp-1] = v
 			pc++
@@ -579,7 +608,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := evalBin(source.BinOp(op.A), stack[sp-1], consts[op.B])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp-1] = v
 			pc++
@@ -595,12 +624,12 @@ func (m *Machine) Resume(p int) {
 			v := scalars[op.B]
 			if v.T == source.TypeFloat {
 				host.Fail(p, "index is not an integer")
-				return
+				return n
 			}
 			arr := arrays[op.A]
 			if v.I < 0 || v.I >= int64(len(arr)) {
 				host.Fail(p, "local array index %d out of range [0,%d)", v.I, len(arr))
-				return
+				return n
 			}
 			stack[sp] = arr[v.I]
 			sp++
@@ -609,7 +638,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := evalBin(source.BinOp(op.A), fr.my, consts[op.B])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
@@ -618,7 +647,7 @@ func (m *Machine) Resume(p int) {
 			v, ok := evalBin(source.BinOp(op.A), fr.my, scalars[op.B])
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
@@ -629,90 +658,188 @@ func (m *Machine) Resume(p int) {
 			alu++
 			pc++
 		case OpBin2MCL:
-			v, ok := evalBin(source.BinOp(op.A&0xff), fr.my, consts[op.B])
+			v, ok := evalBin(source.BinOp(op.X), fr.my, consts[op.B])
 			if ok {
-				v, ok = evalBin(source.BinOp(op.A>>8), v, scalars[op.C])
+				v, ok = evalBin(source.BinOp(op.Y), v, scalars[op.C])
 			}
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
 			pc++
 		case OpBin2MCC:
-			v, ok := evalBin(source.BinOp(op.A&0xff), fr.my, consts[op.B])
+			v, ok := evalBin(source.BinOp(op.X), fr.my, consts[op.B])
 			if ok {
-				v, ok = evalBin(source.BinOp(op.A>>8), v, consts[op.C])
+				v, ok = evalBin(source.BinOp(op.Y), v, consts[op.C])
 			}
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
 			pc++
 		case OpBin2TCL:
-			v, ok := evalBin(source.BinOp(op.A&0xff), stack[sp-1], consts[op.B])
+			v, ok := evalBin(source.BinOp(op.X), stack[sp-1], consts[op.B])
 			if ok {
-				v, ok = evalBin(source.BinOp(op.A>>8), v, scalars[op.C])
+				v, ok = evalBin(source.BinOp(op.Y), v, scalars[op.C])
 			}
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp-1] = v
 			pc++
 		case OpBin2TCC:
-			v, ok := evalBin(source.BinOp(op.A&0xff), stack[sp-1], consts[op.B])
+			v, ok := evalBin(source.BinOp(op.X), stack[sp-1], consts[op.B])
 			if ok {
-				v, ok = evalBin(source.BinOp(op.A>>8), v, consts[op.C])
+				v, ok = evalBin(source.BinOp(op.Y), v, consts[op.C])
 			}
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp-1] = v
 			pc++
 		case OpBin2TLL:
-			v, ok := evalBin(source.BinOp(op.A&0xff), stack[sp-1], scalars[op.B])
+			v, ok := evalBin(source.BinOp(op.X), stack[sp-1], scalars[op.B])
 			if ok {
-				v, ok = evalBin(source.BinOp(op.A>>8), v, scalars[op.C])
+				v, ok = evalBin(source.BinOp(op.Y), v, scalars[op.C])
 			}
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp-1] = v
 			pc++
 		case OpBin2TLC:
-			v, ok := evalBin(source.BinOp(op.A&0xff), stack[sp-1], scalars[op.B])
+			v, ok := evalBin(source.BinOp(op.X), stack[sp-1], scalars[op.B])
 			if ok {
-				v, ok = evalBin(source.BinOp(op.A>>8), v, consts[op.C])
+				v, ok = evalBin(source.BinOp(op.Y), v, consts[op.C])
 			}
 			if !ok {
 				host.Fail(p, "division by zero")
-				return
+				return n
 			}
 			stack[sp-1] = v
+			pc++
+		case OpBin2LCL:
+			v, ok := evalBin(source.BinOp(op.X), scalars[op.A], consts[op.B])
+			if ok {
+				v, ok = evalBin(source.BinOp(op.Y), v, scalars[op.C])
+			}
+			if !ok {
+				host.Fail(p, "division by zero")
+				return n
+			}
+			stack[sp] = v
+			sp++
+			pc++
+		case OpBin2LCC:
+			v, ok := evalBin(source.BinOp(op.X), scalars[op.A], consts[op.B])
+			if ok {
+				v, ok = evalBin(source.BinOp(op.Y), v, consts[op.C])
+			}
+			if !ok {
+				host.Fail(p, "division by zero")
+				return n
+			}
+			stack[sp] = v
+			sp++
+			pc++
+		case OpBrLC:
+			v, ok := evalBin(source.BinOp(op.X), scalars[op.C], consts[op.Y])
+			if !ok {
+				host.Fail(p, "division by zero")
+				return n
+			}
+			alu++
+			if trace {
+				host.ChargeALUN(p, alu)
+				alu = 0
+			}
+			if v.IsTrue() {
+				pc = int(op.A)
+			} else {
+				pc = int(op.B)
+			}
+			if trace {
+				host.EnterBlock(p, int(m.prog.PcBlock[pc]))
+			}
+		case OpIncJump:
+			scalars[op.A], _ = evalBin(source.OpAdd, scalars[op.A], consts[op.B])
+			alu++
+			pc = int(op.C)
+			if trace {
+				host.ChargeALUN(p, alu)
+				alu = 0
+				host.EnterBlock(p, int(m.prog.PcBlock[pc]))
+			}
+		case OpSetElemX:
+			sp--
+			v := stack[sp]
+			if v.T == source.TypeFloat {
+				host.Fail(p, "index is not an integer")
+				return n
+			}
+			arr := arrays[op.A]
+			if v.I < 0 || v.I >= int64(len(arr)) {
+				host.Fail(p, "local array index %d out of range [0,%d)", v.I, len(arr))
+				return n
+			}
+			arr[v.I] = scalars[op.B]
+			alu++
+			pc++
+		case OpSetElemLL:
+			v := scalars[op.B]
+			if v.T == source.TypeFloat {
+				host.Fail(p, "index is not an integer")
+				return n
+			}
+			arr := arrays[op.A]
+			if v.I < 0 || v.I >= int64(len(arr)) {
+				host.Fail(p, "local array index %d out of range [0,%d)", v.I, len(arr))
+				return n
+			}
+			arr[v.I] = scalars[op.C]
+			alu++
+			pc++
+		case OpGetTC:
+			sp--
+			v, ok := evalBin(source.BinOp(op.X), stack[sp], consts[op.Y])
+			if !ok {
+				host.Fail(p, "division by zero")
+				return n
+			}
+			if v.T == source.TypeFloat {
+				host.Fail(p, "index is not an integer")
+				return n
+			}
+			if !host.Get(p, alu, int(op.A), v.I, ir.LocalID(op.B), int(op.C)) {
+				fr.PC = int32(pc)
+				return n
+			}
+			alu = 0
 			pc++
 		case OpSetIdxL:
 			v := scalars[op.B]
 			if v.T == source.TypeFloat {
 				host.Fail(p, "index is not an integer")
-				return
+				return n
 			}
 			arr := arrays[op.A]
 			if v.I < 0 || v.I >= int64(len(arr)) {
 				host.Fail(p, "local array index %d out of range [0,%d)", v.I, len(arr))
-				return
+				return n
 			}
 			stack[sp] = v
 			sp++
 			pc++
 		default:
 			host.Fail(p, "vm: unknown opcode %d at pc %d", op.Code, pc)
-			return
+			return n
 		}
 	}
 }
