@@ -1,6 +1,7 @@
 package delay_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/delay"
@@ -37,21 +38,24 @@ func editBaseFn(t *testing.T) *ir.Fn {
 // TestClassSolveWorkAcc2048 pins classSolve's work with counts, which
 // repeat exactly on any host: per analysis, how many pairs the per-pair loop
 // visits, how many removal cells it decides (and how many of those the
-// bracket keeps), and how many restricted searches the pairs of open cells
-// run (and how many of those find a back-path) — identical at one worker and
-// at three. It pins both sides of the search selection: acc2048's
-// 1,700-member region is in a program past 512 accesses, so its open pairs
-// run denseRestrict; the serve-mix edit base is under that size and runs
-// densePairSearch. Asked back-path first, the acc2048 analysis decided
-// 184,100 cells; asking the cell first may decide cells no back-path would
-// have reached, and the test bounds that at 1 %.
+// bracket keeps), how many restricted searches the pairs of open cells run
+// (and how many of those find a back-path), and the shared searches behind
+// the cells (closures, forests, forest keeps, fallbacks) — identical at one
+// worker and at three. It pins both sides of the search selection:
+// acc2048's 1,700-member region is in a program past 512 accesses, so its
+// cells share searches and its open pairs run denseRestrict; the serve-mix
+// edit base is under that size, shares none and runs densePairSearch.
+// Asked back-path first, the acc2048 analysis decided 184,100 cells; asking
+// the cell first may decide cells no back-path would have reached, and the
+// test bounds that at 1 %.
 func TestClassSolveWorkAcc2048(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two tier analyses in -short mode")
 	}
 	saved := delay.Workers
 	defer func() { delay.Workers = saved }()
-	acc2048 := delay.ClassWork{Pairs: 354762, Cells: 185039, BracketKeeps: 22514, PairSearches: 153, PairHits: 153}
+	acc2048 := delay.ClassWork{Pairs: 354762, Cells: 185039, BracketKeeps: 22514, PairSearches: 153, PairHits: 153,
+		Closures: 2094, Forests: 857, ForestKeeps: 22271, Fallbacks: 313}
 	for _, in := range []struct {
 		name    string
 		fn      *ir.Fn
@@ -75,5 +79,42 @@ func TestClassSolveWorkAcc2048(t *testing.T) {
 	}
 	if limit := 184100 * 101 / 100; acc2048.Cells > limit {
 		t.Fatalf("%d removal cells decided at acc2048, want <= %d (1.01 x the 184,100 of the back-path-first order)", acc2048.Cells, limit)
+	}
+}
+
+// TestSharedCellsMatchBracket is the differential of classSolve's shared
+// searches: every cell the closure and the forest decide is decided again
+// by the uncut-reach screen and cellRestrict's bracket, which decided every
+// cell before them, at one worker and at three. On acc2048 that is every
+// cell of its 1,700-member region; on the dense progen region it is the
+// cells of the classed variant with cover ids. The serve-mix edit base is
+// under 512 accesses, where the shared searches do not run (gd == nil): it
+// must check no cell.
+func TestSharedCellsMatchBracket(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two tier analyses in -short mode")
+	}
+	saved := delay.Workers
+	defer func() { delay.Workers = saved }()
+	ag, cs, con := delay.DenseSharedCase(t)
+	for _, in := range []struct {
+		name    string
+		run     func()
+		checked int
+	}{
+		{"acc2048", func() { syncanal.Analyze(delay.TierFn(t, "acc2048"), syncanal.Options{}) }, 185039},
+		{"serve-mix edit base", func() { syncanal.Analyze(editBaseFn(t), syncanal.Options{}) }, 0},
+		{"dense progen", func() { delay.Compute(ag, cs, con) }, -1},
+	} {
+		for _, nw := range []int{1, 3} {
+			delay.Workers = nw
+			t.Run(fmt.Sprintf("%s/workers=%d", in.name, nw), func(t *testing.T) {
+				check := delay.CheckSharedCells(t)
+				in.run()
+				if got := check.Cells(); in.checked >= 0 && got != in.checked || in.checked < 0 && got == 0 {
+					t.Fatalf("%d cells checked, want %d (-1: some)", got, in.checked)
+				}
+			})
+		}
 	}
 }

@@ -212,13 +212,15 @@ type Constraints struct {
 	Comp *graph.Condensation
 	// RemovedCover, when non-nil alongside Removed, returns a bitset
 	// covering every access the Removed predicate would exclude for the
-	// pair (a, b) (extra bits are fine). It may build the row in scratch or
-	// return a row it shares between pairs and between concurrent calls;
-	// either way the caller only reads it. The engine skips the per-pair
-	// restricted re-search when no covered access was reachable in the
-	// unrestricted search, which is what makes Removed constraints
-	// affordable at tens of thousands of accesses.
-	RemovedCover func(a, b int, scratch []uint64) []uint64
+	// pair (a, b) (extra bits are fine), and the row's id. It may build the
+	// row in scratch, with a negative id, or return a row it shares between
+	// pairs and between concurrent calls, with an id that pairs get the
+	// same row under; either way the caller only reads it. The engine skips
+	// the per-pair restricted re-search when no covered access was
+	// reachable in the unrestricted search, which is what makes Removed
+	// constraints affordable at tens of thousands of accesses, and the
+	// class solver shares its searches between the cells of one id.
+	RemovedCover func(a, b int, scratch []uint64) ([]uint64, int)
 	// RemovedExact declares that RemovedCover is not merely a cover but
 	// exactly the set Removed excludes for the pair (up to the endpoint
 	// exemptions, which the engine applies itself). The engine then
@@ -233,9 +235,9 @@ type Constraints struct {
 	// identical RemovedCover output in either pair position (for any fixed
 	// partner), Removed answers that depend on each pair endpoint only
 	// through its class, and identical conflict rows. Alongside Removed
-	// and RemovedCover, the dense region path then runs one uncut
-	// reachability sweep per distinct target seed row instead of one cut
-	// sweep per target, decides the removal once per (source class, target
+	// and RemovedCover, the dense region path then shares its searches
+	// between the targets of one seed row instead of running one cut sweep
+	// per target, decides the removal once per (source class, target
 	// class) cell, and runs the exact per-pair search only in the cells
 	// that decision leaves open. Declaring interchangeability
 	// that does not hold yields wrong results; syncanal's per-access

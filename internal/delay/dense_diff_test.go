@@ -50,9 +50,10 @@ func denseFn(tb testing.TB) *ir.Fn {
 
 // denseVariants are the directed-engine constraint variants whose code
 // paths only activate on large inputs, each without and with an access
-// classing. The removal predicate is shaped like the production lock guards
-// — rem(a,b,z) holds iff a, b, and z share a mask bit — so the cover is
-// exactly the removed set.
+// classing, and the classed exact one also with cover ids. The removal
+// predicate is shaped like the production lock guards — rem(a,b,z) holds
+// iff a, b, and z share a mask bit — so the cover is exactly the removed
+// set.
 func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
 	m := make([]uint64, n)
@@ -60,7 +61,7 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 		m[x] = 1 << uint(x%5)
 	}
 	rem := func(a, b, z int) bool { return m[a]&m[b]&m[z] != 0 }
-	cover := func(a, b int, scratch []uint64) []uint64 {
+	cover := func(a, b int, scratch []uint64) ([]uint64, int) {
 		for i := range scratch {
 			scratch[i] = 0
 		}
@@ -70,7 +71,13 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 				graph.BitSet(scratch, z)
 			}
 		}
-		return scratch
+		return scratch, -1
+	}
+	// The cover depends on the pair only through m[a] & m[b], which numbers
+	// it for the variant that shares searches between the cells of a cover.
+	idCover := func(a, b int, scratch []uint64) ([]uint64, int) {
+		row, _ := cover(a, b, scratch)
+		return row, int(m[a] & m[b])
 	}
 	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
 	dirRows := graph.NewBitMatrix(n)
@@ -122,6 +129,9 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover}},
 		{"classed+removed+exact", Constraints{
 			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover,
+			RemovedExact: true}},
+		{"classed+removed+exact+ids", Constraints{
+			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: idCover,
 			RemovedExact: true}},
 	}
 }
@@ -219,8 +229,8 @@ func denseReference(t *testing.T) {
 		o.baseline = ComputeReference(o.ag, o.cs, Constraints{})
 		wg.Wait()
 		// An exact variant asks the question of the cover variant listed
-		// before it: the oracle reads neither the cover nor the claim that
-		// it is exact.
+		// before it: the oracle reads neither the cover, nor the claim that
+		// it is exact, nor its ids.
 		for i, v := range o.variants {
 			if v.con.RemovedExact {
 				o.want[i] = o.want[i-1]
@@ -237,10 +247,12 @@ func denseReference(t *testing.T) {
 // members, the word-parallel restricted search at n >= 512) the engine
 // must stay pair-identical to the per-pair reference search — on the three
 // directed variants without an access classing (one big region on the CSR
-// loop), on their classed counterparts (the same region; the two with a
+// loop), on their classed counterparts (the same region; the three with a
 // removal on classSolve, one worker and fanned over three, the one without
 // on the CSR loop, since classSolve takes only the oriented pass's shape),
-// and on the plain baseline the hub solver answers.
+// and on the plain baseline the hub solver answers. Of the classed exact
+// variants the one with cover ids decides its cells by the shared
+// searches, the one without by the bracket alone.
 func TestDenseRegionMatchesReference(t *testing.T) {
 	saved := Workers
 	defer func() { Workers = saved }()

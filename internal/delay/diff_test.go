@@ -51,7 +51,7 @@ func diffVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
 	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
 	rem := func(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
-	cover := func(a, b int, scratch []uint64) []uint64 {
+	cover := func(a, b int, scratch []uint64) ([]uint64, int) {
 		for i := range scratch {
 			scratch[i] = 0
 		}
@@ -60,7 +60,7 @@ func diffVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 				graph.BitSet(scratch, z)
 			}
 		}
-		return scratch
+		return scratch, -1
 	}
 	var sparse []int
 	for i := 0; i < n; i += 7 {

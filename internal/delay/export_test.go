@@ -1,8 +1,13 @@
 package delay
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/conflict"
+	"repro/internal/graph"
+	"repro/internal/ir"
 )
 
 // TierFn builds a pinned scale tier, exported for the classSolve count test,
@@ -65,4 +70,90 @@ func WatchHubWork(t testing.TB) *HubWatch {
 	}
 	t.Cleanup(func() { hubWorkHook = nil })
 	return w
+}
+
+// SharedCells re-decides every cell classSolve's shared searches decide,
+// the way each cell was decided before them: s2Plain when the cover misses
+// the uncut reach of the target's seed row, else cellRestrict's bracket.
+type SharedCells struct {
+	mu      sync.Mutex
+	cells   int
+	reaches map[string][]uint64
+	diff    string
+}
+
+// Cells reports how many cells have been re-decided.
+func (c *SharedCells) Cells() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cells
+}
+
+// CheckSharedCells re-decides every shared-search cell until the test ends,
+// and fails the test if any verdict differs.
+func CheckSharedCells(t testing.TB) *SharedCells {
+	c := &SharedCells{reaches: make(map[string][]uint64)}
+	sharedCellHook = c.check
+	t.Cleanup(func() {
+		sharedCellHook = nil
+		if c.diff != "" {
+			t.Errorf("shared searches: %s", c.diff)
+		}
+	})
+	return c
+}
+
+var cellNames = [...]string{s2Plain: "plain", s2Keep: "keep", s2Drop: "drop", s2PerPair: "per pair"}
+
+func (c *SharedCells) check(gd *mixedAdj, mask, cov, ta, drow, aG, bG []uint64, got uint8) {
+	want := s2Plain
+	if graph.AndAny(cov, c.reach(gd, mask, drow)) {
+		want, _ = cellRestrict(gd, mask, cov, ta, drow, aG, bG, make([]uint64, len(mask)), make([]uint64, len(mask)), nil)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cells++
+	if got != want && c.diff == "" {
+		c.diff = fmt.Sprintf("a cell decided %s, the bracket says %s (cell %d checked)", cellNames[got], cellNames[want], c.cells)
+	}
+}
+
+// reach returns the region nodes reachable from the seed row drow & mask,
+// the seeds included, memoized per region and seed row: a restrictSweep
+// with no target runs to exhaustion.
+func (c *SharedCells) reach(gd *mixedAdj, mask, drow []uint64) []uint64 {
+	key := fmt.Sprint(mask, drow)
+	c.mu.Lock()
+	r, ok := c.reaches[key]
+	c.mu.Unlock()
+	if ok {
+		return r
+	}
+	r = make([]uint64, len(mask))
+	for i := range r {
+		r[i] = ^mask[i]
+	}
+	restrictSweep(gd, drow, mask, r, make([]uint64, len(mask)), new([]int32))
+	for i := range r {
+		r[i] &= mask[i]
+	}
+	c.mu.Lock()
+	c.reaches[key] = r
+	c.mu.Unlock()
+	return r
+}
+
+// DenseSharedCase returns the dense differential program's graphs and its
+// classed exact variant with cover ids: a region classSolve decides by the
+// shared searches.
+func DenseSharedCase(t testing.TB) (*ir.AccessGraph, *conflict.Set, Constraints) {
+	fn := denseFn(t)
+	ag, cs := ir.BuildAccessGraph(fn), conflict.Compute(fn)
+	for _, v := range denseVariants(fn, cs) {
+		if v.name == "classed+removed+exact+ids" {
+			return ag, cs, v.con
+		}
+	}
+	t.Fatal("no dense variant has cover ids")
+	return nil, nil, Constraints{}
 }

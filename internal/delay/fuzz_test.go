@@ -49,7 +49,7 @@ func FuzzBackPathEquivalence(f *testing.F) {
 			rem := func(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
 			con.Removed = rem
 			if mode&16 != 0 {
-				con.RemovedCover = func(a, b int, scratch []uint64) []uint64 {
+				con.RemovedCover = func(a, b int, scratch []uint64) ([]uint64, int) {
 					for i := range scratch {
 						scratch[i] = 0
 					}
@@ -58,7 +58,7 @@ func FuzzBackPathEquivalence(f *testing.F) {
 							graph.BitSet(scratch, z)
 						}
 					}
-					return scratch
+					return scratch, -1
 				}
 			}
 		}

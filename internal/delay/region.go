@@ -53,12 +53,12 @@ import (
 //     programs: at least denseRegionMin members, at least one edge per node
 //     word (eLocal >= nl^2/64), and the oriented pass's shape from the
 //     caller: an access classing (Constraints.AccessClass) and a Removed
-//     predicate with its cover. On bitset rows it shares one uncut BFS per
-//     distinct seed row and decides the removal question once per (source
-//     class, target class) cell; a cell that keeps or drops is applied to
-//     whole target rows, and each pair of a cell left open pays one exact
-//     restricted search. When it declines (too little sharing) the region
-//     falls through to the CSR loop.
+//     predicate with its cover. On bitset rows it decides the removal
+//     question once per (source class, target class) cell, from searches
+//     shared by every cell of one seed row and cover; a cell that keeps or
+//     drops is applied to whole target rows, and each pair of a cell left
+//     open pays one exact restricted search. When it declines (too little
+//     sharing) the region falls through to the CSR loop.
 //
 // DESIGN.md §19 records how much traffic each solver and each fallback
 // inside them carries, and how to re-measure it.
@@ -862,7 +862,7 @@ func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
 								graph.BitSet(sc.gv, int(members[lv]))
 							}
 						}
-						cov = con.RemovedCover(a, gb, sc.cover)
+						cov, _ = con.RemovedCover(a, gb, sc.cover)
 						if !graph.AndAny(cov, sc.gv) {
 							graph.BitSet(row, a) // no removable access reachable
 							continue

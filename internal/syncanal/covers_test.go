@@ -49,7 +49,8 @@ func barrierChainSource() string {
 // declines. Every pair the engine asks about must get the row its
 // definition gives, the pass must produce the D that Analyze did, and after
 // the pass every memo row must still equal a fresh build: the engine only
-// reads the rows it shares. Under -race the same run checks that no worker
+// reads the rows it shares. Pairs with one cover id must get one row, and a
+// declined memo numbers no cover. Under -race the same run checks that no worker
 // writes a row another reads. It also pins how many distinct covers the
 // memo builds at acc2048 and, under PSC_SCALE_TIERS=1, acc8192.
 func TestSharedCoversExactAndReadOnly(t *testing.T) {
@@ -70,7 +71,7 @@ func TestSharedCoversExactAndReadOnly(t *testing.T) {
 			con, memo := res.orientedConstraints(newLockMasks(n, guards), Options{}, syncIDs(p.fn))
 			var mu sync.Mutex
 			asked := make(map[[2]int32]bool)
-			con.RemovedCover = func(a, b int, scratch []uint64) []uint64 {
+			con.RemovedCover = func(a, b int, scratch []uint64) ([]uint64, int) {
 				mu.Lock()
 				asked[[2]int32{int32(a), int32(b)}] = true
 				mu.Unlock()
@@ -88,11 +89,20 @@ func TestSharedCoversExactAndReadOnly(t *testing.T) {
 				}
 			}
 			scratch := make([]uint64, graph.WordsFor(n))
+			rowOf := make(map[int][]uint64)
 			for ab := range asked {
 				a, b := int(ab[0]), int(ab[1])
-				if got := memo.cover(a, b, scratch); !slices.Equal(got, freshCover(res, byLock, a, b)) {
+				got, id := memo.cover(a, b, scratch)
+				if !slices.Equal(got, freshCover(res, byLock, a, b)) {
 					t.Fatalf("%s: cover of (%d, %d) differs from its definition", label, a, b)
 				}
+				if (id >= 0) != (memo.key != nil) {
+					t.Fatalf("%s: cover of (%d, %d) has id %d with the memo table built %v", label, a, b, id, memo.key != nil)
+				}
+				if r, ok := rowOf[id]; ok && id >= 0 && !slices.Equal(r, got) {
+					t.Fatalf("%s: two pairs with cover id %d get different rows", label, id)
+				}
+				rowOf[id] = got
 			}
 			if p.label == "barrier chain" && (memo.key != nil || len(asked) == 0) {
 				t.Fatalf("%s: %d pairs asked, memo table built %v; want pairs asked of a declined memo", label, len(asked), memo.key != nil)

@@ -233,8 +233,9 @@ func (res *Result) removal(lk *lockMasks) (removed func(a, b, z int) bool, cover
 // per such triple serves every pair: at acc2048 the oriented pass asks for
 // 185,039 cells' covers and the memo builds a few dozen rows. Every pair is
 // handed the memo's row itself, shared and never written after it is
-// built. The per-access oracle backing has no R classes and builds each
-// cover afresh into the caller's scratch.
+// built, and its number (id), which the class solver keys its shared
+// searches on. The per-access oracle backing has no R classes and builds
+// each cover afresh into the caller's scratch, under id -1.
 type coverMemo struct {
 	res *Result
 	lk  *lockMasks
@@ -245,12 +246,18 @@ type coverMemo struct {
 	// then outweigh an access row each, and the rows it saves with it.
 	key   []int32
 	nkey  int
-	slots []atomic.Pointer[[]uint64]
+	slots []atomic.Pointer[memoCover]
 	// A slot's first reader fills it under mu, from rows: the built covers
 	// by (R class of a, R class of b, id of the shared guard set).
 	mu     sync.Mutex
-	rows   map[[3]int32][]uint64
+	rows   map[[3]int32]*memoCover
 	shared graph.RowInterner
+}
+
+// memoCover is one built cover and its id, the order it was built in.
+type memoCover struct {
+	row []uint64
+	id  int
 }
 
 func newCoverMemo(res *Result, lk *lockMasks) *coverMemo {
@@ -273,24 +280,30 @@ func newCoverMemo(res *Result, lk *lockMasks) *coverMemo {
 		return m
 	}
 	m.key, m.nkey = key, len(ids)
-	m.slots = make([]atomic.Pointer[[]uint64], m.nkey*m.nkey)
-	m.rows = make(map[[3]int32][]uint64)
+	m.slots = make([]atomic.Pointer[memoCover], m.nkey*m.nkey)
+	m.rows = make(map[[3]int32]*memoCover)
 	return m
 }
 
 // cover is the Constraints.RemovedCover of the oriented pass.
-func (m *coverMemo) cover(a, b int, scratch []uint64) []uint64 {
+func (m *coverMemo) cover(a, b int, scratch []uint64) ([]uint64, int) {
 	if m.key == nil {
-		return m.build(a, b, scratch)
+		return m.build(a, b, scratch), -1
 	}
+	c := m.slot(a, b)
+	return c.row, c.id
+}
+
+// slot returns the shared cover of (a, b), building it on first ask.
+func (m *coverMemo) slot(a, b int) *memoCover {
 	slot := &m.slots[int(m.key[a])*m.nkey+int(m.key[b])]
-	if row := slot.Load(); row != nil {
-		return *row
+	if c := slot.Load(); c != nil {
+		return c
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if row := slot.Load(); row != nil {
-		return *row
+	if c := slot.Load(); c != nil {
+		return c
 	}
 	ga, gb := m.lk.guards.row(a), m.lk.guards.row(b)
 	sh := make([]uint64, len(ga))
@@ -299,13 +312,13 @@ func (m *coverMemo) cover(a, b int, scratch []uint64) []uint64 {
 	}
 	sid, _ := m.shared.Intern(sh)
 	k := [3]int32{m.res.R.ClassOf(a), m.res.R.ClassOf(b), sid}
-	row, ok := m.rows[k]
+	c, ok := m.rows[k]
 	if !ok {
-		row = m.build(a, b, make([]uint64, graph.WordsFor(len(m.key))))
-		m.rows[k] = row
+		c = &memoCover{row: m.build(a, b, make([]uint64, graph.WordsFor(len(m.key)))), id: len(m.rows)}
+		m.rows[k] = c
 	}
-	slot.Store(&row)
-	return row
+	slot.Store(c)
+	return c
 }
 
 // built reports how many distinct covers the memo has built.

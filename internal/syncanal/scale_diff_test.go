@@ -37,14 +37,15 @@ func TestAnalyzeMidsizeMatchesReference(t *testing.T) {
 }
 
 // TestScaleTierAnalysisPinned pins the full-pipeline result shape on the
-// deterministic acc2048 tier — and, under PSC_SCALE_TIERS=1, acc8192: region
-// decomposition, the sizes of the baseline, D1, R and the refined delay set,
-// and the class count of R must not drift. A changed size here means the
-// engine produced different pairs at scale — precisely the regression the
-// differential suites, whose oracle is affordable only to several hundred
-// accesses, cannot see. A changed class count with |R| intact means
-// refinement left the partition fragmented: 35 is the number of distinct
-// R rows and columns at both tiers.
+// deterministic acc2048 tier — and, under PSC_SCALE_TIERS=1, acc8192 and
+// acc32768 (about 2 GB of peak heap): region decomposition, the sizes of
+// the baseline, D1, R and the refined delay set, and the class count of R
+// must not drift. A changed size here means the engine produced different
+// pairs at scale — precisely the regression the differential suites, whose
+// oracle is affordable only to several hundred accesses, cannot see. A
+// changed class count with |R| intact means refinement left the partition
+// fragmented: 35 is the number of distinct R rows and columns at the 2k and
+// 8k tiers, 39 at the 33k tier.
 func TestScaleTierAnalysisPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second tier build in -short mode")
@@ -56,7 +57,8 @@ func TestScaleTierAnalysisPinned(t *testing.T) {
 	}
 	pins := []pin{{"acc2048", 3, 1700, 2019476, 1108695, 1821813, 1195464, 35}}
 	if os.Getenv("PSC_SCALE_TIERS") != "" {
-		pins = append(pins, pin{"acc8192", 3, 7751, 36097679, 19320041, 32707937, 20893293, 35})
+		pins = append(pins, pin{"acc8192", 3, 7751, 36097679, 19320041, 32707937, 20893293, 35},
+			pin{"acc32768", 7, 30777, 564037270, 298553980, 514011989, 322033845, 39})
 	}
 	for _, p := range pins {
 		res := Analyze(tierProgram(t, p.tier), Options{})
