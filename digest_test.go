@@ -20,7 +20,8 @@ import (
 //
 //	PSC_RESULT_DIGEST=1 go test -run TestResultDigest -v .
 //
-// PSC_SCALE_TIERS=1 adds acc8192 (sizes and RClasses only, one analysis).
+// PSC_SCALE_TIERS=1 adds acc8192 and acc32768 (sizes and RClasses only, one
+// analysis each).
 func TestResultDigest(t *testing.T) {
 	if os.Getenv("PSC_RESULT_DIGEST") == "" {
 		t.Skip("set PSC_RESULT_DIGEST=1 to print the result digests")
@@ -77,7 +78,7 @@ func TestResultDigest(t *testing.T) {
 	}
 	tiers := []string{"acc2048"}
 	if os.Getenv("PSC_SCALE_TIERS") != "" {
-		tiers = append(tiers, "acc8192")
+		tiers = append(tiers, "acc8192", "acc32768")
 	}
 	for _, name := range tiers {
 		tier, _ := progen.FindScaleTier(name)

@@ -16,8 +16,8 @@ import (
 // on the rest of the baseline at the 2k tier (TestHubWorkAcc2048 pins them
 // against the plain query's).
 var (
-	d1Acc2048   = delay.HubWork{Candidates: 1005762, BaseSweeps: 111, CutSweeps: 13}
-	restAcc2048 = delay.HubWork{Candidates: 814997, BaseSweeps: 100, CutSweeps: 0}
+	d1Acc2048   = delay.HubWork{Candidates: 1005762, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25}
+	restAcc2048 = delay.HubWork{Candidates: 814997, BaseSweeps: 100}
 )
 
 // TestOneWayCompileSkipsTheRemainder: a one-way compile enforces D, which

@@ -28,9 +28,9 @@ func TestHubWorkAcc2048(t *testing.T) {
 	if len(fn.Accesses) != 2010 || len(syncIDs) != 660 {
 		t.Fatalf("acc2048 has %d accesses, %d of them sync; the pins are for 2010 and 660", len(fn.Accesses), len(syncIDs))
 	}
-	base := HubWork{Candidates: 1820759, BaseSweeps: 111, CutSweeps: 13}
-	d1 := HubWork{Candidates: 1005762, BaseSweeps: 111, CutSweeps: 13}
-	rest := HubWork{Candidates: 814997, BaseSweeps: 100, CutSweeps: 0}
+	base := HubWork{Candidates: 1820759, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25}
+	d1 := HubWork{Candidates: 1005762, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25}
+	rest := HubWork{Candidates: 814997, BaseSweeps: 100}
 	if d1.Candidates+rest.Candidates != base.Candidates {
 		t.Fatalf("D1 %d + remainder %d candidates != baseline %d", d1.Candidates, rest.Candidates, base.Candidates)
 	}
@@ -51,18 +51,32 @@ func TestHubWorkAcc2048(t *testing.T) {
 	}
 }
 
-// The hub solver's last arm: a candidate a that the cut sweep visited, that
-// has no self-conflict edge, and whose per-group first two witnesses all sit
-// under a in the first-visit tree — the tree cannot tell whether some
-// member of T(a) is reachable around a, so one exact avoid-search decides.
-// In both programs b is the final write of Y, the sweep enters through the
-// read of Y at the top, a is the read of X (its T(a) the writes of X below
-// it), and the first-visit path to every write of X runs through a.
+// The hub solver's exact arm: a candidate a without a self-conflict edge
+// whose pool witnesses all sit under a in the base first-visit tree — the
+// tree cannot tell whether some member of T(a) is reachable around a, so
+// the cell screen leaves the pair open and one exact avoid-search decides.
+// In both programs b is the final write of Y, the base sweep enters through
+// the read of Y at the top, a is the read of X (its T(a) the writes of X
+// below it), and the first-visit path to every write of X runs through a.
+// Each test checks that the search ran and what it found.
+
+// hubSearches runs the plain query on one program and returns its pairs
+// and the hub solver's exact avoid-searches and hits.
+func hubSearches(t *testing.T, ag *ir.AccessGraph, cs *conflict.Set) (*Set, int, int) {
+	t.Helper()
+	w := WatchHubWork(t)
+	got := Compute(ag, cs, Constraints{})
+	q := w.Queries()
+	if len(q) != 1 {
+		t.Fatalf("hub queries %+v, want one", q)
+	}
+	return got, q[0].Work.AvoidSearches, q[0].Work.AvoidHits
+}
 
 // TestHubAvoidSearchFindsPathAroundA: the long else-branch is a second
 // route from the sweep's entry to the writes of X that never touches a, so
-// [a, b] has a back-path even though every first-visit witness is a tree
-// descendant of a.
+// [a, b] has a back-path even though every pool witness is a tree
+// descendant of a: the exact search finds it.
 func TestHubAvoidSearchFindsPathAroundA(t *testing.T) {
 	fn, ag, cs := setup(t, `
 shared int X;
@@ -86,7 +100,10 @@ func main() {
 	if len(fn.Accesses) != 9 {
 		t.Fatalf("program has %d accesses, the test is written for 9", len(fn.Accesses))
 	}
-	got := Compute(ag, cs, Constraints{})
+	got, searches, hits := hubSearches(t, ag, cs)
+	if searches != 2 || hits != 2 {
+		t.Errorf("hub ran %d exact avoid-searches with %d hits, want 2 and 2", searches, hits)
+	}
 	pairsEqual(t, "hub detour", got, ComputeReference(ag, cs, Constraints{}))
 	if !got.Has(1, 8) {
 		t.Errorf("missing delay [read X -> write Y]: the detour reaches the writes of X around a\n%s", got)
@@ -111,7 +128,10 @@ func main() {
 	if len(fn.Accesses) != 5 {
 		t.Fatalf("program has %d accesses, the test is written for 5", len(fn.Accesses))
 	}
-	got := Compute(ag, cs, Constraints{})
+	got, searches, hits := hubSearches(t, ag, cs)
+	if searches != 2 || hits != 1 {
+		t.Errorf("hub ran %d exact avoid-searches with %d hits, want 2 and 1", searches, hits)
+	}
 	pairsEqual(t, "hub no detour", got, ComputeReference(ag, cs, Constraints{}))
 	if got.Has(1, 4) {
 		t.Errorf("unexpected delay [read X -> write Y]: every path to a write of X runs through a\n%s", got)

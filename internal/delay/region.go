@@ -34,11 +34,12 @@ import (
 //     with the same (kind, symbol, index shape) conflict with exactly the
 //     same opponents, so one collector node per group receives its members
 //     and one distributor node re-emits them, turning each group-pair
-//     clique into two hub edges. The BFS per target then runs on ~2n + g^2
-//     edges instead of n^2, and per-group first-visit witnesses answer most
-//     pair queries in O(1) before the exact avoid-search. The endpoint
-//     filter narrows each target's candidates, and a conflict group none
-//     of whose members has a candidate skips its base sweep.
+//     clique into two hub edges. One uncut base BFS per conflict group runs
+//     on ~2n + g^2 edges instead of n^2; the witness pools drawn from it
+//     decide each (target, source group) cell, and each candidate a cell
+//     leaves open gets one exact avoid-search. The endpoint filter narrows
+//     each target's candidates, and a conflict group none of whose members
+//     has a candidate skips its base sweep.
 //
 //   - the CSR loop of regionSolve is the general path: every query with
 //     directed conflict edges or a Removed predicate, under any endpoint
@@ -63,24 +64,20 @@ import (
 // DESIGN.md §19 records how much traffic each solver and each fallback
 // inside them carries, and how to re-measure it.
 type hubScratch struct {
-	fd     *graph.FlowDom
-	seeds  []int32
-	psc    *pairScratch // exact avoid-search state, built on first use
-	ta     []uint64     // T(a) widened to the hub graph's node count
-	cand   []uint64
-	y1, y2 []int32 // first/second visited member per group
-	gep    []int32 // epoch stamps for y1/y2
-	epoch  int32
+	seeds []int32
+	psc   *pairScratch // exact avoid-search state, built on first use
+	ta    []uint64     // T(a) widened to the hub graph's node count
+	cand  []uint64
 
-	// Group-major fast path: uncut base sweep shared by every source of
-	// one conflict group, plus per-group witness pools drawn from it.
+	// The uncut base sweep shared by every source of one conflict group,
+	// plus per-group witness pools drawn from it.
 	base    *graph.FlowDom
 	pools   [][]int32
 	poolBuf []int32
 
-	// Class-condensed cell cache: the baseline verdict for (target b,
+	// Class-condensed cell cache: the screen's verdict for (target b,
 	// source a) depends on a only through a's conflict group and a's
-	// position in the base first-visit tree, so fastSweep summarizes each
+	// position in the base first-visit tree, so decide summarizes each
 	// (b, source-group) cell once — witness count class plus entry-time
 	// extremes of the witnesses surviving the subtree(b) screen — and
 	// answers members with two interval comparisons. Stamps are bumped
@@ -144,18 +141,19 @@ func candidateRow(ag *ir.AccessGraph, b int, ends endpointMask, cand []uint64) b
 }
 
 // hubWork counts what one hubCompute did, in units that repeat exactly on
-// any host and at any worker count: the candidate pairs its per-target
-// sweeps decided after the single-conflict-edge step, the shared uncut base
-// sweeps (one per conflict group with a considered pair) and the per-target
-// cut sweeps run where a base sweep left a candidate undecided.
+// any host and at any worker count: the candidate pairs left after the
+// single-conflict-edge step, the shared uncut base sweeps (one per conflict
+// group with a considered pair), and the exact avoid-searches run for the
+// candidates the cell screen left open, with how many found a back-path.
 type hubWork struct {
-	Candidates, BaseSweeps, CutSweeps int
+	Candidates, BaseSweeps, AvoidSearches, AvoidHits int
 }
 
 func (w *hubWork) add(o hubWork) {
 	w.Candidates += o.Candidates
 	w.BaseSweeps += o.BaseSweeps
-	w.CutSweeps += o.CutSweeps
+	w.AvoidSearches += o.AvoidSearches
+	w.AvoidHits += o.AvoidHits
 }
 
 // hubWorkHook, when a test sets it, receives each hubCompute's endpoint
@@ -236,137 +234,62 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 			}
 		})
 
-	// resolve answers one pair (a, b) after the cut sweep for b (seeds are
-	// b's conflict successors, b's in-edges are deleted because a walk never
-	// re-enters its own start). The pair is positive iff some y in T(a) —
-	// the accesses with a conflict edge into a — was reached by a path
-	// avoiding a: any reached y when a itself was not, a's own
-	// self-conflict edge when it was, else a witness outside a's subtree
-	// of the first-visit tree (the per-group first two screen cheaply), else
-	// whatever one exact search avoiding a finds — the same search the CSR
-	// loop falls back to, over the hub graph (hub nodes are never
-	// witnesses: their bits in the widened target row stay zero).
-	resolve := func(s *hubScratch, a, b int) bool {
-		gl := ga[groupOf[a]]
-		hit := false
-		for _, g2 := range gl {
-			if s.gep[g2] == s.epoch {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false // no member of T(a) was reached
-		}
-		if !s.fd.Visited(a) {
-			return true // a untouched: any reached target closes the path
-		}
-		if graph.BitGet(sc, a) {
-			return true // a's own self-conflict edge closes the path
-		}
-		for _, g2 := range gl {
-			if s.gep[g2] != s.epoch {
-				continue
-			}
-			if y := s.y1[g2]; y != int32(a) && !s.fd.TreeAncestor(a, int(y)) {
-				return true
-			}
-			if y := s.y2[g2]; y >= 0 && y != int32(a) && !s.fd.TreeAncestor(a, int(y)) {
-				return true
-			}
-		}
+	// avoid answers one pair (a, b) exactly: is some y in T(a) — the
+	// accesses with a conflict edge into a — reachable from b's conflict
+	// successors (b itself too when it self-conflicts) by a walk that
+	// avoids a and never re-enters b? It is the search the CSR loop falls
+	// back to, over the hub graph (hub nodes are never witnesses: their
+	// bits in the widened target row stay zero).
+	avoid := func(s *hubScratch, a, b int) bool {
 		if s.psc == nil {
 			s.psc = &pairScratch{mark: make([]int32, N)}
 			s.ta = make([]uint64, graph.WordsFor(N))
 		}
 		copy(s.ta, cs.Row(a))
-		return localAvoidSearch(s.psc, hub, s.ta, s.seeds, a, b)
-	}
-
-	sweep := func(s *hubScratch, b int) {
-		s.work.CutSweeps++
-		g := groupOf[b]
-		cand := s.cand
-		candidateRow(ag, b, ends, cand) // fastSweep returned false: b is considered
-		row := out.byB.Row(b)
-		crb := cs.Row(b)
-		rest := false
-		for i := range cand {
-			d := crb[i] & cand[i] // single conflict edge b -> a
-			row[i] |= d
-			cand[i] &^= d
-			if cand[i] != 0 {
-				rest = true
-			}
-		}
-		if !rest {
-			return
-		}
-		s.seeds = append(s.seeds[:0], int32(n)+g)
+		s.seeds = append(s.seeds[:0], int32(n)+groupOf[b])
 		if graph.BitGet(sc, b) {
 			s.seeds = append(s.seeds, int32(b))
 		}
-		s.fd.Reach(s.seeds, b)
-		s.epoch++
-		for _, v := range s.fd.Order() {
-			if v >= int32(n) {
-				continue
-			}
-			g2 := groupOf[v]
-			if s.gep[g2] != s.epoch {
-				s.gep[g2] = s.epoch
-				s.y1[g2] = v
-				s.y2[g2] = -1
-			} else if s.y2[g2] < 0 {
-				s.y2[g2] = v
-			}
+		s.work.AvoidSearches++
+		if !localAvoidSearch(s.psc, hub, s.ta, s.seeds, a, b) {
+			return false
 		}
-		for wi, word := range cand {
-			for ; word != 0; word &= word - 1 {
-				a := wi<<6 + bits.TrailingZeros64(word)
-				if resolve(s, a, b) {
-					graph.BitSet(row, a)
-				}
-			}
-		}
+		s.work.AvoidHits++
+		return true
 	}
 
-	// fastSweep decides b's candidates against the group's shared uncut
-	// base sweep instead of running a per-source cut BFS. A witness y that
-	// is base-visited, outside the base first-visit subtree of b, and
-	// outside the subtree of a has a base tree path avoiding both
-	// endpoints — and deleting b's in-edges cannot touch a path that never
-	// enters subtree(b), so the pair is TRUE on the cut graph too. A
-	// candidate whose conflict groups hold no base-visited member at all
-	// is exactly FALSE, because the cut sweep visits a subset of the base
-	// sweep. It reports false when some candidate was decided neither way
-	// and the caller must fall back to the exact per-source sweep.
+	// decide answers b's candidates against the group's shared uncut base
+	// sweep. A witness y that is base-visited, outside the base first-visit
+	// subtree of b, and outside the subtree of a has a base tree path
+	// avoiding both endpoints — and deleting b's in-edges cannot touch a
+	// path that never enters subtree(b), so the pair is TRUE. A candidate
+	// whose conflict groups hold no base-visited member at all is exactly
+	// FALSE, because the walks that avoid a and b visit a subset of the
+	// base sweep. Every other candidate gets one exact avoid-search.
 	//
-	// The verdict is class-condensed: it depends on the source a only
+	// The screen is class-condensed: it depends on the source a only
 	// through a's conflict group (which fixes the witness pools) and a's
-	// subtree interval in the base tree. So per (b, source-group) cell the
-	// sweep computes one summary — cellFalse (no pool member base-visited:
-	// every member is exactly FALSE), cellNone (witnesses exist but all
-	// inside subtree(b): inconclusive), or cellSome with the entry-time
-	// extremes [mn, mx] of the witnesses surviving the subtree(b) screen.
-	// A member a then resolves in O(1): unvisited a is TRUE (the surviving
-	// witness is base-visited, hence distinct from a, and the subtree(a)
-	// screen is moot); visited a is TRUE unless its interval covers
-	// [mn, mx], i.e. every surviving witness sits inside subtree(a) — the
-	// witness rejection "y == a" folds in because a's interval always
-	// covers its own entry time. Only the covering members — an ancestor
-	// chain of the witness span, plus self-conflict residue — need
-	// per-access treatment.
+	// subtree interval in the base tree. So per (b, source-group) cell it
+	// computes one summary — cellFalse (no pool member base-visited: every
+	// member is exactly FALSE), cellNone (witnesses exist but all inside
+	// subtree(b): open), or cellSome with the entry-time extremes [mn, mx]
+	// of the witnesses surviving the subtree(b) screen. A member a of a
+	// cellSome cell is base-visited (a surviving witness reaches it through
+	// C and D hubs) and TRUE unless its interval covers [mn, mx], i.e.
+	// every surviving witness sits inside subtree(a) — the witness
+	// rejection "y == a" folds in because a's interval always covers its
+	// own entry time. Only the covering members — an ancestor chain of the
+	// witness span — and the cellNone cells are left open.
 	const (
 		poolK     = 4
 		cellFalse = uint8(iota)
 		cellNone
 		cellSome
 	)
-	fastSweep := func(s *hubScratch, b int) bool {
+	decide := func(s *hubScratch, b int) {
 		cand := s.cand
 		if !candidateRow(ag, b, ends, cand) {
-			return true
+			return
 		}
 		row := out.byB.Row(b)
 		crb := cs.Row(b)
@@ -379,7 +302,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 		}
 		s.work.Candidates += left
 		if left == 0 {
-			return true
+			return
 		}
 		base := s.base
 		btin, btout := base.TreeTimes()
@@ -391,7 +314,6 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 			s.cellMax = make([]int32, G)
 		}
 		s.cellTick++
-		done := true
 		for wi, word := range cand {
 			for ; word != 0; word &= word - 1 {
 				a := wi<<6 + bits.TrailingZeros64(word)
@@ -424,41 +346,27 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 					}
 					s.cellSt[gA], s.cellMin[gA], s.cellMax[gA] = st, mn, mx
 				}
-				if s.cellSt[gA] == cellSome {
-					if !base.Visited(a) {
-						graph.BitSet(row, a)
-						continue
-					}
+				switch s.cellSt[gA] {
+				case cellFalse:
+					continue // no member of T(a) is even base-reachable
+				case cellSome:
 					if !(btin[a] <= s.cellMin[gA] && s.cellMax[gA] <= btout[a]) {
 						graph.BitSet(row, a)
 						continue
 					}
-					// a's subtree covers every surviving witness; only
-					// the self-conflict arm can still decide cheaply —
-					// a's own edge closes the path as soon as a survives
-					// the cut, witnessed by a base path outside
-					// subtree(b).
+					// a's subtree covers every surviving witness; a's own
+					// self-conflict edge still closes the path when a base
+					// path outside subtree(b) reaches a.
 					if graph.BitGet(sc, a) && (!bVis || !(btin[b] <= btin[a] && btin[a] <= btout[b])) {
 						graph.BitSet(row, a)
 						continue
 					}
-					done = false // inconclusive: needs the cut sweep
-					continue
 				}
-				// cellFalse / cellNone: no surviving pool witness, so the
-				// self-conflict arm is the only cheap decider left.
-				if graph.BitGet(sc, a) && base.Visited(a) && (!bVis || !(btin[b] <= btin[a] && btin[a] <= btout[b])) {
+				if avoid(s, a, b) {
 					graph.BitSet(row, a)
-					continue
 				}
-				if s.cellSt[gA] == cellNone {
-					done = false // inconclusive: needs the cut sweep
-				}
-				// cellFalse: exactly FALSE — no member of T(a) is even
-				// base-reachable, and cut-visited is a subset of that.
 			}
 		}
-		return done
 	}
 
 	// considered reports whether some member of group g has a considered
@@ -486,11 +394,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 		}
 		if scr[wk] == nil {
 			scr[wk] = &hubScratch{
-				fd:      graph.NewFlowDom(hub),
 				cand:    make([]uint64, w),
-				y1:      make([]int32, G),
-				y2:      make([]int32, G),
-				gep:     make([]int32, G),
 				seeds:   make([]int32, 0, 2),
 				base:    graph.NewFlowDom(hub),
 				poolBuf: make([]int32, poolK*G),
@@ -516,9 +420,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 			}
 		}
 		for _, b := range mem[g] {
-			if !fastSweep(s, int(b)) {
-				sweep(s, int(b))
-			}
+			decide(s, int(b))
 		}
 	})
 	if hubWorkHook != nil {
@@ -1036,8 +938,8 @@ func densePairSearch(L *graph.BitMatrix, pvis []uint64, stack []int32,
 	return stack, false
 }
 
-// localAvoidSearch is the exact fallback behind the witness screens of the
-// CSR loop and the hub solver: does any node of tla lie on a path from
+// localAvoidSearch is the exact fallback behind the CSR loop's witness
+// screen and the hub solver's cell screen: does any node of tla lie on a path from
 // seeds that avoids la, with lb's in-edges cut? Identical to
 // localPairSearch with no Removed predicate — target tests precede the
 // la/lb interior skips, and lb reappearing as a target is accepted — which
