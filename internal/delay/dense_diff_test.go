@@ -145,17 +145,7 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 func requireClassSolvePath(t *testing.T, ag *ir.AccessGraph, con Constraints) {
 	t.Helper()
 	n := len(ag.Fn.Accesses)
-	mixed := func(u int, visit func(v int32)) {
-		for _, v := range ag.G.Adj[u] {
-			visit(int32(v))
-		}
-		for wi, word := range con.DirRows.Row(u) {
-			for ; word != 0; word &= word - 1 {
-				visit(int32(wi<<6 + bits.TrailingZeros64(word)))
-			}
-		}
-	}
-	cd := graph.Condense(n, mixed)
+	cd := graph.CondenseMixed(ag.G.Adj, con.DirRows)
 	c := 0
 	for i, mem := range cd.Members {
 		if len(mem) > len(cd.Members[c]) {

@@ -505,17 +505,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endp
 
 	cd := con.Comp
 	if cd == nil {
-		iter := func(u int, visit func(v int32)) {
-			for _, v := range adj[u] {
-				visit(int32(v))
-			}
-			for wi, word := range dirOut.Row(u) {
-				for ; word != 0; word &= word - 1 {
-					visit(int32(wi<<6 + bits.TrailingZeros64(word)))
-				}
-			}
-		}
-		cd = graph.Condense(n, iter)
+		cd = graph.CondenseMixed(adj, dirOut)
 	}
 
 	// Global mixed adjacency for word-parallel restricted searches: with an

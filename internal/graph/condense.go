@@ -1,11 +1,13 @@
 package graph
 
+import "math/bits"
+
 // Condensation is the SCC quotient of a directed graph: Comp maps each node
 // to its component, components are numbered in reverse topological order
-// (every edge of the condensation DAG goes from a higher component index to
-// a lower one, matching Tarjan's emission order), Members lists each
-// component's nodes in ascending node order, and Adj is the deduplicated
-// condensation DAG adjacency.
+// (every edge between two components goes from a higher component index to
+// a lower one, matching Tarjan's emission order), and Members lists each
+// component's nodes in ascending node order. Edges counts the out-edges
+// the condensation visited, each once.
 //
 // The regionized delay-set engine leans on one structural fact: a back-path
 // for the program-order pair (a, b) is a closed mixed-graph walk through a
@@ -17,13 +19,13 @@ type Condensation struct {
 	Comp    []int32
 	NComp   int
 	Members [][]int32
-	Adj     [][]int32
+	Edges   int
 }
 
 // Condense computes the SCC condensation of the graph whose out-edges are
 // produced by out(u, visit). The iterator form lets callers condense graphs
 // that exist only as bitset rows or CSR slices without materializing an
-// adjacency list.
+// adjacency list; it is invoked exactly once per node.
 func Condense(n int, out func(u int, visit func(v int32))) *Condensation {
 	c := &Condensation{Comp: make([]int32, n)}
 	const unvisited = -1
@@ -34,17 +36,18 @@ func Condense(n int, out func(u int, visit func(v int32))) *Condensation {
 		index[i] = unvisited
 		c.Comp[i] = unvisited
 	}
-	// Iterative Tarjan. Out-edges of the frame's node are materialized once
-	// into a shared arena when the frame is pushed, so the iterator is
-	// invoked exactly once per node.
+	// Iterative Tarjan. Out-edges of the frame's node are materialized into
+	// a shared arena when the frame is pushed and released when it is
+	// popped, so the arena holds the edges of the current DFS path only.
 	var stack []int32
 	arena := make([]int32, 0, n)
 	type frame struct {
-		v        int32
-		ei, eend int32
+		v               int32
+		start, ei, eend int32
 	}
 	var frames []frame
 	next := int32(0)
+	visit := func(w int32) { arena = append(arena, w) }
 	push := func(v int32) {
 		index[v] = next
 		low[v] = next
@@ -52,8 +55,9 @@ func Condense(n int, out func(u int, visit func(v int32))) *Condensation {
 		stack = append(stack, v)
 		onStack[v] = true
 		start := int32(len(arena))
-		out(int(v), func(w int32) { arena = append(arena, w) })
-		frames = append(frames, frame{v: v, ei: start, eend: int32(len(arena))})
+		out(int(v), visit)
+		frames = append(frames, frame{v: v, start: start, ei: start, eend: int32(len(arena))})
+		c.Edges += len(arena) - int(start)
 	}
 	for s := 0; s < n; s++ {
 		if index[s] != unvisited {
@@ -73,6 +77,7 @@ func Condense(n int, out func(u int, visit func(v int32))) *Condensation {
 				continue
 			}
 			v := f.v
+			arena = arena[:f.start]
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
 				p := &frames[len(frames)-1]
@@ -106,22 +111,62 @@ func Condense(n int, out func(u int, visit func(v int32))) *Condensation {
 		cc := c.Comp[v]
 		c.Members[cc] = append(c.Members[cc], int32(v))
 	}
-	// Condensation DAG, deduplicated with an epoch-stamped mark.
-	c.Adj = make([][]int32, c.NComp)
-	mark := make([]int32, c.NComp)
-	for i := range mark {
-		mark[i] = -1
+	return c
+}
+
+// CondenseMixed condenses the mixed graph over the n = len(adj) accesses:
+// the program-order edges adj plus the bit relation rows (u -> v iff bit v
+// of rows.Row(u)). It routes each access u through one node per row class,
+// u -> K(class of u) -> every access of that class's row, so a
+// *ClassRows is walked one physical row per class, not once per member; any
+// other backing gets the identity classing, one class per access. Routing
+// keeps reachability between accesses (u reaches v through K exactly when v
+// is in u's row), so the components restricted to accesses are those of
+// the per-access graph. Components that hold no access are dropped and the
+// rest renumbered in order, so Comp, Members and NComp describe accesses
+// only.
+func CondenseMixed(adj [][]int, rows Rows) *Condensation {
+	n := len(adj)
+	classOf, classRow, nc := func(u int) int { return u }, rows.Row, n
+	if cr, ok := rows.(*ClassRows); ok {
+		classOf = func(u int) int { return int(cr.ClassOf[u]) }
+		classRow = func(k int) []uint64 { return cr.ClassRow[k] }
+		nc = len(cr.ClassRow)
 	}
-	for u := 0; u < n; u++ {
-		cu := c.Comp[u]
-		out(u, func(w int32) {
-			cw := c.Comp[w]
-			if cw != cu && mark[cw] != cu {
-				mark[cw] = cu
-				c.Adj[cu] = append(c.Adj[cu], cw)
+	c := Condense(n+nc, func(u int, visit func(v int32)) {
+		if u < n {
+			for _, v := range adj[u] {
+				visit(int32(v))
 			}
-		})
+			visit(int32(n + classOf(u)))
+			return
+		}
+		for wi, wd := range classRow(u - n) {
+			for ; wd != 0; wd &= wd - 1 {
+				visit(int32(wi<<6 + bits.TrailingZeros64(wd)))
+			}
+		}
+	})
+	// Members are ascending, so a component's accesses are a prefix and a
+	// component holds an access iff its first member is one.
+	renum := make([]int32, c.NComp)
+	members := c.Members[:0]
+	for cc, ms := range c.Members {
+		renum[cc] = int32(len(members))
+		if ms[0] >= int32(n) {
+			continue
+		}
+		k := len(ms)
+		for ms[k-1] >= int32(n) {
+			k--
+		}
+		members = append(members, ms[:k])
 	}
+	c.Comp = c.Comp[:n]
+	for u, cc := range c.Comp {
+		c.Comp[u] = renum[cc]
+	}
+	c.Members, c.NComp = members, len(members)
 	return c
 }
 
@@ -133,6 +178,29 @@ func Condense(n int, out func(u int, visit func(v int32))) *Condensation {
 // first), so the whole closure costs O(E_dag * n/64) word operations plus
 // one row copy per node — not the O(n*E) of per-source BFS.
 func (c *Condensation) ReachRows(n int, out func(u int, visit func(v int32))) *BitMatrix {
+	// Condensation DAG, deduplicated with an epoch-stamped mark, and the
+	// cyclic components: those with an edge inside, which every component
+	// of more than one node has and a single node has only as a self-edge.
+	dag := make([][]int32, c.NComp)
+	mark := make([]int32, c.NComp)
+	cyclic := make([]bool, c.NComp)
+	for i := range mark {
+		mark[i] = -1
+	}
+	var cu int32
+	edge := func(w int32) {
+		switch cw := c.Comp[w]; {
+		case cw == cu:
+			cyclic[cu] = true
+		case mark[cw] != cu:
+			mark[cw] = cu
+			dag[cu] = append(dag[cu], cw)
+		}
+	}
+	for u := 0; u < n; u++ {
+		cu = c.Comp[u]
+		out(u, edge)
+	}
 	w := WordsFor(n)
 	compRow := make([][]uint64, c.NComp)
 	// Ascending component index: successors of a component always carry a
@@ -140,22 +208,12 @@ func (c *Condensation) ReachRows(n int, out func(u int, visit func(v int32))) *B
 	// processed.
 	for cc := 0; cc < c.NComp; cc++ {
 		row := make([]uint64, w)
-		cyclic := len(c.Members[cc]) > 1
-		if !cyclic {
-			// Single-node component: cyclic only via a self-edge.
-			v := c.Members[cc][0]
-			out(int(v), func(dst int32) {
-				if dst == v {
-					cyclic = true
-				}
-			})
-		}
-		if cyclic {
+		if cyclic[cc] {
 			for _, v := range c.Members[cc] {
 				BitSet(row, int(v))
 			}
 		}
-		for _, sc := range c.Adj[cc] {
+		for _, sc := range dag[cc] {
 			// Transitive skip: the invariant "row holds a member bit of sc
 			// => row already holds Members[sc] and compRow[sc]" follows by
 			// induction on ascending component order, since bits only enter
@@ -183,36 +241,52 @@ func (c *Condensation) ReachRows(n int, out func(u int, visit func(v int32))) *B
 	return m
 }
 
-// Transpose returns the transposed matrix, built with a 64x64 block
-// transpose: each word-aligned block is flipped with the classical
-// masked-swap network, so the cost is O(n^2/64 * log 64) word operations
-// instead of n^2 single-bit probes.
+// Transpose returns the transposed matrix (see TransposeInPlace).
 func (m *BitMatrix) Transpose() *BitMatrix {
-	t := NewBitMatrix(m.N)
-	var blk [64]uint64
+	t := &BitMatrix{N: m.N, W: m.W, b: append([]uint64(nil), m.b...)}
+	t.TransposeInPlace()
+	return t
+}
+
+// TransposeInPlace transposes the matrix in its own storage with a 64x64
+// block transpose: each word-aligned block is flipped with the classical
+// masked-swap network and swapped with its mirror block, so the cost is
+// O(n^2/64 * log 64) word operations instead of n^2 single-bit probes,
+// and no second matrix is allocated.
+func (m *BitMatrix) TransposeInPlace() {
+	var a, b [64]uint64
 	for bi := 0; bi < m.N; bi += 64 {
-		rows := m.N - bi
-		if rows > 64 {
-			rows = 64
-		}
-		for bj := 0; bj < m.N; bj += 64 {
-			for r := 0; r < rows; r++ {
-				blk[r] = m.b[(bi+r)*m.W+bj>>6]
+		for bj := bi; bj < m.N; bj += 64 {
+			m.loadBlock(&a, bi, bj)
+			transpose64(&a)
+			if bj == bi {
+				m.storeBlock(&a, bi, bi)
+				continue
 			}
-			for r := rows; r < 64; r++ {
-				blk[r] = 0
-			}
-			transpose64(&blk)
-			cols := m.N - bj
-			if cols > 64 {
-				cols = 64
-			}
-			for c := 0; c < cols; c++ {
-				t.b[(bj+c)*t.W+bi>>6] = blk[c]
-			}
+			m.loadBlock(&b, bj, bi)
+			transpose64(&b)
+			m.storeBlock(&a, bj, bi)
+			m.storeBlock(&b, bi, bj)
 		}
 	}
-	return t
+}
+
+// loadBlock reads the 64x64 block at rows r0.., word column c0/64 into
+// blk, zero past the last row.
+func (m *BitMatrix) loadBlock(blk *[64]uint64, r0, c0 int) {
+	for r := range blk {
+		blk[r] = 0
+		if r0+r < m.N {
+			blk[r] = m.b[(r0+r)*m.W+c0>>6]
+		}
+	}
+}
+
+// storeBlock writes blk back to the block at rows r0.., word column c0/64.
+func (m *BitMatrix) storeBlock(blk *[64]uint64, r0, c0 int) {
+	for r := 0; r < 64 && r0+r < m.N; r++ {
+		m.b[(r0+r)*m.W+c0>>6] = blk[r]
+	}
 }
 
 // transpose64 transposes a 64x64 bit block in place (Hacker's Delight

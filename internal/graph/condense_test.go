@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,8 +30,8 @@ func digraphIter(g *Digraph) func(u int, visit func(v int32)) {
 // TestCondenseMatchesSCC checks Condense against the list-based Tarjan and
 // verifies the structural invariants of the condensation: component
 // agreement (up to renaming both emit reverse topological indices, so they
-// must match exactly), member partitioning, and DAG edges pointing from
-// higher to lower component indices.
+// must match exactly), member partitioning, edges between components
+// pointing from higher to lower indices, and one visit per edge.
 func TestCondenseMatchesSCC(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -60,12 +62,15 @@ func TestCondenseMatchesSCC(t *testing.T) {
 		if seen != n {
 			t.Fatalf("trial %d: members cover %d of %d nodes", trial, seen, n)
 		}
-		for cu, succs := range c.Adj {
-			for _, cv := range succs {
-				if int(cv) >= cu {
-					t.Fatalf("trial %d: DAG edge %d -> %d not descending", trial, cu, cv)
+		for u, succs := range g.Adj {
+			for _, v := range succs {
+				if c.Comp[v] > c.Comp[u] {
+					t.Fatalf("trial %d: edge %d -> %d ascends from comp %d to %d", trial, u, v, c.Comp[u], c.Comp[v])
 				}
 			}
+		}
+		if want := edgeCount(g); c.Edges != want {
+			t.Fatalf("trial %d: %d edges visited, graph has %d", trial, c.Edges, want)
 		}
 	}
 }
@@ -112,6 +117,92 @@ func TestReachRowsMatchesTransitiveClosure(t *testing.T) {
 	}
 }
 
+func edgeCount(g *Digraph) int {
+	e := 0
+	for _, succs := range g.Adj {
+		e += len(succs)
+	}
+	return e
+}
+
+// TestCondenseMixedMatchesPerAccess checks the class-routed condensation
+// against Condense over the expanded per-access edges: on random
+// class-congruent ClassRows and on a BitMatrix, each beside sparse
+// program-order adjacency, both must give the same components as member
+// sets, members ascending, with no component made only of class nodes.
+func TestCondenseMixedMatchesPerAccess(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(150)
+		adj := make([][]int, n)
+		for u := range adj {
+			for rng.Intn(3) == 0 {
+				adj[u] = append(adj[u], rng.Intn(n))
+			}
+		}
+		// A congruent classing: class rows are unions of whole classes.
+		k := 1 + rng.Intn(min(n, 12))
+		classOf := make([]int32, n)
+		for u := range classOf {
+			classOf[u] = int32(rng.Intn(k))
+		}
+		p := []float64{0.02, 0.1, 0.3}[rng.Intn(3)]
+		classRows := make([][]uint64, k)
+		for c := range classRows {
+			classRows[c] = make([]uint64, WordsFor(n))
+			for d := 0; d < k; d++ {
+				if rng.Float64() < p {
+					for v, cv := range classOf {
+						if cv == int32(d) {
+							BitSet(classRows[c], v)
+						}
+					}
+				}
+			}
+		}
+		bm := NewBitMatrix(n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if rng.Float64() < p/8 {
+					bm.Set(u, v)
+				}
+			}
+		}
+		for _, rows := range []Rows{NewClassRows(classOf, classRows, n), bm} {
+			g := New(n)
+			for u := 0; u < n; u++ {
+				for _, v := range adj[u] {
+					g.AddEdge(u, v)
+				}
+				for v := 0; v < n; v++ {
+					if BitGet(rows.Row(u), v) {
+						g.AddEdge(u, v)
+					}
+				}
+			}
+			got, want := CondenseMixed(adj, rows), Condense(n, digraphIter(g))
+			if got.NComp != want.NComp || len(got.Comp) != n {
+				t.Fatalf("trial %d (%T): %d components over %d nodes, per-access %d over %d",
+					trial, rows, got.NComp, len(got.Comp), want.NComp, n)
+			}
+			wantSets := map[string]bool{}
+			for _, ms := range want.Members {
+				wantSets[fmt.Sprint(ms)] = true
+			}
+			for cc, ms := range got.Members {
+				if !wantSets[fmt.Sprint(ms)] {
+					t.Fatalf("trial %d (%T): component %v is not a per-access component", trial, rows, ms)
+				}
+				for i, v := range ms {
+					if v >= int32(n) || i > 0 && ms[i-1] >= v || got.Comp[v] != int32(cc) {
+						t.Fatalf("trial %d (%T): component %d members %v: not ascending accesses of it", trial, rows, cc, ms)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTranspose checks the 64x64 block transpose against per-bit flipping
 // at sizes around the word boundaries.
 func TestTranspose(t *testing.T) {
@@ -132,6 +223,40 @@ func TestTranspose(t *testing.T) {
 					t.Fatalf("n=%d: transpose(%d,%d) mismatch", n, j, i)
 				}
 			}
+		}
+	}
+}
+
+// TestTransposeInPlace checks the in-place transpose against per-bit
+// flipping and against Transpose at sizes around the word and block
+// boundaries, and that applying it twice gives back the original.
+func TestTransposeInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 63, 64, 65, 127, 129, 2010} {
+		m := NewBitMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rng.Intn(3) == 0 {
+					m.Set(i, j)
+				}
+			}
+		}
+		orig := append([]uint64(nil), m.Words()...)
+		want := m.Transpose()
+		m.TransposeInPlace()
+		if !slices.Equal(m.Words(), want.Words()) {
+			t.Fatalf("n=%d: in-place transpose differs from Transpose", n)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if m.Has(j, i) != BitGet(orig[i*m.W:], j) {
+					t.Fatalf("n=%d: transpose(%d,%d) mismatch", n, j, i)
+				}
+			}
+		}
+		m.TransposeInPlace()
+		if !slices.Equal(m.Words(), orig) {
+			t.Fatalf("n=%d: transposing twice does not give back the original", n)
 		}
 	}
 }

@@ -46,15 +46,16 @@ func (res *Result) orientAndDetect(opts Options, syncIDs []int, src *graph.BitMa
 	t0 = time.Now()
 	con, _ := res.orientedConstraints(lk, opts, syncIDs)
 	res.D = res.D1.Union(opts.computeDelays(res.AG, res.CS, con))
-	res.Timing.Orient = time.Since(t0)
+	res.Timing.Orient = time.Since(t0) - res.Timing.Regions
 }
 
 // orientedConstraints assembles step 6's query — D = D1 ∪ {[a, b] ∈ P :
 // back-path in P ∪ C1} over the data–data pairs — and returns it with the
 // memo behind its RemovedCover. The closure forms stay on the Constraints so
 // the per-pair reference oracle re-derives every answer independently of
-// the precomputed rows. Comp shares the condensation computed for the
-// region statistics: the phased graph is an edge-subgraph of the orient
+// the precomputed rows. Comp shares the region statistics' condensation,
+// the orient graph's SCCs over the accesses (its class nodes are routing
+// only and dropped): the phased graph is an edge-subgraph of the orient
 // graph, so the orient SCCs are closed under phased edges.
 func (res *Result) orientedConstraints(lk *lockMasks, opts Options, syncIDs []int) (delay.Constraints, *coverMemo) {
 	// Class partitions for the oriented pass, computed before the
@@ -345,26 +346,24 @@ func (m *coverMemo) build(a, b int, dst []uint64) []uint64 {
 	return dst
 }
 
+// regionWorkHook, when a test sets it, receives the number of edges each
+// region condensation visited.
+var regionWorkHook func(edges int)
+
 // regionStats records the strongly-connected-component decomposition of the
 // oriented mixed graph — the partition the delay engine solves component by
-// component — into res.Regions and res.LargestRegion, and returns it.
+// component — into res.Regions and res.LargestRegion, and returns it. The
+// condensation walks the orient rows one physical row per class.
 func (res *Result) regionStats(orientRows graph.Rows) *graph.Condensation {
-	mixed := func(u int, visit func(v int32)) {
-		for _, v := range res.AG.G.Adj[u] {
-			visit(int32(v))
-		}
-		for wi, wd := range orientRows.Row(u) {
-			for ; wd != 0; wd &= wd - 1 {
-				visit(int32(wi<<6 + bits.TrailingZeros64(wd)))
-			}
-		}
-	}
-	cond := graph.Condense(len(res.Fn.Accesses), mixed)
+	t0 := time.Now()
+	cond := graph.CondenseMixed(res.AG.G.Adj, orientRows)
 	res.Regions = cond.NComp
 	for _, m := range cond.Members {
-		if len(m) > res.LargestRegion {
-			res.LargestRegion = len(m)
-		}
+		res.LargestRegion = max(res.LargestRegion, len(m))
 	}
+	if regionWorkHook != nil {
+		regionWorkHook(cond.Edges)
+	}
+	res.Timing.Regions = time.Since(t0)
 	return cond
 }

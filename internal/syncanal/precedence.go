@@ -276,7 +276,8 @@ func (res *Result) seedPrecedence(opts Options) {
 // keep arm. In one block both domination tests are the index test, which
 // the dominator walk already applies; a block the entry never reaches is a
 // root of its own, with nothing above it, and a block that never reaches
-// the exit is postdominated by nothing.
+// the exit is postdominated by nothing. Each walk's matrix is transposed in
+// place into its filter, so the step holds two n x n matrices, not four.
 func (res *Result) dominatorFilters(src *graph.BitMatrix) (ps, cs *graph.BitMatrix) {
 	fn := res.Fn
 	n := len(fn.Accesses)
@@ -356,11 +357,12 @@ func (res *Result) dominatorFilters(src *graph.BitMatrix) (ps, cs *graph.BitMatr
 		}
 	})
 
-	ps = keep.Transpose()
+	keep.TransposeInPlace()
 	for b := 0; b < n; b++ {
-		orRow(ps.Row(b), cst.Row(b))
+		orRow(keep.Row(b), cst.Row(b))
 	}
-	return ps, cst.Transpose()
+	cst.TransposeInPlace()
+	return keep, cst
 }
 
 // refineR iterates the dominator rule and transitive closure until fixpoint

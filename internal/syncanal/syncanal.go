@@ -92,21 +92,24 @@ type Timing struct {
 	// Precedence covers seeding and refining R (steps 3–4), minus the
 	// partition maintenance reported as Condense. Most of it is matrix
 	// work on D1 that the fixpoint does not repeat: D1's A-major
-	// transpose (which the lock guards read too), the two dominator-tree
-	// walks that filter it into PS and CS, and their transposes.
+	// transpose (which the lock guards read too) and the two
+	// dominator-tree walks that filter it into PS and CS.
 	Precedence time.Duration
 	// Guards is the lock-guard computation (section 5.3).
 	Guards time.Duration
 	// CoPhase is the barrier phase partitioning (section 5.2).
 	CoPhase time.Duration
-	// Orient covers the oriented back-path searches and the final union
-	// (steps 5–6).
+	// Regions is the strongly-connected-component decomposition of the
+	// oriented mixed graph that step 6's searches are confined to.
+	Regions time.Duration
+	// Orient covers the rest of steps 5–6: the orientation rows, the
+	// removal covers, the oriented back-path searches and the final union.
 	Orient time.Duration
 }
 
 // Total sums the sub-phase times.
 func (t Timing) Total() time.Duration {
-	return t.Prepare + t.D1 + t.Condense + t.Precedence + t.Guards + t.CoPhase + t.Orient
+	return t.Prepare + t.D1 + t.Condense + t.Precedence + t.Guards + t.CoPhase + t.Regions + t.Orient
 }
 
 // String renders the timing as one line per sub-phase.
@@ -118,7 +121,8 @@ func (t Timing) String() string {
 	}{
 		{"prepare", t.Prepare}, {"d1", t.D1},
 		{"condense", t.Condense}, {"precedence", t.Precedence},
-		{"guards", t.Guards}, {"cophase", t.CoPhase}, {"orient", t.Orient},
+		{"guards", t.Guards}, {"cophase", t.CoPhase}, {"regions", t.Regions},
+		{"orient", t.Orient},
 	} {
 		fmt.Fprintf(&sb, "%-12s %s\n", row.name, row.d)
 	}
