@@ -41,8 +41,9 @@ func benchInterpKernel(b *testing.B, name string) {
 	benchEngineKernel(b, name, 8, false)
 }
 
-// benchEngineKernel times one run of the kernel on a fresh Runner — what
-// interp.Run does — on the bytecode VM or, with walker, on the AST walker.
+// benchEngineKernel times one run of the kernel on a fresh Runner — set-up
+// included, as a program's first interp.Run pays it — on the bytecode VM
+// or, with walker, on the AST walker.
 func benchEngineKernel(b *testing.B, name string, procs int, walker bool) {
 	prog := compileKernel(b, name, procs)
 	cfg := machine.CM5(procs)

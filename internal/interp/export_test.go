@@ -1,6 +1,10 @@
 package interp
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/target"
+)
 
 // Test hooks for the tests in interp_test, which live there because they
 // compile through the root package (which imports this one).
@@ -63,4 +67,19 @@ type VMCrossings = hostCalls
 // dispatched and its host calls by method.
 func (r *Runner) VMTraffic() (ops int, calls VMCrossings) {
 	return r.vmm.Dispatched(), r.host.calls
+}
+
+// Parked returns the Runner parked on prog, without taking it, or nil.
+func Parked(prog *target.Prog) *Runner {
+	if box := prog.ParkedRunner(); box != nil {
+		return (*box).(*Runner)
+	}
+	return nil
+}
+
+// HoldsCallerState reports whether r still holds anything of its last
+// run's caller: the tap, the options, the delay set.
+func (r *Runner) HoldsCallerState() bool {
+	s := &r.s
+	return s.tap != nil || s.opts.Tap != nil || s.opts != (RunOptions{}) || s.delayPreds != nil
 }

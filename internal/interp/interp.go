@@ -339,23 +339,38 @@ type sim struct {
 	walker     bool
 }
 
-// Run executes the target program on the simulated machine: a new Runner,
-// one run.
+// Run executes the target program on the simulated machine. It runs on the
+// Runner parked on prog if that Runner was made for cfg, on a new one
+// otherwise, and parks the Runner afterwards unless another one already is:
+// every run of one compiled program after the first reuses one simulator.
+// A run that returns an error is parked (the next run's reset discards what
+// it left); a run that panics is not.
 func Run(prog *target.Prog, cfg machine.Config, opts RunOptions) (*Result, error) {
-	r, err := NewRunner(prog, cfg)
-	if err != nil {
-		return nil, err
+	var r *Runner
+	if box := prog.ParkedRunner(); box != nil {
+		if p := (*box).(*Runner); p.s.cfg == cfg && prog.TakeRunner(box) {
+			r = p
+		}
 	}
-	return r.Run(opts)
+	if r == nil {
+		var err error
+		if r, err = NewRunner(prog, cfg); err != nil {
+			return nil, err
+		}
+	}
+	res, err := r.Run(opts)
+	prog.ParkRunner(&r.self)
+	return res, err
 }
 
 // Runner holds the simulator state of one (program, machine) pair — shared
 // memory, the per-processor slabs and environments, the event store and
 // queue, the bytecode machine's frames — so that a caller making many runs
-// of one program (the SC verifier's schedule grid) sets it up once. Every
-// Run resets that state in place and re-seeds; a run's Result shares
-// nothing with the Runner, so callers may keep it across later runs. A
-// Runner is not safe for concurrent use.
+// of one program sets it up once: Run parks one on each program it runs,
+// and the SC verifier holds one per level for its schedule grid. Every Run
+// resets that state in place and re-seeds; a run's Result shares nothing
+// with the Runner, so callers may keep it across later runs. A Runner is
+// not safe for concurrent use.
 type Runner struct {
 	s sim
 	// vmm and the host it calls are made by the first run on the bytecode
@@ -364,6 +379,8 @@ type Runner struct {
 	host *vmHost
 	// lastCompletion backs the processors' delay-verification tables.
 	lastCompletion []float64
+	// self holds the Runner itself: the box Run parks on the program.
+	self any
 }
 
 // NewRunner prepares a Runner for prog on the machine cfg.
@@ -383,6 +400,7 @@ func NewRunner(prog *target.Prog, cfg machine.Config) (*Runner, error) {
 		lks:    make([][]lockObj, len(info.Locks)),
 		procs:  make([]*proc, cfg.Procs),
 	}}
+	r.self = r
 	s := &r.s
 	for _, sym := range info.Events {
 		s.evs[sym.ID] = make([]eventObj, sym.Size)
@@ -508,8 +526,17 @@ func (r *Runner) reset(opts RunOptions) error {
 	return nil
 }
 
-// Run executes the program once under opts.
+// Run executes the program once under opts. However the run ends, the
+// Runner then drops what belongs to the caller — the tap, the delay set,
+// the rest of opts — so that a parked Runner keeps none of it alive.
 func (r *Runner) Run(opts RunOptions) (*Result, error) {
+	res, err := r.run(opts)
+	s := &r.s
+	s.tap, s.opts, s.delayPreds, s.err = nil, RunOptions{}, nil, nil
+	return res, err
+}
+
+func (r *Runner) run(opts RunOptions) (*Result, error) {
 	if opts.MaxEvents == 0 {
 		opts.MaxEvents = 50_000_000
 	}

@@ -2,9 +2,10 @@ package interp_test
 
 // A Runner that has already made other runs must be indistinguishable from
 // a fresh simulator: every run here is made twice, once on a long-lived
-// Runner and once through interp.Run, and compared exactly — result,
-// error, and tap stream. The run lists are ordered so that each run
-// follows one that leaves different state behind.
+// Runner and once on a new one from NewRunner (not through interp.Run,
+// which reuses the Runner parked on the program), and compared exactly —
+// result, error, and tap stream. The run lists are ordered so that each
+// run follows one that leaves different state behind.
 
 import (
 	"fmt"
@@ -51,6 +52,16 @@ func checkReuse(t *testing.T, label string, prog *splitc.Program, cfg machine.Co
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	checkSteps(t, label, prog, cfg, steps, func(st runStep, opts interp.RunOptions) (*interp.Result, error) {
+		runner.SetWalker(st.walker)
+		return runner.Run(opts)
+	})
+}
+
+// checkSteps makes every step with run and on a fresh Runner.
+func checkSteps(t *testing.T, label string, prog *splitc.Program, cfg machine.Config, steps []runStep,
+	run func(st runStep, opts interp.RunOptions) (*interp.Result, error)) {
+	t.Helper()
 	for i, st := range steps {
 		id := fmt.Sprintf("%s step %d (%s)", label, i, st.name)
 		var reused, fresh *traceTap
@@ -67,8 +78,7 @@ func checkReuse(t *testing.T, label string, prog *splitc.Program, cfg machine.Co
 			reused, fresh = &traceTap{}, &traceTap{}
 			ropts.Tap, fopts.Tap = reused, fresh
 		}
-		runner.SetWalker(st.walker)
-		got, gotErr := runner.Run(ropts)
+		got, gotErr := run(st, ropts)
 		want, wantErr := freshRun(prog, cfg, fopts, st.walker)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: error %v on the reused runner, %v fresh", id, gotErr, wantErr)

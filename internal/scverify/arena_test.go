@@ -3,7 +3,9 @@ package scverify
 // Verify recycles three things across the runs of a verdict: the
 // simulator state (interp.Runner), the trace buffers (Collector.Reset) and
 // the happens-before graph (checker). These tests hold every recycled run
-// to what interp.Run + NewCollector + CheckTrace give on fresh state.
+// to what a new interp.Runner + NewCollector + CheckTrace give on fresh
+// state. (interp.Run is no reference: it reuses the runner parked on the
+// program.)
 
 import (
 	"context"
@@ -54,9 +56,13 @@ func violationText(v *Violation) string {
 // recycled run's violation.
 func checkRecycledRun(t *testing.T, id string, a *arena, runner *interp.Runner, prog *target.Prog, cfg machine.Config, sch Schedule) *Violation {
 	t.Helper()
-	got, gotV, gotErr := a.runOne(runner, sch)
+	got, gotV, gotErr := a.runOne(sch, runner.Run)
 	col := NewCollector()
-	want, wantErr := interp.Run(prog, cfg, interp.RunOptions{
+	fresh, err := interp.NewRunner(prog, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	want, wantErr := fresh.Run(interp.RunOptions{
 		Seed: sch.Seed, Jitter: sch.Jitter, Perturb: sch.Perturb, Tap: col,
 	})
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -199,7 +205,7 @@ func main() {
 	var a arena
 	failed, clean := 0, 0
 	for _, sch := range heavyJitter(60) {
-		_, _, err := a.runOne(runner, sch)
+		_, _, err := a.runOne(sch, runner.Run)
 		var rte *interp.RuntimeError
 		switch {
 		case err == nil:
@@ -230,7 +236,7 @@ func TestViolationOutlivesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a arena
-	_, v, err := a.runOne(runner, Schedule{})
+	_, v, err := a.runOne(Schedule{}, runner.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +245,7 @@ func TestViolationOutlivesArena(t *testing.T) {
 	}
 	before := v.String()
 	for _, sch := range Schedules(10) {
-		if _, _, err := a.runOne(runner, sch); err != nil {
+		if _, _, err := a.runOne(sch, runner.Run); err != nil {
 			t.Fatal(err)
 		}
 	}

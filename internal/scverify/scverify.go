@@ -80,13 +80,11 @@ func Schedules(n int) []Schedule {
 // the violation if the trace is not SC-embeddable (nil otherwise), and
 // any simulation error.
 func RunOne(prog *target.Prog, cfg machine.Config, sch Schedule) (*interp.Result, *Violation, error) {
-	runner, err := interp.NewRunner(prog, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	a := arenas.Get().(*arena)
 	defer arenas.Put(a)
-	return a.runOne(runner, sch)
+	return a.runOne(sch, func(opts interp.RunOptions) (*interp.Result, error) {
+		return interp.Run(prog, cfg, opts)
+	})
 }
 
 // arena is the trace-side state reused from run to run: the collector's
@@ -106,10 +104,11 @@ type arena struct {
 // collector empties the pool.
 var arenas = sync.Pool{New: func() any { return new(arena) }}
 
-// runOne is RunOne on a runner and an arena that earlier runs have used.
-func (a *arena) runOne(runner *interp.Runner, sch Schedule) (*interp.Result, *Violation, error) {
+// runOne is RunOne on an arena that earlier runs have used, making the run
+// with run.
+func (a *arena) runOne(sch Schedule, run func(interp.RunOptions) (*interp.Result, error)) (*interp.Result, *Violation, error) {
 	a.col.Reset()
-	res, err := runner.Run(interp.RunOptions{
+	res, err := run(interp.RunOptions{
 		Seed:    sch.Seed,
 		Jitter:  sch.Jitter,
 		Perturb: sch.Perturb,
@@ -418,7 +417,7 @@ func runLevel(ctx context.Context, front *splitc.Front, cfg machine.Config, opts
 		if err := ctx.Err(); err != nil {
 			return levelRuns{}, fmt.Errorf("scverify: aborted at %s %v: %w", level, sch, err)
 		}
-		res, viol, err := a.runOne(runner, sch)
+		res, viol, err := a.runOne(sch, runner.Run)
 		if err != nil {
 			return levelRuns{}, fmt.Errorf("scverify: %s %v: %w", level, sch, err)
 		}

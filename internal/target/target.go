@@ -184,6 +184,11 @@ type Prog struct {
 	// (benchmark grids, the verifier's schedule loops) shares a single
 	// compile; target itself never inspects the value.
 	engineCache atomic.Value
+	// runner holds one idle simulator for the program (internal/interp's
+	// Runner), parked by a run for the next run to take; target itself
+	// never inspects it. The slot holds the parker's own box, so parking
+	// allocates nothing.
+	runner atomic.Pointer[any]
 }
 
 // EngineCache returns the cached execution artifact, or nil.
@@ -192,6 +197,17 @@ func (p *Prog) EngineCache() any { return p.engineCache.Load() }
 // SetEngineCache publishes an execution artifact for reuse by later runs.
 // Concurrent stores are benign: both values are equivalent and either wins.
 func (p *Prog) SetEngineCache(v any) { p.engineCache.Store(v) }
+
+// ParkedRunner returns the parked runner's box without taking it, or nil.
+func (p *Prog) ParkedRunner() *any { return p.runner.Load() }
+
+// TakeRunner empties the runner slot if it still holds box, and reports
+// whether it did: of two callers taking one runner, one wins.
+func (p *Prog) TakeRunner(box *any) bool { return p.runner.CompareAndSwap(box, nil) }
+
+// ParkRunner puts box in the runner slot if the slot is empty, and reports
+// whether it did; a second runner is not parked beside the first.
+func (p *Prog) ParkRunner(box *any) bool { return p.runner.CompareAndSwap(nil, box) }
 
 // NewBlock appends a fresh empty block with the given ID and returns it.
 // The code generator mirrors the IR CFG, so IDs equal slice positions.
