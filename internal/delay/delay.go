@@ -21,11 +21,10 @@
 //     edge, wanders the remote copies along program and conflict edges, and
 //     re-enters the local copy of a on a conflict edge. The engine resolves
 //     all pairs of one target b together and confines every search to one
-//     strongly connected component of the mixed graph. Three solvers share
+//     strongly connected component of the mixed graph. Two solvers share
 //     the work: the hub solver takes the symmetric query without removal,
-//     whatever its endpoint filter, the CSR loop every other region, and
-//     the class solver the dense regions of the oriented-and-removed query
-//     whose accesses the caller classed (region.go says what selects each);
+//     whatever its endpoint filter, and the class solver every other query,
+//     region by region (region.go says what selects each);
 //   - the oracle (reference.go, ComputeReference) runs one search per
 //     program-order pair over adjacency materialized through closures. It
 //     is what the differential tests hold the production engine to, and it
@@ -210,39 +209,33 @@ type Constraints struct {
 	// that already condensed a supergraph (syncanal's region statistics)
 	// share the result.
 	Comp *graph.Condensation
-	// RemovedCover, when non-nil alongside Removed, returns a bitset
-	// covering every access the Removed predicate would exclude for the
-	// pair (a, b) (extra bits are fine), and the row's id. It may build the
-	// row in scratch, with a negative id, or return a row it shares between
-	// pairs and between concurrent calls, with an id that pairs get the
-	// same row under; either way the caller only reads it. The engine skips
-	// the per-pair restricted re-search when no covered access was
-	// reachable in the unrestricted search, which is what makes Removed
-	// constraints affordable at tens of thousands of accesses, and the
-	// class solver shares its searches between the cells of one id.
+	// RemovedCover, when non-nil alongside Removed, returns the bitset of
+	// exactly the accesses the Removed predicate excludes for the pair
+	// (a, b) — up to the endpoints, which the engine exempts itself — and
+	// the row's id. It may build the row in scratch, with a negative id, or
+	// return a row it shares between pairs and between concurrent calls,
+	// with an id that pairs get the same row under; either way the caller
+	// only reads it. The engine folds the cover into each restricted search
+	// word-parallel instead of asking Removed per node, skips the removal
+	// where the cover misses a search's reach, and shares its searches
+	// between the cells of one id, which is what makes Removed constraints
+	// affordable at tens of thousands of accesses. Without it the engine
+	// builds the cover from Removed, pair by pair. A cover holding an access
+	// Removed keeps yields wrong results.
 	RemovedCover func(a, b int, scratch []uint64) ([]uint64, int)
-	// RemovedExact declares that RemovedCover is not merely a cover but
-	// exactly the set Removed excludes for the pair (up to the endpoint
-	// exemptions, which the engine applies itself). The engine then
-	// replaces the per-pair node-by-node restricted search with a
-	// word-parallel one that seeds the visited set with the cover — the
-	// denser the removal, the cheaper the search. Declaring exactness for
-	// a strict over-approximation yields wrong results.
-	RemovedExact bool
 	// AccessClass, when non-nil, partitions the accesses into constraint
 	// classes the engine may treat as interchangeable: two accesses with
 	// equal class ids must have identical DirRows rows AND columns,
 	// identical RemovedCover output in either pair position (for any fixed
 	// partner), Removed answers that depend on each pair endpoint only
-	// through its class, and identical conflict rows. Alongside Removed
-	// and RemovedCover, the dense region path then shares its searches
-	// between the targets of one seed row instead of running one cut sweep
-	// per target, decides the removal once per (source class, target
-	// class) cell, and runs the exact per-pair search only in the cells
-	// that decision leaves open. Declaring interchangeability
-	// that does not hold yields wrong results; syncanal's per-access
-	// precedence, selected only by its tests, exists to check it
-	// differentially.
+	// through its class, and identical conflict rows. The engine then
+	// shares its searches between the targets of one seed row, decides the
+	// removal once per (source class, target class) cell, and runs the
+	// exact per-pair search only in the cells that decision leaves open.
+	// Without it every access is its own class. Declaring
+	// interchangeability that does not hold yields wrong results;
+	// syncanal's per-access precedence, selected only by its tests, exists
+	// to check it differentially.
 	AccessClass []int32
 }
 

@@ -2,7 +2,7 @@ package delay
 
 import (
 	"fmt"
-	"math/bits"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,13 +14,12 @@ import (
 	"repro/internal/source"
 )
 
-// denseFn seed-scans for a progen program with at least 512 accesses: the
-// size gate for the word-parallel restricted search (denseRestrict needs
-// n >= 512) and comfortably past the dense-region dispatch (nl >= 256 with
-// one word of edges per node). The small-seed differential suite never
-// crosses these thresholds, so the dense code paths would otherwise ship
-// untested — which is exactly how a seed-expansion bug once slipped
-// through to the 2k-access tier.
+// denseFn seed-scans for a progen program of 512 to 1,024 accesses, whose
+// largest region holds a few hundred members: the size at which the class
+// solver's shared searches and cell bracket carry most of the work. The
+// small-seed differential suite stays far below it, so those paths would
+// otherwise ship tested only by the 2k-access tier's pins — which is
+// exactly how a seed-expansion bug once slipped through to that tier.
 func denseFn(tb testing.TB) *ir.Fn {
 	tb.Helper()
 	opts := progen.Options{
@@ -48,12 +47,11 @@ func denseFn(tb testing.TB) *ir.Fn {
 	return nil
 }
 
-// denseVariants are the directed-engine constraint variants whose code
-// paths only activate on large inputs, each without and with an access
-// classing, and the classed exact one also with cover ids. The removal
-// predicate is shaped like the production lock guards — rem(a,b,z) holds
-// iff a, b, and z share a mask bit — so the cover is exactly the removed
-// set.
+// denseVariants are the directed constraint variants of the large-input
+// differential, each without and with an access classing, and the classed
+// removal one also with cover ids. The removal predicate is shaped like the
+// production lock guards — rem(a,b,z) holds iff a, b, and z share a mask
+// bit — and the cover is exactly the removed set.
 func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	n := len(fn.Accesses)
 	m := make([]uint64, n)
@@ -93,8 +91,7 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	// share their directed rows and columns, and hand the engine the
 	// partition that interning (directed row, directed column, conflict
 	// row, removal mask) yields — valid as Constraints.AccessClass by
-	// construction. They are the inputs classSolve accepts;
-	// TestDenseRegionMatchesReference checks that it does.
+	// construction.
 	gdir := func(x, y int) bool {
 		gx, gy := cs.GroupOf(x), cs.GroupOf(y)
 		return (gx+gy)%3 != 0 || gx <= gy
@@ -122,65 +119,18 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 		{"dirrows", Constraints{DirRows: dirRows}},
 		{"dirrows+removed+cover", Constraints{
 			DirRows: dirRows, Removed: rem, RemovedCover: cover}},
-		{"dirrows+removed+exact", Constraints{
-			DirRows: dirRows, Removed: rem, RemovedCover: cover, RemovedExact: true}},
 		{"classed", Constraints{DirRows: gRows, AccessClass: classOf}},
 		{"classed+removed+cover", Constraints{
 			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover}},
-		{"classed+removed+exact", Constraints{
-			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover,
-			RemovedExact: true}},
-		{"classed+removed+exact+ids", Constraints{
-			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: idCover,
-			RemovedExact: true}},
+		{"classed+removed+cover+ids", Constraints{
+			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: idCover}},
 	}
 }
 
-// requireClassSolvePath fails the test unless the largest region of the
-// mixed graph under con.DirRows meets the three conditions on which
-// regionSolve hands a region to classSolve and classSolve keeps it: at
-// least denseRegionMin members, at least one edge per node word, and no
-// more distinct localized seed rows than a third of the members. Without
-// this the classed variants could fall back to the CSR loop and still pass.
-func requireClassSolvePath(t *testing.T, ag *ir.AccessGraph, con Constraints) {
-	t.Helper()
-	n := len(ag.Fn.Accesses)
-	cd := graph.CondenseMixed(ag.G.Adj, con.DirRows)
-	c := 0
-	for i, mem := range cd.Members {
-		if len(mem) > len(cd.Members[c]) {
-			c = i
-		}
-	}
-	members := cd.Members[c]
-	nl := len(members)
-	mask := make([]uint64, graph.WordsFor(n))
-	for _, v := range members {
-		graph.BitSet(mask, int(v))
-	}
-	eLocal := 0
-	var seedRows graph.RowInterner
-	distinct := 0
-	row := make([]uint64, len(mask))
-	for _, v := range members {
-		for _, u := range ag.G.Adj[v] {
-			if cd.Comp[u] == int32(c) {
-				eLocal++
-			}
-		}
-		for wi, word := range con.DirRows.Row(int(v)) {
-			row[wi] = word & mask[wi]
-			eLocal += bits.OnesCount64(row[wi])
-		}
-		if _, fresh := seedRows.Intern(row); fresh {
-			distinct++
-		}
-	}
-	if nl < denseRegionMin || eLocal < nl*nl/64 || distinct > nl/3 {
-		t.Fatalf("largest region (%d members, %d local edges, %d distinct seed rows) would not be class-solved: need >= %d members, >= %d edges, <= %d seed rows",
-			nl, eLocal, distinct, denseRegionMin, nl*nl/64, nl/3)
-	}
-}
+// sharesCovers reports whether the variant numbers its covers: it asks the
+// question of the variant listed before it, since the oracle reads neither
+// the cover nor its ids.
+func (v variant) sharesCovers() bool { return strings.HasSuffix(v.name, "+ids") }
 
 // denseOracle holds what the large-input differentials share: denseFn's
 // graphs, the dense variants, and the reference engine's set for each and
@@ -207,7 +157,7 @@ func denseReference(t *testing.T) {
 		o.want = make([]*Set, len(o.variants))
 		var wg sync.WaitGroup
 		for i, v := range o.variants {
-			if v.con.RemovedExact {
+			if v.sharesCovers() {
 				continue // shares the set of the variant before it, below
 			}
 			wg.Add(1)
@@ -218,11 +168,8 @@ func denseReference(t *testing.T) {
 		}
 		o.baseline = ComputeReference(o.ag, o.cs, Constraints{})
 		wg.Wait()
-		// An exact variant asks the question of the cover variant listed
-		// before it: the oracle reads neither the cover, nor the claim that
-		// it is exact, nor its ids.
 		for i, v := range o.variants {
-			if v.con.RemovedExact {
+			if v.sharesCovers() {
 				o.want[i] = o.want[i-1]
 			}
 		}
@@ -232,17 +179,15 @@ func denseReference(t *testing.T) {
 	}
 }
 
-// TestDenseRegionMatchesReference is the large-input differential: past
-// the activation thresholds (class-solver dispatch at denseRegionMin
-// members, the word-parallel restricted search at n >= 512) the engine
-// must stay pair-identical to the per-pair reference search — on the three
-// directed variants without an access classing (one big region on the CSR
-// loop), on their classed counterparts (the same region; the three with a
-// removal on classSolve, one worker and fanned over three, the one without
-// on the CSR loop, since classSolve takes only the oriented pass's shape),
-// and on the plain baseline the hub solver answers. Of the classed exact
-// variants the one with cover ids decides its cells by the shared
-// searches, the one without by the bracket alone.
+// TestDenseRegionMatchesReference is the large-input differential: on a
+// program of several hundred accesses the engine must stay pair-identical
+// to the per-pair reference search — on the directed variants without an
+// access classing (every access its own class), on their classed
+// counterparts, each at one worker and fanned over three, and on the plain
+// baseline the hub solver answers. Every directed variant must run through
+// classSolve. Of the classed removal variants the one with cover ids
+// decides its cells by the shared searches, the one without by the bracket
+// alone.
 func TestDenseRegionMatchesReference(t *testing.T) {
 	saved := Workers
 	defer func() { Workers = saved }()
@@ -250,18 +195,12 @@ func TestDenseRegionMatchesReference(t *testing.T) {
 	o := &denseOracle
 	n := len(o.ag.Fn.Accesses)
 	for i, v := range o.variants {
-		classed := v.con.AccessClass != nil && v.con.Removed != nil
-		workers := []int{saved}
-		if classed {
-			requireClassSolvePath(t, o.ag, v.con)
-			workers = []int{1, 3}
-		}
-		for _, nw := range workers {
+		for _, nw := range []int{1, 3} {
 			Workers = nw
 			work := WatchClassWork(t)
 			pairsEqual(t, fmt.Sprintf("dense %s (n=%d, workers=%d)", v.name, n, nw), Compute(o.ag, o.cs, v.con), o.want[i])
-			if classed != (work.Pairs != 0) {
-				t.Fatalf("dense %s: classSolve visited %d pairs; it must answer the removal variants of a classing and nothing else", v.name, work.Pairs)
+			if work.Pairs == 0 {
+				t.Fatalf("dense %s: classSolve visited no pair; it answers every directed variant", v.name)
 			}
 		}
 	}
@@ -299,7 +238,7 @@ func TestRemovedSetWithinPlainSet(t *testing.T) {
 		}
 		work := WatchClassWork(t)
 		subsetOf(t, "dense "+v.name, Compute(o.ag, o.cs, v.con), o.want[plain])
-		if v.con.AccessClass != nil && v.con.RemovedExact && work.BracketKeeps == 0 {
+		if work.BracketKeeps == 0 {
 			t.Fatalf("dense %s: the bracket kept no cell (%+v); the containment was not exercised where it matters", v.name, *work)
 		}
 	}

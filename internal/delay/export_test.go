@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/conflict"
-	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
@@ -18,14 +17,25 @@ var TierFn = tierFn
 // same test.
 type ClassWork = classWork
 
-// WatchClassWork sums the counts of every classSolve until the test ends.
-// Compute solves its class regions one after another, so the hook is never
-// called concurrently.
-func WatchClassWork(t testing.TB) *ClassWork {
-	sum := &ClassWork{}
-	classWorkHook = sum.add
+// ClassWatch is the class solver's work summed over regions, and the most
+// cells one region decided.
+type ClassWatch struct {
+	ClassWork
+	RegionCells int
+}
+
+// WatchClassWork sums the counts of every region classSolve solves until
+// the test ends. Compute solves its regions one after another, and the
+// tests that set the hook run one Compute at a time, so it is never called
+// concurrently.
+func WatchClassWork(t testing.TB) *ClassWatch {
+	w := &ClassWatch{}
+	classWorkHook = func(r classWork) {
+		w.add(r)
+		w.RegionCells = max(w.RegionCells, r.Cells)
+	}
 	t.Cleanup(func() { classWorkHook = nil })
-	return sum
+	return w
 }
 
 // HubWork is hubCompute's work in hubWork's units.
@@ -72,14 +82,13 @@ func WatchHubWork(t testing.TB) *HubWatch {
 	return w
 }
 
-// SharedCells re-decides every cell classSolve's shared searches decide,
-// the way each cell was decided before them: s2Plain when the cover misses
-// the uncut reach of the target's seed row, else cellRestrict's bracket.
+// SharedCells re-decides every cell classSolve's shared searches decide
+// with cellRestrict's bracket, which decides every cell whose cover has no
+// id.
 type SharedCells struct {
-	mu      sync.Mutex
-	cells   int
-	reaches map[string][]uint64
-	diff    string
+	mu    sync.Mutex
+	cells int
+	diff  string
 }
 
 // Cells reports how many cells have been re-decided.
@@ -92,7 +101,7 @@ func (c *SharedCells) Cells() int {
 // CheckSharedCells re-decides every shared-search cell until the test ends,
 // and fails the test if any verdict differs.
 func CheckSharedCells(t testing.TB) *SharedCells {
-	c := &SharedCells{reaches: make(map[string][]uint64)}
+	c := &SharedCells{}
 	sharedCellHook = c.check
 	t.Cleanup(func() {
 		sharedCellHook = nil
@@ -106,10 +115,7 @@ func CheckSharedCells(t testing.TB) *SharedCells {
 var cellNames = [...]string{s2Plain: "plain", s2Keep: "keep", s2Drop: "drop", s2PerPair: "per pair"}
 
 func (c *SharedCells) check(gd *mixedAdj, mask, cov, ta, drow, aG, bG []uint64, got uint8) {
-	want := s2Plain
-	if graph.AndAny(cov, c.reach(gd, mask, drow)) {
-		want, _ = cellRestrict(gd, mask, cov, ta, drow, aG, bG, make([]uint64, len(mask)), make([]uint64, len(mask)), nil)
-	}
+	want, _ := cellRestrict(gd, mask, cov, ta, drow, aG, bG, make([]uint64, len(mask)), make([]uint64, len(mask)), nil)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cells++
@@ -118,39 +124,14 @@ func (c *SharedCells) check(gd *mixedAdj, mask, cov, ta, drow, aG, bG []uint64, 
 	}
 }
 
-// reach returns the region nodes reachable from the seed row drow & mask,
-// the seeds included, memoized per region and seed row: a restrictSweep
-// with no target runs to exhaustion.
-func (c *SharedCells) reach(gd *mixedAdj, mask, drow []uint64) []uint64 {
-	key := fmt.Sprint(mask, drow)
-	c.mu.Lock()
-	r, ok := c.reaches[key]
-	c.mu.Unlock()
-	if ok {
-		return r
-	}
-	r = make([]uint64, len(mask))
-	for i := range r {
-		r[i] = ^mask[i]
-	}
-	restrictSweep(gd, drow, mask, r, make([]uint64, len(mask)), new([]int32))
-	for i := range r {
-		r[i] &= mask[i]
-	}
-	c.mu.Lock()
-	c.reaches[key] = r
-	c.mu.Unlock()
-	return r
-}
-
 // DenseSharedCase returns the dense differential program's graphs and its
-// classed exact variant with cover ids: a region classSolve decides by the
-// shared searches.
+// classed removal variant with cover ids: a region classSolve decides by
+// the shared searches.
 func DenseSharedCase(t testing.TB) (*ir.AccessGraph, *conflict.Set, Constraints) {
 	fn := denseFn(t)
 	ag, cs := ir.BuildAccessGraph(fn), conflict.Compute(fn)
 	for _, v := range denseVariants(fn, cs) {
-		if v.name == "classed+removed+exact+ids" {
+		if v.name == "classed+removed+cover+ids" {
 			return ag, cs, v.con
 		}
 	}

@@ -22,8 +22,7 @@ import (
 // every constraint, because constraints only shrink the edge set the walks
 // may use.
 //
-// Three solvers split the work, each selected by something the engine
-// observes about its input:
+// Two solvers split the work, selected by the query's shape:
 //
 //   - hubCompute takes the symmetric query without removal, under any
 //     endpoint filter (step 2's D1 and the rest of the Shasha–Snir
@@ -41,25 +40,15 @@ import (
 //     each target's candidates, and a conflict group none of whose members
 //     has a candidate skips its base sweep.
 //
-//   - the CSR loop of regionSolve is the general path: every query with
-//     directed conflict edges or a Removed predicate, under any endpoint
-//     filter, any region size. Under orientation the mixed graph
-//     decomposes into many small SCCs — essentially the barrier phases —
-//     and each region gets its own local CSR, one cut sweep per target, the
-//     first-visit-tree witness screen, one exact avoid-search when the
-//     screen is silent, and local per-pair re-searches when a Removed
-//     predicate is present.
-//
-//   - classSolve is the fast path for the regions that dominate large
-//     programs: at least denseRegionMin members, at least one edge per node
-//     word (eLocal >= nl^2/64), and the oriented pass's shape from the
-//     caller: an access classing (Constraints.AccessClass) and a Removed
-//     predicate with its cover. On bitset rows it decides the removal
-//     question once per (source class, target class) cell, from searches
-//     shared by every cell of one seed row and cover; a cell that keeps or
-//     drops is applied to whole target rows, and each pair of a cell left
-//     open pays one exact restricted search. When it declines (too little
-//     sharing) the region falls through to the CSR loop.
+//   - classSolve takes every other query: directed conflict edges or a
+//     Removed predicate, under any endpoint filter. Under orientation the
+//     mixed graph decomposes into many small SCCs — essentially the
+//     barrier phases — which sccCompute hands it one after another. On
+//     bitset rows it decides the removal question once per (source class,
+//     target class) cell, from searches shared by every cell of one seed
+//     row and cover; a cell that keeps or drops is applied to whole target
+//     rows, and each pair of a cell left open pays one exact restricted
+//     search.
 //
 // DESIGN.md §19 records how much traffic each solver and each fallback
 // inside them carries, and how to re-measure it.
@@ -99,7 +88,7 @@ type pairScratch struct {
 }
 
 // computeRegion is the engine entry point: the symmetric query without
-// removal goes to the hub solver, every other shape to the region solver.
+// removal goes to the hub solver, every other shape to the class solver.
 func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	n := len(fn.Accesses)
@@ -237,9 +226,9 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 	// avoid answers one pair (a, b) exactly: is some y in T(a) — the
 	// accesses with a conflict edge into a — reachable from b's conflict
 	// successors (b itself too when it self-conflicts) by a walk that
-	// avoids a and never re-enters b? It is the search the CSR loop falls
-	// back to, over the hub graph (hub nodes are never witnesses: their
-	// bits in the widened target row stay zero).
+	// avoids a and never re-enters b? It runs over the hub graph (hub
+	// nodes are never witnesses: their bits in the widened target row stay
+	// zero).
 	avoid := func(s *hubScratch, a, b int) bool {
 		if s.psc == nil {
 			s.psc = &pairScratch{mark: make([]int32, N)}
@@ -407,7 +396,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 		}
 		s.work.BaseSweeps++
 		s.seeds = append(s.seeds[:0], int32(n)+int32(g))
-		s.base.Reach(s.seeds, -1)
+		s.base.Reach(s.seeds)
 		for i := range s.pools {
 			s.pools[i] = s.poolBuf[i*poolK : i*poolK : (i+1)*poolK]
 		}
@@ -444,40 +433,17 @@ type mixedAdj struct {
 	adj [][]int
 }
 
-// denseRegionMin is the member count from which a region is tried on the
-// class solver's bitset rows.
-const denseRegionMin = 256
-
-// regionScratch is one worker's reusable state for sccCompute.
-type regionScratch struct {
-	localOf []int32  // global -> local id, valid for the current region only
-	cand    []uint64 // candidate sources of the current target
-	gv      []uint64 // global visited bitset for the RemovedCover screen
-	cover   []uint64 // RemovedCover scratch
-	vis     []uint64 // denseRestrict visited set
-	teff    []uint64 // denseRestrict effective target set
-	queue   []int32  // denseRestrict BFS queue
-}
-
-func newRegionScratch(n int) *regionScratch {
-	w := graph.WordsFor(n)
-	return &regionScratch{
-		localOf: make([]int32, n),
-		cand:    make([]uint64, w),
-		gv:      make([]uint64, w),
-		cover:   make([]uint64, w),
-		vis:     make([]uint64, w),
-		teff:    make([]uint64, w),
-	}
-}
-
-// sccCompute answers every constrained query by decomposing the mixed
-// graph into its strongly connected components and running one per-target
-// search per member on each induced subgraph. Orientation by the precedence
-// relation collapses cross-phase cycles, so the regions are essentially the
-// barrier phases and the per-region subgraphs stay small even when the
-// program does not. Without any direction the conflict rows themselves
-// serve, so Compute stays total over Constraints.
+// sccCompute answers every query the hub solver does not take. It first
+// brings the constraints to the class solver's one shape: without a
+// classing every access is its own class, without a removal every pair
+// gets one empty cover under id 0, and a removal without a cover gets the
+// cover its predicate spells out, built per pair. Then it decomposes the
+// mixed graph into its strongly connected components and has classSolve
+// answer them one after another, each region's seed groups spread over the
+// workers. Orientation by the precedence relation collapses cross-phase
+// cycles, so the regions are essentially the barrier phases. Without any
+// direction the conflict rows themselves serve, so Compute stays total over
+// Constraints.
 func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endpointMask, out *Set) {
 	n := cs.N()
 	adj := ag.G.Adj
@@ -508,291 +474,50 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endp
 		cd = graph.CondenseMixed(adj, dirOut)
 	}
 
-	// Global mixed adjacency for word-parallel restricted searches: with an
-	// exact removal cover, the per-pair re-search seeds its visited set with
-	// the cover and sweeps the directed conflict rows word-parallel (one
-	// physical row per class when the caller condensed them) plus the sparse
-	// program-order edges. Below ~512 accesses the per-word overhead beats
-	// nothing.
-	var gd *mixedAdj
-	if con.Removed != nil && con.RemovedExact && con.RemovedCover != nil && n >= 512 {
-		gd = &mixedAdj{dir: dirOut, adj: adj}
-	}
-
-	nw := workerCount(cd.NComp)
-	scr := make([]*regionScratch, nw)
-	solve := func(wk, c int, fan bool) {
-		if scr[wk] == nil {
-			scr[wk] = newRegionScratch(n)
-		}
-		regionSolve(ag, con, out, cd, c, cd.Members[c], dirOut, dirIn, ends, gd, scr[wk], fan)
-	}
-
-	// A region large enough for the class solver is solved on its own, its
-	// tree groups fanned over the workers (see classSolve): SPMD programs
-	// tend to put most of their accesses in one region, and one worker per
-	// region would leave the others idle behind it. The remaining regions
-	// then share the workers one region each. Either way no more than
-	// workerCount goroutines compute at a time.
-	fan := classSolveUsable(con)
-	var pool []int
-	for c, members := range cd.Members {
-		if fan && len(members) >= denseRegionMin {
-			solve(0, c, true)
-		} else {
-			pool = append(pool, c)
+	class := con.AccessClass
+	if class == nil {
+		class = make([]int32, n)
+		for x := range class {
+			class[x] = int32(x)
 		}
 	}
-	parallelFor(len(pool), nw, func(wk, i int) { solve(wk, pool[i], false) })
-}
-
-// regionSolve runs the per-target searches of one region. Confinement
-// makes every restriction exact: seeds, targets, and interior nodes of
-// any witness walk for a pair inside this region are themselves inside it
-// (a node outside would extend the closed walk through another SCC). fan
-// lets the class solver spread the region's tree groups over the workers;
-// the caller sets it only while no other region is being solved.
-func regionSolve(ag *ir.AccessGraph, con Constraints, out *Set,
-	cd *graph.Condensation, c int, members []int32,
-	dirOut, dirIn graph.Rows, ends endpointMask,
-	gd *mixedAdj, sc *regionScratch, fan bool) {
-
-	nl := len(members)
-	w := len(sc.cand)
-	mask := make([]uint64, w)
-	for _, v := range members {
-		graph.BitSet(mask, int(v))
-	}
-
-	// Cheap pre-pass: bail before building any local structure when no
-	// target in the region has a considered same-region source.
-	anyCand := false
-	for _, gb := range members {
-		if !candidateRow(ag, int(gb), ends, sc.cand) {
-			continue
-		}
-		for i := range sc.cand {
-			if sc.cand[i]&mask[i] != 0 {
-				anyCand = true
-				break
+	cover := con.RemovedCover
+	switch {
+	case con.Removed == nil:
+		none := make([]uint64, graph.WordsFor(n))
+		cover = func(int, int, []uint64) ([]uint64, int) { return none, 0 }
+	case cover == nil:
+		cover = func(a, b int, scratch []uint64) ([]uint64, int) {
+			for i := range scratch {
+				scratch[i] = 0
 			}
-		}
-		if anyCand {
-			break
-		}
-	}
-	if !anyCand {
-		return
-	}
-
-	lof := sc.localOf
-	for i, v := range members {
-		lof[v] = int32(i)
-	}
-	comp := cd.Comp
-	adj := ag.G.Adj
-
-	// A dense region whose accesses the caller classed goes to the class
-	// solver: per-target cost drops from O(E) edge visits to O(nl^2/64)
-	// word operations shared per seed row. Word-op parity sits at one edge
-	// per node word. The class solver declines (writing nothing) when the
-	// region's seed rows are too diverse to share trees; the CSR loop below
-	// handles every shape at any size.
-	if nl >= denseRegionMin && classSolveUsable(con) {
-		eLocal := 0
-		for _, gv := range members {
-			gu := int(gv)
-			for _, v := range adj[gu] {
-				if comp[v] == int32(c) {
-					eLocal++
+			for z := 0; z < n; z++ {
+				if con.Removed(a, b, z) {
+					graph.BitSet(scratch, z)
 				}
 			}
-			for wi, word := range dirOut.Row(gu) {
-				eLocal += bits.OnesCount64(word & mask[wi])
-			}
-		}
-		if eLocal >= nl*nl/64 &&
-			classSolve(ag, con, out, members, mask, lof, dirOut, dirIn, ends, gd, sc, fan) {
-			return
-		}
-	}
-	lcsr := graph.BuildCSR(nl,
-		func(lu int) int {
-			gu := int(members[lu])
-			d := 0
-			for _, v := range adj[gu] {
-				if comp[v] == int32(c) {
-					d++
-				}
-			}
-			for wi, word := range dirOut.Row(gu) {
-				d += bits.OnesCount64(word & mask[wi])
-			}
-			return d
-		},
-		func(lu int, dst []int32) {
-			gu := int(members[lu])
-			i := 0
-			for _, v := range adj[gu] {
-				if comp[v] == int32(c) {
-					dst[i] = lof[v]
-					i++
-				}
-			}
-			for wi, word := range dirOut.Row(gu) {
-				for m := word & mask[wi]; m != 0; m &= m - 1 {
-					dst[i] = lof[wi<<6+bits.TrailingZeros64(m)]
-					i++
-				}
-			}
-		})
-
-	// Local target rows: tl bit (lb, ly) iff the conflict edge y -> b is
-	// usable and y is in the region.
-	tl := graph.NewBitMatrix(nl)
-	for lu, gu := range members {
-		for wi, word := range dirIn.Row(int(gu)) {
-			for m := word & mask[wi]; m != 0; m &= m - 1 {
-				tl.Set(lu, int(lof[wi<<6+bits.TrailingZeros64(m)]))
-			}
+			return scratch, -1
 		}
 	}
 
-	fd := graph.NewFlowDom(lcsr)
-	var psc *pairScratch
-	seeds := make([]int32, 0, 16)
-	lw := graph.WordsFor(nl)
-
-	for lb, gb32 := range members {
-		gb := int(gb32)
-		cand := sc.cand
-		if !candidateRow(ag, gb, ends, cand) {
-			continue
-		}
-		for i := range cand {
-			cand[i] &= mask[i]
-		}
-		row := out.byB.Row(gb)
-		drow := dirOut.Row(gb)
-		rest := false
-		for i := range cand {
-			d := drow[i] & cand[i] // single conflict edge b -> a
-			row[i] |= d
-			cand[i] &^= d
-			if cand[i] != 0 {
-				rest = true
-			}
-		}
-		if !rest {
-			continue
-		}
-		seeds = seeds[:0]
-		for wi, word := range drow {
-			for m := word & mask[wi]; m != 0; m &= m - 1 {
-				seeds = append(seeds, lof[wi<<6+bits.TrailingZeros64(m)])
-			}
-		}
-		if len(seeds) == 0 {
-			continue // no usable conflict edge leaves b within the region
-		}
-		fd.Reach(seeds, lb)
-		V := fd.VisitedRow()
-		gvReady := false
-		for wi, word := range cand {
-			for ; word != 0; word &= word - 1 {
-				a := wi<<6 + bits.TrailingZeros64(word)
-				la := int(lof[a])
-				tla := tl.Row(la)
-				res := false
-				switch {
-				case graph.BitGet(V, la) == false:
-					res = graph.AndAny(tla, V)
-				case graph.BitGet(tla, la):
-					res = true
-				default:
-					// Witness screen: any reached y in T(a) whose first-visit
-					// path provably avoids a settles the pair. Only when
-					// every early witness is a tree descendant of a does the
-					// exact avoid-search run.
-					hit, checked := false, 0
-				screen:
-					for wj := 0; wj < lw; wj++ {
-						for m := tla[wj] & V[wj]; m != 0; m &= m - 1 {
-							y := wj<<6 + bits.TrailingZeros64(m)
-							if y == la {
-								continue
-							}
-							hit = true
-							if !fd.TreeAncestor(la, y) {
-								res = true
-								break screen
-							}
-							if checked++; checked >= 16 {
-								break screen
-							}
-						}
-					}
-					if !res && hit {
-						if psc == nil {
-							psc = &pairScratch{mark: make([]int32, nl)}
-						}
-						res = localAvoidSearch(psc, lcsr, tla, seeds, la, lb)
-					}
-				}
-				if !res {
-					continue
-				}
-				if con.Removed != nil {
-					var cov []uint64
-					if con.RemovedCover != nil {
-						if !gvReady {
-							gvReady = true
-							for i := range sc.gv {
-								sc.gv[i] = 0
-							}
-							for _, lv := range fd.Order() {
-								graph.BitSet(sc.gv, int(members[lv]))
-							}
-						}
-						cov, _ = con.RemovedCover(a, gb, sc.cover)
-						if !graph.AndAny(cov, sc.gv) {
-							graph.BitSet(row, a) // no removable access reachable
-							continue
-						}
-					}
-					if gd != nil {
-						var hit bool
-						sc.queue, hit = denseRestrict(gd, mask, cov, dirIn.Row(a), dirOut.Row(gb), a, gb, sc.vis, sc.teff, sc.queue)
-						if !hit {
-							continue
-						}
-					} else {
-						if psc == nil {
-							psc = &pairScratch{mark: make([]int32, nl)}
-						}
-						if !localPairSearch(psc, lcsr, tl, members, seeds, a, la, gb, lb, con.Removed) {
-							continue
-						}
-					}
-				}
-				graph.BitSet(row, a)
-			}
-		}
+	e := newClassEngine(ag, out, ends, &mixedAdj{dir: dirOut, adj: adj}, dirIn, cover, class)
+	for _, members := range cd.Members {
+		e.classSolve(members)
 	}
 }
 
 // denseRestrict answers one Removed-restricted pair (a, b) word-parallel
-// on the global dense mixed adjacency gd, given that cov is EXACTLY the
-// removed set for the pair (Constraints.RemovedExact). Instead of calling
-// the predicate per encountered node, removed nodes (and everything
-// outside the region) are folded into the visited set up front, so they
-// are never expanded and never accepted — the reference's removed-before-
-// target ordering by construction. The endpoint exemptions are restored
-// explicitly: a stays avoidable-but-acceptable (its bit is set in vis so
-// it is never interior, and re-added to the target set when it carries a
-// usable self-conflict edge), and b's removal is irrelevant because the
-// cut already keeps the walk from re-entering its own target (a walk
-// through b restarts at b, shrinking to one the suffix proves).
+// on the global mixed adjacency gd, given that cov is exactly the removed
+// set for the pair, as every cover is (Constraints.RemovedCover). Instead
+// of calling the predicate per encountered node, removed nodes (and
+// everything outside the region) are folded into the visited set up front,
+// so they are never expanded and never accepted — the reference's
+// removed-before-target ordering by construction. The endpoint exemptions
+// are restored explicitly: a stays avoidable-but-acceptable (its bit is set
+// in vis so it is never interior, and re-added to the target set when it
+// carries a usable self-conflict edge), and b's removal is irrelevant
+// because the cut already keeps the walk from re-entering its own target
+// (a walk through b restarts at b, shrinking to one the suffix proves).
 func denseRestrict(gd *mixedAdj, mask, cov, ta, drow []uint64,
 	a, b int, vis, teff []uint64, queue []int32) ([]int32, bool) {
 
@@ -866,75 +591,12 @@ func denseRestrict(gd *mixedAdj, mask, cov, ta, drow []uint64,
 	return queue, false
 }
 
-// densePairSearch mirrors localPairSearch on the class solver's dense
-// local adjacency. Removed nodes are marked visited-without-expansion: they
-// would be skipped on every future encounter anyway, and marking caps the
-// number of Removed-predicate calls at one per node.
-func densePairSearch(L *graph.BitMatrix, pvis []uint64, stack []int32,
-	tla []uint64, members, seeds []int32, a, la, b, lb int, rem func(a, b, z int) bool) ([]int32, bool) {
-
-	removed := func(gz int) bool {
-		if gz == a || gz == b {
-			return false
-		}
-		return rem(a, b, gz)
-	}
-	if graph.BitGet(tla, lb) {
-		return stack, true // single conflict edge b -> a
-	}
-	for i := range pvis {
-		pvis[i] = 0
-	}
-	stack = stack[:0]
-	for _, lx := range seeds {
-		xi := int(lx)
-		if removed(int(members[xi])) {
-			continue
-		}
-		if graph.BitGet(tla, xi) {
-			return stack, true
-		}
-		if xi == la || graph.BitGet(pvis, xi) {
-			continue
-		}
-		graph.BitSet(pvis, xi)
-		stack = append(stack, lx)
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		row := L.Row(int(u))
-		for wi := range pvis {
-			nw := row[wi] &^ pvis[wi]
-			if nw == 0 {
-				continue
-			}
-			pvis[wi] |= nw
-			for ; nw != 0; nw &= nw - 1 {
-				vi := wi<<6 + bits.TrailingZeros64(nw)
-				if removed(int(members[vi])) {
-					continue // marked above: never expanded, never a target
-				}
-				if graph.BitGet(tla, vi) {
-					return stack, true
-				}
-				if vi == la || vi == lb {
-					continue
-				}
-				stack = append(stack, int32(vi))
-			}
-		}
-	}
-	return stack, false
-}
-
-// localAvoidSearch is the exact fallback behind the CSR loop's witness
-// screen and the hub solver's cell screen: does any node of tla lie on a path from
-// seeds that avoids la, with lb's in-edges cut? Identical to
-// localPairSearch with no Removed predicate — target tests precede the
-// la/lb interior skips, and lb reappearing as a target is accepted — which
-// is the disjunction over y in T(a) of "y reachable avoiding a". tla must
-// span every node of lcsr.
+// localAvoidSearch is the exact fallback behind the hub solver's cell
+// screen: does any node of tla lie on a path from seeds that avoids la,
+// with lb's in-edges cut? Target tests precede the la/lb interior skips,
+// and lb reappearing as a target is accepted, which makes it the
+// disjunction over y in T(a) of "y reachable avoiding a". tla must span
+// every node of lcsr.
 func localAvoidSearch(sc *pairScratch, lcsr *graph.CSR, tla []uint64, seeds []int32, la, lb int) bool {
 	sc.epoch++
 	sc.stack = sc.stack[:0]
@@ -957,61 +619,6 @@ func localAvoidSearch(sc *pairScratch, lcsr *graph.CSR, tla []uint64, seeds []in
 		for _, lv := range lcsr.Out(int(u)) {
 			vi := int(lv)
 			if sc.mark[vi] == sc.epoch {
-				continue
-			}
-			if graph.BitGet(tla, vi) {
-				return true
-			}
-			if vi == la || vi == lb {
-				continue
-			}
-			sc.mark[vi] = sc.epoch
-			sc.stack = append(sc.stack, lv)
-		}
-	}
-	return false
-}
-
-// localPairSearch is the per-pair search under a Removed predicate — the
-// oracle's polyBackPath step for step — on one region's induced subgraph
-// and epoch-stamped scratch, translating ids only at the Removed calls.
-func localPairSearch(sc *pairScratch, lcsr *graph.CSR, tl *graph.BitMatrix,
-	members, seeds []int32, a, la, b, lb int, rem func(a, b, z int) bool) bool {
-
-	removed := func(gz int) bool {
-		if gz == a || gz == b {
-			return false
-		}
-		return rem(a, b, gz)
-	}
-	tla := tl.Row(la)
-	if graph.BitGet(tla, lb) {
-		return true // single conflict edge b -> a
-	}
-	sc.epoch++
-	sc.stack = sc.stack[:0]
-	for _, lx := range seeds {
-		xi := int(lx)
-		if removed(int(members[xi])) {
-			continue
-		}
-		if graph.BitGet(tla, xi) {
-			return true
-		}
-		if xi == la {
-			continue
-		}
-		if sc.mark[xi] != sc.epoch {
-			sc.mark[xi] = sc.epoch
-			sc.stack = append(sc.stack, lx)
-		}
-	}
-	for len(sc.stack) > 0 {
-		u := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		for _, lv := range lcsr.Out(int(u)) {
-			vi := int(lv)
-			if sc.mark[vi] == sc.epoch || removed(int(members[vi])) {
 				continue
 			}
 			if graph.BitGet(tla, vi) {

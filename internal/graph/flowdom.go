@@ -1,13 +1,13 @@
 package graph
 
-// FlowDom runs the batched per-target sweep of the back-path engine over a
-// CSR graph and keeps its first-visit tree. A call to Reach(seeds, cut)
-// runs a BFS of the virtual flowgraph whose root has an edge to every seed
-// and whose edges into `cut` are deleted (cut itself may still be a seed).
-// The tree then screens "y reachable from the seeds without touching a":
-// when a is not a tree ancestor of y, y's first-visit path avoids a — an
-// exact positive. The converse does not hold (some other path may avoid a),
-// so callers follow an inconclusive screen with one exact avoid-search.
+// FlowDom runs the batched per-source sweep of the hub solver over a CSR
+// graph and keeps its first-visit tree. A call to Reach(seeds) runs a BFS
+// of the virtual flowgraph whose root has an edge to every seed. The tree
+// then screens "y reachable from the seeds without touching a": when y
+// lies outside a's subtree (TreeTimes), y's first-visit path avoids a — an
+// exact positive. The converse does not hold (some other path may avoid
+// a), so callers follow an inconclusive screen with one exact
+// avoid-search.
 //
 // The struct is a reusable scratch: one allocation amortized over many
 // sources. It is not safe for concurrent use; give each worker its own.
@@ -15,13 +15,12 @@ type FlowDom struct {
 	csr *CSR
 	n   int // node count; the virtual root has id n
 
-	epoch   int32
-	mark    []int32  // mark[v] == epoch: v visited for the current source
-	order   []int32  // visited nodes in BFS discovery order
-	visited []uint64 // bitset of visited nodes
-	parent  []int32  // BFS-tree parent of each visited node (root for seeds)
+	epoch  int32
+	mark   []int32 // mark[v] == epoch: v visited for the current source
+	order  []int32 // visited nodes in BFS discovery order
+	parent []int32 // BFS-tree parent of each visited node (root for seeds)
 
-	// First-visit-tree state, built lazily by TreeAncestor.
+	// First-visit-tree state, built lazily by TreeTimes.
 	treeReady    bool
 	ttin, ttout  []int32
 	tHead, tNext []int32
@@ -33,41 +32,34 @@ func NewFlowDom(csr *CSR) *FlowDom {
 	n := csr.N
 	return &FlowDom{
 		csr: csr, n: n,
-		mark:    make([]int32, n),
-		visited: make([]uint64, WordsFor(n)),
-		parent:  make([]int32, n),
-		ttin:    make([]int32, n+1), ttout: make([]int32, n+1),
+		mark:   make([]int32, n),
+		parent: make([]int32, n),
+		ttin:   make([]int32, n+1), ttout: make([]int32, n+1),
 		tHead: make([]int32, n+1), tNext: make([]int32, n+1),
 	}
 }
 
-// Reach prepares queries for one source: BFS from seeds with cut's
-// in-edges deleted. Pass cut < 0 to delete nothing.
-func (f *FlowDom) Reach(seeds []int32, cut int) {
+// Reach prepares queries for one source: a BFS from seeds.
+func (f *FlowDom) Reach(seeds []int32) {
 	f.epoch++
 	f.order = f.order[:0]
 	f.treeReady = false
-	for i := range f.visited {
-		f.visited[i] = 0
-	}
 	root := int32(f.n)
 	for _, s := range seeds {
 		if f.mark[s] == f.epoch {
 			continue
 		}
 		f.mark[s] = f.epoch
-		BitSet(f.visited, int(s))
 		f.parent[s] = root
 		f.order = append(f.order, s)
 	}
 	for i := 0; i < len(f.order); i++ {
 		u := f.order[i]
 		for _, v := range f.csr.Out(int(u)) {
-			if v == int32(cut) || f.mark[v] == f.epoch {
+			if f.mark[v] == f.epoch {
 				continue
 			}
 			f.mark[v] = f.epoch
-			BitSet(f.visited, int(v))
 			f.parent[v] = u
 			f.order = append(f.order, v)
 		}
@@ -77,17 +69,6 @@ func (f *FlowDom) Reach(seeds []int32, cut int) {
 // Order returns the visited nodes of the current source in BFS discovery
 // order, as a shared slice valid until the next Reach.
 func (f *FlowDom) Order() []int32 { return f.order }
-
-// TreeAncestor reports whether a is an ancestor of y in the BFS
-// first-visit tree of the current source (a == y reports true). Both must
-// be visited. A false answer proves y's first-visit path avoids a; a true
-// answer is inconclusive.
-func (f *FlowDom) TreeAncestor(a, y int) bool {
-	if !f.treeReady {
-		f.buildTree()
-	}
-	return f.ttin[a] <= f.ttin[y] && f.ttout[y] <= f.ttout[a]
-}
 
 // buildTree numbers the BFS first-visit tree with entry/exit intervals.
 func (f *FlowDom) buildTree() {
@@ -137,6 +118,3 @@ func (f *FlowDom) TreeTimes() (tin, tout []int32) {
 
 // Visited reports whether v was reached for the current source.
 func (f *FlowDom) Visited(v int) bool { return f.mark[v] == f.epoch }
-
-// VisitedRow returns the visited set as a shared bitset row.
-func (f *FlowDom) VisitedRow() []uint64 { return f.visited }

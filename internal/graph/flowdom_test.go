@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// bruteAvoid computes reachability from seeds with cut's in-edges deleted
-// and the vertex `avoid` removed entirely (seeds equal to avoid dropped).
-func bruteAvoid(g *Digraph, seeds []int32, cut, avoid int) []bool {
+// bruteAvoid computes reachability from seeds with the vertex `avoid`
+// removed entirely (seeds equal to avoid dropped).
+func bruteAvoid(g *Digraph, seeds []int32, avoid int) []bool {
 	seen := make([]bool, g.N)
 	var stack []int
 	for _, s := range seeds {
@@ -21,7 +21,7 @@ func bruteAvoid(g *Digraph, seeds []int32, cut, avoid int) []bool {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, v := range g.Adj[u] {
-			if v == cut || v == avoid || seen[v] {
+			if v == avoid || seen[v] {
 				continue
 			}
 			seen[v] = true
@@ -32,11 +32,11 @@ func bruteAvoid(g *Digraph, seeds []int32, cut, avoid int) []bool {
 }
 
 // TestFlowDomMatchesBruteForce checks what FlowDom promises against direct
-// search with the vertex removed, over random graphs, seed sets, cuts, and
-// avoided vertices: Reach visits exactly the nodes reachable under the cut,
-// and a visited y that is not a first-visit-tree descendant of a visited a
-// is reachable avoiding a (the screen is exact when it says so; it may stay
-// silent, which is why callers keep an exact search behind it).
+// search with the vertex removed, over random graphs, seed sets, and
+// avoided vertices: Reach visits exactly the reachable nodes, and a visited
+// y outside the first-visit subtree of a visited a (by TreeTimes'
+// intervals) is reachable avoiding a (the screen is exact when it says so;
+// it may stay silent, which is why callers keep an exact search behind it).
 func TestFlowDomMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	screened := 0
@@ -63,30 +63,30 @@ func TestFlowDomMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}
-			cut := rng.Intn(n)
-			fd.Reach(seeds, cut)
-			plain := bruteAvoid(g, seeds, cut, -1)
+			fd.Reach(seeds)
+			plain := bruteAvoid(g, seeds, -1)
 			for v := 0; v < n; v++ {
-				if fd.Visited(v) != plain[v] || BitGet(fd.VisitedRow(), v) != plain[v] {
+				if fd.Visited(v) != plain[v] {
 					t.Fatalf("trial %d: Visited(%d) = %v, brute = %v", trial, v, fd.Visited(v), plain[v])
 				}
 			}
 			if len(fd.Order()) != countTrue(plain) {
 				t.Fatalf("trial %d: Order lists %d nodes, brute reaches %d", trial, len(fd.Order()), countTrue(plain))
 			}
+			tin, tout := fd.TreeTimes()
 			for avoid := 0; avoid < n; avoid++ {
 				if !fd.Visited(avoid) {
 					continue
 				}
-				want := bruteAvoid(g, seeds, cut, avoid)
+				want := bruteAvoid(g, seeds, avoid)
 				for y := 0; y < n; y++ {
-					if y == avoid || !fd.Visited(y) || fd.TreeAncestor(avoid, y) {
+					if y == avoid || !fd.Visited(y) || tin[avoid] <= tin[y] && tin[y] <= tout[avoid] {
 						continue
 					}
 					screened++
 					if !want[y] {
-						t.Fatalf("trial %d seeds %v cut %d: %d is outside subtree(%d) but unreachable avoiding it",
-							trial, seeds, cut, y, avoid)
+						t.Fatalf("trial %d seeds %v: %d is outside subtree(%d) but unreachable avoiding it",
+							trial, seeds, y, avoid)
 					}
 				}
 			}

@@ -76,7 +76,6 @@ func (res *Result) orientedConstraints(lk *lockMasks, opts Options, syncIDs []in
 		Comp:         cond,
 		Removed:      removed,
 		RemovedCover: covers.cover,
-		RemovedExact: true,
 		AccessClass:  classPhased,
 		Exact:        opts.Exact,
 	}, covers
