@@ -450,15 +450,20 @@ func (s *classWorker) solve(g *seedGroup) {
 						st.e2 = s.bepoch
 						st.s2 = s.decideCell(st, a, gb, k, g)
 						s.work.Cells++
+						// The a-classes are small (at the 2k tier 361,554
+						// pairs fall in 189,781 cells), so a decided cell
+						// sets its members' bits rather than OR a class mask.
+						var decided []uint64
 						switch st.s2 {
 						case s2Keep:
 							s.work.BracketKeeps++
-							for i, w := range s.classMask(st, a) {
-								s.keepG[i] |= w
-							}
+							decided = s.keepG
 						case s2Drop:
-							for i, w := range s.classMask(st, a) {
-								s.dropG[i] |= w
+							decided = s.dropG
+						}
+						if decided != nil {
+							for _, v := range e.rg.classMembers(e.rg.local[e.class[a]]) {
+								graph.BitSet(decided, int(v))
 							}
 						}
 					}

@@ -2,6 +2,8 @@ package delay
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/conflict"
@@ -135,5 +137,69 @@ func main() {
 	pairsEqual(t, "hub no detour", got, ComputeReference(ag, cs, Constraints{}))
 	if got.Has(1, 4) {
 		t.Errorf("unexpected delay [read X -> write Y]: every path to a write of X runs through a\n%s", got)
+	}
+}
+
+// scanWitnesses is the per-target scan witnessSpan replaced: each witness
+// entry time, in pool order, is screened against b's subtree interval
+// [lo, hi] when b is base-visited, and the survivors' extremes kept.
+func scanWitnesses(w []int32, inVis bool, lo, hi int32) (st uint8, mn, mx int32) {
+	if len(w) == 0 {
+		return cellFalse, 0, 0
+	}
+	st = cellNone
+	for _, t := range w {
+		if inVis && lo <= t && t <= hi {
+			continue
+		}
+		if st != cellSome {
+			st, mn, mx = cellSome, t, t
+		} else if t < mn {
+			mn = t
+		} else if t > mx {
+			mx = t
+		}
+	}
+	return st, mn, mx
+}
+
+// TestWitnessSpanMatchesScan checks the hub solver's per-sweep cell summary
+// — two binary searches into the sorted witness entry times — against the
+// per-target scan of the pools it replaced, on random multisets and
+// intervals, with the edge cases named: no witness, every witness inside
+// subtree(b), duplicates on both bounds of the interval, and b not
+// base-visited.
+func TestWitnessSpanMatchesScan(t *testing.T) {
+	check := func(w []int32, inVis bool, lo, hi int32) {
+		t.Helper()
+		pools := slices.Clone(w)
+		sorted := slices.Clone(w)
+		slices.Sort(sorted)
+		gs, gmn, gmx := witnessSpan(sorted, inVis, lo, hi)
+		ws, wmn, wmx := scanWitnesses(pools, inVis, lo, hi)
+		if gs != ws || gmn != wmn || gmx != wmx {
+			t.Fatalf("witnesses %v, visited %v, subtree [%d, %d]: span (%d, %d, %d), scan (%d, %d, %d)",
+				w, inVis, lo, hi, gs, gmn, gmx, ws, wmn, wmx)
+		}
+	}
+	check(nil, true, 3, 7)
+	check(nil, false, 3, 7)
+	check([]int32{3, 5, 7}, true, 3, 7)          // every witness inside
+	check([]int32{3, 3, 7, 7, 5}, true, 3, 7)    // duplicates on both bounds, all inside
+	check([]int32{2, 3, 3, 7, 7, 8}, true, 3, 7) // duplicates on both bounds, one outside each side
+	check([]int32{3, 3, 7, 7, 9, 9}, true, 3, 7)
+	check([]int32{1, 1, 3, 3, 7, 7}, true, 3, 7)
+	check([]int32{4, 5, 6}, false, 3, 7) // b not visited: nothing screened
+	check([]int32{5}, true, 5, 5)
+	check([]int32{5}, true, 6, 9)
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 20000; trial++ {
+		w := make([]int32, rng.Intn(9))
+		for i := range w {
+			w[i] = int32(rng.Intn(16))
+		}
+		lo := int32(rng.Intn(16))
+		hi := lo + int32(rng.Intn(16-int(lo)))
+		check(w, rng.Intn(4) != 0, lo, hi)
 	}
 }

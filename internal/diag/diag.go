@@ -88,11 +88,6 @@ func (b *Bag) Warnf(pass string, pos source.Pos, format string, args ...any) {
 	b.Report(Diagnostic{Pos: pos, Sev: Warning, Pass: pass, Msg: fmt.Sprintf(format, args...)})
 }
 
-// Notef records a note.
-func (b *Bag) Notef(pass string, pos source.Pos, format string, args ...any) {
-	b.Report(Diagnostic{Pos: pos, Sev: Note, Pass: pass, Msg: fmt.Sprintf(format, args...)})
-}
-
 // All returns every recorded diagnostic in report order.
 func (b *Bag) All() []Diagnostic { return b.list }
 

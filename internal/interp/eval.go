@@ -289,9 +289,6 @@ func (m *Memory) ReadID(symID int32, idx int64) ir.Value { return m.data[symID][
 // WriteID stores v into element idx of the symbol with the given ID.
 func (m *Memory) WriteID(symID int32, idx int64, v ir.Value) { m.data[symID][idx] = v }
 
-// SymByID returns the symbol with the given dense ID.
-func (m *Memory) SymByID(symID int32) *sem.Symbol { return m.syms[symID] }
-
 // Owner returns the processor owning sym[idx]: the declared owner for
 // scalars, the block owner for blocked arrays, idx mod P for cyclic ones.
 func (m *Memory) Owner(sym *sem.Symbol, idx int64) int {

@@ -68,9 +68,6 @@ type Result struct {
 	Events   int      // simulator events dispatched (perf diagnostics)
 }
 
-// TotalMessages sums per-message network traffic.
-func (r *Result) TotalMessages() int { return r.Messages }
-
 // evKind discriminates the simulator's event types. Events used to be
 // closures (`run func()`), which cost one heap allocation per event plus
 // an indirect call; the typed struct dispatched by switch keeps the hot

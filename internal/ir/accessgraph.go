@@ -113,12 +113,6 @@ func BuildAccessGraph(fn *Fn) *AccessGraph {
 // processor in some execution (a path of length >= 1 in program order).
 func (ag *AccessGraph) Reaches(a, b int) bool { return ag.reach.Has(a, b) }
 
-// ReachRow returns the reachability row of a as a shared bitset of
-// graph.WordsFor(n) words (bit b set iff Reaches(a, b)); callers must not
-// modify it. Iterating rows word-parallel avoids materializing the pair
-// list that OrderedPairs allocates.
-func (ag *AccessGraph) ReachRow(a int) []uint64 { return ag.reach.Row(a) }
-
 // PredRow returns the program-order predecessor row of b as a shared
 // bitset (bit a set iff Reaches(a, b)). The transposed matrix is built on
 // first use; like the graph itself it must not be modified by callers.

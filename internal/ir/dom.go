@@ -135,18 +135,6 @@ func (d *DomTree) intersect(b1, b2 int) int {
 // itself), or -1 if b is unreachable.
 func (d *DomTree) Idom(b int) int { return d.idom[b] }
 
-// Interval returns block b's dominator-tree DFS interval, or (-1, -1)
-// when b is unreachable. The pair identifies b's tree position exactly —
-// two runs assigning equal intervals to every block answer every
-// Dominates query identically — which makes the intervals a sound digest
-// input for caches keyed on domination structure.
-func (d *DomTree) Interval(b int) (tin, tout int) {
-	if d.rpoN[b] == -1 {
-		return -1, -1
-	}
-	return d.tin[b], d.tout[b]
-}
-
 // Dominates reports whether block a dominates block b (reflexively).
 // Unreachable blocks dominate nothing and are dominated by everything
 // vacuously false here: queries on unreachable blocks return false.
@@ -279,15 +267,6 @@ func (d *PostDomTree) Ipdom(b int) int { return d.ipdom[b] }
 
 // ExitID returns the id of the virtual exit node (== number of blocks).
 func (d *PostDomTree) ExitID() int { return d.exit }
-
-// Interval returns block b's postdominator-tree DFS interval, or (-1, -1)
-// when b cannot reach the exit; see (*DomTree).Interval.
-func (d *PostDomTree) Interval(b int) (tin, tout int) {
-	if d.onum[b] == -1 {
-		return -1, -1
-	}
-	return d.tin[b], d.tout[b]
-}
 
 // PostDominates reports whether block a postdominates block b.
 func (d *PostDomTree) PostDominates(a, b int) bool {

@@ -413,10 +413,3 @@ func (f *Fn) Preds() [][]*Block {
 	}
 	return preds
 }
-
-// StmtBefore reports whether access a textually precedes access b within
-// the same block, or a's block differs from b's (in which case it returns
-// false; use reachability for cross-block ordering).
-func StmtBefore(a, b *Access) bool {
-	return a.Blk == b.Blk && a.Idx < b.Idx
-}

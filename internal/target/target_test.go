@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/source"
 )
 
 // buildFn compiles a small program to get real accesses and locals to
@@ -180,5 +181,95 @@ func TestValidate(t *testing.T) {
 	b.Stmts = append(b.Stmts, &SyncCtr{Ctr: 5})
 	if err := p.Validate(); err == nil {
 		t.Error("out-of-range counter accepted")
+	}
+}
+
+// oddStmt is a statement kind the printer does not know.
+type oddStmt struct{}
+
+func (*oddStmt) stmtNode() {}
+
+// TestPrintTargetExact pins the printed target program byte for byte on
+// every statement and terminator form: scalar and indexed references, a
+// local past the function's table, an access without a symbol, a sync_ctr
+// with provenance (not printed), wrapped IR statements, an unknown
+// statement, and all four terminator cases. The text is what compile-2k's
+// per-op check digests and what the daemon returns.
+func TestPrintTargetExact(t *testing.T) {
+	fn := ir.MustBuild(`
+shared int X;
+shared int A[16];
+func main() {
+    local int v = X;
+    local int w = A[(MYPROC + 1) % PROCS];
+    A[MYPROC] = v + w;
+    X = 2;
+    barrier;
+    print("v", v);
+}
+`, ir.BuildOptions{Procs: 4})
+	var reads, writes []*ir.Access
+	var wraps []ir.Stmt
+	for _, blk := range fn.Blocks {
+		for _, s := range blk.Stmts {
+			switch s := s.(type) {
+			case *ir.Load:
+				reads = append(reads, s.Acc)
+			case *ir.Store:
+				writes = append(writes, s.Acc)
+			case *ir.SyncOp, *ir.Print:
+				wraps = append(wraps, s)
+			}
+		}
+	}
+	if len(reads) != 2 || len(writes) != 2 || len(wraps) != 2 {
+		t.Fatalf("program has %d reads, %d writes, %d sync/print statements; the test is written for 2, 2, 2",
+			len(reads), len(writes), len(wraps))
+	}
+	src := &ir.Bin{Op: source.OpAdd, L: &ir.LocalRef{ID: 0}, R: &ir.Const{Val: ir.IntVal(1)}}
+	p := &Prog{Fn: fn, Counters: 3}
+	b0, b1, b2 := p.NewBlock(0), p.NewBlock(1), p.NewBlock(2)
+	p.NewBlock(3) // left without a terminator
+	b0.Stmts = []Stmt{
+		&Get{Dst: 0, Acc: reads[0], Ctr: 0},
+		&Get{Dst: 99, Acc: reads[1], Ctr: 1},
+		&SyncCtr{Ctr: 0, Why: []Cause{{Acc: 0, Blocker: 2, Kind: CauseDelay}}},
+		&Put{Acc: writes[0], Src: src, Ctr: 2},
+		&Store{Acc: writes[1], Src: &ir.Const{Val: ir.IntVal(2)}},
+	}
+	b0.Term = &Branch{Cond: &ir.LocalRef{ID: 0}, Then: b1, Else: b2}
+	b1.Stmts = []Stmt{
+		&Store{Acc: &ir.Access{ID: 9}, Src: &ir.MyProc{}},
+		&Wrap{S: wraps[0]},
+		&Wrap{S: &ir.Assign{Dst: 1, Src: src}},
+	}
+	b1.Term = &Jump{To: b2}
+	b2.Stmts = []Stmt{&Wrap{S: wraps[1]}, &oddStmt{}}
+	b2.Term = &Ret{}
+	const want = `target main (counters=3)
+b0:
+    get_ctr v.0 = X, c0    ; a0
+    get_ctr l99 = A[((MYPROC + 1) % 4)], c1    ; a1
+    sync_ctr c0
+    put_ctr A[MYPROC] = (v.0 + 1), c2    ; a2
+    store X = 2    ; a3
+    branch v.0 ? b1 : b2
+b1:
+    store  = MYPROC    ; a9
+    barrier    ; a4
+    w.1 = (v.0 + 1)
+    jump b2
+b2:
+    print "v", v.0
+    ?stmt *target.oddStmt
+    ret
+b3:
+    <no terminator>
+`
+	if got := p.String(); got != want {
+		t.Errorf("printed target:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := p.StmtString(b0.Stmts[3]), "put_ctr A[MYPROC] = (v.0 + 1), c2    ; a2"; got != want {
+		t.Errorf("StmtString = %q, want %q", got, want)
 	}
 }
