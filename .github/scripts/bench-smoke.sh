@@ -36,5 +36,6 @@ for ((round = 0; round < rounds; round++)); do
   bench ./internal/scverify/ 'Verify/' 10
   bench ./internal/vm/       'VMResume' 500
   bench .                    'PassPipeline' 200
+  bench .                    'Generate/' 500
   bench ./internal/serve/    'ServeHitHandler' 1000
 done

@@ -10,6 +10,7 @@ package splitc_test
 // (64-processor) run produced with cmd/pscbench.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -195,6 +196,28 @@ func BenchmarkPassPipeline(b *testing.B) {
 				}
 				if len(prog.Passes) == 0 {
 					b.Fatal("no pass stats recorded")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGenerate measures the back half of a compile alone: each
+// kernel's code generation at oneway with CSE (split-phase through
+// insert-syncs) from one shared Front, the form scverify and a compile at
+// a second level take. Gated by cmd/benchgate against BENCH_analysis.json.
+func BenchmarkGenerate(b *testing.B) {
+	opts := splitc.Options{Procs: benchProcs, Level: splitc.LevelOneWay, CSE: true}
+	for _, k := range apps.All() {
+		f, err := splitc.NewFront(context.Background(), k.Source(benchProcs, 1), opts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(k.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Generate(context.Background(), opts, nil); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

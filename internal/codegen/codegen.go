@@ -193,7 +193,7 @@ func (g *Generator) Result() *Result { return &Result{Prog: g.prog, Stats: g.sta
 // the number of sync copies that fell off the program end.
 func (g *Generator) SyncSites() (placed, dropped int) {
 	for _, info := range g.infos {
-		if info.removed {
+		if info == nil || info.removed {
 			continue
 		}
 		placed += len(info.positions)
@@ -223,9 +223,61 @@ type Generator struct {
 	fn    *ir.Fn
 	opts  Options
 	prog  *target.Prog
-	infos map[int]*accInfo // by access ID
+	infos []*accInfo // by access ID; nil once the access's initiation is gone
 	weak  map[delay.Pair]bool
 	stats Stats
+	work  passWork
+
+	preds            [][]int      // by block ID, built on first use
+	scanBuf, meetBuf []availEntry // global reuse's scratch lists
+}
+
+// passWork counts what global reuse and LICM do, in units that repeat
+// exactly on any host, so a test can pin them.
+type passWork struct {
+	ReuseScans  int // global reuse: transfer-function runs in the fixpoint
+	ReuseSweeps int // global reuse: ascending passes over the queued blocks
+	LICMLoops   int // LICM: natural loops with a unique preheader
+	LICMVisits  int // LICM: body blocks those loops walked
+}
+
+// workHook, when a test sets it, receives the work of each global-reuse
+// and LICM pass as the pass ends.
+var workHook func(passWork)
+
+// reportWork hands the pass's work to workHook and starts a new count.
+func (g *Generator) reportWork() {
+	if workHook != nil {
+		workHook(g.work)
+	}
+	g.work = passWork{}
+}
+
+// predecessors returns each block's predecessor IDs in ascending order,
+// built on first use: the passes move statements between blocks but never
+// change an edge.
+func (g *Generator) predecessors() [][]int {
+	if g.preds == nil {
+		g.preds = make([][]int, len(g.prog.Blocks))
+		for _, b := range g.prog.Blocks {
+			forSuccs(b, func(s int) { g.preds[s] = append(g.preds[s], b.ID) })
+		}
+	}
+	return g.preds
+}
+
+// forSuccs calls f with the ID of each of b's successors, in Succs order,
+// without building Succs' slice.
+func forSuccs(b *target.Block, f func(int)) {
+	switch t := b.Term.(type) {
+	case *target.Jump:
+		f(t.To.ID)
+	case *target.Branch:
+		f(t.Then.ID)
+		if t.Else != t.Then {
+			f(t.Else.ID)
+		}
+	}
 }
 
 // delayOrders reports whether the delay set orders a's completion before
@@ -243,7 +295,7 @@ func (g *Generator) delayOrders(a, b int) bool {
 func (g *Generator) lower() {
 	fn := g.fn
 	g.prog = &target.Prog{Fn: fn}
-	g.infos = make(map[int]*accInfo)
+	g.infos = make([]*accInfo, len(fn.Accesses))
 	blocks := make([]*target.Block, len(fn.Blocks))
 	for i := range fn.Blocks {
 		blocks[i] = g.prog.NewBlock(i)
@@ -251,6 +303,7 @@ func (g *Generator) lower() {
 	ctr := 0
 	for i, b := range fn.Blocks {
 		tb := blocks[i]
+		tb.Stmts = make([]target.Stmt, 0, len(b.Stmts))
 		for _, s := range b.Stmts {
 			switch s := s.(type) {
 			case *ir.Load:
@@ -524,59 +577,53 @@ func (g *Generator) posAtBarrier(p pos) bool {
 
 // insertSyncs materializes the computed sync positions. Shared counters
 // collapse to one sync_ctr per (position, counter); the collapsed sync's
-// Why accumulates the provenance of every access syncing there.
+// Why accumulates the provenance of every access syncing there, in access
+// ID order.
 func (g *Generator) insertSyncs() {
 	type ins struct {
 		idx int
 		ctr target.Ctr
+		why target.Cause
 	}
-	byBlock := make(map[int][]ins)
-	whys := make(map[int]map[ins][]target.Cause)
-	// Deterministic order: iterate infos by access ID (map order varies).
-	ids := make([]int, 0, len(g.infos))
-	for id := range g.infos {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		info := g.infos[id]
-		if info.removed {
+	byBlock := make([][]ins, len(g.prog.Blocks))
+	for _, info := range g.infos {
+		if info == nil || info.removed {
 			continue
 		}
 		g.stats.SyncsDropped += info.dropped
 		for _, p := range info.positions {
-			in := ins{idx: p.idx, ctr: info.ctr}
-			byBlock[p.blk.ID] = append(byBlock[p.blk.ID], in)
-			w := whys[p.blk.ID]
-			if w == nil {
-				w = make(map[ins][]target.Cause)
-				whys[p.blk.ID] = w
-			}
-			w[in] = append(w[in], p.why)
+			byBlock[p.blk.ID] = append(byBlock[p.blk.ID], ins{idx: p.idx, ctr: info.ctr, why: p.why})
 			g.stats.SyncsPlaced++
 			if g.posAtBarrier(p) {
 				g.stats.SyncsAtBarriers++
 			}
 		}
 	}
+	var at []*target.SyncCtr // the syncs before one statement
 	for _, blk := range g.prog.Blocks {
 		list := byBlock[blk.ID]
 		if len(list) == 0 {
 			continue
 		}
-		// Stable rebuild: walk once, emitting syncs before their indices.
-		at := make(map[int][]*target.SyncCtr)
-		seen := map[ins]bool{}
-		for _, in := range list {
-			if seen[in] {
-				continue
-			}
-			seen[in] = true
-			at[in.idx] = append(at[in.idx], &target.SyncCtr{Ctr: in.ctr, Why: whys[blk.ID][in]})
-		}
-		var out []target.Stmt
+		// Stable rebuild: the syncs before each index in the order their
+		// (index, counter) first occurs.
+		sort.SliceStable(list, func(i, j int) bool { return list[i].idx < list[j].idx })
+		out := make([]target.Stmt, 0, len(blk.Stmts)+len(list))
+		k := 0
 		for i := 0; i <= len(blk.Stmts); i++ {
-			for _, sc := range at[i] {
+			at = at[:0]
+		next:
+			for ; k < len(list) && list[k].idx == i; k++ {
+				in := list[k]
+				for _, sc := range at {
+					if sc.Ctr == in.ctr {
+						sc.Why = append(sc.Why, in.why)
+						continue next
+					}
+				}
+				at = append(at, &target.SyncCtr{Ctr: in.ctr, Why: []target.Cause{in.why}})
+			}
+			for _, sc := range at {
 				out = append(out, sc)
 			}
 			if i < len(blk.Stmts) {

@@ -1,8 +1,8 @@
 package codegen
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/target"
 )
@@ -23,18 +23,13 @@ func (g *Generator) allocateCounters() {
 	// counter only via identical position sets, which also implies their
 	// initiation blocks both lead to those syncs.
 	bySig := map[string][]*accInfo{}
-	ids := make([]int, 0, len(g.infos))
-	for id := range g.infos {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		info := g.infos[id]
-		if info.removed {
+	var buf []byte
+	for _, info := range g.infos {
+		if info == nil || info.removed {
 			continue
 		}
-		sig := signature(info)
-		bySig[sig] = append(bySig[sig], info)
+		buf = signature(info, buf[:0])
+		bySig[string(buf)] = append(bySig[string(buf)], info)
 	}
 	sigs := make([]string, 0, len(bySig))
 	for s := range bySig {
@@ -42,7 +37,10 @@ func (g *Generator) allocateCounters() {
 	}
 	sort.Strings(sigs)
 	next := target.Ctr(0)
-	remap := map[target.Ctr]target.Ctr{}
+	remap := make([]target.Ctr, g.prog.Counters) // -1: no surviving access holds the counter
+	for i := range remap {
+		remap[i] = -1
+	}
 	for _, s := range sigs {
 		group := bySig[s]
 		for _, info := range group {
@@ -62,11 +60,11 @@ func (g *Generator) allocateCounters() {
 		for _, st := range blk.Stmts {
 			switch st := st.(type) {
 			case *target.Get:
-				if c, ok := remap[st.Ctr]; ok {
+				if c := remap[st.Ctr]; c >= 0 {
 					st.Ctr = c
 				}
 			case *target.Put:
-				if c, ok := remap[st.Ctr]; ok {
+				if c := remap[st.Ctr]; c >= 0 {
 					st.Ctr = c
 				}
 			}
@@ -75,9 +73,10 @@ func (g *Generator) allocateCounters() {
 	g.prog.Counters = int(next)
 }
 
-// signature canonicalizes an access's sync placements. Dropped copies
-// (program end) emit no syncs and do not distinguish signatures.
-func signature(info *accInfo) string {
+// signature appends the canonical form of an access's sync placements to
+// buf: "|blk:idx" per position, sorted. Dropped copies (program end) emit
+// no syncs and do not distinguish signatures.
+func signature(info *accInfo, buf []byte) []byte {
 	type p struct{ blk, idx int }
 	ps := make([]p, 0, len(info.positions))
 	for _, pos := range info.positions {
@@ -89,11 +88,13 @@ func signature(info *accInfo) string {
 		}
 		return ps[i].idx < ps[j].idx
 	})
-	s := ""
 	for _, q := range ps {
-		s += fmt.Sprintf("|%d:%d", q.blk, q.idx)
+		buf = append(buf, '|')
+		buf = strconv.AppendInt(buf, int64(q.blk), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(q.idx), 10)
 	}
-	return s
+	return buf
 }
 
 // AllocateCounters merges accesses with identical sync signatures onto

@@ -14,11 +14,11 @@ import (
 func (g *Generator) eliminateDeadGets() {
 	lv := dataflow.ComputeLiveness(g.fn)
 	for _, blk := range g.prog.Blocks {
-		var out []target.Stmt
+		out := make([]target.Stmt, 0, len(blk.Stmts))
 		for _, s := range blk.Stmts {
 			if get, ok := s.(*target.Get); ok {
 				if !lv.LiveAfter(get.Acc.Blk, get.Acc.Idx, get.Dst) {
-					delete(g.infos, get.Acc.ID)
+					g.infos[get.Acc.ID] = nil
 					g.stats.GetsDead++
 					continue
 				}
@@ -116,7 +116,7 @@ func (g *Generator) eliminateInBlock(blk *target.Block) {
 		}
 	}
 
-	var out []target.Stmt
+	out := make([]target.Stmt, 0, len(blk.Stmts))
 	for _, s := range blk.Stmts {
 		switch s := s.(type) {
 		case *target.Get:
@@ -128,7 +128,7 @@ func (g *Generator) eliminateInBlock(blk *target.Block) {
 						Dst: s.Dst,
 						Src: &ir.LocalRef{ID: a.dst, T: fn.Locals[a.dst].Type},
 					}})
-					delete(g.infos, s.Acc.ID)
+					g.infos[s.Acc.ID] = nil
 					g.stats.GetsEliminated++
 					reused = true
 					break
@@ -145,7 +145,7 @@ func (g *Generator) eliminateInBlock(blk *target.Block) {
 						break
 					}
 					out = append(out, &target.Wrap{S: &ir.Assign{Dst: s.Dst, Src: p.src}})
-					delete(g.infos, s.Acc.ID)
+					g.infos[s.Acc.ID] = nil
 					g.stats.GetsForwarded++
 					reused = true
 					break
@@ -179,7 +179,7 @@ func (g *Generator) eliminateInBlock(blk *target.Block) {
 					for j, prev := range out {
 						if pp, ok := prev.(*target.Put); ok && pp.Acc.ID == puts[i].acc.ID {
 							out = append(out[:j], out[j+1:]...)
-							delete(g.infos, puts[i].acc.ID)
+							g.infos[puts[i].acc.ID] = nil
 							g.stats.PutsEliminated++
 							break
 						}

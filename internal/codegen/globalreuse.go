@@ -1,6 +1,9 @@
 package codegen
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/ir"
 	"repro/internal/target"
 )
@@ -33,9 +36,11 @@ type availEntry struct {
 	dst ir.LocalID
 }
 
-// scanGets runs the availability transfer function over one block.
+// scanGets runs the availability transfer function over one block. The
+// result lives in a buffer the next call reuses: a caller that keeps it
+// copies it.
 func (g *Generator) scanGets(in []availEntry, blk *target.Block) []availEntry {
-	entries := append([]availEntry(nil), in...)
+	entries := append(g.scanBuf[:0], in...)
 	fn := g.fn
 
 	killLocal := func(id ir.LocalID) {
@@ -88,82 +93,135 @@ func (g *Generator) scanGets(in []availEntry, blk *target.Block) []availEntry {
 			}
 		}
 	}
+	g.scanBuf = entries
 	return entries
 }
 
-// intersect keeps entries present in both sets (same representative
-// address and destination).
-func intersectAvail(a, b []availEntry) []availEntry {
-	var out []availEntry
+// intersectAvail appends to dst the entries of a present in b (same
+// representative address and destination), in a's order. dst may be
+// a[:0]: the filter never writes ahead of what it reads.
+func intersectAvail(dst, a, b []availEntry) []availEntry {
 	for _, ea := range a {
 		for _, eb := range b {
 			if ea.dst == eb.dst && ea.acc.Sym == eb.acc.Sym && ir.ExprEqual(ea.acc.Index, eb.acc.Index) {
-				out = append(out, ea)
+				dst = append(dst, ea)
 				break
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// availFlow is the availability fixpoint: each block's entry and exit
+// lists, and whether any path from the entry has reached the block yet.
+// A stored list is never written again, so lists may share backing arrays.
+type availFlow struct {
+	in, out [][]availEntry
+	known   []bool
+}
+
+// meet intersects the exit lists of b's reached predecessors in
+// predecessor order, so an entry keeps the first such predecessor's
+// representative access. Unreached predecessors do not constrain
+// (optimistic). With one reached predecessor the meet is that
+// predecessor's stored list itself (owned false); otherwise it lives in a
+// buffer the next call reuses.
+func (g *Generator) meet(fl *availFlow, preds []int) (m []availEntry, owned, reached bool) {
+	for _, p := range preds {
+		switch {
+		case !fl.known[p]:
+		case !reached:
+			m, reached = fl.out[p], true
+		case owned:
+			m = intersectAvail(m[:0], m, fl.out[p])
+		default:
+			m, owned = intersectAvail(g.meetBuf[:0], m, fl.out[p]), true
+		}
+	}
+	if owned {
+		g.meetBuf = m
+	}
+	return m, owned, reached
+}
+
+// availFixpoint solves the availability dataflow. It visits the blocks
+// in the order of a round-robin over ascending block IDs that repeats
+// until nothing changes, but skips every block whose meet cannot have
+// changed: a block is queued only when a predecessor's exit list changes
+// (or the predecessor is first reached), and a queued block is visited on
+// the current sweep if its ID lies ahead, else on the next. The
+// round-robin would find every skipped block unchanged, since scanGets is
+// a function of (meet, block) alone and a block whose meet equals its
+// recorded entry list is not rescanned either; so each visit sees the
+// round-robin's state and every list comes out the same, order and
+// representative included (rewriteWithAvail takes the first match).
+// TestGlobalReuseMatchesRoundRobin holds the two equal.
+func (g *Generator) availFixpoint() *availFlow {
+	blocks := g.prog.Blocks
+	nb := len(blocks)
+	fl := &availFlow{in: make([][]availEntry, nb), out: make([][]availEntry, nb), known: make([]bool, nb)}
+	preds := g.predecessors()
+	queued := make([]uint64, (nb+63)/64)
+	queueSuccs := func(b int) {
+		forSuccs(blocks[b], func(s int) {
+			if s != 0 { // the entry block's lists are fixed
+				queued[s>>6] |= 1 << (s & 63)
+			}
+		})
+	}
+	// next returns the lowest queued block ID >= from, or -1.
+	next := func(from int) int {
+		for w := from >> 6; w < len(queued); w++ {
+			word := queued[w]
+			if w == from>>6 {
+				word &^= 1<<(from&63) - 1
+			}
+			if word != 0 {
+				return w<<6 | bits.TrailingZeros64(word)
+			}
+		}
+		return -1
+	}
+
+	fl.known[0] = true
+	fl.out[0] = slices.Clone(g.scanGets(nil, blocks[0]))
+	g.work.ReuseScans++
+	queueSuccs(0)
+	for b := next(0); b >= 0; b = next(0) {
+		g.work.ReuseSweeps++
+		for ; b >= 0; b = next(b + 1) {
+			queued[b>>6] &^= 1 << (b & 63)
+			m, owned, reached := g.meet(fl, preds[b])
+			if !reached || fl.known[b] && sameAvail(fl.in[b], m) {
+				continue
+			}
+			if owned {
+				m = slices.Clone(m)
+			}
+			fl.in[b] = m
+			out := g.scanGets(m, blocks[b])
+			g.work.ReuseScans++
+			if !fl.known[b] || !sameAvail(fl.out[b], out) {
+				fl.out[b] = slices.Clone(out)
+				fl.known[b] = true
+				queueSuccs(b)
+			}
+		}
+	}
+	return fl
 }
 
 // globalReuse runs the availability fixpoint and rewrites redundant gets.
 func (g *Generator) globalReuse() {
-	nb := len(g.prog.Blocks)
-	in := make([][]availEntry, nb)
-	out := make([][]availEntry, nb)
-	known := make([]bool, nb)
-
-	// Predecessors over the target CFG.
-	preds := make([][]*target.Block, nb)
-	for _, b := range g.prog.Blocks {
-		for _, s := range b.Succs() {
-			preds[s.ID] = append(preds[s.ID], b)
-		}
-	}
-
-	in[0] = nil
-	known[0] = true
-	out[0] = g.scanGets(nil, g.prog.Blocks[0])
-	changed := true
-	for changed {
-		changed = false
-		for bi, b := range g.prog.Blocks {
-			if bi == 0 {
-				continue
-			}
-			var meet []availEntry
-			any := false
-			for _, p := range preds[bi] {
-				if !known[p.ID] {
-					continue // optimistic: unknown preds do not constrain
-				}
-				if !any {
-					meet = out[p.ID]
-					any = true
-				} else {
-					meet = intersectAvail(meet, out[p.ID])
-				}
-			}
-			if !any {
-				continue
-			}
-			newOut := g.scanGets(meet, b)
-			if !known[bi] || !sameAvail(in[bi], meet) || !sameAvail(out[bi], newOut) {
-				in[bi] = meet
-				out[bi] = newOut
-				known[bi] = true
-				changed = true
-			}
-		}
-	}
-
+	fl := g.availFixpoint()
+	g.reportWork()
 	// Rewrite pass: walk each block with its entry availability, applying
 	// the same transfer but replacing redundant gets.
 	for bi, b := range g.prog.Blocks {
-		if !known[bi] {
+		if !fl.known[bi] {
 			continue
 		}
-		g.rewriteWithAvail(in[bi], b)
+		g.rewriteWithAvail(fl.in[bi], b)
 	}
 }
 
@@ -182,7 +240,7 @@ func sameAvail(a, b []availEntry) bool {
 // rewriteWithAvail replays the transfer function over a block, replacing
 // gets whose address is already cached.
 func (g *Generator) rewriteWithAvail(in []availEntry, blk *target.Block) {
-	entries := append([]availEntry(nil), in...)
+	entries := append(g.scanBuf[:0], in...)
 	fn := g.fn
 
 	killLocal := func(id ir.LocalID) {
@@ -209,14 +267,14 @@ func (g *Generator) rewriteWithAvail(in []availEntry, blk *target.Block) {
 		entries = keep
 	}
 
-	var outStmts []target.Stmt
+	outStmts := make([]target.Stmt, 0, len(blk.Stmts))
 	for _, s := range blk.Stmts {
 		switch s := s.(type) {
 		case *target.Get:
 			replaced := false
 			for _, e := range entries {
 				if e.acc.Sym == s.Acc.Sym && ir.ExprEqual(e.acc.Index, s.Acc.Index) {
-					delete(g.infos, s.Acc.ID)
+					g.infos[s.Acc.ID] = nil
 					if e.dst == s.Dst {
 						// The value is already in the right local.
 						g.stats.GetsCached++
@@ -262,6 +320,7 @@ func (g *Generator) rewriteWithAvail(in []availEntry, blk *target.Block) {
 			outStmts = append(outStmts, s)
 		}
 	}
+	g.scanBuf = entries
 	blk.Stmts = outStmts
 }
 

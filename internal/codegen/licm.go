@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -40,28 +41,33 @@ func (g *Generator) hoistLoopInvariantGets() {
 	type loop struct {
 		head  int
 		latch int
-		body  map[int]bool // block IDs, including head and latch
+		body  []int // block IDs, ascending, including head and latch
 	}
 	var loops []loop
+	in := newStampSet(len(blocks))
 	for _, b := range blocks {
-		for _, s := range b.Succs() {
-			h := s.ID
+		forSuccs(b, func(h int) {
 			if dom.Dominates(h, b.ID) {
-				loops = append(loops, loop{head: h, latch: b.ID, body: naturalLoop(sites.preds, h, b.ID)})
+				loops = append(loops, loop{head: h, latch: b.ID, body: naturalLoop(sites.preds, h, b.ID, in)})
 			}
-		}
+		})
 	}
 	// Inner loops first (smaller bodies), so a get can bubble outward
 	// through nested loops across repeated passes.
 	sort.Slice(loops, func(i, j int) bool { return len(loops[i].body) < len(loops[j].body) })
 
+	written := newStampSet(len(g.fn.Locals))
 	for _, lp := range loops {
+		in.reset()
+		for _, id := range lp.body {
+			in.add(id)
+		}
 		// The preheader: the unique predecessor of the head outside the
 		// loop. The IR builder always produces one.
 		var pre *target.Block
 		count := 0
 		for _, p := range sites.preds[lp.head] {
-			if !lp.body[p] {
+			if !in.has(p) {
 				pre = blocks[p]
 				count++
 			}
@@ -69,9 +75,23 @@ func (g *Generator) hoistLoopInvariantGets() {
 		if count != 1 {
 			continue
 		}
-		g.hoistFromLoop(lp.body, lp.latch, pre, dom, sites)
+		g.hoistFromLoop(lp.body, in, written, lp.latch, pre, dom, sites)
 	}
+	g.reportWork()
 }
+
+// stampSet is a set of small integers cleared in O(1): a member carries
+// the current stamp.
+type stampSet struct {
+	stamp []int32
+	cur   int32
+}
+
+func newStampSet(n int) *stampSet { return &stampSet{stamp: make([]int32, n), cur: 1} }
+
+func (s *stampSet) reset()         { s.cur++ }
+func (s *stampSet) add(i int)      { s.stamp[i] = s.cur }
+func (s *stampSet) has(i int) bool { return s.stamp[i] == s.cur }
 
 // localSites is what one LICM pass needs to know about the program outside
 // the loop at hand, collected once: block predecessors and, per local, the
@@ -91,12 +111,9 @@ type defSite struct {
 func (g *Generator) indexLocalSites() *localSites {
 	blocks := g.prog.Blocks
 	nl := len(g.fn.Locals)
-	x := &localSites{preds: make([][]int, len(blocks)), defs: make([][]defSite, nl), uses: make([][]int, nl)}
+	x := &localSites{preds: g.predecessors(), defs: make([][]defSite, nl), uses: make([][]int, nl)}
 	var buf []ir.LocalID
 	for _, b := range blocks {
-		for _, s := range b.Succs() {
-			x.preds[s.ID] = append(x.preds[s.ID], b.ID)
-		}
 		for _, s := range b.Stmts {
 			if l, ok := stmtDst(s); ok {
 				x.defs[l] = append(x.defs[l], defSite{b.ID, s})
@@ -163,30 +180,42 @@ func stmtLocals(s target.Stmt, out []ir.LocalID) []ir.LocalID {
 	return out
 }
 
-// naturalLoop collects the blocks of the natural loop of back edge
-// latch -> head: head plus all blocks that reach latch without passing
-// through head.
-func naturalLoop(preds [][]int, head, latch int) map[int]bool {
-	body := map[int]bool{head: true, latch: true}
+// naturalLoop lists, in ascending order, the blocks of the natural loop
+// of back edge latch -> head: head plus all blocks that reach latch
+// without passing through head. It uses in as its visited set.
+func naturalLoop(preds [][]int, head, latch int, in *stampSet) []int {
+	in.reset()
+	in.add(head)
+	body := []int{head}
+	if latch != head {
+		in.add(latch)
+		body = append(body, latch)
+	}
 	stack := []int{latch}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, p := range preds[n] {
-			if !body[p] {
-				body[p] = true
+			if !in.has(p) {
+				in.add(p)
+				body = append(body, p)
 				stack = append(stack, p)
 			}
 		}
 	}
+	slices.Sort(body)
 	return body
 }
 
 // hoistFromLoop moves eligible gets from the loop body to the preheader.
-func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Block, dom *ir.DomTree, sites *localSites) {
+// in holds the body's blocks; written is scratch for the locals the loop
+// writes.
+func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, pre *target.Block, dom *ir.DomTree, sites *localSites) {
 	fn := g.fn
+	g.work.LICMLoops++
+	g.work.LICMVisits += len(body)
 	// Collect the loop's kill facts in one pass.
-	localsWritten := map[ir.LocalID]bool{}
+	written.reset()
 	var writes []*ir.Access
 	var accs []int // every access in the loop, for the delay check
 	hasAcquire := false
@@ -195,17 +224,15 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 		st  *target.Get
 	}
 	var gets []getSite
-	for _, b := range g.prog.Blocks {
-		if !body[b.ID] {
-			continue
-		}
+	for _, id := range body {
+		b := g.prog.Blocks[id]
 		for _, s := range b.Stmts {
 			if x := accessOfTarget(s); x != nil {
 				accs = append(accs, x.ID)
 			}
 			switch s := s.(type) {
 			case *target.Get:
-				localsWritten[s.Dst] = true // provisional; refined below
+				written.add(int(s.Dst)) // provisional; refined below
 				gets = append(gets, getSite{b, s})
 			case *target.Put:
 				writes = append(writes, s.Acc)
@@ -214,9 +241,9 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 			case *target.Wrap:
 				switch w := s.S.(type) {
 				case *ir.Assign:
-					localsWritten[w.Dst] = true
+					written.add(int(w.Dst))
 				case *ir.SetElem:
-					localsWritten[w.Arr] = true
+					written.add(int(w.Arr))
 				case *ir.SyncOp:
 					switch w.Acc.Kind {
 					case ir.AccWait, ir.AccLock, ir.AccBarrier:
@@ -239,7 +266,7 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 		invariant := true
 		if get.Acc.Index != nil {
 			for _, l := range ir.ExprLocals(get.Acc.Index, nil) {
-				if localsWritten[l] {
+				if written.has(int(l)) {
 					invariant = false
 					break
 				}
@@ -250,7 +277,7 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 		}
 		// Destination written only by this get inside the loop, and not
 		// used outside the loop (zero-trip safety).
-		if sites.dstWrittenElsewhere(body, get) || sites.localUsedOutside(body, get.Dst) {
+		if sites.dstWrittenElsewhere(in, get) || sites.localUsedOutside(in, get.Dst) {
 			continue
 		}
 		// No may-aliasing write in the loop.
@@ -266,9 +293,11 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 		}
 		// No delay edge orders a loop access before this get: hoisting
 		// must not initiate the get ahead of a completion it waits on.
+		// The get's row of D holds every access ordered before it.
 		delayed := false
+		row := g.opts.Delays.TargetRow(get.Acc.ID)
 		for _, x := range accs {
-			if g.opts.Delays.Has(x, get.Acc.ID) {
+			if row[x>>6]&(1<<(x&63)) != 0 {
 				delayed = true
 				break
 			}
@@ -293,9 +322,9 @@ func (g *Generator) hoistFromLoop(body map[int]bool, latch int, pre *target.Bloc
 
 // dstWrittenElsewhere reports whether the get's destination is defined by
 // any other statement inside the loop.
-func (x *localSites) dstWrittenElsewhere(body map[int]bool, get *target.Get) bool {
+func (x *localSites) dstWrittenElsewhere(body *stampSet, get *target.Get) bool {
 	for _, d := range x.defs[get.Dst] {
-		if body[d.blk] && d.s != target.Stmt(get) {
+		if body.has(d.blk) && d.s != target.Stmt(get) {
 			return true
 		}
 	}
@@ -304,9 +333,9 @@ func (x *localSites) dstWrittenElsewhere(body map[int]bool, get *target.Get) boo
 
 // localUsedOutside reports whether the local is read by any statement or
 // terminator outside the loop.
-func (x *localSites) localUsedOutside(body map[int]bool, id ir.LocalID) bool {
+func (x *localSites) localUsedOutside(body *stampSet, id ir.LocalID) bool {
 	for _, b := range x.uses[id] {
-		if !body[b] {
+		if !body.has(b) {
 			return true
 		}
 	}

@@ -21,10 +21,8 @@ type FlowDom struct {
 	parent []int32 // BFS-tree parent of each visited node (root for seeds)
 
 	// First-visit-tree state, built lazily by TreeTimes.
-	treeReady    bool
-	ttin, ttout  []int32
-	tHead, tNext []int32
-	stack        []int32
+	treeReady   bool
+	ttin, ttout []int32
 }
 
 // NewFlowDom returns a scratch engine for the given graph.
@@ -35,7 +33,6 @@ func NewFlowDom(csr *CSR) *FlowDom {
 		mark:   make([]int32, n),
 		parent: make([]int32, n),
 		ttin:   make([]int32, n+1), ttout: make([]int32, n+1),
-		tHead: make([]int32, n+1), tNext: make([]int32, n+1),
 	}
 }
 
@@ -70,36 +67,36 @@ func (f *FlowDom) Reach(seeds []int32) {
 // order, as a shared slice valid until the next Reach.
 func (f *FlowDom) Order() []int32 { return f.order }
 
-// buildTree numbers the BFS first-visit tree with entry/exit intervals.
+// buildTree numbers the BFS first-visit tree with entry/exit intervals:
+// the numbering of a depth-first walk from the root that enters each
+// node's children in reverse discovery order, one tick per entry and one
+// per exit, so a subtree of k nodes spans 2k ticks. No walk is needed.
+// Every node is discovered after its parent, so one reverse pass over the
+// discovery order finishes each subtree's size before its parent reads it,
+// and meets a node's children in the walk's order: a child's entry lies
+// 1 + 2·(sizes of the siblings met before it) ticks after its parent's,
+// which is the parent's size so far. One forward pass then adds the
+// parent's entry time. ttin holds the offset and ttout the size until
+// that pass overwrites them.
 func (f *FlowDom) buildTree() {
 	f.treeReady = true
 	root := int32(f.n)
-	f.tHead[root] = -1
+	size, off := f.ttout, f.ttin
+	size[root] = 1
 	for _, v := range f.order {
-		f.tHead[v] = -1
+		size[v] = 1
 	}
 	for i := len(f.order) - 1; i >= 0; i-- {
 		v := f.order[i]
 		p := f.parent[v]
-		f.tNext[v] = f.tHead[p]
-		f.tHead[p] = v
+		off[v] = 2*size[p] - 1
+		size[p] += size[v]
 	}
-	t := int32(0)
-	f.stack = append(f.stack[:0], root)
-	for len(f.stack) > 0 {
-		v := f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-		if v < 0 {
-			f.ttout[-(v + 1)] = t
-			t++
-			continue
-		}
-		f.ttin[v] = t
-		t++
-		f.stack = append(f.stack, -(v + 1))
-		for c := f.tHead[v]; c != -1; c = f.tNext[c] {
-			f.stack = append(f.stack, c)
-		}
+	f.ttin[root] = 0
+	f.ttout[root] = 2*size[root] - 1
+	for _, v := range f.order {
+		f.ttin[v] += f.ttin[f.parent[v]]
+		f.ttout[v] = f.ttin[v] + 2*size[v] - 1
 	}
 }
 

@@ -106,3 +106,80 @@ func countTrue(bs []bool) int {
 	}
 	return c
 }
+
+// stackTreeTimes is the first-visit tree's numbering by an explicit walk:
+// child lists built from the discovery order, then a depth-first walk with
+// exit markers on a stack, one tick per entry and per exit. It is the
+// reference for buildTree, which derives the same numbers from subtree
+// sizes.
+func stackTreeTimes(f *FlowDom) (tin, tout []int32) {
+	root := int32(f.n)
+	tin, tout = make([]int32, f.n+1), make([]int32, f.n+1)
+	head, next := make([]int32, f.n+1), make([]int32, f.n+1)
+	head[root] = -1
+	for _, v := range f.order {
+		head[v] = -1
+	}
+	for i := len(f.order) - 1; i >= 0; i-- {
+		v := f.order[i]
+		p := f.parent[v]
+		next[v] = head[p]
+		head[p] = v
+	}
+	t := int32(0)
+	stack := []int32{root}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v < 0 {
+			tout[-(v + 1)] = t
+			t++
+			continue
+		}
+		tin[v] = t
+		t++
+		stack = append(stack, -(v + 1))
+		for c := head[v]; c != -1; c = next[c] {
+			stack = append(stack, c)
+		}
+	}
+	return tin, tout
+}
+
+// TestTreeTimesMatchStackWalk holds TreeTimes to the explicit walk's
+// numbering, tick for tick, at every visited node and the root, over random
+// graphs and seed sets on one reused FlowDom.
+func TestTreeTimesMatchStackWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		g := New(n)
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			g.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		fd := NewFlowDom(BuildCSR(n,
+			func(u int) int { return len(g.Adj[u]) },
+			func(u int, out []int32) {
+				for i, v := range g.Adj[u] {
+					out[i] = int32(v)
+				}
+			}))
+		for srcTrial := 0; srcTrial < 4; srcTrial++ {
+			seeds := []int32{int32(rng.Intn(n))}
+			for v := 0; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					seeds = append(seeds, int32(v))
+				}
+			}
+			fd.Reach(seeds)
+			tin, tout := fd.TreeTimes()
+			wantIn, wantOut := stackTreeTimes(fd)
+			for _, v := range append([]int32{int32(n)}, fd.Order()...) {
+				if tin[v] != wantIn[v] || tout[v] != wantOut[v] {
+					t.Fatalf("trial %d seeds %v: node %d has [%d, %d], the walk gives [%d, %d]",
+						trial, seeds, v, tin[v], tout[v], wantIn[v], wantOut[v])
+				}
+			}
+		}
+	}
+}

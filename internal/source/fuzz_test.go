@@ -18,8 +18,10 @@ import (
 // printer parenthesises every operator, so the printed form of a program
 // near the nesting bound may itself be refused for nesting, and only that.
 //
-// Seeds: testdata/*.ms, the five kernels, and the two shapes that overflowed
-// the stack before the bound (parentheses, a long sum), at twice its depth.
+// Seeds: testdata/*.ms, the five kernels, the two shapes that overflowed
+// the stack before the bound (parentheses, a long sum), at twice its depth,
+// and the lexer's non-ASCII inputs (identifiers, comments and strings with
+// multi-byte runes, bytes that are not UTF-8).
 func FuzzParse(f *testing.F) {
 	files, err := filepath.Glob("../../testdata/*.ms")
 	if err != nil || len(files) == 0 {
@@ -37,6 +39,9 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add([]byte("func main() { x = " + strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000) + "; }"))
 	f.Add([]byte("shared int X;\nfunc main() { X = 1" + strings.Repeat("+1", 2000) + "; }"))
+	for _, src := range source.RuneInputs {
+		f.Add([]byte(src))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := string(data)

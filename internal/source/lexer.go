@@ -45,34 +45,41 @@ func (lx *Lexer) errorf(pos Pos, format string, args ...any) {
 	}
 }
 
+// The three rune readers below take one byte as one rune when it is ASCII
+// (below utf8.RuneSelf), which MiniSplit source nearly always is, and
+// decode only otherwise (decodeAt); an invalid byte still reads as
+// utf8.RuneError of width 1. Columns count runes either way.
+
 // peek returns the next rune without consuming it, or -1 at EOF.
 func (lx *Lexer) peek() rune {
-	if lx.off >= len(lx.src) {
-		return -1
+	if lx.off < len(lx.src) && lx.src[lx.off] < utf8.RuneSelf {
+		return rune(lx.src[lx.off])
 	}
-	r, _ := utf8.DecodeRuneInString(lx.src[lx.off:])
+	r, _ := lx.decodeAt(lx.off)
 	return r
 }
 
 // peek2 returns the rune after next, or -1.
 func (lx *Lexer) peek2() rune {
-	if lx.off >= len(lx.src) {
-		return -1
+	w := 1
+	if lx.off < len(lx.src) && lx.src[lx.off] >= utf8.RuneSelf {
+		_, w = lx.decodeAt(lx.off)
 	}
-	_, w := utf8.DecodeRuneInString(lx.src[lx.off:])
-	if lx.off+w >= len(lx.src) {
-		return -1
+	if off := lx.off + w; off < len(lx.src) && lx.src[off] < utf8.RuneSelf {
+		return rune(lx.src[off])
 	}
-	r, _ := utf8.DecodeRuneInString(lx.src[lx.off+w:])
+	r, _ := lx.decodeAt(lx.off + w)
 	return r
 }
 
 // next consumes and returns one rune, maintaining line/col.
 func (lx *Lexer) next() rune {
-	if lx.off >= len(lx.src) {
+	r, w := rune(-1), 0
+	if lx.off < len(lx.src) && lx.src[lx.off] < utf8.RuneSelf {
+		r, w = rune(lx.src[lx.off]), 1
+	} else if r, w = lx.decodeAt(lx.off); w == 0 {
 		return -1
 	}
-	r, w := utf8.DecodeRuneInString(lx.src[lx.off:])
 	lx.off += w
 	if r == '\n' {
 		lx.line++
@@ -83,6 +90,15 @@ func (lx *Lexer) next() rune {
 	return r
 }
 
+// decodeAt decodes the rune at byte offset off, or returns -1 and width 0
+// at or past the end.
+func (lx *Lexer) decodeAt(off int) (rune, int) {
+	if off >= len(lx.src) {
+		return -1, 0
+	}
+	return utf8.DecodeRuneInString(lx.src[off:])
+}
+
 func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
 
 // skipSpace skips whitespace and comments.
@@ -90,7 +106,10 @@ func (lx *Lexer) skipSpace() {
 	for {
 		r := lx.peek()
 		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
+		case r == ' ' || r == '\t' || r == '\r':
+			lx.off++
+			lx.col++
+		case r == '\n':
 			lx.next()
 		case r == '/' && lx.peek2() == '/':
 			for lx.peek() != '\n' && lx.peek() != -1 {
@@ -121,11 +140,23 @@ func (lx *Lexer) skipSpace() {
 }
 
 func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+	if r < utf8.RuneSelf {
+		return r == '_' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentCont(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	if r < utf8.RuneSelf {
+		return isASCIIIdentCont(byte(r))
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// isASCIIIdentCont is isIdentCont for one byte: false for every byte at or
+// above utf8.RuneSelf.
+func isASCIIIdentCont(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 func isDigit(r rune) bool { return r >= '0' && r <= '9' }
@@ -224,6 +255,11 @@ func (lx *Lexer) Next() Token {
 // token's text is a slice of it, not a copy.
 func (lx *Lexer) lexIdent(pos Pos) Token {
 	start := lx.off
+	// An ASCII identifier byte is one rune and one column.
+	for lx.off < len(lx.src) && isASCIIIdentCont(lx.src[lx.off]) {
+		lx.off++
+		lx.col++
+	}
 	for isIdentCont(lx.peek()) {
 		lx.next()
 	}
