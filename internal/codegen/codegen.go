@@ -145,7 +145,7 @@ func Generate(fn *ir.Fn, opts Options) *Result {
 	}
 	g.AllocateCounters()
 	g.InsertSyncs()
-	return g.Result()
+	return &Result{Prog: g.prog, Stats: g.stats}
 }
 
 // New prepares a Generator. Call Lower first, then any optimization steps
@@ -184,9 +184,6 @@ func (g *Generator) Prog() *target.Prog { return g.prog }
 
 // Stats returns a snapshot of the optimizer statistics so far.
 func (g *Generator) Stats() Stats { return g.stats }
-
-// Result packages the generated program and final statistics.
-func (g *Generator) Result() *Result { return &Result{Prog: g.prog, Stats: g.stats} }
 
 // SyncSites reports the sync placements computed so far: the number of
 // placed positions (before counter merging collapses co-located syncs) and

@@ -200,19 +200,6 @@ func (s *Set) Partners(a int) []int { return s.partners[a] }
 // every access of a's similarity group.
 func (s *Set) Row(a int) []uint64 { return s.groupRow[s.groupOf[a]] }
 
-// Pairs returns the unordered conflict pairs (a <= b).
-func (s *Set) Pairs() [][2]int {
-	var out [][2]int
-	for a := 0; a < s.n; a++ {
-		for _, b := range s.partners[a] {
-			if a <= b {
-				out = append(out, [2]int{a, b})
-			}
-		}
-	}
-	return out
-}
-
 // Size returns the number of unordered conflict pairs, counted from the
 // per-group row popcounts without materializing any per-access rows.
 func (s *Set) Size() int {

@@ -219,3 +219,16 @@ func main() {
 		t.Errorf("N = %d, want 2", cs.N())
 	}
 }
+
+// Pairs returns the unordered conflict pairs (a <= b).
+func (s *Set) Pairs() [][2]int {
+	var out [][2]int
+	for a := 0; a < s.n; a++ {
+		for _, b := range s.partners[a] {
+			if a <= b {
+				out = append(out, [2]int{a, b})
+			}
+		}
+	}
+	return out
+}

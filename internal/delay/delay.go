@@ -234,8 +234,8 @@ type Constraints struct {
 	// exact per-pair search only in the cells that decision leaves open.
 	// Without it every access is its own class. Declaring
 	// interchangeability that does not hold yields wrong results;
-	// syncanal's per-access precedence, selected only by its tests, exists
-	// to check it differentially.
+	// syncanal's tests check it differentially against a per-access
+	// oracle that declares no classes.
 	AccessClass []int32
 }
 

@@ -102,9 +102,6 @@ func (b *Bag) BySeverity(sev Severity) []Diagnostic {
 	return out
 }
 
-// HasErrors reports whether any error-severity diagnostic was recorded.
-func (b *Bag) HasErrors() bool { return b.Err() != nil }
-
 // Err returns the first error-severity diagnostic as an error, or nil.
 func (b *Bag) Err() error {
 	for i := range b.list {

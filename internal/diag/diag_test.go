@@ -47,3 +47,6 @@ func TestDiagnosticString(t *testing.T) {
 		t.Error("severity names wrong")
 	}
 }
+
+// HasErrors reports whether any error-severity diagnostic was recorded.
+func (b *Bag) HasErrors() bool { return b.Err() != nil }

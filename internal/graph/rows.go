@@ -45,14 +45,8 @@ func NewClassRows(classOf []int32, rows [][]uint64, n int) *ClassRows {
 	return &ClassRows{ClassOf: classOf, ClassRow: rows, n: n}
 }
 
-// N returns the number of ids.
-func (m *ClassRows) N() int { return m.n }
-
 // Row returns the shared row of i's class.
 func (m *ClassRows) Row(i int) []uint64 { return m.ClassRow[m.ClassOf[i]] }
-
-// Has reports bit (i, j).
-func (m *ClassRows) Has(i, j int) bool { return BitGet(m.Row(i), j) }
 
 // Count returns the number of set (i, j) pairs, expanded: each class row
 // counts once per member.

@@ -7,12 +7,13 @@ import (
 )
 
 // vmHost adapts the simulator to the VM's Host interface. Every run
-// executes blocks on the bytecode VM (internal/vm); the AST walker of
-// interp.go survives as its differential reference, selected only by the
-// package's tests (export_test.go, engines_diff_test.go). The methods are
-// the walker's statement bodies minus operand evaluation (the bytecode did
-// that already), so both engines share one implementation of the event
-// semantics, the cost model, and the tap protocol.
+// executes blocks on the bytecode VM (internal/vm); its differential
+// reference, the AST walker, lives in the package's tests (walker_test.go,
+// selected through export_test.go's SetWalker). The methods enter the
+// simulator past operand evaluation (the bytecode did that already), at
+// the same points the walker enters it, so both engines share one
+// implementation of the event semantics, the cost model, and the tap
+// protocol.
 type vmHost struct {
 	s     *sim
 	calls hostCalls // this run's crossings, by method
@@ -26,8 +27,8 @@ type hostCalls struct {
 
 // ChargeALUN applies n accumulated ALU charges where no access carries
 // them: at ret, and before a traced block entry. Like the charges an
-// access carries (its alu argument), they are n separate additions — the
-// walker's, in the walker's order — so clocks stay bit-identical.
+// access carries (its alu argument), they are n separate additions, in
+// statement order, so clocks stay bit-identical to the walker's.
 func (h *vmHost) ChargeALUN(p, n int) {
 	h.calls.ChargeALUN++
 	h.s.procs[p].chargeN(n, h.s.cfg.ALUCost)

@@ -14,9 +14,11 @@ import (
 
 // This file is the package's one sequentially consistent transition
 // system (mcState.step) and the explicit-state model checker over it. The
-// same steps serve three drivers: EnumerateSC explores them under
-// partial-order reduction, EnumerateSCReference explores them unreduced
-// with an exact visited set, and RunSC (sc.go) walks one seeded schedule.
+// same steps serve three drivers: EnumerateSCStats explores them under
+// partial-order reduction, RunSC (sc.go) walks one seeded schedule, and
+// the package's tests explore them unreduced with an exact visited set
+// (EnumerateSCReferenceStats, export_test.go), the reduction's
+// differential reference.
 // The reduced enumerator is built to scale:
 //
 //   - Partial-order reduction. Processor-local steps (assignments, local
@@ -71,37 +73,23 @@ type EnumStats struct {
 	Truncated bool
 }
 
-// ReductionFactor returns how many states the reference enumerator
-// explored per state this engine explored, given the reference's count.
-func (s EnumStats) ReductionFactor(referenceStates int) float64 {
-	if s.States == 0 {
-		return 0
-	}
-	return float64(referenceStates) / float64(s.States)
-}
-
-// EnumerateSC exhaustively explores the sequentially consistent state
+// EnumerateSCStats exhaustively explores the sequentially consistent state
 // space of a program under partial-order reduction: from every canonical
 // state, every processor whose next step may interfere with another may
 // take the next atomic step, while provably independent steps run
 // deterministically. It returns the set of final-state outcome keys
-// (OutcomeKey over memory plus the print log), or ok=false if the
-// exploration exceeded maxStates (the program is too large to enumerate).
+// (OutcomeKey over memory plus the print log) and the exploration
+// statistics, or ok=false if the exploration exceeded maxStates (the
+// program is too large to enumerate). A maxStates of zero or less selects
+// the default budget (4,000,000 states; the partial-order-reduced states
+// are cheap enough that the budget is an order of magnitude above the old
+// enumerator's).
 //
 // The outcome set is provably equal to the unreduced enumeration's: the
 // reduction only reorders commuting steps (see DESIGN.md §11). This is
 // the sound oracle for the differential fuzz tests: a weak-memory outcome
 // is a true sequential-consistency violation if and only if it is absent
 // from this set.
-func EnumerateSC(fn *ir.Fn, procs, maxStates int) (outcomes map[string]bool, ok bool) {
-	outcomes, _, ok = EnumerateSCStats(fn, procs, maxStates)
-	return outcomes, ok
-}
-
-// EnumerateSCStats is EnumerateSC with exploration statistics. A
-// maxStates of zero or less selects the default budget (4,000,000
-// states; the partial-order-reduced states are cheap enough that the
-// budget is an order of magnitude above the old enumerator's).
 func EnumerateSCStats(fn *ir.Fn, procs, maxStates int) (map[string]bool, EnumStats, bool) {
 	outcomes, stats, ok, _ := EnumerateSCContext(context.Background(), fn, procs, maxStates)
 	return outcomes, stats, ok
@@ -129,38 +117,8 @@ func EnumerateSCContext(ctx context.Context, fn *ir.Fn, procs, maxStates int) (m
 // its context: at a microsecond or two a state, a millisecond or two.
 const enumPollStates = 1024
 
-// DefaultEnumBudget is the default visited-state budget of EnumerateSC.
+// DefaultEnumBudget is the default visited-state budget of EnumerateSCStats.
 const DefaultEnumBudget = 4_000_000
-
-// EnumerateSCReference explores the same transition system as EnumerateSC
-// without partial-order reduction — from every reachable state, every
-// processor that can move takes the next atomic step — and deduplicates
-// states on their full encoding rather than its 128-bit fingerprint. It
-// returns the set of final-state outcome keys, or ok=false if the
-// exploration exceeded maxStates.
-//
-// Both enumerators share mcState.step, so this does not check the step
-// semantics; it checks what EnumerateSC adds on top of them, the ample sets
-// and the fingerprints (enum_diff_test.go).
-func EnumerateSCReference(fn *ir.Fn, procs, maxStates int) (outcomes map[string]bool, ok bool) {
-	outcomes, _, ok = EnumerateSCReferenceStats(fn, procs, maxStates)
-	return outcomes, ok
-}
-
-// EnumerateSCReferenceStats is EnumerateSCReference with exploration
-// statistics. A maxStates of zero or less selects the reference default
-// of 2,000,000 states (half the reduced engine's default: unreduced, every
-// intermediate state is a visited state, and each keeps its encoding).
-func EnumerateSCReferenceStats(fn *ir.Fn, procs, maxStates int) (map[string]bool, EnumStats, bool) {
-	if maxStates <= 0 {
-		maxStates = 2_000_000
-	}
-	st := enumerate(context.Background(), fn, procs, maxStates, false)
-	if st.stats.Truncated {
-		return nil, st.stats, false
-	}
-	return st.outcomes, st.stats, true
-}
 
 // enumerate runs the DFS over fn's state space. reduce selects the reduced
 // engine: partial-order reduction over the conflict tables, and a visited

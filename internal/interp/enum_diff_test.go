@@ -136,6 +136,22 @@ func diffEngines(t *testing.T, name string, fn *ir.Fn, procs, refBudget int) (po
 	return por, ref, true
 }
 
+// FuzzEnumeratorsMatchReference is the SC verifier's oracle check: on the
+// progen programs FuzzSCVerify verifies (two processors, the same seeds),
+// wherever the unreduced reference finishes within 150,000 states the
+// reduced enumerator must finish too, with the identical outcome set.
+func FuzzEnumeratorsMatchReference(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, progSeed int64) {
+		const procs = 2
+		src := progen.Generate(progSeed, progen.Options{Procs: procs})
+		fn := ir.MustBuild(src, ir.BuildOptions{Procs: procs})
+		diffEngines(t, fmt.Sprintf("seed %d", progSeed), fn, procs, 150_000)
+	})
+}
+
 // TestReferenceIsUnreducedAndExact: the reference shares the reduced
 // engine's steps, so what it checks is the reduction itself. It must run
 // none (no deterministic local steps) and visit strictly more states than
@@ -173,7 +189,7 @@ func TestEnumDiffHandwritten(t *testing.T) {
 			}
 			t.Logf("%s/p%d: POR %d states (%d transitions, %d local), reference %d states — %.1fx",
 				tc.name, procs, por.States, por.Transitions, por.LocalSteps, ref.States,
-				por.ReductionFactor(ref.States))
+				float64(ref.States)/float64(por.States))
 			totalPOR += por.States
 			totalRef += ref.States
 		}
@@ -208,7 +224,7 @@ func TestEnumDiffApps(t *testing.T) {
 		if ok {
 			compared++
 			t.Logf("%s: POR %d states, reference %d states — %.1fx, %d outcomes",
-				k.Name, por.States, ref.States, por.ReductionFactor(ref.States), por.Outcomes)
+				k.Name, por.States, ref.States, float64(ref.States)/float64(por.States), por.Outcomes)
 		}
 		// Sampled schedules must be explainable by the exact oracle.
 		porOut, _, porOK := interp.EnumerateSCStats(fn, procs, 1_000_000)

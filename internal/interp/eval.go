@@ -14,9 +14,9 @@
 //     the mid-level IR, used as the oracle: every shared access happens
 //     atomically at a global interleaving point, each step's processor
 //     drawn uniformly from the unblocked ones by the seeded schedRNG. It
-//     walks the same transition relation (mcState.step) that EnumerateSC
-//     and EnumerateSCReference explore exhaustively, so property tests can
-//     check weak-memory outcomes against the exact SC outcome set.
+//     walks the same transition relation (mcState.step) that EnumerateSCStats
+//     explores exhaustively, so property tests can check weak-memory
+//     outcomes against the exact SC outcome set.
 package interp
 
 import (
@@ -277,23 +277,11 @@ func (m *Memory) CheckIndex(sym *sem.Symbol, idx int64) error {
 	return nil
 }
 
-// Read returns the value of sym[idx].
-func (m *Memory) Read(sym *sem.Symbol, idx int64) ir.Value { return m.data[sym.ID][idx] }
-
-// Write stores v into sym[idx].
-func (m *Memory) Write(sym *sem.Symbol, idx int64, v ir.Value) { m.data[sym.ID][idx] = v }
-
 // ReadID returns the value at element idx of the symbol with the given ID.
 func (m *Memory) ReadID(symID int32, idx int64) ir.Value { return m.data[symID][idx] }
 
 // WriteID stores v into element idx of the symbol with the given ID.
 func (m *Memory) WriteID(symID int32, idx int64, v ir.Value) { m.data[symID][idx] = v }
-
-// Owner returns the processor owning sym[idx]: the declared owner for
-// scalars, the block owner for blocked arrays, idx mod P for cyclic ones.
-func (m *Memory) Owner(sym *sem.Symbol, idx int64) int {
-	return m.OwnerID(sym.ID, idx)
-}
 
 // OwnerID is Owner keyed by the symbol's dense ID, using the precomputed
 // per-symbol layout rule.

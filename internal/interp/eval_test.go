@@ -210,3 +210,15 @@ func main() {
 		t.Error("sqrt of a negative should fail")
 	}
 }
+
+// Read returns the value of sym[idx].
+func (m *Memory) Read(sym *sem.Symbol, idx int64) ir.Value { return m.data[sym.ID][idx] }
+
+// Write stores v into sym[idx].
+func (m *Memory) Write(sym *sem.Symbol, idx int64, v ir.Value) { m.data[sym.ID][idx] = v }
+
+// Owner returns the processor owning sym[idx]: the declared owner for
+// scalars, the block owner for blocked arrays, idx mod P for cyclic ones.
+func (m *Memory) Owner(sym *sem.Symbol, idx int64) int {
+	return m.OwnerID(sym.ID, idx)
+}

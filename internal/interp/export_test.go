@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/ir"
 	"repro/internal/target"
 )
 
@@ -10,8 +12,13 @@ import (
 // compile through the root package (which imports this one).
 
 // SetWalker makes r's later runs execute blocks on the AST walker, the
-// bytecode VM's differential reference, instead of the VM.
-func (r *Runner) SetWalker(on bool) { r.s.walker = on }
+// bytecode VM's differential reference (walker_test.go), instead of the VM.
+func (r *Runner) SetWalker(on bool) {
+	r.walker = nil
+	if on {
+		r.walker = newWalker(&r.s)
+	}
+}
 
 // MadeVM reports whether r has built its bytecode machine, which only a
 // run on the VM does: a Runner whose every run was on the walker has not.
@@ -82,4 +89,34 @@ func Parked(prog *target.Prog) *Runner {
 func (r *Runner) HoldsCallerState() bool {
 	s := &r.s
 	return s.tap != nil || s.opts.Tap != nil || s.opts != (RunOptions{}) || s.delayPreds != nil
+}
+
+// EnumerateSCReferenceStats explores the same transition system as
+// EnumerateSCStats without partial-order reduction — from every reachable
+// state, every processor that can move takes the next atomic step — and
+// deduplicates states on their full encoding rather than its 128-bit
+// fingerprint. It returns the set of final-state outcome keys and the
+// exploration statistics, or ok=false if the exploration exceeded
+// maxStates; zero or less selects 2,000,000 states (half the reduced
+// engine's default: unreduced, every intermediate state is a visited
+// state, and each keeps its encoding).
+//
+// Both enumerators share mcState.step, so this does not check the step
+// semantics; it checks what the reduction adds on top of them, the ample sets
+// and the fingerprints (enum_diff_test.go).
+func EnumerateSCReferenceStats(fn *ir.Fn, procs, maxStates int) (map[string]bool, EnumStats, bool) {
+	if maxStates <= 0 {
+		maxStates = 2_000_000
+	}
+	st := enumerate(context.Background(), fn, procs, maxStates, false)
+	if st.stats.Truncated {
+		return nil, st.stats, false
+	}
+	return st.outcomes, st.stats, true
+}
+
+// EnumerateSC is EnumerateSCStats without the statistics.
+func EnumerateSC(fn *ir.Fn, procs, maxStates int) (outcomes map[string]bool, ok bool) {
+	outcomes, _, ok = EnumerateSCStats(fn, procs, maxStates)
+	return outcomes, ok
 }

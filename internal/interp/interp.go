@@ -211,9 +211,9 @@ func (p *proc) charge(c float64) {
 	p.stats.Busy += c
 }
 
-// chargeN charges c n times, as n separate additions: the walker charges
-// each statement as it runs, and the VM's batched ALU charges must round
-// exactly as those additions do.
+// chargeN charges c n times, as n separate additions: the VM batches the
+// ALU charges of the statements between host calls, and they must round
+// exactly as charging each statement as it runs does.
 func (p *proc) chargeN(n int, c float64) {
 	t, b := p.time, p.stats.Busy
 	for ; n > 0; n-- {
@@ -225,8 +225,6 @@ func (p *proc) chargeN(n int, c float64) {
 
 type proc struct {
 	id       int
-	blk      *target.Block
-	idx      int
 	time     float64
 	env      *env
 	ctrs     []ctrState
@@ -288,9 +286,8 @@ type sim struct {
 	queue evq
 	seq   int64
 	mem   *Memory
-	// vmm is the bytecode machine; nil under the walker. resume delegates
-	// to it.
-	vmm *vm.Machine
+	// eng runs the processors' blocks; resume delegates to it.
+	eng blockEngine
 	// evs and lks are indexed by the checker's dense per-category symbol
 	// IDs (Symbol.ID), replacing per-access map lookups.
 	evs   [][]eventObj
@@ -328,12 +325,24 @@ type sim struct {
 	// forcing scan it triggers recomputes it exactly. A write dispatching
 	// before it has nothing to force and skips the scan.
 	minArr float64
-	// queueReads, onWrite and walker are test hooks (export_test.go): force
-	// every read through the queue; observe each evMemWrite dispatch; run
-	// blocks on the AST walker, the VM's differential reference.
+	// queueReads and onWrite are test hooks (export_test.go): force every
+	// read through the queue; observe each evMemWrite dispatch.
 	queueReads bool
 	onWrite    func(e *event)
-	walker     bool
+}
+
+// blockEngine runs processors' blocks between yields. Every run uses the
+// bytecode VM; the package's tests substitute the AST walker, the VM's
+// differential reference (walker_test.go).
+type blockEngine interface {
+	// Reset rewinds every processor to the program's entry.
+	Reset()
+	// Resume runs processor p until it yields, fails, or rets.
+	Resume(p int)
+	// Done reports whether p has executed its ret.
+	Done(p int) bool
+	// Where returns the block and statement index p is stopped at.
+	Where(p int) (blk, stmt int)
 }
 
 // Run executes the target program on the simulated machine. It runs on the
@@ -374,6 +383,9 @@ type Runner struct {
 	// VM.
 	vmm  *vm.Machine
 	host *vmHost
+	// walker, when set, runs blocks in vmm's place: a test hook
+	// (export_test.go).
+	walker blockEngine
 	// lastCompletion backs the processors' delay-verification tables.
 	lastCompletion []float64
 	// self holds the Runner itself: the box Run parks on the program.
@@ -473,8 +485,8 @@ func (r *Runner) reset(opts RunOptions) error {
 			r.lastCompletion[i] = -1
 		}
 	}
-	s.vmm = nil
-	if !s.walker {
+	s.eng = r.walker
+	if s.eng == nil {
 		if r.vmm == nil {
 			code, err := vm.Compiled(prog)
 			if err != nil {
@@ -482,20 +494,20 @@ func (r *Runner) reset(opts RunOptions) error {
 			}
 			r.host = &vmHost{s: s}
 			r.vmm = vm.NewMachine(code, r.host, cfg.Procs)
-			// Frames alias the walker's env storage, so landing events
-			// (evGetLand writes env.scalars) work identically for both engines.
+			// Frames alias the processors' env storage, so get landings
+			// (applyLands writes env.scalars) reach the VM's locals.
 			for _, pr := range s.procs {
 				r.vmm.SetFrame(pr.id, pr.env.scalars, pr.env.arrays)
 			}
 		}
-		s.vmm = r.vmm
-		s.vmm.Reset()
 		r.host.calls = hostCalls{}
 		// With no tap attached, per-block EnterBlock callbacks observe
 		// nothing; eliding them defers ALU charges across block boundaries
 		// but keeps the additions in order, so clocks match.
-		s.vmm.SetTrace(s.tap != nil)
+		r.vmm.SetTrace(s.tap != nil)
+		s.eng = r.vmm
 	}
+	s.eng.Reset()
 	for _, pr := range s.procs {
 		for i := range pr.ctrs {
 			pr.ctrs[i].pending = pr.ctrs[i].pending[:0]
@@ -503,7 +515,6 @@ func (r *Runner) reset(opts RunOptions) error {
 		pr.env.reset(prog.Fn)
 		*pr = proc{
 			id:      pr.id,
-			blk:     prog.Blocks[0],
 			env:     pr.env,
 			ctrs:    pr.ctrs,
 			ctrWait: -1,
@@ -581,10 +592,7 @@ func (r *Runner) run(opts RunOptions) (*Result, error) {
 	}
 	for _, p := range s.procs {
 		if !p.done {
-			blk, idx := p.blk.ID, p.idx
-			if s.vmm != nil {
-				blk, idx = s.vmm.Where(p.id)
-			}
+			blk, idx := s.eng.Where(p.id)
 			return nil, fmt.Errorf("deadlock: proc %d blocked at block %d stmt %d", p.id, blk, idx)
 		}
 	}
@@ -804,171 +812,16 @@ func (s *sim) deliver(owner int, sent float64) float64 {
 	return arrival + s.cfg.RecvOv
 }
 
-func (s *sim) ctx(p *proc) evalCtx { return evalCtx{proc: p.id, procs: s.cfg.Procs} }
-
-// accessLoc evaluates an access's element index and owner.
-func (s *sim) accessLoc(p *proc, acc *ir.Access) (idx int64, owner int, ok bool) {
-	if acc.Index != nil {
-		v, err := evalInt(acc.Index, p.env, s.ctx(p))
-		if err != nil {
-			s.fail(p, "%v", err)
-			return 0, 0, false
-		}
-		idx = v
-	}
-	if err := s.mem.CheckIndex(acc.Sym, idx); err != nil {
-		s.fail(p, "%v", err)
-		return 0, 0, false
-	}
-	return idx, s.mem.OwnerID(acc.Sym.ID, idx), true
-}
-
 // resume runs processor p until it blocks or finishes.
 func (s *sim) resume(p *proc) {
-	if s.vmm != nil {
-		s.vmm.Resume(p.id)
-		if s.vmm.Done(p.id) {
-			p.done = true
-		}
-		return
-	}
-	for s.err == nil && !p.done {
-		if p.idx >= len(p.blk.Stmts) {
-			if !s.terminate(p) {
-				return
-			}
-			continue
-		}
-		st := p.blk.Stmts[p.idx]
-		switch st := st.(type) {
-		case *target.Wrap:
-			if !s.wrapped(p, st.S) {
-				return
-			}
-		case *target.Get:
-			s.issueGet(p, st)
-			p.idx++
-		case *target.Put:
-			s.issuePut(p, st)
-			p.idx++
-		case *target.Store:
-			s.issueStore(p, st)
-			p.idx++
-		case *target.SyncCtr:
-			s.syncCtr(p, st.Ctr)
-			return
-		default:
-			s.fail(p, "unhandled target statement %T", st)
-			return
-		}
-	}
-}
-
-// terminate executes the block terminator; false means p yielded.
-func (s *sim) terminate(p *proc) bool {
-	switch t := p.blk.Term.(type) {
-	case *target.Jump:
-		p.blk, p.idx = t.To, 0
-		if s.tap != nil {
-			s.tap.Block(p.id, p.blk.ID)
-		}
-		return true
-	case *target.Branch:
-		v, err := eval(t.Cond, p.env, s.ctx(p))
-		if err != nil {
-			s.fail(p, "%v", err)
-			return false
-		}
-		p.charge(s.cfg.ALUCost)
-		if v.IsTrue() {
-			p.blk = t.Then
-		} else {
-			p.blk = t.Else
-		}
-		p.idx = 0
-		if s.tap != nil {
-			s.tap.Block(p.id, p.blk.ID)
-		}
-		return true
-	case *target.Ret:
+	s.eng.Resume(p.id)
+	if s.eng.Done(p.id) {
 		p.done = true
-		return true
-	default:
-		s.fail(p, "missing terminator in block %d", p.blk.ID)
-		return false
 	}
 }
 
-// wrapped executes a carried-over IR statement; false means p yielded.
-func (s *sim) wrapped(p *proc, st ir.Stmt) bool {
-	switch st := st.(type) {
-	case *ir.Assign:
-		v, err := eval(st.Src, p.env, s.ctx(p))
-		if err != nil {
-			s.fail(p, "%v", err)
-			return false
-		}
-		p.env.scalars[st.Dst] = v
-		p.charge(s.cfg.ALUCost)
-		p.idx++
-		return true
-	case *ir.SetElem:
-		idx, err := evalInt(st.Index, p.env, s.ctx(p))
-		if err != nil {
-			s.fail(p, "%v", err)
-			return false
-		}
-		arr := p.env.arrays[st.Arr]
-		if idx < 0 || idx >= int64(len(arr)) {
-			s.fail(p, "local array index %d out of range [0,%d)", idx, len(arr))
-			return false
-		}
-		v, err := eval(st.Src, p.env, s.ctx(p))
-		if err != nil {
-			s.fail(p, "%v", err)
-			return false
-		}
-		arr[idx] = v
-		p.charge(s.cfg.ALUCost)
-		p.idx++
-		return true
-	case *ir.Print:
-		line := fmt.Sprintf("[p%d]", p.id)
-		for _, a := range st.Args {
-			if a.IsStr {
-				line += " " + a.Str
-			} else {
-				v, err := eval(a.E, p.env, s.ctx(p))
-				if err != nil {
-					s.fail(p, "%v", err)
-					return false
-				}
-				line += " " + v.String()
-			}
-		}
-		p.prints = append(p.prints, line)
-		p.charge(s.cfg.ALUCost)
-		p.idx++
-		return true
-	case *ir.SyncOp:
-		return s.syncOp(p, st.Acc)
-	default:
-		s.fail(p, "unhandled wrapped statement %T", st)
-		return false
-	}
-}
-
-func (s *sim) issueGet(p *proc, g *target.Get) {
-	s.verifyDelays(p, g.Acc)
-	idx, owner, ok := s.accessLoc(p, g.Acc)
-	if !ok {
-		return
-	}
-	s.issueGetAt(p, g.Acc, idx, owner, g.Dst, g.Ctr)
-}
-
-// issueGetAt is issueGet past operand evaluation — the point the two
-// engines share (the VM host enters here with the index already popped).
+// issueGetAt issues a get whose operands are evaluated (the VM host
+// enters here with the index already popped).
 func (s *sim) issueGetAt(p *proc, acc *ir.Access, idx int64, owner int, dst ir.LocalID, ctr target.Ctr) {
 	dyn := s.tapIssue(p, OpGet, acc, idx)
 	var arrival, completion float64
@@ -1041,21 +894,7 @@ func (s *sim) issueGetAt(p *proc, acc *ir.Access, idx int64, owner int, dst ir.L
 	p.live = live
 }
 
-func (s *sim) issuePut(p *proc, pt *target.Put) {
-	s.verifyDelays(p, pt.Acc)
-	idx, owner, ok := s.accessLoc(p, pt.Acc)
-	if !ok {
-		return
-	}
-	v, err := eval(pt.Src, p.env, s.ctx(p))
-	if err != nil {
-		s.fail(p, "%v", err)
-		return
-	}
-	s.issuePutAt(p, pt.Acc, idx, owner, v, pt.Ctr)
-}
-
-// issuePutAt is issuePut past operand evaluation (shared with the VM host).
+// issuePutAt issues a put whose operands are evaluated.
 func (s *sim) issuePutAt(p *proc, acc *ir.Access, idx int64, owner int, v ir.Value, ctr target.Ctr) {
 	dyn := s.tapIssue(p, OpPut, acc, idx)
 	var arrival, completion float64
@@ -1077,22 +916,7 @@ func (s *sim) issuePutAt(p *proc, acc *ir.Access, idx int64, owner int, v ir.Val
 	w.symID, w.idx, w.val, w.dyn = int32(acc.Sym.ID), idx, v, int32(dyn)
 }
 
-func (s *sim) issueStore(p *proc, st *target.Store) {
-	s.verifyDelays(p, st.Acc)
-	idx, owner, ok := s.accessLoc(p, st.Acc)
-	if !ok {
-		return
-	}
-	v, err := eval(st.Src, p.env, s.ctx(p))
-	if err != nil {
-		s.fail(p, "%v", err)
-		return
-	}
-	s.issueStoreAt(p, st.Acc, idx, owner, v)
-}
-
-// issueStoreAt is issueStore past operand evaluation (shared with the VM
-// host).
+// issueStoreAt issues a store whose operands are evaluated.
 func (s *sim) issueStoreAt(p *proc, acc *ir.Access, idx int64, owner int, v ir.Value) {
 	dyn := s.tapIssue(p, OpStore, acc, idx)
 	var arrival float64
@@ -1155,39 +979,16 @@ func (s *sim) finishSyncCtr(p *proc) {
 		}
 	}
 	st.pending = ops[:0]
-	p.idx++
 }
 
-// syncOp executes post/wait/lock/unlock/barrier; false means p yielded.
-// The walker enters here and evaluates the element index itself; the VM
-// host enters at syncOpAt with the index already popped off its stack.
-func (s *sim) syncOp(p *proc, acc *ir.Access) bool {
-	if !p.waiting {
-		s.verifyDelays(p, acc)
-	}
-	idx := int64(0)
-	if acc.Index != nil {
-		v, err := evalInt(acc.Index, p.env, s.ctx(p))
-		if err != nil {
-			s.fail(p, "%v", err)
-			return false
-		}
-		idx = v
-	}
-	return s.syncOpDispatch(p, acc, idx)
-}
-
-// syncOpAt is the VM host's entry: operands are already evaluated, and on
-// a waiting re-execution the machine replays the saved index rather than
-// re-running the operand code.
+// syncOpAt executes post/wait/lock/unlock/barrier with its element index
+// evaluated; false means p yielded (or failed) and will execute the same
+// operation again when it resumes, the machine replaying the saved index
+// rather than re-running the operand code.
 func (s *sim) syncOpAt(p *proc, acc *ir.Access, idx int64) bool {
 	if !p.waiting {
 		s.verifyDelays(p, acc)
 	}
-	return s.syncOpDispatch(p, acc, idx)
-}
-
-func (s *sim) syncOpDispatch(p *proc, acc *ir.Access, idx int64) bool {
 	switch acc.Kind {
 	case ir.AccBarrier:
 		return s.barrier(p, acc)
@@ -1236,7 +1037,6 @@ func (s *sim) post(p *proc, acc *ir.Access, idx int64) bool {
 	arrival := p.time + s.wire() + s.cfg.RecvOv
 	e := s.newEvent(arrival, evPost)
 	e.proc, e.symID, e.idx, e.accID, e.dyn = int32(p.id), int32(acc.Sym.ID), idx, int32(acc.ID), int32(dyn)
-	p.idx++
 	return true
 }
 
@@ -1291,7 +1091,6 @@ func (s *sim) waitEv(p *proc, acc *ir.Access, idx int64) bool {
 		p.time = t
 	}
 	p.charge(s.cfg.RecvOv)
-	p.idx++
 	return true
 }
 
@@ -1315,7 +1114,6 @@ func (s *sim) lock(p *proc, acc *ir.Access, idx int64) bool {
 		p.time = p.wakeTime
 	}
 	p.charge(s.cfg.RecvOv)
-	p.idx++
 	return true
 }
 
@@ -1330,7 +1128,6 @@ func (s *sim) unlock(p *proc, acc *ir.Access, idx int64) bool {
 	relArrival := p.time + s.wire() + s.cfg.RecvOv
 	e := s.newEvent(relArrival, evLockRel)
 	e.proc, e.symID, e.idx, e.dyn = int32(p.id), int32(acc.Sym.ID), idx, int32(dyn)
-	p.idx++
 	return true
 }
 
@@ -1436,7 +1233,6 @@ func (s *sim) barrier(p *proc, acc *ir.Access) bool {
 		s.tap.Episode(dyn, p.barEp)
 	}
 	p.charge(s.cfg.RecvOv)
-	p.idx++
 	return true
 }
 

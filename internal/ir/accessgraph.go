@@ -109,10 +109,6 @@ func BuildAccessGraph(fn *Fn) *AccessGraph {
 	return ag
 }
 
-// Reaches reports whether access b can execute after access a on the same
-// processor in some execution (a path of length >= 1 in program order).
-func (ag *AccessGraph) Reaches(a, b int) bool { return ag.reach.Has(a, b) }
-
 // PredRow returns the program-order predecessor row of b as a shared
 // bitset (bit a set iff Reaches(a, b)). The transposed matrix is built on
 // first use; like the graph itself it must not be modified by callers.

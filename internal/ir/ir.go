@@ -353,9 +353,6 @@ type IntRange struct {
 	Lo, Hi int64
 }
 
-// Contains reports whether v lies in the range.
-func (r IntRange) Contains(v int64) bool { return v >= r.Lo && v < r.Hi }
-
 // Fn is a compiled function body (after inlining, the whole SPMD program).
 type Fn struct {
 	Name     string

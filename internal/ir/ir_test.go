@@ -733,3 +733,10 @@ func TestEvalBinComparisonsAndLogic(t *testing.T) {
 		t.Error("mod by zero should fail")
 	}
 }
+
+// Reaches reports whether access b can execute after access a on the same
+// processor in some execution (a path of length >= 1 in program order).
+func (ag *AccessGraph) Reaches(a, b int) bool { return ag.reach.Has(a, b) }
+
+// StmtString renders one statement.
+func (f *Fn) StmtString(s Stmt) string { return string(f.AppendStmt(nil, s)) }

@@ -57,9 +57,6 @@ func appendAccID(b []byte, a *Access) []byte {
 	return strconv.AppendInt(append(b, "    ; a"...), int64(a.ID), 10)
 }
 
-// StmtString renders one statement.
-func (f *Fn) StmtString(s Stmt) string { return string(f.AppendStmt(nil, s)) }
-
 // AppendStmt appends the text of one statement to b, as StmtString renders
 // it.
 func (f *Fn) AppendStmt(b []byte, s Stmt) []byte {

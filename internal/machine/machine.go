@@ -62,12 +62,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// WithProcs returns a copy with a different processor count.
-func (c Config) WithProcs(p int) Config {
-	c.Procs = p
-	return c
-}
-
 // CM5 models the Thinking Machines CM-5 of the paper's evaluation:
 // remote access 400 cycles, local 30.
 func CM5(procs int) Config {

@@ -37,13 +37,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestWithProcs(t *testing.T) {
-	c := CM5(64).WithProcs(8)
-	if c.Procs != 8 || c.Name != "CM-5" {
-		t.Errorf("WithProcs wrong: %+v", c)
-	}
-}
-
 func TestIdeal(t *testing.T) {
 	c := Ideal(4)
 	if c.RemoteRoundTrip() != 0 {

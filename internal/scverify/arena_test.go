@@ -3,7 +3,7 @@ package scverify
 // Verify recycles three things across the runs of a verdict: the
 // simulator state (interp.Runner), the trace buffers (Collector.Reset) and
 // the happens-before graph (checker). These tests hold every recycled run
-// to what a new interp.Runner + NewCollector + CheckTrace give on fresh
+// to what a new interp.Runner, Collector and checker give on fresh
 // state. (interp.Run is no reference: it reuses the runner parked on the
 // program.)
 
@@ -57,7 +57,7 @@ func violationText(v *Violation) string {
 func checkRecycledRun(t *testing.T, id string, a *arena, runner *interp.Runner, prog *target.Prog, cfg machine.Config, sch Schedule) *Violation {
 	t.Helper()
 	got, gotV, gotErr := a.runOne(sch, runner.Run)
-	col := NewCollector()
+	col := &Collector{}
 	fresh, err := interp.NewRunner(prog, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
@@ -77,7 +77,7 @@ func checkRecycledRun(t *testing.T, id string, a *arena, runner *interp.Runner, 
 	if d := traceDiff(a.col.Trace(), col.Trace()); d != "" {
 		t.Fatalf("%s: recycled trace differs from a fresh collector's: %s", id, d)
 	}
-	wantV := CheckTrace(col.Trace())
+	wantV := new(checker).check(col.Trace())
 	if wantV != nil {
 		wantV.Schedule = sch
 	}

@@ -335,17 +335,12 @@ func (g *checker) findCycle() ([]int, []EdgeKind) {
 	return nil, nil
 }
 
-// CheckTrace builds the happens-before graph for the trace and reports a
-// violation if the orderings do not embed into any single total order,
-// i.e. the graph has a cycle. A nil result means the execution is
-// explainable by a sequentially consistent interleaving.
-func CheckTrace(tr *Trace) *Violation {
-	return new(checker).check(tr)
-}
-
-// check is CheckTrace on the checker's buffers. The Violation holds
-// rendered strings only, nothing of tr or of the checker, so both may be
-// recycled while it is kept.
+// check builds the happens-before graph for the trace, on the checker's
+// buffers, and reports a violation if the orderings do not embed into any
+// single total order, i.e. the graph has a cycle. A nil result means the
+// execution is explainable by a sequentially consistent interleaving. The
+// Violation holds rendered strings only, nothing of tr or of the checker,
+// so both may be recycled while it is kept.
 func (g *checker) check(tr *Trace) *Violation {
 	g.build(tr)
 	nodes, kinds := g.findCycle()

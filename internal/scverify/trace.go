@@ -70,9 +70,6 @@ type Collector struct {
 	curBlk   []int // per proc: current target block id
 }
 
-// NewCollector returns an empty collector, ready to pass as RunOptions.Tap.
-func NewCollector() *Collector { return &Collector{} }
-
 // Reset empties the collector for another run, keeping every buffer's
 // capacity. The Trace returned earlier is the collector's own and is
 // overwritten by the next run.

@@ -113,7 +113,7 @@ type AnalyzeResult struct {
 	Regions       int `json:"regions"`
 	LargestRegion int `json:"largest_region"`
 	// RClasses is the number of R-equivalence classes of the
-	// class-condensed precedence relation (0 under the per-access oracle).
+	// class-condensed precedence relation.
 	RClasses int `json:"r_classes"`
 	// Summary is the human-readable analysis summary.
 	Summary string `json:"summary"`

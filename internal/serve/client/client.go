@@ -82,14 +82,6 @@ func (c *Client) post(ctx context.Context, path string, req, resp any) error {
 	return c.do(hreq, resp)
 }
 
-func (c *Client) get(ctx context.Context, path string, resp any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	return c.do(hreq, resp)
-}
-
 func (c *Client) do(hreq *http.Request, resp any) error {
 	hresp, err := c.http.Do(hreq)
 	if err != nil {
@@ -142,8 +134,12 @@ func (c *Client) Verify(ctx context.Context, req *serve.VerifyRequest) (*serve.V
 
 // Stats fetches the daemon's counters.
 func (c *Client) Stats(ctx context.Context) (*serve.StatsResponse, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/stats", nil)
+	if err != nil {
+		return nil, err
+	}
 	var resp serve.StatsResponse
-	if err := c.get(ctx, "/v1/stats", &resp); err != nil {
+	if err := c.do(hreq, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -51,11 +51,3 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() ([]byte, err
 	close(c.done)
 	return c.body, false, c.err
 }
-
-// inflight reports how many keys currently have a leader in flight; the
-// server's stats endpoint and the tests read it.
-func (g *flightGroup) inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}

@@ -103,3 +103,10 @@ func TestFlightGroupFollowerTimeout(t *testing.T) {
 	close(release)
 	<-leaderDone
 }
+
+// inflight reports how many keys currently have a leader in flight.
+func (g *flightGroup) inflight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.m)
+}

@@ -245,3 +245,17 @@ func TestDiskStoreReopen(t *testing.T) {
 		t.Fatalf("reopened index: Len=%d SizeBytes=%d", s2.Len(), s2.SizeBytes())
 	}
 }
+
+// CorruptRecovered returns how many corrupt entries Get has dropped.
+func (s *DiskStore) CorruptRecovered() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.corrupt
+}
+
+// Evictions returns how many artifacts the byte budget has pushed out.
+func (s *MemStore) Evictions() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.evicted
+}

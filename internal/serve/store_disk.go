@@ -69,9 +69,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 func (s *DiskStore) path(id string) string {
 	shard := "xx"
 	if len(id) >= 2 {
@@ -182,13 +179,6 @@ func (s *DiskStore) SizeBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.bytes
-}
-
-// CorruptRecovered returns how many corrupt entries Get has dropped.
-func (s *DiskStore) CorruptRecovered() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.corrupt
 }
 
 // Close implements Store. The files stay on disk; reopening the directory

@@ -96,13 +96,6 @@ func (s *MemStore) SizeBytes() int64 {
 	return s.bytes
 }
 
-// Evictions returns how many artifacts the byte budget has pushed out.
-func (s *MemStore) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
-}
-
 // Close implements Store.
 func (s *MemStore) Close() error {
 	s.mu.Lock()

@@ -338,25 +338,3 @@ func (lx *Lexer) lexString(pos Pos) Token {
 	}
 	return Token{Kind: STRINGLIT, Text: sb.String(), Pos: pos}
 }
-
-// Tokenize lexes the entire input and returns all tokens up to and
-// including the EOF token, or the first lexical error. Parse does not call
-// it — it reads tokens from a Lexer as it goes — so this is the form for
-// callers that want the whole stream at once, the lexer's own tests first.
-func Tokenize(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	// MiniSplit source runs a little over three bytes to the token (the 2k
-	// tier: 108,503 bytes, 32,699 tokens), so this is one allocation for
-	// nearly every input instead of a doubling ladder twice its size.
-	toks := make([]Token, 0, len(src)/3+16)
-	for {
-		t := lx.Next()
-		if err := lx.Err(); err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
-}

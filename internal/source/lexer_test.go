@@ -296,3 +296,25 @@ func TestTokenizeAllocatesOnce(t *testing.T) {
 		t.Fatalf("Tokenize allocates %.0f times on the acc2048 source, want <= 4", allocs)
 	}
 }
+
+// Tokenize lexes the entire input and returns all tokens up to and
+// including the EOF token, or the first lexical error: the whole stream at
+// once, which the lexer's tests compare. Parse reads tokens from a Lexer as
+// it goes instead.
+func Tokenize(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	// MiniSplit source runs a little over three bytes to the token (the 2k
+	// tier: 108,503 bytes, 32,699 tokens), so this is one allocation for
+	// nearly every input instead of a doubling ladder twice its size.
+	toks := make([]Token, 0, len(src)/3+16)
+	for {
+		t := lx.Next()
+		if err := lx.Err(); err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/delay"
+	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/progen"
 	"repro/internal/sem"
@@ -32,15 +34,15 @@ func gridProgram(seed int64) (*ir.Fn, bool) {
 	return fn, true
 }
 
-// sameRelation requires the two precedence relations to agree on every
-// access-level row.
-func sameRelation(t *testing.T, label string, got, want *Precedence, n int) {
+// sameRelation requires the class-condensed relation to agree with the
+// per-access oracle's on every access-level row.
+func sameRelation(t *testing.T, label string, got *Precedence, want *graph.BitMatrix) {
 	t.Helper()
-	if got.Size() != want.Size() {
-		t.Fatalf("%s: |R| %d vs per-access %d", label, got.Size(), want.Size())
+	if got.Size() != want.Count() {
+		t.Fatalf("%s: |R| %d vs per-access %d", label, got.Size(), want.Count())
 	}
-	for a := 0; a < n; a++ {
-		gr, wr := got.Row(a), want.Row(a)
+	for a := 0; a < want.N; a++ {
+		gr, wr := got.rowOf(a), want.Row(a)
 		for i := range wr {
 			if gr[i] != wr[i] {
 				t.Fatalf("%s: R row %d differs at word %d", label, a, i)
@@ -49,11 +51,10 @@ func sameRelation(t *testing.T, label string, got, want *Precedence, n int) {
 	}
 }
 
-// TestClassCondensedMatchesPerAccessGrid runs the full pipeline twice on
-// every buildable seed of a 150-program progen grid — class-condensed
-// precedence (the default) against the retained per-access oracle
-// (Options.perAccessR) — and requires the precedence relation and the
-// refined delay set to be pair-identical. The class representation is an
+// TestClassCondensedMatchesPerAccessGrid runs the full pipeline on every
+// buildable seed of a 150-program progen grid and the per-access oracle
+// beside it (analyzeOracle on delay.Compute) and requires the precedence
+// relation and the refined delay set to be pair-identical. The class representation is an
 // exact condensation, not an approximation, so any divergence is a bug.
 func TestClassCondensedMatchesPerAccessGrid(t *testing.T) {
 	checked := 0
@@ -63,9 +64,9 @@ func TestClassCondensedMatchesPerAccessGrid(t *testing.T) {
 			continue
 		}
 		got := Analyze(fn, Options{})
-		want := Analyze(fn, Options{perAccessR: true})
+		want := analyzeOracle(fn, Options{}, delay.Compute)
 		label := fmt.Sprintf("seed %d", seed)
-		sameRelation(t, label, got.R, want.R, len(fn.Accesses))
+		sameRelation(t, label, got.R, want.R)
 		if got.D.Size() != want.D.Size() {
 			t.Fatalf("%s: |D| %d vs per-access %d", label, got.D.Size(), want.D.Size())
 		}
@@ -102,21 +103,21 @@ func TestClassPartitionCongruence(t *testing.T) {
 		rep := make(map[int32]int) // class -> first member seen
 		distinct := 0
 		for a := 0; a < n; a++ {
-			c := res.R.ClassOf(a)
+			c := res.R.classOf[a]
 			r, seen := rep[c]
 			if !seen {
 				rep[c] = a
 				distinct++
 				continue
 			}
-			ar, rr := res.R.Row(a), res.R.Row(r)
+			ar, rr := res.R.rowOf(a), res.R.rowOf(r)
 			for i := range rr {
 				if ar[i] != rr[i] {
 					t.Fatalf("seed %d: accesses %d and %d share class %d but differ in row word %d",
 						seed, a, r, c, i)
 				}
 			}
-			ac, rc := res.R.ColRow(a), res.R.ColRow(r)
+			ac, rc := res.R.colOf(a), res.R.colOf(r)
 			for i := range rc {
 				if ac[i] != rc[i] {
 					t.Fatalf("seed %d: accesses %d and %d share class %d but differ in column word %d",
@@ -146,8 +147,8 @@ func TestScaleTierClassCondensedMatchesPerAccess(t *testing.T) {
 	}
 	fn := tierProgram(t, "acc2048")
 	got := Analyze(fn, Options{})
-	want := Analyze(fn, Options{perAccessR: true})
-	sameRelation(t, "acc2048", got.R, want.R, len(fn.Accesses))
+	want := analyzeOracle(fn, Options{}, delay.Compute)
+	sameRelation(t, "acc2048", got.R, want.R)
 	if got.D.Size() != want.D.Size() {
 		t.Fatalf("acc2048: |D| %d vs per-access %d", got.D.Size(), want.D.Size())
 	}

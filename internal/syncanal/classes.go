@@ -8,16 +8,19 @@ import (
 	"repro/internal/graph"
 )
 
-// This file implements the class-condensed backing of the precedence
-// relation R. The relation the paper's step 4 computes is highly
+// This file implements the precedence relation R, stored class-condensed.
+// The relation the paper's step 4 computes is highly
 // class-structured: accesses in the same phase of the same statement end up
 // with identical R rows, because every rule that grows R — the post->wait
 // seed rectangles, the dominator derivation (at most one rectangle per
 // class and round, precedence.go), and transitive closure — adds
 // *rectangles* over sets of accesses, never individual edges.
 //
-// classPartition therefore stores R as a partition of the accesses into
-// R-equivalence classes plus one bitset row per class over CLASS ids:
+// Precedence is the relation R: has(a, b) means access a is guaranteed to
+// complete before access b is initiated, in every execution, whenever the
+// two dynamic instances are "aligned" by the synchronization structure. It
+// stores R as a partition of the accesses into R-equivalence classes plus
+// one bitset row per class over CLASS ids:
 //
 //	R(a, b)  <=>  crel(classOf[a], classOf[b])
 //
@@ -37,7 +40,7 @@ import (
 // expanding and closing. The closure therefore runs on c x c rows instead
 // of n x n — the O(n^2 * n/64) -> O(c^2 * c/64) drop the scaling tiers
 // needed.
-type classPartition struct {
+type Precedence struct {
 	n int // accesses
 	w int // words per access bitset
 
@@ -70,8 +73,8 @@ type classPartition struct {
 	size   int
 }
 
-func newClassPartition(n int) *classPartition {
-	p := &classPartition{
+func newClassPrecedence(n int) *Precedence {
+	p := &Precedence{
 		n: n, w: graph.WordsFor(n), cap: 64,
 		classOf: make([]int32, n),
 		aStamp:  make([]int32, n),
@@ -96,10 +99,10 @@ func newClassPartition(n int) *classPartition {
 	return p
 }
 
-func (p *classPartition) wc() int { return graph.WordsFor(p.nc) }
+func (p *Precedence) wc() int { return graph.WordsFor(p.nc) }
 
 // ensureCap grows the class-id capacity of every row and scratch array.
-func (p *classPartition) ensureCap(need int) {
+func (p *Precedence) ensureCap(need int) {
 	if need <= p.cap {
 		return
 	}
@@ -124,7 +127,7 @@ func (p *classPartition) ensureCap(need int) {
 // splitClass moves the members of class c stamped with epoch e into a new
 // class and returns its id. The new class inherits c's row and column, so
 // the relation is unchanged at the access level.
-func (p *classPartition) splitClass(c int32, e int32) int32 {
+func (p *Precedence) splitClass(c int32, e int32) int32 {
 	t0 := time.Now()
 	defer func() { p.maint += time.Since(t0) }()
 	p.ensureCap(p.nc + 1)
@@ -165,7 +168,7 @@ func (p *classPartition) splitClass(c int32, e int32) int32 {
 }
 
 // splitBySet refines the partition so S becomes a union of classes.
-func (p *classPartition) splitBySet(S []int32) {
+func (p *Precedence) splitBySet(S []int32) {
 	if len(S) == 0 {
 		return
 	}
@@ -191,7 +194,7 @@ func (p *classPartition) splitBySet(S []int32) {
 
 // classesOf returns the distinct classes of the members of S, which must
 // already be a union of classes. The result is appended to dst.
-func (p *classPartition) classesOf(S []int32, dst []int32) []int32 {
+func (p *Precedence) classesOf(S []int32, dst []int32) []int32 {
 	p.epoch++
 	e := p.epoch
 	for _, a := range S {
@@ -206,7 +209,7 @@ func (p *classPartition) classesOf(S []int32, dst []int32) []int32 {
 
 // addRect inserts the rectangle A x B into R, splitting straddling classes
 // first; it reports whether any pair was new.
-func (p *classPartition) addRect(A, B []int32) bool {
+func (p *Precedence) addRect(A, B []int32) bool {
 	if len(A) == 0 || len(B) == 0 {
 		return false
 	}
@@ -244,7 +247,7 @@ func (p *classPartition) addRect(A, B []int32) bool {
 // already contains is left alone — addRect splits every class straddling
 // either side before it looks at the relation. It reports whether any pair
 // was new.
-func (p *classPartition) addRectBits(A, B []uint64) bool {
+func (p *Precedence) addRectBits(A, B []uint64) bool {
 	if p.containsRect(A, B) {
 		return false
 	}
@@ -265,7 +268,7 @@ func appendBits(dst []int32, row []uint64) []int32 {
 // given as access bitsets. The test runs in class coordinates — B's classes
 // as one class-bit vector against the row of each distinct class of A — and
 // splits nothing.
-func (p *classPartition) containsRect(A, B []uint64) bool {
+func (p *Precedence) containsRect(A, B []uint64) bool {
 	bm := p.bmask[:p.wc()]
 	for i := range bm {
 		bm[i] = 0
@@ -295,15 +298,15 @@ func (p *classPartition) containsRect(A, B []uint64) bool {
 	return true
 }
 
-func (p *classPartition) has(a, b int) bool {
+func (p *Precedence) has(a, b int) bool {
 	return graph.BitGet(p.rows[p.classOf[a]], int(p.classOf[b]))
 }
 
-// transClose closes crel under transitivity (length >= 1 reachability, as
-// in the per-access backing) and reports change. Exactness at the access
+// transClose closes crel under transitivity (length >= 1 reachability)
+// and reports change. Exactness at the access
 // level follows from the congruence invariant: closures commute with the
 // blow-up because classes are never empty.
-func (p *classPartition) transClose() bool {
+func (p *Precedence) transClose() bool {
 	nc := p.nc
 	if nc == 0 {
 		return false
@@ -344,14 +347,14 @@ func (p *classPartition) transClose() bool {
 // refines, but splits never merge back on their own even when closure
 // makes the halves indistinguishable again; coalescing at closure points
 // is what keeps the class count near the true number of distinct R rows.
-func (p *classPartition) coalesce() {
+func (p *Precedence) coalesce() {
 	t0 := time.Now()
 	for p.coalesceOnce() {
 	}
 	p.maint += time.Since(t0)
 }
 
-func (p *classPartition) coalesceOnce() bool {
+func (p *Precedence) coalesceOnce() bool {
 	nc := p.nc
 	if nc <= 1 {
 		return false
@@ -438,7 +441,7 @@ func (p *classPartition) coalesceOnce() bool {
 
 // expand (re)builds the per-class expanded access rows and columns and the
 // exact pair count. Rebuilt lazily: mutations only mark the caches dirty.
-func (p *classPartition) expand() {
+func (p *Precedence) expand() {
 	if !p.dirty && p.expRow != nil {
 		return
 	}
@@ -471,17 +474,22 @@ func (p *classPartition) expand() {
 	p.dirty = false
 }
 
-func (p *classPartition) rowOf(a int) []uint64 {
+// rowOf returns a's successor row {b : has(a, b)} as a shared bitset;
+// callers must not modify it.
+func (p *Precedence) rowOf(a int) []uint64 {
 	p.expand()
 	return p.expRow[p.classOf[a]]
 }
 
-func (p *classPartition) colOf(b int) []uint64 {
+// colOf returns b's predecessor row {a : has(a, b)} as a shared bitset;
+// callers must not modify it.
+func (p *Precedence) colOf(b int) []uint64 {
 	p.expand()
 	return p.expCol[p.classOf[b]]
 }
 
-func (p *classPartition) pairCount() int {
+// Size returns the number of pairs in R.
+func (p *Precedence) Size() int {
 	p.expand()
 	return p.size
 }
@@ -503,7 +511,7 @@ func (p *classPartition) pairCount() int {
 func (res *Result) accessClasses(lk *lockMasks) (base, phased []int32) {
 	fn := res.Fn
 	n := len(fn.Accesses)
-	cp := res.R.cp
+	cp := res.R
 
 	// Exact co-phase row interning: equal rows share an id. Only data
 	// accesses consult their co-phase row in the phased pass; others keep

@@ -12,8 +12,8 @@ import (
 // that actually enforce the phase separation are sync-involving pairs and
 // are computed without this filter (and kept wholesale through D1).
 
-// buildCoPhase computes the symmetric co-phase relation: CoPhase.Has(x, y)
-// is true when some barrier-free region of the access graph contains both x
+// buildCoPhase computes the symmetric co-phase relation: CoPhase.Row(x)
+// holds y when some barrier-free region of the access graph contains both x
 // and y. Regions start at the program entry and immediately after each
 // barrier access, and extend until the next barrier. Accesses that are
 // never co-phase cannot execute concurrently under aligned barriers.

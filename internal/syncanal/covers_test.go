@@ -14,10 +14,10 @@ import (
 )
 
 // freshCover is the removal cover of (a, b) built from its definition, with
-// the shared-lock arm read off Result.Guards: R.Row(a) | R.ColRow(b) | the
+// the shared-lock arm read off Result.Guards: R's row of a | its column of b | the
 // accesses guarded by a lock that guards both a and b.
 func freshCover(res *Result, byLock map[string][]uint64, a, b int) []uint64 {
-	ra, rb := res.R.Row(a), res.R.ColRow(b)
+	ra, rb := res.R.rowOf(a), res.R.colOf(b)
 	row := make([]uint64, len(ra))
 	for i := range row {
 		row[i] = ra[i] | rb[i]
@@ -112,4 +112,11 @@ func TestSharedCoversExactAndReadOnly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// built reports how many distinct covers the memo has built.
+func (m *coverMemo) built() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.rows)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/delay"
-	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/progen"
 	"repro/internal/sem"
@@ -13,9 +12,9 @@ import (
 )
 
 // TestAnalyzeMatchesReferenceEngine runs the full pipeline on progen
-// programs twice — batched bitset engine vs. the per-pair reference
-// search — and requires pair-identical Baseline (plain Shasha–Snir), D1,
-// and refined D delay sets on at least 50 buildable seeds.
+// programs and the oracles beside it — per-access R, every back-path query
+// on the per-pair reference search — and requires pair-identical Baseline
+// (plain Shasha–Snir), D1, refined D and R on at least 50 buildable seeds.
 func TestAnalyzeMatchesReferenceEngine(t *testing.T) {
 	opts := progen.Options{
 		Procs: 4, MaxPhases: 3, MaxStmts: 6, MaxDepth: 2,
@@ -47,13 +46,11 @@ func TestAnalyzeMatchesReferenceEngine(t *testing.T) {
 			continue
 		}
 		got := Analyze(fn, Options{})
-		want := Analyze(fn, Options{reference: true})
+		want := analyzeOracle(fn, Options{}, delay.ComputeReference)
 		samePairs(fmt.Sprintf("seed %d baseline", seed), got.Baseline, want.Baseline)
 		samePairs(fmt.Sprintf("seed %d D1", seed), got.D1, want.D1)
 		samePairs(fmt.Sprintf("seed %d D", seed), got.D, want.D)
-		if got.R.Size() != want.R.Size() {
-			t.Fatalf("seed %d: |R| %d vs reference %d", seed, got.R.Size(), want.R.Size())
-		}
+		sameRelation(t, fmt.Sprintf("seed %d", seed), got.R, want.R)
 		checked++
 	}
 	if checked < 50 {
@@ -61,41 +58,25 @@ func TestAnalyzeMatchesReferenceEngine(t *testing.T) {
 	}
 }
 
-// TestOracleHooksSelectOracles holds the two test-only options to what the
-// differentials rely on, since a hook that selected nothing would have them
-// compare the production path with itself. perAccessR must leave R on its
-// per-access backing, with no class partition; reference must send the
-// back-path query to the per-pair oracle, which calls ConflictDir on every
-// conflict edge it considers, where delay.Compute reads DirRows alone.
-func TestOracleHooksSelectOracles(t *testing.T) {
+// TestOraclesRun holds analyzeOracle to what the differentials rely on,
+// since an oracle that quietly ran the production path would have them
+// compare it with itself. Its R must be its own per-access relation, equal
+// to the class-condensed one but not of it; on the reference engine the
+// oriented query must reach the per-pair search, which calls ConflictDir
+// on every conflict edge it considers, while delay.Compute reads DirRows
+// alone.
+func TestOraclesRun(t *testing.T) {
 	fn := ir.MustBuild(progen.Generate(3, progen.Options{Procs: 4}), ir.BuildOptions{Procs: 4})
-	if res := Analyze(fn, Options{perAccessR: true}); res.RClasses != 0 || res.R.cp != nil {
-		t.Fatalf("perAccessR: %d R classes, class partition %v; want the per-access backing", res.RClasses, res.R.cp != nil)
+	got := Analyze(fn, Options{})
+	if got.CS.Size() == 0 || got.R.Size() == 0 {
+		t.Fatalf("program has %d conflicts and |R| %d; the oracles are not exercised", got.CS.Size(), got.R.Size())
 	}
-	if res := Analyze(fn, Options{}); res.RClasses == 0 || res.R.cp == nil {
-		t.Fatal("default options did not build the class-condensed R")
-	}
-	res := Prepare(fn)
-	if res.CS.Size() == 0 {
-		t.Fatal("program has no conflicts; the reference hook is not exercised")
-	}
-	rows := graph.NewBitMatrix(len(fn.Accesses))
-	for x := range fn.Accesses {
-		for _, y := range res.CS.Partners(x) {
-			rows.Set(x, y)
-		}
-	}
-	calls := 0
-	con := delay.Constraints{
-		ConflictDir: func(x, y int) bool { calls++; return true },
-		DirRows:     rows,
-	}
-	Options{}.computeDelays(res.AG, res.CS, con)
-	if calls != 0 {
-		t.Fatalf("delay.Compute called ConflictDir %d times; it should read DirRows", calls)
-	}
-	Options{reference: true}.computeDelays(res.AG, res.CS, con)
-	if calls == 0 {
+	ref := analyzeOracle(fn, Options{}, delay.ComputeReference)
+	sameRelation(t, "per-access R", got.R, ref.R)
+	if ref.dirCalls.Load() == 0 {
 		t.Fatal("reference: ConflictDir never called; the per-pair oracle did not run")
+	}
+	if calls := analyzeOracle(fn, Options{}, delay.Compute).dirCalls.Load(); calls != 0 {
+		t.Fatalf("delay.Compute called ConflictDir %d times; it should read DirRows", calls)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/delay"
 	"repro/internal/graph"
 	"repro/internal/ir"
 )
@@ -181,8 +182,9 @@ func TestHeldLocksMatchMapOracle(t *testing.T) {
 
 // TestManyLockKeysMatchReference runs the 70-key program — guard sets of
 // two words, in a region large enough for the class solver — against the
-// per-pair reference engine and the per-access precedence oracle, which
-// shares neither the access classes nor the cover memo. The locks must
+// per-access oracle (analyzeOracle), which shares neither the R classes,
+// the access classes nor the cover memo, on the per-pair reference engine
+// and on delay.Compute. The locks must
 // matter: without them D is larger.
 func TestManyLockKeysMatchReference(t *testing.T) {
 	fn := manyLocksProgram().fn
@@ -197,8 +199,8 @@ func TestManyLockKeysMatchReference(t *testing.T) {
 	if !wide {
 		t.Fatal("no data access is guarded by a key past the first word")
 	}
-	identicalSets(t, "reference D", got.D, Analyze(fn, Options{reference: true}).D)
-	identicalSets(t, "per-access R D", got.D, Analyze(fn, Options{perAccessR: true}).D)
+	identicalSets(t, "reference D", got.D, analyzeOracle(fn, Options{}, delay.ComputeReference).D)
+	identicalSets(t, "per-access R D", got.D, analyzeOracle(fn, Options{}, delay.Compute).D)
 	if unlocked := Analyze(fn, Options{NoLocks: true}).D.Size(); got.D.Size() >= unlocked {
 		t.Fatalf("|D| %d with guards, %d without: the locks remove nothing", got.D.Size(), unlocked)
 	}

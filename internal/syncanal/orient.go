@@ -25,6 +25,17 @@ import (
 // engine and its oracle to that containment. Only the data-data pass (phase
 // filter on top of orientation) can produce pairs outside D1.
 func (res *Result) orientAndDetect(opts Options, syncIDs []int, src *graph.BitMatrix) {
+	lk := res.guardsAndPhases(opts, src)
+	t0 := time.Now()
+	con, _ := res.orientedConstraints(lk, opts, syncIDs)
+	res.D = res.D1.Union(delay.Compute(res.AG, res.CS, con))
+	res.Timing.Orient = time.Since(t0) - res.Timing.Regions
+}
+
+// guardsAndPhases computes the lock guards of section 5.3 (into res.Guards,
+// returned as masks) and the barrier phases of section 5.2 (res.CoPhase),
+// the inputs step 6 reads besides R. src is D1 in A-major form.
+func (res *Result) guardsAndPhases(opts Options, src *graph.BitMatrix) *lockMasks {
 	t0 := time.Now()
 	n := len(res.Fn.Accesses)
 	keys, guards := lockKeys{}, newKeySets(n, 0)
@@ -42,36 +53,25 @@ func (res *Result) orientAndDetect(opts Options, syncIDs []int, src *graph.BitMa
 		res.CoPhase = buildCoPhase(res.Fn, res.AG)
 	}
 	res.Timing.CoPhase = time.Since(t0)
-
-	t0 = time.Now()
-	con, _ := res.orientedConstraints(lk, opts, syncIDs)
-	res.D = res.D1.Union(opts.computeDelays(res.AG, res.CS, con))
-	res.Timing.Orient = time.Since(t0) - res.Timing.Regions
+	return lk
 }
 
 // orientedConstraints assembles step 6's query — D = D1 ∪ {[a, b] ∈ P :
 // back-path in P ∪ C1} over the data–data pairs — and returns it with the
-// memo behind its RemovedCover. The closure forms stay on the Constraints so
-// the per-pair reference oracle re-derives every answer independently of
-// the precomputed rows. Comp shares the region statistics' condensation,
+// memo behind its RemovedCover. The orientation travels as rows only; the
+// Removed predicate travels beside its exact cover. Comp shares the region statistics' condensation,
 // the orient graph's SCCs over the accesses (its class nodes are routing
 // only and dropped): the phased graph is an edge-subgraph of the orient
 // graph, so the orient SCCs are closed under phased edges.
 func (res *Result) orientedConstraints(lk *lockMasks, opts Options, syncIDs []int) (delay.Constraints, *coverMemo) {
 	// Class partitions for the oriented pass, computed before the
-	// orientation rows so those can be built in class coordinates. Nil
-	// under the per-access oracle backing, where the engine gets
-	// materialized per-access rows instead.
-	var classBase, classPhased []int32
-	if res.R.cp != nil {
-		classBase, classPhased = res.accessClasses(lk)
-	}
+	// orientation rows so those can be built in class coordinates.
+	classBase, classPhased := res.accessClasses(lk)
 	orientRows, phasedRows := res.orientationRows(classBase, classPhased)
 	removed, covers := res.removal(lk)
 	cond := res.regionStats(orientRows)
 	return delay.Constraints{
 		Endpoints:    delay.EndpointFilter{IDs: syncIDs},
-		ConflictDir:  res.phasedDir,
 		DirRows:      phasedRows,
 		Comp:         cond,
 		Removed:      removed,
@@ -125,25 +125,14 @@ func (lk *lockMasks) shareLock(a, b, z int) bool {
 	return false
 }
 
-// phasedDir is step 5 — C1 = C − {[a2, a1] : [a1, a2] ∈ R}: the direction
-// x -> y is dropped exactly when [y, x] ∈ R — with the phase filter of
-// section 5.2 on top: a data->data conflict direction survives only
-// co-phase.
-func (res *Result) phasedDir(x, y int) bool {
-	acc := res.Fn.Accesses
-	if res.CoPhase != nil && acc[x].Kind.IsData() && acc[y].Kind.IsData() && !res.CoPhase.Has(x, y) {
-		return false
-	}
-	return !res.R.Has(y, x)
-}
-
-// orientationRows builds the bit-parallel form of step 5 for the delay
-// engine. orient[x] = C(x, ·) &^ R(·, x); phased additionally masks the
-// co-phase row into data rows. Both inputs are class-shared — the conflict
+// orientationRows builds step 5 — C1 = C − {[a2, a1] : [a1, a2] ∈ R}: the
+// direction x -> y is dropped exactly when [y, x] ∈ R — as rows for the
+// delay engine. orient[x] = C(x, ·) &^ R(·, x); phased additionally masks
+// the co-phase row into data rows (section 5.2: a data->data conflict
+// direction survives only co-phase). Both inputs are class-shared — the conflict
 // row per similarity group, the R column row per R class — so given the
 // class partitions one physical row per class serves every member and no
-// per-access n x n matrix is ever materialized; without them (the
-// per-access oracle backing) the rows are bit matrices.
+// per-access n x n matrix is ever materialized.
 func (res *Result) orientationRows(classBase, classPhased []int32) (orient, phased graph.Rows) {
 	fn := res.Fn
 	n := len(fn.Accesses)
@@ -155,7 +144,7 @@ func (res *Result) orientationRows(classBase, classPhased []int32) (orient, phas
 		}
 	}
 	orientRow := func(x int, ox []uint64) {
-		cx, rx := res.CS.Row(x), res.R.ColRow(x)
+		cx, rx := res.CS.Row(x), res.R.colOf(x)
 		for i := range ox {
 			ox[i] = cx[i] &^ rx[i]
 		}
@@ -169,20 +158,6 @@ func (res *Result) orientationRows(classBase, classPhased []int32) (orient, phas
 				px[i] &= ^dataMask[i] | cr[i]
 			}
 		}
-	}
-	if classBase == nil {
-		om := graph.NewBitMatrix(n)
-		for x := 0; x < n; x++ {
-			orientRow(x, om.Row(x))
-		}
-		if res.CoPhase == nil {
-			return om, om
-		}
-		pm := graph.NewBitMatrix(n)
-		for x := 0; x < n; x++ {
-			phasedRow(x, pm.Row(x), om.Row(x))
-		}
-		return om, pm
 	}
 	// classRows builds one row per class from its first member.
 	classRows := func(classOf []int32, build func(x int, row []uint64)) [][]uint64 {
@@ -223,7 +198,7 @@ func (res *Result) orientationRows(classBase, classPhased []int32) (orient, phas
 // cover is identical to the unrestricted one.
 func (res *Result) removal(lk *lockMasks) (removed func(a, b, z int) bool, covers *coverMemo) {
 	removed = func(a, b, z int) bool {
-		return res.R.Has(a, z) || res.R.Has(z, b) || lk.shareLock(a, b, z)
+		return res.R.has(a, z) || res.R.has(z, b) || lk.shareLock(a, b, z)
 	}
 	return removed, newCoverMemo(res, lk)
 }
@@ -234,16 +209,16 @@ func (res *Result) removal(lk *lockMasks) (removed func(a, b, z int) bool, cover
 // 185,039 cells' covers and the memo builds a few dozen rows. Every pair is
 // handed the memo's row itself, shared and never written after it is
 // built, and its number (id), which the class solver keys its shared
-// searches on. The per-access oracle backing has no R classes and builds
-// each cover afresh into the caller's scratch, under id -1.
+// searches on. A memo that declines the table builds each cover afresh
+// into the caller's scratch, under id -1.
 type coverMemo struct {
 	res *Result
 	lk  *lockMasks
 	// key numbers the (R class, guard set) combinations of the accesses;
 	// slots[key[a]*nkey+key[b]] points at the cover of every pair with that
-	// key pair once one of them has asked. Nil under the per-access backing,
-	// and when there are more slots than 64 per access: the table would
-	// then outweigh an access row each, and the rows it saves with it.
+	// key pair once one of them has asked. Nil when there are more slots
+	// than 64 per access: the table would then outweigh an access row
+	// each, and the rows it saves with it.
 	key   []int32
 	nkey  int
 	slots []atomic.Pointer[memoCover]
@@ -262,13 +237,10 @@ type memoCover struct {
 
 func newCoverMemo(res *Result, lk *lockMasks) *coverMemo {
 	m := &coverMemo{res: res, lk: lk}
-	if res.R.cp == nil {
-		return m
-	}
 	ids := make(map[[2]int32]int32)
 	key := make([]int32, len(lk.set))
 	for x, gs := range lk.set {
-		k := [2]int32{res.R.ClassOf(x), gs}
+		k := [2]int32{res.R.classOf[x], gs}
 		id, ok := ids[k]
 		if !ok {
 			id = int32(len(ids))
@@ -311,7 +283,7 @@ func (m *coverMemo) slot(a, b int) *memoCover {
 		sh[i] = ga[i] & gb[i]
 	}
 	sid, _ := m.shared.Intern(sh)
-	k := [3]int32{m.res.R.ClassOf(a), m.res.R.ClassOf(b), sid}
+	k := [3]int32{m.res.R.classOf[a], m.res.R.classOf[b], sid}
 	c, ok := m.rows[k]
 	if !ok {
 		c = &memoCover{row: m.build(a, b, make([]uint64, graph.WordsFor(len(m.key)))), id: len(m.rows)}
@@ -321,16 +293,9 @@ func (m *coverMemo) slot(a, b int) *memoCover {
 	return c
 }
 
-// built reports how many distinct covers the memo has built.
-func (m *coverMemo) built() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.rows)
-}
-
 // build writes the cover of (a, b) into dst and returns it.
 func (m *coverMemo) build(a, b int, dst []uint64) []uint64 {
-	ra, rb := m.res.R.Row(a), m.res.R.ColRow(b)
+	ra, rb := m.res.R.rowOf(a), m.res.R.colOf(b)
 	for i := range dst {
 		dst[i] = ra[i] | rb[i]
 	}

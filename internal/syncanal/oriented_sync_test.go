@@ -59,7 +59,7 @@ func TestOrientedSyncSubsetOfD1(t *testing.T) {
 		if len(syncIDs) == 0 {
 			continue
 		}
-		orientDir := func(x, y int) bool { return !res.R.Has(y, x) }
+		orientDir := func(x, y int) bool { return !res.R.has(y, x) }
 		keepSync := delay.EndpointFilter{IDs: syncIDs, Keep: true}
 		for _, p := range delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir, Endpoints: keepSync}).Pairs() {
 			if !res.D1.Has(p.A, p.B) {
@@ -93,7 +93,7 @@ func TestOrientedSyncSubsetOfD1Tier(t *testing.T) {
 			syncIDs = append(syncIDs, a.ID)
 		}
 	}
-	orientDir := func(x, y int) bool { return !res.R.Has(y, x) }
+	orientDir := func(x, y int) bool { return !res.R.has(y, x) }
 	oriented := delay.Compute(res.AG, res.CS, delay.Constraints{
 		ConflictDir: orientDir, Endpoints: delay.EndpointFilter{IDs: syncIDs, Keep: true}})
 	missing := 0

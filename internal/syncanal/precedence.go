@@ -10,168 +10,10 @@ import (
 
 // Steps 3 and 4 of section 5.1: the precedence relation R, its seeding from
 // post->wait pairs and barriers, and its closure under the dominator rule
-// and transitivity.
-
-// Precedence is the relation R: Has(a, b) means access a is guaranteed to
-// complete before access b is initiated, in every execution, whenever the
-// two dynamic instances are "aligned" by the synchronization structure.
-//
-// Two backings implement it. The default is the class-condensed partition
-// of classes.go: one bitset row per R-equivalence class plus membership
-// vectors, with expanded per-access rows materialized lazily for the
-// consumers that want bitsets. newPrecedence builds the retained
-// per-access form (one n-bit row per access) — the differential oracle,
-// which only this package's tests select (Options.perAccessR). Both answer
-// Has/Row/Size identically.
-type Precedence struct {
-	n   int
-	rel *graph.BitMatrix // per-access backing (oracle mode)
-	rt  *graph.BitMatrix // lazy transpose of rel, for ColRow
-	cp  *classPartition  // class-condensed backing (default mode)
-}
-
-// newPrecedence returns an empty per-access relation over n accesses.
-func newPrecedence(n int) *Precedence {
-	return &Precedence{n: n, rel: graph.NewBitMatrix(n)}
-}
-
-// newClassPrecedence returns an empty class-condensed relation: one
-// universal class, refined on demand as rectangles are added.
-func newClassPrecedence(n int) *Precedence {
-	return &Precedence{n: n, cp: newClassPartition(n)}
-}
-
-// Has reports whether [a, b] is in R.
-func (r *Precedence) Has(a, b int) bool {
-	if r.cp != nil {
-		return r.cp.has(a, b)
-	}
-	return r.rel.Has(a, b)
-}
-
-// Add inserts [a, b]; it reports whether the edge was new.
-func (r *Precedence) Add(a, b int) bool {
-	if r.cp != nil {
-		return r.cp.addRect([]int32{int32(a)}, []int32{int32(b)})
-	}
-	if r.rel.Has(a, b) {
-		return false
-	}
-	r.rel.Set(a, b)
-	r.rt = nil
-	return true
-}
-
-// addRect inserts the rectangle A x B; it reports whether any pair was new.
-// On the class backing this is the native operation; the per-access oracle
-// expands it pair by pair.
-func (r *Precedence) addRect(A, B []int32) bool {
-	if r.cp != nil {
-		return r.cp.addRect(A, B)
-	}
-	changed := false
-	for _, a := range A {
-		for _, b := range B {
-			if r.Add(int(a), int(b)) {
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// Size returns the number of edges.
-func (r *Precedence) Size() int {
-	if r.cp != nil {
-		return r.cp.pairCount()
-	}
-	return r.rel.Count()
-}
-
-// Row returns a's successor row as a shared bitset; callers must not
-// modify it.
-func (r *Precedence) Row(a int) []uint64 {
-	if r.cp != nil {
-		return r.cp.rowOf(a)
-	}
-	return r.rel.Row(a)
-}
-
-// ColRow returns b's predecessor row {a : Has(a, b)} as a shared bitset;
-// callers must not modify it. The class backing keeps expanded columns
-// alongside expanded rows; the per-access backing transposes lazily.
-func (r *Precedence) ColRow(b int) []uint64 {
-	if r.cp != nil {
-		return r.cp.colOf(b)
-	}
-	if r.rt == nil {
-		r.rt = r.rel.Transpose()
-	}
-	return r.rt.Row(b)
-}
-
-// Classes returns the number of R-equivalence classes of the condensed
-// backing, or 0 for the per-access oracle (which never condenses).
-func (r *Precedence) Classes() int {
-	if r.cp != nil {
-		return r.cp.nc
-	}
-	return 0
-}
-
-// ClassSplits returns how many class splits refinement forced.
-func (r *Precedence) ClassSplits() int {
-	if r.cp != nil {
-		return r.cp.splits
-	}
-	return 0
-}
-
-// ClassOf returns a's class id under the condensed backing, or -1.
-func (r *Precedence) ClassOf(a int) int32 {
-	if r.cp != nil {
-		return r.cp.classOf[a]
-	}
-	return -1
-}
-
-// transClose closes R under transitivity; reports change. The closure is
-// computed as length->=1 reachability over the current edge set: Tarjan
-// condensation followed by one reverse-topological row-OR pass over the
-// DAG (graph.ReachRows). On the per-access backing that costs O(E +
-// E_dag*n/64) word operations; the class backing runs the same pass over
-// c x c class rows instead, which is what takes the 8k-access closure from
-// tens of seconds to milliseconds.
-func (r *Precedence) transClose() bool {
-	if r.cp != nil {
-		return r.cp.transClose()
-	}
-	iter := func(u int, visit func(v int32)) {
-		for wi, wd := range r.rel.Row(u) {
-			for wd != 0 {
-				visit(int32(wi<<6 + bits.TrailingZeros64(wd)))
-				wd &= wd - 1
-			}
-		}
-	}
-	closed := graph.Condense(r.n, iter).ReachRows(r.n, iter)
-	changed := false
-	for i := 0; i < r.n; i++ {
-		old, now := r.rel.Row(i), closed.Row(i)
-		for w := range old {
-			if now[w] != old[w] {
-				changed = true
-			}
-		}
-		// The closure is a superset of the edge set, so copying is sound
-		// even on unchanged rows.
-		copy(old, now)
-	}
-	if changed {
-		r.rt = nil
-	}
-	return changed
-}
+// and transitivity. R is stored class-condensed (Precedence, classes.go);
+// its differential oracle, one n-bit row per access, lives in the tests
+// (precedence_oracle_test.go) and derives R from the same seeds and the
+// same dominator filters.
 
 // seedPrecedence is step 3 of section 5.1: seed R with the matching
 // post->wait pairs, plus a reflexive edge for each barrier (operations
@@ -184,12 +26,13 @@ func (r *Precedence) transClose() bool {
 //
 // Both seed rules are rectangles over whole access sets — every post of an
 // event precedes every wait on it, and each barrier access gets a reflexive
-// edge — which is what lets the class-condensed backing start from one
+// edge — which is what lets the class-condensed relation start from one
 // universal class and only split where the structure distinguishes members.
 // (A reflexive rectangle {a} x {a} forces a into a singleton class,
-// reproducing the paper's per-barrier behavior exactly.)
-func (res *Result) seedPrecedence(opts Options) {
-	fn := res.Fn
+// reproducing the paper's per-barrier behavior exactly.) The rectangles go
+// to addRect, R's own in a run and the per-access oracle's in the tests
+// (precedence_oracle_test.go).
+func seedPrecedence(fn *ir.Fn, opts Options, addRect func(A, B []int32)) {
 	if !opts.NoPostWait {
 		// Bucket posts and waits per event symbol, in first-seen order so
 		// the seeding sequence (and hence any split order) is deterministic.
@@ -215,13 +58,13 @@ func (res *Result) seedPrecedence(opts Options) {
 			}
 		}
 		for _, ev := range order {
-			res.R.addRect(ev.posts, ev.waits)
+			addRect(ev.posts, ev.waits)
 		}
 	}
 	if !opts.NoBarrier {
 		for _, a := range fn.Accesses {
 			if a.Kind == ir.AccBarrier {
-				res.R.Add(a.ID, a.ID)
+				addRect([]int32{int32(a.ID)}, []int32{int32(a.ID)})
 			}
 		}
 	}
@@ -240,10 +83,11 @@ func (res *Result) seedPrecedence(opts Options) {
 //	PS.Row(b1) = {a1 : [a1,b1] ∈ D1 ∧ (a1 dom b1 ∨ b1 pdom a1)}
 //	CS.Row(b2) = {a2 : [b2,a2] ∈ D1 ∧ b2 dom a2}
 //
-// and refineR iterates that product with transitive closure to the least
-// fixpoint. On the class backing one round is at most nc rectangles: R is
-// constant on a class, so every b1 of class c contributes the same
-// successor classes crel(c), and the round's whole yield through c is
+// and Precedence.refine iterates that product with transitive closure to
+// the least fixpoint. On the class partition one round is at most nc
+// rectangles: R is constant on a class, so every b1 of class c contributes
+// the same successor classes crel(c), and the round's whole yield through c
+// is
 // Hit_c x ⋃_{c' ∈ crel(c)} Q_c' with Hit_c = ⋃_{b ∈ c} PS.Row(b) and
 // Q_c = ⋃_{b ∈ c} CS.Row(b). The union over c of those rectangles is
 // exactly the set of pairs the rule derives from the current R — every
@@ -365,56 +209,6 @@ func (res *Result) dominatorFilters(src *graph.BitMatrix) (ps, cs *graph.BitMatr
 	return keep, cst
 }
 
-// refineR iterates the dominator rule and transitive closure until fixpoint
-// (step 4 of section 5.1), dispatching on the backing. src is D1 in
-// A-major form.
-func (res *Result) refineR(src *graph.BitMatrix) {
-	ps, cs := res.dominatorFilters(src)
-	if res.R.cp != nil {
-		res.refineRClass(ps, cs)
-	} else {
-		res.refineRPerAccess(ps, cs)
-	}
-}
-
-// refineRPerAccess runs the fixpoint on the per-access oracle backing, as
-// the rule reads: for each producer a1, u is the union of the R rows of its
-// b1's — every b2 some b1 precedes — and a1 then precedes every consumer
-// of every such b2. Rows grow in place during the scan, which a monotone
-// fixpoint tolerates.
-func (res *Result) refineRPerAccess(ps, cs *graph.BitMatrix) {
-	rel := res.R.rel
-	pst := ps.Transpose() // pst.Row(a1) = {b1 : a1 ∈ PS.Row(b1)}
-	u := make([]uint64, rel.W)
-	for {
-		res.R.transClose()
-		added := false
-		for a1 := 0; a1 < rel.N; a1++ {
-			for i := range u {
-				u[i] = 0
-			}
-			for wi, wd := range pst.Row(a1) {
-				for ; wd != 0; wd &= wd - 1 {
-					orRow(u, rel.Row(wi<<6+bits.TrailingZeros64(wd)))
-				}
-			}
-			row := rel.Row(a1)
-			for wi, wd := range u {
-				for ; wd != 0; wd &= wd - 1 {
-					if orRow(row, cs.Row(wi<<6+bits.TrailingZeros64(wd))) {
-						added = true
-					}
-				}
-			}
-		}
-		// A scan of the closed relation that adds nothing: the fixpoint.
-		if !added {
-			return
-		}
-		res.R.rt = nil
-	}
-}
-
 // orRow ORs src into dst and reports whether dst gained a bit.
 func orRow(dst, src []uint64) bool {
 	grew := false
@@ -427,8 +221,9 @@ func orRow(dst, src []uint64) bool {
 	return grew
 }
 
-// refineRClass runs the same fixpoint on the class-condensed backing, one
-// round per closure. Each round coalesces and closes the partition, then —
+// refine iterates the dominator rule, over the filters PS and CS, and
+// transitive closure until fixpoint (step 4 of section 5.1), one round per
+// closure. Each round coalesces and closes the partition, then —
 // on that frozen partition — gathers Hit_c and Q_c with one row-OR per
 // access and side and forms each class's rectangle Hit_c x ⋃_{c' ∈ crel(c)}
 // Q_c'. The rectangles are applied after the scan: addRect splits classes,
@@ -436,22 +231,21 @@ func orRow(dst, src []uint64) bool {
 // were gathered on. addRectBits drops a rectangle R already contains
 // instead of re-applying it, which would fragment the partition for no new
 // pair and leave a fixpoint state that is not the coalesced one.
-func (res *Result) refineRClass(ps, cs *graph.BitMatrix) {
-	cp := res.R.cp
-	n, w := cp.n, cp.w
+func (p *Precedence) refine(ps, cs *graph.BitMatrix) {
+	n, w := p.n, p.w
 	for {
 		// Coalescing before each closure keeps the class count at the
 		// number of distinct R rows and columns; the closure that follows
 		// is cubic in it.
-		cp.coalesce()
-		closed := cp.transClose()
-		nc, wc := cp.nc, cp.wc()
+		p.coalesce()
+		closed := p.transClose()
+		nc, wc := p.nc, p.wc()
 		slab := make([]uint64, 3*nc*w) // a few rounds of ≤ 3·nc rows each
 		hit := func(c int) []uint64 { return slab[c*w : (c+1)*w] }
 		q := func(c int) []uint64 { return slab[(nc+c)*w : (nc+c+1)*w] }
 		qu := func(c int) []uint64 { return slab[(2*nc+c)*w : (2*nc+c+1)*w] }
 		for b := 0; b < n; b++ {
-			c := int(cp.classOf[b])
+			c := int(p.classOf[b])
 			orRow(hit(c), ps.Row(b))
 			orRow(q(c), cs.Row(b))
 		}
@@ -459,7 +253,7 @@ func (res *Result) refineRClass(ps, cs *graph.BitMatrix) {
 			if !anyBit(hit(c)) {
 				continue
 			}
-			for wi, wd := range cp.rows[c][:wc] {
+			for wi, wd := range p.rows[c][:wc] {
 				for ; wd != 0; wd &= wd - 1 {
 					orRow(qu(c), q(wi<<6+bits.TrailingZeros64(wd)))
 				}
@@ -467,7 +261,7 @@ func (res *Result) refineRClass(ps, cs *graph.BitMatrix) {
 		}
 		added := false
 		for c := 0; c < nc; c++ {
-			if cp.addRectBits(hit(c), qu(c)) {
+			if p.addRectBits(hit(c), qu(c)) {
 				added = true
 			}
 		}
@@ -478,7 +272,7 @@ func (res *Result) refineRClass(ps, cs *graph.BitMatrix) {
 		// as well as closed.
 		if !added {
 			if closed {
-				cp.coalesce()
+				p.coalesce()
 			}
 			return
 		}

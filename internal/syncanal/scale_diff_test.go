@@ -22,7 +22,7 @@ func TestAnalyzeMidsizeMatchesReference(t *testing.T) {
 		t.Fatalf("program below the size it exists to check: %d accesses (want >= 512), largest region %d (want >= 256)",
 			n, got.LargestRegion)
 	}
-	want := Analyze(fn, Options{reference: true})
+	want := analyzeOracle(fn, Options{}, delay.ComputeReference)
 	for _, s := range []struct {
 		label     string
 		got, want *delay.Set
@@ -33,8 +33,8 @@ func TestAnalyzeMidsizeMatchesReference(t *testing.T) {
 	} {
 		identicalSets(t, s.label, s.got, s.want)
 	}
-	if got.R.Size() != want.R.Size() {
-		t.Fatalf("|R| %d vs reference %d", got.R.Size(), want.R.Size())
+	if got.R.Size() != want.R.Count() {
+		t.Fatalf("|R| %d vs reference %d", got.R.Size(), want.R.Count())
 	}
 }
 
@@ -51,7 +51,7 @@ func TestCoveredSelfConflictEndpointMatchesReference(t *testing.T) {
 	for _, seed := range []int64{6, 25} {
 		fn := ir.MustBuild(progen.Generate(seed, opts), ir.BuildOptions{Procs: 4})
 		got := Analyze(fn, Options{})
-		want := Analyze(fn, Options{reference: true})
+		want := analyzeOracle(fn, Options{}, delay.ComputeReference)
 		identicalSets(t, fmt.Sprintf("seed %d (%d accesses): D", seed, len(fn.Accesses)), got.D, want.D)
 	}
 }

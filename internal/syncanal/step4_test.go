@@ -160,9 +160,9 @@ func bitsOf(n int, ids ...int) []uint64 {
 // while a rectangle with one new pair splits what it has to.
 func TestContainedRectangleSplitsNothing(t *testing.T) {
 	const n = 12
-	cp := newClassPartition(n)
+	cp := newClassPrecedence(n)
 	cp.addRect([]int32{0, 1, 2, 3}, []int32{6, 7, 8, 9})
-	nc, splits, size := cp.nc, cp.splits, cp.pairCount()
+	nc, splits, size := cp.nc, cp.splits, cp.Size()
 	if size != 16 {
 		t.Fatalf("seed rectangle holds %d pairs, want 16", size)
 	}
@@ -171,12 +171,12 @@ func TestContainedRectangleSplitsNothing(t *testing.T) {
 	if cp.addRectBits(bitsOf(n, 1, 2), bitsOf(n, 7, 8)) {
 		t.Fatal("contained rectangle reported new pairs")
 	}
-	if cp.nc != nc || cp.splits != splits || cp.pairCount() != size {
+	if cp.nc != nc || cp.splits != splits || cp.Size() != size {
 		t.Fatalf("contained rectangle changed the partition: %d classes / %d splits / %d pairs, was %d / %d / %d",
-			cp.nc, cp.splits, cp.pairCount(), nc, splits, size)
+			cp.nc, cp.splits, cp.Size(), nc, splits, size)
 	}
 	// addRect itself would have split both classes for the same no-op.
-	probe := newClassPartition(n)
+	probe := newClassPrecedence(n)
 	probe.addRect([]int32{0, 1, 2, 3}, []int32{6, 7, 8, 9})
 	if probe.addRect([]int32{1, 2}, []int32{7, 8}); probe.nc == nc {
 		t.Fatal("addRect no longer splits on a contained rectangle; the containment test has lost its reason")
@@ -194,7 +194,7 @@ func TestContainedRectangleSplitsNothing(t *testing.T) {
 	if cp.splits == splits || cp.nc == nc {
 		t.Fatalf("rectangle with new pairs split nothing: %d classes, %d splits", cp.nc, cp.splits)
 	}
-	if got := cp.pairCount(); got != size+2 {
+	if got := cp.Size(); got != size+2 {
 		t.Fatalf("|R| = %d after adding [1,10] and [2,10], want %d", got, size+2)
 	}
 	if !cp.has(1, 10) || !cp.has(2, 10) || cp.has(0, 10) || cp.has(3, 10) || !cp.has(0, 7) {
@@ -202,13 +202,13 @@ func TestContainedRectangleSplitsNothing(t *testing.T) {
 	}
 
 	// One single new pair.
-	before := cp.pairCount()
-	if !cp.addRectBits(bitsOf(n, 0), bitsOf(n, 11)) || cp.pairCount() != before+1 {
-		t.Fatalf("single-pair rectangle: |R| %d, want %d", cp.pairCount(), before+1)
+	before := cp.Size()
+	if !cp.addRectBits(bitsOf(n, 0), bitsOf(n, 11)) || cp.Size() != before+1 {
+		t.Fatalf("single-pair rectangle: |R| %d, want %d", cp.Size(), before+1)
 	}
 }
 
-// TestRefinedPartitionIsCoalescedAndClosed checks the state refineR stops
+// TestRefinedPartitionIsCoalescedAndClosed checks the state Precedence.refine stops
 // in, on the 150-seed grid, the five kernels and (outside -short) acc2048:
 // one more coalesce merges nothing and one more closure adds nothing. The
 // class count of a coalesced partition is the number of distinct R rows and
@@ -217,15 +217,15 @@ func TestContainedRectangleSplitsNothing(t *testing.T) {
 func TestRefinedPartitionIsCoalescedAndClosed(t *testing.T) {
 	for _, p := range diffPrograms(t) {
 		res := Analyze(p.fn, Options{})
-		cp := res.R.cp
-		nc, size := cp.nc, cp.pairCount()
+		cp := res.R
+		nc, size := cp.nc, cp.Size()
 		if cp.transClose() {
 			t.Fatalf("%s: refined R was not transitively closed", p.label)
 		}
 		cp.coalesce()
-		if cp.nc != nc || cp.pairCount() != size {
+		if cp.nc != nc || cp.Size() != size {
 			t.Fatalf("%s: one more coalesce took %d classes to %d (|R| %d to %d)",
-				p.label, nc, cp.nc, size, cp.pairCount())
+				p.label, nc, cp.nc, size, cp.Size())
 		}
 		if res.RClasses != nc {
 			t.Fatalf("%s: RClasses %d, partition has %d", p.label, res.RClasses, nc)
@@ -241,15 +241,15 @@ func TestRefinedPartitionIsCoalescedAndClosed(t *testing.T) {
 func TestFixpointCoalescesWhatTheLastClosureMerged(t *testing.T) {
 	const n = 6
 	res := &Result{R: newClassPrecedence(n)}
-	for _, e := range [][2]int{{0, 2}, {1, 3}, {2, 3}, {3, 2}} {
-		res.R.Add(e[0], e[1])
+	for _, e := range [][]int32{{0, 2}, {1, 3}, {2, 3}, {3, 2}} {
+		res.R.addRect(e[:1], e[1:])
 	}
 	none := graph.NewBitMatrix(n)
-	res.refineRClass(none, none)
-	if !res.R.Has(0, 3) || !res.R.Has(1, 2) || !res.R.Has(2, 2) || res.R.Has(2, 0) || res.R.Size() != 8 {
+	res.R.refine(none, none)
+	if !res.R.has(0, 3) || !res.R.has(1, 2) || !res.R.has(2, 2) || res.R.has(2, 0) || res.R.Size() != 8 {
 		t.Fatalf("closure wrong: |R| = %d", res.R.Size())
 	}
-	if got := res.R.Classes(); got != 3 {
+	if got := res.R.nc; got != 3 {
 		t.Fatalf("%d classes after refinement, want 3 ({0,1}, {2,3}, {4,5})", got)
 	}
 }

@@ -48,27 +48,6 @@ type Options struct {
 	NoPostWait bool
 	NoBarrier  bool
 	NoLocks    bool
-	// reference and perAccessR select the oracles the differential tests
-	// hold the production path to; nothing outside the package sets them.
-	//
-	// reference routes every back-path search through the per-pair oracle,
-	// delay.ComputeReference.
-	reference bool
-	// perAccessR stores the precedence relation with one bitset row per
-	// access instead of the default class-condensed partition. It is the
-	// retained differential oracle for the condensed representation, not a
-	// performance option: the per-access closure is O(n^2*n/64) where the
-	// condensed one is O(c^2*c/64).
-	perAccessR bool
-}
-
-// computeDelays runs one back-path query: on delay.Compute, or on the
-// per-pair oracle when the differential tests select it.
-func (opts Options) computeDelays(ag *ir.AccessGraph, cs *conflict.Set, con delay.Constraints) *delay.Set {
-	if opts.reference {
-		return delay.ComputeReference(ag, cs, con)
-	}
-	return delay.Compute(ag, cs, con)
 }
 
 // Timing records the wall time of each analysis sub-phase, so drivers (and
@@ -87,7 +66,6 @@ type Timing struct {
 	// steps 3–4: splitting classes the seed and step-4 rectangles
 	// distinguish (at most one rectangle per class and round) and
 	// coalescing indistinguishable ones back together before each closure.
-	// Zero under the per-access oracle backing.
 	Condense time.Duration
 	// Precedence covers seeding and refining R (steps 3–4), minus the
 	// partition maintenance reported as Condense. Most of it is matrix
@@ -151,8 +129,8 @@ type Result struct {
 	// Guards maps access ID -> set of lock keys guarding it.
 	Guards map[int]map[string]bool
 	// CoPhase is the symmetric co-phase relation (nil when barrier
-	// analysis is disabled): CoPhase.Has(x, y) reports that accesses x and
-	// y can appear in a common barrier-free region. The backing is
+	// analysis is disabled): CoPhase.Row(x) holds y when accesses x and y
+	// can appear in a common barrier-free region. The backing is
 	// class-condensed: accesses with the same region-membership set share
 	// one physical row.
 	CoPhase *graph.ClassRows
@@ -165,8 +143,7 @@ type Result struct {
 	LargestRegion int
 	// RClasses and RClassSplits describe the class-condensed precedence
 	// representation: how many R-equivalence classes the final partition
-	// has and how many splits refinement forced. Zero when the per-access
-	// oracle backing was selected (see Precedence).
+	// has and how many splits refinement forced.
 	RClasses     int
 	RClassSplits int
 	// Timing records how long each sub-phase took.
@@ -219,17 +196,23 @@ func syncIDs(fn *ir.Fn) []int {
 // twice. Requires Prepare.
 func (res *Result) ComputeD1(opts Options) {
 	t0 := time.Now()
-	ids := syncIDs(res.Fn)
-	keep := delay.Constraints{Exact: opts.Exact,
-		Endpoints: delay.EndpointFilter{IDs: ids, Keep: true}}
-	rest := keep
-	rest.Endpoints.Keep = false
-	res.D1 = opts.computeDelays(res.AG, res.CS, keep)
+	keep, rest := d1Queries(res.Fn, opts)
+	res.D1 = delay.Compute(res.AG, res.CS, keep)
 	d1, ag, cs := res.D1, res.AG, res.CS
 	res.Baseline = delay.Deferred(res.Fn, func() *delay.Set {
-		return d1.Union(opts.computeDelays(ag, cs, rest))
+		return d1.Union(delay.Compute(ag, cs, rest))
 	})
 	res.Timing.D1 = time.Since(t0)
+}
+
+// d1Queries returns step 2's query, over the pairs with a synchronization
+// endpoint, and the baseline's remainder, over the pairs without one.
+func d1Queries(fn *ir.Fn, opts Options) (keep, rest delay.Constraints) {
+	keep = delay.Constraints{Exact: opts.Exact,
+		Endpoints: delay.EndpointFilter{IDs: syncIDs(fn), Keep: true}}
+	rest = keep
+	rest.Endpoints.Keep = false
+	return keep, rest
 }
 
 // RefineSync runs steps 3–6 of section 5.1: the precedence relation R,
@@ -242,22 +225,13 @@ func (res *Result) RefineSync(opts Options) {
 	// transitivity (precedence.go). D1's A-major form feeds both the
 	// dominator filters and the lock confinement sweeps.
 	t0 := time.Now()
-	n := len(fn.Accesses)
-	if opts.perAccessR {
-		res.R = newPrecedence(n)
-	} else {
-		res.R = newClassPrecedence(n)
-	}
+	r := newClassPrecedence(len(fn.Accesses))
+	res.R = r
 	src := res.D1.SourceMatrix()
-	res.seedPrecedence(opts)
-	res.refineR(src)
-	phase := time.Since(t0)
-	if res.R.cp != nil {
-		res.Timing.Condense = res.R.cp.maint
-		res.RClasses = res.R.Classes()
-		res.RClassSplits = res.R.ClassSplits()
-	}
-	res.Timing.Precedence = phase - res.Timing.Condense
+	seedPrecedence(fn, opts, func(A, B []int32) { r.addRect(A, B) })
+	r.refine(res.dominatorFilters(src))
+	res.Timing.Condense, res.RClasses, res.RClassSplits = r.maint, r.nc, r.splits
+	res.Timing.Precedence = time.Since(t0) - res.Timing.Condense
 
 	res.orientAndDetect(opts, syncIDs(fn), src)
 }
@@ -270,9 +244,9 @@ func (res *Result) Summary() string {
 	fmt.Fprintf(&sb, "baseline delays: %d (Shasha-Snir)\n", res.Baseline.Size())
 	fmt.Fprintf(&sb, "D1 delays:       %d\n", res.D1.Size())
 	fmt.Fprintf(&sb, "precedence |R|:  %d\n", res.R.Size())
-	if c := res.R.Classes(); c > 0 {
+	if c := res.RClasses; c > 0 {
 		fmt.Fprintf(&sb, "R classes:       %d (%d splits, %.1fx condensed)\n",
-			c, res.R.ClassSplits(), float64(len(res.Fn.Accesses))/float64(c))
+			c, res.RClassSplits, float64(len(res.Fn.Accesses))/float64(c))
 	}
 	fmt.Fprintf(&sb, "final delays:    %d\n", res.D.Size())
 	guarded := make([]int, 0, len(res.Guards))

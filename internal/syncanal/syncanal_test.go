@@ -71,10 +71,10 @@ func TestFigure5PostWait(t *testing.T) {
 		t.Errorf("baseline should delay [read Y -> read X]\n%s", res.Baseline)
 	}
 	// Post-wait seeds R and the refinement orders the conflict edges.
-	if !res.R.Has(post, wait) {
+	if !res.R.has(post, wait) {
 		t.Fatal("R should contain the post->wait edge")
 	}
-	if !res.R.Has(wX, rX) || !res.R.Has(wY, rY) {
+	if !res.R.has(wX, rX) || !res.R.has(wY, rY) {
 		t.Errorf("R should derive write->read precedences via the dominator rule")
 	}
 	// The refined delay set keeps the sync-related delays...
@@ -205,10 +205,10 @@ func TestProducerConsumerPostWait(t *testing.T) {
 	wait := findAccess(t, fn, ir.AccWait, "ready", 0)
 
 	// Unique-post semantics let the same-symbol post/wait pair seed R.
-	if !res.R.Has(post, wait) {
+	if !res.R.has(post, wait) {
 		t.Fatal("R should match post(ready[j]) with wait(ready[k])")
 	}
-	if !res.R.Has(wA, gA) {
+	if !res.R.has(wA, gA) {
 		t.Errorf("R should order producer writes before consumer reads")
 	}
 	// Baseline self-delays the consumer reads (conflicting writes around).
@@ -318,18 +318,19 @@ func TestRefinedNeverLargerThanBaseline(t *testing.T) {
 }
 
 func TestPrecedenceBasics(t *testing.T) {
-	r := newPrecedence(3)
-	if r.Size() != 0 || r.Has(0, 1) {
+	r := newClassPrecedence(3)
+	add := func(a, b int32) bool { return r.addRect([]int32{a}, []int32{b}) }
+	if r.Size() != 0 || r.has(0, 1) {
 		t.Fatal("fresh relation should be empty")
 	}
-	if !r.Add(0, 1) || r.Add(0, 1) {
-		t.Error("Add should report newness")
+	if !add(0, 1) || add(0, 1) {
+		t.Error("addRect should report newness")
 	}
-	r.Add(1, 2)
+	add(1, 2)
 	if r.transClose() != true {
 		t.Error("closure should add 0->2")
 	}
-	if !r.Has(0, 2) {
+	if !r.has(0, 2) {
 		t.Error("transitive edge missing")
 	}
 	if r.transClose() {

@@ -333,40 +333,3 @@ func appendCtr(b []byte, c Ctr) []byte {
 func appendAccID(b []byte, a *ir.Access) []byte {
 	return strconv.AppendInt(append(b, "    ; a"...), int64(a.ID), 10)
 }
-
-// Validate checks structural invariants: every block has a terminator,
-// block IDs match their positions, and every counter reference lies in
-// [0, Counters). The code generator's output must always validate.
-func (p *Prog) Validate() error {
-	checkCtr := func(c Ctr, where string) error {
-		if int(c) < 0 || int(c) >= p.Counters {
-			return fmt.Errorf("target: %s uses counter %s outside [0,%d)", where, c, p.Counters)
-		}
-		return nil
-	}
-	for i, b := range p.Blocks {
-		if b.ID != i {
-			return fmt.Errorf("target: block at position %d has ID %d", i, b.ID)
-		}
-		if b.Term == nil {
-			return fmt.Errorf("target: block b%d has no terminator", b.ID)
-		}
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *Get:
-				if err := checkCtr(s.Ctr, "get"); err != nil {
-					return err
-				}
-			case *Put:
-				if err := checkCtr(s.Ctr, "put"); err != nil {
-					return err
-				}
-			case *SyncCtr:
-				if err := checkCtr(s.Ctr, "sync_ctr"); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}

@@ -2,7 +2,8 @@
 // executes it with an explicit value stack — the simulator's default
 // block-execution engine (DESIGN.md §12).
 //
-// The AST walker in internal/interp re-dispatches every statement through
+// The AST walker, internal/interp's differential reference for this VM
+// (kept in its tests), re-dispatches every statement through
 // interface type switches and re-evaluates operand trees node by node. The
 // VM flattens each basic block once: expressions become postfix op
 // sequences over an interned constant pool, statements become single ops

@@ -378,6 +378,3 @@ func (p *Program) DelaySummary() string { return p.Analysis.Summary() }
 
 // TargetText renders the generated split-phase code.
 func (p *Program) TargetText() string { return p.Target.String() }
-
-// IRText renders the mid-level IR.
-func (p *Program) IRText() string { return p.Fn.String() }

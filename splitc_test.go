@@ -168,8 +168,8 @@ func TestIntrospection(t *testing.T) {
 	if !strings.Contains(p.TargetText(), "get_ctr") && !strings.Contains(p.TargetText(), "store") {
 		t.Error("TargetText missing split-phase ops")
 	}
-	if !strings.Contains(p.IRText(), "barrier") {
-		t.Error("IRText missing barrier")
+	if !strings.Contains(p.Fn.String(), "barrier") {
+		t.Error("IR text missing barrier")
 	}
 }
 
