@@ -23,12 +23,14 @@ set -euo pipefail
 
 rounds=${1:-3}
 
-bench() { # PKG REGEXP ITERATIONS
-  go test -run='^$' -bench="$2" -benchtime="$3x" "$1"
+bench() { # PKG REGEXP ITERATIONS [FLAGS...]
+  go test -run='^$' -bench="$2" -benchtime="$3x" "${@:4}" "$1"
 }
 
 for ((round = 0; round < rounds; round++)); do
-  bench ./internal/delay/    'AnalysisDelayCompute' 50
+  # One worker: allocs/op counts per-worker scratch, so it depends on how
+  # many parallelFor workers claim a group unless there is one.
+  bench ./internal/delay/    'AnalysisDelayCompute' 50 -cpu 1
   bench ./internal/syncanal/ 'AnalysisScaling' 20
   bench ./internal/interp/   'InterpEM3D|InterpOcean|VMEM3D|VMOcean|WalkEM3D|WalkOcean' 200
   bench ./internal/interp/   'VMBigProc|VMCholesky' 10

@@ -12,11 +12,12 @@ import (
 )
 
 // TestResultDigest prints one SHA-256 per program family over everything a
-// change to the analysis must leave alone: |Baseline|, |D1|, |R|, |D|,
-// RClasses, every pair of D, and the target text at blocking, pipelined and
-// oneway with CSE. It asserts nothing; an analysis PR runs it at the parent
-// and at the change and quotes both outputs, which must be equal line for
-// line:
+// change to the analysis or the code generator must leave alone:
+// |Baseline|, |D1|, |R|, |D|, RClasses, every pair of D, and the target text
+// and codegen.Stats at blocking, baseline (the one level that enforces the
+// baseline set), pipelined and oneway with CSE. It asserts nothing; such a
+// PR runs it at the parent and at the change and quotes both outputs, which
+// must be equal line for line:
 //
 //	PSC_RESULT_DIGEST=1 go test -run TestResultDigest -v .
 //
@@ -26,7 +27,7 @@ func TestResultDigest(t *testing.T) {
 	if os.Getenv("PSC_RESULT_DIGEST") == "" {
 		t.Skip("set PSC_RESULT_DIGEST=1 to print the result digests")
 	}
-	levels := []Level{LevelBlocking, LevelPipelined, LevelOneWay}
+	levels := []Level{LevelBlocking, LevelBaseline, LevelPipelined, LevelOneWay}
 	family := func(name string, srcs func(yield func(src string, procs int, full bool))) {
 		h := sha256.New()
 		programs := 0
@@ -49,7 +50,7 @@ func TestResultDigest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: generate at %s: %v", name, l, err)
 				}
-				fmt.Fprintf(h, "\n%s\n%s", l, prog.TargetText())
+				fmt.Fprintf(h, "\n%s\n%s%+v", l, prog.TargetText(), prog.Codegen)
 			}
 		})
 		t.Logf("%-12s %4d programs  %x", name, programs, h.Sum(nil))

@@ -225,8 +225,10 @@ type Generator struct {
 	stats Stats
 	work  passWork
 
-	preds            [][]int      // by block ID, built on first use
-	scanBuf, meetBuf []availEntry // global reuse's scratch lists
+	preds   [][]int      // by block ID, built on first use
+	scanBuf availList    // the transfer function's list
+	meetBuf []availEntry // global reuse's meet
+	readBuf []ir.LocalID // the locals one statement reads
 }
 
 // passWork counts what global reuse and LICM do, in units that repeat
@@ -329,99 +331,18 @@ func (g *Generator) lower() {
 	g.prog.Counters = ctr
 }
 
-// stmtUsesLocal reports whether a target statement reads the local.
-func stmtUsesLocal(s target.Stmt, id ir.LocalID) bool {
-	switch s := s.(type) {
-	case *target.Wrap:
-		switch w := s.S.(type) {
-		case *ir.Assign:
-			return ir.ExprUsesLocal(w.Src, id)
-		case *ir.SetElem:
-			return w.Arr == id || ir.ExprUsesLocal(w.Index, id) || ir.ExprUsesLocal(w.Src, id)
-		case *ir.Print:
-			for _, a := range w.Args {
-				if !a.IsStr && ir.ExprUsesLocal(a.E, id) {
-					return true
-				}
-			}
-			return false
-		case *ir.SyncOp:
-			return w.Acc.Index != nil && ir.ExprUsesLocal(w.Acc.Index, id)
-		}
-	case *target.Get:
-		return s.Acc.Index != nil && ir.ExprUsesLocal(s.Acc.Index, id)
-	case *target.Put:
-		if ir.ExprUsesLocal(s.Src, id) {
-			return true
-		}
-		return s.Acc.Index != nil && ir.ExprUsesLocal(s.Acc.Index, id)
-	case *target.Store:
-		if ir.ExprUsesLocal(s.Src, id) {
-			return true
-		}
-		return s.Acc.Index != nil && ir.ExprUsesLocal(s.Acc.Index, id)
-	}
-	return false
-}
-
-// accessOfTarget returns the shared access carried by a target statement.
-func accessOfTarget(s target.Stmt) *ir.Access {
-	switch s := s.(type) {
-	case *target.Get:
-		return s.Acc
-	case *target.Put:
-		return s.Acc
-	case *target.Store:
-		return s.Acc
-	case *target.Wrap:
-		if so, ok := s.S.(*ir.SyncOp); ok {
-			return so.Acc
-		}
-	}
-	return nil
-}
-
-func isWriteStmt(s target.Stmt) bool {
-	switch s.(type) {
-	case *target.Put, *target.Store:
-		return true
-	}
-	return false
-}
-
-// stmtWritesLocal reports whether a target statement (re)defines the local.
-func stmtWritesLocal(s target.Stmt, id ir.LocalID) bool {
-	l, ok := stmtDst(s)
-	return ok && l == id
-}
-
-// stmtDst returns the local a target statement (re)defines, if any.
-func stmtDst(s target.Stmt) (ir.LocalID, bool) {
-	switch s := s.(type) {
-	case *target.Wrap:
-		switch w := s.S.(type) {
-		case *ir.Assign:
-			return w.Dst, true
-		case *ir.SetElem:
-			return w.Arr, true
-		}
-	case *target.Get:
-		return s.Dst, true
-	}
-	return 0, false
-}
-
 // blocksMotion reports whether the sync for access a (a get into dst when
 // isGet) must execute before statement s, and if so which constraint
 // stopped it (recorded as the sync's provenance).
 func (g *Generator) blocksMotion(a *accInfo, s target.Stmt) (target.Cause, bool) {
+	e := effectOf(s)
 	// Local def-use: the fetched value must be valid before any use, and
 	// the in-flight reply must land before any redefinition of the
 	// destination (the arrival would clobber the newer value).
-	if a.isGet && (stmtUsesLocal(s, a.dst) || stmtWritesLocal(s, a.dst)) {
+	if a.isGet && (e.def == a.dst || g.reads(s, a.dst)) {
 		return target.Cause{Acc: a.acc.ID, Blocker: -1, Kind: target.CauseLocal}, true
 	}
-	b := accessOfTarget(s)
+	b := e.acc
 	if b == nil {
 		return target.Cause{}, false
 	}
@@ -432,11 +353,8 @@ func (g *Generator) blocksMotion(a *accInfo, s target.Stmt) (target.Cause, bool)
 	// Same-processor memory dependence: outstanding operations to a
 	// possibly-identical address must stay ordered with later accesses to
 	// it, except for read-after-read.
-	if b.Kind.IsData() && b.Sym == a.acc.Sym {
-		bothReads := a.isGet && !isWriteStmt(s)
-		if !bothReads && ir.MayAliasSameProc(g.fn, a.acc.Index, b.Index, a.acc.ID == b.ID) {
-			return target.Cause{Acc: a.acc.ID, Blocker: b.ID, Kind: target.CauseAlias}, true
-		}
+	if g.sameProcOrdered(a.acc, b) {
+		return target.Cause{Acc: a.acc.ID, Blocker: b.ID, Kind: target.CauseAlias}, true
 	}
 	return target.Cause{}, false
 }
@@ -568,7 +486,7 @@ func (g *Generator) posAtBarrier(p pos) bool {
 	if p.idx >= len(p.blk.Stmts) {
 		return false
 	}
-	b := accessOfTarget(p.blk.Stmts[p.idx])
+	b := effectOf(p.blk.Stmts[p.idx]).acc
 	return b != nil && b.Kind == ir.AccBarrier
 }
 

@@ -52,129 +52,64 @@ func (g *Generator) eliminate() {
 	}
 }
 
-type availGet struct {
-	acc *ir.Access
-	dst ir.LocalID
-}
-
+// availPut is a put the block-local pass may still delete (write-back) or
+// forward (value propagation). Its entry's holding local is the put's
+// source when that is a local.
 type availPut struct {
-	acc  *ir.Access
+	availEntry
 	src  ir.Expr // forwardable only if Const or LocalRef
 	live bool
 }
 
+// killPuts retires the puts statement effect e exposes or invalidates:
+// every put at a release or acquire, and otherwise the ones e kills.
+func (g *Generator) killPuts(puts []availPut, e effect) {
+	all := e.acquires() || e.releases()
+	for i := range puts {
+		if p := &puts[i]; p.live && (all || g.kills(e, p.availEntry)) {
+			p.live = false
+		}
+	}
+}
+
 func (g *Generator) eliminateInBlock(blk *target.Block) {
-	fn := g.fn
-	var gets []availGet
+	gets := g.scanBuf[:0]
 	var puts []availPut
-
-	invalidateOnLocalWrite := func(id ir.LocalID) {
-		keep := gets[:0]
-		for _, a := range gets {
-			if a.acc.Index != nil && ir.ExprUsesLocal(a.acc.Index, id) {
-				continue
-			}
-			if a.dst == id {
-				continue
-			}
-			keep = append(keep, a)
-		}
-		gets = keep
-		for i := range puts {
-			if !puts[i].live {
-				continue
-			}
-			if puts[i].acc.Index != nil && ir.ExprUsesLocal(puts[i].acc.Index, id) {
-				puts[i].live = false
-			}
-			if lr, ok := puts[i].src.(*ir.LocalRef); ok && lr.ID == id {
-				puts[i].live = false
-			}
-		}
-	}
-	invalidateAcquire := func() {
-		gets = gets[:0]
-		for i := range puts {
-			puts[i].live = false
-		}
-	}
-
-	invalidateMayAlias := func(acc *ir.Access) {
-		keep := gets[:0]
-		for _, a := range gets {
-			if a.acc.Sym == acc.Sym && ir.MayAliasSameProc(fn, a.acc.Index, acc.Index, false) {
-				continue
-			}
-			keep = append(keep, a)
-		}
-		gets = keep
-		for i := range puts {
-			if puts[i].live && puts[i].acc.Sym == acc.Sym &&
-				ir.MayAliasSameProc(fn, puts[i].acc.Index, acc.Index, false) {
-				puts[i].live = false
-			}
-		}
-	}
-
 	out := make([]target.Stmt, 0, len(blk.Stmts))
 	for _, s := range blk.Stmts {
+		e := effectOf(s)
+		emit := s
 		switch s := s.(type) {
 		case *target.Get:
-			// Value reuse: same address already fetched?
-			reused := false
-			for _, a := range gets {
-				if a.acc.Sym == s.Acc.Sym && ir.ExprEqual(a.acc.Index, s.Acc.Index) {
-					out = append(out, &target.Wrap{S: &ir.Assign{
-						Dst: s.Dst,
-						Src: &ir.LocalRef{ID: a.dst, T: fn.Locals[a.dst].Type},
-					}})
-					g.infos[s.Acc.ID] = nil
-					g.stats.GetsEliminated++
-					reused = true
-					break
-				}
+			var copied ir.Expr
+			if x, ok := gets.lookup(s.Acc); ok {
+				// Value reuse: same address already fetched.
+				copied = &ir.LocalRef{ID: x.dst, T: g.fn.Locals[x.dst].Type}
+				g.stats.GetsEliminated++
+			} else if p := lastPut(puts, s.Acc); p != nil && forwardable(p.src) {
+				// Value propagation: forward a just-written value.
+				copied = p.src
+				g.stats.GetsForwarded++
 			}
-			// Value propagation: forward a just-written value.
-			if !reused {
-				for i := len(puts) - 1; i >= 0; i-- {
-					p := puts[i]
-					if !p.live || p.acc.Sym != s.Acc.Sym || !ir.ExprEqual(p.acc.Index, s.Acc.Index) {
-						continue
-					}
-					if !forwardable(p.src) {
-						break
-					}
-					out = append(out, &target.Wrap{S: &ir.Assign{Dst: s.Dst, Src: p.src}})
-					g.infos[s.Acc.ID] = nil
-					g.stats.GetsForwarded++
-					reused = true
-					break
-				}
-			}
-			if reused {
-				// The local copy writes s.Dst; invalidate entries using it.
-				invalidateOnLocalWrite(s.Dst)
-				continue
+			if copied != nil {
+				// The copy defines s.Dst like the get did, but block-local
+				// reuse does not record it as holding the address.
+				emit = &target.Wrap{S: &ir.Assign{Dst: s.Dst, Src: copied}}
+				g.infos[s.Acc.ID] = nil
+				break
 			}
 			// A real remote read observes overlapping earlier puts, so
 			// they can no longer be deleted by write-back.
 			for i := range puts {
-				if puts[i].live && puts[i].acc.Sym == s.Acc.Sym &&
-					ir.MayAliasSameProc(fn, puts[i].acc.Index, s.Acc.Index, false) {
+				if puts[i].live && g.mayAlias(puts[i].acc, s.Acc) {
 					puts[i].live = false
 				}
 			}
-			// The get (re)defines its destination: invalidate entries
-			// depending on it, then record the new availability.
-			invalidateOnLocalWrite(s.Dst)
-			gets = append(gets, availGet{acc: s.Acc, dst: s.Dst})
-			out = append(out, s)
 		case *target.Put:
 			// Write-back: delete an earlier put to the identical address
 			// if nothing could have observed it.
 			for i := range puts {
-				if puts[i].live && puts[i].acc.Sym == s.Acc.Sym &&
-					ir.ExprEqual(puts[i].acc.Index, s.Acc.Index) {
+				if puts[i].live && sameAddress(puts[i].acc, s.Acc) {
 					// Remove the earlier put from the emitted prefix.
 					for j, prev := range out {
 						if pp, ok := prev.(*target.Put); ok && pp.Acc.ID == puts[i].acc.ID {
@@ -187,33 +122,33 @@ func (g *Generator) eliminateInBlock(blk *target.Block) {
 					puts[i].live = false
 				}
 			}
-			invalidateMayAlias(s.Acc)
-			out = append(out, s)
-			puts = append(puts, availPut{acc: s.Acc, src: s.Src, live: true})
-		case *target.Wrap:
-			switch w := s.S.(type) {
-			case *ir.Assign:
-				invalidateOnLocalWrite(w.Dst)
-			case *ir.SetElem:
-				invalidateOnLocalWrite(w.Arr)
-			case *ir.SyncOp:
-				switch w.Acc.Kind {
-				case ir.AccWait, ir.AccLock, ir.AccBarrier:
-					// Acquire: remote writes may now be ordered before us.
-					invalidateAcquire()
-				case ir.AccPost, ir.AccUnlock:
-					// Release: earlier puts become observable; keep gets.
-					for i := range puts {
-						puts[i].live = false
-					}
-				}
+		}
+		gets = g.kill(gets, e)
+		g.killPuts(puts, e)
+		switch s := emit.(type) {
+		case *target.Get:
+			gets = append(gets, availEntry{acc: s.Acc, dst: s.Dst})
+		case *target.Put:
+			held := noLocal
+			if lr, ok := s.Src.(*ir.LocalRef); ok {
+				held = lr.ID
 			}
-			out = append(out, s)
-		default:
-			out = append(out, s)
+			puts = append(puts, availPut{availEntry{s.Acc, held}, s.Src, true})
+		}
+		out = append(out, emit)
+	}
+	g.scanBuf = gets
+	blk.Stmts = out
+}
+
+// lastPut returns the latest live put to acc's address, or nil.
+func lastPut(puts []availPut, acc *ir.Access) *availPut {
+	for i := len(puts) - 1; i >= 0; i-- {
+		if p := &puts[i]; p.live && sameAddress(p.acc, acc) {
+			return p
 		}
 	}
-	blk.Stmts = out
+	return nil
 }
 
 // forwardable reports whether an expression can be re-evaluated later with

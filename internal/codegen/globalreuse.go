@@ -20,81 +20,54 @@ import (
 // read-only for a phase, the phase's loop re-reads become one fetch, and
 // post-wait-completed updates can be cached by later readers.
 //
-// Availability is killed by exactly what kills the block-local reuse:
-// may-aliasing writes by this processor, acquire-like synchronization
-// (wait, lock, barrier — another processor's write may become visible),
-// and redefinition of the address's locals or the holding local.
+// Availability dies by the kill rules (kill, in effect.go) that
+// block-local reuse applies too: may-aliasing writes by this processor,
+// acquire-like synchronization (wait, lock, barrier — another processor's
+// write may become visible), and redefinition of the address's locals or
+// the holding local.
 
-// availKey identifies a cached fetch.
-type availKey struct {
-	accID int // representative get whose address this entry caches
-	dst   ir.LocalID
-}
-
-type availEntry struct {
-	acc *ir.Access
-	dst ir.LocalID
-}
-
-// scanGets runs the availability transfer function over one block. The
-// result lives in a buffer the next call reuses: a caller that keeps it
-// copies it.
-func (g *Generator) scanGets(in []availEntry, blk *target.Block) []availEntry {
-	entries := append(g.scanBuf[:0], in...)
-	fn := g.fn
-
-	killLocal := func(id ir.LocalID) {
-		keep := entries[:0]
-		for _, e := range entries {
-			if e.dst == id {
-				continue
-			}
-			if e.acc.Index != nil && ir.ExprUsesLocal(e.acc.Index, id) {
-				continue
-			}
-			keep = append(keep, e)
-		}
-		entries = keep
+// transfer runs the availability transfer function over blk from the
+// entry list in: each statement kills what it invalidates, and a get then
+// caches its own fetch. With rewrite set it also replaces each get whose
+// address is already cached: by a local copy, or by nothing when the value
+// already sits in the get's destination. The result lives in a buffer the
+// next call reuses: a caller that keeps it copies it.
+func (g *Generator) transfer(in []availEntry, blk *target.Block, rewrite bool) []availEntry {
+	l := append(g.scanBuf[:0], in...)
+	var out []target.Stmt
+	if rewrite {
+		out = make([]target.Stmt, 0, len(blk.Stmts))
 	}
-	killAlias := func(acc *ir.Access) {
-		keep := entries[:0]
-		for _, e := range entries {
-			if e.acc.Sym == acc.Sym && ir.MayAliasSameProc(fn, e.acc.Index, acc.Index, false) {
-				continue
-			}
-			keep = append(keep, e)
-		}
-		entries = keep
-	}
-	killAll := func() { entries = entries[:0] }
-
 	for _, s := range blk.Stmts {
-		switch s := s.(type) {
-		case *target.Get:
-			killLocal(s.Dst)
-			entries = append(entries, availEntry{acc: s.Acc, dst: s.Dst})
-		case *target.Put:
-			killAlias(s.Acc)
-		case *target.Store:
-			killAlias(s.Acc)
-		case *target.SyncCtr:
-			// no effect on availability
-		case *target.Wrap:
-			switch w := s.S.(type) {
-			case *ir.Assign:
-				killLocal(w.Dst)
-			case *ir.SetElem:
-				killLocal(w.Arr)
-			case *ir.SyncOp:
-				switch w.Acc.Kind {
-				case ir.AccWait, ir.AccLock, ir.AccBarrier:
-					killAll()
+		e := effectOf(s)
+		get, isGet := s.(*target.Get)
+		keep := true
+		if isGet && rewrite {
+			if x, ok := l.lookup(get.Acc); ok {
+				g.infos[get.Acc.ID] = nil
+				g.stats.GetsCached++
+				if x.dst != get.Dst {
+					out = append(out, &target.Wrap{S: &ir.Assign{
+						Dst: get.Dst,
+						Src: &ir.LocalRef{ID: x.dst, T: g.fn.Locals[x.dst].Type},
+					}})
 				}
+				keep = false
 			}
 		}
+		l = g.kill(l, e)
+		if isGet {
+			l = append(l, availEntry{acc: get.Acc, dst: get.Dst})
+		}
+		if rewrite && keep {
+			out = append(out, s)
+		}
 	}
-	g.scanBuf = entries
-	return entries
+	g.scanBuf = l
+	if rewrite {
+		blk.Stmts = out
+	}
+	return l
 }
 
 // intersectAvail appends to dst the entries of a present in b (same
@@ -103,7 +76,7 @@ func (g *Generator) scanGets(in []availEntry, blk *target.Block) []availEntry {
 func intersectAvail(dst, a, b []availEntry) []availEntry {
 	for _, ea := range a {
 		for _, eb := range b {
-			if ea.dst == eb.dst && ea.acc.Sym == eb.acc.Sym && ir.ExprEqual(ea.acc.Index, eb.acc.Index) {
+			if ea.dst == eb.dst && sameAddress(ea.acc, eb.acc) {
 				dst = append(dst, ea)
 				break
 			}
@@ -150,11 +123,11 @@ func (g *Generator) meet(fl *availFlow, preds []int) (m []availEntry, owned, rea
 // changed: a block is queued only when a predecessor's exit list changes
 // (or the predecessor is first reached), and a queued block is visited on
 // the current sweep if its ID lies ahead, else on the next. The
-// round-robin would find every skipped block unchanged, since scanGets is
+// round-robin would find every skipped block unchanged, since transfer is
 // a function of (meet, block) alone and a block whose meet equals its
 // recorded entry list is not rescanned either; so each visit sees the
 // round-robin's state and every list comes out the same, order and
-// representative included (rewriteWithAvail takes the first match).
+// representative included (the rewriting transfer takes the first match).
 // TestGlobalReuseMatchesRoundRobin holds the two equal.
 func (g *Generator) availFixpoint() *availFlow {
 	blocks := g.prog.Blocks
@@ -184,7 +157,7 @@ func (g *Generator) availFixpoint() *availFlow {
 	}
 
 	fl.known[0] = true
-	fl.out[0] = slices.Clone(g.scanGets(nil, blocks[0]))
+	fl.out[0] = slices.Clone(g.transfer(nil, blocks[0], false))
 	g.work.ReuseScans++
 	queueSuccs(0)
 	for b := next(0); b >= 0; b = next(0) {
@@ -199,7 +172,7 @@ func (g *Generator) availFixpoint() *availFlow {
 				m = slices.Clone(m)
 			}
 			fl.in[b] = m
-			out := g.scanGets(m, blocks[b])
+			out := g.transfer(m, blocks[b], false)
 			g.work.ReuseScans++
 			if !fl.known[b] || !sameAvail(fl.out[b], out) {
 				fl.out[b] = slices.Clone(out)
@@ -221,7 +194,7 @@ func (g *Generator) globalReuse() {
 		if !fl.known[bi] {
 			continue
 		}
-		g.rewriteWithAvail(fl.in[bi], b)
+		g.transfer(fl.in[bi], b, true)
 	}
 }
 
@@ -235,93 +208,6 @@ func sameAvail(a, b []availEntry) bool {
 		}
 	}
 	return true
-}
-
-// rewriteWithAvail replays the transfer function over a block, replacing
-// gets whose address is already cached.
-func (g *Generator) rewriteWithAvail(in []availEntry, blk *target.Block) {
-	entries := append(g.scanBuf[:0], in...)
-	fn := g.fn
-
-	killLocal := func(id ir.LocalID) {
-		keep := entries[:0]
-		for _, e := range entries {
-			if e.dst == id {
-				continue
-			}
-			if e.acc.Index != nil && ir.ExprUsesLocal(e.acc.Index, id) {
-				continue
-			}
-			keep = append(keep, e)
-		}
-		entries = keep
-	}
-	killAlias := func(acc *ir.Access) {
-		keep := entries[:0]
-		for _, e := range entries {
-			if e.acc.Sym == acc.Sym && ir.MayAliasSameProc(fn, e.acc.Index, acc.Index, false) {
-				continue
-			}
-			keep = append(keep, e)
-		}
-		entries = keep
-	}
-
-	outStmts := make([]target.Stmt, 0, len(blk.Stmts))
-	for _, s := range blk.Stmts {
-		switch s := s.(type) {
-		case *target.Get:
-			replaced := false
-			for _, e := range entries {
-				if e.acc.Sym == s.Acc.Sym && ir.ExprEqual(e.acc.Index, s.Acc.Index) {
-					g.infos[s.Acc.ID] = nil
-					if e.dst == s.Dst {
-						// The value is already in the right local.
-						g.stats.GetsCached++
-					} else {
-						outStmts = append(outStmts, &target.Wrap{S: &ir.Assign{
-							Dst: s.Dst,
-							Src: &ir.LocalRef{ID: e.dst, T: fn.Locals[e.dst].Type},
-						}})
-						g.stats.GetsCached++
-					}
-					replaced = true
-					break
-				}
-			}
-			killLocal(s.Dst)
-			if replaced {
-				// A copy (if any) redefines s.Dst; entries were updated.
-				entries = append(entries, availEntry{acc: s.Acc, dst: s.Dst})
-				continue
-			}
-			entries = append(entries, availEntry{acc: s.Acc, dst: s.Dst})
-			outStmts = append(outStmts, s)
-		case *target.Put:
-			killAlias(s.Acc)
-			outStmts = append(outStmts, s)
-		case *target.Store:
-			killAlias(s.Acc)
-			outStmts = append(outStmts, s)
-		case *target.Wrap:
-			switch w := s.S.(type) {
-			case *ir.Assign:
-				killLocal(w.Dst)
-			case *ir.SetElem:
-				killLocal(w.Arr)
-			case *ir.SyncOp:
-				switch w.Acc.Kind {
-				case ir.AccWait, ir.AccLock, ir.AccBarrier:
-					entries = entries[:0]
-				}
-			}
-			outStmts = append(outStmts, s)
-		default:
-			outStmts = append(outStmts, s)
-		}
-	}
-	g.scanBuf = entries
-	blk.Stmts = outStmts
 }
 
 // GlobalReuse runs the global availability dataflow that rewrites gets of

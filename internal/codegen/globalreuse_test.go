@@ -27,7 +27,7 @@ func roundRobinAvail(g *Generator) (fl *availFlow, scans, sweeps int) {
 		}
 	}
 	fl.known[0] = true
-	fl.out[0] = slices.Clone(g.scanGets(nil, blocks[0]))
+	fl.out[0] = slices.Clone(g.transfer(nil, blocks[0], false))
 	scans++
 	for changed := true; changed; {
 		changed = false
@@ -48,7 +48,7 @@ func roundRobinAvail(g *Generator) (fl *availFlow, scans, sweeps int) {
 			if !any {
 				continue
 			}
-			newOut := slices.Clone(g.scanGets(meet, blocks[bi]))
+			newOut := slices.Clone(g.transfer(meet, blocks[bi], false))
 			scans++
 			if !fl.known[bi] || !sameAvail(fl.in[bi], meet) || !sameAvail(fl.out[bi], newOut) {
 				fl.in[bi], fl.out[bi], fl.known[bi] = meet, newOut, true
@@ -136,7 +136,7 @@ func checkReuse(t *testing.T, c reuseCase) {
 	}
 	for b, blk := range ref.prog.Blocks {
 		if want.known[b] {
-			ref.rewriteWithAvail(want.in[b], blk)
+			ref.transfer(want.in[b], blk, true)
 		}
 	}
 	prod := beforeReuse(c)

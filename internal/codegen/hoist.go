@@ -1,9 +1,6 @@
 package codegen
 
-import (
-	"repro/internal/ir"
-	"repro/internal/target"
-)
+import "repro/internal/target"
 
 // hoist moves get/put initiations backwards within their basic blocks
 // (section 6: "puts and gets are moved backwards in the program execution
@@ -63,73 +60,29 @@ func isInitiation(s target.Stmt) bool {
 	return false
 }
 
-// initiationReads returns the locals the initiation reads.
-func initiationReads(s target.Stmt) []ir.LocalID {
-	switch s := s.(type) {
-	case *target.Get:
-		if s.Acc.Index != nil {
-			return ir.ExprLocals(s.Acc.Index, nil)
-		}
-	case *target.Put:
-		out := ir.ExprLocals(s.Src, nil)
-		if s.Acc.Index != nil {
-			out = ir.ExprLocals(s.Acc.Index, out)
-		}
-		return out
-	case *target.Store:
-		out := ir.ExprLocals(s.Src, nil)
-		if s.Acc.Index != nil {
-			out = ir.ExprLocals(s.Acc.Index, out)
-		}
-		return out
-	}
-	return nil
-}
-
-// stmtDefines returns the scalar local (or local array) a statement defines
-// and whether it defines one.
-func stmtDefines(s target.Stmt) (ir.LocalID, bool) {
-	switch s := s.(type) {
-	case *target.Wrap:
-		switch w := s.S.(type) {
-		case *ir.Assign:
-			return w.Dst, true
-		case *ir.SetElem:
-			return w.Arr, true
-		}
-	case *target.Get:
-		return s.Dst, true
-	}
-	return 0, false
-}
-
 // canSwap reports whether initiation cur may move above prev.
 func (g *Generator) canSwap(prev, cur target.Stmt) bool {
-	curAcc := accessOfTarget(cur)
-	if curAcc == nil {
+	p, c := effectOf(prev), effectOf(cur)
+	if c.acc == nil {
 		return false
 	}
+	get, curIsGet := cur.(*target.Get)
 	// Among initiations, only "get above put/store" is worth doing (the
 	// get has a consumer waiting downstream; the put does not block).
 	// Restricting to that one direction also guarantees termination:
 	// every useful swap strictly decreases the number of puts preceding
 	// gets, and no allowed swap increases it.
-	if isInitiation(prev) {
-		if _, isGet := cur.(*target.Get); !isGet || !isWriteStmt(prev) {
-			return false
-		}
+	if isInitiation(prev) && (!curIsGet || !p.writes()) {
+		return false
 	}
-	// Delay constraints: prev's access must not be ordered before cur.
-	if prevAcc := accessOfTarget(prev); prevAcc != nil {
-		if g.delayOrders(prevAcc.ID, curAcc.ID) {
+	if p.acc != nil {
+		// Delay constraints: prev's access must not be ordered before cur.
+		if g.delayOrders(p.acc.ID, c.acc.ID) {
 			return false
 		}
 		// Same-processor memory ordering for shared accesses.
-		if prevAcc.Kind.IsData() && curAcc.Kind.IsData() && prevAcc.Sym == curAcc.Sym {
-			bothReads := prevAcc.Kind == ir.AccRead && curAcc.Kind == ir.AccRead
-			if !bothReads && ir.MayAliasSameProc(g.fn, prevAcc.Index, curAcc.Index, prevAcc.ID == curAcc.ID) {
-				return false
-			}
+		if g.sameProcOrdered(p.acc, c.acc) {
+			return false
 		}
 		// Without a delay edge, the analysis says the orders are
 		// indistinguishable; synchronization operations may be crossed.
@@ -139,25 +92,13 @@ func (g *Generator) canSwap(prev, cur target.Stmt) bool {
 	if _, isSync := prev.(*target.SyncCtr); isSync {
 		return false
 	}
-	// Local data dependences.
-	if def, ok := stmtDefines(prev); ok {
-		for _, r := range initiationReads(cur) {
-			if r == def {
-				return false
-			}
-		}
-		if gg, isGet := cur.(*target.Get); isGet && def == gg.Dst {
-			return false
-		}
+	// Local data dependences: prev must not define a local cur reads, nor
+	// define or read a get's destination (it would observe the hoisted
+	// get's in-flight clobber).
+	if p.def != noLocal && g.reads(cur, p.def) {
+		return false
 	}
-	if gg, isGet := cur.(*target.Get); isGet {
-		// prev must not use the get's destination (it would observe the
-		// hoisted get's in-flight clobber).
-		if stmtUsesLocal(prev, gg.Dst) {
-			return false
-		}
-	}
-	return true
+	return !curIsGet || p.def != get.Dst && !g.reads(prev, get.Dst)
 }
 
 // Hoist bubbles initiations upward past independent statements to widen

@@ -112,13 +112,13 @@ func (g *Generator) indexLocalSites() *localSites {
 	blocks := g.prog.Blocks
 	nl := len(g.fn.Locals)
 	x := &localSites{preds: g.predecessors(), defs: make([][]defSite, nl), uses: make([][]int, nl)}
-	var buf []ir.LocalID
+	buf := g.readBuf
 	for _, b := range blocks {
 		for _, s := range b.Stmts {
-			if l, ok := stmtDst(s); ok {
-				x.defs[l] = append(x.defs[l], defSite{b.ID, s})
+			if def := effectOf(s).def; def != noLocal {
+				x.defs[def] = append(x.defs[def], defSite{b.ID, s})
 			}
-			buf = stmtLocals(s, buf[:0])
+			buf = appendReads(s, buf[:0])
 			for _, l := range buf {
 				x.uses[l] = append(x.uses[l], b.ID)
 			}
@@ -130,17 +130,19 @@ func (g *Generator) indexLocalSites() *localSites {
 			}
 		}
 	}
+	g.readBuf = buf
 	return x
 }
 
-// moveGet re-homes a hoisted get's definition and address reads.
-func (x *localSites) moveGet(get *target.Get, from, to int) {
+// moveGet re-homes a hoisted get's definition and its reads, the locals
+// of its address.
+func (x *localSites) moveGet(get *target.Get, reads []ir.LocalID, from, to int) {
 	for i := range x.defs[get.Dst] {
 		if x.defs[get.Dst][i].s == target.Stmt(get) {
 			x.defs[get.Dst][i].blk = to
 		}
 	}
-	for _, l := range stmtLocals(get, nil) {
+	for _, l := range reads {
 		for i, b := range x.uses[l] {
 			if b == from {
 				x.uses[l][i] = to
@@ -148,36 +150,6 @@ func (x *localSites) moveGet(get *target.Get, from, to int) {
 			}
 		}
 	}
-}
-
-// stmtLocals appends the locals a target statement reads, once per
-// occurrence: the enumerating form of stmtUsesLocal.
-func stmtLocals(s target.Stmt, out []ir.LocalID) []ir.LocalID {
-	if acc := accessOfTarget(s); acc != nil && acc.Index != nil {
-		out = ir.ExprLocals(acc.Index, out)
-	}
-	switch s := s.(type) {
-	case *target.Put:
-		out = ir.ExprLocals(s.Src, out)
-	case *target.Store:
-		out = ir.ExprLocals(s.Src, out)
-	case *target.Wrap:
-		switch w := s.S.(type) {
-		case *ir.Assign:
-			out = ir.ExprLocals(w.Src, out)
-		case *ir.SetElem:
-			out = append(out, w.Arr)
-			out = ir.ExprLocals(w.Index, out)
-			out = ir.ExprLocals(w.Src, out)
-		case *ir.Print:
-			for _, a := range w.Args {
-				if !a.IsStr {
-					out = ir.ExprLocals(a.E, out)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // naturalLoop lists, in ascending order, the blocks of the natural loop
@@ -211,14 +183,12 @@ func naturalLoop(preds [][]int, head, latch int, in *stampSet) []int {
 // in holds the body's blocks; written is scratch for the locals the loop
 // writes.
 func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, pre *target.Block, dom *ir.DomTree, sites *localSites) {
-	fn := g.fn
 	g.work.LICMLoops++
 	g.work.LICMVisits += len(body)
 	// Collect the loop's kill facts in one pass.
 	written.reset()
 	var writes []*ir.Access
 	var accs []int // every access in the loop, for the delay check
-	hasAcquire := false
 	type getSite struct {
 		blk *target.Block
 		st  *target.Get
@@ -227,34 +197,23 @@ func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, 
 	for _, id := range body {
 		b := g.prog.Blocks[id]
 		for _, s := range b.Stmts {
-			if x := accessOfTarget(s); x != nil {
-				accs = append(accs, x.ID)
+			e := effectOf(s)
+			if e.acquires() {
+				return
 			}
-			switch s := s.(type) {
-			case *target.Get:
-				written.add(int(s.Dst)) // provisional; refined below
-				gets = append(gets, getSite{b, s})
-			case *target.Put:
-				writes = append(writes, s.Acc)
-			case *target.Store:
-				writes = append(writes, s.Acc)
-			case *target.Wrap:
-				switch w := s.S.(type) {
-				case *ir.Assign:
-					written.add(int(w.Dst))
-				case *ir.SetElem:
-					written.add(int(w.Arr))
-				case *ir.SyncOp:
-					switch w.Acc.Kind {
-					case ir.AccWait, ir.AccLock, ir.AccBarrier:
-						hasAcquire = true
-					}
-				}
+			if e.acc != nil {
+				accs = append(accs, e.acc.ID)
+			}
+			if e.def != noLocal {
+				written.add(int(e.def)) // a get's own destination too
+			}
+			if e.writes() {
+				writes = append(writes, e.acc)
+			}
+			if get, ok := s.(*target.Get); ok {
+				gets = append(gets, getSite{b, get})
 			}
 		}
-	}
-	if hasAcquire {
-		return
 	}
 	for _, site := range gets {
 		get := site.st
@@ -263,16 +222,8 @@ func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, 
 			continue
 		}
 		// Address invariant? No loop-written local in the index.
-		invariant := true
-		if get.Acc.Index != nil {
-			for _, l := range ir.ExprLocals(get.Acc.Index, nil) {
-				if written.has(int(l)) {
-					invariant = false
-					break
-				}
-			}
-		}
-		if !invariant {
+		g.readBuf = appendReads(get, g.readBuf[:0])
+		if slices.ContainsFunc(g.readBuf, func(l ir.LocalID) bool { return written.has(int(l)) }) {
 			continue
 		}
 		// Destination written only by this get inside the loop, and not
@@ -281,14 +232,7 @@ func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, 
 			continue
 		}
 		// No may-aliasing write in the loop.
-		aliased := false
-		for _, w := range writes {
-			if w.Sym == get.Acc.Sym && ir.MayAliasSameProc(fn, w.Index, get.Acc.Index, false) {
-				aliased = true
-				break
-			}
-		}
-		if aliased {
+		if slices.ContainsFunc(writes, func(w *ir.Access) bool { return g.mayAlias(get.Acc, w) }) {
 			continue
 		}
 		// No delay edge orders a loop access before this get: hoisting
@@ -309,7 +253,7 @@ func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, 
 		// get's access leaves the loop with it.
 		site.blk.Stmts = removeStmt(site.blk.Stmts, get)
 		pre.Stmts = append(pre.Stmts, get)
-		sites.moveGet(get, site.blk.ID, pre.ID)
+		sites.moveGet(get, g.readBuf, site.blk.ID, pre.ID)
 		for i, x := range accs {
 			if x == get.Acc.ID {
 				accs = append(accs[:i], accs[i+1:]...)

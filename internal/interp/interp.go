@@ -18,11 +18,6 @@ type RunOptions struct {
 	Jitter float64
 	// Seed seeds the jitter generator.
 	Seed int64
-	// Contention serializes message handling at each destination's network
-	// interface: messages to one owner are spaced at least RecvOv apart,
-	// so all-to-one traffic hot-spots cost extra. (Approximation: the
-	// queue is maintained in issue order.)
-	Contention bool
 	// VerifyDelays, when non-nil, makes the executor assert at every
 	// access initiation that all delay-predecessor gets and puts have
 	// completed — an independent runtime check that the generated code
@@ -303,19 +298,16 @@ type sim struct {
 	tap        Tap
 	nDyn       int // next dynamic-op id
 	barEp      int // open barrier episode number
-	// niBusy[p] is the time processor p's network interface finishes its
-	// last queued message (contention modeling).
-	niBusy []float64
-	msgs   int
-	last   float64
-	err    error
-	nEv    int
+	msgs       int
+	last       float64
+	err        error
+	nEv        int
 	// lazy makes get-reads skip the event queue: a read is sampled at the
 	// first later-keyed point that could disturb or observe its cell — a
 	// memory write's dispatch (forceReads) or its landing's application
 	// (applyLands). Memory changes only at evMemWrite dispatch, and run
-	// order, seq allocation and the deliver/niBusy stamps made at issue are
-	// untouched, so event objects, locks and Contention do not matter. The
+	// order, seq allocation and the deliver stamps made at issue are
+	// untouched, so event objects and locks do not matter. The
 	// gate is the untapped deterministic run: a tap sees reads' MemEffects
 	// in dispatch order, which this changes, and seeded schedules (Jitter,
 	// Perturb) stay on the queued path lazy_diff_test.go holds this one to.
@@ -399,15 +391,14 @@ func NewRunner(prog *target.Prog, cfg machine.Config) (*Runner, error) {
 	}
 	info := prog.Fn.Info
 	r := &Runner{s: sim{
-		prog:   prog,
-		cfg:    cfg,
-		mem:    NewMemory(info, cfg.Procs),
-		queue:  newEvq(6*cfg.Procs + 64),
-		bar:    barrierState{arrived: make([]float64, cfg.Procs)},
-		niBusy: make([]float64, cfg.Procs),
-		evs:    make([][]eventObj, len(info.Events)),
-		lks:    make([][]lockObj, len(info.Locks)),
-		procs:  make([]*proc, cfg.Procs),
+		prog:  prog,
+		cfg:   cfg,
+		mem:   NewMemory(info, cfg.Procs),
+		queue: newEvq(6*cfg.Procs + 64),
+		bar:   barrierState{arrived: make([]float64, cfg.Procs)},
+		evs:   make([][]eventObj, len(info.Events)),
+		lks:   make([][]lockObj, len(info.Locks)),
+		procs: make([]*proc, cfg.Procs),
 	}}
 	r.self = r
 	s := &r.s
@@ -459,7 +450,6 @@ func (r *Runner) reset(opts RunOptions) error {
 	s.bar.n, s.bar.accID, s.bar.release = 0, -1, 0
 	for i := range s.bar.arrived {
 		s.bar.arrived[i] = -1
-		s.niBusy[i] = 0
 	}
 	for _, arr := range s.evs {
 		for i := range arr {
@@ -800,16 +790,9 @@ func (s *sim) wire() float64 {
 }
 
 // deliver computes a message's service time at the destination's network
-// interface: the raw arrival, or later when contention queues it.
-func (s *sim) deliver(owner int, sent float64) float64 {
-	arrival := sent + s.wire()
-	if s.opts.Contention {
-		if arrival < s.niBusy[owner] {
-			arrival = s.niBusy[owner]
-		}
-		s.niBusy[owner] = arrival + s.cfg.RecvOv
-	}
-	return arrival + s.cfg.RecvOv
+// interface.
+func (s *sim) deliver(sent float64) float64 {
+	return sent + s.wire() + s.cfg.RecvOv
 }
 
 // resume runs processor p until it blocks or finishes.
@@ -833,7 +816,7 @@ func (s *sim) issueGetAt(p *proc, acc *ir.Access, idx int64, owner int, dst ir.L
 		p.charge(s.cfg.SendOv)
 		p.stats.Gets++
 		s.msgs += 2
-		arrival = s.deliver(owner, p.time)
+		arrival = s.deliver(p.time)
 		completion = arrival + s.cfg.SendOv + s.wire()
 	}
 	st := &p.ctrs[ctr]
@@ -906,7 +889,7 @@ func (s *sim) issuePutAt(p *proc, acc *ir.Access, idx int64, owner int, v ir.Val
 		p.charge(s.cfg.SendOv)
 		p.stats.Puts++
 		s.msgs += 2
-		arrival = s.deliver(owner, p.time)
+		arrival = s.deliver(p.time)
 		completion = arrival + s.cfg.SendOv + s.wire()
 	}
 	st := &p.ctrs[ctr]
@@ -928,7 +911,7 @@ func (s *sim) issueStoreAt(p *proc, acc *ir.Access, idx int64, owner int, v ir.V
 		p.charge(s.cfg.SendOv)
 		p.stats.Stores++
 		s.msgs++
-		arrival = s.deliver(owner, p.time)
+		arrival = s.deliver(p.time)
 	}
 	if arrival > p.storeMax {
 		p.storeMax = arrival

@@ -424,64 +424,6 @@ func main() {
 	}
 }
 
-func TestContentionHotSpot(t *testing.T) {
-	// All-to-one writes: with contention modeling the single destination's
-	// network interface serializes the handling, so the hot-spot run is
-	// slower; all-to-all traffic of the same volume is barely affected.
-	hotSrc := `
-shared int A[64];
-func main() {
-    for (local int i = 0; i < 8; i = i + 1) {
-        A[i] = MYPROC;    // everyone writes proc 0's block
-    }
-    barrier;
-}
-`
-	spreadSrc := `
-shared int A[64];
-func main() {
-    for (local int i = 0; i < 8; i = i + 1) {
-        A[(MYPROC * 8 + i + 8) % 64] = MYPROC;   // neighbor's block
-    }
-    barrier;
-}
-`
-	run2 := func(src string, contention bool) float64 {
-		_, prog := build(t, src, 8, codegen.Options{Pipeline: true, OneWay: true})
-		res := run(t, prog, machine.CM5(8), RunOptions{Contention: contention})
-		return res.Time
-	}
-	hotOff := run2(hotSrc, false)
-	hotOn := run2(hotSrc, true)
-	spreadOff := run2(spreadSrc, false)
-	spreadOn := run2(spreadSrc, true)
-	if hotOn <= hotOff {
-		t.Errorf("contention should slow the hot spot: %.0f vs %.0f", hotOn, hotOff)
-	}
-	hotSlow := hotOn / hotOff
-	spreadSlow := spreadOn / spreadOff
-	if hotSlow <= spreadSlow {
-		t.Errorf("hot-spot slowdown (%.2fx) should exceed spread slowdown (%.2fx)", hotSlow, spreadSlow)
-	}
-	t.Logf("contention slowdown: hot-spot %.2fx, spread %.2fx", hotSlow, spreadSlow)
-}
-
-func TestContentionPreservesValues(t *testing.T) {
-	_, prog := build(t, `
-shared int A[16];
-func main() {
-    A[MYPROC] = MYPROC + 1;
-    barrier;
-    A[(MYPROC + 1) % PROCS] = A[MYPROC] * 2;
-}
-`, 4, codegen.Options{Pipeline: true, OneWay: true})
-	plain := run(t, prog, machine.CM5(4), RunOptions{})
-	cont := run(t, prog, machine.CM5(4), RunOptions{Contention: true})
-	if FormatSnapshot(plain.Memory) != FormatSnapshot(cont.Memory) {
-		t.Error("contention changed program results")
-	}
-}
-
 // TestEfficiencyIncreasesWithPipelining tests the paper's Figure 13
 // wording directly: "the efficiency of a parallel program increases when
 // we transform blocking operations by asynchronous operations" — CPU

@@ -68,15 +68,6 @@ func (d *lazyDiffer) diff(label string, prog *splitc.Program, cfg machine.Config
 	return queued
 }
 
-// bothContentions runs diff with the network-interface queueing model off
-// and on: the lazy gate no longer looks at it.
-func (d *lazyDiffer) bothContentions(label string, prog *splitc.Program, procs int) {
-	d.t.Helper()
-	for _, c := range []bool{false, true} {
-		d.diff(fmt.Sprintf("%s/contention=%v", label, c), prog, machine.CM5(procs), interp.RunOptions{Contention: c})
-	}
-}
-
 func compileAt(t *testing.T, label, src string, opts splitc.Options) *splitc.Program {
 	t.Helper()
 	prog, err := splitc.Compile(src, opts)
@@ -99,7 +90,7 @@ func TestLazyDiffApps(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/%s@%d", k.Name, level, procs)
 				prog := compileAt(t, label, k.Source(procs, 1), splitc.Options{Procs: procs, Level: level})
-				d.bothContentions(label, prog, procs)
+				d.diff(label, prog, machine.CM5(procs), interp.RunOptions{})
 			}
 		}
 	}
@@ -132,7 +123,7 @@ func TestLazyDiffProgen(t *testing.T) {
 			for _, level := range levels {
 				label := fmt.Sprintf("%s/seed%d/%s", sh.name, seed, level)
 				prog := compileAt(t, label, src, splitc.Options{Procs: sh.popts.Procs, Level: level, CSE: seed%2 == 0})
-				d.bothContentions(label, prog, sh.popts.Procs)
+				d.diff(label, prog, machine.CM5(sh.popts.Procs), interp.RunOptions{})
 			}
 		}
 	}

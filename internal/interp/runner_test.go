@@ -108,8 +108,8 @@ func reuseSteps() []runStep {
 		{name: "plain walker", opts: interp.RunOptions{}, walker: true},
 		{name: "event budget exhausted", opts: interp.RunOptions{Jitter: 2, Seed: 7}, tapped: true, halfBudget: true},
 		{name: "plain tapped vm", opts: interp.RunOptions{}, tapped: true},
-		{name: "contended jittered walker", opts: interp.RunOptions{Jitter: 2, Seed: 7, Contention: true}, tapped: true, walker: true},
-		{name: "same seed again, vm", opts: interp.RunOptions{Jitter: 2, Seed: 7, Contention: true}, tapped: true},
+		{name: "jittered walker", opts: interp.RunOptions{Jitter: 2, Seed: 7}, tapped: true, walker: true},
+		{name: "same seed again, vm", opts: interp.RunOptions{Jitter: 2, Seed: 7}, tapped: true},
 		{name: "plain vm, lazy reads", opts: interp.RunOptions{}},
 	}
 }

@@ -1,79 +1,154 @@
 package ir
 
+import "slices"
+
 // Dominator-tree construction (Cooper–Harvey–Kennedy iterative algorithm).
 // The synchronization analysis of section 5.1 needs "a1 dominates b1"
 // queries on statements; DomTree supplies block domination, and
 // (*DomTree).StmtDominates lifts it to access statements using in-block
 // order.
 
-// DomTree holds immediate dominators for a function's CFG.
-type DomTree struct {
-	fn   *Fn
-	idom []int // idom[b] = immediate dominator block ID; entry maps to itself
-	rpo  []int // reverse postorder of reachable blocks
-	rpoN []int // rpo number per block; -1 if unreachable
-	tin  []int // dominator-tree DFS entry time, for O(1) ancestor queries
-	tout []int // dominator-tree DFS exit time
+// domTree is the dominator tree of a graph over nodes 0..n-1 seen from a
+// root, by Cooper–Harvey–Kennedy. The same code builds both trees: the
+// dominator tree walks the CFG from the entry, the postdominator tree the
+// reverse CFG from the virtual exit.
+type domTree struct {
+	idom []int // immediate dominator; the root maps to itself, -1 if unreachable
+	num  []int // reverse-postorder number; -1 if unreachable
+	tin  []int // tree DFS entry time, for O(1) ancestor queries
+	tout []int // tree DFS exit time
 }
 
-// BuildDom computes the dominator tree of fn.
-func BuildDom(fn *Fn) *DomTree {
-	n := len(fn.Blocks)
-	d := &DomTree{fn: fn, idom: make([]int, n), rpoN: make([]int, n)}
-	for i := range d.idom {
-		d.idom[i] = -1
-		d.rpoN[i] = -1
+// newDomTree computes the dominator tree of the graph with the given
+// successor and predecessor lists, seen from root.
+func newDomTree(root int, succs, preds adjacency) domTree {
+	n := len(succs.off) - 1
+	t := domTree{idom: make([]int, n), num: make([]int, n)}
+	for i := range t.idom {
+		t.idom[i] = -1
+		t.num[i] = -1
 	}
-	// Postorder DFS from entry.
+	// Postorder DFS from the root, then reversed.
 	visited := make([]bool, n)
-	var post []int
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		visited[b.ID] = true
-		for _, s := range b.Succs() {
-			if !visited[s.ID] {
-				dfs(s)
+	rpo := make([]int, 0, n)
+	var dfs func(v int)
+	dfs = func(v int) {
+		visited[v] = true
+		for _, w := range succs.of(v) {
+			if !visited[w] {
+				dfs(w)
 			}
 		}
-		post = append(post, b.ID)
+		rpo = append(rpo, v)
 	}
-	dfs(fn.Blocks[0])
-	for i := len(post) - 1; i >= 0; i-- {
-		d.rpo = append(d.rpo, post[i])
+	dfs(root)
+	slices.Reverse(rpo)
+	for i, v := range rpo {
+		t.num[v] = i
 	}
-	for i, b := range d.rpo {
-		d.rpoN[b] = i
-	}
-	preds := fn.Preds()
-
-	entry := fn.Blocks[0].ID
-	d.idom[entry] = entry
-	changed := true
-	for changed {
+	t.idom[root] = root
+	for changed := true; changed; {
 		changed = false
-		for _, b := range d.rpo {
-			if b == entry {
-				continue
-			}
+		for _, v := range rpo[1:] { // rpo[0] is the root
 			newIdom := -1
-			for _, p := range preds[b] {
-				if d.idom[p.ID] == -1 {
+			for _, p := range preds.of(v) {
+				if t.idom[p] == -1 {
 					continue // unprocessed or unreachable
 				}
 				if newIdom == -1 {
-					newIdom = p.ID
+					newIdom = p
 				} else {
-					newIdom = d.intersect(p.ID, newIdom)
+					newIdom = t.intersect(p, newIdom)
 				}
 			}
-			if newIdom != -1 && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if newIdom != -1 && t.idom[v] != newIdom {
+				t.idom[v] = newIdom
 				changed = true
 			}
 		}
 	}
-	d.tin, d.tout = domIntervals(entry, d.idom, d.rpoN)
-	return d
+	t.tin, t.tout = domIntervals(root, t.idom, t.num)
+	return t
+}
+
+func (t *domTree) intersect(b1, b2 int) int {
+	for b1 != b2 {
+		for t.num[b1] > t.num[b2] {
+			b1 = t.idom[b1]
+		}
+		for t.num[b2] > t.num[b1] {
+			b2 = t.idom[b2]
+		}
+	}
+	return b1
+}
+
+// dominates reports whether a dominates b (reflexively); a node the root
+// cannot reach dominates nothing and is dominated by nothing.
+func (t *domTree) dominates(a, b int) bool {
+	if t.num[a] == -1 || t.num[b] == -1 {
+		return false
+	}
+	return t.tin[a] <= t.tin[b] && t.tout[b] <= t.tout[a]
+}
+
+// adjacency lists each node's neighbours in one array: node v's are
+// to[off[v]:off[v+1]].
+type adjacency struct{ off, to []int }
+
+func (a adjacency) of(v int) []int { return a.to[a.off[v]:a.off[v+1]] }
+
+// cfg returns fn's successor and predecessor lists by block ID over one
+// more node, the virtual exit len(fn.Blocks), which every Ret block
+// precedes.
+func cfg(fn *Fn) (succs, preds adjacency) {
+	exit := len(fn.Blocks)
+	edges := func(f func(from, to int)) {
+		for _, b := range fn.Blocks {
+			switch t := b.Term.(type) {
+			case *Jump:
+				f(b.ID, t.To.ID)
+			case *Branch:
+				f(b.ID, t.Then.ID)
+				if t.Else != t.Then {
+					f(b.ID, t.Else.ID)
+				}
+			case *Ret:
+				f(b.ID, exit)
+			}
+		}
+	}
+	// Count each node's edges into off[v+1] and sum, so v's list starts at
+	// off[v]; filling advances off[v] to where v+1's list starts, and one
+	// shift puts the starts back.
+	succs.off, preds.off = make([]int, exit+2), make([]int, exit+2)
+	m := 0
+	edges(func(from, to int) { succs.off[from+1]++; preds.off[to+1]++; m++ })
+	for v := 1; v <= exit+1; v++ {
+		succs.off[v] += succs.off[v-1]
+		preds.off[v] += preds.off[v-1]
+	}
+	succs.to, preds.to = make([]int, m), make([]int, m)
+	edges(func(from, to int) {
+		succs.to[succs.off[from]] = to
+		succs.off[from]++
+		preds.to[preds.off[to]] = from
+		preds.off[to]++
+	})
+	copy(succs.off[1:], succs.off[:exit+1])
+	copy(preds.off[1:], preds.off[:exit+1])
+	succs.off[0], preds.off[0] = 0, 0
+	return succs, preds
+}
+
+// DomTree holds immediate dominators for a function's CFG; the virtual
+// exit is one more leaf of it.
+type DomTree struct{ t domTree }
+
+// BuildDom computes the dominator tree of fn.
+func BuildDom(fn *Fn) *DomTree {
+	succs, preds := cfg(fn)
+	return &DomTree{newDomTree(fn.Blocks[0].ID, succs, preds)}
 }
 
 // domIntervals DFS-numbers the tree given by parent pointers (parent[root]
@@ -119,31 +194,14 @@ func domIntervals(root int, parent, reach []int) (tin, tout []int) {
 	return tin, tout
 }
 
-func (d *DomTree) intersect(b1, b2 int) int {
-	for b1 != b2 {
-		for d.rpoN[b1] > d.rpoN[b2] {
-			b1 = d.idom[b1]
-		}
-		for d.rpoN[b2] > d.rpoN[b1] {
-			b2 = d.idom[b2]
-		}
-	}
-	return b1
-}
-
 // Idom returns the immediate dominator block ID of b (the entry returns
 // itself), or -1 if b is unreachable.
-func (d *DomTree) Idom(b int) int { return d.idom[b] }
+func (d *DomTree) Idom(b int) int { return d.t.idom[b] }
 
 // Dominates reports whether block a dominates block b (reflexively).
 // Unreachable blocks dominate nothing and are dominated by everything
 // vacuously false here: queries on unreachable blocks return false.
-func (d *DomTree) Dominates(a, b int) bool {
-	if d.rpoN[a] == -1 || d.rpoN[b] == -1 {
-		return false
-	}
-	return d.tin[a] <= d.tin[b] && d.tout[b] <= d.tout[a]
-}
+func (d *DomTree) Dominates(a, b int) bool { return d.t.dominates(a, b) }
 
 // StmtDominates reports whether access a dominates access b: every path
 // from entry to b passes through a before reaching b.
@@ -160,125 +218,33 @@ func (d *DomTree) StmtDominates(a, b *Access) bool {
 // followed on every path by a post (that must wait for its completion) is
 // ordered before the post's consumers.
 type PostDomTree struct {
-	fn    *Fn
-	exit  int   // index of the virtual exit node (== len(fn.Blocks))
-	ipdom []int // immediate postdominator in the reverse CFG; -1 unreachable
-	onum  []int // reverse-postorder number on the reverse CFG; -1 unreachable
-	tin   []int // postdominator-tree DFS entry time
-	tout  []int // postdominator-tree DFS exit time
+	t    domTree // over the reverse CFG, from the virtual exit
+	exit int     // the virtual exit node (== len(fn.Blocks))
 }
 
 // BuildPostDom computes the postdominator tree of fn over a virtual exit
 // node joining all Ret blocks (the reverse CFG's entry).
 func BuildPostDom(fn *Fn) *PostDomTree {
-	n := len(fn.Blocks)
-	exit := n
-	d := &PostDomTree{fn: fn, exit: exit, ipdom: make([]int, n+1), onum: make([]int, n+1)}
-	for i := range d.ipdom {
-		d.ipdom[i] = -1
-		d.onum[i] = -1
-	}
-	// Reverse CFG adjacency: radj[v] = nodes reached from v in the
-	// reversed graph = forward predecessors; exit -> every Ret block.
-	radj := make([][]int, n+1)
-	preds := fn.Preds()
-	for _, b := range fn.Blocks {
-		for _, p := range preds[b.ID] {
-			radj[b.ID] = append(radj[b.ID], p.ID)
-		}
-	}
-	for _, b := range fn.Blocks {
-		if _, ok := b.Term.(*Ret); ok {
-			radj[exit] = append(radj[exit], b.ID)
-		}
-	}
-	// rpreds in the reverse graph = forward successors (plus exit edges).
-	rpreds := make([][]int, n+1)
-	for v, ws := range radj {
-		for _, w := range ws {
-			rpreds[w] = append(rpreds[w], v)
-		}
-	}
-	// Postorder DFS from exit on the reverse graph.
-	visited := make([]bool, n+1)
-	var post []int
-	var dfs func(v int)
-	dfs = func(v int) {
-		visited[v] = true
-		for _, w := range radj[v] {
-			if !visited[w] {
-				dfs(w)
-			}
-		}
-		post = append(post, v)
-	}
-	dfs(exit)
-	order := make([]int, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		order = append(order, post[i])
-	}
-	for i, v := range order {
-		d.onum[v] = i
-	}
-	d.ipdom[exit] = exit
-	changed := true
-	for changed {
-		changed = false
-		for _, v := range order {
-			if v == exit {
-				continue
-			}
-			newIp := -1
-			for _, p := range rpreds[v] {
-				if d.onum[p] == -1 || d.ipdom[p] == -1 {
-					continue
-				}
-				if newIp == -1 {
-					newIp = p
-				} else {
-					newIp = d.intersect(p, newIp)
-				}
-			}
-			if newIp != -1 && d.ipdom[v] != newIp {
-				d.ipdom[v] = newIp
-				changed = true
-			}
-		}
-	}
-	d.tin, d.tout = domIntervals(exit, d.ipdom, d.onum)
-	return d
-}
-
-func (d *PostDomTree) intersect(b1, b2 int) int {
-	for b1 != b2 {
-		for d.onum[b1] > d.onum[b2] {
-			b1 = d.ipdom[b1]
-		}
-		for d.onum[b2] > d.onum[b1] {
-			b2 = d.ipdom[b2]
-		}
-	}
-	return b1
+	succs, preds := cfg(fn)
+	exit := len(fn.Blocks)
+	return &PostDomTree{t: newDomTree(exit, preds, succs), exit: exit}
 }
 
 // Ipdom returns the immediate postdominator of block b (the virtual exit
 // returns itself), or -1 if b cannot reach the exit.
-func (d *PostDomTree) Ipdom(b int) int { return d.ipdom[b] }
+func (d *PostDomTree) Ipdom(b int) int { return d.t.idom[b] }
 
 // ExitID returns the id of the virtual exit node (== number of blocks).
 func (d *PostDomTree) ExitID() int { return d.exit }
 
 // PostDominates reports whether block a postdominates block b.
 func (d *PostDomTree) PostDominates(a, b int) bool {
-	if d.onum[a] == -1 || d.onum[b] == -1 {
-		return false
-	}
 	if a == d.exit {
 		// The virtual exit postdominates only itself here, matching the
 		// chain walk this replaced (which stopped short of the exit).
 		return b == d.exit
 	}
-	return d.tin[a] <= d.tin[b] && d.tout[b] <= d.tout[a]
+	return d.t.dominates(a, b)
 }
 
 // StmtPostDominates reports whether access a postdominates access b: every
