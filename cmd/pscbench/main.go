@@ -10,14 +10,12 @@
 //	-scale N    problem scale (default 1)
 //	-parallel   fan the experiment grids across all CPUs; output is
 //	            byte-identical to a sequential run
-//	-json DIR   also write machine-readable BENCH_<exp>.json files to DIR
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/bench"
 )
@@ -27,22 +25,12 @@ func main() {
 	procs := flag.Int("procs", 64, "processors for fig12/ablation/messages")
 	scale := flag.Int("scale", 1, "problem scale")
 	parallel := flag.Bool("parallel", false, "fan experiment grids across all CPUs (deterministic output)")
-	jsonDir := flag.String("json", "", "directory for machine-readable BENCH_<exp>.json files")
 	flag.Parse()
 
 	if *parallel {
 		bench.Workers = 0 // one worker per CPU
 	} else {
 		bench.Workers = 1
-	}
-
-	emit := func(name string, v any) {
-		if *jsonDir == "" {
-			return
-		}
-		if err := bench.WriteJSON(filepath.Join(*jsonDir, "BENCH_"+name+".json"), v); err != nil {
-			fatal(err)
-		}
 	}
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
@@ -63,7 +51,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(res.Format())
-		emit("fig12", res.JSON())
 	}
 	if run("fig13") {
 		any = true
@@ -72,7 +59,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(res.Format())
-		emit("fig13", res.JSON())
 	}
 	if run("ablation") {
 		any = true
@@ -81,7 +67,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FormatAblation(rows, *procs, *scale))
-		emit("ablation", bench.AblationJSON(rows, *procs, *scale))
 	}
 	if run("cse") {
 		any = true
@@ -90,7 +75,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FormatCSE(rows, *procs, *scale))
-		emit("cse", bench.CSEJSON(rows, *procs, *scale))
 	}
 	if run("messages") {
 		any = true
@@ -99,7 +83,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FormatMessages(rows, *procs, *scale))
-		emit("messages", bench.MessagesJSON(rows, *procs, *scale))
 	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "pscbench: unknown experiment %q\n", *exp)

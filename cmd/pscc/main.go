@@ -1,5 +1,6 @@
-// Command pscc is the MiniSplit compiler driver: it runs the instrumented
-// pass pipeline over a program, printing the requested intermediate results.
+// Command pscc is the MiniSplit compiler driver: it compiles a program
+// through splitc's two halves (NewFront, then Generate at the level) under
+// one instrumented pipeline, printing the requested intermediate results.
 //
 // Usage:
 //
@@ -10,9 +11,9 @@
 //	                (default oneway)
 //	-cse            enable communication elimination
 //	-exact          exact (exponential) simple-path search
-//	-dump-after P   dump compiler state after the named passes (comma list)
-//	-dump-ast       dump after parse (the parsed program)
-//	-dump-ir        dump after build-ir (the mid-level IR)
+//	-dump-after P   dump compiler state after the named passes (comma list):
+//	                parse prints the parsed program, build-ir the IR, a
+//	                pass from split-phase on the target code
 //	-dump-target    dump the final generated code (default, unless another
 //	                dump is requested)
 //	-pass-stats     print per-pass wall time, allocations, and counters
@@ -41,8 +42,6 @@ func main() {
 	cse := flag.Bool("cse", false, "enable communication elimination")
 	exact := flag.Bool("exact", false, "exact simple-path search")
 	dumpAfter := flag.String("dump-after", "", "dump compiler state after these passes (comma list)")
-	dumpAST := flag.Bool("dump-ast", false, "dump the parsed program (after parse)")
-	dumpIR := flag.Bool("dump-ir", false, "dump the mid-level IR (after build-ir)")
 	dumpTarget := flag.Bool("dump-target", true, "dump the generated split-phase code (after the final pass)")
 	passStats := flag.Bool("pass-stats", false, "print per-pass wall time, allocations, and counters")
 	summary := flag.Bool("summary", false, "print analysis statistics")
@@ -74,7 +73,7 @@ func main() {
 			targetSet = true
 		}
 	})
-	dumps, err := resolveDumps(*dumpAST, *dumpIR, *dumpTarget, targetSet, *dumpAfter, names)
+	dumps, err := resolveDumps(*dumpTarget, targetSet, *dumpAfter, names)
 	if err != nil {
 		fatal(err)
 	}
@@ -111,12 +110,11 @@ func main() {
 	}
 }
 
-// resolveDumps maps each requested dump onto the pass it should follow.
-// The legacy flags are aliases: -dump-ast dumps after parse, -dump-ir after
-// build-ir, and -dump-target after the pipeline's final pass. -dump-target
-// stays on by default but yields when any other dump is requested without
-// it being set explicitly.
-func resolveDumps(dumpAST, dumpIR, dumpTarget, targetSet bool, dumpAfter string, names []string) (map[string]bool, error) {
+// resolveDumps maps each requested dump onto the pass it should follow:
+// -dump-after names passes, and -dump-target means the pipeline's final
+// pass. -dump-target stays on by default but yields when another dump is
+// requested without it being set explicitly.
+func resolveDumps(dumpTarget, targetSet bool, dumpAfter string, names []string) (map[string]bool, error) {
 	dumps := make(map[string]bool)
 	planned := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -131,12 +129,6 @@ func resolveDumps(dumpAST, dumpIR, dumpTarget, targetSet bool, dumpAfter string,
 			return nil, fmt.Errorf("-dump-after: pass %q is not in the pipeline (%s)", name, strings.Join(names, ", "))
 		}
 		dumps[name] = true
-	}
-	if dumpAST {
-		dumps["parse"] = true
-	}
-	if dumpIR {
-		dumps["build-ir"] = true
 	}
 	if dumpTarget && (targetSet || len(dumps) == 0) {
 		dumps[names[len(names)-1]] = true

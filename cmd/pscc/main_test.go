@@ -19,7 +19,7 @@ func plan(t *testing.T, opts splitc.Options) []string {
 
 func TestResolveDumpsDefaultsToTarget(t *testing.T) {
 	names := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
-	dumps, err := resolveDumps(false, false, true, false, "", names)
+	dumps, err := resolveDumps(true, false, "", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestResolveDumpsTargetYields(t *testing.T) {
 	// Another dump requested without -dump-target set explicitly: the
 	// default target dump must switch off.
 	names := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
-	dumps, err := resolveDumps(true, true, true, false, "", names)
+	dumps, err := resolveDumps(true, false, "parse,build-ir", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestResolveDumpsTargetYields(t *testing.T) {
 		t.Errorf("dumps = %v, want %v", dumps, want)
 	}
 	// Explicitly set -dump-target composes with the others.
-	dumps, err = resolveDumps(true, false, true, true, "", names)
+	dumps, err = resolveDumps(true, true, "parse", names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +52,20 @@ func TestResolveDumpsTargetYields(t *testing.T) {
 
 func TestResolveDumpsDumpAfter(t *testing.T) {
 	names := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelOneWay})
-	dumps, err := resolveDumps(false, false, true, false, "sync-motion, one-way", names)
+	dumps, err := resolveDumps(true, false, "sync-motion, one-way", names)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dumps["sync-motion"] || !dumps["one-way"] || dumps["insert-syncs"] {
 		t.Errorf("dumps = %v, want sync-motion and one-way only", dumps)
 	}
-	if _, err := resolveDumps(false, false, true, false, "no-such-pass", names); err == nil {
+	if _, err := resolveDumps(true, false, "no-such-pass", names); err == nil {
 		t.Error("unknown -dump-after pass should fail")
 	}
 	// A pass another level runs is also an error: LevelBlocking plans no
 	// one-way pass.
 	blocking := plan(t, splitc.Options{Procs: 8, Level: splitc.LevelBlocking})
-	if _, err := resolveDumps(false, false, true, false, "one-way", blocking); err == nil {
+	if _, err := resolveDumps(true, false, "one-way", blocking); err == nil {
 		t.Error("-dump-after for a pass outside the pipeline should fail")
 	}
 }

@@ -29,8 +29,6 @@ import (
 
 // Options selects which optimizations run.
 type Options struct {
-	// Delays is the delay set to respect (required).
-	Delays *delay.Set
 	// Pipeline enables sync_ctr motion. When false every initiation is
 	// followed immediately by its sync (blocking-equivalent code).
 	Pipeline bool
@@ -65,9 +63,9 @@ type Stats struct {
 	CountersSaved   int // counter renames performed by allocation
 }
 
-// Sub returns the counter-by-counter difference s minus prev. The pass
-// pipeline snapshots Stats around each step to attribute counters to the
-// pass that earned them.
+// Sub returns the counter-by-counter difference s minus prev. Run
+// snapshots Stats around a step to attribute counters to the step that
+// earned them.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		GetsEliminated:  s.GetsEliminated - prev.GetsEliminated,
@@ -117,78 +115,106 @@ type Result struct {
 	Stats Stats
 }
 
-// Generate compiles fn with the given delay set and options: the canonical
-// composition of the stepwise Generator API below, in one call. No compile
-// outside tests goes through it — splitc runs the same steps one named pass
-// at a time, in the order pass.Plan fixes — so the step order is written
-// down twice, and this copy stays for the tests that cannot reach the other:
-// this package's own (internal/pass imports codegen, so they cannot import
-// it back) and internal/interp's unit tests, which build target code from an
-// ir.Fn and a hand-picked delay.Set that no level describes. The root
-// package's TestPipelineMatchesLegacy* hold the two byte-equal over the five
-// kernels, thirty generated programs and every level with and without CSE.
-func Generate(fn *ir.Fn, opts Options) *Result {
-	g := New(fn, opts)
-	g.Lower()
-	if opts.CSE {
-		g.EliminateDeadGets()
-		g.EliminateLocal()
-		g.HoistLoopInvariant()
-		g.GlobalReuse()
+// Step is one step of code generation after lowering, and the unit the
+// pass pipeline names, times and counts.
+type Step struct {
+	// Name is the step's pass name.
+	Name string
+	// on reports whether Options enable the step; nil means always.
+	on func(Options) bool
+	// run performs the step.
+	run func(*Generator)
+	// report, when set, counts what the step did beyond its change to Stats.
+	report func(g *Generator, count func(name string, v int))
+}
+
+// steps is the back half of a compile in the one order its guarantee holds
+// for: the CSE family rewrites the lowered program, hoisting moves the
+// surviving initiations up, sync motion places every sync, one-way
+// conversion reads the placed positions, counter allocation merges
+// accesses that sync at the same positions, and insertion emits what is
+// left. Nothing else orders code generation: Generate runs this table, and
+// the pass pipeline wraps each entry in a pass of the same name. The table
+// is read-only, so concurrent generators share it.
+var steps = [...]Step{
+	{Name: "cse", on: cseOn, run: (*Generator).cse},
+	{Name: "licm", on: cseOn, run: (*Generator).hoistLoopInvariantGets},
+	{Name: "global-reuse", on: cseOn, run: (*Generator).globalReuse},
+	{Name: "hoist", on: func(o Options) bool { return o.Hoist }, run: (*Generator).hoist},
+	{Name: "sync-motion", run: (*Generator).placeSyncs, report: (*Generator).countSyncSites},
+	{Name: "one-way", on: func(o Options) bool { return o.OneWay }, run: (*Generator).convertOneWay},
+	{Name: "counter-alloc", run: (*Generator).allocateCounters, report: func(g *Generator, count func(string, int)) {
+		count("counters", g.prog.Counters)
+	}},
+	{Name: "insert-syncs", run: (*Generator).insertSyncs, report: func(g *Generator, count func(string, int)) {
+		ts := g.prog.CollectStats()
+		count("syncs", ts.Syncs)
+		count("stores", ts.Stores)
+	}},
+}
+
+func cseOn(o Options) bool { return o.CSE }
+
+// Steps returns the step table, in order; callers must not modify it.
+func Steps() []Step { return steps[:] }
+
+// Enabled reports whether opts run the step.
+func (s Step) Enabled(opts Options) bool { return s.on == nil || s.on(opts) }
+
+// Generate compiles fn under the delay set delays with the given options:
+// New, then every step opts enable. The pass pipeline runs the same table
+// one pass per step; this is the form for tests that build target code
+// from an ir.Fn and a delay.Set of their own.
+func Generate(fn *ir.Fn, delays *delay.Set, opts Options) *Result {
+	g := New(fn, delays, opts)
+	for _, s := range steps {
+		if s.Enabled(opts) {
+			s.run(g)
+		}
 	}
-	if opts.Hoist {
-		g.Hoist()
-	}
-	g.PlaceSyncs()
-	if opts.OneWay {
-		g.ConvertOneWay()
-	}
-	g.AllocateCounters()
-	g.InsertSyncs()
 	return &Result{Prog: g.prog, Stats: g.stats}
 }
 
-// New prepares a Generator. Call Lower first, then any optimization steps
-// (the CSE family must precede Hoist, which must precede PlaceSyncs;
-// ConvertOneWay requires PlaceSyncs; AllocateCounters and InsertSyncs come
-// last, in that order — Generate shows the canonical sequence).
-func New(fn *ir.Fn, opts Options) *Generator {
-	g := &Generator{fn: fn, opts: opts}
+// New returns a Generator for fn that enforces delays, holding fn lowered
+// to split-phase form: every Load a get, every Store a put, each on a
+// fresh counter, and no syncs yet. The steps opts enable then run on it,
+// in the table's order, each through Run.
+func New(fn *ir.Fn, delays *delay.Set, opts Options) *Generator {
+	g := &Generator{fn: fn, delays: delays, opts: opts}
 	if len(opts.Weaken) > 0 {
 		g.weak = make(map[delay.Pair]bool, len(opts.Weaken))
 		for _, p := range opts.Weaken {
 			g.weak[p] = true
 		}
 	}
+	g.lower()
 	return g
 }
 
-// Lower mirrors the IR into split-phase target form (every Load a get,
-// every Store a put, each on a fresh counter; no syncs yet).
-func (g *Generator) Lower() { g.lower() }
+// Run performs step s and hands count what it did: the change in each
+// Stats counter, then the step's own figures.
+func (g *Generator) Run(s Step, count func(name string, v int)) {
+	before := g.stats
+	s.run(g)
+	for k, v := range g.stats.Sub(before).Map() {
+		count(k, v)
+	}
+	if s.report != nil {
+		s.report(g, count)
+	}
+}
 
-// PlaceSyncs computes every initiation's sync positions, pushing syncs
-// forward through the CFG when Options.Pipeline is set (section 6's motion
-// rules) and pinning them at the initiation otherwise.
-func (g *Generator) PlaceSyncs() { g.placeSyncs() }
-
-// ConvertOneWay rewrites puts whose syncs all land at barriers (or fell off
-// the program end) into unacknowledged stores. Requires PlaceSyncs.
-func (g *Generator) ConvertOneWay() { g.convertOneWay() }
-
-// InsertSyncs materializes the placed sync_ctr statements. Run last.
-func (g *Generator) InsertSyncs() { g.insertSyncs() }
-
-// Prog returns the program being generated (valid after Lower).
+// Prog returns the program being generated.
 func (g *Generator) Prog() *target.Prog { return g.prog }
 
 // Stats returns a snapshot of the optimizer statistics so far.
 func (g *Generator) Stats() Stats { return g.stats }
 
-// SyncSites reports the sync placements computed so far: the number of
-// placed positions (before counter merging collapses co-located syncs) and
-// the number of sync copies that fell off the program end.
-func (g *Generator) SyncSites() (placed, dropped int) {
+// countSyncSites counts the sync placements: the placed positions (before
+// counter merging collapses co-located syncs) and the sync copies that fell
+// off the program end.
+func (g *Generator) countSyncSites(count func(string, int)) {
+	placed, dropped := 0, 0
 	for _, info := range g.infos {
 		if info == nil || info.removed {
 			continue
@@ -196,7 +222,8 @@ func (g *Generator) SyncSites() (placed, dropped int) {
 		placed += len(info.positions)
 		dropped += info.dropped
 	}
-	return placed, dropped
+	count("sync_sites", placed)
+	count("sync_copies_off_end", dropped)
 }
 
 type accInfo struct {
@@ -217,13 +244,14 @@ type pos struct {
 }
 
 type Generator struct {
-	fn    *ir.Fn
-	opts  Options
-	prog  *target.Prog
-	infos []*accInfo // by access ID; nil once the access's initiation is gone
-	weak  map[delay.Pair]bool
-	stats Stats
-	work  passWork
+	fn     *ir.Fn
+	delays *delay.Set
+	opts   Options
+	prog   *target.Prog
+	infos  []*accInfo // by access ID; nil once the access's initiation is gone
+	weak   map[delay.Pair]bool
+	stats  Stats
+	work   passWork
 
 	preds   [][]int      // by block ID, built on first use
 	scanBuf availList    // the transfer function's list
@@ -259,31 +287,17 @@ func (g *Generator) predecessors() [][]int {
 	if g.preds == nil {
 		g.preds = make([][]int, len(g.prog.Blocks))
 		for _, b := range g.prog.Blocks {
-			forSuccs(b, func(s int) { g.preds[s] = append(g.preds[s], b.ID) })
+			b.ForSuccs(func(s *target.Block) { g.preds[s.ID] = append(g.preds[s.ID], b.ID) })
 		}
 	}
 	return g.preds
-}
-
-// forSuccs calls f with the ID of each of b's successors, in Succs order,
-// without building Succs' slice.
-func forSuccs(b *target.Block, f func(int)) {
-	switch t := b.Term.(type) {
-	case *target.Jump:
-		f(t.To.ID)
-	case *target.Branch:
-		f(t.Then.ID)
-		if t.Else != t.Then {
-			f(t.Else.ID)
-		}
-	}
 }
 
 // delayOrders reports whether the delay set orders a's completion before
 // b's initiation, honoring the Weaken list (a weakened pair is treated as
 // absent, seeding a verifiable SC violation).
 func (g *Generator) delayOrders(a, b int) bool {
-	if !g.opts.Delays.Has(a, b) {
+	if !g.delays.Has(a, b) {
 		return false
 	}
 	return !g.weak[delay.Pair{A: a, B: b}]
@@ -360,8 +374,9 @@ func (g *Generator) blocksMotion(a *accInfo, s target.Stmt) (target.Cause, bool)
 }
 
 // placeSyncs computes, for every initiation, where its sync_ctr must be
-// inserted, by pushing the sync forward through the CFG (the motion
-// algorithm of section 6).
+// inserted: with Options.Pipeline by pushing the sync forward through the
+// CFG (the motion algorithm of section 6), without it right after the
+// initiation.
 func (g *Generator) placeSyncs() {
 	for _, blk := range g.prog.Blocks {
 		for idx, s := range blk.Stmts {
@@ -423,6 +438,7 @@ func (g *Generator) push(info *accInfo, blk *target.Block, idx int) {
 		switch t := b.Term.(type) {
 		case *target.Ret:
 			info.dropped++
+			continue
 		case *target.Branch:
 			// A branch condition that uses the fetched value pins the
 			// sync at the end of this block.
@@ -435,18 +451,13 @@ func (g *Generator) push(info *accInfo, blk *target.Block, idx int) {
 				}
 				continue
 			}
-			for _, s := range b.Succs() {
-				if !seenBlocks[s.ID] {
-					seenBlocks[s.ID] = true
-					work = append(work, wpos{s, 0})
-				}
-			}
-		case *target.Jump:
-			if !seenBlocks[t.To.ID] {
-				seenBlocks[t.To.ID] = true
-				work = append(work, wpos{t.To, 0})
-			}
 		}
+		b.ForSuccs(func(s *target.Block) {
+			if !seenBlocks[s.ID] {
+				seenBlocks[s.ID] = true
+				work = append(work, wpos{s, 0})
+			}
+		})
 	}
 }
 

@@ -9,15 +9,12 @@ import (
 	"repro/internal/target"
 )
 
-// compile runs the full pipeline: build IR, analyze, generate.
+// compile runs the full pipeline: build IR, analyze, generate under D.
 func compile(t *testing.T, src string, procs int, opts Options) (*Result, *syncanal.Result) {
 	t.Helper()
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: procs})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	if opts.Delays == nil {
-		opts.Delays = res.D
-	}
-	return Generate(fn, opts), res
+	return Generate(fn, res.D, opts), res
 }
 
 // stmtSeq flattens the program into a list of printable statements for
@@ -194,7 +191,7 @@ func TestPhasedLoopBaselineBlocking(t *testing.T) {
 	// cannot move past the next iteration's get, keeping them serialized.
 	fn := ir.MustBuild(phasedLoopSrc, ir.BuildOptions{Procs: 8})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	r := Generate(fn, Options{Delays: res.Baseline, Pipeline: true, OneWay: true})
+	r := Generate(fn, res.Baseline, Options{Pipeline: true, OneWay: true})
 	if r.Stats.PutsConverted != 0 {
 		t.Errorf("baseline delays should prevent one-way conversion, converted %d:\n%s",
 			r.Stats.PutsConverted, r.Prog)

@@ -96,7 +96,3 @@ func signature(info *accInfo, buf []byte) []byte {
 	}
 	return buf
 }
-
-// AllocateCounters merges accesses with identical sync signatures onto
-// shared counters and numbers the survivors. Run after sync placement.
-func (g *Generator) AllocateCounters() { g.allocateCounters() }

@@ -6,6 +6,14 @@ import (
 	"repro/internal/target"
 )
 
+// cse is the block-local half of communication elimination: dead gets go
+// first, while statement positions still mirror the IR, then each block's
+// reuse, forwarding and write-back.
+func (g *Generator) cse() {
+	g.eliminateDeadGets()
+	g.eliminate()
+}
+
 // eliminateDeadGets removes gets whose destination is dead: a remote read
 // has no effect any other processor can observe, so fetching a value
 // nobody reads is pure waste. This runs on the freshly lowered program,
@@ -161,11 +169,3 @@ func forwardable(e ir.Expr) bool {
 	}
 	return false
 }
-
-// EliminateDeadGets removes gets whose destination is never read. Part of
-// the CSE family; runs before EliminateLocal.
-func (g *Generator) EliminateDeadGets() { g.eliminateDeadGets() }
-
-// EliminateLocal performs per-block redundancy elimination: duplicate gets
-// collapse onto one counter and overwritten puts are dropped (write-back).
-func (g *Generator) EliminateLocal() { g.eliminate() }

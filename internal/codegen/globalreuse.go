@@ -136,9 +136,9 @@ func (g *Generator) availFixpoint() *availFlow {
 	preds := g.predecessors()
 	queued := make([]uint64, (nb+63)/64)
 	queueSuccs := func(b int) {
-		forSuccs(blocks[b], func(s int) {
-			if s != 0 { // the entry block's lists are fixed
-				queued[s>>6] |= 1 << (s & 63)
+		blocks[b].ForSuccs(func(s *target.Block) {
+			if s.ID != 0 { // the entry block's lists are fixed
+				queued[s.ID>>6] |= 1 << (s.ID & 63)
 			}
 		})
 	}
@@ -209,7 +209,3 @@ func sameAvail(a, b []availEntry) bool {
 	}
 	return true
 }
-
-// GlobalReuse runs the global availability dataflow that rewrites gets of
-// already-fetched locations into copies (section 7's communication reuse).
-func (g *Generator) GlobalReuse() { g.globalReuse() }

@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/delay"
 	"repro/internal/ir"
 	"repro/internal/progen"
 	"repro/internal/syncanal"
+	"repro/internal/target"
 )
 
 // roundRobinAvail is the availability fixpoint as a plain round-robin:
@@ -22,9 +24,7 @@ func roundRobinAvail(g *Generator) (fl *availFlow, scans, sweeps int) {
 	fl = &availFlow{in: make([][]availEntry, nb), out: make([][]availEntry, nb), known: make([]bool, nb)}
 	preds := make([][]int, nb)
 	for _, b := range blocks {
-		for _, s := range b.Succs() {
-			preds[s.ID] = append(preds[s.ID], b.ID)
-		}
+		b.ForSuccs(func(s *target.Block) { preds[s.ID] = append(preds[s.ID], b.ID) })
 	}
 	fl.known[0] = true
 	fl.out[0] = slices.Clone(g.transfer(nil, blocks[0], false))
@@ -74,16 +74,17 @@ func watchWork(t testing.TB) *passWork {
 
 // reuseCase is one program with its analysed delay set.
 type reuseCase struct {
-	name string
-	fn   *ir.Fn
-	opts Options
+	name   string
+	fn     *ir.Fn
+	delays *delay.Set
+	opts   Options
 }
 
 // oneWayCase analyses fn and returns the options of a oneway + CSE
 // compile.
 func oneWayCase(name string, fn *ir.Fn) reuseCase {
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	return reuseCase{name, fn, Options{Delays: res.D, Pipeline: true, OneWay: true, CSE: true, Hoist: true}}
+	return reuseCase{name, fn, res.D, Options{Pipeline: true, OneWay: true, CSE: true, Hoist: true}}
 }
 
 // acc2048 builds the pinned 2k scale tier.
@@ -95,23 +96,35 @@ func acc2048(t testing.TB) *ir.Fn {
 	return ir.MustBuild(progen.Generate(tier.Seed, tier.Opts), ir.BuildOptions{Procs: tier.Opts.Procs})
 }
 
+// reuseStep is global reuse's index in the step table.
+func reuseStep() int {
+	for i, s := range steps {
+		if s.Name == "global-reuse" {
+			return i
+		}
+	}
+	panic("no global-reuse step")
+}
+
+// runSteps runs the steps of list that g's options enable.
+func runSteps(g *Generator, list []Step) {
+	for _, s := range list {
+		if s.Enabled(g.opts) {
+			s.run(g)
+		}
+	}
+}
+
 // beforeReuse runs the steps ahead of global reuse.
 func beforeReuse(c reuseCase) *Generator {
-	g := New(c.fn, c.opts)
-	g.Lower()
-	g.EliminateDeadGets()
-	g.EliminateLocal()
-	g.HoistLoopInvariant()
+	g := New(c.fn, c.delays, c.opts)
+	runSteps(g, steps[:reuseStep()])
 	return g
 }
 
 // afterReuse runs the steps after global reuse and returns the target text.
 func afterReuse(g *Generator) string {
-	g.Hoist()
-	g.PlaceSyncs()
-	g.ConvertOneWay()
-	g.AllocateCounters()
-	g.InsertSyncs()
+	runSteps(g, steps[reuseStep()+1:])
 	return g.prog.String()
 }
 
@@ -140,7 +153,7 @@ func checkReuse(t *testing.T, c reuseCase) {
 		}
 	}
 	prod := beforeReuse(c)
-	prod.GlobalReuse()
+	prod.globalReuse()
 	if wantText, gotText := afterReuse(ref), afterReuse(prod); gotText != wantText {
 		t.Fatalf("%s: target text differs from the round-robin's\n--- round-robin ---\n%s--- worklist ---\n%s", c.name, wantText, gotText)
 	}
@@ -201,7 +214,7 @@ func TestCodegenWorkAcc2048(t *testing.T) {
 		t.Errorf("round-robin: %d scans in %d sweeps, want 26,067 in 33", scans, sweeps)
 	}
 	w := watchWork(t)
-	Generate(c.fn, c.opts)
+	Generate(c.fn, c.delays, c.opts)
 	want := passWork{ReuseScans: 1879, ReuseSweeps: 33, LICMLoops: 239, LICMVisits: 643}
 	if *w != want {
 		t.Errorf("work %+v, want %+v", *w, want)

@@ -100,7 +100,3 @@ func (g *Generator) canSwap(prev, cur target.Stmt) bool {
 	}
 	return !curIsGet || p.def != get.Dst && !g.reads(prev, get.Dst)
 }
-
-// Hoist bubbles initiations upward past independent statements to widen
-// the overlap window (message pipelining, section 6).
-func (g *Generator) Hoist() { g.hoist() }

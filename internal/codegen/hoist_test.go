@@ -25,7 +25,7 @@ func main() {
 `
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 4})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	hoisted := Generate(fn, Options{Delays: res.D, Pipeline: true, Hoist: true})
+	hoisted := Generate(fn, res.D, Options{Pipeline: true, Hoist: true})
 	if hoisted.Stats.InitsHoisted == 0 {
 		t.Fatalf("expected hoisting:\n%s", hoisted.Prog)
 	}
@@ -49,7 +49,7 @@ func main() {
 `
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 4})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	r := Generate(fn, Options{Delays: res.D, Pipeline: true, Hoist: true})
+	r := Generate(fn, res.D, Options{Pipeline: true, Hoist: true})
 	seq := stmtSeq(r.Prog)
 	gi := indexOfPrefix(seq, "get_ctr", 0)
 	// The definition of i must still precede the get.
@@ -83,7 +83,7 @@ func main() {
 `
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 2})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	r := Generate(fn, Options{Delays: res.D, Pipeline: true, Hoist: true})
+	r := Generate(fn, res.D, Options{Pipeline: true, Hoist: true})
 	seq := stmtSeq(r.Prog)
 	// In each branch the put must still precede the get.
 	for i, s := range seq {
@@ -125,7 +125,7 @@ func main() {
 `
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 4})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	r := Generate(fn, Options{Delays: res.D, Pipeline: true, Hoist: true})
+	r := Generate(fn, res.D, Options{Pipeline: true, Hoist: true})
 	seq := stmtSeq(r.Prog)
 	gi := indexOfPrefix(seq, "get_ctr", 0)
 	pi := indexOfPrefix(seq, "put_ctr", 0)
@@ -150,7 +150,7 @@ func main() {
 	res := syncanal.Analyze(fn, syncanal.Options{})
 	done := make(chan struct{})
 	go func() {
-		Generate(fn, Options{Delays: res.D, Pipeline: true, Hoist: true})
+		Generate(fn, res.D, Options{Pipeline: true, Hoist: true})
 		close(done)
 	}()
 	select {
@@ -179,7 +179,7 @@ func main() {
 `
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 8})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	hoisted := Generate(fn, Options{Delays: res.D, Pipeline: true, Hoist: true})
+	hoisted := Generate(fn, res.D, Options{Pipeline: true, Hoist: true})
 	if hoisted.Stats.InitsHoisted == 0 {
 		t.Errorf("expected hoists:\n%s", hoisted.Prog)
 	}

@@ -46,9 +46,9 @@ func (g *Generator) hoistLoopInvariantGets() {
 	var loops []loop
 	in := newStampSet(len(blocks))
 	for _, b := range blocks {
-		forSuccs(b, func(h int) {
-			if dom.Dominates(h, b.ID) {
-				loops = append(loops, loop{head: h, latch: b.ID, body: naturalLoop(sites.preds, h, b.ID, in)})
+		b.ForSuccs(func(h *target.Block) {
+			if dom.Dominates(h.ID, b.ID) {
+				loops = append(loops, loop{head: h.ID, latch: b.ID, body: naturalLoop(sites.preds, h.ID, b.ID, in)})
 			}
 		})
 	}
@@ -239,7 +239,7 @@ func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, 
 		// must not initiate the get ahead of a completion it waits on.
 		// The get's row of D holds every access ordered before it.
 		delayed := false
-		row := g.opts.Delays.TargetRow(get.Acc.ID)
+		row := g.delays.TargetRow(get.Acc.ID)
 		for _, x := range accs {
 			if row[x>>6]&(1<<(x&63)) != 0 {
 				delayed = true
@@ -295,6 +295,3 @@ func removeStmt(list []target.Stmt, s target.Stmt) []target.Stmt {
 	}
 	return out
 }
-
-// HoistLoopInvariant moves loop-invariant gets into loop preheaders.
-func (g *Generator) HoistLoopInvariant() { g.hoistLoopInvariantGets() }

@@ -32,9 +32,7 @@ func compileKernel(tb testing.TB, name string, procs int) *target.Prog {
 	src := k.Source(procs, 1)
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: procs})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	return codegen.Generate(fn, codegen.Options{
-		Delays: res.D, Pipeline: true, OneWay: true, Hoist: true,
-	}).Prog
+	return codegen.Generate(fn, res.D, codegen.Options{Pipeline: true, OneWay: true, Hoist: true}).Prog
 }
 
 func benchInterpKernel(b *testing.B, name string) {

@@ -48,24 +48,15 @@ func TestFuzzWeakOutcomesAreSC(t *testing.T) {
 		t.Skip("fuzzing skipped in -short mode")
 	}
 	levels := []struct {
-		name string
-		opts func(res *syncanal.Result) codegen.Options
+		name     string
+		baseline bool // enforce the Shasha–Snir set instead of D
+		opts     codegen.Options
 	}{
-		{"baseline", func(r *syncanal.Result) codegen.Options {
-			return codegen.Options{Delays: r.Baseline, Pipeline: true}
-		}},
-		{"pipelined", func(r *syncanal.Result) codegen.Options {
-			return codegen.Options{Delays: r.D, Pipeline: true}
-		}},
-		{"oneway", func(r *syncanal.Result) codegen.Options {
-			return codegen.Options{Delays: r.D, Pipeline: true, OneWay: true}
-		}},
-		{"oneway+cse", func(r *syncanal.Result) codegen.Options {
-			return codegen.Options{Delays: r.D, Pipeline: true, OneWay: true, CSE: true}
-		}},
-		{"oneway+cse+hoist", func(r *syncanal.Result) codegen.Options {
-			return codegen.Options{Delays: r.D, Pipeline: true, OneWay: true, CSE: true, Hoist: true}
-		}},
+		{"baseline", true, codegen.Options{Pipeline: true}},
+		{"pipelined", false, codegen.Options{Pipeline: true}},
+		{"oneway", false, codegen.Options{Pipeline: true, OneWay: true}},
+		{"oneway+cse", false, codegen.Options{Pipeline: true, OneWay: true, CSE: true}},
+		{"oneway+cse+hoist", false, codegen.Options{Pipeline: true, OneWay: true, CSE: true, Hoist: true}},
 	}
 	seeds := int64(60)
 	if v := os.Getenv("SPLITC_FUZZ_SEEDS"); v != "" {
@@ -95,11 +86,14 @@ func TestFuzzWeakOutcomesAreSC(t *testing.T) {
 			continue
 		}
 		for _, lvl := range levels {
-			lvlOpts := lvl.opts(analysis)
-			tprog := codegen.Generate(fn, lvlOpts).Prog
+			delays := analysis.D
+			if lvl.baseline {
+				delays = analysis.Baseline
+			}
+			tprog := codegen.Generate(fn, delays, lvl.opts).Prog
 			for ws := int64(0); ws < 8; ws++ {
 				res, err := Run(tprog, machine.CM5(fuzzProcs), RunOptions{
-					Jitter: 5, Seed: ws, VerifyDelays: lvlOpts.Delays,
+					Jitter: 5, Seed: ws, VerifyDelays: delays,
 				})
 				if err != nil {
 					t.Fatalf("seed %d/%s/ws %d: %v\n%s", seed, lvl.name, ws, err, src)
@@ -150,9 +144,7 @@ func TestFuzzDeterministicProgramsStable(t *testing.T) {
 			want = k
 		}
 		analysis := syncanal.Analyze(fn, syncanal.Options{})
-		tprog := codegen.Generate(fn, codegen.Options{
-			Delays: analysis.D, Pipeline: true, OneWay: true, CSE: true, Hoist: true,
-		}).Prog
+		tprog := codegen.Generate(fn, analysis.D, codegen.Options{Pipeline: true, OneWay: true, CSE: true, Hoist: true}).Prog
 		for ws := int64(0); ws < 6; ws++ {
 			res, err := Run(tprog, machine.CM5(fuzzProcs), RunOptions{Jitter: 4, Seed: ws})
 			if err != nil {

@@ -15,11 +15,8 @@ import (
 func build(t *testing.T, src string, procs int, opts codegen.Options) (*ir.Fn, *target.Prog) {
 	t.Helper()
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: procs})
-	if opts.Delays == nil {
-		res := syncanal.Analyze(fn, syncanal.Options{})
-		opts.Delays = res.D
-	}
-	return fn, codegen.Generate(fn, opts).Prog
+	res := syncanal.Analyze(fn, syncanal.Options{})
+	return fn, codegen.Generate(fn, res.D, opts).Prog
 }
 
 func run(t *testing.T, prog *target.Prog, cfg machine.Config, opts RunOptions) *Result {
@@ -223,7 +220,7 @@ func main() {
 func TestFigure1ViolationWithoutDelays(t *testing.T) {
 	fn := ir.MustBuild(figure1Src, ir.BuildOptions{Procs: 2})
 	empty := delay.NewSet(fn) // a broken compiler: no delay enforcement
-	prog := codegen.Generate(fn, codegen.Options{Delays: empty, Pipeline: true}).Prog
+	prog := codegen.Generate(fn, empty, codegen.Options{Pipeline: true}).Prog
 	sawViolation := false
 	for seed := int64(0); seed < 200 && !sawViolation; seed++ {
 		res, err := Run(prog, machine.CM5(2), RunOptions{Jitter: 8.0, Seed: seed})
@@ -244,7 +241,7 @@ func TestFigure1ViolationWithoutDelays(t *testing.T) {
 func TestFigure1NoViolationWithDelays(t *testing.T) {
 	fn := ir.MustBuild(figure1Src, ir.BuildOptions{Procs: 2})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	prog := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: true}).Prog
+	prog := codegen.Generate(fn, res.D, codegen.Options{Pipeline: true}).Prog
 	for seed := int64(0); seed < 200; seed++ {
 		r, err := Run(prog, machine.CM5(2), RunOptions{Jitter: 8.0, Seed: seed})
 		if err != nil {
@@ -341,8 +338,8 @@ func main() {
 `
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 8})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	blocking := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: false}).Prog
-	pipelined := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: true}).Prog
+	blocking := codegen.Generate(fn, res.D, codegen.Options{Pipeline: false}).Prog
+	pipelined := codegen.Generate(fn, res.D, codegen.Options{Pipeline: true}).Prog
 	rb := run(t, blocking, machine.CM5(8), RunOptions{})
 	rp := run(t, pipelined, machine.CM5(8), RunOptions{})
 	if rp.Time >= rb.Time {
@@ -393,7 +390,7 @@ func main() {
 }
 `, ir.BuildOptions{Procs: 2})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	prog := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: false}).Prog
+	prog := codegen.Generate(fn, res.D, codegen.Options{Pipeline: false}).Prog
 	r := run(t, prog, machine.CM5(2), RunOptions{})
 	rt := machine.CM5(2).RemoteRoundTrip()
 	if r.Stats[0].Cycles < rt || r.Stats[0].Cycles > rt+50 {
@@ -413,7 +410,7 @@ func main() {
 }
 `, ir.BuildOptions{Procs: 2})
 		res := syncanal.Analyze(fn, syncanal.Options{})
-		prog := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: false}).Prog
+		prog := codegen.Generate(fn, res.D, codegen.Options{Pipeline: false}).Prog
 		r := run(t, prog, machine.CM5(2), RunOptions{})
 		return r.Stats[0].Cycles
 	}
@@ -444,7 +441,7 @@ func main() {
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 8})
 	res := syncanal.Analyze(fn, syncanal.Options{})
 	util := func(pipeline bool) float64 {
-		prog := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: pipeline}).Prog
+		prog := codegen.Generate(fn, res.D, codegen.Options{Pipeline: pipeline}).Prog
 		r := run(t, prog, machine.CM5(8), RunOptions{})
 		busy, total := 0.0, 0.0
 		for _, st := range r.Stats {
@@ -508,14 +505,17 @@ func main() {
 `
 	fn := ir.MustBuild(src, ir.BuildOptions{Procs: 4})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	for _, opts := range []codegen.Options{
-		{Delays: res.Baseline, Pipeline: true},
-		{Delays: res.D, Pipeline: true, OneWay: true, CSE: true, Hoist: true},
+	for _, c := range []struct {
+		delays *delay.Set
+		opts   codegen.Options
+	}{
+		{res.Baseline, codegen.Options{Pipeline: true}},
+		{res.D, codegen.Options{Pipeline: true, OneWay: true, CSE: true, Hoist: true}},
 	} {
-		prog := codegen.Generate(fn, opts).Prog
+		prog := codegen.Generate(fn, c.delays, c.opts).Prog
 		for seed := int64(0); seed < 5; seed++ {
 			if _, err := Run(prog, machine.CM5(4), RunOptions{
-				Jitter: 3, Seed: seed, VerifyDelays: opts.Delays,
+				Jitter: 3, Seed: seed, VerifyDelays: c.delays,
 			}); err != nil {
 				t.Fatalf("verifier rejected generated code: %v", err)
 			}
@@ -528,7 +528,7 @@ func main() {
 func TestDelayVerifierCatchesViolations(t *testing.T) {
 	fn := ir.MustBuild(figure1Src, ir.BuildOptions{Procs: 2})
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	unsafe := codegen.Generate(fn, codegen.Options{Delays: delay.NewSet(fn), Pipeline: true}).Prog
+	unsafe := codegen.Generate(fn, delay.NewSet(fn), codegen.Options{Pipeline: true}).Prog
 	caught := false
 	for seed := int64(0); seed < 20 && !caught; seed++ {
 		_, err := Run(unsafe, machine.CM5(2), RunOptions{Jitter: 2, Seed: seed, VerifyDelays: res.D})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
+	"repro/internal/delay"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/syncanal"
@@ -297,7 +298,7 @@ func main() {
 	for ci, src := range srcs {
 		fn := ir.MustBuild(src, ir.BuildOptions{Procs: 2})
 		res := syncanal.Analyze(fn, syncanal.Options{})
-		prog := codegen.Generate(fn, codegen.Options{Delays: res.D, Pipeline: true, OneWay: true}).Prog
+		prog := codegen.Generate(fn, res.D, codegen.Options{Pipeline: true, OneWay: true}).Prog
 		sc, ok := EnumerateSC(fn, 2, 0)
 		if !ok {
 			t.Fatalf("case %d: SC enumeration truncated", ci)
@@ -351,14 +352,17 @@ func main() {
 	scRes := runSC(t, fn, 4, 7)
 	want := FormatSnapshot(scRes.Memory)
 	res := syncanal.Analyze(fn, syncanal.Options{})
-	variants := []codegen.Options{
-		{Delays: res.Baseline, Pipeline: false},
-		{Delays: res.D, Pipeline: true},
-		{Delays: res.D, Pipeline: true, OneWay: true},
-		{Delays: res.D, Pipeline: true, OneWay: true, CSE: true},
+	variants := []struct {
+		delays *delay.Set
+		opts   codegen.Options
+	}{
+		{res.Baseline, codegen.Options{Pipeline: false}},
+		{res.D, codegen.Options{Pipeline: true}},
+		{res.D, codegen.Options{Pipeline: true, OneWay: true}},
+		{res.D, codegen.Options{Pipeline: true, OneWay: true, CSE: true}},
 	}
-	for vi, opts := range variants {
-		prog := codegen.Generate(fn, opts).Prog
+	for vi, v := range variants {
+		prog := codegen.Generate(fn, v.delays, v.opts).Prog
 		for seed := int64(0); seed < 5; seed++ {
 			r, err := Run(prog, machine.CM5(4), RunOptions{Jitter: 3.0, Seed: seed})
 			if err != nil {

@@ -7,10 +7,10 @@ import (
 
 // The printer appends to one byte slice all the way down: ExprString's text
 // is the conflict key of every indexed access, so it is rendered once per
-// compile, not only for -dump-ir, the goldens and TestPrintIRExact.
+// compile, not only for -dump-after build-ir, the goldens and TestPrintIRExact.
 
 // String renders the function's CFG in a readable text form for debugging,
-// golden tests, and the compiler driver's -dump-ir mode.
+// golden tests, and the compiler driver's dump after build-ir.
 func (f *Fn) String() string {
 	b := append([]byte("func "), f.Name...)
 	b = append(b, " (procs="...)

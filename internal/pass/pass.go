@@ -15,7 +15,9 @@
 // Plan builds that sequence from a Config, and nothing else orders passes:
 // the paper's guarantee holds for section 6's steps in section 6's order
 // (one-way conversion reads the sync positions motion placed), so there is
-// no way to name a subset or a permutation.
+// no way to name a subset or a permutation. This package lists the passes
+// through split-phase; the steps after it, and the codegen.Options fields
+// that enable them, are codegen's step table, one pass per step.
 package pass
 
 import (
@@ -69,18 +71,8 @@ type Config struct {
 	Exact bool
 	// Delays picks the delay set split-phase generation enforces.
 	Delays DelaySource
-	// Motion enables sync motion (message pipelining, section 6); when
-	// false every sync_ctr is pinned at its initiation.
-	Motion bool
-	// Hoist enables initiation back-motion at the pipelined levels.
-	Hoist bool
-	// OneWay converts barrier-synchronized puts to one-way stores.
-	OneWay bool
-	// CSE enables the communication-eliminating transformations.
-	CSE bool
-	// Weaken lists delay pairs the generator deliberately ignores (test
-	// scaffolding for the dynamic verifier; empty for real compiles).
-	Weaken []delay.Pair
+	// Codegen selects the code-generation steps and how they run.
+	Codegen codegen.Options
 }
 
 // Context is the state shared by the passes of one compilation. Front-end
@@ -109,8 +101,8 @@ type Context struct {
 	Analysis *syncanal.Result
 	// Delays is the delay set chosen by "split-phase" per Config.Delays.
 	Delays *delay.Set
-	// Gen is the stepwise code generator, created by "split-phase" and
-	// advanced by the codegen passes.
+	// Gen is the stepwise code generator, created (the program lowered) by
+	// "split-phase" and advanced by the passes of codegen's steps.
 	Gen *codegen.Generator
 
 	// Diags accumulates structured diagnostics across the run.
@@ -186,10 +178,8 @@ func (s *Stat) CounterNames() []string {
 	return names
 }
 
-// Pipeline executes a pass sequence over a Context with instrumentation.
+// Pipeline is the instrumentation a pass sequence runs under.
 type Pipeline struct {
-	// Passes run in order.
-	Passes []Pass
 	// MeasureAllocs attributes heap allocations to each pass via
 	// runtime.ReadMemStats. It costs two stop-the-world reads per pass, so
 	// bulk drivers (bench and verification grids) leave it off.
@@ -199,13 +189,17 @@ type Pipeline struct {
 	Observer func(p Pass, ctx *Context)
 }
 
-// Run executes the pipeline. It returns the per-pass stats for every pass
-// that ran (including a failing one) and the first error, which is also
-// recorded in ctx.Diags.
-func (pl *Pipeline) Run(ctx *Context) ([]Stat, error) {
-	stats := make([]Stat, 0, len(pl.Passes))
+// Run executes passes in order under pl's instrumentation; a nil pl runs
+// them with none beyond the always-on timing and counters. It returns the
+// per-pass stats for every pass that ran (including a failing one) and the
+// first error, which is also recorded in ctx.Diags.
+func (pl *Pipeline) Run(ctx *Context, passes []Pass) ([]Stat, error) {
+	if pl == nil {
+		pl = &Pipeline{}
+	}
+	stats := make([]Stat, 0, len(passes))
 	var m0, m1 runtime.MemStats
-	for _, p := range pl.Passes {
+	for _, p := range passes {
 		if c := ctx.Ctx; c != nil {
 			if cerr := c.Err(); cerr != nil {
 				ctx.Errorf(p.Name(), source.Pos{}, "compilation aborted: %v", cerr)

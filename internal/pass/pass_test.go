@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/delay"
 	"repro/internal/diag"
 )
@@ -19,15 +20,15 @@ func main() {
 `
 
 func fullConfig() Config {
-	return Config{Procs: 8, Motion: true, Hoist: true, OneWay: true, CSE: true}
+	return Config{Procs: 8, Codegen: codegen.Options{Pipeline: true, Hoist: true, OneWay: true, CSE: true}}
 }
 
 // TestRegistryComplete: the full configuration plans every pass once, and
 // every other plan is that sequence with steps left out — never reordered.
 func TestRegistryComplete(t *testing.T) {
 	full := PlanNames(fullConfig())
-	if len(full) != len(passes) {
-		t.Fatalf("full plan has %d passes, %d are defined", len(full), len(passes))
+	if n := len(passes) + len(codegen.Steps()); len(full) != n {
+		t.Fatalf("full plan has %d passes, %d are defined", len(full), n)
 	}
 	seen := make(map[string]bool)
 	for _, name := range full {
@@ -36,7 +37,8 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	for _, cfg := range []Config{{}, {Motion: true}, {CSE: true}, {Hoist: true}, {OneWay: true}} {
+	for _, cg := range []codegen.Options{{}, {Pipeline: true}, {CSE: true}, {Hoist: true}, {OneWay: true}} {
+		cfg := Config{Codegen: cg}
 		k := 0
 		for _, name := range PlanNames(cfg) {
 			for k < len(full) && full[k] != name {
@@ -56,11 +58,10 @@ func TestPipelineRunsAndCounts(t *testing.T) {
 	ctx := NewContext(ringSrc, cfg)
 	var order []string
 	pl := &Pipeline{
-		Passes:        Plan(cfg),
 		MeasureAllocs: true,
 		Observer:      func(p Pass, _ *Context) { order = append(order, p.Name()) },
 	}
-	stats, err := pl.Run(ctx)
+	stats, err := pl.Run(ctx, Plan(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestUnsafeCompileWarns(t *testing.T) {
 	cfg := fullConfig()
 	cfg.Delays = DelayNone
 	ctx := NewContext(ringSrc, cfg)
-	if _, err := (&Pipeline{Passes: Plan(cfg)}).Run(ctx); err != nil {
+	if _, err := new(Pipeline).Run(ctx, Plan(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	warns := ctx.Diags.BySeverity(diag.Warning)
@@ -128,7 +129,7 @@ func TestExactAboveLimitWarns(t *testing.T) {
 		cfg := fullConfig()
 		cfg.Exact = true
 		ctx := NewContext(c.src, cfg)
-		if _, err := (&Pipeline{Passes: Plan(cfg)}).Run(ctx); err != nil {
+		if _, err := new(Pipeline).Run(ctx, Plan(cfg)); err != nil {
 			t.Fatal(err)
 		}
 		n := len(ctx.Fn.Accesses)
@@ -151,7 +152,7 @@ func TestExactAboveLimitWarns(t *testing.T) {
 
 func TestParseErrorIsStructured(t *testing.T) {
 	ctx := NewContext("not a program", Config{Procs: 2})
-	_, err := (&Pipeline{Passes: Plan(Config{Procs: 2})}).Run(ctx)
+	_, err := new(Pipeline).Run(ctx, Plan(Config{Procs: 2}))
 	if err == nil {
 		t.Fatal("parse error expected")
 	}

@@ -18,37 +18,35 @@ type funcPass struct {
 func (p *funcPass) Name() string           { return p.name }
 func (p *funcPass) Run(ctx *Context) error { return p.run(ctx) }
 
-// codegenPass is a Pass that advances the stepwise code generator. The
-// pipeline attributes optimizer counters to it by diffing codegen.Stats
-// around the step.
-type codegenPass struct {
-	name  string
-	step  func(g *codegen.Generator)
-	extra func(ctx *Context) // optional additional counters
-}
+// stepPass runs one step of codegen's table and counts what it did.
+type stepPass struct{ step codegen.Step }
 
-func (p *codegenPass) Name() string { return p.name }
+func (p *stepPass) Name() string { return p.step.Name }
 
-func (p *codegenPass) Run(ctx *Context) error {
-	before := ctx.Gen.Stats()
-	p.step(ctx.Gen)
-	for k, v := range ctx.Gen.Stats().Sub(before).Map() {
-		ctx.Count(k, v)
-	}
-	if p.extra != nil {
-		p.extra(ctx)
-	}
+func (p *stepPass) Run(ctx *Context) error {
+	ctx.Gen.Run(p.step, ctx.Count)
 	return nil
 }
+
+// stepPasses wraps each step of codegen's table in a pass of its name, in
+// the table's order.
+var stepPasses = func() []*stepPass {
+	out := make([]*stepPass, 0, len(codegen.Steps()))
+	for _, s := range codegen.Steps() {
+		out = append(out, &stepPass{s})
+	}
+	return out
+}()
 
 func (ctx *Context) analysisOptions() syncanal.Options {
 	return syncanal.Options{Exact: ctx.Config.Exact}
 }
 
-// passes is every pass in pipeline order. Each reads what the ones before
-// it left in the Context and checks none of it: Plan is the only thing that
-// orders them, and every plan is this sequence minus the steps a Config
-// switches off, so a pass never runs before its inputs exist.
+// passes is every pass through split-phase, in pipeline order; every plan
+// runs them all, then the passes of the codegen steps its Config enables.
+// Each reads what the ones before it left in the Context and checks none of
+// it: Plan is the only thing that orders them, so a pass never runs before
+// its inputs exist.
 var passes = []Pass{
 	&funcPass{"parse", func(ctx *Context) error {
 		ast, err := source.Parse(ctx.Source)
@@ -134,7 +132,7 @@ var passes = []Pass{
 		default:
 			ctx.Delays = a.D
 		}
-		for _, p := range ctx.Config.Weaken {
+		for _, p := range ctx.Config.Codegen.Weaken {
 			if !ctx.Delays.Has(p.A, p.B) {
 				pos := source.Pos{}
 				if p.A >= 0 && p.A < len(ctx.Fn.Accesses) {
@@ -144,80 +142,24 @@ var passes = []Pass{
 					"weakened pair (a%d, a%d) is not in the enforced delay set; weakening has no effect", p.A, p.B)
 			}
 		}
-		ctx.Gen = codegen.New(ctx.Fn, codegen.Options{
-			Delays:   ctx.Delays,
-			Pipeline: ctx.Config.Motion,
-			OneWay:   ctx.Config.OneWay,
-			CSE:      ctx.Config.CSE,
-			Hoist:    ctx.Config.Hoist,
-			Weaken:   ctx.Config.Weaken,
-		})
-		ctx.Gen.Lower()
+		ctx.Gen = codegen.New(ctx.Fn, ctx.Delays, ctx.Config.Codegen)
 		ts := ctx.Gen.Prog().CollectStats()
 		ctx.Count("gets", ts.Gets)
 		ctx.Count("puts", ts.Puts)
 		ctx.Count("enforced_delays", ctx.Delays.Size())
 		return nil
 	}},
-	&codegenPass{name: "cse", step: func(g *codegen.Generator) {
-		g.EliminateDeadGets()
-		g.EliminateLocal()
-	}},
-	&codegenPass{name: "licm", step: func(g *codegen.Generator) {
-		g.HoistLoopInvariant()
-	}},
-	&codegenPass{name: "global-reuse", step: func(g *codegen.Generator) {
-		g.GlobalReuse()
-	}},
-	&codegenPass{name: "hoist", step: func(g *codegen.Generator) {
-		g.Hoist()
-	}},
-	&codegenPass{name: "sync-motion", step: func(g *codegen.Generator) {
-		g.PlaceSyncs()
-	}, extra: func(ctx *Context) {
-		placed, dropped := ctx.Gen.SyncSites()
-		ctx.Count("sync_sites", placed)
-		ctx.Count("sync_copies_off_end", dropped)
-	}},
-	&codegenPass{name: "one-way", step: func(g *codegen.Generator) {
-		g.ConvertOneWay()
-	}},
-	&codegenPass{name: "counter-alloc", step: func(g *codegen.Generator) {
-		g.AllocateCounters()
-	}, extra: func(ctx *Context) {
-		ctx.Count("counters", ctx.Prog().Counters)
-	}},
-	&codegenPass{name: "insert-syncs", step: func(g *codegen.Generator) {
-		g.InsertSyncs()
-	}, extra: func(ctx *Context) {
-		ts := ctx.Prog().CollectStats()
-		ctx.Count("syncs", ts.Syncs)
-		ctx.Count("stores", ts.Stores)
-	}},
 }
 
-// Plan builds the pipeline for cfg: the canonical sequence without the
-// steps cfg leaves off. It performs exactly the steps codegen.Generate
-// would, in the same order, so compiling through a plan is byte-identical to
-// that single call.
+// Plan builds the pipeline for cfg: every pass through split-phase, then
+// one pass per codegen step cfg.Codegen enables, in the step table's order.
 func Plan(cfg Config) []Pass {
-	out := make([]Pass, 0, len(passes))
-	for _, p := range passes {
-		switch p.Name() {
-		case "cse", "licm", "global-reuse":
-			if !cfg.CSE {
-				continue
-			}
-		case "hoist":
-			if !cfg.Hoist {
-				continue
-			}
-		case "one-way":
-			if !cfg.OneWay {
-				continue
-			}
+	out := make([]Pass, len(passes), len(passes)+len(stepPasses))
+	copy(out, passes)
+	for _, p := range stepPasses {
+		if p.step.Enabled(cfg.Codegen) {
+			out = append(out, p)
 		}
-		out = append(out, p)
 	}
 	return out
 }

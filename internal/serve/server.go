@@ -10,7 +10,6 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -434,7 +433,7 @@ func compileResult(ctx context.Context, src string, opts splitc.Options) (*Compi
 	res := &CompileResult{
 		Target:     prog.Target.String(),
 		DelayPairs: prog.Analysis.D.Size(),
-		Codegen:    codegenCounters(prog),
+		Codegen:    prog.Codegen.Map(),
 		Passes:     passStats(prog.Passes),
 	}
 	if opts.Level == splitc.LevelBaseline {
@@ -500,23 +499,6 @@ func verifyResult(ctx context.Context, req *VerifyRequest, mach string, levels [
 		}
 	}
 	return res, nil
-}
-
-// codegenCounters flattens the codegen stats into named counters.
-func codegenCounters(prog *splitc.Program) map[string]int {
-	m := prog.Codegen.Map()
-	out := make(map[string]int, len(m))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if m[k] != 0 {
-			out[k] = m[k]
-		}
-	}
-	return out
 }
 
 func passStats(stats []pass.Stat) []PassStat {

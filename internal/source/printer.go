@@ -7,7 +7,7 @@ import (
 
 // Print renders the program back to MiniSplit source text. The output
 // re-parses to an equivalent AST; it is used by tests (round-tripping) and
-// by the compiler driver's -dump-ast mode.
+// by the compiler driver's dump after parse (-dump-after parse).
 func Print(p *Program) string {
 	var pr printer
 	for i, d := range p.Decls {

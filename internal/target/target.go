@@ -155,18 +155,17 @@ type Block struct {
 	Term  Term
 }
 
-// Succs returns the block's successors.
-func (b *Block) Succs() []*Block {
+// ForSuccs calls f with each of the block's successors: a jump's target, a
+// branch's then arm and, when it differs, its else arm; none after a ret.
+func (b *Block) ForSuccs(f func(*Block)) {
 	switch t := b.Term.(type) {
 	case *Jump:
-		return []*Block{t.To}
+		f(t.To)
 	case *Branch:
-		if t.Then == t.Else {
-			return []*Block{t.Then}
+		f(t.Then)
+		if t.Else != t.Then {
+			f(t.Else)
 		}
-		return []*Block{t.Then, t.Else}
-	default:
-		return nil
 	}
 }
 

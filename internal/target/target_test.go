@@ -55,18 +55,23 @@ func TestSuccs(t *testing.T) {
 	b1.Term = &Jump{To: b2}
 	b2.Term = &Ret{}
 
-	if s := b0.Succs(); len(s) != 2 || s[0] != b1 || s[1] != b2 {
+	succs := func(b *Block) []*Block {
+		var s []*Block
+		b.ForSuccs(func(x *Block) { s = append(s, x) })
+		return s
+	}
+	if s := succs(b0); len(s) != 2 || s[0] != b1 || s[1] != b2 {
 		t.Errorf("branch succs = %v", s)
 	}
-	if s := b1.Succs(); len(s) != 1 || s[0] != b2 {
+	if s := succs(b1); len(s) != 1 || s[0] != b2 {
 		t.Errorf("jump succs = %v", s)
 	}
-	if s := b2.Succs(); s != nil {
+	if s := succs(b2); s != nil {
 		t.Errorf("ret succs = %v", s)
 	}
 	// A degenerate branch with equal arms has one successor.
 	b0.Term = &Branch{Cond: &ir.Const{Val: ir.IntVal(1)}, Then: b1, Else: b1}
-	if s := b0.Succs(); len(s) != 1 || s[0] != b1 {
+	if s := succs(b0); len(s) != 1 || s[0] != b1 {
 		t.Errorf("degenerate branch succs = %v", s)
 	}
 }

@@ -1,6 +1,7 @@
 package splitc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -15,9 +16,10 @@ import (
 
 // referenceCompile is a compile written out by hand, without internal/pass:
 // the front end, one syncanal.Analyze, and one codegen.Generate call with
-// the level spelled as codegen options. It is the second statement of the
-// step order (codegen.Generate's doc comment says why there is one), and the
-// pipeline must match its output byte for byte.
+// the level spelled as a delay set and codegen options. It is a second
+// statement of the level table (PipelineConfig is the first), not of the
+// step order, which only codegen's step table states; the pipeline must
+// match its output byte for byte.
 func referenceCompile(t *testing.T, src string, opts Options) (*codegen.Result, *syncanal.Result) {
 	t.Helper()
 	ast, err := source.Parse(src)
@@ -34,29 +36,30 @@ func referenceCompile(t *testing.T, src string, opts Options) (*codegen.Result, 
 	}
 	analysis := syncanal.Analyze(fn, syncanal.Options{Exact: opts.Exact})
 	cg := codegen.Options{CSE: opts.CSE, Weaken: opts.Weaken}
+	var delays *delay.Set
 	switch opts.Level {
 	case LevelBlocking:
-		cg.Delays = analysis.D
+		delays = analysis.D
 	case LevelBaseline:
-		cg.Delays = analysis.Baseline
+		delays = analysis.Baseline
 		cg.Pipeline = true
 	case LevelPipelined:
-		cg.Delays = analysis.D
+		delays = analysis.D
 		cg.Pipeline = true
 		cg.Hoist = true
 	case LevelOneWay:
-		cg.Delays = analysis.D
+		delays = analysis.D
 		cg.Pipeline = true
 		cg.OneWay = true
 		cg.Hoist = true
 	case LevelUnsafe:
-		cg.Delays = delay.NewSet(fn)
+		delays = delay.NewSet(fn)
 		cg.Pipeline = true
 		cg.OneWay = true
 	default:
 		t.Fatalf("unknown level %d", opts.Level)
 	}
-	return codegen.Generate(fn, cg), analysis
+	return codegen.Generate(fn, delays, cg), analysis
 }
 
 func checkPipelineMatchesLegacy(t *testing.T, name, src string, opts Options) {
@@ -163,6 +166,40 @@ func TestPassStatsReproduceCodegenStats(t *testing.T) {
 					t.Errorf("%s @ %s: pass %d is %s, plan says %s", k.Name, lvl, i, st.Name, names[i])
 				}
 			}
+		}
+	}
+}
+
+// TestPassNamesPinned lists the passes each level runs, with and without
+// CSE, name for name. The names are an interface: the benchmark maps each to
+// a layer, pscd's compile responses list them (and its cache keeps them
+// under keyVersion), and CI uploads the per-pass table. A rename or a
+// reordering must change this test on purpose.
+func TestPassNamesPinned(t *testing.T) {
+	const front = "parse check build-ir conflict cycle-detect sync-analysis split-phase "
+	const cse = "cse licm global-reuse "
+	for _, c := range []struct {
+		level Level
+		cse   bool
+		want  string
+	}{
+		{LevelBlocking, false, front + "sync-motion counter-alloc insert-syncs"},
+		{LevelBlocking, true, front + cse + "sync-motion counter-alloc insert-syncs"},
+		{LevelBaseline, false, front + "sync-motion counter-alloc insert-syncs"},
+		{LevelBaseline, true, front + cse + "sync-motion counter-alloc insert-syncs"},
+		{LevelPipelined, false, front + "hoist sync-motion counter-alloc insert-syncs"},
+		{LevelPipelined, true, front + cse + "hoist sync-motion counter-alloc insert-syncs"},
+		{LevelOneWay, false, front + "hoist sync-motion one-way counter-alloc insert-syncs"},
+		{LevelOneWay, true, front + cse + "hoist sync-motion one-way counter-alloc insert-syncs"},
+		{LevelUnsafe, false, front + "sync-motion one-way counter-alloc insert-syncs"},
+		{LevelUnsafe, true, front + cse + "sync-motion one-way counter-alloc insert-syncs"},
+	} {
+		names, err := PassNames(Options{Procs: 4, Level: c.level, CSE: c.cse})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(names, " "); got != c.want {
+			t.Errorf("%s cse=%v: passes\n  %s\nwant\n  %s", c.level, c.cse, got, c.want)
 		}
 	}
 }

@@ -154,30 +154,30 @@ type Program struct {
 // level is nothing more than a preset pass configuration.
 func PipelineConfig(opts Options) (pass.Config, error) {
 	cfg := pass.Config{
-		Procs:  opts.Procs,
-		Exact:  opts.Exact,
-		CSE:    opts.CSE,
-		Weaken: opts.Weaken,
+		Procs:   opts.Procs,
+		Exact:   opts.Exact,
+		Codegen: codegen.Options{CSE: opts.CSE, Weaken: opts.Weaken},
 	}
+	cg := &cfg.Codegen
 	switch opts.Level {
 	case LevelBlocking:
 		cfg.Delays = pass.DelayFinal
 	case LevelBaseline:
 		cfg.Delays = pass.DelayBaseline
-		cfg.Motion = true
+		cg.Pipeline = true
 	case LevelPipelined:
 		cfg.Delays = pass.DelayFinal
-		cfg.Motion = true
-		cfg.Hoist = true
+		cg.Pipeline = true
+		cg.Hoist = true
 	case LevelOneWay:
 		cfg.Delays = pass.DelayFinal
-		cfg.Motion = true
-		cfg.OneWay = true
-		cfg.Hoist = true
+		cg.Pipeline = true
+		cg.OneWay = true
+		cg.Hoist = true
 	case LevelUnsafe:
 		cfg.Delays = pass.DelayNone
-		cfg.Motion = true
-		cfg.OneWay = true
+		cg.Pipeline = true
+		cg.OneWay = true
 	default:
 		return cfg, fmt.Errorf("splitc: unknown level %d", opts.Level)
 	}
@@ -285,9 +285,9 @@ func planHalves(cfg pass.Config) (front, back []pass.Pass) {
 // NewFront runs the front half on src for a machine of opts.Procs
 // processors; of opts only Procs and Exact are read. ctx is checked at
 // every pass boundary, as in CompileContext. pl, which may be nil,
-// supplies the instrumentation (Observer, MeasureAllocs); its pass list is
-// not used. When a pass fails, the returned Front holds what the passes
-// before it produced, alongside the error.
+// supplies the instrumentation (Observer, MeasureAllocs). When a pass
+// fails, the returned Front holds what the passes before it produced,
+// alongside the error.
 func NewFront(ctx context.Context, src string, opts Options, pl *pass.Pipeline) (*Front, error) {
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("splitc: Options.Procs must be positive")
@@ -295,7 +295,7 @@ func NewFront(ctx context.Context, src string, opts Options, pl *pass.Pipeline) 
 	cfg := pass.Config{Procs: opts.Procs, Exact: opts.Exact}
 	passes, _ := planHalves(cfg)
 	pctx := newPassContext(ctx, src, cfg)
-	stats, err := instrumented(pl, passes).Run(pctx)
+	stats, err := pl.Run(pctx, passes)
 	return &Front{
 		Source:   src,
 		Procs:    opts.Procs,
@@ -307,15 +307,6 @@ func NewFront(ctx context.Context, src string, opts Options, pl *pass.Pipeline) 
 		Passes:   stats,
 		Diags:    pctx.Diags.All(),
 	}, err
-}
-
-// instrumented returns a pipeline running passes under pl's instrumentation.
-func instrumented(pl *pass.Pipeline, passes []pass.Pass) *pass.Pipeline {
-	out := &pass.Pipeline{Passes: passes}
-	if pl != nil {
-		out.MeasureAllocs, out.Observer = pl.MeasureAllocs, pl.Observer
-	}
-	return out
 }
 
 // Generate compiles the front's source at opts.Level, running the passes
@@ -333,7 +324,7 @@ func (f *Front) Generate(ctx context.Context, opts Options, pl *pass.Pipeline) (
 	}
 	_, passes := planHalves(cfg)
 	pctx := f.passContext(ctx, cfg)
-	stats, err := instrumented(pl, passes).Run(pctx)
+	stats, err := pl.Run(pctx, passes)
 	return programOf(pctx, opts, append(f.Passes[:len(f.Passes):len(f.Passes)], stats...)), err
 }
 
