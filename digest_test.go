@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"repro/internal/apps"
@@ -14,8 +15,10 @@ import (
 // TestResultDigest prints one SHA-256 per program family over everything a
 // change to the analysis or the code generator must leave alone:
 // |Baseline|, |D1|, |R|, |D|, RClasses, every pair of D, and the target text
-// and codegen.Stats at blocking, baseline (the one level that enforces the
-// baseline set), pipelined and oneway with CSE. It asserts nothing; such a
+// and non-zero codegen.Stats counters (by name, sorted) at blocking,
+// baseline (the one level that enforces the baseline set), pipelined and
+// oneway with CSE. Hashing counters by name keeps a line still when a
+// counter that reads zero everywhere is deleted. It asserts nothing; such a
 // PR runs it at the parent and at the change and quotes both outputs, which
 // must be equal line for line:
 //
@@ -50,7 +53,16 @@ func TestResultDigest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: generate at %s: %v", name, l, err)
 				}
-				fmt.Fprintf(h, "\n%s\n%s%+v", l, prog.TargetText(), prog.Codegen)
+				fmt.Fprintf(h, "\n%s\n%s", l, prog.TargetText())
+				stats := prog.Codegen.Map()
+				keys := make([]string, 0, len(stats))
+				for k := range stats {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				for _, k := range keys {
+					fmt.Fprintf(h, "%s=%d ", k, stats[k])
+				}
 			}
 		})
 		t.Logf("%-12s %4d programs  %x", name, programs, h.Sum(nil))

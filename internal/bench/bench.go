@@ -15,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/apps"
+	"repro/internal/codegen"
 	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/syncanal"
@@ -371,13 +372,7 @@ func FormatMessages(rows []MessageRow, procs, scale int) string {
 // CSERow captures per-kernel communication-elimination statistics.
 type CSERow struct {
 	App   string
-	Stats codegenStats
-}
-
-// codegenStats mirrors codegen.Stats for reporting.
-type codegenStats struct {
-	GetsEliminated, GetsForwarded, GetsDead, GetsCached, GetsHoistedLICM int
-	PutsEliminated, PutsConverted, InitsHoisted, CountersShared          int
+	Stats codegen.Stats
 }
 
 // RunCSEStats compiles every kernel at full optimization and reports what
@@ -393,13 +388,7 @@ func RunCSEStats(procs, scale int) ([]CSERow, error) {
 		if err != nil {
 			return fmt.Errorf("%s: %w", k.Name, err)
 		}
-		cs := p.Codegen
-		out[i] = CSERow{App: k.Name, Stats: codegenStats{
-			GetsEliminated: cs.GetsEliminated, GetsForwarded: cs.GetsForwarded,
-			GetsDead: cs.GetsDead, GetsCached: cs.GetsCached, GetsHoistedLICM: cs.GetsHoistedLICM,
-			PutsEliminated: cs.PutsEliminated, PutsConverted: cs.PutsConverted,
-			InitsHoisted: cs.InitsHoisted, CountersShared: cs.CountersShared,
-		}}
+		out[i] = CSERow{App: k.Name, Stats: p.Codegen}
 		return nil
 	})
 	if err != nil {
@@ -412,12 +401,12 @@ func RunCSEStats(procs, scale int) ([]CSERow, error) {
 func FormatCSE(rows []CSERow, procs, scale int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Communication elimination and codegen statistics (procs %d, scale %d)\n", procs, scale)
-	fmt.Fprintf(&sb, "%-10s %6s %6s %6s %7s %6s %7s %8s %7s %8s\n",
-		"app", "reuse", "fwd", "dead", "cached", "licm", "wrback", "to-store", "hoists", "ctr-shr")
+	fmt.Fprintf(&sb, "%-10s %6s %7s %6s %7s %8s %7s %8s\n",
+		"app", "fwd", "cached", "licm", "wrback", "to-store", "hoists", "ctr-shr")
 	for _, r := range rows {
 		s := r.Stats
-		fmt.Fprintf(&sb, "%-10s %6d %6d %6d %7d %6d %7d %8d %7d %8d\n",
-			r.App, s.GetsEliminated, s.GetsForwarded, s.GetsDead, s.GetsCached,
+		fmt.Fprintf(&sb, "%-10s %6d %7d %6d %7d %8d %7d %8d\n",
+			r.App, s.GetsForwarded, s.GetsCached,
 			s.GetsHoistedLICM, s.PutsEliminated, s.PutsConverted, s.InitsHoisted, s.CountersShared)
 	}
 	return sb.String()

@@ -48,10 +48,8 @@ type Options struct {
 
 // Stats describes what the optimizer did.
 type Stats struct {
-	GetsEliminated  int // redundant gets replaced by local copies
 	GetsForwarded   int // gets forwarded from a preceding put
-	GetsDead        int // gets of never-used values removed
-	GetsCached      int // gets satisfied by a value cached across blocks
+	GetsCached      int // gets satisfied by a value already fetched
 	GetsHoistedLICM int // loop-invariant gets moved to preheaders
 	PutsEliminated  int // overwritten puts removed (write-back)
 	PutsConverted   int // puts converted to one-way stores
@@ -68,9 +66,7 @@ type Stats struct {
 // earned them.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		GetsEliminated:  s.GetsEliminated - prev.GetsEliminated,
 		GetsForwarded:   s.GetsForwarded - prev.GetsForwarded,
-		GetsDead:        s.GetsDead - prev.GetsDead,
 		GetsCached:      s.GetsCached - prev.GetsCached,
 		GetsHoistedLICM: s.GetsHoistedLICM - prev.GetsHoistedLICM,
 		PutsEliminated:  s.PutsEliminated - prev.PutsEliminated,
@@ -93,9 +89,7 @@ func (s Stats) Map() map[string]int {
 			m[k] = v
 		}
 	}
-	add("gets_eliminated", s.GetsEliminated)
 	add("gets_forwarded", s.GetsForwarded)
-	add("gets_dead", s.GetsDead)
 	add("gets_cached", s.GetsCached)
 	add("gets_hoisted_licm", s.GetsHoistedLICM)
 	add("puts_eliminated", s.PutsEliminated)
@@ -129,17 +123,16 @@ type Step struct {
 }
 
 // steps is the back half of a compile in the one order its guarantee holds
-// for: the CSE family rewrites the lowered program, hoisting moves the
-// surviving initiations up, sync motion places every sync, one-way
+// for: loop-invariant motion and the section 7 walk rewrite the lowered
+// program, hoisting moves the surviving initiations up, sync motion places every sync, one-way
 // conversion reads the placed positions, counter allocation merges
 // accesses that sync at the same positions, and insertion emits what is
 // left. Nothing else orders code generation: Generate runs this table, and
 // the pass pipeline wraps each entry in a pass of the same name. The table
 // is read-only, so concurrent generators share it.
 var steps = [...]Step{
-	{Name: "cse", on: cseOn, run: (*Generator).cse},
 	{Name: "licm", on: cseOn, run: (*Generator).hoistLoopInvariantGets},
-	{Name: "global-reuse", on: cseOn, run: (*Generator).globalReuse},
+	{Name: "cse", on: cseOn, run: (*Generator).cse},
 	{Name: "hoist", on: func(o Options) bool { return o.Hoist }, run: (*Generator).hoist},
 	{Name: "sync-motion", run: (*Generator).placeSyncs, report: (*Generator).countSyncSites},
 	{Name: "one-way", on: func(o Options) bool { return o.OneWay }, run: (*Generator).convertOneWay},
@@ -255,21 +248,21 @@ type Generator struct {
 
 	preds   [][]int      // by block ID, built on first use
 	scanBuf availList    // the transfer function's list
-	meetBuf []availEntry // global reuse's meet
+	meetBuf []availEntry // the availability fixpoint's meet
 	readBuf []ir.LocalID // the locals one statement reads
 }
 
-// passWork counts what global reuse and LICM do, in units that repeat
-// exactly on any host, so a test can pin them.
+// passWork counts what cse's availability fixpoint and LICM do, in units
+// that repeat exactly on any host, so a test can pin them.
 type passWork struct {
-	ReuseScans  int // global reuse: transfer-function runs in the fixpoint
-	ReuseSweeps int // global reuse: ascending passes over the queued blocks
+	ReuseScans  int // cse: transfer-function runs in the fixpoint
+	ReuseSweeps int // cse: ascending passes over the queued blocks
 	LICMLoops   int // LICM: natural loops with a unique preheader
 	LICMVisits  int // LICM: body blocks those loops walked
 }
 
-// workHook, when a test sets it, receives the work of each global-reuse
-// and LICM pass as the pass ends.
+// workHook, when a test sets it, receives the work of each cse and LICM
+// pass as the pass ends.
 var workHook func(passWork)
 
 // reportWork hands the pass's work to workHook and starts a new count.

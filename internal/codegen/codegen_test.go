@@ -242,8 +242,8 @@ func main() {
     local int c = a + b;
 }
 `, 0, Options{Pipeline: true, CSE: true})
-	if r.Stats.GetsEliminated != 1 {
-		t.Errorf("GetsEliminated = %d, want 1:\n%s", r.Stats.GetsEliminated, r.Prog)
+	if r.Stats.GetsCached != 1 {
+		t.Errorf("GetsCached = %d, want 1:\n%s", r.Stats.GetsCached, r.Prog)
 	}
 	st := r.Prog.CollectStats()
 	if st.Gets != 1 {
@@ -262,7 +262,7 @@ func main() {
     local int c = a + b;
 }
 `, 0, Options{Pipeline: true, CSE: true})
-	if r.Stats.GetsEliminated != 0 {
+	if r.Stats.GetsCached != 0 {
 		t.Errorf("reuse across a wait must not happen:\n%s", r.Prog)
 	}
 }
@@ -278,7 +278,7 @@ func main() {
     local int c = a + b;
 }
 `, 0, Options{Pipeline: true, CSE: true})
-	if r.Stats.GetsEliminated != 0 {
+	if r.Stats.GetsCached != 0 {
 		t.Errorf("reuse after index mutation must not happen:\n%s", r.Prog)
 	}
 }
@@ -441,25 +441,6 @@ func main() {
 	}
 }
 
-func TestDeadGetElimination(t *testing.T) {
-	r, _ := compile(t, `
-shared int X;
-shared int Y;
-func main() {
-    local int used = X;
-    local int unused = Y;
-    local int c = used + 1;
-}
-`, 0, Options{Pipeline: true, CSE: true})
-	if r.Stats.GetsDead != 1 {
-		t.Errorf("GetsDead = %d, want 1:\n%s", r.Stats.GetsDead, r.Prog)
-	}
-	st := r.Prog.CollectStats()
-	if st.Gets != 1 {
-		t.Errorf("one get should remain:\n%s", r.Prog)
-	}
-}
-
 func TestDeadGetKeptWhenLiveInBranch(t *testing.T) {
 	r, _ := compile(t, `
 shared int X;
@@ -470,7 +451,7 @@ func main() {
     }
 }
 `, 0, Options{Pipeline: true, CSE: true})
-	if r.Stats.GetsDead != 0 {
+	if st := r.Prog.CollectStats(); st.Gets != 1 {
 		t.Errorf("get used in a branch must stay:\n%s", r.Prog)
 	}
 }
@@ -487,7 +468,7 @@ func main() {
 }
 `, 0, Options{Pipeline: true, CSE: true})
 	// v is read by the next iteration: the get is live.
-	if r.Stats.GetsDead != 0 {
+	if st := r.Prog.CollectStats(); st.Gets != 1 {
 		t.Errorf("loop-carried get must stay:\n%s", r.Prog)
 	}
 }

@@ -12,10 +12,10 @@ import (
 // communication under one set of facts about each target statement: the
 // shared access it makes and the local it defines (effectOf), whether that
 // access writes, acquires or releases (effect's methods), and the locals
-// it reads (appendReads). Sync motion, initiation back-motion, block-local
-// and global reuse and loop-invariant motion all read those facts here,
-// the same-processor ordering rule from sameProcOrdered, and cached values
-// die by kill's rules alone.
+// it reads (appendReads). Sync motion, initiation back-motion, the
+// section 7 walk and loop-invariant motion all read those facts here, the
+// same-processor ordering rule from sameProcOrdered, and cached values die
+// by kill's rules alone.
 
 // noLocal stands for no local: what an effect defines when it defines
 // none, what a put holds when its source is no local.
@@ -137,18 +137,22 @@ func sameAddress(a, b *ir.Access) bool {
 	return a.Sym == b.Sym && ir.ExprEqual(a.Index, b.Index)
 }
 
-// availEntry is one cached fetch: the get acc fetched its address's value
-// into the local dst.
+// availEntry is one value this processor holds for an address: the get
+// acc fetched it into dst, or the put acc wrote it (put set; dst is the
+// put's source when that is a local, else noLocal).
 type availEntry struct {
 	acc *ir.Access
 	dst ir.LocalID
+	put *target.Put
 }
 
-// availList is an availability list: the fetched values this processor
-// still holds, in the order they were fetched.
+// availList is an availability list: the values this processor still
+// holds, in the order it came to hold them.
 type availList []availEntry
 
-// lookup returns the first entry caching acc's address.
+// lookup returns the first entry for acc's address. An address has at
+// most one put entry and then no get entry: a put kills every entry it may
+// alias, and a real get of its address kills the put entry.
 func (l availList) lookup(acc *ir.Access) (availEntry, bool) {
 	for _, x := range l {
 		if sameAddress(x.acc, acc) {
@@ -159,13 +163,25 @@ func (l availList) lookup(acc *ir.Access) (availEntry, bool) {
 }
 
 // kills reports whether statement effect e, if it is no acquire,
-// invalidates entry x: it writes shared data that may alias x's address,
-// or it redefines x's holding local or a local x's address reads.
+// invalidates entry x. Any entry dies when e writes shared data that may
+// alias x's address, or redefines x's holding local or a local x's
+// address reads. A put entry also dies at a release, which may expose the
+// put to another processor, and at a read that may alias it, which
+// observes it: write-back may then no longer delete it.
 func (g *Generator) kills(e effect, x availEntry) bool {
-	if e.writes() && g.mayAlias(x.acc, e.acc) {
+	if e.def != noLocal && (x.dst == e.def || ir.ExprUsesLocal(x.acc.Index, e.def)) {
 		return true
 	}
-	return e.def != noLocal && (x.dst == e.def || ir.ExprUsesLocal(x.acc.Index, e.def))
+	c := e.acc
+	switch {
+	case c == nil:
+		return false
+	case e.writes() && g.mayAlias(x.acc, c):
+		return true
+	case x.put != nil:
+		return e.releases() || c.Kind == ir.AccRead && g.mayAlias(x.acc, c)
+	}
+	return false
 }
 
 // kill drops, in place, the entries statement effect e invalidates: all of
@@ -175,7 +191,7 @@ func (g *Generator) kill(l availList, e effect) availList {
 	if e.acquires() {
 		return l[:0]
 	}
-	if e.def == noLocal && !e.writes() {
+	if e.def == noLocal && e.acc == nil {
 		return l
 	}
 	keep := l[:0]

@@ -4,71 +4,11 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/ir"
 	"repro/internal/target"
 )
 
-// Cross-block value reuse (section 7: "It may be possible to reuse a
-// previously read value even when there are intervening global accesses,
-// as long as it is legal to move the second get up to the point of the
-// first one."). A forward must-availability dataflow over the target CFG
-// computes which fetched values are valid in which locals at each block
-// entry; a get of an already-available address is then deleted (same
-// destination) or turned into a local copy (different destination).
-//
-// The Figure 9/10 cases fall out: after a barrier makes an array
-// read-only for a phase, the phase's loop re-reads become one fetch, and
-// post-wait-completed updates can be cached by later readers.
-//
-// Availability dies by the kill rules (kill, in effect.go) that
-// block-local reuse applies too: may-aliasing writes by this processor,
-// acquire-like synchronization (wait, lock, barrier — another processor's
-// write may become visible), and redefinition of the address's locals or
-// the holding local.
-
-// transfer runs the availability transfer function over blk from the
-// entry list in: each statement kills what it invalidates, and a get then
-// caches its own fetch. With rewrite set it also replaces each get whose
-// address is already cached: by a local copy, or by nothing when the value
-// already sits in the get's destination. The result lives in a buffer the
-// next call reuses: a caller that keeps it copies it.
-func (g *Generator) transfer(in []availEntry, blk *target.Block, rewrite bool) []availEntry {
-	l := append(g.scanBuf[:0], in...)
-	var out []target.Stmt
-	if rewrite {
-		out = make([]target.Stmt, 0, len(blk.Stmts))
-	}
-	for _, s := range blk.Stmts {
-		e := effectOf(s)
-		get, isGet := s.(*target.Get)
-		keep := true
-		if isGet && rewrite {
-			if x, ok := l.lookup(get.Acc); ok {
-				g.infos[get.Acc.ID] = nil
-				g.stats.GetsCached++
-				if x.dst != get.Dst {
-					out = append(out, &target.Wrap{S: &ir.Assign{
-						Dst: get.Dst,
-						Src: &ir.LocalRef{ID: x.dst, T: g.fn.Locals[x.dst].Type},
-					}})
-				}
-				keep = false
-			}
-		}
-		l = g.kill(l, e)
-		if isGet {
-			l = append(l, availEntry{acc: get.Acc, dst: get.Dst})
-		}
-		if rewrite && keep {
-			out = append(out, s)
-		}
-	}
-	g.scanBuf = l
-	if rewrite {
-		blk.Stmts = out
-	}
-	return l
-}
+// The availability fixpoint behind cse: which values are held in which
+// locals at each block entry, over every path from the program entry.
 
 // intersectAvail appends to dst the entries of a present in b (same
 // representative address and destination), in a's order. dst may be
@@ -182,20 +122,6 @@ func (g *Generator) availFixpoint() *availFlow {
 		}
 	}
 	return fl
-}
-
-// globalReuse runs the availability fixpoint and rewrites redundant gets.
-func (g *Generator) globalReuse() {
-	fl := g.availFixpoint()
-	g.reportWork()
-	// Rewrite pass: walk each block with its entry availability, applying
-	// the same transfer but replacing redundant gets.
-	for bi, b := range g.prog.Blocks {
-		if !fl.known[bi] {
-			continue
-		}
-		g.transfer(fl.in[bi], b, true)
-	}
 }
 
 func sameAvail(a, b []availEntry) bool {

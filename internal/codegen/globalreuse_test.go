@@ -96,14 +96,14 @@ func acc2048(t testing.TB) *ir.Fn {
 	return ir.MustBuild(progen.Generate(tier.Seed, tier.Opts), ir.BuildOptions{Procs: tier.Opts.Procs})
 }
 
-// reuseStep is global reuse's index in the step table.
+// reuseStep is cse's index in the step table.
 func reuseStep() int {
 	for i, s := range steps {
-		if s.Name == "global-reuse" {
+		if s.Name == "cse" {
 			return i
 		}
 	}
-	panic("no global-reuse step")
+	panic("no cse step")
 }
 
 // runSteps runs the steps of list that g's options enable.
@@ -115,14 +115,14 @@ func runSteps(g *Generator, list []Step) {
 	}
 }
 
-// beforeReuse runs the steps ahead of global reuse.
+// beforeReuse runs the steps ahead of cse.
 func beforeReuse(c reuseCase) *Generator {
 	g := New(c.fn, c.delays, c.opts)
 	runSteps(g, steps[:reuseStep()])
 	return g
 }
 
-// afterReuse runs the steps after global reuse and returns the target text.
+// afterReuse runs the steps after cse and returns the target text.
 func afterReuse(g *Generator) string {
 	runSteps(g, steps[reuseStep()+1:])
 	return g.prog.String()
@@ -131,7 +131,7 @@ func afterReuse(g *Generator) string {
 // checkReuse holds availFixpoint to the round-robin on one program: every
 // block's reached flag and entry and exit lists, order and representative
 // access included, and then the target text and statistics of the whole
-// compile with global reuse rewriting from either fixpoint.
+// compile with cse rewriting from either fixpoint.
 func checkReuse(t *testing.T, c reuseCase) {
 	t.Helper()
 	ref := beforeReuse(c)
@@ -148,12 +148,10 @@ func checkReuse(t *testing.T, c reuseCase) {
 		}
 	}
 	for b, blk := range ref.prog.Blocks {
-		if want.known[b] {
-			ref.transfer(want.in[b], blk, true)
-		}
+		ref.transfer(want.in[b], blk, true)
 	}
 	prod := beforeReuse(c)
-	prod.globalReuse()
+	prod.cse()
 	if wantText, gotText := afterReuse(ref), afterReuse(prod); gotText != wantText {
 		t.Fatalf("%s: target text differs from the round-robin's\n--- round-robin ---\n%s--- worklist ---\n%s", c.name, wantText, gotText)
 	}
@@ -193,7 +191,7 @@ func TestGlobalReuseMatchesRoundRobin(t *testing.T) {
 	checkReuse(t, oneWayCase("acc2048", acc2048(t)))
 }
 
-// TestCodegenWorkAcc2048 pins the work of global reuse and LICM in a
+// TestCodegenWorkAcc2048 pins the work of cse's fixpoint and LICM in a
 // oneway + CSE compile of the 2k tier, in counts that repeat exactly on
 // any host. The round-robin ran the transfer function 26,067 times in 33
 // sweeps on the same input; the worklist takes as many sweeps, since a

@@ -8,7 +8,7 @@
 //
 //	parse -> check -> build-ir ->
 //	conflict -> cycle-detect -> sync-analysis ->        (sections 3-5)
-//	split-phase -> [cse -> licm -> global-reuse] ->     (section 7)
+//	split-phase -> [licm -> cse] ->                     (section 7)
 //	[hoist] -> sync-motion -> [one-way] ->              (section 6)
 //	counter-alloc -> insert-syncs
 //
