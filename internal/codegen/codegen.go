@@ -124,10 +124,10 @@ type Step struct {
 
 // steps is the back half of a compile in the one order its guarantee holds
 // for: loop-invariant motion and the section 7 walk rewrite the lowered
-// program, hoisting moves the surviving initiations up, sync motion places every sync, one-way
-// conversion reads the placed positions, counter allocation merges
-// accesses that sync at the same positions, and insertion emits what is
-// left. Nothing else orders code generation: Generate runs this table, and
+// program, hoisting moves the surviving initiations up, sync motion places
+// every sync, one-way conversion reads the placed positions, counter
+// allocation merges accesses that sync at the same positions, and
+// insertion emits what is left. Nothing else orders code generation: Generate runs this table, and
 // the pass pipeline wraps each entry in a pass of the same name. The table
 // is read-only, so concurrent generators share it.
 var steps = [...]Step{
@@ -250,6 +250,9 @@ type Generator struct {
 	scanBuf availList    // the transfer function's list
 	meetBuf []availEntry // the availability fixpoint's meet
 	readBuf []ir.LocalID // the locals one statement reads
+	// addrReads holds, by access ID, the reads of the access's address;
+	// see readsAt.
+	addrReads [][]int
 }
 
 // passWork counts what cse's availability fixpoint and LICM do, in units

@@ -58,7 +58,7 @@ func (g *Generator) transfer(in []availEntry, blk *target.Block, rewrite bool) [
 	for _, s := range blk.Stmts {
 		e := effectOf(s)
 		emit := s
-		add := availEntry{dst: noLocal}
+		var add availEntry // the value s leaves in a local; acc nil if none
 		switch s := s.(type) {
 		case *target.Get:
 			add = availEntry{acc: s.Acc, dst: s.Dst}
@@ -66,29 +66,24 @@ func (g *Generator) transfer(in []availEntry, blk *target.Block, rewrite bool) [
 			if !ok || x.put != nil && !forwardable(x.put.Src) {
 				break
 			}
-			e.acc = nil
 			var src ir.Expr
-			if x.put != nil {
-				// A forwarded value is held by no local of its own.
-				add.acc = nil
-				src = x.put.Src
-				if rewrite {
-					g.stats.GetsForwarded++
-				}
-			} else {
-				if x.dst != s.Dst {
-					src = &ir.LocalRef{ID: x.dst, T: g.fn.Locals[x.dst].Type}
-				}
-				if rewrite {
-					g.stats.GetsCached++
-				}
+			switch {
+			case x.put != nil: // a forwarded value is held by no local of its own
+				src, add.acc = x.put.Src, nil
+			case x.dst != s.Dst:
+				src = &ir.LocalRef{ID: x.dst, T: g.fn.Locals[x.dst].Type}
 			}
-			emit = nil
+			e.acc, emit = nil, nil
 			if src != nil {
 				emit = &target.Wrap{S: &ir.Assign{Dst: s.Dst, Src: src}}
 			}
 			if rewrite {
 				g.infos[s.Acc.ID] = nil
+				if x.put != nil {
+					g.stats.GetsForwarded++
+				} else {
+					g.stats.GetsCached++
+				}
 			}
 		case *target.Put:
 			if x, ok := l.lookup(s.Acc); ok && x.put != nil && rewrite {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/ir"
+	"repro/internal/sem"
 	"repro/internal/target"
 )
 
@@ -168,6 +169,13 @@ func (l availList) lookup(acc *ir.Access) (availEntry, bool) {
 // address reads. A put entry also dies at a release, which may expose the
 // put to another processor, and at a read that may alias it, which
 // observes it: write-back may then no longer delete it.
+//
+// Every rewrite an entry allows moves an access past what lies between:
+// reuse and forwarding move a later read of x's address up to x, and
+// write-back moves x's put down to the later put. Such a move is legal
+// only if the delay set orders nothing it crosses against the moved
+// access, so an access e makes also kills x when D orders it before a
+// read of x's address, and a put entry when D orders the put before it.
 func (g *Generator) kills(e effect, x availEntry) bool {
 	if e.def != noLocal && (x.dst == e.def || ir.ExprUsesLocal(x.acc.Index, e.def)) {
 		return true
@@ -178,10 +186,56 @@ func (g *Generator) kills(e effect, x availEntry) bool {
 		return false
 	case e.writes() && g.mayAlias(x.acc, c):
 		return true
+	case g.orderedBeforeRead(c, x.acc):
+		return true
 	case x.put != nil:
-		return e.releases() || c.Kind == ir.AccRead && g.mayAlias(x.acc, c)
+		return e.releases() || c.Kind == ir.AccRead && g.mayAlias(x.acc, c) || g.delayOrders(x.acc.ID, c.ID)
 	}
 	return false
+}
+
+// orderedBeforeRead reports whether the delay set orders c before some
+// read of acc's address.
+func (g *Generator) orderedBeforeRead(c, acc *ir.Access) bool {
+	for _, b := range g.readsAt(acc) {
+		if g.delayOrders(c.ID, b) {
+			return true
+		}
+	}
+	return false
+}
+
+// readsAt returns the IDs of the reads of acc's address. The table behind
+// it is built on first use: each data access joins the group of the first
+// access of its symbol that names the same address.
+func (g *Generator) readsAt(acc *ir.Access) []int {
+	if g.addrReads == nil {
+		accs := g.fn.Accesses
+		g.addrReads = make([][]int, len(accs))
+		heads := map[*sem.Symbol][]*ir.Access{}
+		head := make([]int, len(accs)) // by access ID: its group's first access
+		for _, a := range accs {
+			if !a.Kind.IsData() {
+				continue
+			}
+			i := slices.IndexFunc(heads[a.Sym], func(h *ir.Access) bool { return ir.ExprEqual(h.Index, a.Index) })
+			if i < 0 {
+				heads[a.Sym] = append(heads[a.Sym], a)
+				head[a.ID] = a.ID
+			} else {
+				head[a.ID] = heads[a.Sym][i].ID
+			}
+			if a.Kind == ir.AccRead {
+				g.addrReads[head[a.ID]] = append(g.addrReads[head[a.ID]], a.ID)
+			}
+		}
+		for _, a := range accs {
+			if a.Kind.IsData() {
+				g.addrReads[a.ID] = g.addrReads[head[a.ID]]
+			}
+		}
+	}
+	return g.addrReads[acc.ID]
 }
 
 // kill drops, in place, the entries statement effect e invalidates: all of

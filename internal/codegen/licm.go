@@ -237,16 +237,7 @@ func (g *Generator) hoistFromLoop(body []int, in, written *stampSet, latch int, 
 		}
 		// No delay edge orders a loop access before this get: hoisting
 		// must not initiate the get ahead of a completion it waits on.
-		// The get's row of D holds every access ordered before it.
-		delayed := false
-		row := g.delays.TargetRow(get.Acc.ID)
-		for _, x := range accs {
-			if row[x>>6]&(1<<(x&63)) != 0 {
-				delayed = true
-				break
-			}
-		}
-		if delayed {
+		if slices.ContainsFunc(accs, func(x int) bool { return g.delayOrders(x, get.Acc.ID) }) {
 			continue
 		}
 		// Hoist: remove from the body block, append to the preheader. The

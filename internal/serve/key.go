@@ -90,8 +90,10 @@ func SourceFingerprint(src string) string {
 // before the tuple, so changing it retires every stored artifact at once,
 // on disk too: raise it whenever a result type gains, loses or redefines a
 // field. Version 2: a compile reports baseline_pairs only at level
-// baseline.
-const keyVersion = "2"
+// baseline. Version 3: section 7 runs as licm then cse, without
+// gets_eliminated and gets_dead, and withholds rewrites the delay set
+// forbids.
+const keyVersion = "3"
 
 // ID is the content address of the tuple: the hex SHA-256 of a
 // length-prefixed encoding of keyVersion and every field. Length prefixes
