@@ -51,18 +51,26 @@ func (h *vmHost) Fail(p int, format string, args ...any) {
 	h.s.fail(h.s.procs[p], format, args...)
 }
 
+// Get, Put and Store are the host path of a data access. The per-access
+// work is what the access needs on every run: its ALU charges, a bounds
+// test against the symbol's extent and the owner's layout rule, both read
+// from the Runner's access table (accInfo). The delay verifier is called
+// only when a run carries a delay set; the tap is consulted inside the
+// issue.
 func (h *vmHost) Get(p, alu, accID int, idx int64, dst ir.LocalID, ctr int) bool {
 	h.calls.Get++
 	s := h.s
 	pr := s.procs[p]
 	pr.chargeN(alu, s.cfg.ALUCost)
-	acc := s.prog.Fn.Accesses[accID]
-	s.verifyDelays(pr, acc)
-	if err := s.mem.CheckIndex(acc.Sym, idx); err != nil {
-		s.fail(pr, "%v", err)
+	a := &s.accs[accID]
+	if s.delayPreds != nil {
+		s.verifyDelays(pr, s.prog.Fn.Accesses[accID])
+	}
+	if uint64(idx) >= uint64(a.size) {
+		s.failIndex(pr, accID, idx)
 		return false
 	}
-	s.issueGetAt(pr, acc, idx, s.mem.OwnerID(acc.Sym.ID, idx), dst, target.Ctr(ctr))
+	s.issueGetAt(pr, accID, idx, s.mem.ownerBy(a.ownKind, a.ownParam, idx), dst, target.Ctr(ctr))
 	return s.err == nil
 }
 
@@ -71,13 +79,15 @@ func (h *vmHost) Put(p, alu, accID int, idx int64, v ir.Value, ctr int) bool {
 	s := h.s
 	pr := s.procs[p]
 	pr.chargeN(alu, s.cfg.ALUCost)
-	acc := s.prog.Fn.Accesses[accID]
-	s.verifyDelays(pr, acc)
-	if err := s.mem.CheckIndex(acc.Sym, idx); err != nil {
-		s.fail(pr, "%v", err)
+	a := &s.accs[accID]
+	if s.delayPreds != nil {
+		s.verifyDelays(pr, s.prog.Fn.Accesses[accID])
+	}
+	if uint64(idx) >= uint64(a.size) {
+		s.failIndex(pr, accID, idx)
 		return false
 	}
-	s.issuePutAt(pr, acc, idx, s.mem.OwnerID(acc.Sym.ID, idx), v, target.Ctr(ctr))
+	s.issuePutAt(pr, accID, idx, s.mem.ownerBy(a.ownKind, a.ownParam, idx), v, target.Ctr(ctr))
 	return s.err == nil
 }
 
@@ -86,13 +96,15 @@ func (h *vmHost) Store(p, alu, accID int, idx int64, v ir.Value) bool {
 	s := h.s
 	pr := s.procs[p]
 	pr.chargeN(alu, s.cfg.ALUCost)
-	acc := s.prog.Fn.Accesses[accID]
-	s.verifyDelays(pr, acc)
-	if err := s.mem.CheckIndex(acc.Sym, idx); err != nil {
-		s.fail(pr, "%v", err)
+	a := &s.accs[accID]
+	if s.delayPreds != nil {
+		s.verifyDelays(pr, s.prog.Fn.Accesses[accID])
+	}
+	if uint64(idx) >= uint64(a.size) {
+		s.failIndex(pr, accID, idx)
 		return false
 	}
-	s.issueStoreAt(pr, acc, idx, s.mem.OwnerID(acc.Sym.ID, idx), v)
+	s.issueStoreAt(pr, accID, idx, s.mem.ownerBy(a.ownKind, a.ownParam, idx), v)
 	return s.err == nil
 }
 

@@ -99,11 +99,21 @@ type Tap interface {
 	Episode(dyn, ep int)
 }
 
-// tapIssue assigns the next dynamic-operation id and reports the issue,
-// returning -1 when no tap is attached.
-func (s *sim) tapIssue(p *proc, kind OpKind, acc *ir.Access, idx int64) int {
+// tapIssue assigns the next dynamic-operation id and reports the issue of
+// access accID (-1 for a sync_ctr, reported with a nil access), returning
+// -1 when no tap is attached. It is small enough to inline, so the
+// untapped path pays one test.
+func (s *sim) tapIssue(p *proc, kind OpKind, accID int, idx int64) int {
 	if s.tap == nil {
 		return -1
+	}
+	return s.tapIssueTapped(p, kind, accID, idx)
+}
+
+func (s *sim) tapIssueTapped(p *proc, kind OpKind, accID int, idx int64) int {
+	var acc *ir.Access
+	if accID >= 0 {
+		acc = s.prog.Fn.Accesses[accID]
 	}
 	dyn := s.nDyn
 	s.nDyn++

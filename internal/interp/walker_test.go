@@ -202,7 +202,7 @@ func (w *walker) issueGet(p *proc, g *target.Get) {
 	if !ok {
 		return
 	}
-	w.s.issueGetAt(p, g.Acc, idx, owner, g.Dst, g.Ctr)
+	w.s.issueGetAt(p, g.Acc.ID, idx, owner, g.Dst, g.Ctr)
 }
 
 func (w *walker) issuePut(p *proc, pt *target.Put) {
@@ -217,7 +217,7 @@ func (w *walker) issuePut(p *proc, pt *target.Put) {
 		s.fail(p, "%v", err)
 		return
 	}
-	s.issuePutAt(p, pt.Acc, idx, owner, v, pt.Ctr)
+	s.issuePutAt(p, pt.Acc.ID, idx, owner, v, pt.Ctr)
 }
 
 func (w *walker) issueStore(p *proc, st *target.Store) {
@@ -232,5 +232,5 @@ func (w *walker) issueStore(p *proc, st *target.Store) {
 		s.fail(p, "%v", err)
 		return
 	}
-	s.issueStoreAt(p, st.Acc, idx, owner, v)
+	s.issueStoreAt(p, st.Acc.ID, idx, owner, v)
 }
