@@ -467,9 +467,22 @@ func main() {
     }
 }
 `, 0, Options{Pipeline: true, CSE: true})
-	// v is read by the next iteration: the get is live.
+	// v is read by the next iteration: the get is live. It is read ahead
+	// of the get, so it must not be hoisted either: on the first
+	// iteration c sees v's value from before the loop. Target blocks
+	// mirror IR blocks, so a get left in place sits in its access's block.
 	if st := r.Prog.CollectStats(); st.Gets != 1 {
 		t.Errorf("loop-carried get must stay:\n%s", r.Prog)
+	}
+	for _, b := range r.Prog.Blocks {
+		for _, s := range b.Stmts {
+			if get, ok := s.(*target.Get); ok && get.Acc.Blk.ID != b.ID {
+				t.Errorf("get of %s moved from b%d to b%d:\n%s", get.Acc, get.Acc.Blk.ID, b.ID, r.Prog)
+			}
+		}
+	}
+	if r.Stats.GetsHoistedLICM != 0 {
+		t.Errorf("gets_hoisted_licm = %d, want 0", r.Stats.GetsHoistedLICM)
 	}
 }
 
