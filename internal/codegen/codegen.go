@@ -253,6 +253,18 @@ type Generator struct {
 	// addrReads holds, by access ID, the reads of the access's address;
 	// see readsAt.
 	addrReads [][]int
+	// push's scratch, by block ID, cleared per initiation by a new stamp:
+	// the blocks it has queued, the blocks it has placed a sync in and,
+	// for those, the statement index placed; and its work list.
+	pushSeen, pushPlaced stampSet
+	placedIdx            []int32
+	pushWork             []pushPos
+}
+
+// pushPos is a point push scans from: statement idx of blk.
+type pushPos struct {
+	blk *target.Block
+	idx int
 }
 
 // passWork counts what cse's availability fixpoint and LICM do, in units
@@ -402,14 +414,16 @@ func (g *Generator) placeSyncs() {
 // copies into successors at block ends (rule 1), merging duplicate copies
 // (rule 2b), and dropping copies that reach the end of the program.
 func (g *Generator) push(info *accInfo, blk *target.Block, idx int) {
-	type wpos struct {
-		blk *target.Block
-		idx int
+	if g.placedIdx == nil {
+		n := len(g.prog.Blocks)
+		slab := make([]int32, 3*n)
+		g.pushSeen = stampSet{stamp: slab[:n], cur: 1}
+		g.pushPlaced = stampSet{stamp: slab[n : 2*n], cur: 1}
+		g.placedIdx = slab[2*n:]
 	}
-	seenBlocks := map[int]bool{}
-	placed := map[wpos]bool{}
-	var work []wpos
-	work = append(work, wpos{blk, idx})
+	g.pushSeen.reset()
+	g.pushPlaced.reset()
+	work := append(g.pushWork[:0], pushPos{blk, idx})
 	for len(work) > 0 {
 		p := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -423,11 +437,7 @@ func (g *Generator) push(info *accInfo, blk *target.Block, idx int) {
 			}
 		}
 		if stopped {
-			w := wpos{b, i}
-			if !placed[w] {
-				placed[w] = true
-				info.positions = append(info.positions, pos{blk: b, idx: i, why: why})
-			}
+			g.placeOnce(info, b, i, why)
 			continue
 		}
 		// Reached the block end.
@@ -439,22 +449,32 @@ func (g *Generator) push(info *accInfo, blk *target.Block, idx int) {
 			// A branch condition that uses the fetched value pins the
 			// sync at the end of this block.
 			if info.isGet && ir.ExprUsesLocal(t.Cond, info.dst) {
-				w := wpos{b, len(b.Stmts)}
-				if !placed[w] {
-					placed[w] = true
-					why := target.Cause{Acc: info.acc.ID, Blocker: -1, Kind: target.CauseBranch}
-					info.positions = append(info.positions, pos{blk: b, idx: len(b.Stmts), why: why})
-				}
+				g.placeOnce(info, b, len(b.Stmts), target.Cause{Acc: info.acc.ID, Blocker: -1, Kind: target.CauseBranch})
 				continue
 			}
 		}
 		b.ForSuccs(func(s *target.Block) {
-			if !seenBlocks[s.ID] {
-				seenBlocks[s.ID] = true
-				work = append(work, wpos{s, 0})
+			if !g.pushSeen.has(s.ID) {
+				g.pushSeen.add(s.ID)
+				work = append(work, pushPos{s, 0})
 			}
 		})
 	}
+	g.pushWork = work
+}
+
+// placeOnce records a sync position at statement i of b unless this push
+// has placed it already. One push scans a block at most twice — the
+// initiation's block from the initiation, and from its start again when a
+// loop leads back to it; every other block once, from its start — so the
+// last index placed in b is the only one i can repeat.
+func (g *Generator) placeOnce(info *accInfo, b *target.Block, i int, why target.Cause) {
+	if g.pushPlaced.has(b.ID) && g.placedIdx[b.ID] == int32(i) {
+		return
+	}
+	g.pushPlaced.add(b.ID)
+	g.placedIdx[b.ID] = int32(i)
+	info.positions = append(info.positions, pos{blk: b, idx: i, why: why})
 }
 
 // convertOneWay rewrites puts whose syncs all land immediately before a
