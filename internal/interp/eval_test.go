@@ -222,3 +222,9 @@ func (m *Memory) Write(sym *sem.Symbol, idx int64, v ir.Value) { m.data[sym.ID][
 func (m *Memory) Owner(sym *sem.Symbol, idx int64) int {
 	return m.OwnerID(sym.ID, idx)
 }
+
+// OwnerID is Owner keyed by the symbol's dense ID, read from the
+// per-symbol rule tables rather than an access's accInfo.
+func (m *Memory) OwnerID(symID int, idx int64) int {
+	return m.ownerBy(m.ownKind[symID], m.ownParam[symID], idx)
+}

@@ -24,6 +24,16 @@ type evqOracle struct {
 	copied, fullRun, fullHeap int
 }
 
+// pop removes and returns the queue's minimum entry, as the run loop
+// (Runner.run) does in line.
+func (q *evq) pop() evqEntry {
+	if q.headFirst() {
+		q.head++
+		return q.run[(q.head-1)&(len(q.run)-1)]
+	}
+	return q.popHeap()
+}
+
 func newEvqOracle(t *testing.T, label string, n int) *evqOracle {
 	return &evqOracle{t: t, label: label, q: newEvq(n)}
 }
