@@ -28,8 +28,10 @@ import (
 )
 
 // Set is the computed conflict relation over a function's accesses. The
-// symmetric adjacency is stored as bitset rows so the delay-set engine can
-// reuse them word-parallel, at n/64 words per row instead of n bools.
+// symmetric adjacency is stored once, as bitset rows so the delay-set engine
+// can reuse them word-parallel, at n/64 words per row instead of n bools;
+// every reader iterates Row. A Set is immutable once Compute returns and
+// may be read from any number of goroutines.
 //
 // Accesses are partitioned into similarity groups — same kind, same symbol,
 // same index expression — and the conflict decision is made once per group
@@ -41,7 +43,6 @@ import (
 // compresses the quadratic conflict edge set through the same groups.
 type Set struct {
 	fn       *ir.Fn
-	partners [][]int    // partners[a], shared with the group (sorted)
 	groupRow [][]uint64 // group -> shared expanded conflict row (n bits)
 	rowBits  []int      // group -> popcount of groupRow
 	n        int
@@ -55,7 +56,7 @@ type Set struct {
 // Compute builds the conflict set for fn.
 func Compute(fn *ir.Fn) *Set {
 	n := len(fn.Accesses)
-	s := &Set{fn: fn, partners: make([][]int, n), n: n}
+	s := &Set{fn: fn, n: n}
 
 	// Partition into similarity groups.
 	type key struct {
@@ -105,8 +106,7 @@ func Compute(fn *ir.Fn) *Set {
 
 	// Row content is per group: the union of the conflicting groups'
 	// member masks, stored once and shared by every member — O(g*n/64)
-	// words total where the per-access matrix was O(n^2/64). The shared
-	// partner list is decoded once per group from the same row.
+	// words total where the per-access matrix was O(n^2/64).
 	s.groupRow = make([][]uint64, g)
 	s.rowBits = make([]int, g)
 	for gi := 0; gi < g; gi++ {
@@ -122,20 +122,6 @@ func Compute(fn *ir.Fn) *Set {
 		}
 		s.groupRow[gi] = row
 		s.rowBits[gi] = cnt
-		var plist []int
-		if cnt > 0 {
-			plist = make([]int, 0, cnt)
-			for j := 0; j < n; j++ {
-				if graph.BitGet(row, j) {
-					plist = append(plist, j)
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			if s.groupOf[i] == int32(gi) {
-				s.partners[i] = plist
-			}
-		}
 	}
 	return s
 }
@@ -190,10 +176,6 @@ func indexDistinct(fn *ir.Fn, a, b *ir.Access) bool {
 func (s *Set) Conflicts(a, b int) bool {
 	return graph.BitGet(s.groupRow[s.groupOf[a]], b)
 }
-
-// Partners returns the accesses conflicting with a (sorted ascending).
-// The result is shared; callers must not modify it.
-func (s *Set) Partners(a int) []int { return s.partners[a] }
 
 // Row returns a's conflict row as a shared bitset of graph.WordsFor(n)
 // words; callers must not modify it. The row is physically shared with

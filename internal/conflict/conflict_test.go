@@ -207,8 +207,8 @@ func main() {
 }
 `, ir.BuildOptions{})
 	cs := Compute(fn)
-	if got := cs.Partners(0); len(got) != 2 { // conflicts with itself and the read
-		t.Errorf("partners(0) = %v, want write-self and read", got)
+	if got := cs.Row(0); got[0] != 0b11 { // conflicts with itself and the read
+		t.Errorf("row(0) = %b, want write-self and read", got[0])
 	}
 	pairs := cs.Pairs()
 	// (0,0) and (0,1)
@@ -224,8 +224,8 @@ func main() {
 func (s *Set) Pairs() [][2]int {
 	var out [][2]int
 	for a := 0; a < s.n; a++ {
-		for _, b := range s.partners[a] {
-			if a <= b {
+		for b := a; b < s.n; b++ {
+			if s.Conflicts(a, b) {
 				out = append(out, [2]int{a, b})
 			}
 		}

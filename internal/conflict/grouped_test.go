@@ -32,24 +32,6 @@ func TestGroupedMatchesPairwise(t *testing.T) {
 				}
 			}
 		}
-		// Partners must be the sorted decode of each row.
-		for i := 0; i < n; i++ {
-			var want []int
-			for j := 0; j < n; j++ {
-				if s.Conflicts(i, j) {
-					want = append(want, j)
-				}
-			}
-			got := s.Partners(i)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: Partners(%d) has %d entries, want %d", seed, i, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("seed %d: Partners(%d)[%d]=%d want %d", seed, i, k, got[k], want[k])
-				}
-			}
-		}
 		// Group structure: membership partitions the accesses, and the
 		// group adjacency reproduces every matrix bit.
 		covered := 0

@@ -78,14 +78,7 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 		return row, int(m[a] & m[b])
 	}
 	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
-	dirRows := graph.NewBitMatrix(n)
-	for x := 0; x < n; x++ {
-		for _, y := range cs.Partners(x) {
-			if cdir(x, y) {
-				dirRows.Set(x, y)
-			}
-		}
-	}
+	dirRows := directedRows(cs, cdir)
 	// The classed variants put the same removal behind an orientation that
 	// depends on an access only through its conflict group, so whole groups
 	// share their directed rows and columns, and hand the engine the
@@ -96,14 +89,7 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 		gx, gy := cs.GroupOf(x), cs.GroupOf(y)
 		return (gx+gy)%3 != 0 || gx <= gy
 	}
-	gRows := graph.NewBitMatrix(n)
-	for x := 0; x < n; x++ {
-		for _, y := range cs.Partners(x) {
-			if gdir(x, y) {
-				gRows.Set(x, y)
-			}
-		}
-	}
+	gRows := directedRows(cs, gdir)
 	gCols := gRows.Transpose()
 	classOf := make([]int32, n)
 	var classes graph.RowInterner

@@ -66,14 +66,7 @@ func diffVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 	for i := 0; i < n; i += 7 {
 		sparse = append(sparse, i)
 	}
-	dirRows := graph.NewBitMatrix(n)
-	for x := 0; x < n; x++ {
-		for _, y := range cs.Partners(x) {
-			if cdir(x, y) {
-				dirRows.Set(x, y)
-			}
-		}
-	}
+	dirRows := directedRows(cs, cdir)
 	skip := EndpointFilter{IDs: sparse}
 	keep := EndpointFilter{IDs: sparse, Keep: true}
 	return []variant{

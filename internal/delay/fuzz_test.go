@@ -34,14 +34,7 @@ func FuzzBackPathEquivalence(f *testing.F) {
 			if mode&4 == 0 {
 				con.ConflictDir = cdir
 			} else {
-				rows := graph.NewBitMatrix(n)
-				for x := 0; x < n; x++ {
-					for _, y := range cs.Partners(x) {
-						if cdir(x, y) {
-							rows.Set(x, y)
-						}
-					}
-				}
+				rows := directedRows(cs, cdir)
 				con.DirRows = rows
 			}
 		}

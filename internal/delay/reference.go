@@ -1,14 +1,16 @@
 package delay
 
 import (
+	"math/bits"
+
 	"repro/internal/conflict"
 	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
 // ComputeReference is the oracle of the package: the definition of a
-// back-path run once per program-order pair, adjacency materialized through
-// closures, nothing shared between pairs. The differential tests call it by
+// back-path run once per program-order pair, the successor lists and
+// conflict rows read in place, nothing shared between pairs. The differential tests call it by
 // name and hold Compute to its answer, and the exact search
 // (Constraints.Exact) exists only here. It reads the plain fields of
 // Constraints — ConflictDir (or, without one, DirRows), Removed,
@@ -39,23 +41,6 @@ func ComputeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 		}
 		return !listed[a] && !listed[b]
 	}
-	conflictOut := func(x int) []int {
-		var r []int
-		for _, y := range cs.Partners(x) {
-			if cdir(x, y) {
-				r = append(r, y)
-			}
-		}
-		return r
-	}
-
-	// mixed adjacency: program-order successors plus directed conflicts.
-	mixedAdj := func(x int) []int {
-		r := append([]int(nil), ag.G.Adj[x]...)
-		r = append(r, conflictOut(x)...)
-		return r
-	}
-
 	exact := con.Exact && n <= ExactLimit
 
 	for _, pr := range ag.OrderedPairs() {
@@ -76,7 +61,7 @@ func ComputeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 		if exact {
 			found = exactBackPath(ag, cs, cdir, a, b, removed)
 		} else {
-			found = polyBackPath(ag, cs, cdir, conflictOut, mixedAdj, a, b, removed)
+			found = polyBackPath(ag, cs, cdir, a, b, removed)
 		}
 		if found {
 			out.Add(a, b)
@@ -85,50 +70,75 @@ func ComputeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 	return out
 }
 
-// polyBackPath checks for a (not necessarily simple) back-path for (a, b).
+// anyConflictOut reports whether f holds for some y with a directed
+// conflict edge x -> y, stopping at the first; it reads x's conflict row
+// in place.
+func anyConflictOut(cs *conflict.Set, cdir func(int, int) bool, x int, f func(y int) bool) bool {
+	for wi, wd := range cs.Row(x) {
+		for ; wd != 0; wd &= wd - 1 {
+			if y := wi<<6 + bits.TrailingZeros64(wd); cdir(x, y) && f(y) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// polyBackPath checks for a (not necessarily simple) back-path for (a, b):
+// a search of the mixed graph — program-order successors plus directed
+// conflicts — from b's conflict successors to any y with a directed
+// conflict edge y -> a.
 func polyBackPath(ag *ir.AccessGraph, cs *conflict.Set, cdir func(int, int) bool,
-	conflictOut func(int) []int, mixedAdj func(int) []int, a, b int, removed func(int) bool) bool {
+	a, b int, removed func(int) bool) bool {
 
 	// Direct single conflict edge b -> a.
 	if cs.Conflicts(b, a) && cdir(b, a) {
 		return true
 	}
-	// Seed: conflict successors of b; target: any y with a directed
-	// conflict edge y -> a.
 	isTarget := func(y int) bool { return cs.Conflicts(y, a) && cdir(y, a) }
-	n := cs.N()
-	seen := make([]bool, n)
+	seen := make([]bool, cs.N())
 	var stack []int
-	for _, x := range conflictOut(b) {
+	seed := func(x int) bool {
 		if removed(x) {
-			continue
+			return false
 		}
 		if isTarget(x) {
 			return true
 		}
-		if x == a {
-			continue // reached a not via a final conflict edge; a is endpoint
-		}
-		if !seen[x] {
+		// Reaching a not via a final conflict edge ends nothing: a is an
+		// endpoint.
+		if x != a && !seen[x] {
 			seen[x] = true
 			stack = append(stack, x)
 		}
+		return false
+	}
+	if anyConflictOut(cs, cdir, b, seed) {
+		return true
+	}
+	step := func(v int) bool {
+		if seen[v] || removed(v) {
+			return false
+		}
+		if isTarget(v) {
+			return true
+		}
+		if v != a && v != b {
+			seen[v] = true
+			stack = append(stack, v)
+		}
+		return false
 	}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range mixedAdj(u) {
-			if seen[v] || removed(v) {
-				continue
-			}
-			if isTarget(v) {
+		for _, v := range ag.Succ[u] {
+			if step(v) {
 				return true
 			}
-			if v == a || v == b {
-				continue
-			}
-			seen[v] = true
-			stack = append(stack, v)
+		}
+		if anyConflictOut(cs, cdir, u, step) {
+			return true
 		}
 	}
 	return false
@@ -143,42 +153,35 @@ func exactBackPath(ag *ir.AccessGraph, cs *conflict.Set, cdir func(int, int) boo
 	if cs.Conflicts(b, a) && cdir(b, a) {
 		return true
 	}
-	n := cs.N()
-	onPath := make([]bool, n)
+	onPath := make([]bool, cs.N())
 	onPath[b] = true
 	var dfs func(u int) bool
+	// extend follows one edge into v, unless v is an endpoint, already on
+	// the path, or removed.
+	extend := func(v int) bool {
+		if v == a || v == b || onPath[v] || removed(v) {
+			return false
+		}
+		onPath[v] = true
+		found := dfs(v)
+		onPath[v] = false
+		return found
+	}
 	dfs = func(u int) bool {
 		// Can we finish here with a conflict edge into a?
 		if u != b && cs.Conflicts(u, a) && cdir(u, a) {
 			return true
 		}
-		var next []int
-		if u == b {
-			for _, y := range cs.Partners(b) {
-				if cdir(b, y) {
-					next = append(next, y)
-				}
-			}
-		} else {
-			next = append(next, ag.G.Adj[u]...)
-			for _, y := range cs.Partners(u) {
-				if cdir(u, y) {
-					next = append(next, y)
+		// The path leaves b by a conflict edge; later accesses also follow
+		// program order.
+		if u != b {
+			for _, v := range ag.Succ[u] {
+				if extend(v) {
+					return true
 				}
 			}
 		}
-		for _, v := range next {
-			if v == a || v == b || onPath[v] || removed(v) {
-				continue
-			}
-			onPath[v] = true
-			if dfs(v) {
-				onPath[v] = false
-				return true
-			}
-			onPath[v] = false
-		}
-		return false
+		return anyConflictOut(cs, cdir, u, extend)
 	}
 	return dfs(b)
 }

@@ -107,9 +107,6 @@ func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	if n == 0 {
 		return out
 	}
-	// Force the lazy program-order transpose before any worker fan-out;
-	// its construction is not concurrency-safe.
-	_ = ag.PredRow(0)
 	ends := con.Endpoints.mask(graph.WordsFor(n))
 	if con.ConflictDir == nil && con.DirRows == nil && con.Removed == nil {
 		hubCompute(ag, cs, ends, out)
@@ -213,7 +210,7 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 	G := cs.NumGroups()
 	w := graph.WordsFor(n)
 	N := n + 2*G
-	adj := ag.G.Adj
+	adj := ag.Succ
 
 	const poolK = 4 // witnesses a base sweep keeps per group
 
@@ -502,6 +499,19 @@ type mixedAdj struct {
 	adj [][]int
 }
 
+// directedRows keeps the conflict edges x -> y that dir allows, as a
+// per-access matrix.
+func directedRows(cs *conflict.Set, dir func(x, y int) bool) *graph.BitMatrix {
+	m := graph.NewBitMatrix(cs.N())
+	for x := 0; x < cs.N(); x++ {
+		anyConflictOut(cs, dir, x, func(y int) bool {
+			m.Set(x, y)
+			return false
+		})
+	}
+	return m
+}
+
 // sccCompute answers every query the hub solver does not take. It first
 // brings the constraints to the class solver's one shape: without a
 // classing every access is its own class, without a removal every pair
@@ -515,22 +525,14 @@ type mixedAdj struct {
 // Constraints.
 func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endpointMask, out *Set) {
 	n := cs.N()
-	adj := ag.G.Adj
+	adj := ag.Succ
 
 	var dirOut, dirIn graph.Rows
 	switch {
 	case con.DirRows != nil:
 		dirOut = con.DirRows
 	case con.ConflictDir != nil:
-		dm := graph.NewBitMatrix(n)
-		for x := 0; x < n; x++ {
-			for _, y := range cs.Partners(x) {
-				if con.ConflictDir(x, y) {
-					dm.Set(x, y)
-				}
-			}
-		}
-		dirOut = dm
+		dirOut = directedRows(cs, con.ConflictDir)
 	default:
 		dirOut, dirIn = cs, cs // symmetric: the relation is its own transpose
 	}

@@ -171,13 +171,15 @@ func CondenseMixed(adj [][]int, rows Rows) *Condensation {
 }
 
 // ReachRows computes the length->=1 reachability relation of the condensed
-// graph as one bitset row per node: row(u) bit v set iff some path of at
-// least one edge leads u to v. All members of one component share row
-// content, and the condensation DAG is processed in topological order
-// (ascending component index = reverse Tarjan order visits successors
-// first), so the whole closure costs O(E_dag * n/64) word operations plus
-// one row copy per node — not the O(n*E) of per-source BFS.
-func (c *Condensation) ReachRows(n int, out func(u int, visit func(v int32))) *BitMatrix {
+// graph: row(u) bit v set iff some path of at least one edge leads u to v.
+// All members of one component share row content, so the result keeps one
+// physical row per component, classed by Comp (reachability is a congruence
+// on components on both sides, as ClassRows requires). The condensation
+// DAG is processed in topological order (ascending component index =
+// reverse Tarjan order visits successors first), so the whole closure costs
+// O(E_dag * n/64) word operations and one row per component — not the
+// O(n*E) of per-source BFS, nor a row per node.
+func (c *Condensation) ReachRows(n int, out func(u int, visit func(v int32))) *ClassRows {
 	// Condensation DAG, deduplicated with an epoch-stamped mark, and the
 	// cyclic components: those with an edge inside, which every component
 	// of more than one node has and a single node has only as a self-edge.
@@ -234,11 +236,7 @@ func (c *Condensation) ReachRows(n int, out func(u int, visit func(v int32))) *B
 		}
 		compRow[cc] = row
 	}
-	m := NewBitMatrix(n)
-	for v := 0; v < n; v++ {
-		copy(m.Row(v), compRow[c.Comp[v]])
-	}
-	return m
+	return NewClassRows(c.Comp, compRow, n)
 }
 
 // Transpose returns the transposed matrix (see TransposeInPlace).

@@ -7,21 +7,21 @@ import (
 	"testing"
 )
 
-func randomDigraph(rng *rand.Rand, n int, p float64) *Digraph {
-	g := New(n)
+func randomDigraph(rng *rand.Rand, n int, p float64) digraph {
+	g := make(digraph, n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if rng.Float64() < p {
-				g.AddEdge(u, v)
+				g.addEdge(u, v)
 			}
 		}
 	}
 	return g
 }
 
-func digraphIter(g *Digraph) func(u int, visit func(v int32)) {
+func digraphIter(g digraph) func(u int, visit func(v int32)) {
 	return func(u int, visit func(v int32)) {
-		for _, v := range g.Adj[u] {
+		for _, v := range g[u] {
 			visit(int32(v))
 		}
 	}
@@ -62,7 +62,7 @@ func TestCondenseMatchesSCC(t *testing.T) {
 		if seen != n {
 			t.Fatalf("trial %d: members cover %d of %d nodes", trial, seen, n)
 		}
-		for u, succs := range g.Adj {
+		for u, succs := range g {
 			for _, v := range succs {
 				if c.Comp[v] > c.Comp[u] {
 					t.Fatalf("trial %d: edge %d -> %d ascends from comp %d to %d", trial, u, v, c.Comp[u], c.Comp[v])
@@ -77,7 +77,8 @@ func TestCondenseMatchesSCC(t *testing.T) {
 
 // TestReachRowsMatchesTransitiveClosure checks the condensation-DP closure
 // against the per-source BFS closure, including the length >= 1 convention
-// (a node reaches itself only through a cycle or self-edge).
+// (a node reaches itself only through a cycle or self-edge), and that it
+// keeps one row per component.
 func TestReachRowsMatchesTransitiveClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
@@ -85,9 +86,12 @@ func TestReachRowsMatchesTransitiveClosure(t *testing.T) {
 		g := randomDigraph(rng, n, []float64{0.02, 0.05, 0.1, 0.3}[rng.Intn(4)])
 		c := Condense(n, digraphIter(g))
 		got := c.ReachRows(n, digraphIter(g))
+		if len(got.ClassRow) != c.NComp {
+			t.Fatalf("trial %d: %d closure rows for %d components", trial, len(got.ClassRow), c.NComp)
+		}
 		for u := 0; u < n; u++ {
 			want := make([]bool, n)
-			for _, v := range g.Adj[u] {
+			for _, v := range g[u] {
 				if !want[v] {
 					want[v] = true
 				}
@@ -101,7 +105,7 @@ func TestReachRowsMatchesTransitiveClosure(t *testing.T) {
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, v := range g.Adj[x] {
+				for _, v := range g[x] {
 					if !want[v] {
 						want[v] = true
 						stack = append(stack, v)
@@ -109,17 +113,17 @@ func TestReachRowsMatchesTransitiveClosure(t *testing.T) {
 				}
 			}
 			for v := 0; v < n; v++ {
-				if got.Has(u, v) != want[v] {
-					t.Fatalf("trial %d: reach(%d, %d) = %v, want %v", trial, u, v, got.Has(u, v), want[v])
+				if BitGet(got.Row(u), v) != want[v] {
+					t.Fatalf("trial %d: reach(%d, %d) = %v, want %v", trial, u, v, !want[v], want[v])
 				}
 			}
 		}
 	}
 }
 
-func edgeCount(g *Digraph) int {
+func edgeCount(g digraph) int {
 	e := 0
-	for _, succs := range g.Adj {
+	for _, succs := range g {
 		e += len(succs)
 	}
 	return e
@@ -169,14 +173,14 @@ func TestCondenseMixedMatchesPerAccess(t *testing.T) {
 			}
 		}
 		for _, rows := range []Rows{NewClassRows(classOf, classRows, n), bm} {
-			g := New(n)
+			g := make(digraph, n)
 			for u := 0; u < n; u++ {
 				for _, v := range adj[u] {
-					g.AddEdge(u, v)
+					g.addEdge(u, v)
 				}
 				for v := 0; v < n; v++ {
 					if BitGet(rows.Row(u), v) {
-						g.AddEdge(u, v)
+						g.addEdge(u, v)
 					}
 				}
 			}

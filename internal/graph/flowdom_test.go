@@ -7,8 +7,8 @@ import (
 
 // bruteAvoid computes reachability from seeds with the vertex `avoid`
 // removed entirely (seeds equal to avoid dropped).
-func bruteAvoid(g *Digraph, seeds []int32, avoid int) []bool {
-	seen := make([]bool, g.N)
+func bruteAvoid(g digraph, seeds []int32, avoid int) []bool {
+	seen := make([]bool, len(g))
 	var stack []int
 	for _, s := range seeds {
 		if int(s) == avoid || seen[s] {
@@ -20,7 +20,7 @@ func bruteAvoid(g *Digraph, seeds []int32, avoid int) []bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.Adj[u] {
+		for _, v := range g[u] {
 			if v == avoid || seen[v] {
 				continue
 			}
@@ -42,15 +42,15 @@ func TestFlowDomMatchesBruteForce(t *testing.T) {
 	screened := 0
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(14)
-		g := New(n)
+		g := make(digraph, n)
 		edges := rng.Intn(3 * n)
 		for e := 0; e < edges; e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
+			g.addEdge(rng.Intn(n), rng.Intn(n))
 		}
 		fd := NewFlowDom(BuildCSR(n,
-			func(u int) int { return len(g.Adj[u]) },
+			func(u int) int { return len(g[u]) },
 			func(u int, out []int32) {
-				for i, v := range g.Adj[u] {
+				for i, v := range g[u] {
 					out[i] = int32(v)
 				}
 			}))
@@ -153,14 +153,14 @@ func TestTreeTimesMatchStackWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
-		g := New(n)
+		g := make(digraph, n)
 		for e := rng.Intn(3 * n); e > 0; e-- {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
+			g.addEdge(rng.Intn(n), rng.Intn(n))
 		}
 		fd := NewFlowDom(BuildCSR(n,
-			func(u int) int { return len(g.Adj[u]) },
+			func(u int) int { return len(g[u]) },
 			func(u int, out []int32) {
-				for i, v := range g.Adj[u] {
+				for i, v := range g[u] {
 					out[i] = int32(v)
 				}
 			}))

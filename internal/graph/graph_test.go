@@ -7,10 +7,10 @@ import (
 )
 
 func TestReachableFrom(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
+	g := make(digraph, 5)
+	g.addEdge(0, 1)
+	g.addEdge(1, 2)
+	g.addEdge(3, 4)
 	r := g.ReachableFrom(0)
 	want := []bool{true, true, true, false, false}
 	for i := range want {
@@ -22,10 +22,10 @@ func TestReachableFrom(t *testing.T) {
 
 func TestSCCSimple(t *testing.T) {
 	// 0 <-> 1, 2 alone, 3 -> 0
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(3, 0)
+	g := make(digraph, 4)
+	g.addEdge(0, 1)
+	g.addEdge(1, 0)
+	g.addEdge(3, 0)
 	comp, n := g.SCC()
 	if n != 3 {
 		t.Fatalf("got %d components, want 3", n)
@@ -40,9 +40,9 @@ func TestSCCSimple(t *testing.T) {
 
 func TestSCCReverseTopoOrder(t *testing.T) {
 	// a -> b means comp[a] > comp[b] for Tarjan's reverse topological output.
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := make(digraph, 3)
+	g.addEdge(0, 1)
+	g.addEdge(1, 2)
 	comp, n := g.SCC()
 	if n != 3 {
 		t.Fatalf("got %d components, want 3", n)
@@ -54,9 +54,9 @@ func TestSCCReverseTopoOrder(t *testing.T) {
 
 func TestSCCBigCycle(t *testing.T) {
 	const n = 1000
-	g := New(n)
+	g := make(digraph, n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		g.addEdge(i, (i+1)%n)
 	}
 	comp, nc := g.SCC()
 	if nc != 1 {
@@ -70,9 +70,9 @@ func TestSCCBigCycle(t *testing.T) {
 }
 
 func TestTransitiveClosure(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := make(digraph, 3)
+	g.addEdge(0, 1)
+	g.addEdge(1, 2)
 	tc := g.TransitiveClosure()
 	if !tc[0][2] {
 		t.Error("0 should reach 2")
@@ -91,9 +91,9 @@ func TestSCCAgainstReachability(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
-		g := New(n)
+		g := make(digraph, n)
 		for e := 0; e < rng.Intn(2*n); e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
+			g.addEdge(rng.Intn(n), rng.Intn(n))
 		}
 		comp, _ := g.SCC()
 		tc := g.TransitiveClosure()

@@ -1,19 +1,25 @@
 package graph
 
 // The simple forms of reachability, transitive closure and strongly
-// connected components over a Digraph: the references condense_test.go
-// holds Condense and ReachRows to.
+// connected components over adjacency lists: the references
+// condense_test.go holds Condense and ReachRows to.
+
+// digraph is a directed graph over nodes 0..len-1 as adjacency lists.
+type digraph [][]int
+
+// addEdge inserts the edge u -> v; duplicate edges are allowed.
+func (g digraph) addEdge(u, v int) { g[u] = append(g[u], v) }
 
 // ReachableFrom returns the set of nodes reachable from src (including src)
 // as a boolean slice.
-func (g *Digraph) ReachableFrom(src int) []bool {
-	seen := make([]bool, g.N)
+func (g digraph) ReachableFrom(src int) []bool {
+	seen := make([]bool, len(g))
 	stack := []int{src}
 	seen[src] = true
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.Adj[u] {
+		for _, v := range g[u] {
 			if seen[v] {
 				continue
 			}
@@ -27,9 +33,9 @@ func (g *Digraph) ReachableFrom(src int) []bool {
 // TransitiveClosure returns reach[u][v] = true iff v is reachable from u
 // (u reaches itself only via a cycle or a self-edge... by convention here,
 // reach[u][u] is true always, since every node trivially reaches itself).
-func (g *Digraph) TransitiveClosure() [][]bool {
-	reach := make([][]bool, g.N)
-	for u := 0; u < g.N; u++ {
+func (g digraph) TransitiveClosure() [][]bool {
+	reach := make([][]bool, len(g))
+	for u := 0; u < len(g); u++ {
 		reach[u] = g.ReachableFrom(u)
 	}
 	return reach
@@ -40,9 +46,9 @@ func (g *Digraph) TransitiveClosure() [][]bool {
 // number of components. Component indices are in reverse topological order
 // of the condensation (a component's index is greater than those of
 // components it can reach).
-func (g *Digraph) SCC() (comp []int, ncomp int) {
+func (g digraph) SCC() (comp []int, ncomp int) {
 	const unvisited = -1
-	n := g.N
+	n := len(g)
 	comp = make([]int, n)
 	index := make([]int, n)
 	low := make([]int, n)
@@ -70,8 +76,8 @@ func (g *Digraph) SCC() (comp []int, ncomp int) {
 		onStack[start] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.ei < len(g.Adj[f.v]) {
-				w := g.Adj[f.v][f.ei]
+			if f.ei < len(g[f.v]) {
+				w := g[f.v][f.ei]
 				f.ei++
 				if index[w] == unvisited {
 					index[w] = next

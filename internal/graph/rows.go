@@ -29,7 +29,8 @@ func TransposeRows(r Rows) Rows {
 // backing assumes the partition is a congruence on both sides — bit j of
 // a class row depends only on ClassOf[j] — which is exactly the contract
 // of the analysis partitions that produce it (conflict groups,
-// R-equivalence classes, co-phase regions). Transpose relies on the
+// R-equivalence classes, co-phase regions, the components of a
+// reachability closure). Transpose relies on the
 // column half of that contract; Row does not.
 type ClassRows struct {
 	ClassOf  []int32    // access -> class id

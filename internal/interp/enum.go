@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/conflict"
 	"repro/internal/ir"
@@ -293,8 +294,9 @@ func (st *mcState) buildReduction() {
 	st.localOnly = make([]bool, n)
 	st.confRows = make([][]uint64, n)
 	for a := 0; a < n; a++ {
-		st.confRows[a] = conf.Row(a)
-		st.localOnly[a] = len(conf.Partners(a)) == 0
+		row := conf.Row(a)
+		st.confRows[a] = row
+		st.localOnly[a] = !slices.ContainsFunc(row, func(w uint64) bool { return w != 0 })
 	}
 	st.buildFutureTable()
 }

@@ -7,130 +7,118 @@ import (
 )
 
 // AccessGraph is the per-processor program-order graph over shared accesses:
-// node i is Fn.Accesses[i], and an edge a -> b means b can be the next
-// shared access executed after a on the same processor. Its transitive
+// node i is Fn.Accesses[i], and Succ[a] lists the accesses that can be the
+// next shared access executed after a on the same processor. Its transitive
 // closure is the program order P restricted to accesses, which is what the
 // cycle-detection analyses traverse.
 //
-// The closure is stored as bitset rows (n^2/64 words) and computed by a
-// DP over the SCC condensation — one row union per condensation edge plus
-// one copy per node — so building it stays far below the per-source-BFS
-// O(n*E) that dominated at tens of thousands of accesses.
+// The closure is stored once, in the orientation its readers read: PredRow(b)
+// is the set of accesses that can precede b. It is the reachability closure
+// of the reversed successor lists, computed by a DP over their SCC
+// condensation and kept as one bitset row per component, shared by the
+// component's members. Nothing is built lazily: the graph is immutable
+// once BuildAccessGraph returns and may be read from any number of
+// goroutines.
 type AccessGraph struct {
-	Fn    *Fn
-	G     *graph.Digraph
-	reach *graph.BitMatrix // reach.Has(a, b): path of length >= 1 from a to b
-	pred  *graph.BitMatrix // transpose of reach, built lazily by PredRow
+	Fn   *Fn
+	Succ [][]int
+	pred *graph.ClassRows // pred.Row(b) bit a: path of length >= 1 from a to b
 }
 
-// BuildAccessGraph computes the access-successor graph of fn.
+// BuildAccessGraph computes the access-successor graph of fn and its
+// predecessor closure.
 func BuildAccessGraph(fn *Fn) *AccessGraph {
 	n := len(fn.Accesses)
-	g := graph.New(n)
+	succ := make([][]int, n)
 
-	// first[b] = accesses reachable from the start of block b without
-	// crossing another access (i.e. the first accesses "seen" on entry).
-	// Cycle truncation must propagate: a result computed while some
-	// ancestor was on the DFS stack may under-approximate and must not be
-	// memoized (a poisoned cache would silently drop program-order edges).
-	memo := make(map[int][]int)
-	var first func(b *Block, visiting map[int]bool) (res []int, complete bool)
-	first = func(b *Block, visiting map[int]bool) ([]int, bool) {
-		if got, ok := memo[b.ID]; ok {
-			return got, true
-		}
-		if visiting[b.ID] {
-			return nil, false
-		}
-		visiting[b.ID] = true
-		defer delete(visiting, b.ID)
-		for _, s := range b.Stmts {
+	// first[k] is the first access of block k, or -1 when it has none.
+	first := make([]int, len(fn.Blocks))
+	for k, blk := range fn.Blocks {
+		first[k] = -1
+		for _, s := range blk.Stmts {
 			if a := AccessOf(s); a != nil {
-				res := []int{a.ID}
-				memo[b.ID] = res
-				return res, true
+				first[k] = a.ID
+				break
 			}
 		}
-		var res []int
-		seen := map[int]bool{}
-		complete := true
-		for _, s := range b.Succs() {
-			sub, ok := first(s, visiting)
-			if !ok {
-				complete = false
-			}
-			for _, id := range sub {
-				if !seen[id] {
-					seen[id] = true
-					res = append(res, id)
-				}
-			}
-		}
-		if complete {
-			memo[b.ID] = res
-		}
-		return res, complete
 	}
-
-	// firstOf computes the access-free-entry set of a block, re-running
-	// the DFS when a previous truncated traversal prevented memoization.
-	firstOf := func(b *Block) []int {
-		res, _ := first(b, map[int]bool{})
-		return res
-	}
-
-	for _, b := range fn.Blocks {
-		var prev *Access
-		for _, s := range b.Stmts {
-			a := AccessOf(s)
-			if a == nil {
+	// walk appends to out the first access of every block reachable from
+	// blk through access-free blocks: depth first in successor order, each
+	// block once per walk (seen holds the walk's stamp), so an access is
+	// listed where it first appears on the simple paths out of blk.
+	seen := make([]int32, len(fn.Blocks))
+	var stamp int32
+	var walk func(blk *Block, out []int) []int
+	walk = func(blk *Block, out []int) []int {
+		for _, s := range blk.Succs() {
+			if seen[s.ID] == stamp {
 				continue
 			}
-			if prev != nil {
-				g.AddEdge(prev.ID, a.ID)
+			seen[s.ID] = stamp
+			if a := first[s.ID]; a >= 0 {
+				out = append(out, a)
+			} else {
+				out = walk(s, out)
 			}
-			prev = a
 		}
-		if prev != nil {
-			for _, s := range b.Succs() {
-				for _, id := range firstOf(s) {
-					g.AddEdge(prev.ID, id)
+		return out
+	}
+
+	for _, blk := range fn.Blocks {
+		prev := -1
+		for _, s := range blk.Stmts {
+			if a := AccessOf(s); a != nil {
+				if prev >= 0 {
+					succ[prev] = append(succ[prev], a.ID)
 				}
+				prev = a.ID
+			}
+		}
+		if prev < 0 {
+			continue
+		}
+		// One walk per successor block: an access entered from two of
+		// them is listed twice.
+		for _, s := range blk.Succs() {
+			stamp++
+			seen[s.ID] = stamp
+			if a := first[s.ID]; a >= 0 {
+				succ[prev] = append(succ[prev], a)
+			} else {
+				succ[prev] = walk(s, succ[prev])
 			}
 		}
 	}
-	ag := &AccessGraph{Fn: fn, G: g}
-	iter := func(u int, visit func(v int32)) {
-		for _, v := range g.Adj[u] {
-			visit(int32(v))
+
+	rev := make([][]int32, n)
+	for a, bs := range succ {
+		for _, b := range bs {
+			rev[b] = append(rev[b], int32(a))
 		}
 	}
-	ag.reach = graph.Condense(n, iter).ReachRows(n, iter)
-	return ag
+	iter := func(u int, visit func(v int32)) {
+		for _, v := range rev[u] {
+			visit(v)
+		}
+	}
+	return &AccessGraph{Fn: fn, Succ: succ, pred: graph.Condense(n, iter).ReachRows(n, iter)}
 }
 
 // PredRow returns the program-order predecessor row of b as a shared
-// bitset (bit a set iff Reaches(a, b)). The transposed matrix is built on
-// first use; like the graph itself it must not be modified by callers.
-func (ag *AccessGraph) PredRow(b int) []uint64 {
-	if ag.pred == nil {
-		ag.pred = ag.reach.Transpose()
-	}
-	return ag.pred.Row(b)
-}
+// bitset (bit a set iff a path of length >= 1 leads from a to b). Members
+// of one program-order cycle share the row; callers must not modify it.
+func (ag *AccessGraph) PredRow(b int) []uint64 { return ag.pred.Row(b) }
 
 // OrderedPairs returns all pairs (a, b) with a ≺ b in program order
-// (b reachable from a by a path of length >= 1). In loops both (a, b) and
-// (b, a) may appear, and (a, a) appears when a can re-execute.
+// (b reachable from a by a path of length >= 1), grouped by b. In loops
+// both (a, b) and (b, a) may appear, and (a, a) appears when a can
+// re-execute.
 func (ag *AccessGraph) OrderedPairs() [][2]int {
 	var out [][2]int
-	n := ag.reach.N
-	for a := 0; a < n; a++ {
-		row := ag.reach.Row(a)
-		for wi, w := range row {
+	for b := range ag.Succ {
+		for wi, w := range ag.PredRow(b) {
 			for ; w != 0; w &= w - 1 {
-				b := wi<<6 + bits.TrailingZeros64(w)
-				out = append(out, [2]int{a, b})
+				out = append(out, [2]int{wi<<6 + bits.TrailingZeros64(w), b})
 			}
 		}
 	}

@@ -184,45 +184,8 @@ func (b *builder) localSize(s *source.LocalDecl) int64 {
 		return 1
 	}
 	// sem validated this as a constant.
-	v, _ := constFoldSource(s.Size)
+	v, _ := b.constOf(s.Size)
 	return v
-}
-
-// constFoldSource folds a source-level constant integer expression. The
-// checker has already validated it, so failures cannot occur in practice.
-func constFoldSource(e source.Expr) (int64, bool) {
-	switch e := e.(type) {
-	case *source.IntLit:
-		return e.Value, true
-	case *source.UnExpr:
-		if e.Op == source.OpNeg {
-			v, ok := constFoldSource(e.X)
-			return -v, ok
-		}
-	case *source.BinExpr:
-		l, ok1 := constFoldSource(e.L)
-		r, ok2 := constFoldSource(e.R)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch e.Op {
-		case source.OpAdd:
-			return l + r, true
-		case source.OpSub:
-			return l - r, true
-		case source.OpMul:
-			return l * r, true
-		case source.OpDiv:
-			if r != 0 {
-				return l / r, true
-			}
-		case source.OpMod:
-			if r != 0 {
-				return l % r, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // directLoad recognizes an initializer/RHS that is exactly one shared

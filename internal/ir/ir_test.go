@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/source"
 )
 
@@ -367,11 +368,11 @@ func main() {
 `, BuildOptions{})
 	ag := BuildAccessGraph(fn)
 	found := false
-	for _, v := range ag.G.Adj[0] {
+	for _, v := range ag.Succ[0] {
 		found = found || v == 1
 	}
 	if !found {
-		t.Errorf("edge a0->a1 should skip the empty branch\nadj: %v", ag.G.Adj)
+		t.Errorf("edge a0->a1 should skip the empty branch\nadj: %v", ag.Succ)
 	}
 }
 
@@ -393,7 +394,7 @@ func main() {
 `, BuildOptions{})
 	ag := BuildAccessGraph(fn)
 	if !ag.Reaches(0, 1) {
-		t.Errorf("nested-loop access must reach the access after the loops\nadj: %v", ag.G.Adj)
+		t.Errorf("nested-loop access must reach the access after the loops\nadj: %v", ag.Succ)
 	}
 	if !ag.Reaches(0, 0) {
 		t.Error("nested-loop access should reach itself")
@@ -421,10 +422,41 @@ func main() {
 `, BuildOptions{Procs: 8})
 	ag := BuildAccessGraph(fn)
 	if !ag.Reaches(1, 2) {
-		t.Errorf("write in loop must reach the barrier after it\nadj: %v", ag.G.Adj)
+		t.Errorf("write in loop must reach the barrier after it\nadj: %v", ag.Succ)
 	}
 	if !ag.Reaches(0, 3) {
 		t.Error("first barrier should reach the final read")
+	}
+}
+
+// TestLocalArraySizeFolded checks that a local array sized by a constant
+// expression gets the folded extent, not only a literal's.
+func TestLocalArraySizeFolded(t *testing.T) {
+	fn := MustBuild(`
+shared int X;
+func main() {
+    local int a[2*3-1];
+    local int b[-(-4)];
+    local int c[7/2+10%4];
+    a[4] = X;
+    b[3] = a[4];
+    c[4] = b[3];
+}
+`, BuildOptions{})
+	want := map[string]int64{"a": 5, "b": 4, "c": 5}
+	for _, l := range fn.Locals {
+		name, _, _ := strings.Cut(l.Name, ".") // a source local is named name.N
+		w, ok := want[name]
+		if !ok {
+			continue
+		}
+		if !l.IsArr || l.Size != w {
+			t.Errorf("local %s: size %d (array %v), want array of %d", l.Name, l.Size, l.IsArr, w)
+		}
+		delete(want, name)
+	}
+	if len(want) != 0 {
+		t.Errorf("locals %v not found", want)
 	}
 }
 
@@ -736,7 +768,7 @@ func TestEvalBinComparisonsAndLogic(t *testing.T) {
 
 // Reaches reports whether access b can execute after access a on the same
 // processor in some execution (a path of length >= 1 in program order).
-func (ag *AccessGraph) Reaches(a, b int) bool { return ag.reach.Has(a, b) }
+func (ag *AccessGraph) Reaches(a, b int) bool { return graph.BitGet(ag.PredRow(b), a) }
 
 // StmtString renders one statement.
 func (f *Fn) StmtString(s Stmt) string { return string(f.AppendStmt(nil, s)) }

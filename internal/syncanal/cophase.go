@@ -57,7 +57,7 @@ func buildCoPhase(fn *ir.Fn, ag *ir.AccessGraph) *graph.ClassRows {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, v := range ag.G.Adj[u] {
+			for _, v := range ag.Succ[u] {
 				if seen[v] || isBarrier(v) {
 					continue
 				}
@@ -79,7 +79,7 @@ func buildCoPhase(fn *ir.Fn, ag *ir.AccessGraph) *graph.ClassRows {
 	mark(sweep(entryStarts))
 	for _, a := range fn.Accesses {
 		if a.Kind == ir.AccBarrier {
-			mark(sweep(ag.G.Adj[a.ID]))
+			mark(sweep(ag.Succ[a.ID]))
 		}
 	}
 

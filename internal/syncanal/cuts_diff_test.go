@@ -98,7 +98,7 @@ func TestD1AndBaselineMatchReference(t *testing.T) {
 // sweeps: the full reachability closure, over every access, of D1 edges
 // plus direct def-use edges — what computeGuards used to build to answer
 // two questions per guarded access.
-func confinementReach(res *Result) *graph.BitMatrix {
+func confinementReach(res *Result) *graph.ClassRows {
 	fn := res.Fn
 	n := len(fn.Accesses)
 	users := make(map[ir.LocalID][]int)
@@ -148,9 +148,9 @@ func guardsFromClosure(res *Result) map[int]map[string]bool {
 				switch {
 				case c.Kind != ir.AccLock && c.Kind != ir.AccUnlock, accessKey(fn, c) != l:
 				case c.Kind == ir.AccLock:
-					ok1 = ok1 || res.Dom.StmtDominates(c, a) && confined.Has(c.ID, a.ID)
+					ok1 = ok1 || res.Dom.StmtDominates(c, a) && graph.BitGet(confined.Row(c.ID), a.ID)
 				default:
-					ok2 = ok2 || res.Dom.StmtDominates(a, c) && confined.Has(a.ID, c.ID)
+					ok2 = ok2 || res.Dom.StmtDominates(a, c) && graph.BitGet(confined.Row(a.ID), c.ID)
 				}
 			}
 			if ok1 && ok2 {

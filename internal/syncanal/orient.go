@@ -320,7 +320,7 @@ var regionWorkHook func(edges int)
 // condensation walks the orient rows one physical row per class.
 func (res *Result) regionStats(orientRows graph.Rows) *graph.Condensation {
 	t0 := time.Now()
-	cond := graph.CondenseMixed(res.AG.G.Adj, orientRows)
+	cond := graph.CondenseMixed(res.AG.Succ, orientRows)
 	res.Regions = cond.NComp
 	for _, m := range cond.Members {
 		res.LargestRegion = max(res.LargestRegion, len(m))

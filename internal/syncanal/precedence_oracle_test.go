@@ -132,7 +132,10 @@ func perAccessQuery(res *Result, rel *graph.BitMatrix, lk *lockMasks, opts Optio
 	}
 	orient, phased := graph.NewBitMatrix(n), graph.NewBitMatrix(n)
 	for x := 0; x < n; x++ {
-		for _, y := range res.CS.Partners(x) {
+		for y := 0; y < n; y++ {
+			if !res.CS.Conflicts(x, y) {
+				continue
+			}
 			if !rel.Has(y, x) {
 				orient.Set(x, y)
 			}

@@ -15,7 +15,7 @@ func TestRegionWorkAcc2048(t *testing.T) {
 	fn := tierProgram(t, "acc2048")
 	res := Analyze(fn, Options{})
 	p := 0
-	for _, succs := range res.AG.G.Adj {
+	for _, succs := range res.AG.Succ {
 		p += len(succs)
 	}
 	if p != 2749 || len(fn.Accesses) != 2010 {
