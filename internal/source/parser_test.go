@@ -257,6 +257,22 @@ func TestParsePrecedence(t *testing.T) {
 	if r.Op != OpMul {
 		t.Errorf("right op = %v, want *", r.Op)
 	}
+	// Operators of one level associate to the left; a unary operator binds
+	// tighter than any binary one.
+	for src, want := range map[string]string{
+		"a - b - c": "((a - b) - c)",
+		"a / b % c": "((a / b) % c)",
+		"!a && b":   "(!(a) && b)",
+		"-a * b":    "(-(a) * b)",
+	} {
+		prog, err := Parse("func main() { x = " + src + "; }")
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := PrintExpr(prog.Func("main").Body.Stmts[0].(*AssignStmt).RHS); got != want {
+			t.Errorf("%s parses as %s, want %s", src, got, want)
+		}
+	}
 }
 
 func TestParsePrecedenceFull(t *testing.T) {
@@ -383,6 +399,16 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q): expected error, got none", src)
+		}
+	}
+	// Comparisons do not chain, and a lone & or | is no operator.
+	for src, want := range map[string]string{
+		"func main() { x = a < b < c; }": `1:25: expected ;, found <`,
+		"func main() { x = a & b; }":     `1:21: unexpected character "&" (did you mean "&&"?)`,
+		"func main() { x = a | b; }":     `1:21: unexpected character "|" (did you mean "||"?)`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q): error %v, want %s", src, err, want)
 		}
 	}
 }
