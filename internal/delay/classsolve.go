@@ -801,10 +801,10 @@ func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64,
 	return s2Drop, queue
 }
 
-// restrictSweep runs the shared body of both cellRestrict passes: one
-// seed step over the target class's conflict row, then a masked BFS on
-// the global mixed adjacency, accepting any teff target on generation.
-// queue may arrive pre-seeded (the b-self continuation).
+// restrictSweep runs the shared body of both cellRestrict passes and of
+// denseRestrict: one seed step over the target's conflict row, then a
+// masked BFS on the global mixed adjacency, accepting any teff target on
+// generation. queue may arrive pre-seeded (the b-self continuation).
 func restrictSweep(gd *mixedAdj, drow, mask, vis, teff []uint64, queue *[]int32) bool {
 	q := *queue
 	for wi := range vis {

@@ -589,6 +589,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endp
 // carries a usable self-conflict edge), and b's removal is irrelevant
 // because the cut already keeps the walk from re-entering its own target
 // (a walk through b restarts at b, shrinking to one the suffix proves).
+// Past that set-up the search is restrictSweep's.
 func denseRestrict(gd *mixedAdj, mask, cov, ta, drow []uint64,
 	a, b int, vis, teff []uint64, queue []int32) ([]int32, bool) {
 
@@ -613,53 +614,14 @@ func denseRestrict(gd *mixedAdj, mask, cov, ta, drow []uint64,
 	queue = queue[:0]
 	// A usable self-conflict edge b -> b makes b itself a seed: the walk
 	// may continue from b over any mixed edge, including b's program-order
-	// successors, which the conflict-only seed sweep below cannot supply.
-	// Its vis bit (set above) only blocks re-entry, not this expansion.
+	// successors, which restrictSweep's conflict-only seed step cannot
+	// supply. Its vis bit (set above) only blocks re-entry, not this
+	// expansion.
 	if graph.BitGet(drow, b) && graph.BitGet(mask, b) {
 		queue = append(queue, int32(b))
 	}
-	// Seed step: one expansion of b over its usable conflict edges.
-	for wi := range vis {
-		sw := drow[wi] & mask[wi]
-		if sw == 0 {
-			continue
-		}
-		if sw&teff[wi] != 0 {
-			return queue, true
-		}
-		nw := sw &^ vis[wi]
-		vis[wi] |= nw
-		for ; nw != 0; nw &= nw - 1 {
-			queue = append(queue, int32(wi<<6+bits.TrailingZeros64(nw)))
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		u := int(queue[qi])
-		row := gd.dir.Row(u)
-		for wi := range vis {
-			if row[wi]&teff[wi] != 0 {
-				return queue, true
-			}
-			nw := row[wi] &^ vis[wi]
-			if nw == 0 {
-				continue
-			}
-			vis[wi] |= nw
-			for ; nw != 0; nw &= nw - 1 {
-				queue = append(queue, int32(wi<<6+bits.TrailingZeros64(nw)))
-			}
-		}
-		for _, v := range gd.adj[u] {
-			if graph.BitGet(teff, v) {
-				return queue, true
-			}
-			if !graph.BitGet(vis, v) {
-				graph.BitSet(vis, v)
-				queue = append(queue, int32(v))
-			}
-		}
-	}
-	return queue, false
+	found := restrictSweep(gd, drow, mask, vis, teff, &queue)
+	return queue, found
 }
 
 // localAvoidSearch is the exact fallback behind the hub solver's cell

@@ -202,6 +202,27 @@ func (c *checker) collectGlobals(prog *source.Program) {
 		seen[name] = pos
 		return true
 	}
+	// syncObject declares an event or a lock (kind says which), or an array
+	// of them, and appends its symbol to syms.
+	syncObject := func(syms *[]*Symbol, kind SymKind, pos source.Pos, name string, size source.Expr) bool {
+		if !declare(name, pos) {
+			return false
+		}
+		sym := &Symbol{Name: name, Kind: kind, Type: source.TypeInt, Size: 1, Decl: pos}
+		if size != nil {
+			n, ok := c.constInt(size)
+			if !ok {
+				return false
+			}
+			if n <= 0 {
+				c.errorf(pos, "%s array %s has non-positive size %d", kind, name, n)
+				return false
+			}
+			sym.Size, sym.IsArr = n, true
+		}
+		*syms = append(*syms, sym)
+		return true
+	}
 	for _, d := range prog.Decls {
 		switch d := d.(type) {
 		case *source.SharedDecl:
@@ -254,41 +275,13 @@ func (c *checker) collectGlobals(prog *source.Program) {
 			}
 			c.info.Shared = append(c.info.Shared, sym)
 		case *source.EventDecl:
-			if !declare(d.Name, d.Pos) {
+			if !syncObject(&c.info.Events, SymEvent, d.Pos, d.Name, d.Size) {
 				return
 			}
-			sym := &Symbol{Name: d.Name, Kind: SymEvent, Type: source.TypeInt, Size: 1, Decl: d.Pos}
-			if d.Size != nil {
-				sym.IsArr = true
-				n, ok := c.constInt(d.Size)
-				if !ok {
-					return
-				}
-				if n <= 0 {
-					c.errorf(d.Pos, "event array %s has non-positive size %d", d.Name, n)
-					return
-				}
-				sym.Size = n
-			}
-			c.info.Events = append(c.info.Events, sym)
 		case *source.LockDecl:
-			if !declare(d.Name, d.Pos) {
+			if !syncObject(&c.info.Locks, SymLock, d.Pos, d.Name, d.Size) {
 				return
 			}
-			sym := &Symbol{Name: d.Name, Kind: SymLock, Type: source.TypeInt, Size: 1, Decl: d.Pos}
-			if d.Size != nil {
-				sym.IsArr = true
-				n, ok := c.constInt(d.Size)
-				if !ok {
-					return
-				}
-				if n <= 0 {
-					c.errorf(d.Pos, "lock array %s has non-positive size %d", d.Name, n)
-					return
-				}
-				sym.Size = n
-			}
-			c.info.Locks = append(c.info.Locks, sym)
 		case *source.FuncDecl:
 			if !declare(d.Name, d.Pos) {
 				return

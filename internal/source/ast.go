@@ -377,38 +377,49 @@ const (
 	OpOr
 )
 
+// binOps is the binary-operator table, indexed by BinOp: each operator's
+// token, its precedence level (a higher level binds tighter), and whether
+// operators of its level chain. Those that chain associate to the left,
+// a - b - c being (a - b) - c; comparisons do not chain, and a < b < c is a
+// syntax error. The parser's precedence climbing (parseBinary) reads it
+// through binOpOf, and String through the token's spelling.
+var binOps = [...]struct {
+	tok   Kind
+	prec  int
+	chain bool
+}{
+	OpOr:  {OROR, 1, true},
+	OpAnd: {ANDAND, 2, true},
+	OpEq:  {EQ, 3, false},
+	OpNeq: {NEQ, 3, false},
+	OpLt:  {LT, 3, false},
+	OpLe:  {LE, 3, false},
+	OpGt:  {GT, 3, false},
+	OpGe:  {GE, 3, false},
+	OpAdd: {PLUS, 4, true},
+	OpSub: {MINUS, 4, true},
+	OpMul: {STAR, 5, true},
+	OpDiv: {SLASH, 5, true},
+	OpMod: {PERCENT, 5, true},
+}
+
+// binOpOf maps a token kind to the binary operator it spells, or to -1.
+var binOpOf = func() (of [numKinds]BinOp) {
+	for k := range of {
+		of[k] = -1
+	}
+	for op, e := range binOps {
+		of[e.tok] = BinOp(op)
+	}
+	return of
+}()
+
 // String returns the source-level spelling of the operator.
 func (op BinOp) String() string {
-	switch op {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	case OpDiv:
-		return "/"
-	case OpMod:
-		return "%"
-	case OpEq:
-		return "=="
-	case OpNeq:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	case OpAnd:
-		return "&&"
-	case OpOr:
-		return "||"
-	default:
-		return "?"
+	if 0 <= op && int(op) < len(binOps) {
+		return spellings[binOps[op].tok]
 	}
+	return "?"
 }
 
 // BinExpr is a binary operation.

@@ -181,71 +181,23 @@ func (lx *Lexer) Next() Token {
 		return lx.lexString(pos)
 	}
 	lx.next()
-	mk := func(k Kind) Token { return Token{Kind: k, Pos: pos} }
-	switch r {
-	case '+':
-		return mk(PLUS)
-	case '-':
-		return mk(MINUS)
-	case '*':
-		return mk(STAR)
-	case '/':
-		return mk(SLASH)
-	case '%':
-		return mk(PERCENT)
-	case '(':
-		return mk(LPAREN)
-	case ')':
-		return mk(RPAREN)
-	case '{':
-		return mk(LBRACE)
-	case '}':
-		return mk(RBRACE)
-	case '[':
-		return mk(LBRACKET)
-	case ']':
-		return mk(RBRACKET)
-	case ',':
-		return mk(COMMA)
-	case ';':
-		return mk(SEMI)
-	case '=':
-		if lx.peek() == '=' {
-			lx.next()
-			return mk(EQ)
+	// An operator or delimiter: a two-character spelling if the next rune
+	// completes one, else a one-character spelling.
+	var ops []Kind
+	if r < utf8.RuneSelf {
+		ops = operators[r]
+	}
+	for _, k := range ops {
+		if s := spellings[k]; len(s) == 1 || lx.peek() == rune(s[1]) {
+			if len(s) == 2 {
+				lx.next()
+			}
+			return Token{Kind: k, Pos: pos}
 		}
-		return mk(ASSIGN)
-	case '!':
-		if lx.peek() == '=' {
-			lx.next()
-			return mk(NEQ)
-		}
-		return mk(NOT)
-	case '<':
-		if lx.peek() == '=' {
-			lx.next()
-			return mk(LE)
-		}
-		return mk(LT)
-	case '>':
-		if lx.peek() == '=' {
-			lx.next()
-			return mk(GE)
-		}
-		return mk(GT)
-	case '&':
-		if lx.peek() == '&' {
-			lx.next()
-			return mk(ANDAND)
-		}
-		lx.errorf(pos, "unexpected character %q (did you mean %q?)", "&", "&&")
-	case '|':
-		if lx.peek() == '|' {
-			lx.next()
-			return mk(OROR)
-		}
-		lx.errorf(pos, "unexpected character %q (did you mean %q?)", "|", "||")
-	default:
+	}
+	if len(ops) > 0 {
+		lx.errorf(pos, "unexpected character %q (did you mean %q?)", string(r), spellings[ops[0]])
+	} else {
 		lx.errorf(pos, "unexpected character %q", string(r))
 	}
 	return Token{Kind: EOF, Pos: pos}

@@ -2,6 +2,7 @@ package source
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -124,10 +125,8 @@ func (p *Parser) parseDecl() (Decl, error) {
 	switch p.cur().Kind {
 	case KWSHARED:
 		return p.parseSharedDecl()
-	case KWEVENT:
-		return p.parseEventDecl()
-	case KWLOCK:
-		return p.parseLockDecl()
+	case KWEVENT, KWLOCK:
+		return p.parseSyncDecl()
 	case KWFUNC:
 		return p.parseFuncDecl()
 	default:
@@ -160,14 +159,10 @@ func (p *Parser) parseSharedDecl() (Decl, error) {
 		return nil, err
 	}
 	d := &SharedDecl{Pos: pos, Name: name.Text, Type: typ}
-	if p.accept(LBRACKET) {
-		d.Size, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RBRACKET); err != nil {
-			return nil, err
-		}
+	if d.Size, err = p.parseSubscript(); err != nil {
+		return nil, err
+	}
+	if d.Size != nil {
 		switch p.cur().Kind {
 		case KWCYCLIC:
 			p.advance()
@@ -196,49 +191,25 @@ func (p *Parser) parseSharedDecl() (Decl, error) {
 	return d, nil
 }
 
-func (p *Parser) parseEventDecl() (Decl, error) {
-	pos := p.advance().Pos // event
+// parseSyncDecl parses the declaration of an event or a lock, or of an
+// array of them: "event name [size]? ;", and likewise for lock.
+func (p *Parser) parseSyncDecl() (Decl, error) {
+	kw := p.advance() // event or lock
 	name, err := p.expect(IDENT)
 	if err != nil {
 		return nil, err
 	}
-	d := &EventDecl{Pos: pos, Name: name.Text}
-	if p.accept(LBRACKET) {
-		d.Size, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RBRACKET); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := p.expect(SEMI); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-func (p *Parser) parseLockDecl() (Decl, error) {
-	pos := p.advance().Pos // lock
-	name, err := p.expect(IDENT)
+	size, err := p.parseSubscript()
 	if err != nil {
 		return nil, err
 	}
-	d := &LockDecl{Pos: pos, Name: name.Text}
-	var e error
-	if p.accept(LBRACKET) {
-		d.Size, e = p.parseExpr()
-		if e != nil {
-			return nil, e
-		}
-		if _, err := p.expect(RBRACKET); err != nil {
-			return nil, err
-		}
-	}
 	if _, err := p.expect(SEMI); err != nil {
 		return nil, err
 	}
-	return d, nil
+	if kw.Kind == KWEVENT {
+		return &EventDecl{Pos: kw.Pos, Name: name.Text, Size: size}, nil
+	}
+	return &LockDecl{Pos: kw.Pos, Name: name.Text, Size: size}, nil
 }
 
 func (p *Parser) parseFuncDecl() (Decl, error) {
@@ -328,46 +299,8 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			return nil, err
 		}
 		return &BarrierStmt{Pos: pos}, nil
-	case KWPOST:
-		pos := p.advance().Pos
-		ref, err := p.parseParenVarRef()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(SEMI); err != nil {
-			return nil, err
-		}
-		return &PostStmt{Pos: pos, Event: ref}, nil
-	case KWWAIT:
-		pos := p.advance().Pos
-		ref, err := p.parseParenVarRef()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(SEMI); err != nil {
-			return nil, err
-		}
-		return &WaitStmt{Pos: pos, Event: ref}, nil
-	case KWLOCK:
-		pos := p.advance().Pos
-		ref, err := p.parseParenVarRef()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(SEMI); err != nil {
-			return nil, err
-		}
-		return &LockStmt{Pos: pos, Lock: ref}, nil
-	case KWUNLOCK:
-		pos := p.advance().Pos
-		ref, err := p.parseParenVarRef()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(SEMI); err != nil {
-			return nil, err
-		}
-		return &UnlockStmt{Pos: pos, Lock: ref}, nil
+	case KWPOST, KWWAIT, KWLOCK, KWUNLOCK:
+		return p.parseSyncStmt()
 	case KWRETURN:
 		pos := p.advance().Pos
 		r := &ReturnStmt{Pos: pos}
@@ -430,29 +363,61 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	}
 }
 
-// parseParenVarRef parses "( ident [index]? )".
-func (p *Parser) parseParenVarRef() (*VarRef, error) {
+// parseSyncStmt parses a statement on one event or lock:
+// "post ( ref ) ;", and likewise for wait, lock and unlock.
+func (p *Parser) parseSyncStmt() (Stmt, error) {
+	kw := p.advance()
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
+	ref, err := p.parseVarRef()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(RPAREN); err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(SEMI); err != nil {
+		return nil, err
+	}
+	switch kw.Kind {
+	case KWPOST:
+		return &PostStmt{Pos: kw.Pos, Event: ref}, nil
+	case KWWAIT:
+		return &WaitStmt{Pos: kw.Pos, Event: ref}, nil
+	case KWLOCK:
+		return &LockStmt{Pos: kw.Pos, Lock: ref}, nil
+	}
+	return &UnlockStmt{Pos: kw.Pos, Lock: ref}, nil
+}
+
+// parseVarRef parses "ident [index]?".
+func (p *Parser) parseVarRef() (*VarRef, error) {
 	name, err := p.expect(IDENT)
 	if err != nil {
 		return nil, err
 	}
 	ref := &VarRef{Pos: name.Pos, Name: name.Text}
-	if p.accept(LBRACKET) {
-		ref.Index, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RBRACKET); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := p.expect(RPAREN); err != nil {
+	if ref.Index, err = p.parseSubscript(); err != nil {
 		return nil, err
 	}
 	return ref, nil
+}
+
+// parseSubscript parses an optional "[ expr ]" and returns the expression,
+// or nil where no "[" follows.
+func (p *Parser) parseSubscript() (Expr, error) {
+	if !p.accept(LBRACKET) {
+		return nil, nil
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(RBRACKET); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 func (p *Parser) parsePrintArg() (Expr, error) {
@@ -474,15 +439,10 @@ func (p *Parser) parseLocalDecl() (Stmt, error) {
 		return nil, err
 	}
 	d := &LocalDecl{Pos: pos, Name: name.Text, Type: typ}
-	if p.accept(LBRACKET) {
-		d.Size, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RBRACKET); err != nil {
-			return nil, err
-		}
-	} else if p.accept(ASSIGN) {
+	if d.Size, err = p.parseSubscript(); err != nil {
+		return nil, err
+	}
+	if d.Size == nil && p.accept(ASSIGN) {
 		d.Init, err = p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -496,19 +456,9 @@ func (p *Parser) parseLocalDecl() (Stmt, error) {
 
 // parseAssign parses "lvalue = expr" without the trailing semicolon.
 func (p *Parser) parseAssign() (*AssignStmt, error) {
-	name, err := p.expect(IDENT)
+	lhs, err := p.parseVarRef()
 	if err != nil {
 		return nil, err
-	}
-	lhs := &VarRef{Pos: name.Pos, Name: name.Text}
-	if p.accept(LBRACKET) {
-		lhs.Index, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(RBRACKET); err != nil {
-			return nil, err
-		}
 	}
 	if _, err := p.expect(ASSIGN); err != nil {
 		return nil, err
@@ -517,7 +467,7 @@ func (p *Parser) parseAssign() (*AssignStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AssignStmt{Pos: name.Pos, LHS: lhs, RHS: rhs}, nil
+	return &AssignStmt{Pos: lhs.Pos, LHS: lhs, RHS: rhs}, nil
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
@@ -657,24 +607,53 @@ func (p *Parser) parseCall() (*CallExpr, error) {
 	return c, nil
 }
 
-// Expression grammar, lowest to highest precedence:
+// Expression grammar:
 //
-//	expr   := orExpr
-//	orExpr := andExpr ( "||" andExpr )*
-//	andExpr:= cmpExpr ( "&&" cmpExpr )*
-//	cmpExpr:= addExpr ( (==|!=|<|<=|>|>=) addExpr )?
-//	addExpr:= mulExpr ( (+|-) mulExpr )*
-//	mulExpr:= unary   ( (*|/|%) unary )*
+//	expr   := unary ( binop unary )*
 //	unary  := (-|!) unary | primary
 //	primary:= literal | varref | call | MYPROC | PROCS | "(" expr ")"
+//
+// with the binary operators' precedence and association in binOps.
 
 func (p *Parser) parseExpr() (Expr, error) {
 	if err := p.enter(); err != nil {
 		return nil, err
 	}
-	e, err := p.parseOr()
+	e, err := p.parseBinary(1)
 	p.depth--
 	return e, err
+}
+
+// parseBinary parses operands joined by binary operators of precedence
+// level prec or tighter, climbing binOps. A right operand takes only
+// tighter operators, so operators of one level associate to the left. top
+// is the tightest level the loop may still take: the last operator's level
+// if that level chains, the one below if not. So a < b < c stops after
+// a < b, and x || a < b < c stops after the ||, where the right operand
+// stopped.
+func (p *Parser) parseBinary(prec int) (Expr, error) {
+	l, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	for top := math.MaxInt; ; {
+		op := binOpOf[p.cur().Kind]
+		if op < 0 || binOps[op].prec < prec || binOps[op].prec > top {
+			return l, nil
+		}
+		e := binOps[op]
+		if top = e.prec; !e.chain {
+			top--
+		}
+		pos, hl := p.advance().Pos, p.h
+		r, err := p.parseBinary(e.prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		if l, err = p.binary(pos, op, l, hl, r); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // binary builds "l op r" for an l that is hl levels high and the r just
@@ -684,117 +663,6 @@ func (p *Parser) binary(pos Pos, op BinOp, l Expr, hl int, r Expr) (Expr, error)
 		return nil, p.tooDeep(pos)
 	}
 	return &BinExpr{Pos: pos, Op: op, L: l, R: r}, nil
-}
-
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == OROR {
-		pos, hl := p.advance().Pos, p.h
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		if l, err = p.binary(pos, OpOr, l, hl, r); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == ANDAND {
-		pos, hl := p.advance().Pos, p.h
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		if l, err = p.binary(pos, OpAnd, l, hl, r); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
-}
-
-var cmpOps = map[Kind]BinOp{
-	EQ:  OpEq,
-	NEQ: OpNeq,
-	LT:  OpLt,
-	LE:  OpLe,
-	GT:  OpGt,
-	GE:  OpGe,
-}
-
-func (p *Parser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := cmpOps[p.cur().Kind]; ok {
-		pos, hl := p.advance().Pos, p.h
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return p.binary(pos, op, l, hl, r)
-	}
-	return l, nil
-}
-
-func (p *Parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == PLUS || p.cur().Kind == MINUS {
-		op := OpAdd
-		if p.cur().Kind == MINUS {
-			op = OpSub
-		}
-		pos, hl := p.advance().Pos, p.h
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		if l, err = p.binary(pos, op, l, hl, r); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op BinOp
-		switch p.cur().Kind {
-		case STAR:
-			op = OpMul
-		case SLASH:
-			op = OpDiv
-		case PERCENT:
-			op = OpMod
-		default:
-			return l, nil
-		}
-		pos, hl := p.advance().Pos, p.h
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		if l, err = p.binary(pos, op, l, hl, r); err != nil {
-			return nil, err
-		}
-	}
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
@@ -860,17 +728,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if p.peek().Kind == LPAREN {
 			return p.parseCall()
 		}
-		t := p.advance()
-		ref := &VarRef{Pos: t.Pos, Name: t.Text}
-		if p.accept(LBRACKET) {
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(RBRACKET); err != nil {
-				return nil, err
-			}
-			ref.Index = idx
+		ref, err := p.parseVarRef()
+		if err != nil {
+			return nil, err
+		}
+		if ref.Index != nil {
 			p.h++
 		}
 		return ref, nil

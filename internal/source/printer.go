@@ -62,17 +62,9 @@ func (pr *printer) decl(d Decl) {
 			pr.line("%s;", s)
 		}
 	case *EventDecl:
-		if d.Size != nil {
-			pr.line("event %s[%s];", d.Name, PrintExpr(d.Size))
-		} else {
-			pr.line("event %s;", d.Name)
-		}
+		pr.line("event %s%s;", d.Name, subscript(d.Size))
 	case *LockDecl:
-		if d.Size != nil {
-			pr.line("lock %s[%s];", d.Name, PrintExpr(d.Size))
-		} else {
-			pr.line("lock %s;", d.Name)
-		}
+		pr.line("lock %s%s;", d.Name, subscript(d.Size))
 	case *FuncDecl:
 		var params []string
 		for _, p := range d.Params {
@@ -92,6 +84,19 @@ func (pr *printer) decl(d Decl) {
 	}
 }
 
+// stringEscaper writes a string literal's value back with the four escapes
+// the lexer reads, and every other rune as itself: Go's %q would write
+// escapes such as \x7f or \r, which the lexer refuses.
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
+// subscript renders an optional "[expr]": nothing for a nil expression.
+func subscript(e Expr) string {
+	if e == nil {
+		return ""
+	}
+	return "[" + PrintExpr(e) + "]"
+}
+
 func (pr *printer) stmt(s Stmt) {
 	switch s := s.(type) {
 	case *BlockStmt:
@@ -103,12 +108,10 @@ func (pr *printer) stmt(s Stmt) {
 		pr.indent--
 		pr.line("}")
 	case *LocalDecl:
-		if s.Size != nil {
-			pr.line("local %s %s[%s];", s.Type, s.Name, PrintExpr(s.Size))
-		} else if s.Init != nil {
+		if s.Size == nil && s.Init != nil {
 			pr.line("local %s %s = %s;", s.Type, s.Name, PrintExpr(s.Init))
 		} else {
-			pr.line("local %s %s;", s.Type, s.Name)
+			pr.line("local %s %s%s;", s.Type, s.Name, subscript(s.Size))
 		}
 	case *AssignStmt:
 		pr.line("%s = %s;", PrintExpr(s.LHS), PrintExpr(s.RHS))
@@ -192,7 +195,9 @@ func (pr *printer) expr(e Expr) {
 		}
 		pr.sb.WriteString(s)
 	case *StringLit:
-		fmt.Fprintf(&pr.sb, "%q", e.Value)
+		pr.sb.WriteByte('"')
+		stringEscaper.WriteString(&pr.sb, e.Value)
+		pr.sb.WriteByte('"')
 	case *VarRef:
 		pr.sb.WriteString(e.Name)
 		if e.Index != nil {

@@ -9,12 +9,18 @@
 // pointers, which lets the later analyses avoid full alias analysis.
 package source
 
-import "fmt"
+import (
+	"fmt"
+	"unicode/utf8"
+)
 
 // Kind identifies the lexical class of a token.
 type Kind int
 
-// Token kinds. Keyword kinds follow the literal kinds.
+// Token kinds, in three runs: the literal classes, the operators and
+// delimiters (PLUS to SEMI), and the keywords (KWSHARED on). The lexer's
+// keyword and operator tables are built from the last two runs of
+// spellings, which spells every kind.
 const (
 	EOF Kind = iota
 	IDENT
@@ -22,32 +28,30 @@ const (
 	FLOATLIT
 	STRINGLIT
 
-	// Operators and delimiters.
-	PLUS     // +
-	MINUS    // -
-	STAR     // *
-	SLASH    // /
-	PERCENT  // %
-	ASSIGN   // =
-	EQ       // ==
-	NEQ      // !=
-	LT       // <
-	LE       // <=
-	GT       // >
-	GE       // >=
-	ANDAND   // &&
-	OROR     // ||
-	NOT      // !
-	LPAREN   // (
-	RPAREN   // )
-	LBRACE   // {
-	RBRACE   // }
-	LBRACKET // [
-	RBRACKET // ]
-	COMMA    // ,
-	SEMI     // ;
+	PLUS
+	MINUS
+	STAR
+	SLASH
+	PERCENT
+	ASSIGN
+	EQ
+	NEQ
+	LT
+	LE
+	GT
+	GE
+	ANDAND
+	OROR
+	NOT
+	LPAREN
+	RPAREN
+	LBRACE
+	RBRACE
+	LBRACKET
+	RBRACKET
+	COMMA
+	SEMI
 
-	// Keywords.
 	KWSHARED
 	KWLOCAL
 	KWEVENT
@@ -70,9 +74,14 @@ const (
 	KWBLOCKED
 	KWMYPROC
 	KWPROCS
+
+	numKinds
 )
 
-var kindNames = map[Kind]string{
+// spellings is the one place a token is spelled: the text of each operator,
+// delimiter and keyword, and a description of each literal class.
+// Kind.String, the keyword lookup and the lexer's operator scan all read it.
+var spellings = [numKinds]string{
 	EOF:       "EOF",
 	IDENT:     "identifier",
 	INTLIT:    "integer literal",
@@ -126,35 +135,31 @@ var kindNames = map[Kind]string{
 }
 
 // keywords maps identifier spellings to keyword kinds.
-var keywords = map[string]Kind{
-	"shared":  KWSHARED,
-	"local":   KWLOCAL,
-	"event":   KWEVENT,
-	"lock":    KWLOCK,
-	"unlock":  KWUNLOCK,
-	"func":    KWFUNC,
-	"if":      KWIF,
-	"else":    KWELSE,
-	"while":   KWWHILE,
-	"for":     KWFOR,
-	"barrier": KWBARRIER,
-	"post":    KWPOST,
-	"wait":    KWWAIT,
-	"return":  KWRETURN,
-	"print":   KWPRINT,
-	"int":     KWINT,
-	"float":   KWFLOAT,
-	"on":      KWON,
-	"cyclic":  KWCYCLIC,
-	"blocked": KWBLOCKED,
-	"MYPROC":  KWMYPROC,
-	"PROCS":   KWPROCS,
-}
+var keywords = func() map[string]Kind {
+	m := make(map[string]Kind, numKinds-KWSHARED)
+	for k := KWSHARED; k < numKinds; k++ {
+		m[spellings[k]] = k
+	}
+	return m
+}()
+
+// operators lists, for each byte that starts an operator or delimiter,
+// the kinds spelled with it, two-character spellings first.
+var operators = func() (ops [utf8.RuneSelf][]Kind) {
+	for n := 2; n >= 1; n-- {
+		for k := PLUS; k <= SEMI; k++ {
+			if s := spellings[k]; len(s) == n {
+				ops[s[0]] = append(ops[s[0]], k)
+			}
+		}
+	}
+	return ops
+}()
 
 // String returns the human-readable name of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if 0 <= k && k < numKinds {
+		return spellings[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }

@@ -50,11 +50,12 @@ type Options struct {
 	NoLocks    bool
 }
 
-// Timing records the wall time of each analysis sub-phase, so drivers (and
-// the pass pipeline's `sync-analysis` stage) can report where analysis time
-// goes without re-instrumenting the algorithm. The deferred baseline's fill
-// is not a sub-phase: it runs on whichever reader asks first, possibly
-// concurrently with others, and is timed by none of them.
+// Timing records the wall time of each analysis sub-phase, for a caller
+// that wants to see where analysis time goes without re-instrumenting the
+// algorithm. No driver, pass or benchmark reads it: the pass pipeline
+// times whole passes, and only tests check these fields. The deferred
+// baseline's fill is not a sub-phase: it runs on whichever reader asks
+// first, possibly concurrently with others, and is timed by none of them.
 type Timing struct {
 	// Prepare covers the shared inputs: access graph, conflict set,
 	// dominator and postdominator trees.
