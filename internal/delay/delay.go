@@ -205,9 +205,9 @@ type Constraints struct {
 	// graph (program order plus DirRows/ConflictDir edges). Its components
 	// must be closed under the mixed edges: any union of SCCs of a
 	// SUPERgraph is sound, because every back-path of the actual graph
-	// stays inside one component of any coarser closed partition. Callers
-	// that already condensed a supergraph (syncanal's region statistics)
-	// share the result.
+	// stays inside one component of any coarser closed partition. A caller
+	// that already condensed the graph shares the result: syncanal hands
+	// over the condensation its region statistics took of DirRows itself.
 	Comp *graph.Condensation
 	// RemovedCover, when non-nil alongside Removed, returns the bitset of
 	// exactly the accesses the Removed predicate excludes for the pair

@@ -96,6 +96,37 @@ func TestPipelineRunsAndCounts(t *testing.T) {
 	}
 }
 
+// TestCoPhasePairsCounted pins sync-analysis's cophase_pairs on a program
+// with two barrier phases of two data accesses each: every ordered pair of
+// accesses that share a phase counts, 2x2 per phase, and the barrier shares
+// none.
+func TestCoPhasePairsCounted(t *testing.T) {
+	const src = `
+shared int A[8];
+shared int B[8];
+func main() {
+    A[MYPROC] = B[MYPROC];
+    barrier;
+    B[MYPROC] = A[(MYPROC + 1) % PROCS];
+}
+`
+	cfg := fullConfig()
+	ctx := NewContext(src, cfg)
+	stats, err := (&Pipeline{}).Run(ctx, Plan(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stats {
+		if st.Name == "sync-analysis" {
+			if got := st.Counters["cophase_pairs"]; got != 8 {
+				t.Fatalf("cophase_pairs = %d, want 8", got)
+			}
+			return
+		}
+	}
+	t.Fatal("no sync-analysis pass ran")
+}
+
 func TestUnsafeCompileWarns(t *testing.T) {
 	cfg := fullConfig()
 	cfg.Delays = DelayNone

@@ -115,7 +115,7 @@ var passes = []Pass{
 		if a.CoPhase != nil {
 			cophase = a.CoPhase.Count()
 		}
-		ctx.Count("cophase_accesses", cophase)
+		ctx.Count("cophase_pairs", cophase)
 		ctx.Count("regions", a.Regions)
 		ctx.Count("largest_region", a.LargestRegion)
 		return nil

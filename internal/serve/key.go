@@ -92,8 +92,9 @@ func SourceFingerprint(src string) string {
 // field. Version 2: a compile reports baseline_pairs only at level
 // baseline. Version 3: section 7 runs as licm then cse, without
 // gets_eliminated and gets_dead, and withholds rewrites the delay set
-// forbids.
-const keyVersion = "3"
+// forbids. Version 4: sync-analysis reports cophase_pairs, the count it
+// used to call cophase_accesses.
+const keyVersion = "4"
 
 // ID is the content address of the tuple: the hex SHA-256 of a
 // length-prefixed encoding of keyVersion and every field. Length prefixes

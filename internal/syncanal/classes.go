@@ -2,7 +2,6 @@ package syncanal
 
 import (
 	"math/bits"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -45,8 +44,8 @@ type Precedence struct {
 	w int // words per access bitset
 
 	classOf []int32
-	members [][]int32  // class -> member list (ascending access id)
 	mask    [][]uint64 // class -> member bitset (w words)
+	count   []int32    // class -> member count
 
 	rows []([]uint64) // crel rows over class-id bits, WordsFor(cap) words each
 	cap  int          // row capacity in class ids
@@ -59,7 +58,6 @@ type Precedence struct {
 	aStamp  []int32 // per-access membership stamps for splitBySet
 	cStamp  []int32 // per-class stamps
 	cCnt    []int32 // per-class in-set counts
-	cFirst  []int32 // first moved-member index per touched class
 	epoch   int32
 	touched []int32
 	bmask   []uint64 // class-bit scratch for addRect
@@ -82,17 +80,14 @@ func newClassPrecedence(n int) *Precedence {
 	}
 	p.cStamp = make([]int32, p.cap)
 	p.cCnt = make([]int32, p.cap)
-	p.cFirst = make([]int32, p.cap)
 	p.bmask = make([]uint64, graph.WordsFor(p.cap))
 	if n > 0 {
-		all := make([]int32, n)
 		m := make([]uint64, p.w)
 		for i := 0; i < n; i++ {
-			all[i] = int32(i)
 			graph.BitSet(m, i)
 		}
-		p.members = [][]int32{all}
 		p.mask = [][]uint64{m}
+		p.count = []int32{int32(n)}
 		p.rows = [][]uint64{make([]uint64, graph.WordsFor(p.cap))}
 		p.nc = 1
 	}
@@ -120,7 +115,7 @@ func (p *Precedence) ensureCap(need int) {
 		copy(ns, s)
 		return ns
 	}
-	p.cStamp, p.cCnt, p.cFirst = grow(p.cStamp), grow(p.cCnt), grow(p.cFirst)
+	p.cStamp, p.cCnt = grow(p.cStamp), grow(p.cCnt)
 	p.bmask = make([]uint64, wc)
 }
 
@@ -135,23 +130,19 @@ func (p *Precedence) splitClass(c int32, e int32) int32 {
 	p.nc++
 	p.splits++
 
-	old := p.members[c]
-	keep := old[:0]
-	moved := make([]int32, 0, p.cCnt[c])
 	nm := make([]uint64, p.w)
-	for _, a := range old {
-		if p.aStamp[a] == e {
-			moved = append(moved, a)
-			p.classOf[a] = nid
-			graph.BitSet(nm, int(a))
-			graph.BitClear(p.mask[c], int(a))
-		} else {
-			keep = append(keep, a)
+	for wi, wd := range p.mask[c] {
+		for ; wd != 0; wd &= wd - 1 {
+			if a := wi<<6 + bits.TrailingZeros64(wd); p.aStamp[a] == e {
+				p.classOf[a] = nid
+				graph.BitSet(nm, a)
+			}
 		}
+		p.mask[c][wi] &^= nm[wi]
 	}
-	p.members[c] = keep
-	p.members = append(p.members, moved)
 	p.mask = append(p.mask, nm)
+	p.count[c] -= p.cCnt[c]
+	p.count = append(p.count, p.cCnt[c])
 
 	// Row copy, then column copy over all live rows (the new row included,
 	// which reproduces the diagonal: crel(c, c) implies crel(nid, nid)).
@@ -186,7 +177,7 @@ func (p *Precedence) splitBySet(S []int32) {
 		p.cCnt[c]++
 	}
 	for _, c := range p.touched {
-		if int(p.cCnt[c]) != len(p.members[c]) {
+		if p.cCnt[c] != p.count[c] {
 			p.splitClass(c, e)
 		}
 	}
@@ -407,8 +398,8 @@ func (p *Precedence) coalesceOnce() bool {
 	for c := 0; c < nc; c++ {
 		newID[c] = newID[rep[c]]
 	}
-	members := make([][]int32, nn)
 	mask := make([][]uint64, nn)
+	count := make([]int32, nn)
 	rows := make([][]uint64, nn)
 	rowW := graph.WordsFor(p.cap)
 	for c := 0; c < nc; c++ {
@@ -422,18 +413,13 @@ func (p *Precedence) coalesceOnce() bool {
 				}
 			}
 		}
-		members[id] = append(members[id], p.members[c]...)
-		for i, mw := range p.mask[c] {
-			mask[id][i] |= mw
-		}
-	}
-	for id := range members {
-		sort.Slice(members[id], func(i, j int) bool { return members[id][i] < members[id][j] })
+		orRow(mask[id], p.mask[c])
+		count[id] += p.count[c]
 	}
 	for a := 0; a < p.n; a++ {
 		p.classOf[a] = newID[p.classOf[a]]
 	}
-	p.members, p.mask, p.rows, p.nc = members, mask, rows, nn
+	p.mask, p.count, p.rows, p.nc = mask, count, rows, nn
 	p.dirty = true
 	p.size = -1
 	return true
@@ -465,11 +451,11 @@ func (p *Precedence) expand() {
 				for i, mw := range p.mask[c] {
 					col[i] |= mw
 				}
-				sz += len(p.members[c2])
+				sz += int(p.count[c2])
 			}
 		}
 		p.expRow[c] = r
-		p.size += len(p.members[c]) * sz
+		p.size += int(p.count[c]) * sz
 	}
 	p.dirty = false
 }
@@ -494,11 +480,11 @@ func (p *Precedence) Size() int {
 	return p.size
 }
 
-// accessClasses computes the delay.Constraints.AccessClass partitions for
-// the two oriented passes. Accesses share a class only when they are
-// interchangeable for the engine's constraint hooks — identical oriented
-// conflict rows AND columns, identical removal covers as source and
-// target, identical Removed behavior — which holds when they agree on:
+// accessClasses computes delay.Constraints.AccessClass for step 6's query.
+// Accesses share a class only when they are interchangeable for the
+// engine's constraint hooks — identical oriented conflict rows AND columns,
+// identical removal covers as source and target, identical Removed
+// behavior — which holds when they agree on:
 //
 //   - the R-equivalence class (orientation and removal consult R only
 //     through the class relation);
@@ -506,47 +492,25 @@ func (p *Precedence) Size() int {
 //     the group key includes the access kind, so sync-ness and data-ness
 //     ride along);
 //   - the guard set (the shared-lock arms of removed/cover);
-//   - for the phased pass only, the interned co-phase row (the barrier
-//     filter ANDs it into data rows and columns).
-func (res *Result) accessClasses(lk *lockMasks) (base, phased []int32) {
-	fn := res.Fn
-	n := len(fn.Accesses)
-	cp := res.R
-
-	// Exact co-phase row interning: equal rows share an id. Only data
-	// accesses consult their co-phase row in the phased pass; others keep
-	// id 0.
-	coID := make([]int32, n)
-	if res.CoPhase != nil {
-		var rows graph.RowInterner
-		for _, a := range fn.Accesses {
-			if a.Kind.IsData() {
-				id, _ := rows.Intern(res.CoPhase.Row(a.ID))
-				coID[a.ID] = id + 1
-			}
+//   - for a data access, the co-phase class (the barrier filter ANDs its
+//     co-phase row into data rows and columns).
+//
+// Ids are dense and numbered in first-seen access order.
+func (res *Result) accessClasses(lk *lockMasks) []int32 {
+	type key struct{ rc, cg, gs, co int32 }
+	class := make([]int32, len(res.Fn.Accesses))
+	ids := make(map[key]int32)
+	for x, a := range res.Fn.Accesses {
+		k := key{rc: res.R.classOf[x], cg: res.CS.GroupOf(x), gs: lk.set[x]}
+		if res.CoPhase != nil && a.Kind.IsData() {
+			k.co = res.CoPhase.ClassOf[x] + 1
 		}
-	}
-
-	type key struct{ rc, cg, co, gs int32 }
-	base = make([]int32, n)
-	phased = make([]int32, n)
-	bIdx := make(map[key]int32)
-	pIdx := make(map[key]int32)
-	for i := 0; i < n; i++ {
-		k := key{rc: cp.classOf[i], cg: res.CS.GroupOf(i), gs: lk.set[i]}
-		id, ok := bIdx[k]
+		id, ok := ids[k]
 		if !ok {
-			id = int32(len(bIdx))
-			bIdx[k] = id
+			id = int32(len(ids))
+			ids[k] = id
 		}
-		base[i] = id
-		k.co = coID[i]
-		id, ok = pIdx[k]
-		if !ok {
-			id = int32(len(pIdx))
-			pIdx[k] = id
-		}
-		phased[i] = id
+		class[x] = id
 	}
-	return base, phased
+	return class
 }

@@ -1,6 +1,8 @@
 package syncanal
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/ir"
 )
@@ -14,95 +16,66 @@ import (
 
 // buildCoPhase computes the symmetric co-phase relation: CoPhase.Row(x)
 // holds y when some barrier-free region of the access graph contains both x
-// and y. Regions start at the program entry and immediately after each
-// barrier access, and extend until the next barrier. Accesses that are
-// never co-phase cannot execute concurrently under aligned barriers.
+// and y. A region starts at the program entry — the accesses reachable from
+// the entry block without crossing another access (firstAccesses) — or
+// right after a barrier access, and extends up to the next barrier.
+// Accesses that are never co-phase cannot execute concurrently under
+// aligned barriers.
 func buildCoPhase(fn *ir.Fn, ag *ir.AccessGraph) *graph.ClassRows {
 	n := len(fn.Accesses)
 	isBarrier := func(id int) bool { return fn.Accesses[id].Kind == ir.AccBarrier }
-
-	// An access's co-phase row is the union of the masks of the regions
-	// containing it, so the row depends only on the access's
-	// region-membership set. Collect per-access membership lists, intern
-	// them into classes, and build one shared row per class: O(#regions *
-	// n/64) words where the per-access matrix was O(n^2/64).
-	w := graph.WordsFor(n)
-	var regionMasks [][]uint64
-	memberOf := make([][]int32, n) // access -> region ids, ascending
-	mark := func(region []int) {
-		if len(region) == 0 {
-			return
+	starts := [][]int{firstAccesses(fn)}
+	for _, a := range fn.Accesses {
+		if isBarrier(a.ID) {
+			starts = append(starts, ag.Succ[a.ID])
 		}
-		mask := make([]uint64, w)
-		id := int32(len(regionMasks))
-		for _, x := range region {
-			graph.BitSet(mask, x)
-			memberOf[x] = append(memberOf[x], id)
-		}
-		regionMasks = append(regionMasks, mask)
 	}
-	// BFS limited to non-barrier nodes.
-	sweep := func(starts []int) []int {
-		seen := make([]bool, n)
-		var region []int
-		var stack []int
-		for _, s := range starts {
-			if isBarrier(s) || seen[s] {
-				continue
+
+	// Each region is a BFS limited to non-barrier accesses, its mask doubling
+	// as the visited set; member holds each access's region-membership set,
+	// one bit per region.
+	w, rw := graph.WordsFor(n), graph.WordsFor(len(starts))
+	member := make([]uint64, n*rw)
+	regionMasks := make([][]uint64, len(starts))
+	var stack []int
+	for r, ss := range starts {
+		mask := make([]uint64, w)
+		visit := func(x int) {
+			if !isBarrier(x) && !graph.BitGet(mask, x) {
+				graph.BitSet(mask, x)
+				graph.BitSet(member[x*rw:(x+1)*rw], r)
+				stack = append(stack, x)
 			}
-			seen[s] = true
-			stack = append(stack, s)
-			region = append(region, s)
+		}
+		for _, x := range ss {
+			visit(x)
 		}
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, v := range ag.Succ[u] {
-				if seen[v] || isBarrier(v) {
-					continue
-				}
-				seen[v] = true
-				stack = append(stack, v)
-				region = append(region, v)
+				visit(v)
 			}
 		}
-		return region
+		regionMasks[r] = mask
 	}
 
-	// Region starting at program entry: accesses reachable before the
-	// first barrier. Entry accesses are those with no position... the
-	// access graph has no explicit entry node, so start from the accesses
-	// of the entry block chain: every access not strictly preceded by a
-	// barrier is conservatively seeded below via per-barrier sweeps plus
-	// an entry sweep from the function's first reachable accesses.
-	entryStarts := firstAccesses(fn)
-	mark(sweep(entryStarts))
-	for _, a := range fn.Accesses {
-		if a.Kind == ir.AccBarrier {
-			mark(sweep(ag.Succ[a.ID]))
-		}
-	}
-
-	// Intern membership lists: accesses in the same regions share a class
-	// (and hence one physical row). Barrier accesses and anything outside
-	// every region land in the empty class with an all-zero row.
+	// An access's co-phase row is the union of the masks of its regions, so
+	// it depends only on the membership set: accesses with one set share a
+	// class and one physical row, O(#regions * n/64) words where the
+	// per-access matrix was O(n^2/64). Barrier accesses, in no region, share
+	// the empty set's all-zero row.
 	classOf := make([]int32, n)
-	idx := make(map[string]int32)
+	var sets graph.RowInterner
 	var rows [][]uint64
-	var keyBuf []byte
-	for x := 0; x < n; x++ {
-		keyBuf = keyBuf[:0]
-		for _, r := range memberOf[x] {
-			keyBuf = append(keyBuf, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
-		}
-		c, ok := idx[string(keyBuf)]
-		if !ok {
-			c = int32(len(rows))
-			idx[string(keyBuf)] = c
+	for x := range classOf {
+		set := member[x*rw : (x+1)*rw]
+		c, fresh := sets.Intern(set)
+		if fresh {
 			row := make([]uint64, w)
-			for _, r := range memberOf[x] {
-				for i, wd := range regionMasks[r] {
-					row[i] |= wd
+			for wi, wd := range set {
+				for ; wd != 0; wd &= wd - 1 {
+					orRow(row, regionMasks[wi<<6+bits.TrailingZeros64(wd)])
 				}
 			}
 			rows = append(rows, row)

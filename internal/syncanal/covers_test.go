@@ -68,7 +68,7 @@ func TestSharedCoversExactAndReadOnly(t *testing.T) {
 			res := Analyze(p.fn, Options{})
 			n := len(p.fn.Accesses)
 			_, guards := computeGuards(res, res.D1.SourceMatrix())
-			con, memo := res.orientedConstraints(newLockMasks(n, guards), Options{}, syncIDs(p.fn))
+			con, memo := res.orientedConstraints(newLockMasks(n, guards), Options{})
 			var mu sync.Mutex
 			asked := make(map[[2]int32]bool)
 			con.RemovedCover = func(a, b int, scratch []uint64) ([]uint64, int) {

@@ -15,68 +15,23 @@ import (
 // then detect back-paths among the data accesses in the oriented graph
 // with the accesses R and mutual exclusion disqualify removed.
 
-// orientAndDetect runs the phases after R is available. The paper's two
-// oriented passes collapse to one: a pair involving a synchronization
-// access is oriented-and-removed in a strict edge-subgraph of D1's instance
-// (orientation only drops directed conflict edges, removal only excludes
-// interior nodes, and the endpoint filter is identical), so every
-// sync-involving oriented delay is already in D1 and the sync pass
-// contributes nothing to the union — TestOrientedSyncSubsetOfD1 holds the
-// engine and its oracle to that containment. Only the data-data pass (phase
-// filter on top of orientation) can produce pairs outside D1.
-func (res *Result) orientAndDetect(opts Options, syncIDs []int, src *graph.BitMatrix) {
-	lk := res.guardsAndPhases(opts, src)
-	t0 := time.Now()
-	con, _ := res.orientedConstraints(lk, opts, syncIDs)
-	res.D = res.D1.Union(delay.Compute(res.AG, res.CS, con))
-	res.Timing.Orient = time.Since(t0) - res.Timing.Regions
-}
-
-// guardsAndPhases computes the lock guards of section 5.3 (into res.Guards,
-// returned as masks) and the barrier phases of section 5.2 (res.CoPhase),
-// the inputs step 6 reads besides R. src is D1 in A-major form.
-func (res *Result) guardsAndPhases(opts Options, src *graph.BitMatrix) *lockMasks {
-	t0 := time.Now()
-	n := len(res.Fn.Accesses)
-	keys, guards := lockKeys{}, newKeySets(n, 0)
-	if !opts.NoLocks {
-		keys, guards = computeGuards(res, src)
-	}
-	lk := newLockMasks(n, guards)
-	res.Guards = guards.byAccess(keys)
-	res.Timing.Guards = time.Since(t0)
-
-	t0 = time.Now()
-	if opts.NoBarrier {
-		res.CoPhase = nil
-	} else {
-		res.CoPhase = buildCoPhase(res.Fn, res.AG)
-	}
-	res.Timing.CoPhase = time.Since(t0)
-	return lk
-}
-
 // orientedConstraints assembles step 6's query — D = D1 ∪ {[a, b] ∈ P :
 // back-path in P ∪ C1} over the data–data pairs — and returns it with the
-// memo behind its RemovedCover. The orientation travels as rows only; the
-// Removed predicate travels beside its exact cover. Comp shares the region statistics' condensation,
-// the orient graph's SCCs over the accesses (its class nodes are routing
-// only and dropped): the phased graph is an edge-subgraph of the orient
-// graph, so the orient SCCs are closed under phased edges.
-func (res *Result) orientedConstraints(lk *lockMasks, opts Options, syncIDs []int) (delay.Constraints, *coverMemo) {
-	// Class partitions for the oriented pass, computed before the
-	// orientation rows so those can be built in class coordinates.
-	classBase, classPhased := res.accessClasses(lk)
-	orientRows, phasedRows := res.orientationRows(classBase, classPhased)
+// memo behind its RemovedCover. The orientation travels as class-shared
+// rows, the Removed predicate beside its exact cover, and Comp is the
+// condensation of those same rows: the regions the engine solves are the
+// strongly connected components of the graph it searches.
+func (res *Result) orientedConstraints(lk *lockMasks, opts Options) (delay.Constraints, *coverMemo) {
+	class := res.accessClasses(lk)
+	rows := res.orientationRows(class)
 	removed, covers := res.removal(lk)
-	cond := res.regionStats(orientRows)
 	return delay.Constraints{
-		Endpoints:    delay.EndpointFilter{IDs: syncIDs},
-		DirRows:      phasedRows,
-		Comp:         cond,
+		Endpoints:    delay.EndpointFilter{IDs: syncIDs(res.Fn)},
+		DirRows:      rows,
+		Comp:         res.regionStats(rows),
 		Removed:      removed,
 		RemovedCover: covers.cover,
-		AccessClass:  classPhased,
+		AccessClass:  class,
 		Exact:        opts.Exact,
 	}, covers
 }
@@ -126,14 +81,15 @@ func (lk *lockMasks) shareLock(a, b, z int) bool {
 }
 
 // orientationRows builds step 5 — C1 = C − {[a2, a1] : [a1, a2] ∈ R}: the
-// direction x -> y is dropped exactly when [y, x] ∈ R — as rows for the
-// delay engine. orient[x] = C(x, ·) &^ R(·, x); phased additionally masks
-// the co-phase row into data rows (section 5.2: a data->data conflict
-// direction survives only co-phase). Both inputs are class-shared — the conflict
-// row per similarity group, the R column row per R class — so given the
-// class partitions one physical row per class serves every member and no
+// direction x -> y is dropped exactly when [y, x] ∈ R — with the phase
+// filter of section 5.2 on top: a data->data direction survives only
+// co-phase. Row x is C(x, ·) &^ R(·, x), and a data access's row also drops
+// the data accesses outside its co-phase row. Every input is constant on a
+// class of accessClasses — the conflict row per similarity group, R's
+// column per R class, the co-phase row per co-phase class — so one physical
+// row per class, built from its first member, serves every member and no
 // per-access n x n matrix is ever materialized.
-func (res *Result) orientationRows(classBase, classPhased []int32) (orient, phased graph.Rows) {
+func (res *Result) orientationRows(class []int32) graph.Rows {
 	fn := res.Fn
 	n := len(fn.Accesses)
 	w := graph.WordsFor(n)
@@ -143,45 +99,25 @@ func (res *Result) orientationRows(classBase, classPhased []int32) (orient, phas
 			graph.BitSet(dataMask, a.ID)
 		}
 	}
-	orientRow := func(x int, ox []uint64) {
+	var rows [][]uint64
+	for x, c := range class {
+		if int(c) < len(rows) {
+			continue // ids are first-seen, so x is not c's first member
+		}
+		row := make([]uint64, w)
 		cx, rx := res.CS.Row(x), res.R.colOf(x)
-		for i := range ox {
-			ox[i] = cx[i] &^ rx[i]
+		for i := range row {
+			row[i] = cx[i] &^ rx[i]
 		}
-	}
-	// phasedRow derives x's phased row from its orientation row.
-	phasedRow := func(x int, px, ox []uint64) {
-		copy(px, ox)
-		if fn.Accesses[x].Kind.IsData() {
+		if res.CoPhase != nil && fn.Accesses[x].Kind.IsData() {
 			cr := res.CoPhase.Row(x)
-			for i := range px {
-				px[i] &= ^dataMask[i] | cr[i]
+			for i := range row {
+				row[i] &= ^dataMask[i] | cr[i]
 			}
 		}
+		rows = append(rows, row)
 	}
-	// classRows builds one row per class from its first member.
-	classRows := func(classOf []int32, build func(x int, row []uint64)) [][]uint64 {
-		var rows [][]uint64
-		for x, c := range classOf {
-			for int(c) >= len(rows) {
-				rows = append(rows, nil)
-			}
-			if rows[c] == nil {
-				rows[c] = make([]uint64, w)
-				build(x, rows[c])
-			}
-		}
-		return rows
-	}
-	baseRows := classRows(classBase, orientRow)
-	orient = graph.NewClassRows(classBase, baseRows, n)
-	if res.CoPhase == nil {
-		return orient, orient
-	}
-	phRows := classRows(classPhased, func(x int, row []uint64) {
-		phasedRow(x, row, baseRows[classBase[x]]) // phased refines base
-	})
-	return orient, graph.NewClassRows(classPhased, phRows, n)
+	return graph.NewClassRows(class, rows, n)
 }
 
 // removal builds the node-removal predicate of step 6 and its exact bitset
@@ -317,10 +253,10 @@ var regionWorkHook func(edges int)
 // regionStats records the strongly-connected-component decomposition of the
 // oriented mixed graph — the partition the delay engine solves component by
 // component — into res.Regions and res.LargestRegion, and returns it. The
-// condensation walks the orient rows one physical row per class.
-func (res *Result) regionStats(orientRows graph.Rows) *graph.Condensation {
+// condensation walks the orientation rows one physical row per class.
+func (res *Result) regionStats(rows graph.Rows) *graph.Condensation {
 	t0 := time.Now()
-	cond := graph.CondenseMixed(res.AG.Succ, orientRows)
+	cond := graph.CondenseMixed(res.AG.Succ, rows)
 	res.Regions = cond.NComp
 	for _, m := range cond.Members {
 		res.LargestRegion = max(res.LargestRegion, len(m))

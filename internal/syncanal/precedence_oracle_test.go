@@ -41,7 +41,15 @@ func analyzeOracle(fn *ir.Fn, opts Options, q query) *oracleResult {
 	res.D1 = o.D1
 	src := o.D1.SourceMatrix()
 	o.R = perAccessR(res, opts, src)
-	con := perAccessQuery(res, o.R, res.guardsAndPhases(opts, src), opts)
+	n := len(fn.Accesses)
+	guards := newKeySets(n, 0)
+	if !opts.NoLocks {
+		_, guards = computeGuards(res, src)
+	}
+	if !opts.NoBarrier {
+		res.CoPhase = buildCoPhase(fn, res.AG)
+	}
+	con := perAccessQuery(res, o.R, newLockMasks(n, guards), opts)
 	dir := con.ConflictDir
 	con.ConflictDir = func(x, y int) bool {
 		o.dirCalls.Add(1)
@@ -119,8 +127,8 @@ func closeRel(rel *graph.BitMatrix) {
 // each definition read pair by pair: C1 and the co-phase filter (steps 5
 // and 5.2) and the removal of Figure 6 and section 5.3, with its cover
 // built from rel's rows and columns and the guarded accesses of every lock
-// a and b share. The orientation rows are bit matrices, the covers are
-// built afresh under id -1, and there is no AccessClass.
+// a and b share. The orientation rows are a bit matrix, the covers are
+// built afresh under id -1, and there is no AccessClass and no Comp.
 func perAccessQuery(res *Result, rel *graph.BitMatrix, lk *lockMasks, opts Options) delay.Constraints {
 	fn := res.Fn
 	n := len(fn.Accesses)
@@ -130,16 +138,10 @@ func perAccessQuery(res *Result, rel *graph.BitMatrix, lk *lockMasks, opts Optio
 		}
 		return !rel.Has(y, x)
 	}
-	orient, phased := graph.NewBitMatrix(n), graph.NewBitMatrix(n)
+	phased := graph.NewBitMatrix(n)
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
-			if !res.CS.Conflicts(x, y) {
-				continue
-			}
-			if !rel.Has(y, x) {
-				orient.Set(x, y)
-			}
-			if dir(x, y) {
+			if res.CS.Conflicts(x, y) && dir(x, y) {
 				phased.Set(x, y)
 			}
 		}
@@ -149,7 +151,6 @@ func perAccessQuery(res *Result, rel *graph.BitMatrix, lk *lockMasks, opts Optio
 		Endpoints:   delay.EndpointFilter{IDs: syncIDs(fn)},
 		ConflictDir: dir,
 		DirRows:     phased,
-		Comp:        res.regionStats(orient),
 		Removed: func(a, b, z int) bool {
 			return rel.Has(a, z) || rel.Has(z, b) || lk.shareLock(a, b, z)
 		},

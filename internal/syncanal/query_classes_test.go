@@ -1,0 +1,103 @@
+package syncanal
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/graph"
+	"repro/internal/ir"
+)
+
+// TestQueryClassContract checks the class contract of step 6's query, the
+// partition it hands the delay engine as AccessClass and the rows its
+// classes share, on the 150-seed grid, the kernels at 4 and 64 processors,
+// testdata/*.ms and, outside -short, acc2048. For every access x:
+//
+//   - DirRows.Row(x) is x's own oriented row, rebuilt bit by bit from its
+//     definition: C(x, ·) minus R's column of x, and for a data x minus the
+//     data accesses outside x's co-phase row;
+//   - that row is column-congruent over AccessClass: it holds all of a
+//     class or none of it, which graph.TransposeRows relies on when the
+//     engine transposes DirRows.
+//
+// Comp must then put every access in the component it has in the
+// condensation of those per-access rows.
+func TestQueryClassContract(t *testing.T) {
+	var progs []diffProgram
+	for seed := int64(0); seed < 250 && len(progs) < 150; seed++ {
+		if fn, ok := gridProgram(seed); ok {
+			progs = append(progs, diffProgram{fmt.Sprintf("seed %d", seed), fn})
+		}
+	}
+	if len(progs) < 150 {
+		t.Fatalf("only %d buildable seeds, want >= 150", len(progs))
+	}
+	for _, procs := range []int{4, 64} {
+		for _, k := range apps.All() {
+			progs = append(progs, diffProgram{fmt.Sprintf("%s@%d", k.Name, procs),
+				ir.MustBuild(k.Source(procs, 1), ir.BuildOptions{Procs: procs})})
+		}
+	}
+	files, err := filepath.Glob("../../testdata/*.ms")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, diffProgram{filepath.Base(f), ir.MustBuild(string(src), ir.BuildOptions{Procs: 4})})
+	}
+	if !testing.Short() {
+		progs = append(progs, diffProgram{"acc2048", tierProgram(t, "acc2048")})
+	}
+
+	for _, p := range progs {
+		fn := p.fn
+		n := len(fn.Accesses)
+		res := Analyze(fn, Options{})
+		_, guards := computeGuards(res, res.D1.SourceMatrix())
+		con, _ := res.orientedConstraints(newLockMasks(n, guards), Options{})
+		class := con.AccessClass
+		rep := make(map[int32]int) // class -> its first member
+		for y := n - 1; y >= 0; y-- {
+			rep[class[y]] = y
+		}
+		data := func(x int) bool { return fn.Accesses[x].Kind.IsData() }
+
+		rows := graph.NewBitMatrix(n)
+		for x := 0; x < n; x++ {
+			want := rows.Row(x)
+			for y := 0; y < n; y++ {
+				if res.CS.Conflicts(x, y) && !res.R.has(y, x) &&
+					(!data(x) || !data(y) || graph.BitGet(res.CoPhase.Row(x), y)) {
+					graph.BitSet(want, y)
+				}
+			}
+			if !slices.Equal(con.DirRows.Row(x), want) {
+				t.Fatalf("%s: access %d (class %d) shares a row that is not its own oriented row", p.label, x, class[x])
+			}
+			for y := 0; y < n; y++ {
+				if r := rep[class[y]]; graph.BitGet(want, y) != graph.BitGet(want, r) {
+					t.Fatalf("%s: row %d holds %d but not %d, both of class %d", p.label, x, min(y, r), max(y, r), class[y])
+				}
+			}
+		}
+
+		// Members are ascending, so a component's first member names it.
+		want := graph.CondenseMixed(res.AG.Succ, rows)
+		for x := 0; x < n; x++ {
+			if g, w := con.Comp.Members[con.Comp.Comp[x]][0], want.Members[want.Comp[x]][0]; g != w {
+				t.Fatalf("%s: access %d is in Comp's component of %d, the per-access condensation's of %d", p.label, x, g, w)
+			}
+		}
+		if con.Comp.NComp != want.NComp {
+			t.Fatalf("%s: Comp has %d components, the per-access condensation %d", p.label, con.Comp.NComp, want.NComp)
+		}
+	}
+}

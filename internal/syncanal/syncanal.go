@@ -216,17 +216,18 @@ func d1Queries(fn *ir.Fn, opts Options) (keep, rest delay.Constraints) {
 	return keep, rest
 }
 
-// RefineSync runs steps 3–6 of section 5.1: the precedence relation R,
-// lock guards, barrier phase partitioning, and the final refined delay set
-// D. Requires Prepare and ComputeD1.
+// RefineSync runs steps 3–6 of section 5.1 — the precedence relation R,
+// then, beside the lock guards of section 5.3 and the barrier phases of
+// section 5.2, the refined delay set D. Requires Prepare and ComputeD1.
 func (res *Result) RefineSync(opts Options) {
 	fn := res.Fn
+	n := len(fn.Accesses)
 
 	// Steps 3-4: seed R and close it under the dominator rule and
 	// transitivity (precedence.go). D1's A-major form feeds both the
 	// dominator filters and the lock confinement sweeps.
 	t0 := time.Now()
-	r := newClassPrecedence(len(fn.Accesses))
+	r := newClassPrecedence(n)
 	res.R = r
 	src := res.D1.SourceMatrix()
 	seedPrecedence(fn, opts, func(A, B []int32) { r.addRect(A, B) })
@@ -234,7 +235,37 @@ func (res *Result) RefineSync(opts Options) {
 	res.Timing.Condense, res.RClasses, res.RClassSplits = r.maint, r.nc, r.splits
 	res.Timing.Precedence = time.Since(t0) - res.Timing.Condense
 
-	res.orientAndDetect(opts, syncIDs(fn), src)
+	// Section 5.3: the lock guards (guards.go), into res.Guards and as the
+	// masks the removal reads.
+	t0 = time.Now()
+	keys, guards := lockKeys{}, newKeySets(n, 0)
+	if !opts.NoLocks {
+		keys, guards = computeGuards(res, src)
+	}
+	lk := newLockMasks(n, guards)
+	res.Guards = guards.byAccess(keys)
+	res.Timing.Guards = time.Since(t0)
+
+	// Section 5.2: the barrier phases (cophase.go).
+	t0 = time.Now()
+	res.CoPhase = nil
+	if !opts.NoBarrier {
+		res.CoPhase = buildCoPhase(fn, res.AG)
+	}
+	res.Timing.CoPhase = time.Since(t0)
+
+	// Steps 5-6 (orient.go). The paper's two oriented passes collapse to
+	// one: a pair involving a synchronization access is oriented-and-removed
+	// in a strict edge-subgraph of D1's instance (orientation only drops
+	// directed conflict edges, removal only excludes interior nodes, and the
+	// endpoint filter is identical), so every sync-involving oriented delay
+	// is already in D1 — TestOrientedSyncSubsetOfD1 holds the engine and its
+	// oracle to that containment. Only the data–data pass, phase filter on
+	// top of orientation, can add pairs.
+	t0 = time.Now()
+	con, _ := res.orientedConstraints(lk, opts)
+	res.D = res.D1.Union(delay.Compute(res.AG, res.CS, con))
+	res.Timing.Orient = time.Since(t0) - res.Timing.Regions
 }
 
 // Summary renders a human-readable account of the analysis for the driver.
