@@ -1,8 +1,12 @@
 // Command benchgate is the benchmark-regression gate: it parses `go test
 // -bench` output and compares ns/op and allocs/op against the "after"
 // blocks of the checked-in baseline files (BENCH_*.json), failing when a
-// benchmark regresses beyond the tolerance. Improvements never fail;
-// benchmarks absent from the run or metrics absent from a baseline are
+// benchmark regresses beyond the tolerance. A faster wall time never
+// fails, since wall time is noise. An allocs/op count better than its base
+// by more than the tolerance fails as stale: allocation counts repeat, so
+// such a base would let a regression back up to it pass unseen, and the
+// change that moved the count re-records the entry with -update.
+// Benchmarks absent from the run or metrics absent from a baseline are
 // reported and skipped, so an entry gates exactly the metrics its "after"
 // block names.
 //
@@ -146,8 +150,9 @@ func minMetric(a, b *float64) *float64 {
 }
 
 // check compares one metric and returns its report line plus whether it
-// regressed beyond tol percent. A missing side skips the comparison.
-func check(name, metric string, base, got *float64, tol float64) (string, bool) {
+// fails: regressed beyond tol percent or, for a metric that also fails
+// stale, improved beyond it. A missing side skips the comparison.
+func check(name, metric string, base, got *float64, tol float64, stale bool) (string, bool) {
 	switch {
 	case base == nil:
 		return fmt.Sprintf("skip %-42s %-9s no baseline metric", name, metric), false
@@ -158,12 +163,15 @@ func check(name, metric string, base, got *float64, tol float64) (string, bool) 
 	if *base > 0 {
 		delta = (*got - *base) / *base * 100
 	}
-	status, bad := "ok  ", false
-	if delta > tol {
+	status, bad, note := "ok  ", false, ""
+	switch {
+	case delta > tol:
 		status, bad = "FAIL", true
+	case stale && delta < -tol:
+		status, bad, note = "FAIL", true, "  stale base: re-record the entry with benchgate -update"
 	}
-	return fmt.Sprintf("%s %-42s %-9s base %14.0f  got %14.0f  %+6.1f%%",
-		status, name, metric, *base, *got, delta), bad
+	return fmt.Sprintf("%s %-42s %-9s base %14.0f  got %14.0f  %+6.1f%%%s",
+		status, name, metric, *base, *got, delta, note), bad
 }
 
 func run(benchOut io.Reader, baselineFiles []string, tol float64, w io.Writer) (int, error) {
@@ -199,11 +207,12 @@ func run(benchOut io.Reader, baselineFiles []string, tol float64, w io.Writer) (
 			for _, m := range []struct {
 				metric    string
 				base, got *float64
+				stale     bool
 			}{
-				{"ns/op", b.After.NsOp, cur.NsOp},
-				{"allocs/op", b.After.AllocsOp, cur.AllocsOp},
+				{"ns/op", b.After.NsOp, cur.NsOp, false},
+				{"allocs/op", b.After.AllocsOp, cur.AllocsOp, true},
 			} {
-				line, bad := check(b.Name, m.metric, m.base, m.got, tol)
+				line, bad := check(b.Name, m.metric, m.base, m.got, tol, m.stale)
 				fmt.Fprintln(w, line)
 				if bad {
 					failures++
@@ -214,7 +223,7 @@ func run(benchOut io.Reader, baselineFiles []string, tol float64, w io.Writer) (
 			}
 		}
 	}
-	fmt.Fprintf(w, "benchgate: %d comparisons, %d regressions beyond %.0f%%\n", compared, failures, tol)
+	fmt.Fprintf(w, "benchgate: %d comparisons, %d failures (regressions, stale allocs/op bases) beyond %.0f%%\n", compared, failures, tol)
 	if compared == 0 {
 		return 0, fmt.Errorf("no benchmark matched any baseline entry")
 	}

@@ -143,6 +143,48 @@ PASS
 	}
 }
 
+// TestRunGateStaleAllocs: an allocs/op count better than its base by more
+// than the tolerance fails and asks for a re-recording; within the
+// tolerance it passes, and a wall time however much faster never fails.
+func TestRunGateStaleAllocs(t *testing.T) {
+	const baselineJSON = `{
+  "benchmarks": [
+    {"name": "BenchmarkInterpEM3D", "after": {"ns_op": 900000, "allocs_op": 400}},
+    {"name": "BenchmarkInterpOcean", "after": {"ns_op": 9000000, "allocs_op": 400}}
+  ]
+}`
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(base, []byte(baselineJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// EM3D allocates 200 against 400 (-50 %), Ocean 389 (-2.75 %); both
+	// run several times faster than recorded.
+	var sb strings.Builder
+	failures, err := run(strings.NewReader(sampleBench), []string{base}, 25, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if failures != 1 {
+		t.Errorf("failures = %d, want 1 (EM3D's stale allocs/op)\n%s", failures, out)
+	}
+	for _, want := range []string{
+		"FAIL BenchmarkInterpEM3D",
+		"re-record the entry with benchgate -update",
+		"ok   BenchmarkInterpOcean",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "ns/op") && strings.HasPrefix(line, "FAIL") {
+			t.Errorf("a faster wall time failed: %s", line)
+		}
+	}
+}
+
 func TestRunGateNoMatches(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")

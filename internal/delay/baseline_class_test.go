@@ -21,11 +21,30 @@ import (
 // the reference's reach, the acc2048 and acc8192 baselines are pinned by
 // size in the syncanal tier tests.
 func TestBaselineClassCondensedGrid(t *testing.T) {
+	for _, p := range gridPrograms(t) {
+		ag, cs := ir.BuildAccessGraph(p.fn), conflict.Compute(p.fn)
+		got := Compute(ag, cs, Constraints{})
+		want := ComputeReference(ag, cs, Constraints{})
+		pairsEqual(t, fmt.Sprintf("baseline %s (n=%d)", p.name, len(p.fn.Accesses)), got, want)
+	}
+}
+
+// gridProgram is one buildable seed of the 150-seed grid.
+type gridProgram struct {
+	name string
+	fn   *ir.Fn
+}
+
+// gridPrograms builds the 150-seed progen grid at 4 processors. Seeds
+// that fail to build are skipped; the grid must still yield a healthy
+// number of programs.
+func gridPrograms(t *testing.T) []gridProgram {
+	t.Helper()
 	opts := progen.Options{
 		Procs: 4, MaxPhases: 4, MaxStmts: 10, MaxDepth: 2,
 		Arrays: 3, Scalars: 3, Events: 2, Locks: 2,
 	}
-	checked := 0
+	var progs []gridProgram
 	for seed := int64(0); seed < 150; seed++ {
 		prog, err := source.Parse(progen.Generate(seed, opts))
 		if err != nil {
@@ -39,14 +58,10 @@ func TestBaselineClassCondensedGrid(t *testing.T) {
 		if err != nil || len(fn.Accesses) == 0 {
 			continue
 		}
-		ag := ir.BuildAccessGraph(fn)
-		cs := conflict.Compute(fn)
-		got := Compute(ag, cs, Constraints{})
-		want := ComputeReference(ag, cs, Constraints{})
-		pairsEqual(t, fmt.Sprintf("baseline seed %d (n=%d)", seed, len(fn.Accesses)), got, want)
-		checked++
+		progs = append(progs, gridProgram{fmt.Sprintf("seed %d", seed), fn})
 	}
-	if checked < 100 {
-		t.Fatalf("only %d of 150 seeds built, want >= 100", checked)
+	if len(progs) < 100 {
+		t.Fatalf("only %d of 150 seeds built, want >= 100", len(progs))
 	}
+	return progs
 }

@@ -263,15 +263,18 @@ type classWorker struct {
 	gepoch       int32 // advances per seed group
 	closures     coverPool[cellClosure]
 	forests      coverPool[cellForest]
+	scans        rowScans // the closures' and restricted searches' shared rows
 	work         classWork
 }
 
 func (e *classEngine) newWorker() *classWorker {
 	w := len(e.rg.mask)
 	row := func() []uint64 { return make([]uint64, w) }
-	return &classWorker{e: e, cand: row(), cover: row(), vis: row(), teff: row(),
+	s := &classWorker{e: e, cand: row(), cover: row(), vis: row(), teff: row(),
 		slots: make([]aclsSlot, e.ncl), reach: row(), none: row(),
 		bG: row(), keepG: row(), dropG: row()}
+	s.scans.n = &s.work.RowScans
+	return s
 }
 
 // classMask returns the region members of a's class.
@@ -317,7 +320,7 @@ func (s *classWorker) sharedCell(st *aclsSlot, a, gb int, k int32, id int, covG 
 	cl, fresh := s.closures.get(id, s.gepoch)
 	if fresh {
 		s.work.Closures++
-		s.queue = cl.build(e.gd, mask, covG, g.seeds, s.vis, s.queue)
+		s.queue = cl.build(e.gd, mask, covG, g.seeds, s.vis, s.queue, &s.scans)
 	}
 	ta := e.dirIn.Row(a)
 	if !graph.BitGet(cl.s1, a) {
@@ -335,7 +338,7 @@ func (s *classWorker) sharedCell(st *aclsSlot, a, gb int, k int32, id int, covG 
 	fr, fresh := s.forests.get(id, s.bepoch)
 	if fresh {
 		s.work.Forests++
-		fr.start(mask, covG, bG, g.seeds)
+		fr.start(e.gd, mask, covG, bG, g.seeds, &s.work.RowScans)
 	}
 	if fr.keeps(e.gd, mask, covG, ta, aG) {
 		s.work.ForestKeeps++
@@ -343,7 +346,7 @@ func (s *classWorker) sharedCell(st *aclsSlot, a, gb int, k int32, id int, covG 
 	}
 	s.work.Fallbacks++
 	var s2 uint8
-	s2, s.queue = cellRestrict(e.gd, mask, covG, ta, e.gd.dir.Row(gb), aG, bG, s.vis, s.teff, s.queue)
+	s2, s.queue = cellRestrict(e.gd, mask, covG, ta, e.gd.dir.Row(gb), aG, bG, s.vis, s.teff, s.queue, &s.scans)
 	return s2
 }
 
@@ -374,7 +377,7 @@ func (s *classWorker) decideCell(st *aclsSlot, a, gb int, k int32, g *seedGroup)
 		for i := range s.reach {
 			s.reach[i] = ^mask[i]
 		}
-		restrictSweep(e.gd, drow, mask, s.reach, s.none, &s.queue)
+		restrictSweep(e.gd, drow, mask, s.reach, s.none, &s.queue, &s.scans)
 		for i := range s.reach {
 			s.reach[i] &= mask[i]
 		}
@@ -396,7 +399,7 @@ func (s *classWorker) decideCell(st *aclsSlot, a, gb int, k int32, g *seedGroup)
 		return s2Drop
 	}
 	var s2 uint8
-	s2, s.queue = cellRestrict(e.gd, mask, covG, ta, drow, aG, s.targetMask(k), s.vis, s.teff, s.queue)
+	s2, s.queue = cellRestrict(e.gd, mask, covG, ta, drow, aG, s.targetMask(k), s.vis, s.teff, s.queue, &s.scans)
 	return s2
 }
 
@@ -479,7 +482,7 @@ func (s *classWorker) solve(g *seedGroup) {
 					s.work.PairSearches++
 					covG, _ := e.cover(a, gb, s.cover)
 					var hit bool
-					s.queue, hit = denseRestrict(e.gd, mask, covG, e.dirIn.Row(a), drow, a, gb, s.vis, s.teff, s.queue)
+					s.queue, hit = denseRestrict(e.gd, mask, covG, e.dirIn.Row(a), drow, a, gb, s.vis, s.teff, s.queue, &s.scans)
 					if hit {
 						s.work.PairHits++
 						graph.BitSet(row, a)
@@ -498,10 +501,11 @@ func (s *classWorker) solve(g *seedGroup) {
 // ran and how many of those found a back-path. Of the shared searches it
 // counts the closures built (one per seed group and cover), the forests
 // started (one per seed group, cover and target class), the cells a forest
-// kept, and the cells a forest left to cellRestrict.
+// kept, and the cells a forest left to cellRestrict. RowScans counts the
+// directed conflict rows those searches scanned (rowScans).
 type classWork struct {
-	Pairs, Cells, BracketKeeps, PairSearches, PairHits int
-	Closures, Forests, ForestKeeps, Fallbacks          int
+	Pairs, Cells, BracketKeeps, PairSearches, PairHits  int
+	Closures, Forests, ForestKeeps, Fallbacks, RowScans int
 }
 
 func (w *classWork) add(o classWork) {
@@ -514,6 +518,7 @@ func (w *classWork) add(o classWork) {
 	w.Forests += o.Forests
 	w.ForestKeeps += o.ForestKeeps
 	w.Fallbacks += o.Fallbacks
+	w.RowScans += o.RowScans
 }
 
 // classWorkHook, when a test sets it, receives the counts of each region
@@ -581,7 +586,7 @@ func (p *coverPool[T]) get(id int, stamp int32) (*T, bool) {
 // the cover and everything outside the region blocked. A cell's optimistic
 // search is this one with a target test on top — any witness y -> a outside
 // the cover, or any witness in the a-class — so it misses exactly when no
-// such target is touched.
+// such target is touched. It scans each shared conflict row once.
 type cellClosure struct {
 	// touched holds the seeds and every region successor of an expanded
 	// node: the nodes a cell's optimistic search tests as targets.
@@ -593,8 +598,8 @@ type cellClosure struct {
 	s1 []uint64
 }
 
-// build runs the closure of seeds under cov. vis and queue are scratch.
-func (c *cellClosure) build(gd *mixedAdj, mask, cov []uint64, seeds []int32, vis []uint64, queue []int32) []int32 {
+// build runs the closure of seeds under cov. vis, queue and rs are scratch.
+func (c *cellClosure) build(gd *mixedAdj, mask, cov []uint64, seeds []int32, vis []uint64, queue []int32, rs *rowScans) []int32 {
 	if c.touched == nil {
 		c.touched = make([]uint64, len(mask))
 		c.s1 = make([]uint64, len(mask))
@@ -604,6 +609,7 @@ func (c *cellClosure) build(gd *mixedAdj, mask, cov []uint64, seeds []int32, vis
 		c.touched[i], c.s1[i] = 0, 0
 	}
 	queue = queue[:0]
+	rs.reset(gd)
 	for _, s := range seeds {
 		graph.BitSet(c.touched, int(s))
 		// A seed with a usable self-conflict edge may be the target b
@@ -617,7 +623,7 @@ func (c *cellClosure) build(gd *mixedAdj, mask, cov []uint64, seeds []int32, vis
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		u := int(queue[qi])
-		for wi, r := range gd.dir.Row(u) {
+		for wi, r := range rs.row(gd, u) {
 			c.s1[wi] |= r
 			nw := r &^ vis[wi]
 			if nw == 0 {
@@ -649,18 +655,20 @@ func (c *cellClosure) build(gd *mixedAdj, mask, cov []uint64, seeds []int32, vis
 // touched it first. The cell's pessimistic search blocks the a-class on
 // top, so a touched uncovered witness of a whose first toucher's tree path
 // avoids the a-class is a pessimistic hit. The BFS grows only while no
-// cell's question is answered from what it has touched.
+// cell's question is answered from what it has touched, and over all of
+// its growth it scans each shared conflict row once (scans).
 type cellForest struct {
 	touched []uint64 // the seeds and every region successor of an expanded node
 	vis     []uint64 // blocked or queued
 	from    []int32  // node -> its first toucher, -1 for a seed; valid while touched
 	queue   []int32  // queued nodes, global ids; queue[:next] are expanded
 	next    int
+	scans   rowScans // the shared rows this forest has scanned
 }
 
 // start resets the forest to its seeds under cov, with the target class bG
-// blocked.
-func (f *cellForest) start(mask, cov, bG []uint64, seeds []int32) {
+// blocked; the rows it scans are counted in scanned.
+func (f *cellForest) start(gd *mixedAdj, mask, cov, bG []uint64, seeds []int32, scanned *int) {
 	if f.touched == nil {
 		f.touched = make([]uint64, len(mask))
 		f.vis = make([]uint64, len(mask))
@@ -671,6 +679,8 @@ func (f *cellForest) start(mask, cov, bG []uint64, seeds []int32) {
 		f.touched[i] = 0
 	}
 	f.queue, f.next = f.queue[:0], 0
+	f.scans.n = scanned
+	f.scans.reset(gd)
 	for _, s := range seeds {
 		graph.BitSet(f.touched, int(s))
 		f.from[s] = -1
@@ -700,7 +710,7 @@ func (f *cellForest) keeps(gd *mixedAdj, mask, cov, ta, aG []uint64) bool {
 		u := f.queue[f.next]
 		f.next++
 		hit := false
-		for wi, r := range gd.dir.Row(int(u)) {
+		for wi, r := range f.scans.row(gd, int(u)) {
 			nw := r & mask[wi] &^ f.touched[wi]
 			if nw == 0 {
 				continue
@@ -754,7 +764,7 @@ func (f *cellForest) avoids(u int32, aG []uint64) bool {
 // a-class as exempt targets — an over-approximation — so exhausting it
 // proves all pairs FALSE. Targets are tested before the interior filter,
 // matching the reference's removed-before-target ordering.
-func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64, queue []int32) (uint8, []int32) {
+func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64, queue []int32, rs *rowScans) (uint8, []int32) {
 	// Pessimistic pass: interior = region complement ∪ cover ∪ both classes.
 	any := false
 	for i := range teff {
@@ -767,7 +777,7 @@ func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64,
 			vis[i] = ^mask[i] | cov[i] | aG[i] | bG[i]
 		}
 		queue = queue[:0]
-		if restrictSweep(gd, drow, mask, vis, teff, &queue) {
+		if restrictSweep(gd, drow, mask, vis, teff, &queue, rs) {
 			return s2Keep, queue
 		}
 	}
@@ -795,7 +805,7 @@ func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64,
 			queue = append(queue, int32(b))
 		}
 	}
-	if restrictSweep(gd, drow, mask, vis, teff, &queue) {
+	if restrictSweep(gd, drow, mask, vis, teff, &queue, rs) {
 		return s2PerPair, queue
 	}
 	return s2Drop, queue
@@ -803,10 +813,12 @@ func cellRestrict(gd *mixedAdj, mask, cov, ta, drow, aG, bG, vis, teff []uint64,
 
 // restrictSweep runs the shared body of both cellRestrict passes and of
 // denseRestrict: one seed step over the target's conflict row, then a
-// masked BFS on the global mixed adjacency, accepting any teff target on
-// generation. queue may arrive pre-seeded (the b-self continuation).
-func restrictSweep(gd *mixedAdj, drow, mask, vis, teff []uint64, queue *[]int32) bool {
+// masked BFS on the global mixed adjacency, scanning each shared conflict
+// row once (rs) and accepting any teff target on generation. queue may
+// arrive pre-seeded (the b-self continuation).
+func restrictSweep(gd *mixedAdj, drow, mask, vis, teff []uint64, queue *[]int32, rs *rowScans) bool {
 	q := *queue
+	rs.reset(gd)
 	for wi := range vis {
 		sw := drow[wi] & mask[wi]
 		if sw == 0 {
@@ -824,8 +836,8 @@ func restrictSweep(gd *mixedAdj, drow, mask, vis, teff []uint64, queue *[]int32)
 	}
 	for qi := 0; qi < len(q); qi++ {
 		u := int(q[qi])
-		row := gd.dir.Row(u)
-		for wi := range vis {
+		row := rs.row(gd, u)
+		for wi := range row {
 			if row[wi]&teff[wi] != 0 {
 				*queue = q
 				return true
@@ -852,4 +864,36 @@ func restrictSweep(gd *mixedAdj, drow, mask, vis, teff []uint64, queue *[]int32)
 	}
 	*queue = q
 	return false
+}
+
+// rowScans is one search's record of the shared conflict rows it has
+// scanned. Once a class's row is scanned every bit of it is visited (and
+// touched, and in s1) or the search has ended on it, so a second member's
+// scan would change nothing: row hands it none. n counts the scans.
+type rowScans struct {
+	done []uint64 // physical row -> scanned by the current search
+	n    *int
+}
+
+// reset starts a search.
+func (rs *rowScans) reset(gd *mixedAdj) {
+	if gd.cls != nil {
+		rs.done = append(rs.done[:0], make([]uint64, graph.WordsFor(len(gd.cls.ClassRow)))...)
+	}
+}
+
+// row returns u's directed row when the current search has not scanned it
+// yet, and nil when it has.
+func (rs *rowScans) row(gd *mixedAdj, u int) []uint64 {
+	if gd.cls == nil {
+		*rs.n++
+		return gd.dir.Row(u)
+	}
+	c := int(gd.cls.ClassOf[u])
+	if graph.BitGet(rs.done, c) {
+		return nil
+	}
+	graph.BitSet(rs.done, c)
+	*rs.n++
+	return gd.cls.ClassRow[c]
 }

@@ -53,7 +53,7 @@ func TestClassSolveWorkAcc2048(t *testing.T) {
 	saved := delay.Workers
 	defer func() { delay.Workers = saved }()
 	acc2048 := delay.ClassWork{Pairs: 361554, Cells: 189781, BracketKeeps: 27116, PairSearches: 153, PairHits: 153,
-		Closures: 2247, Forests: 1162, ForestKeeps: 26800, Fallbacks: 386}
+		Closures: 2247, Forests: 1162, ForestKeeps: 26800, Fallbacks: 386, RowScans: 77652}
 	for _, in := range []struct {
 		name    string
 		fn      *ir.Fn
@@ -63,7 +63,7 @@ func TestClassSolveWorkAcc2048(t *testing.T) {
 		{"acc2048", delay.TierFn(t, "acc2048"), 1700, acc2048},
 		{"serve-mix edit base", editBaseFn(t), 306,
 			delay.ClassWork{Pairs: 14764, Cells: 12292, BracketKeeps: 2265, PairSearches: 65, PairHits: 50,
-				Closures: 526, Forests: 234, ForestKeeps: 2184, Fallbacks: 142}},
+				Closures: 526, Forests: 234, ForestKeeps: 2184, Fallbacks: 142, RowScans: 12089}},
 	} {
 		for _, nw := range []int{1, 3} {
 			delay.Workers = nw

@@ -197,9 +197,9 @@ type Constraints struct {
 	// engine consumes it word-parallel instead of calling ConflictDir per
 	// edge; the oracle prefers ConflictDir, which preserves its
 	// independence, and reads DirRows only when no ConflictDir is given. A
-	// *graph.ClassRows backing shares one physical row per equivalence
-	// class, so callers with class structure (AccessClass) never
-	// materialize n rows.
+	// *graph.ClassRows backing, which must store its columns (ClassCol),
+	// shares one row and one column per equivalence class, so callers with
+	// class structure (AccessClass) never materialize n rows.
 	DirRows graph.Rows
 	// Comp, when non-nil, supplies a precomputed condensation of the mixed
 	// graph (program order plus DirRows/ConflictDir edges). Its components

@@ -115,7 +115,7 @@ func CheckSharedCells(t testing.TB) *SharedCells {
 var cellNames = [...]string{s2Plain: "plain", s2Keep: "keep", s2Drop: "drop", s2PerPair: "per pair"}
 
 func (c *SharedCells) check(gd *mixedAdj, mask, cov, ta, drow, aG, bG []uint64, got uint8) {
-	want, _ := cellRestrict(gd, mask, cov, ta, drow, aG, bG, make([]uint64, len(mask)), make([]uint64, len(mask)), nil)
+	want, _ := cellRestrict(gd, mask, cov, ta, drow, aG, bG, make([]uint64, len(mask)), make([]uint64, len(mask)), nil, &rowScans{n: new(int)})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cells++

@@ -2,11 +2,14 @@ package delay
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/conflict"
+	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
@@ -30,9 +33,9 @@ func TestHubWorkAcc2048(t *testing.T) {
 	if len(fn.Accesses) != 2010 || len(syncIDs) != 660 {
 		t.Fatalf("acc2048 has %d accesses, %d of them sync; the pins are for 2010 and 660", len(fn.Accesses), len(syncIDs))
 	}
-	base := HubWork{Candidates: 1820759, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25}
-	d1 := HubWork{Candidates: 1005762, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25}
-	rest := HubWork{Candidates: 814997, BaseSweeps: 100}
+	base := HubWork{Candidates: 1820759, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25, Cells: 46868, Covered: 228}
+	d1 := HubWork{Candidates: 1005762, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25, Cells: 27661, Covered: 228}
+	rest := HubWork{Candidates: 814997, BaseSweeps: 100, Cells: 19207}
 	if d1.Candidates+rest.Candidates != base.Candidates {
 		t.Fatalf("D1 %d + remainder %d candidates != baseline %d", d1.Candidates, rest.Candidates, base.Candidates)
 	}
@@ -164,18 +167,22 @@ func scanWitnesses(w []int32, inVis bool, lo, hi int32) (st uint8, mn, mx int32)
 }
 
 // TestWitnessSpanMatchesScan checks the hub solver's per-sweep cell summary
-// — two binary searches into the sorted witness entry times — against the
-// per-target scan of the pools it replaced, on random multisets and
+// — two binary searches into the witnesses sorted by entry time — against
+// the per-target scan of the pools it replaced, on random multisets and
 // intervals, with the edge cases named: no witness, every witness inside
 // subtree(b), duplicates on both bounds of the interval, and b not
-// base-visited.
+// base-visited. A witness here is its own entry time (tin is the identity).
 func TestWitnessSpanMatchesScan(t *testing.T) {
+	entry := make([]int32, 16)
+	for i := range entry {
+		entry[i] = int32(i)
+	}
 	check := func(w []int32, inVis bool, lo, hi int32) {
 		t.Helper()
 		pools := slices.Clone(w)
 		sorted := slices.Clone(w)
 		slices.Sort(sorted)
-		gs, gmn, gmx := witnessSpan(sorted, inVis, lo, hi)
+		gs, gmn, gmx := witnessSpan(sorted, entry, inVis, lo, hi)
 		ws, wmn, wmx := scanWitnesses(pools, inVis, lo, hi)
 		if gs != ws || gmn != wmn || gmx != wmx {
 			t.Fatalf("witnesses %v, visited %v, subtree [%d, %d]: span (%d, %d, %d), scan (%d, %d, %d)",
@@ -202,4 +209,63 @@ func TestWitnessSpanMatchesScan(t *testing.T) {
 		hi := lo + int32(rng.Intn(16-int(lo)))
 		check(w, rng.Intn(4) != 0, lo, hi)
 	}
+}
+
+// TestCoveringChainMatchesIntervalTest holds the hub solver's covering-chain
+// walk to the interval test over every member that it replaced: in each
+// cellSome cell, the candidate members the walk sends back to the
+// per-member test must be exactly those whose base-tree interval covers the
+// witness span [mn, mx]. It runs the plain query and step 2's D1 on the
+// 150-seed grid and, outside -short, on acc2048, where D1's cells send 228
+// members back.
+func TestCoveringChainMatchesIntervalTest(t *testing.T) {
+	var (
+		mu             sync.Mutex
+		cells, covered int
+		diff           string
+	)
+	coveringHook = func(cand []uint64, members []memberWord, btin, btout []int32, mn, mx int32, chain []int32) {
+		// The walk took its members out of cand: put them back.
+		was := slices.Clone(cand)
+		for _, a := range chain {
+			graph.BitSet(was, int(a))
+		}
+		var want []int32
+		for _, mw := range members {
+			for m := was[mw.i] & mw.m; m != 0; m &= m - 1 {
+				if a := mw.i<<6 + int32(bits.TrailingZeros64(m)); btin[a] <= mn && mx <= btout[a] {
+					want = append(want, a)
+				}
+			}
+		}
+		got := slices.Clone(chain)
+		slices.Sort(got)
+		mu.Lock()
+		defer mu.Unlock()
+		cells++
+		covered += len(want)
+		if !slices.Equal(got, want) && diff == "" {
+			diff = fmt.Sprintf("span [%d, %d]: the chain walk sent back %v, the interval test covers %v", mn, mx, got, want)
+		}
+	}
+	defer func() { coveringHook = nil }()
+	fns := []*ir.Fn{}
+	for _, p := range gridPrograms(t) {
+		fns = append(fns, p.fn)
+	}
+	if !testing.Short() {
+		fns = append(fns, tierFn(t, "acc2048"))
+	}
+	for _, fn := range fns {
+		ag, cs := ir.BuildAccessGraph(fn), conflict.Compute(fn)
+		Compute(ag, cs, Constraints{})
+		Compute(ag, cs, Constraints{Endpoints: EndpointFilter{IDs: syncIDsOf(fn), Keep: true}})
+	}
+	if diff != "" {
+		t.Fatal(diff)
+	}
+	if covered == 0 {
+		t.Fatalf("%d cellSome cells and no covering member: the walk was never exercised", cells)
+	}
+	t.Logf("%d cellSome cells, %d covering members", cells, covered)
 }

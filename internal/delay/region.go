@@ -36,10 +36,11 @@ import (
 //     and one distributor node re-emits them, turning each group-pair
 //     clique into two hub edges. One uncut base BFS per conflict group runs
 //     on ~2n + g^2 edges instead of n^2; the witness pools drawn from it
-//     decide each (target, source group) cell, and each candidate a cell
-//     leaves open gets one exact avoid-search. The endpoint filter narrows
-//     each target's candidates, and a conflict group none of whose members
-//     has a candidate skips its base sweep.
+//     decide each (target, adjacency class of the source's group) cell a
+//     word at a time, and each candidate a cell leaves open gets one exact
+//     avoid-search. The endpoint filter narrows each target's candidates,
+//     and a conflict group none of whose members has a candidate skips its
+//     base sweep.
 //
 //   - classSolve takes every other query: directed conflict edges or a
 //     Removed predicate, under any endpoint filter. Under orientation the
@@ -47,9 +48,10 @@ import (
 //     barrier phases — which sccCompute hands it one after another. On
 //     bitset rows it decides the removal question once per (source class,
 //     target class) cell, from searches shared by every cell of one seed
-//     row and cover; a cell that keeps or drops is applied to whole target
-//     rows, and each pair of a cell left open pays one exact restricted
-//     search.
+//     row and cover, each of which scans the conflict row a class's
+//     members share once; a cell that keeps or drops is applied to whole
+//     target rows, and each pair of a cell left open pays one exact
+//     restricted search.
 //
 // DESIGN.md §19 records how much traffic each solver and each fallback
 // inside them carries, and how to re-measure it.
@@ -58,6 +60,8 @@ type hubScratch struct {
 	psc   *pairScratch // exact avoid-search state, built on first use
 	ta    []uint64     // T(a) widened to the hub graph's node count
 	cand  []uint64
+	open  []int32 // the members of the current cell left to the per-member test
+	swept int     // the group whose base sweep is current
 
 	// The uncut base sweep shared by every source of one conflict group,
 	// plus per-group witness pools drawn from it.
@@ -65,30 +69,21 @@ type hubScratch struct {
 	pools   [][]int32
 	poolBuf []int32
 
-	// Class-condensed cell cache: the screen's verdict for (target b,
-	// source a) depends on a only through the groups a conflicts with and
-	// a's position in the base first-visit tree, so decide summarizes each
-	// cell — b and the adjacency class of a's group — once (witness count
-	// class plus entry-time extremes of the witnesses surviving the
-	// subtree(b) screen) and answers members with two interval
-	// comparisons. Stamps are bumped per target.
-	cellEp   []int32
-	cellSt   []uint8
-	cellMin  []int32
-	cellMax  []int32
-	cellTick int32
-
-	// Per-sweep witness spans: a class's witnesses and their entry times
-	// depend on the base sweep alone, so the first target of a sweep that
-	// asks about class k sorts them into wit[spanAt[k]:spanEnd[k]], and
-	// every later target of the sweep reads its cell summary off them by
-	// two binary searches. spanEp stamps a span with the sweep that built
-	// it; wit is emptied per sweep and keeps its capacity.
+	// Per-sweep witness spans (spanOf): class k's witnesses sorted by
+	// entry time are wit[spanAt[k]:spanEnd[k]]. spanEp stamps a span with
+	// the sweep that built it; wit is emptied per sweep and keeps its
+	// capacity.
 	spanEp, spanAt, spanEnd []int32
 	wit                     []int32
 	sweep                   int32
 
 	work hubWork // this worker's share of the counts
+}
+
+// memberWord is one nonzero word of an adjacency class's member mask.
+type memberWord struct {
+	i int32
+	m uint64
 }
 
 // pairScratch is the reusable state of one worker's per-pair searches.
@@ -140,10 +135,11 @@ func candidateRow(ag *ir.AccessGraph, b int, ends endpointMask, cand []uint64) b
 // hubWork counts what one hubCompute did, in units that repeat exactly on
 // any host and at any worker count: the candidate pairs left after the
 // single-conflict-edge step, the shared uncut base sweeps (one per conflict
-// group with a considered pair), and the exact avoid-searches run for the
-// candidates the cell screen left open, with how many found a back-path.
+// group with a considered pair), the (target, adjacency class) cells
+// decided and their covering-chain members sent back to the per-member
+// test, and the exact avoid-searches, with how many found a back-path.
 type hubWork struct {
-	Candidates, BaseSweeps, AvoidSearches, AvoidHits int
+	Candidates, BaseSweeps, Cells, Covered, AvoidSearches, AvoidHits int
 }
 
 func (w *hubWork) add(o hubWork) {
@@ -151,11 +147,18 @@ func (w *hubWork) add(o hubWork) {
 	w.BaseSweeps += o.BaseSweeps
 	w.AvoidSearches += o.AvoidSearches
 	w.AvoidHits += o.AvoidHits
+	w.Cells += o.Cells
+	w.Covered += o.Covered
 }
 
 // hubWorkHook, when a test sets it, receives each hubCompute's endpoint
 // filter and its counts summed over its workers. It is nil outside tests.
 var hubWorkHook func(endpointMask, hubWork)
+
+// coveringHook, when a test sets it, receives each cellSome cell of the hub
+// solver once its covering-chain walk has taken the members it sends back
+// out of cand. Workers call it concurrently. It is nil outside tests.
+var coveringHook func(cand []uint64, members []memberWord, btin, btout []int32, mn, mx int32, chain []int32)
 
 // The hub solver's cell summaries (see decide in hubCompute).
 const (
@@ -165,12 +168,12 @@ const (
 )
 
 // witnessSpan summarizes one (target b, adjacency class) cell from w, the
-// sorted base-tree entry times of the class's witnesses, against b's
+// class's witnesses sorted by their base-tree entry times tin, against b's
 // subtree interval [lo, hi] (ignored when b is not base-visited, inVis
 // false): cellFalse when w is empty, cellNone when every witness lies
-// inside the interval, else cellSome with the smallest and largest entry
-// time outside it.
-func witnessSpan(w []int32, inVis bool, lo, hi int32) (st uint8, mn, mx int32) {
+// inside the interval, else cellSome with the witnesses of smallest and
+// largest entry time outside it.
+func witnessSpan(w, tin []int32, inVis bool, lo, hi int32) (st uint8, mn, mx int32) {
 	if len(w) == 0 {
 		return cellFalse, 0, 0
 	}
@@ -178,8 +181,9 @@ func witnessSpan(w []int32, inVis bool, lo, hi int32) (st uint8, mn, mx int32) {
 	if !inVis {
 		return cellSome, w[0], w[last]
 	}
-	i, _ := slices.BinarySearch(w, lo)   // first entry >= lo
-	j, _ := slices.BinarySearch(w, hi+1) // first entry > hi
+	entry := func(y, t int32) int { return int(tin[y] - t) }
+	i, _ := slices.BinarySearchFunc(w, lo, entry)   // first entry >= lo
+	j, _ := slices.BinarySearchFunc(w, hi+1, entry) // first entry > hi
 	switch {
 	case i == 0 && j == len(w):
 		return cellNone, 0, 0
@@ -227,11 +231,12 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 	}
 	// Groups with equal adjacency lists have equal witnesses in every
 	// sweep, so the cell screen works per adjacency class: adjOf[g] is g's
-	// class, rep[k] a group of class k. (At the 2k tier 111 groups make 25
-	// classes.) spanWords bounds what one sweep's spans hold.
-	idx := make([]int32, 2*n+2*G)
-	groupOf, cellOf := idx[:n:n], idx[n:2*n:2*n] // access -> group, its class
-	adjOf, order := idx[2*n:2*n+G:2*n+G], idx[2*n+G:]
+	// class, rep[k] a group of class k, size[k+1] its member count and
+	// kmem[k] its members' nonzero words. (At the 2k tier 111 groups make
+	// 25 classes.) spanWords bounds what one sweep's spans hold.
+	idx := make([]int32, n+3*G+1)
+	groupOf := idx[:n:n] // access -> group
+	adjOf, order, size := idx[n:n+G:n+G], idx[n+G:n+2*G:n+2*G], idx[n+2*G:]
 	for g := range order {
 		order[g] = int32(g)
 	}
@@ -244,11 +249,21 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 			spanWords += poolK * len(ga[g])
 		}
 		adjOf[g] = int32(K - 1)
+		size[K] += int32(len(mem[g]))
 	}
 	rep := order[:K]
+	kmem, slab := make([][]memberWord, K), make([]memberWord, n) // a word per member at most
+	for k := range kmem {
+		size[k+1] += size[k]
+		kmem[k] = slab[size[k]:size[k]:size[k+1]]
+	}
 	for a := 0; a < n; a++ {
 		groupOf[a] = cs.GroupOf(a)
-		cellOf[a] = adjOf[groupOf[a]]
+		k, i := adjOf[groupOf[a]], int32(a>>6)
+		if l := len(kmem[k]); l == 0 || kmem[k][l-1].i != i {
+			kmem[k] = append(kmem[k], memberWord{i: i})
+		}
+		kmem[k][len(kmem[k])-1].m |= 1 << (a & 63)
 	}
 
 	// Self-conflict bitset: bit a set iff the edge a -> a is usable.
@@ -327,137 +342,37 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 	// FALSE, because the walks that avoid a and b visit a subset of the
 	// base sweep. Every other candidate gets one exact avoid-search.
 	//
-	// The screen is class-condensed: it depends on the source a only
-	// through the groups a conflicts with (which fix the witness pools) and
-	// a's subtree interval in the base tree. So per cell (b and the
-	// adjacency class of a's group) it computes one summary: cellFalse (no
-	// pool member base-visited: every member is exactly FALSE), cellNone
-	// (witnesses exist but all inside subtree(b): open), or cellSome with
-	// the entry-time extremes [mn, mx] of the witnesses surviving the
-	// subtree(b) screen. A member a of a cellSome cell is base-visited (a
-	// surviving witness reaches it through C and D hubs) and TRUE unless
-	// its interval covers [mn, mx], i.e. every surviving witness sits
-	// inside subtree(a) — the witness rejection "y == a" folds in because
-	// a's interval always covers its own entry time. Only the covering
-	// members — an ancestor chain of the witness span — and the cellNone
-	// cells are left open.
+	// The screen depends on a only through the groups a conflicts with
+	// (the witness pools) and a's subtree interval in the base tree, so per
+	// cell — b and the adjacency class of a's group — it computes one
+	// summary and acts on the cell's candidates a word at a time: cellFalse
+	// drops them, cellNone (every witness inside subtree(b)) sends each to
+	// the avoid-search, and cellSome keeps each whose interval does not
+	// cover [mn, mx], the entry times of the witnesses outside subtree(b).
+	// Such a member is base-visited (a witness reaches it through C and D
+	// hubs), and "y == a" folds in: a's interval covers its own entry time.
+	// Intervals nest, so the covering members are the ancestors (or self)
+	// of the witness entered at mn whose subtree closes at or after mx;
+	// decide walks that chain and sends them to the per-member test.
 	//
-	// The witnesses of a cell, and their entry times, depend on the base
-	// sweep and the adjacency class alone, not on b. So the first target of
-	// a sweep that asks about a class sorts their entry times into a span
-	// (spanOf), and each target's summary is two binary searches into it
-	// (witnessSpan) instead of a scan of every conflicting group's pool.
+	// A cell's witnesses depend on the sweep and the adjacency class alone,
+	// so the first target of a sweep that asks about a class sorts them by
+	// entry time into a span (spanOf), and each target's summary is two
+	// binary searches into it (witnessSpan).
 	spanOf := func(s *hubScratch, k int32, btin []int32) []int32 {
 		if s.spanEp[k] != s.sweep {
 			s.spanEp[k] = s.sweep
 			at := len(s.wit)
 			for _, g2 := range ga[rep[k]] {
-				for _, y := range s.pools[g2] {
-					s.wit = append(s.wit, btin[y])
-				}
+				s.wit = append(s.wit, s.pools[g2]...)
 			}
-			slices.Sort(s.wit[at:])
+			slices.SortFunc(s.wit[at:], func(x, y int32) int { return int(btin[x] - btin[y]) })
 			s.spanAt[k], s.spanEnd[k] = int32(at), int32(len(s.wit))
 		}
 		return s.wit[s.spanAt[k]:s.spanEnd[k]]
 	}
-	decide := func(s *hubScratch, b int) {
-		cand := s.cand
-		if !candidateRow(ag, b, ends, cand) {
-			return
-		}
-		row := out.byB.Row(b)
-		crb := cs.Row(b)
-		left := 0
-		for i := range cand {
-			d := crb[i] & cand[i] // single conflict edge b -> a
-			row[i] |= d
-			cand[i] &^= d
-			left += bits.OnesCount64(cand[i])
-		}
-		s.work.Candidates += left
-		if left == 0 {
-			return
-		}
-		if s.cellEp == nil {
-			buf := make([]int32, 6*K+spanWords)
-			s.cellEp, s.cellMin, s.cellMax = buf[:K:K], buf[K:2*K:2*K], buf[2*K:3*K:3*K]
-			s.spanEp, s.spanAt, s.spanEnd = buf[3*K:4*K:4*K], buf[4*K:5*K:5*K], buf[5*K:6*K:6*K]
-			s.wit = buf[6*K : 6*K] // spanWords of room: never outgrown
-			s.cellSt = make([]uint8, K)
-		}
-		base := s.base
-		btin, btout := base.TreeTimes()
-		bVis := base.Visited(b)
-		s.cellTick++
-		for wi, word := range cand {
-			for ; word != 0; word &= word - 1 {
-				a := wi<<6 + bits.TrailingZeros64(word)
-				k := cellOf[a]
-				if s.cellEp[k] != s.cellTick {
-					s.cellEp[k] = s.cellTick
-					s.cellSt[k], s.cellMin[k], s.cellMax[k] =
-						witnessSpan(spanOf(s, k, btin), bVis, btin[b], btout[b])
-				}
-				switch s.cellSt[k] {
-				case cellFalse:
-					continue // no member of T(a) is even base-reachable
-				case cellSome:
-					if !(btin[a] <= s.cellMin[k] && s.cellMax[k] <= btout[a]) {
-						graph.BitSet(row, a)
-						continue
-					}
-					// a's subtree covers every surviving witness; a's own
-					// self-conflict edge still closes the path when a base
-					// path outside subtree(b) reaches a.
-					if graph.BitGet(sc, a) && (!bVis || !(btin[b] <= btin[a] && btin[a] <= btout[b])) {
-						graph.BitSet(row, a)
-						continue
-					}
-				}
-				if avoid(s, a, b) {
-					graph.BitSet(row, a)
-				}
-			}
-		}
-	}
-
-	// considered reports whether some member of group g has a considered
-	// source.
-	considered := func(s *hubScratch, g int) bool {
-		for _, b := range mem[g] {
-			if !candidateRow(ag, int(b), ends, s.cand) {
-				continue
-			}
-			for _, word := range s.cand {
-				if word != 0 {
-					return true
-				}
-			}
-		}
-		return false
-	}
-
-	// Group-major sweeps: one shared base per conflict group.
-	nw := workerCount(G)
-	scr := make([]*hubScratch, nw)
-	parallelFor(G, nw, func(wk, g int) {
-		if len(ga[g]) == 0 {
-			return // no usable conflict edge leaves any member
-		}
-		if scr[wk] == nil {
-			scr[wk] = &hubScratch{
-				cand:    make([]uint64, w),
-				seeds:   make([]int32, 0, 2),
-				base:    graph.NewFlowDom(hub),
-				poolBuf: make([]int32, poolK*G),
-				pools:   make([][]int32, G),
-			}
-		}
-		s := scr[wk]
-		if !considered(s, g) {
-			return // the endpoint filter leaves no member a source
-		}
+	// sweep runs group g's uncut base sweep and draws its witness pools.
+	sweep := func(s *hubScratch, g int) {
 		s.work.BaseSweeps++
 		s.sweep++
 		s.wit = s.wit[:0]
@@ -474,10 +389,101 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 				s.pools[groupOf[v]] = append(p, v)
 			}
 		}
+	}
+	decide := func(s *hubScratch, g, b int) {
+		cand := s.cand
+		if !candidateRow(ag, b, ends, cand) {
+			return
+		}
+		row := out.byB.Row(b)
+		crb := cs.Row(b)
+		left, any := 0, false
+		for i := range cand {
+			any = any || cand[i] != 0
+			d := crb[i] & cand[i] // single conflict edge b -> a
+			row[i] |= d
+			cand[i] &^= d
+			left += bits.OnesCount64(cand[i])
+		}
+		if any && s.swept != g {
+			s.swept = g
+			sweep(s, g)
+		}
+		s.work.Candidates += left
+		if left == 0 {
+			return
+		}
+		base := s.base
+		btin, btout, parent := base.TreeTimes()
+		bVis := base.Visited(b)
+		// Each cell is met at its lowest candidate and then cleared from
+		// cand whole, so the scan visits one bit per cell.
+		for wi := range cand {
+			for cand[wi] != 0 {
+				k := adjOf[groupOf[wi<<6+bits.TrailingZeros64(cand[wi])]]
+				s.work.Cells++
+				st, ymn, ymx := witnessSpan(spanOf(s, k, btin), btin, bVis, btin[b], btout[b])
+				open := s.open[:0]
+				if st == cellSome {
+					mn, mx := btin[ymn], btin[ymx]
+					for u := ymn; u != int32(N); u = parent[u] {
+						if btout[u] >= mx && u < int32(n) && adjOf[groupOf[u]] == k && graph.BitGet(cand, int(u)) {
+							open = append(open, u)
+							graph.BitClear(cand, int(u))
+						}
+					}
+					if coveringHook != nil {
+						coveringHook(cand, kmem[k], btin, btout, mn, mx, open)
+					}
+					s.work.Covered += len(open)
+				}
+				for _, mw := range kmem[k] {
+					c := cand[mw.i] & mw.m
+					cand[mw.i] &^= mw.m
+					switch st {
+					case cellSome:
+						row[mw.i] |= c
+					case cellNone:
+						for ; c != 0; c &= c - 1 {
+							open = append(open, mw.i<<6+int32(bits.TrailingZeros64(c)))
+						}
+					}
+				}
+				for _, a32 := range open {
+					a := int(a32)
+					// A covering member's own self-conflict edge still
+					// closes the path when a base path outside subtree(b)
+					// reaches a.
+					if st == cellSome && graph.BitGet(sc, a) && (!bVis || btin[a] < btin[b] || btout[b] < btin[a]) ||
+						avoid(s, a, b) {
+						graph.BitSet(row, a)
+					}
+				}
+				s.open = open
+			}
+		}
+	}
+
+	// Group-major sweeps: one shared base per conflict group, run when the
+	// first member with a considered source asks for it, so a group the
+	// endpoint filter leaves no source skips its sweep.
+	nw := workerCount(G)
+	scr := make([]*hubScratch, nw)
+	parallelFor(G, nw, func(wk, g int) {
+		if len(ga[g]) == 0 {
+			return // no usable conflict edge leaves any member
+		}
+		if scr[wk] == nil {
+			buf := make([]int32, 3*K+spanWords) // spanWords of room for wit: never outgrown
+			scr[wk] = &hubScratch{cand: make([]uint64, w), seeds: make([]int32, 0, 2), base: graph.NewFlowDom(hub),
+				poolBuf: make([]int32, poolK*G), pools: make([][]int32, G), swept: -1,
+				spanEp: buf[:K:K], spanAt: buf[K : 2*K : 2*K], spanEnd: buf[2*K : 3*K : 3*K], wit: buf[3*K : 3*K]}
+		}
 		for _, b := range mem[g] {
-			decide(s, int(b))
+			decide(scr[wk], g, int(b))
 		}
 	})
+
 	if hubWorkHook != nil {
 		var sum hubWork
 		for _, s := range scr {
@@ -493,10 +499,13 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 // restricted searches: directed conflict rows (physically shared per
 // class when the caller condensed them — never expanded here) plus the
 // sparse program-order edges, traversed separately so no per-access n-bit
-// union row ever materializes.
+// union row ever materializes. cls is dir when the rows are a ClassRows,
+// whose members share a physical row, and nil when every access has its
+// own.
 type mixedAdj struct {
 	dir graph.Rows
 	adj [][]int
+	cls *graph.ClassRows
 }
 
 // directedRows keeps the conflict edges x -> y that dir allows, as a
@@ -516,13 +525,15 @@ func directedRows(cs *conflict.Set, dir func(x, y int) bool) *graph.BitMatrix {
 // brings the constraints to the class solver's one shape: without a
 // classing every access is its own class, without a removal every pair
 // gets one empty cover under id 0, and a removal without a cover gets the
-// cover its predicate spells out, built per pair. Then it decomposes the
-// mixed graph into its strongly connected components and has classSolve
-// answer them one after another, each region's seed groups spread over the
-// workers. Orientation by the precedence relation collapses cross-phase
-// cycles, so the regions are essentially the barrier phases. Without any
-// direction the conflict rows themselves serve, so Compute stays total over
-// Constraints.
+// cover its predicate spells out, built per pair. The solver also reads
+// the direction's columns, as witness rows: a ClassRows hands over the
+// columns its builder stored, and a BitMatrix is transposed here. Then it
+// decomposes the mixed graph into its
+// strongly connected components and has classSolve answer them one after
+// another, each region's seed groups spread over the workers. Orientation
+// by the precedence relation collapses cross-phase cycles, so the regions
+// are essentially the barrier phases. Without any direction the conflict
+// rows themselves serve, so Compute stays total over Constraints.
 func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endpointMask, out *Set) {
 	n := cs.N()
 	adj := ag.Succ
@@ -536,8 +547,12 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endp
 	default:
 		dirOut, dirIn = cs, cs // symmetric: the relation is its own transpose
 	}
-	if dirIn == nil {
-		dirIn = graph.TransposeRows(dirOut)
+	gd := &mixedAdj{dir: dirOut, adj: adj}
+	switch d := dirOut.(type) {
+	case *graph.BitMatrix:
+		dirIn = d.Transpose()
+	case *graph.ClassRows:
+		gd.cls, dirIn = d, &graph.ClassRows{ClassOf: d.ClassOf, ClassRow: d.ClassCol}
 	}
 
 	cd := con.Comp
@@ -571,7 +586,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endp
 		}
 	}
 
-	e := newClassEngine(ag, out, ends, &mixedAdj{dir: dirOut, adj: adj}, dirIn, cover, class)
+	e := newClassEngine(ag, out, ends, gd, dirIn, cover, class)
 	for _, members := range cd.Members {
 		e.classSolve(members)
 	}
@@ -591,7 +606,7 @@ func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endp
 // (a walk through b restarts at b, shrinking to one the suffix proves).
 // Past that set-up the search is restrictSweep's.
 func denseRestrict(gd *mixedAdj, mask, cov, ta, drow []uint64,
-	a, b int, vis, teff []uint64, queue []int32) ([]int32, bool) {
+	a, b int, vis, teff []uint64, queue []int32, rs *rowScans) ([]int32, bool) {
 
 	any := false
 	for i := range teff {
@@ -620,7 +635,7 @@ func denseRestrict(gd *mixedAdj, mask, cov, ta, drow []uint64,
 	if graph.BitGet(drow, b) && graph.BitGet(mask, b) {
 		queue = append(queue, int32(b))
 	}
-	found := restrictSweep(gd, drow, mask, vis, teff, &queue)
+	found := restrictSweep(gd, drow, mask, vis, teff, &queue, rs)
 	return queue, found
 }
 

@@ -236,7 +236,7 @@ func (c *Condensation) ReachRows(n int, out func(u int, visit func(v int32))) *C
 		}
 		compRow[cc] = row
 	}
-	return NewClassRows(c.Comp, compRow, n)
+	return NewClassRows(c.Comp, compRow)
 }
 
 // Transpose returns the transposed matrix (see TransposeInPlace).

@@ -172,7 +172,7 @@ func TestCondenseMixedMatchesPerAccess(t *testing.T) {
 				}
 			}
 		}
-		for _, rows := range []Rows{NewClassRows(classOf, classRows, n), bm} {
+		for _, rows := range []Rows{NewClassRows(classOf, classRows), bm} {
 			g := make(digraph, n)
 			for u := 0; u < n; u++ {
 				for _, v := range adj[u] {

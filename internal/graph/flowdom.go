@@ -100,17 +100,18 @@ func (f *FlowDom) buildTree() {
 	}
 }
 
-// TreeTimes exposes the first-visit tree's DFS interval numbering for the
-// current source, building the tree on first use after a Reach. Entries
-// are meaningful only for visited nodes. Intervals nest, so y lies in
+// TreeTimes exposes the first-visit tree of the current source — its DFS
+// interval numbering and each node's parent (the virtual root N for a
+// seed) — building the numbering on first use after a Reach. Entries are
+// meaningful only for visited nodes. Intervals nest, so y lies in
 // subtree(a) iff tin[a] <= tin[y] && tin[y] <= tout[a]; the entry time
 // alone orders witnesses, which lets callers reduce "is any witness
 // outside subtree(a)" to two comparisons against precomputed extremes.
-func (f *FlowDom) TreeTimes() (tin, tout []int32) {
+func (f *FlowDom) TreeTimes() (tin, tout, parent []int32) {
 	if !f.treeReady {
 		f.buildTree()
 	}
-	return f.ttin, f.ttout
+	return f.ttin, f.ttout, f.parent
 }
 
 // Visited reports whether v was reached for the current source.

@@ -73,7 +73,7 @@ func TestFlowDomMatchesBruteForce(t *testing.T) {
 			if len(fd.Order()) != countTrue(plain) {
 				t.Fatalf("trial %d: Order lists %d nodes, brute reaches %d", trial, len(fd.Order()), countTrue(plain))
 			}
-			tin, tout := fd.TreeTimes()
+			tin, tout, _ := fd.TreeTimes()
 			for avoid := 0; avoid < n; avoid++ {
 				if !fd.Visited(avoid) {
 					continue
@@ -172,7 +172,7 @@ func TestTreeTimesMatchStackWalk(t *testing.T) {
 				}
 			}
 			fd.Reach(seeds)
-			tin, tout := fd.TreeTimes()
+			tin, tout, _ := fd.TreeTimes()
 			wantIn, wantOut := stackTreeTimes(fd)
 			for _, v := range append([]int32{int32(n)}, fd.Order()...) {
 				if tin[v] != wantIn[v] || tout[v] != wantOut[v] {

@@ -284,7 +284,6 @@ type barrierState struct {
 	arrived []float64 // per-proc arrival time; -1 when not arrived
 	n       int       // processors arrived in the open episode
 	accID   int
-	release float64
 }
 
 type sim struct {
@@ -470,7 +469,7 @@ func (r *Runner) reset(opts RunOptions) error {
 	s.lazy = opts.Tap == nil && !opts.Perturb && opts.Jitter == 0 && !s.queueReads
 	s.minArr = math.Inf(1)
 	s.mem.reset()
-	s.bar.n, s.bar.accID, s.bar.release = 0, -1, 0
+	s.bar.n, s.bar.accID = 0, -1
 	for i := range s.bar.arrived {
 		s.bar.arrived[i] = -1
 	}
@@ -1266,7 +1265,6 @@ func (s *sim) barrier(p *proc, acc *ir.Access) bool {
 				}
 			}
 			release += s.cfg.BarrierCost
-			s.bar.release = release
 			for i := range s.bar.arrived {
 				s.bar.arrived[i] = -1
 			}

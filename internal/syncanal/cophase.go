@@ -82,7 +82,7 @@ func buildCoPhase(fn *ir.Fn, ag *ir.AccessGraph) *graph.ClassRows {
 		}
 		classOf[x] = c
 	}
-	return graph.NewClassRows(classOf, rows, n)
+	return graph.NewClassRows(classOf, rows)
 }
 
 // firstAccesses returns the accesses reachable from the function entry

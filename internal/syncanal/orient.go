@@ -84,40 +84,42 @@ func (lk *lockMasks) shareLock(a, b, z int) bool {
 // direction x -> y is dropped exactly when [y, x] ∈ R — with the phase
 // filter of section 5.2 on top: a data->data direction survives only
 // co-phase. Row x is C(x, ·) &^ R(·, x), and a data access's row also drops
-// the data accesses outside its co-phase row. Every input is constant on a
-// class of accessClasses — the conflict row per similarity group, R's
-// column per R class, the co-phase row per co-phase class — so one physical
-// row per class, built from its first member, serves every member and no
-// per-access n x n matrix is ever materialized.
-func (res *Result) orientationRows(class []int32) graph.Rows {
+// the data accesses outside its co-phase row. C and the co-phase relation
+// are symmetric, so column x, which the engine reads too, is C(x, ·) &^
+// R(x, ·) under the same mask, built beside the row. Every input is
+// constant on a class of accessClasses — the conflict row per similarity
+// group, R's row and column per R class, the co-phase row per co-phase
+// class — so one row and one column per class, built from its first
+// member, serve every member and no n x n matrix is ever materialized.
+func (res *Result) orientationRows(class []int32) *graph.ClassRows {
 	fn := res.Fn
-	n := len(fn.Accesses)
-	w := graph.WordsFor(n)
+	w := graph.WordsFor(len(fn.Accesses))
 	dataMask := make([]uint64, w)
 	for _, a := range fn.Accesses {
 		if a.Kind.IsData() {
 			graph.BitSet(dataMask, a.ID)
 		}
 	}
-	var rows [][]uint64
+	var rows, cols [][]uint64
 	for x, c := range class {
 		if int(c) < len(rows) {
 			continue // ids are first-seen, so x is not c's first member
 		}
-		row := make([]uint64, w)
-		cx, rx := res.CS.Row(x), res.R.colOf(x)
+		row, col := make([]uint64, w), make([]uint64, w)
+		cx, rcol, rrow := res.CS.Row(x), res.R.colOf(x), res.R.rowOf(x)
 		for i := range row {
-			row[i] = cx[i] &^ rx[i]
+			row[i], col[i] = cx[i]&^rcol[i], cx[i]&^rrow[i]
 		}
 		if res.CoPhase != nil && fn.Accesses[x].Kind.IsData() {
 			cr := res.CoPhase.Row(x)
 			for i := range row {
 				row[i] &= ^dataMask[i] | cr[i]
+				col[i] &= ^dataMask[i] | cr[i]
 			}
 		}
-		rows = append(rows, row)
+		rows, cols = append(rows, row), append(cols, col)
 	}
-	return graph.NewClassRows(class, rows, n)
+	return &graph.ClassRows{ClassOf: class, ClassRow: rows, ClassCol: cols}
 }
 
 // removal builds the node-removal predicate of step 6 and its exact bitset
@@ -142,11 +144,11 @@ func (res *Result) removal(lk *lockMasks) (removed func(a, b, z int) bool, cover
 // coverMemo hands out the removal covers. A cover depends on its pair only
 // through a's R class, b's R class and the locks guarding both, so one row
 // per such triple serves every pair: at acc2048 the oriented pass asks for
-// 185,039 cells' covers and the memo builds a few dozen rows. Every pair is
-// handed the memo's row itself, shared and never written after it is
-// built, and its number (id), which the class solver keys its shared
-// searches on. A memo that declines the table builds each cover afresh
-// into the caller's scratch, under id -1.
+// 189,934 covers (189,781 decided cells and 153 open pairs) and the memo
+// builds 206 rows. Every pair is handed the memo's row itself, shared and
+// never written after it is built, and its number (id), which the class
+// solver keys its shared searches on. A memo that declines the table builds
+// each cover afresh into the caller's scratch, under id -1.
 type coverMemo struct {
 	res *Result
 	lk  *lockMasks

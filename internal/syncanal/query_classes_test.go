@@ -8,25 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/delay"
 	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
-// TestQueryClassContract checks the class contract of step 6's query, the
-// partition it hands the delay engine as AccessClass and the rows its
-// classes share, on the 150-seed grid, the kernels at 4 and 64 processors,
-// testdata/*.ms and, outside -short, acc2048. For every access x:
-//
-//   - DirRows.Row(x) is x's own oriented row, rebuilt bit by bit from its
-//     definition: C(x, ·) minus R's column of x, and for a data x minus the
-//     data accesses outside x's co-phase row;
-//   - that row is column-congruent over AccessClass: it holds all of a
-//     class or none of it, which graph.TransposeRows relies on when the
-//     engine transposes DirRows.
-//
-// Comp must then put every access in the component it has in the
-// condensation of those per-access rows.
-func TestQueryClassContract(t *testing.T) {
+// queryPrograms lists the programs step 6's query is checked on: the
+// 150-seed grid, the kernels at 4 and 64 processors, testdata/*.ms and,
+// outside -short, acc2048.
+func queryPrograms(t *testing.T) []diffProgram {
+	t.Helper()
 	var progs []diffProgram
 	for seed := int64(0); seed < 250 && len(progs) < 150; seed++ {
 		if fn, ok := gridProgram(seed); ok {
@@ -56,13 +47,35 @@ func TestQueryClassContract(t *testing.T) {
 	if !testing.Short() {
 		progs = append(progs, diffProgram{"acc2048", tierProgram(t, "acc2048")})
 	}
+	return progs
+}
 
-	for _, p := range progs {
+// orientedQuery analyzes fn and builds step 6's query from the result.
+func orientedQuery(fn *ir.Fn) (*Result, delay.Constraints) {
+	res := Analyze(fn, Options{})
+	_, guards := computeGuards(res, res.D1.SourceMatrix())
+	con, _ := res.orientedConstraints(newLockMasks(len(fn.Accesses), guards), Options{})
+	return res, con
+}
+
+// TestQueryClassContract checks the class contract of step 6's query, the
+// partition it hands the delay engine as AccessClass and the rows its
+// classes share, on queryPrograms. For every access x:
+//
+//   - DirRows.Row(x) is x's own oriented row, rebuilt bit by bit from its
+//     definition: C(x, ·) minus R's column of x, and for a data x minus the
+//     data accesses outside x's co-phase row;
+//   - that row is column-congruent over AccessClass: it holds all of a
+//     class or none of it, which lets the query build one column per class
+//     (TestOrientationInRowsTransposeOutRows checks those columns).
+//
+// Comp must then put every access in the component it has in the
+// condensation of those per-access rows.
+func TestQueryClassContract(t *testing.T) {
+	for _, p := range queryPrograms(t) {
 		fn := p.fn
 		n := len(fn.Accesses)
-		res := Analyze(fn, Options{})
-		_, guards := computeGuards(res, res.D1.SourceMatrix())
-		con, _ := res.orientedConstraints(newLockMasks(n, guards), Options{})
+		res, con := orientedQuery(fn)
 		class := con.AccessClass
 		rep := make(map[int32]int) // class -> its first member
 		for y := n - 1; y >= 0; y-- {
@@ -98,6 +111,34 @@ func TestQueryClassContract(t *testing.T) {
 		}
 		if con.Comp.NComp != want.NComp {
 			t.Fatalf("%s: Comp has %d components, the per-access condensation %d", p.label, con.Comp.NComp, want.NComp)
+		}
+	}
+}
+
+// TestOrientationInRowsTransposeOutRows checks the columns step 6's query
+// builds beside its rows, on queryPrograms. The delay engine reads them as
+// the transposed relation, so access x's in-row must hold y exactly when
+// y's out-row holds x, bit by bit over every access.
+func TestOrientationInRowsTransposeOutRows(t *testing.T) {
+	for _, p := range queryPrograms(t) {
+		n := len(p.fn.Accesses)
+		_, con := orientedQuery(p.fn)
+		out := con.DirRows.(*graph.ClassRows)
+		if out.ClassCol == nil {
+			t.Fatalf("%s: the orientation rows carry no columns", p.label)
+		}
+		in := &graph.ClassRows{ClassOf: out.ClassOf, ClassRow: out.ClassCol}
+		want := make([]uint64, graph.WordsFor(n))
+		for x := 0; x < n; x++ {
+			clear(want)
+			for y := 0; y < n; y++ {
+				if graph.BitGet(out.Row(y), x) {
+					graph.BitSet(want, y)
+				}
+			}
+			if !slices.Equal(in.Row(x), want) {
+				t.Fatalf("%s: access %d's in-row is not the transpose of the out-rows", p.label, x)
+			}
 		}
 	}
 }
