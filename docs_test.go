@@ -1,6 +1,9 @@
 package splitc
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -20,8 +23,11 @@ import (
 // `BenchmarkServeCompile` may stand for its Hit and Miss halves and
 // `TestSmoke/workloads` for TestSmoke); (ii) DESIGN §18's "`Constraints`
 // field" table must list exactly delay.Constraints' fields, and the sentence
-// above it the right count. EXPERIMENTS.md and CHANGES.md are run logs and
-// are not checked.
+// above it the right count; (iii) every back-ticked `pkg.Name` or
+// `pkg.Type.Field` whose pkg names a package of the module must resolve to
+// a declaration of that package (a lower-case second part, such as the
+// metric `source.parse_ms`, is no identifier and is not checked).
+// EXPERIMENTS.md and CHANGES.md are run logs and are not checked.
 func TestDocsNameLiveCode(t *testing.T) {
 	var funcs []string
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
@@ -72,6 +78,20 @@ func TestDocsNameLiveCode(t *testing.T) {
 		}
 	}
 
+	decls := moduleDecls(t)
+	identRE := regexp.MustCompile("`([a-z]\\w*)\\.([A-Z]\\w*)(?:\\.([A-Za-z_]\\w*))?")
+	for _, name := range []string{"DESIGN.md", "README.md"} {
+		for _, m := range identRE.FindAllStringSubmatch(docs[name], -1) {
+			pkg, ok := decls[m[1]]
+			if !ok {
+				continue // not a package of the module
+			}
+			if id := m[2]; !pkg[id] || m[3] != "" && !pkg[id+"."+m[3]] {
+				t.Errorf("%s names `%s`, which package %s does not declare", name, strings.TrimPrefix(m[0], "`"), m[1])
+			}
+		}
+	}
+
 	design := docs["DESIGN.md"]
 	head := strings.Index(design, "\n| `Constraints` field |")
 	if head < 0 {
@@ -102,4 +122,94 @@ func TestDocsNameLiveCode(t *testing.T) {
 	if n, _ := strconv.Atoi(counts[len(counts)-1][1]); n != len(fields) {
 		t.Errorf("DESIGN.md says `Constraints` has %d fields, delay.Constraints has %d", n, len(fields))
 	}
+}
+
+// moduleDecls returns, by package name, what the module's non-test files
+// declare at top level: each name, and for a type Type.Field and
+// Type.Method. Packages that share a name share one set.
+func moduleDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := make(map[string]map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		set := decls[f.Name.Name]
+		if set == nil {
+			set = make(map[string]bool)
+			decls[f.Name.Name] = set
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					set[decl.Name.Name] = true
+					continue
+				}
+				recv := decl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok {
+					recv = ix.X
+				}
+				if ix, ok := recv.(*ast.IndexListExpr); ok {
+					recv = ix.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					set[id.Name+"."+decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						set[spec.Name.Name] = true
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, fld := range st.Fields.List {
+								for _, id := range fld.Names {
+									set[spec.Name.Name+"."+id.Name] = true
+								}
+								if len(fld.Names) == 0 { // embedded: named by its type
+									typ := fld.Type
+									if star, ok := typ.(*ast.StarExpr); ok {
+										typ = star.X
+									}
+									if sel, ok := typ.(*ast.SelectorExpr); ok {
+										typ = sel.Sel
+									}
+									if id, ok := typ.(*ast.Ident); ok {
+										set[spec.Name.Name+"."+id.Name] = true
+									}
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							set[id.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(decls, "main")
+	return decls
 }

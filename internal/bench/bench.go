@@ -28,7 +28,6 @@ var fig12Levels = []splitc.Level{splitc.LevelBaseline, splitc.LevelPipelined, sp
 type Fig12Row struct {
 	App    string
 	Cycles map[splitc.Level]float64
-	Msgs   map[splitc.Level]int
 }
 
 // Fig12Result is the whole experiment.
@@ -80,12 +79,9 @@ func RunFigure12(procs, scale int) (*Fig12Result, error) {
 		row := Fig12Row{
 			App:    k.Name,
 			Cycles: map[splitc.Level]float64{},
-			Msgs:   map[splitc.Level]int{},
 		}
 		for li, lvl := range fig12Levels {
-			res := cells[ki*nl+li]
-			row.Cycles[lvl] = res.Time
-			row.Msgs[lvl] = res.Messages
+			row.Cycles[lvl] = cells[ki*nl+li].Time
 		}
 		out.Rows = append(out.Rows, row)
 	}

@@ -42,7 +42,6 @@ import (
 // (GroupOf, GroupMembers, GroupAdj) because the regionized delay engine
 // compresses the quadratic conflict edge set through the same groups.
 type Set struct {
-	fn       *ir.Fn
 	groupRow [][]uint64 // group -> shared expanded conflict row (n bits)
 	rowBits  []int      // group -> popcount of groupRow
 	n        int
@@ -56,7 +55,7 @@ type Set struct {
 // Compute builds the conflict set for fn.
 func Compute(fn *ir.Fn) *Set {
 	n := len(fn.Accesses)
-	s := &Set{fn: fn, n: n}
+	s := &Set{n: n}
 
 	// Partition into similarity groups.
 	type key struct {

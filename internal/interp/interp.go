@@ -41,16 +41,15 @@ type RunOptions struct {
 
 // ProcStats counts one processor's activity.
 type ProcStats struct {
-	Cycles     float64 // completion time of this processor
-	Busy       float64 // cycles the CPU was doing work (not waiting)
-	Gets       int     // remote split-phase reads issued
-	Puts       int     // remote acknowledged writes issued
-	Stores     int     // remote one-way writes issued
-	LocalAcc   int     // shared accesses served by the local module
-	AcksRecv   int     // acknowledgements/replies processed
-	Barriers   int
-	LockOps    int
-	PostsWaits int
+	Cycles   float64 // completion time of this processor
+	Busy     float64 // cycles the CPU was doing work (not waiting)
+	Gets     int     // remote split-phase reads issued
+	Puts     int     // remote acknowledged writes issued
+	Stores   int     // remote one-way writes issued
+	LocalAcc int     // shared accesses served by the local module
+	AcksRecv int     // acknowledgements/replies processed
+	Barriers int
+	LockOps  int
 }
 
 // Result is the outcome of a weak-memory run.
@@ -1086,7 +1085,6 @@ func (s *sim) post(p *proc, acc *ir.Access, idx int64) bool {
 	}
 	dyn := s.tapIssue(p, OpPost, acc.ID, idx)
 	p.charge(s.cfg.SendOv)
-	p.stats.PostsWaits++
 	s.msgs++
 	arrival := p.time + s.wire() + s.cfg.RecvOv
 	e := s.newEvent(arrival, evPost)
@@ -1120,7 +1118,6 @@ func (s *sim) waitEv(p *proc, acc *ir.Access, idx int64) bool {
 	}
 	if !p.waiting {
 		p.waiting = true
-		p.stats.PostsWaits++
 		p.pendDyn = s.tapIssue(p, OpWait, acc.ID, idx)
 		if ev.posted {
 			wake := p.time

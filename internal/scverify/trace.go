@@ -8,10 +8,10 @@ import (
 	"repro/internal/sem"
 )
 
-// Op is one dynamic operation recorded from a simulated execution. Dyn
-// ids are dense and process-wide, assigned in issue order.
+// Op is one dynamic operation recorded from a simulated execution. Its
+// index in Trace.Ops is its dyn id: dyn ids are dense and process-wide,
+// assigned in issue order.
 type Op struct {
-	Dyn  int
 	Proc int
 	Kind interp.OpKind
 
@@ -27,7 +27,6 @@ type Op struct {
 	VisitBlk int     // target block id of that visit
 	Issue    float64 // simulated issue time
 	Eff      float64 // memory sample/apply time (data ops with HasEff)
-	Val      ir.Value
 	Write    bool
 	HasEff   bool
 }
@@ -108,7 +107,6 @@ func (c *Collector) Block(proc, blk int) {
 func (c *Collector) Issue(dyn, proc int, kind interp.OpKind, acc *ir.Access, idx int64, t float64) {
 	c.growProc(proc)
 	op := Op{
-		Dyn:      dyn,
 		Proc:     proc,
 		Kind:     kind,
 		AccID:    -1,
@@ -135,12 +133,12 @@ func (c *Collector) Issue(dyn, proc int, kind interp.OpKind, acc *ir.Access, idx
 
 // MemEffect records the memory system sampling (read) or applying (write)
 // operation dyn; call order across the run is the application order.
-func (c *Collector) MemEffect(dyn int, write bool, val ir.Value, t float64) {
+func (c *Collector) MemEffect(dyn int, write bool, _ ir.Value, t float64) {
 	if dyn < 0 || dyn >= len(c.tr.Ops) {
 		return
 	}
 	op := &c.tr.Ops[dyn]
-	op.Eff, op.Val, op.Write, op.HasEff = t, val, write, true
+	op.Eff, op.Write, op.HasEff = t, write, true
 	c.tr.MemOrder = append(c.tr.MemOrder, dyn)
 }
 

@@ -58,7 +58,6 @@ type Symbol struct {
 	Owner  int64         // shared scalars only
 	Init   ConstVal      // shared scalars only
 	IsArr  bool          // declared with a size
-	Decl   source.Pos
 }
 
 // ConstVal is a folded compile-time constant.
@@ -70,7 +69,6 @@ type ConstVal struct {
 
 // Info is the result of checking a program: symbol resolution and types.
 type Info struct {
-	Prog    *source.Program
 	Shared  []*Symbol // shared scalars and arrays, in declaration order
 	Events  []*Symbol
 	Locks   []*Symbol
@@ -140,7 +138,6 @@ type checker struct {
 func Check(prog *source.Program) (*Info, error) {
 	c := &checker{
 		info: &Info{
-			Prog:    prog,
 			Funcs:   make(map[string]*source.FuncDecl),
 			Refs:    make(map[*source.VarRef]*Symbol),
 			Types:   make(map[source.Expr]source.Type),
@@ -208,7 +205,7 @@ func (c *checker) collectGlobals(prog *source.Program) {
 		if !declare(name, pos) {
 			return false
 		}
-		sym := &Symbol{Name: name, Kind: kind, Type: source.TypeInt, Size: 1, Decl: pos}
+		sym := &Symbol{Name: name, Kind: kind, Type: source.TypeInt, Size: 1}
 		if size != nil {
 			n, ok := c.constInt(size)
 			if !ok {
@@ -229,7 +226,7 @@ func (c *checker) collectGlobals(prog *source.Program) {
 			if !declare(d.Name, d.Pos) {
 				return
 			}
-			sym := &Symbol{Name: d.Name, Type: d.Type, Size: 1, Decl: d.Pos}
+			sym := &Symbol{Name: d.Name, Type: d.Type, Size: 1}
 			if d.Size != nil {
 				sym.Kind = SymSharedArray
 				sym.IsArr = true
@@ -375,7 +372,7 @@ func (c *checker) declareLocal(name string, pos source.Pos, typ source.Type, siz
 		c.errorf(pos, "%s redeclared in this block", name)
 		return nil
 	}
-	sym := &Symbol{Name: name, Kind: SymLocal, Type: typ, Size: size, IsArr: isArr, Decl: pos}
+	sym := &Symbol{Name: name, Kind: SymLocal, Type: typ, Size: size, IsArr: isArr}
 	top[name] = sym
 	return sym
 }

@@ -184,7 +184,7 @@ type StatsResponse struct {
 	// Panics counts computations that panicked on a pool worker and were
 	// answered 500. StoreMalformed counts bodies a store returned that were
 	// not a JSON object and were recomputed instead of served (the disk
-	// backend's own frame check is DiskStore.CorruptRecovered).
+	// backend checks its own frames and drops a corrupt file as a miss).
 	Panics         int64 `json:"panics"`
 	StoreMalformed int64 `json:"store_malformed"`
 	// InFlight is the number of requests currently executing or queued.

@@ -21,11 +21,10 @@ import (
 type DiskStore struct {
 	dir string
 
-	mu      sync.RWMutex
-	lens    map[string]int64 // id -> body length, for Len/SizeBytes
-	bytes   int64
-	corrupt int64
-	tmpSeq  int64
+	mu     sync.RWMutex
+	lens   map[string]int64 // id -> body length, for Len/SizeBytes
+	bytes  int64
+	tmpSeq int64
 }
 
 const diskMagic = "pscd1\n"
@@ -125,14 +124,13 @@ func (s *DiskStore) Get(id string) ([]byte, bool, error) {
 	}
 	body, derr := decodeDiskEntry(data)
 	if derr != nil {
-		// Corrupt-entry recovery: drop the file, count it, miss.
+		// Corrupt-entry recovery: drop the file and its index entry, miss.
 		os.Remove(s.path(id))
 		s.mu.Lock()
 		if n, ok := s.lens[id]; ok {
 			s.bytes -= n
 			delete(s.lens, id)
 		}
-		s.corrupt++
 		s.mu.Unlock()
 		return nil, false, nil
 	}

@@ -10,13 +10,11 @@ import (
 // fits. A single artifact larger than the whole budget is refused (stored
 // nowhere) rather than evicting the entire cache for one entry.
 type MemStore struct {
-	mu       sync.Mutex
-	budget   int64
-	bytes    int64
-	order    *list.List // front = most recent; values are *memEntry
-	entries  map[string]*list.Element
-	evicted  int64
-	rejected int64
+	mu      sync.Mutex
+	budget  int64
+	bytes   int64
+	order   *list.List // front = most recent; values are *memEntry
+	entries map[string]*list.Element
 }
 
 type memEntry struct {
@@ -59,7 +57,6 @@ func (s *MemStore) Put(id string, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n > s.budget {
-		s.rejected++
 		return nil
 	}
 	if el, ok := s.entries[id]; ok {
@@ -77,7 +74,6 @@ func (s *MemStore) Put(id string, body []byte) error {
 		s.order.Remove(back)
 		delete(s.entries, e.id)
 		s.bytes -= int64(len(e.body))
-		s.evicted++
 	}
 	return nil
 }

@@ -13,15 +13,25 @@ import (
 	"repro/internal/ir"
 )
 
+// queryProgram is one input of step 6's query checks and the options it
+// is analyzed under.
+type queryProgram struct {
+	label string
+	fn    *ir.Fn
+	opts  Options
+}
+
 // queryPrograms lists the programs step 6's query is checked on: the
-// 150-seed grid, the kernels at 4 and 64 processors, testdata/*.ms and,
-// outside -short, acc2048.
-func queryPrograms(t *testing.T) []diffProgram {
+// 150-seed grid, the kernels at 4 and 64 processors under both Exact
+// values, testdata/*.ms and, outside -short, acc2048. The kernels under
+// Exact are what needs the co-phase term of accessClasses' key: without
+// it, Health shares rows that are not its accesses' own.
+func queryPrograms(t *testing.T) []queryProgram {
 	t.Helper()
-	var progs []diffProgram
+	var progs []queryProgram
 	for seed := int64(0); seed < 250 && len(progs) < 150; seed++ {
 		if fn, ok := gridProgram(seed); ok {
-			progs = append(progs, diffProgram{fmt.Sprintf("seed %d", seed), fn})
+			progs = append(progs, queryProgram{fmt.Sprintf("seed %d", seed), fn, Options{}})
 		}
 	}
 	if len(progs) < 150 {
@@ -29,8 +39,9 @@ func queryPrograms(t *testing.T) []diffProgram {
 	}
 	for _, procs := range []int{4, 64} {
 		for _, k := range apps.All() {
-			progs = append(progs, diffProgram{fmt.Sprintf("%s@%d", k.Name, procs),
-				ir.MustBuild(k.Source(procs, 1), ir.BuildOptions{Procs: procs})})
+			fn := ir.MustBuild(k.Source(procs, 1), ir.BuildOptions{Procs: procs})
+			label := fmt.Sprintf("%s@%d", k.Name, procs)
+			progs = append(progs, queryProgram{label, fn, Options{}}, queryProgram{label + " exact", fn, Options{Exact: true}})
 		}
 	}
 	files, err := filepath.Glob("../../testdata/*.ms")
@@ -42,19 +53,20 @@ func queryPrograms(t *testing.T) []diffProgram {
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs = append(progs, diffProgram{filepath.Base(f), ir.MustBuild(string(src), ir.BuildOptions{Procs: 4})})
+		progs = append(progs, queryProgram{filepath.Base(f), ir.MustBuild(string(src), ir.BuildOptions{Procs: 4}), Options{}})
 	}
 	if !testing.Short() {
-		progs = append(progs, diffProgram{"acc2048", tierProgram(t, "acc2048")})
+		progs = append(progs, queryProgram{"acc2048", tierProgram(t, "acc2048"), Options{}})
 	}
 	return progs
 }
 
-// orientedQuery analyzes fn and builds step 6's query from the result.
-func orientedQuery(fn *ir.Fn) (*Result, delay.Constraints) {
-	res := Analyze(fn, Options{})
+// orientedQuery analyzes fn under opts and builds step 6's query from the
+// result.
+func orientedQuery(fn *ir.Fn, opts Options) (*Result, delay.Constraints) {
+	res := Analyze(fn, opts)
 	_, guards := computeGuards(res, res.D1.SourceMatrix())
-	con, _ := res.orientedConstraints(newLockMasks(len(fn.Accesses), guards), Options{})
+	con, _ := res.orientedConstraints(newLockMasks(len(fn.Accesses), guards), opts)
 	return res, con
 }
 
@@ -75,7 +87,7 @@ func TestQueryClassContract(t *testing.T) {
 	for _, p := range queryPrograms(t) {
 		fn := p.fn
 		n := len(fn.Accesses)
-		res, con := orientedQuery(fn)
+		res, con := orientedQuery(fn, p.opts)
 		class := con.AccessClass
 		rep := make(map[int32]int) // class -> its first member
 		for y := n - 1; y >= 0; y-- {
@@ -122,7 +134,7 @@ func TestQueryClassContract(t *testing.T) {
 func TestOrientationInRowsTransposeOutRows(t *testing.T) {
 	for _, p := range queryPrograms(t) {
 		n := len(p.fn.Accesses)
-		_, con := orientedQuery(p.fn)
+		_, con := orientedQuery(p.fn, p.opts)
 		out := con.DirRows.(*graph.ClassRows)
 		if out.ClassCol == nil {
 			t.Fatalf("%s: the orientation rows carry no columns", p.label)

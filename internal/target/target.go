@@ -222,7 +222,6 @@ type Stats struct {
 	Puts   int
 	Stores int
 	Syncs  int
-	Wraps  int
 }
 
 // CollectStats tallies the program's statements.
@@ -239,8 +238,6 @@ func (p *Prog) CollectStats() Stats {
 				st.Stores++
 			case *SyncCtr:
 				st.Syncs++
-			case *Wrap:
-				st.Wraps++
 			}
 		}
 	}

@@ -159,7 +159,7 @@ func TestCollectStats(t *testing.T) {
 	b.Term = &Ret{}
 
 	st := p.CollectStats()
-	want := Stats{Gets: 1, Puts: 1, Stores: 1, Syncs: 2, Wraps: 1}
+	want := Stats{Gets: 1, Puts: 1, Stores: 1, Syncs: 2}
 	if st != want {
 		t.Errorf("CollectStats = %+v, want %+v", st, want)
 	}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -227,4 +229,348 @@ func tail(s string, n int) string {
 		return s[len(s)-n:]
 	}
 	return s
+}
+
+// readByTests lists the fields of non-test structs that no non-test
+// expression reads but that a test does, each with one such test file:
+// the work counters tests pin (the simulator's VM crossings and queue
+// pushes, code generation's pass work), the follower count tests wait on,
+// and results only tests look at. TestProductReadsItsFields checks that
+// the file exists, is a test file and names the field.
+var readByTests = map[string]string{
+	"repro/internal/codegen.Result.Prog":          "pipeline_test.go",
+	"repro/internal/codegen.Result.Stats":         "pipeline_test.go",
+	"repro/internal/codegen.passWork.LICMLoops":   "internal/codegen/globalreuse_test.go",
+	"repro/internal/codegen.passWork.LICMVisits":  "internal/codegen/globalreuse_test.go",
+	"repro/internal/codegen.passWork.ReuseScans":  "internal/codegen/globalreuse_test.go",
+	"repro/internal/codegen.passWork.ReuseSweeps": "internal/codegen/globalreuse_test.go",
+	"repro/internal/interp.SCResult.Prints":       "samples_test.go",
+	"repro/internal/interp.evq.heapPushes":        "internal/interp/queue_test.go",
+	"repro/internal/interp.hostCalls.ChargeALUN":  "internal/interp/queue_traffic_test.go",
+	"repro/internal/interp.hostCalls.EnterBlock":  "internal/interp/queue_traffic_test.go",
+	"repro/internal/interp.hostCalls.Get":         "internal/interp/queue_traffic_test.go",
+	"repro/internal/interp.hostCalls.Print":       "internal/interp/queue_traffic_test.go",
+	"repro/internal/interp.hostCalls.Put":         "internal/interp/queue_traffic_test.go",
+	"repro/internal/interp.hostCalls.Store":       "internal/interp/queue_traffic_test.go",
+	"repro/internal/interp.hostCalls.Sync":        "internal/interp/queue_traffic_test.go",
+	"repro/internal/interp.hostCalls.SyncCtr":     "internal/interp/queue_traffic_test.go",
+	"repro/internal/progen.ScaleTier.Accesses":    "internal/progen/scale_test.go",
+	"repro/internal/serve.flightCall.dups":        "internal/serve/singleflight_test.go",
+}
+
+// unreadOnPurpose lists the fields the product writes so that nothing
+// reads them, each with the reason.
+var unreadOnPurpose = map[string]string{
+	"repro/benchmark.hostRefState.sink": "the host reference kernel folds its results in, so the compiler cannot drop the work it times",
+}
+
+// TestProductReadsItsFields holds every field of a struct declared in a
+// non-test file to being read by some non-test expression. A read is a
+// selector that resolves to the field, generic fields through their
+// origin, and is not the direct target of =, op= or ++/-- once parens and
+// indexing are stripped; a composite-literal key is a write. Exempt are
+// the fields of json-tagged wire structs, which encoding/json reads, and
+// of struct types whose values are compared whole or used as map keys.
+// Everything else that no non-test expression reads must be deleted or
+// listed in readByTests.
+func TestProductReadsItsFields(t *testing.T) {
+	fields, read := productFields(t)
+	var unread []string
+	for name, f := range fields {
+		_, hook := readByTests[name]
+		_, kept := unreadOnPurpose[name]
+		switch {
+		case read[f.v] && hook:
+			t.Errorf("%s is read by the product; drop its readByTests entry", name)
+		case read[f.v] && kept:
+			t.Errorf("%s is read by the product; drop its unreadOnPurpose entry", name)
+		case !read[f.v] && !hook && !kept:
+			unread = append(unread, name+" ("+f.pos+")")
+		}
+	}
+	sort.Strings(unread)
+	for _, s := range unread {
+		t.Errorf("no non-test expression reads %s", s)
+	}
+	for name := range unreadOnPurpose {
+		if _, ok := fields[name]; !ok {
+			t.Errorf("unreadOnPurpose names %s, which no non-test struct declares", name)
+		}
+	}
+	for name, file := range readByTests {
+		if _, ok := fields[name]; !ok {
+			t.Errorf("readByTests names %s, which no non-test struct declares", name)
+			continue
+		}
+		if !strings.HasSuffix(file, "_test.go") {
+			t.Errorf("readByTests: %s must name a test file, not %s", name, file)
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Errorf("readByTests: %s: %v", name, err)
+			continue
+		}
+		field := name[strings.LastIndex(name, ".")+1:]
+		if !regexp.MustCompile(`\.` + field + `\b`).Match(src) {
+			t.Errorf("readByTests: %s does not read %s", file, field)
+		}
+	}
+}
+
+// structField is one field of a struct declared in a non-test file.
+type structField struct {
+	v     *types.Var
+	owner *types.Struct
+	pos   string
+}
+
+// productFields type-checks the module's non-test files and returns their
+// struct fields, by package path, declaring type or variable, and field
+// name, together with the set of fields some expression reads, fields of
+// exempt structs included.
+func productFields(t *testing.T) (map[string]structField, map[*types.Var]bool) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := make(map[string][]*ast.File) // by package path
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "repro"
+		if dir := filepath.Dir(path); dir != "." {
+			pkg += "/" + filepath.ToSlash(dir)
+		}
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	imp := &moduleImporter{
+		fset:  fset,
+		files: files,
+		info:  info,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:  make(map[string]*types.Package),
+	}
+	paths := make([]string, 0, len(files))
+	for path := range files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fields := make(map[string]structField)
+	read := make(map[*types.Var]bool)
+	for _, path := range paths {
+		for _, f := range files[path] {
+			declaredFields(f, path, info, fset, fields)
+			readFields(f, info, read)
+		}
+	}
+	// Fields of wire structs and of structs compared whole count as read.
+	var exempt func(typ types.Type)
+	exempt = func(typ types.Type) {
+		switch u := typ.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i).Origin(); !read[f] {
+					read[f] = true
+					exempt(f.Type())
+				}
+			}
+		case *types.Array:
+			exempt(u.Elem())
+		}
+	}
+	for _, sf := range fields {
+		for i := 0; i < sf.owner.NumFields(); i++ {
+			if strings.Contains(sf.owner.Tag(i), `json:"`) {
+				exempt(sf.owner)
+				break
+			}
+		}
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.(*types.Map); ok {
+			exempt(m.Key())
+		}
+	}
+	for _, path := range paths {
+		for _, f := range files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if b, ok := n.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+					exempt(info.Types[b.X].Type)
+				}
+				return true
+			})
+		}
+	}
+	return fields, read
+}
+
+// declaredFields adds the fields of every struct type f spells to fields,
+// each named by its package path, the type or variable it is declared
+// with, and the fields enclosing it.
+func declaredFields(f *ast.File, pkg string, info *types.Info, fset *token.FileSet, fields map[string]structField) {
+	seen := make(map[*ast.StructType]bool)
+	var collect func(n ast.Node, name string)
+	collect = func(n ast.Node, name string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok || seen[st] {
+				return true
+			}
+			seen[st] = true
+			owner, _ := info.Types[st].Type.(*types.Struct)
+			for _, fld := range st.Fields.List {
+				idents := fld.Names
+				if len(idents) == 0 { // embedded: Defs holds the field under the type's name
+					ast.Inspect(fld.Type, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && info.Defs[id] != nil {
+							idents = append(idents, id)
+						}
+						return true
+					})
+				}
+				for _, id := range idents {
+					if v, ok := info.Defs[id].(*types.Var); ok && v.IsField() {
+						fields[name+"."+v.Name()] = structField{v, owner, fset.Position(id.Pos()).String()}
+					}
+					collect(fld.Type, name+"."+id.Name)
+				}
+			}
+			return false
+		})
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			collect(n.Type, pkg+"."+n.Name.Name)
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				collect(n.Type, pkg+"."+n.Names[0].Name)
+			}
+		case *ast.StructType:
+			collect(n, pkg+".struct@"+fset.Position(n.Pos()).String())
+		}
+		return true
+	})
+}
+
+// readFields marks every field f's expressions read, through selectors
+// that are not the direct target of an assignment, and every embedded
+// field a selector passes through.
+func readFields(f *ast.File, info *types.Info, read map[*types.Var]bool) {
+	written := make(map[*ast.SelectorExpr]bool)
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.IndexExpr:
+				e = x.X
+				continue
+			case *ast.IndexListExpr:
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				written[x] = true
+			}
+			return
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				target(e)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				target(n.Key)
+				target(n.Value)
+			}
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		s := info.Selections[sel]
+		if s == nil {
+			return true
+		}
+		// The embedded fields the selector passes through are read.
+		typ := s.Recv()
+		for _, i := range s.Index()[:len(s.Index())-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			f := typ.Underlying().(*types.Struct).Field(i)
+			read[f.Origin()] = true
+			typ = f.Type()
+		}
+		if v, ok := s.Obj().(*types.Var); ok && !written[sel] {
+			read[v.Origin()] = true
+		}
+		return true
+	})
+}
+
+// moduleImporter type-checks the module's packages from their non-test
+// files, each once, into one shared Info, and the standard library from
+// source.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.ImporterFrom
+	pkgs  map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.ImportFrom(path, "", 0)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
 }

@@ -132,10 +132,7 @@ type Options struct {
 
 // Program is a compiled MiniSplit program.
 type Program struct {
-	Source   string
 	Opts     Options
-	AST      *source.Program
-	Info     *sem.Info
 	Fn       *ir.Fn
 	Analysis *syncanal.Result
 	Target   *target.Prog
@@ -228,10 +225,7 @@ func newPassContext(ctx context.Context, src string, cfg pass.Config) *pass.Cont
 // programOf packages whatever pctx holds after a pipeline run.
 func programOf(pctx *pass.Context, opts Options, stats []pass.Stat) *Program {
 	return &Program{
-		Source:   pctx.Source,
 		Opts:     opts,
-		AST:      pctx.AST,
-		Info:     pctx.Info,
 		Fn:       pctx.Fn,
 		Analysis: pctx.Analysis,
 		Target:   pctx.Prog(),
@@ -254,8 +248,8 @@ func programOf(pctx *pass.Context, opts Options, stats []pass.Stat) *Program {
 // on first read: Analysis.Baseline, the plain Shasha–Snir set, which only a
 // LevelBaseline compile enforces, is computed once under a sync.Once by
 // whichever reader asks first (every other delay.Set counts and decodes per
-// call). Every Program generated from a Front shares those four, so callers
-// must treat them as read-only too.
+// call). Every Program generated from a Front shares its Fn and Analysis, so
+// callers must treat them as read-only too.
 type Front struct {
 	Source   string
 	Procs    int
@@ -311,8 +305,8 @@ func NewFront(ctx context.Context, src string, opts Options, pl *pass.Pipeline) 
 
 // Generate compiles the front's source at opts.Level, running the passes
 // from split-phase on. opts.Procs and opts.Exact must be the front's. The
-// Program is what Compile(f.Source, opts) returns, sharing the front's AST,
-// Info, Fn and Analysis; ctx and pl are as in NewFront.
+// Program is what Compile(f.Source, opts) returns, sharing the front's Fn
+// and Analysis; ctx and pl are as in NewFront.
 func (f *Front) Generate(ctx context.Context, opts Options, pl *pass.Pipeline) (*Program, error) {
 	if opts.Procs != f.Procs || opts.Exact != f.Exact {
 		return nil, fmt.Errorf("splitc: front built for procs=%d exact=%v, Generate asked for procs=%d exact=%v",
