@@ -2,7 +2,6 @@ package splitc
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
@@ -130,24 +129,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 func moduleDecls(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	decls := make(map[string]map[string]bool)
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	productFiles(t, token.NewFileSet(), func(_, _ string, f *ast.File) {
 		set := decls[f.Name.Name]
 		if set == nil {
 			set = make(map[string]bool)
@@ -205,11 +187,7 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	delete(decls, "main")
 	return decls
 }

@@ -155,28 +155,7 @@ func productFuncs(t *testing.T) []funcDecl {
 	t.Helper()
 	var decls []funcDecl
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Dir(path)
-		pkg := "repro"
-		if dir != "." {
-			pkg += "/" + filepath.ToSlash(dir)
-		}
+	productFiles(t, fset, func(pkg, dir string, f *ast.File) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || fd.Type.TypeParams != nil {
@@ -215,12 +194,43 @@ func productFuncs(t *testing.T) []funcDecl {
 			}
 			decls = append(decls, d)
 		}
+	})
+	return decls
+}
+
+// productFiles parses the module's non-test files, outside testdata and
+// dot directories, and hands each to visit with its package path and
+// directory.
+func productFiles(t *testing.T, fset *token.FileSet, visit func(pkg, dir string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		pkg := "repro"
+		if dir != "." {
+			pkg += "/" + filepath.ToSlash(dir)
+		}
+		visit(pkg, dir, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls
 }
 
 // tail returns the last n bytes of s.
@@ -333,33 +343,9 @@ func productFields(t *testing.T) (map[string]structField, map[*types.Var]bool) {
 	t.Helper()
 	fset := token.NewFileSet()
 	files := make(map[string][]*ast.File) // by package path
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := "repro"
-		if dir := filepath.Dir(path); dir != "." {
-			pkg += "/" + filepath.ToSlash(dir)
-		}
+	productFiles(t, fset, func(pkg, _ string, f *ast.File) {
 		files[pkg] = append(files[pkg], f)
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
