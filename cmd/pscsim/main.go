@@ -14,6 +14,7 @@
 //	-jitter F      network latency jitter fraction (default 0)
 //	-seed N        jitter seed
 //	-sc            also run the sequentially consistent oracle and compare
+//	               final memory and prints with it
 //	-mem           print final shared memory
 //	-stats         print per-processor statistics
 //	-dump-bytecode print the compiled bytecode before running
@@ -99,15 +100,25 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("sc oracle: %w", err))
 		}
-		if interp.FormatSnapshot(oracle.Memory) == interp.FormatSnapshot(res.Memory) {
-			fmt.Println("sc-check: final memory matches the sequentially consistent oracle")
+		weakKey, scKey, same := compareSC(res, oracle)
+		if same {
+			fmt.Println("sc-check: final memory and prints match the sequentially consistent oracle")
 		} else {
 			fmt.Println("sc-check: MISMATCH with the sequentially consistent oracle")
-			fmt.Println("  weak:", interp.FormatSnapshot(res.Memory))
-			fmt.Println("  sc:  ", interp.FormatSnapshot(oracle.Memory))
+			fmt.Println("  weak:", weakKey)
+			fmt.Println("  sc:  ", scKey)
 			os.Exit(1)
 		}
 	}
+}
+
+// compareSC renders the weak run's and the SC oracle's outcomes, final
+// memory and print log, as interp.OutcomeKey strings, the format scverify
+// compares outcomes in, and reports whether the two are equal.
+func compareSC(weak *interp.Result, oracle *interp.SCResult) (weakKey, scKey string, same bool) {
+	weakKey = interp.OutcomeKey(weak.Memory, weak.Prints)
+	scKey = interp.OutcomeKey(oracle.Memory, oracle.Prints)
+	return weakKey, scKey, weakKey == scKey
 }
 
 func fatal(err error) {

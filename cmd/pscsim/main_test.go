@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/machine"
 )
 
@@ -35,5 +37,24 @@ func TestMachineByName(t *testing.T) {
 	}
 	if _, err := machine.ByName("cray", 8); err == nil {
 		t.Error("unknown machine should fail")
+	}
+}
+
+// TestCompareSCReadsPrints holds -sc's check to the whole outcome: two runs
+// that end with the same memory but print different lines disagree, and
+// the same runs with equal print logs agree.
+func TestCompareSCReadsPrints(t *testing.T) {
+	mem := func() map[string][]ir.Value {
+		return map[string][]ir.Value{"X": {ir.IntVal(1), ir.IntVal(2)}}
+	}
+	weak := &interp.Result{Memory: mem(), Prints: []string{"v 1", "v 2"}}
+	sc := &interp.SCResult{Memory: mem(), Prints: []string{"v 2", "v 1"}}
+	weakKey, scKey, same := compareSC(weak, sc)
+	if same || weakKey == scKey {
+		t.Fatalf("print logs differ but the check agrees: weak %q, sc %q", weakKey, scKey)
+	}
+	sc.Prints = []string{"v 1", "v 2"}
+	if weakKey, scKey, same = compareSC(weak, sc); !same || weakKey != scKey {
+		t.Fatalf("equal outcomes disagree: weak %q, sc %q", weakKey, scKey)
 	}
 }

@@ -7,19 +7,17 @@ import (
 	"repro/internal/ir"
 )
 
-// classSolve is the solver of every query the hub solver does not take. It
-// answers §5.1 step 6's question — does the pair keep a back-path once
-// Removed has taken its nodes out? — on bitset rows, one region at a time,
-// structured around the access classing (Constraints.AccessClass): accesses
-// of one class share their directed rows and columns and their removal
-// behaviour, so the question is asked once per (a-class, target class) CELL
-// wherever the cell's answer is exact, and per pair only where it is not.
-// sccCompute hands it every query in this one shape: without a classing
-// every access is its own class, and every removal arrives as the exact
-// cover of the removed accesses (an empty one, with one id, when nothing is
-// removed). Target classes are grouped by SEED ROW (the target's conflict
-// row inside the region): every search of one of a group's pairs, with or
-// without the removal, starts from that row.
+// classSolve is the solver of the oriented query. It answers §5.1 step 6's
+// question — does the pair keep a back-path once Removed has taken its
+// nodes out? — on bitset rows, one region at a time, structured around the
+// access classing (the ClassOf of Constraints.DirRows): accesses of one
+// class share their directed rows and columns and their removal behaviour,
+// so the question is asked once per (a-class, target class) CELL wherever
+// the cell's answer is exact, and per pair only where it is not. Every
+// removal arrives as the exact cover of the removed accesses
+// (Constraints.RemovedCover). Target classes are grouped by SEED ROW (the
+// target's conflict row inside the region): every search of one of a
+// group's pairs, with or without the removal, starts from that row.
 //
 // Each cell is decided once (decideCell), by a pessimistic/optimistic
 // bracket of two searches: blocking BOTH whole classes under-approximates
@@ -77,17 +75,15 @@ func (e *classEngine) classSolve(members []int32) {
 }
 
 // classEngine is one sccCompute's class solver: what every worker reads —
-// the graphs, the normalized constraints, the region being solved — and
-// the workers, whose state lives across regions.
+// the graphs, the constraints, the region being solved — and the workers,
+// whose state lives across regions.
 type classEngine struct {
 	ag      *ir.AccessGraph
 	out     *Set
 	ends    endpointMask
 	gd      *mixedAdj
-	dirIn   graph.Rows
 	cover   func(a, b int, scratch []uint64) ([]uint64, int)
-	class   []int32 // access -> class id
-	ncl     int     // class ids are below it
+	class   []int32 // access -> class id: gd.dir.ClassOf
 	rg      classRegion
 	cand    []uint64 // the region loop's candidate row
 	workers []*classWorker
@@ -120,19 +116,15 @@ type seedGroup struct {
 	classes []int32 // the classes, as region indices
 }
 
-func newClassEngine(ag *ir.AccessGraph, out *Set, ends endpointMask, gd *mixedAdj, dirIn graph.Rows,
-	cover func(a, b int, scratch []uint64) ([]uint64, int), class []int32) *classEngine {
+func newClassEngine(ag *ir.AccessGraph, out *Set, ends endpointMask, gd *mixedAdj,
+	cover func(a, b int, scratch []uint64) ([]uint64, int)) *classEngine {
 
-	n := len(class)
+	n := len(gd.adj)
 	w := graph.WordsFor(n)
-	ncl := int32(0)
-	for _, c := range class {
-		ncl = max(ncl, c+1)
-	}
-	e := &classEngine{ag: ag, out: out, ends: ends, gd: gd, dirIn: dirIn, cover: cover, class: class,
-		ncl: int(ncl), cand: make([]uint64, w), workers: make([]*classWorker, workerCount(n))}
+	e := &classEngine{ag: ag, out: out, ends: ends, gd: gd, cover: cover, class: gd.dir.ClassOf,
+		cand: make([]uint64, w), workers: make([]*classWorker, workerCount(n))}
 	e.rg.mask = make([]uint64, w)
-	e.rg.local = make([]int32, ncl)
+	e.rg.local = make([]int32, len(gd.dir.ClassRow))
 	for i := range e.rg.local {
 		e.rg.local[i] = -1
 	}
@@ -271,7 +263,7 @@ func (e *classEngine) newWorker() *classWorker {
 	w := len(e.rg.mask)
 	row := func() []uint64 { return make([]uint64, w) }
 	s := &classWorker{e: e, cand: row(), cover: row(), vis: row(), teff: row(),
-		slots: make([]aclsSlot, e.ncl), reach: row(), none: row(),
+		slots: make([]aclsSlot, len(e.rg.local)), reach: row(), none: row(),
 		bG: row(), keepG: row(), dropG: row()}
 	s.scans.n = &s.work.RowScans
 	return s
@@ -322,7 +314,7 @@ func (s *classWorker) sharedCell(st *aclsSlot, a, gb int, k int32, id int, covG 
 		s.work.Closures++
 		s.queue = cl.build(e.gd, mask, covG, g.seeds, s.vis, s.queue, &s.scans)
 	}
-	ta := e.dirIn.Row(a)
+	ta := e.gd.in(a)
 	if !graph.BitGet(cl.s1, a) {
 		// No uncovered witness is touched, so the pessimistic pass has no
 		// target; the optimistic one has only the a-class's own witnesses,
@@ -368,7 +360,7 @@ func (s *classWorker) decideCell(st *aclsSlot, a, gb int, k int32, g *seedGroup)
 	if id >= 0 {
 		s2 := s.sharedCell(st, a, gb, k, id, covG, g)
 		if sharedCellHook != nil {
-			sharedCellHook(e.gd, mask, covG, e.dirIn.Row(a), drow, s.classMask(st, a), s.targetMask(k), s2)
+			sharedCellHook(e.gd, mask, covG, e.gd.in(a), drow, s.classMask(st, a), s.targetMask(k), s2)
 		}
 		return s2
 	}
@@ -386,7 +378,7 @@ func (s *classWorker) decideCell(st *aclsSlot, a, gb int, k int32, g *seedGroup)
 		return s2Plain // no removable access reachable
 	}
 	aG := s.classMask(st, a)
-	ta := e.dirIn.Row(a)
+	ta := e.gd.in(a)
 	survReach := false
 	for i, w := range s.reach {
 		t := ta[i] & mask[i]
@@ -482,7 +474,7 @@ func (s *classWorker) solve(g *seedGroup) {
 					s.work.PairSearches++
 					covG, _ := e.cover(a, gb, s.cover)
 					var hit bool
-					s.queue, hit = denseRestrict(e.gd, mask, covG, e.dirIn.Row(a), drow, a, gb, s.vis, s.teff, s.queue, &s.scans)
+					s.queue, hit = denseRestrict(e.gd, mask, covG, e.gd.in(a), drow, a, gb, s.vis, s.teff, s.queue, &s.scans)
 					if hit {
 						s.work.PairHits++
 						graph.BitSet(row, a)
@@ -877,23 +869,17 @@ type rowScans struct {
 
 // reset starts a search.
 func (rs *rowScans) reset(gd *mixedAdj) {
-	if gd.cls != nil {
-		rs.done = append(rs.done[:0], make([]uint64, graph.WordsFor(len(gd.cls.ClassRow)))...)
-	}
+	rs.done = append(rs.done[:0], make([]uint64, graph.WordsFor(len(gd.dir.ClassRow)))...)
 }
 
 // row returns u's directed row when the current search has not scanned it
 // yet, and nil when it has.
 func (rs *rowScans) row(gd *mixedAdj, u int) []uint64 {
-	if gd.cls == nil {
-		*rs.n++
-		return gd.dir.Row(u)
-	}
-	c := int(gd.cls.ClassOf[u])
+	c := int(gd.dir.ClassOf[u])
 	if graph.BitGet(rs.done, c) {
 		return nil
 	}
 	graph.BitSet(rs.done, c)
 	*rs.n++
-	return gd.cls.ClassRow[c]
+	return gd.dir.ClassRow[c]
 }

@@ -22,9 +22,9 @@
 //     re-enters the local copy of a on a conflict edge. The engine resolves
 //     all pairs of one target b together and confines every search to one
 //     strongly connected component of the mixed graph. Two solvers share
-//     the work: the hub solver takes the symmetric query without removal,
-//     whatever its endpoint filter, and the class solver every other query,
-//     region by region (region.go says what selects each);
+//     the work, one per query shape: the hub solver takes the symmetric
+//     query, whatever its endpoint filter, and the class solver the
+//     oriented one, region by region (region.go);
 //   - the oracle (reference.go, ComputeReference) runs one search per
 //     program-order pair over adjacency materialized through closures. It
 //     is what the differential tests hold the production engine to, and it
@@ -34,13 +34,14 @@
 //     programs and for the ablation comparing delay-set sizes.
 //
 // Section 5.1 asks the question in two shapes, and Constraints describes
-// exactly those: unconstrained over the pairs with a synchronization
-// endpoint (step 2's D1, an endpoint filter that keeps), and
-// oriented-and-removed over the data–data pairs (directed conflict edges
-// from the precedence relation R, per-pair node removal by precedence and
-// mutual exclusion, synchronization endpoints skipped). The Shasha–Snir
-// baseline is D1 plus the unconstrained query that skips the same
-// endpoints; a caller that may never read it builds it as a Deferred set.
+// exactly those and no others: unconstrained over the pairs with a
+// synchronization endpoint (step 2's D1, an endpoint filter that keeps),
+// and oriented-and-removed over the data–data pairs (directed conflict
+// edges from the precedence relation R, per-pair node removal by
+// precedence and mutual exclusion, synchronization endpoints skipped). The
+// Shasha–Snir baseline is D1 plus the unconstrained query that skips the
+// same endpoints; a caller that may never read it builds it as a Deferred
+// set.
 package delay
 
 import (
@@ -167,76 +168,66 @@ func (s *Set) String() string {
 	return sb.String()
 }
 
-// Constraints parameterizes the back-path search with synchronization
-// information. The zero value means: conflict edges usable in both
-// directions, no nodes removed, every program-order pair considered —
-// plain Shasha & Snir. DESIGN.md §18 tabulates which caller sets which
-// field and which solver reads it.
+// Constraints is a back-path query in one of the two shapes section 5.1
+// asks for. Without DirRows it is symmetric: conflict edges usable in both
+// directions, no nodes removed — plain Shasha & Snir, the hub solver's
+// query — and Comp, Removed and RemovedCover are left nil. With DirRows it
+// is oriented and must carry Comp, Removed and RemovedCover as well: the
+// class solver's query. The endpoint filter and Exact apply to both.
+// DESIGN.md §18 tabulates which caller sets which field and which solver
+// reads it.
 type Constraints struct {
-	// ConflictDir, when non-nil, restricts the direction in which a
-	// conflict edge may be traversed: the edge x -> y is usable only if
-	// ConflictDir(x, y). Orientation comes from the precedence relation
-	// (step 5 of the section 5.1 algorithm).
-	ConflictDir func(x, y int) bool
-	// Removed, when non-nil, excludes access z from back-path searches for
-	// the pair (a, b) (steps illustrated by Figure 6 and the lock rule of
-	// section 5.3). Endpoints are never excluded.
-	Removed func(a, b, z int) bool
 	// Exact enables the exponential simple-path search on programs of at
 	// most ExactLimit accesses; larger ones get the polynomial search.
 	Exact bool
-
 	// Endpoints restricts the pairs considered by their endpoints (see
 	// EndpointFilter). Step 2 of section 5.1 keeps the pairs with a
 	// synchronization endpoint, which is D1; the data–data pass skips them,
 	// because they are already in D1.
 	Endpoints EndpointFilter
-	// DirRows, when non-nil, supplies the directed conflict adjacency as
-	// row bitsets (bit (x, y) set iff the conflict edge x -> y is usable).
-	// It must agree with ConflictDir when both are set. The production
-	// engine consumes it word-parallel instead of calling ConflictDir per
-	// edge; the oracle prefers ConflictDir, which preserves its
-	// independence, and reads DirRows only when no ConflictDir is given. A
-	// *graph.ClassRows backing, which must store its columns (ClassCol),
-	// shares one row and one column per equivalence class, so callers with
-	// class structure (AccessClass) never materialize n rows.
-	DirRows graph.Rows
-	// Comp, when non-nil, supplies a precomputed condensation of the mixed
-	// graph (program order plus DirRows/ConflictDir edges). Its components
-	// must be closed under the mixed edges: any union of SCCs of a
-	// SUPERgraph is sound, because every back-path of the actual graph
-	// stays inside one component of any coarser closed partition. A caller
-	// that already condensed the graph shares the result: syncanal hands
-	// over the condensation its region statistics took of DirRows itself.
+	// DirRows, when non-nil, orients the query: bit (x, y) of its rows is
+	// set iff the conflict edge x -> y is usable (step 5 of section 5.1
+	// drops the directions the precedence relation R rules out). Its
+	// columns (ClassCol) are required: the class solver reads them as each
+	// access's witnesses, the accesses with a usable conflict edge into it.
+	// ClassOf is the access classing the class solver works by: two
+	// accesses with equal class ids share their rows and columns by
+	// construction, and must also get identical RemovedCover output in
+	// either pair position (for any fixed partner), Removed answers that
+	// depend on each pair endpoint only through its class, and identical
+	// conflict rows. The engine then shares its searches between the
+	// targets of one seed row, decides the removal once per (source class,
+	// target class) cell, and runs the exact per-pair search only in the
+	// cells that decision leaves open. Declaring interchangeability that
+	// does not hold yields wrong results; syncanal's tests check it
+	// differentially against a per-access query whose every access is its
+	// own class.
+	DirRows *graph.ClassRows
+	// Comp is a condensation of the mixed graph (program order plus the
+	// DirRows edges). Its components must be closed under the mixed edges:
+	// any union of SCCs of a SUPERgraph is sound, because every back-path
+	// of the actual graph stays inside one component of any coarser closed
+	// partition. The class solver solves one component at a time; syncanal
+	// hands over the condensation its region statistics took of DirRows.
 	Comp *graph.Condensation
-	// RemovedCover, when non-nil alongside Removed, returns the bitset of
-	// exactly the accesses the Removed predicate excludes for the pair
-	// (a, b) — up to the endpoints, which the engine exempts itself — and
-	// the row's id. It may build the row in scratch, with a negative id, or
-	// return a row it shares between pairs and between concurrent calls,
-	// with an id that pairs get the same row under; either way the caller
-	// only reads it. The engine folds the cover into each restricted search
-	// word-parallel instead of asking Removed per node, skips the removal
-	// where the cover misses a search's reach, and shares its searches
-	// between the cells of one id, which is what makes Removed constraints
-	// affordable at tens of thousands of accesses. Without it the engine
-	// builds the cover from Removed, pair by pair. A cover holding an access
-	// Removed keeps yields wrong results.
+	// Removed excludes access z from back-path searches for the pair
+	// (a, b) (steps illustrated by Figure 6 and the lock rule of section
+	// 5.3). Endpoints are never excluded. The oracle asks it per node; the
+	// engine reads RemovedCover instead.
+	Removed func(a, b, z int) bool
+	// RemovedCover returns the bitset of exactly the accesses Removed
+	// excludes for the pair (a, b) — up to the endpoints, which the engine
+	// exempts itself — and the row's id. It may build the row in scratch,
+	// with a negative id, or return a row it shares between pairs and
+	// between concurrent calls, with an id that pairs get the same row
+	// under; either way the caller only reads it. The engine folds the
+	// cover into each restricted search word-parallel instead of asking
+	// Removed per node, skips the removal where the cover misses a
+	// search's reach, and shares its searches between the cells of one id,
+	// which is what makes Removed constraints affordable at tens of
+	// thousands of accesses. A cover holding an access Removed keeps
+	// yields wrong results.
 	RemovedCover func(a, b int, scratch []uint64) ([]uint64, int)
-	// AccessClass, when non-nil, partitions the accesses into constraint
-	// classes the engine may treat as interchangeable: two accesses with
-	// equal class ids must have identical DirRows rows AND columns,
-	// identical RemovedCover output in either pair position (for any fixed
-	// partner), Removed answers that depend on each pair endpoint only
-	// through its class, and identical conflict rows. The engine then
-	// shares its searches between the targets of one seed row, decides the
-	// removal once per (source class, target class) cell, and runs the
-	// exact per-pair search only in the cells that decision leaves open.
-	// Without it every access is its own class. Declaring
-	// interchangeability that does not hold yields wrong results;
-	// syncanal's tests check it differentially against a per-access
-	// oracle that declares no classes.
-	AccessClass []int32
 }
 
 // EndpointFilter selects program-order pairs by their endpoints. With Keep

@@ -195,7 +195,7 @@ func TestOrientationKillsBackPath(t *testing.T) {
 		// Allow conflict traversal only from write (0,1) to read (2,3).
 		return x < 2 && y >= 2 || x < 2 && y < 2 || false
 	}
-	d := Compute(ag, cs, Constraints{ConflictDir: oriented})
+	d := Compute(ag, cs, directedQuery(ag, cs, oriented, nil, nil))
 	if d.Has(2, 3) {
 		t.Errorf("orientation should kill the read-side delay:\n%s", d)
 	}
@@ -206,7 +206,8 @@ func TestRemovalKillsBackPath(t *testing.T) {
 	// eliminates the delay.
 	_, ag, cs := setup(t, figure1, 0)
 	removed := func(a, b, z int) bool { return z == 2 } // drop read Flag
-	d := Compute(ag, cs, Constraints{Removed: removed})
+	both := func(x, y int) bool { return true }
+	d := Compute(ag, cs, directedQuery(ag, cs, both, removed, nil))
 	// Back-path for [a0,a1] was a1 -C-> a2 -P-> a3 -C-> a0.
 	if d.Has(0, 1) {
 		t.Errorf("removal of a2 should kill the write-side delay:\n%s", d)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/conflict"
-	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/progen"
 	"repro/internal/sem"
@@ -47,69 +46,31 @@ func denseFn(tb testing.TB) *ir.Fn {
 	return nil
 }
 
-// denseVariants are the directed constraint variants of the large-input
-// differential, each without and with an access classing, and the classed
-// removal one also with cover ids. The removal predicate is shaped like the
+// denseVariants are the oriented variants of the large-input differential,
+// every access its own class and then classed, each without removal, with
+// it, and with it under cover ids. The classed variants put the removal
+// behind an orientation by conflict group (groupDir), so whole groups share
+// their directed rows and columns. The removal predicate is shaped like the
 // production lock guards — rem(a,b,z) holds iff a, b, and z share a mask
-// bit — and the cover is exactly the removed set.
-func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
-	n := len(fn.Accesses)
+// bit — and the cover is exactly the removed set; it depends on the pair
+// only through m[a] & m[b], which numbers it for the variants that share
+// searches between the cells of a cover.
+func denseVariants(ag *ir.AccessGraph, cs *conflict.Set) []variant {
+	n := cs.N()
 	m := make([]uint64, n)
 	for x := 0; x < n; x++ {
 		m[x] = 1 << uint(x%5)
 	}
 	rem := func(a, b, z int) bool { return m[a]&m[b]&m[z] != 0 }
-	cover := func(a, b int, scratch []uint64) ([]uint64, int) {
-		for i := range scratch {
-			scratch[i] = 0
-		}
-		ab := m[a] & m[b]
-		for z := 0; z < n; z++ {
-			if m[z]&ab != 0 {
-				graph.BitSet(scratch, z)
-			}
-		}
-		return scratch, -1
-	}
-	// The cover depends on the pair only through m[a] & m[b], which numbers
-	// it for the variant that shares searches between the cells of a cover.
-	idCover := func(a, b int, scratch []uint64) ([]uint64, int) {
-		row, _ := cover(a, b, scratch)
-		return row, int(m[a] & m[b])
-	}
-	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
-	dirRows := directedRows(cs, cdir)
-	// The classed variants put the same removal behind an orientation that
-	// depends on an access only through its conflict group, so whole groups
-	// share their directed rows and columns, and hand the engine the
-	// partition that interning (directed row, directed column, conflict
-	// row, removal mask) yields — valid as Constraints.AccessClass by
-	// construction.
-	gdir := func(x, y int) bool {
-		gx, gy := cs.GroupOf(x), cs.GroupOf(y)
-		return (gx+gy)%3 != 0 || gx <= gy
-	}
-	gRows := directedRows(cs, gdir)
-	gCols := gRows.Transpose()
-	classOf := make([]int32, n)
-	var classes graph.RowInterner
-	var key []uint64
-	for x := 0; x < n; x++ {
-		key = append(key[:0], gRows.Row(x)...)
-		key = append(key, gCols.Row(x)...)
-		key = append(key, cs.Row(x)...)
-		key = append(key, m[x])
-		classOf[x], _ = classes.Intern(key)
-	}
+	ids := func(a, b int) int { return int(m[a] & m[b]) }
+	gdir := groupDir(cs)
 	return []variant{
-		{"dirrows", Constraints{DirRows: dirRows}},
-		{"dirrows+removed+cover", Constraints{
-			DirRows: dirRows, Removed: rem, RemovedCover: cover}},
-		{"classed", Constraints{DirRows: gRows, AccessClass: classOf}},
-		{"classed+removed+cover", Constraints{
-			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: cover}},
-		{"classed+removed+cover+ids", Constraints{
-			DirRows: gRows, AccessClass: classOf, Removed: rem, RemovedCover: idCover}},
+		{"oriented", directedQuery(ag, cs, pairDir, nil, nil)},
+		{"oriented+removed", directedQuery(ag, cs, pairDir, rem, nil)},
+		{"oriented+removed+ids", directedQuery(ag, cs, pairDir, rem, ids)},
+		{"classed", classedQuery(cs, directedQuery(ag, cs, gdir, nil, nil))},
+		{"classed+removed", classedQuery(cs, directedQuery(ag, cs, gdir, rem, nil))},
+		{"classed+removed+ids", classedQuery(cs, directedQuery(ag, cs, gdir, rem, ids))},
 	}
 }
 
@@ -117,6 +78,9 @@ func denseVariants(fn *ir.Fn, cs *conflict.Set) []variant {
 // question of the variant listed before it, since the oracle reads neither
 // the cover nor its ids.
 func (v variant) sharesCovers() bool { return strings.HasSuffix(v.name, "+ids") }
+
+// removes reports whether the variant's Removed excludes any access.
+func (v variant) removes() bool { return strings.Contains(v.name, "+removed") }
 
 // denseOracle holds what the large-input differentials share: denseFn's
 // graphs, the dense variants, and the reference engine's set for each and
@@ -139,7 +103,7 @@ func denseReference(t *testing.T) {
 		fn := denseFn(t)
 		o.ag = ir.BuildAccessGraph(fn)
 		o.cs = conflict.Compute(fn)
-		o.variants = denseVariants(fn, o.cs)
+		o.variants = denseVariants(o.ag, o.cs)
 		o.want = make([]*Set, len(o.variants))
 		var wg sync.WaitGroup
 		for i, v := range o.variants {
@@ -167,13 +131,12 @@ func denseReference(t *testing.T) {
 
 // TestDenseRegionMatchesReference is the large-input differential: on a
 // program of several hundred accesses the engine must stay pair-identical
-// to the per-pair reference search — on the directed variants without an
-// access classing (every access its own class), on their classed
-// counterparts, each at one worker and fanned over three, and on the plain
-// baseline the hub solver answers. Every directed variant must run through
-// classSolve. Of the classed removal variants the one with cover ids
-// decides its cells by the shared searches, the one without by the bracket
-// alone.
+// to the per-pair reference search — on the oriented variants with every
+// access its own class, on their classed counterparts, each at one worker
+// and fanned over three, and on the plain baseline the hub solver answers.
+// Every oriented variant must run through classSolve. Of the removal
+// variants the ones with cover ids decide their cells by the shared
+// searches, the ones without by the bracket alone.
 func TestDenseRegionMatchesReference(t *testing.T) {
 	saved := Workers
 	defer func() { Workers = saved }()
@@ -186,7 +149,7 @@ func TestDenseRegionMatchesReference(t *testing.T) {
 			work := WatchClassWork(t)
 			pairsEqual(t, fmt.Sprintf("dense %s (n=%d, workers=%d)", v.name, n, nw), Compute(o.ag, o.cs, v.con), o.want[i])
 			if work.Pairs == 0 {
-				t.Fatalf("dense %s: classSolve visited no pair; it answers every directed variant", v.name)
+				t.Fatalf("dense %s: classSolve visited no pair; it answers every oriented variant", v.name)
 			}
 		}
 	}
@@ -218,7 +181,7 @@ func TestRemovedSetWithinPlainSet(t *testing.T) {
 	o := &denseOracle
 	plain := -1
 	for i, v := range o.variants {
-		if v.con.Removed == nil {
+		if !v.removes() {
 			plain = i // the removal variants that follow restrict this one
 			continue
 		}
@@ -236,12 +199,12 @@ func TestRemovedSetWithinPlainSet(t *testing.T) {
 		}
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
-		for _, v := range diffVariants(fn, cs) {
-			if v.con.Removed == nil {
+		for _, v := range diffVariants(ag, cs) {
+			if !v.removes() {
 				continue
 			}
 			ref := v.con
-			ref.Removed, ref.RemovedCover = nil, nil
+			ref.Removed = nil
 			subsetOf(t, fmt.Sprintf("seed %d %s", seed, v.name), Compute(ag, cs, v.con), ComputeReference(ag, cs, ref))
 		}
 		checked++

@@ -40,49 +40,120 @@ type variant struct {
 	con  Constraints
 }
 
-// diffVariants returns the constraint variants the differential tests
-// exercise, spanning every shape Constraints can express: plain (the hub
-// solver), oriented (ConflictDir and its DirRows bit-matrix form), skipped
-// and kept endpoints, per-pair removal (with and without a RemovedCover
-// screen), and their combinations — including the symmetric-but-removed
-// shapes no production caller requests, which Compute must still answer.
-// Hooks are synthetic but deterministic.
-func diffVariants(fn *ir.Fn, cs *conflict.Set) []variant {
-	n := len(fn.Accesses)
-	cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
-	rem := func(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
+// pairDir is the test orientation that decides each conflict edge by its
+// endpoints.
+func pairDir(x, y int) bool { return (x+y)%3 != 0 || x <= y }
+
+// groupDir is the test orientation that decides each conflict edge by its
+// endpoints' conflict groups, so whole groups share their directed rows
+// and columns.
+func groupDir(cs *conflict.Set) func(x, y int) bool {
+	return func(x, y int) bool {
+		gx, gy := cs.GroupOf(x), cs.GroupOf(y)
+		return (gx+gy)%3 != 0 || gx <= gy
+	}
+}
+
+// directedQuery builds the oriented query over the conflict edges x -> y
+// that dir allows, every access its own class: DirRows with its columns,
+// Comp the condensation of the mixed graph they make, and rem (nil for
+// none) as Removed beside its exact cover. The cover is built for each
+// pair afresh, under id -1 or, when ids is non-nil, under ids(a, b), which
+// must give one number only to pairs with one cover.
+func directedQuery(ag *ir.AccessGraph, cs *conflict.Set, dir func(x, y int) bool,
+	rem func(a, b, z int) bool, ids func(a, b int) int) Constraints {
+
+	n, w := cs.N(), graph.WordsFor(cs.N())
+	rows := &graph.ClassRows{ClassOf: make([]int32, n), ClassRow: make([][]uint64, n), ClassCol: make([][]uint64, n)}
+	for x := 0; x < n; x++ {
+		rows.ClassOf[x] = int32(x)
+		rows.ClassRow[x], rows.ClassCol[x] = make([]uint64, w), make([]uint64, w)
+	}
+	for x := 0; x < n; x++ {
+		anyConflictOut(cs, dir, x, func(y int) bool {
+			graph.BitSet(rows.ClassRow[x], y)
+			graph.BitSet(rows.ClassCol[y], x)
+			return false
+		})
+	}
+	if rem == nil {
+		rem = func(a, b, z int) bool { return false }
+	}
 	cover := func(a, b int, scratch []uint64) ([]uint64, int) {
-		for i := range scratch {
-			scratch[i] = 0
-		}
+		clear(scratch)
 		for z := 0; z < n; z++ {
 			if rem(a, b, z) {
 				graph.BitSet(scratch, z)
 			}
 		}
-		return scratch, -1
+		if ids == nil {
+			return scratch, -1
+		}
+		return scratch, ids(a, b)
 	}
+	return Constraints{DirRows: rows, Comp: graph.CondenseMixed(ag.Succ, rows), Removed: rem, RemovedCover: cover}
+}
+
+// classedQuery re-classes the identity-classed query q by the partition
+// that interning (directed row, directed column, conflict row, x mod 5)
+// yields: a classing the engine may use whenever q's removal depends on
+// each endpoint only through its residue mod 5, as both test removals do.
+func classedQuery(cs *conflict.Set, q Constraints) Constraints {
+	per := q.DirRows
+	n := len(per.ClassOf)
+	rows := &graph.ClassRows{ClassOf: make([]int32, n)}
+	var classes graph.RowInterner
+	var key []uint64
+	for x := 0; x < n; x++ {
+		key = append(key[:0], per.Row(x)...)
+		key = append(key, per.ClassCol[x]...)
+		key = append(key, cs.Row(x)...)
+		key = append(key, uint64(x%5))
+		c, fresh := classes.Intern(key)
+		rows.ClassOf[x] = c
+		if fresh {
+			rows.ClassRow = append(rows.ClassRow, per.Row(x))
+			rows.ClassCol = append(rows.ClassCol, per.ClassCol[x])
+		}
+	}
+	q.DirRows = rows
+	return q
+}
+
+// removedMod5 is the grid's synthetic removal, and coverMod5 numbers its
+// covers: the cover of (a, b) depends on the pair only through
+// (a + 2b) mod 5.
+func removedMod5(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
+func coverMod5(a, b int) int       { return (a + 2*b) % 5 }
+
+// diffVariants returns the constraint variants the differential tests
+// exercise, spanning both shapes Constraints expresses: the symmetric query
+// (the hub solver) plain, skipping and keeping endpoints, and the oriented
+// query (the class solver), every access its own class, without and with
+// removal, its covers with and without shared ids, under each endpoint
+// filter. Hooks are synthetic but deterministic.
+func diffVariants(ag *ir.AccessGraph, cs *conflict.Set) []variant {
+	n := cs.N()
 	var sparse []int
 	for i := 0; i < n; i += 7 {
 		sparse = append(sparse, i)
 	}
-	dirRows := directedRows(cs, cdir)
 	skip := EndpointFilter{IDs: sparse}
 	keep := EndpointFilter{IDs: sparse, Keep: true}
+	oriented := directedQuery(ag, cs, pairDir, nil, nil)
+	removed := directedQuery(ag, cs, pairDir, removedMod5, nil)
+	shared := directedQuery(ag, cs, pairDir, removedMod5, coverMod5)
+	removedSkip, sharedKeep := removed, shared
+	removedSkip.Endpoints, sharedKeep.Endpoints = skip, keep
 	return []variant{
 		{"plain", Constraints{}},
-		{"dir", Constraints{ConflictDir: cdir}},
-		{"dirrows", Constraints{DirRows: dirRows}},
 		{"skip", Constraints{Endpoints: skip}},
 		{"keep", Constraints{Endpoints: keep}},
-		{"skip+dir", Constraints{Endpoints: skip, ConflictDir: cdir}},
-		{"keep+dir", Constraints{Endpoints: keep, ConflictDir: cdir}},
-		{"removed", Constraints{Removed: rem}},
-		{"removed+cover", Constraints{Removed: rem, RemovedCover: cover}},
-		{"removed+cover+skip", Constraints{Removed: rem, RemovedCover: cover, Endpoints: skip}},
-		{"removed+cover+keep", Constraints{Removed: rem, RemovedCover: cover, Endpoints: keep}},
-		{"dir+removed", Constraints{ConflictDir: cdir, Removed: rem}},
-		{"dirrows+removed+cover+skip", Constraints{DirRows: dirRows, Removed: rem, RemovedCover: cover, Endpoints: skip}},
+		{"oriented", oriented},
+		{"oriented+removed", removed},
+		{"oriented+removed+ids", shared},
+		{"oriented+removed+skip", removedSkip},
+		{"oriented+removed+ids+keep", sharedKeep},
 	}
 }
 
@@ -123,7 +194,7 @@ func TestBatchedMatchesReference(t *testing.T) {
 		}
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
-		for _, v := range diffVariants(fn, cs) {
+		for _, v := range diffVariants(ag, cs) {
 			want := ComputeReference(ag, cs, v.con)
 			for _, nw := range []int{1, 2, 3, 8} {
 				Workers = nw
@@ -156,7 +227,7 @@ func TestEndpointFilterMatchesPerPairFilter(t *testing.T) {
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
 		syncIDs := syncIDsOf(fn)
-		for _, v := range diffVariants(fn, cs) {
+		for _, v := range diffVariants(ag, cs) {
 			ref := v.con
 			ref.Endpoints = EndpointFilter{}
 			all := ComputeReference(ag, cs, ref).Pairs()
@@ -195,7 +266,7 @@ func TestEndpointPolaritiesPartition(t *testing.T) {
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
 		syncIDs := syncIDsOf(fn)
-		for _, v := range diffVariants(fn, cs) {
+		for _, v := range diffVariants(ag, cs) {
 			label := fmt.Sprintf("seed %d %s (n=%d)", seed, v.name, len(fn.Accesses))
 			whole := v.con
 			whole.Endpoints = EndpointFilter{}
@@ -231,7 +302,7 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 	}
 	ag := ir.BuildAccessGraph(fn)
 	cs := conflict.Compute(fn)
-	for _, v := range diffVariants(fn, cs) {
+	for _, v := range diffVariants(ag, cs) {
 		Workers = 1
 		seq := Compute(ag, cs, v.con)
 		for _, nw := range []int{2, 3, 8} {

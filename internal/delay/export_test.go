@@ -130,8 +130,8 @@ func (c *SharedCells) check(gd *mixedAdj, mask, cov, ta, drow, aG, bG []uint64, 
 func DenseSharedCase(t testing.TB) (*ir.AccessGraph, *conflict.Set, Constraints) {
 	fn := denseFn(t)
 	ag, cs := ir.BuildAccessGraph(fn), conflict.Compute(fn)
-	for _, v := range denseVariants(fn, cs) {
-		if v.name == "classed+removed+cover+ids" {
+	for _, v := range denseVariants(ag, cs) {
+		if v.name == "classed+removed+ids" {
 			return ag, cs, v.con
 		}
 	}

@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/conflict"
-	"repro/internal/graph"
 	"repro/internal/ir"
 )
 
 // FuzzBackPathEquivalence fuzzes the production engine against the
 // per-pair reference search: any seed/mode combination that produces a
 // buildable program must yield pair-identical delay sets. The mode bits
-// pick the constraint shape — 1 orientation, 2 removal, 4 orientation as
-// DirRows instead of ConflictDir, 8 an endpoint filter (skipping its
-// endpoints, or keeping them with 32), 16 a RemovedCover screen.
+// pick the constraint shape — 1 the oriented query (the class solver;
+// without it the symmetric one, the hub solver), and on top of it 2 a
+// removal, 4 cover ids, 16 a classing (orientation by conflict group,
+// classed by classedQuery) — and 8 an endpoint filter, skipping its
+// endpoints, or keeping them with 32.
 func FuzzBackPathEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		for mode := uint8(0); mode < 64; mode += 3 {
@@ -30,29 +31,21 @@ func FuzzBackPathEquivalence(f *testing.F) {
 		cs := conflict.Compute(fn)
 		con := Constraints{}
 		if mode&1 != 0 {
-			cdir := func(x, y int) bool { return (x+y)%3 != 0 || x <= y }
-			if mode&4 == 0 {
-				con.ConflictDir = cdir
-			} else {
-				rows := directedRows(cs, cdir)
-				con.DirRows = rows
-			}
-		}
-		if mode&2 != 0 {
-			rem := func(a, b, z int) bool { return (a+2*b+3*z)%5 == 0 }
-			con.Removed = rem
+			dir := pairDir
 			if mode&16 != 0 {
-				con.RemovedCover = func(a, b int, scratch []uint64) ([]uint64, int) {
-					for i := range scratch {
-						scratch[i] = 0
-					}
-					for z := 0; z < n; z++ {
-						if rem(a, b, z) {
-							graph.BitSet(scratch, z)
-						}
-					}
-					return scratch, -1
-				}
+				dir = groupDir(cs)
+			}
+			var rem func(a, b, z int) bool
+			var ids func(a, b int) int
+			if mode&2 != 0 {
+				rem = removedMod5
+			}
+			if mode&4 != 0 {
+				ids = coverMod5
+			}
+			con = directedQuery(ag, cs, dir, rem, ids)
+			if mode&16 != 0 {
+				con = classedQuery(cs, con)
 			}
 		}
 		if mode&8 != 0 {

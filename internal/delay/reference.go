@@ -10,11 +10,11 @@ import (
 
 // ComputeReference is the oracle of the package: the definition of a
 // back-path run once per program-order pair, the successor lists and
-// conflict rows read in place, nothing shared between pairs. The differential tests call it by
-// name and hold Compute to its answer, and the exact search
-// (Constraints.Exact) exists only here. It reads the plain fields of
-// Constraints — ConflictDir (or, without one, DirRows), Removed,
-// Endpoints — and none of the engine's accelerators.
+// conflict rows read in place, nothing shared between pairs. The
+// differential tests call it by name and hold Compute to its answer, and
+// the exact search (Constraints.Exact) exists only here. It reads the plain
+// fields of Constraints — DirRows bit by bit, Removed per node, Endpoints —
+// and none of the engine's accelerators (Comp, RemovedCover, the classing).
 func ComputeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	out := NewSet(fn)
@@ -22,13 +22,9 @@ func ComputeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Se
 	if n == 0 {
 		return out
 	}
-	cdir := con.ConflictDir
-	switch {
-	case cdir != nil:
-	case con.DirRows != nil:
+	cdir := func(x, y int) bool { return true }
+	if con.DirRows != nil {
 		cdir = func(x, y int) bool { return graph.BitGet(con.DirRows.Row(x), y) }
-	default:
-		cdir = func(x, y int) bool { return true }
 	}
 	listed := make([]bool, n)
 	for _, x := range con.Endpoints.IDs {

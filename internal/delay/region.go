@@ -25,16 +25,16 @@ import (
 //
 // Two solvers split the work, selected by the query's shape:
 //
-//   - hubCompute takes the symmetric query without removal, under any
-//     endpoint filter (step 2's D1 and the rest of the Shasha–Snir
-//     baseline; computeRegion selects it when no direction or removal is
-//     set). There barrier conflict edges glue the whole program into one
-//     giant SCC and regionization is useless. Instead the Theta(n^2)
-//     conflict edges are compressed through per-group hub nodes: accesses
-//     with the same (kind, symbol, index shape) conflict with exactly the
-//     same opponents, so one collector node per group receives its members
-//     and one distributor node re-emits them, turning each group-pair
-//     clique into two hub edges. One uncut base BFS per conflict group runs
+//   - hubCompute takes the symmetric query, under any endpoint filter
+//     (step 2's D1 and the rest of the Shasha–Snir baseline; computeRegion
+//     selects it when the query has no DirRows). There barrier conflict
+//     edges glue the whole program into one giant SCC and regionization
+//     is useless. Instead the Theta(n^2) conflict edges are compressed
+//     through per-group hub nodes: accesses with the same (kind, symbol,
+//     index shape) conflict with exactly the same opponents, so one
+//     collector node per group receives its members and one distributor
+//     node re-emits them, turning each group-pair clique into two hub
+//     edges. One uncut base BFS per conflict group runs
 //     on ~2n + g^2 edges instead of n^2; the witness pools drawn from it
 //     decide each (target, adjacency class of the source's group) cell a
 //     word at a time, and each candidate a cell leaves open gets one exact
@@ -42,7 +42,7 @@ import (
 //     and a conflict group none of whose members has a candidate skips its
 //     base sweep.
 //
-//   - classSolve takes every other query: directed conflict edges or a
+//   - classSolve takes the oriented query: directed conflict edges and a
 //     Removed predicate, under any endpoint filter. Under orientation the
 //     mixed graph decomposes into many small SCCs — essentially the
 //     barrier phases — which sccCompute hands it one after another. On
@@ -93,8 +93,8 @@ type pairScratch struct {
 	stack []int32
 }
 
-// computeRegion is the engine entry point: the symmetric query without
-// removal goes to the hub solver, every other shape to the class solver.
+// computeRegion is the engine entry point: the symmetric query goes to the
+// hub solver, the oriented one to the class solver.
 func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 	fn := ag.Fn
 	n := len(fn.Accesses)
@@ -103,10 +103,10 @@ func computeRegion(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
 		return out
 	}
 	ends := con.Endpoints.mask(graph.WordsFor(n))
-	if con.ConflictDir == nil && con.DirRows == nil && con.Removed == nil {
+	if con.DirRows == nil {
 		hubCompute(ag, cs, ends, out)
 	} else {
-		sccCompute(ag, cs, con, ends, out)
+		sccCompute(ag, con, ends, out)
 	}
 	return out
 }
@@ -202,7 +202,7 @@ func witnessSpan(w, tin []int32, inVis bool, lo, hi int32) (st uint8, mn, mx int
 
 // hubCompute answers every program-order pair the endpoint filter
 // considers under symmetric unrestricted conflicts — no orientation, no
-// removal (computeRegion sends anything else to sccCompute) — on the
+// removal (computeRegion sends the oriented query to sccCompute) — on the
 // hub-compressed mixed graph. Node layout: accesses [0, n), collector
 // C_g at n+g, distributor D_g at n+G+g; the real conflict edge x -> y is
 // realized as x -> C_{g(x)} -> D_{g(y)} -> y, so reachability and
@@ -496,98 +496,26 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 }
 
 // mixedAdj is the global mixed adjacency consumed by the word-parallel
-// restricted searches: directed conflict rows (physically shared per
-// class when the caller condensed them — never expanded here) plus the
-// sparse program-order edges, traversed separately so no per-access n-bit
-// union row ever materializes. cls is dir when the rows are a ClassRows,
-// whose members share a physical row, and nil when every access has its
-// own.
+// restricted searches: the sparse program-order edges plus the directed
+// conflict rows, physically shared per class and never expanded here,
+// traversed separately so no per-access n-bit union row ever materializes.
 type mixedAdj struct {
-	dir graph.Rows
 	adj [][]int
-	cls *graph.ClassRows
+	dir *graph.ClassRows
 }
 
-// directedRows keeps the conflict edges x -> y that dir allows, as a
-// per-access matrix.
-func directedRows(cs *conflict.Set, dir func(x, y int) bool) *graph.BitMatrix {
-	m := graph.NewBitMatrix(cs.N())
-	for x := 0; x < cs.N(); x++ {
-		anyConflictOut(cs, dir, x, func(y int) bool {
-			m.Set(x, y)
-			return false
-		})
-	}
-	return m
-}
+// in returns x's directed column: the accesses with a usable conflict edge
+// into x, its witnesses.
+func (gd *mixedAdj) in(x int) []uint64 { return gd.dir.ClassCol[gd.dir.ClassOf[x]] }
 
-// sccCompute answers every query the hub solver does not take. It first
-// brings the constraints to the class solver's one shape: without a
-// classing every access is its own class, without a removal every pair
-// gets one empty cover under id 0, and a removal without a cover gets the
-// cover its predicate spells out, built per pair. The solver also reads
-// the direction's columns, as witness rows: a ClassRows hands over the
-// columns its builder stored, and a BitMatrix is transposed here. Then it
-// decomposes the mixed graph into its
-// strongly connected components and has classSolve answer them one after
-// another, each region's seed groups spread over the workers. Orientation
-// by the precedence relation collapses cross-phase cycles, so the regions
-// are essentially the barrier phases. Without any direction the conflict
-// rows themselves serve, so Compute stays total over Constraints.
-func sccCompute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints, ends endpointMask, out *Set) {
-	n := cs.N()
-	adj := ag.Succ
-
-	var dirOut, dirIn graph.Rows
-	switch {
-	case con.DirRows != nil:
-		dirOut = con.DirRows
-	case con.ConflictDir != nil:
-		dirOut = directedRows(cs, con.ConflictDir)
-	default:
-		dirOut, dirIn = cs, cs // symmetric: the relation is its own transpose
-	}
-	gd := &mixedAdj{dir: dirOut, adj: adj}
-	switch d := dirOut.(type) {
-	case *graph.BitMatrix:
-		dirIn = d.Transpose()
-	case *graph.ClassRows:
-		gd.cls, dirIn = d, &graph.ClassRows{ClassOf: d.ClassOf, ClassRow: d.ClassCol}
-	}
-
-	cd := con.Comp
-	if cd == nil {
-		cd = graph.CondenseMixed(adj, dirOut)
-	}
-
-	class := con.AccessClass
-	if class == nil {
-		class = make([]int32, n)
-		for x := range class {
-			class[x] = int32(x)
-		}
-	}
-	cover := con.RemovedCover
-	switch {
-	case con.Removed == nil:
-		none := make([]uint64, graph.WordsFor(n))
-		cover = func(int, int, []uint64) ([]uint64, int) { return none, 0 }
-	case cover == nil:
-		cover = func(a, b int, scratch []uint64) ([]uint64, int) {
-			for i := range scratch {
-				scratch[i] = 0
-			}
-			for z := 0; z < n; z++ {
-				if con.Removed(a, b, z) {
-					graph.BitSet(scratch, z)
-				}
-			}
-			return scratch, -1
-		}
-	}
-
-	e := newClassEngine(ag, out, ends, gd, dirIn, cover, class)
-	for _, members := range cd.Members {
+// sccCompute answers the oriented query: it has classSolve answer the
+// components of the query's condensation one after another, each region's
+// seed groups spread over the workers. Orientation by the precedence
+// relation collapses cross-phase cycles, so the regions are essentially
+// the barrier phases.
+func sccCompute(ag *ir.AccessGraph, con Constraints, ends endpointMask, out *Set) {
+	e := newClassEngine(ag, out, ends, &mixedAdj{adj: ag.Succ, dir: con.DirRows}, con.RemovedCover)
+	for _, members := range con.Comp.Members {
 		e.classSolve(members)
 	}
 }

@@ -117,31 +117,24 @@ func Condense(n int, out func(u int, visit func(v int32))) *Condensation {
 // CondenseMixed condenses the mixed graph over the n = len(adj) accesses:
 // the program-order edges adj plus the bit relation rows (u -> v iff bit v
 // of rows.Row(u)). It routes each access u through one node per row class,
-// u -> K(class of u) -> every access of that class's row, so a
-// *ClassRows is walked one physical row per class, not once per member; any
-// other backing gets the identity classing, one class per access. Routing
-// keeps reachability between accesses (u reaches v through K exactly when v
-// is in u's row), so the components restricted to accesses are those of
-// the per-access graph. Components that hold no access are dropped and the
+// u -> K(class of u) -> every access of that class's row, so the rows are
+// walked one physical row per class, not once per member. Routing keeps
+// reachability between accesses (u reaches v through K exactly when v is
+// in u's row), so the components restricted to accesses are those of the
+// per-access graph. Components that hold no access are dropped and the
 // rest renumbered in order, so Comp, Members and NComp describe accesses
 // only.
-func CondenseMixed(adj [][]int, rows Rows) *Condensation {
+func CondenseMixed(adj [][]int, rows *ClassRows) *Condensation {
 	n := len(adj)
-	classOf, classRow, nc := func(u int) int { return u }, rows.Row, n
-	if cr, ok := rows.(*ClassRows); ok {
-		classOf = func(u int) int { return int(cr.ClassOf[u]) }
-		classRow = func(k int) []uint64 { return cr.ClassRow[k] }
-		nc = len(cr.ClassRow)
-	}
-	c := Condense(n+nc, func(u int, visit func(v int32)) {
+	c := Condense(n+len(rows.ClassRow), func(u int, visit func(v int32)) {
 		if u < n {
 			for _, v := range adj[u] {
 				visit(int32(v))
 			}
-			visit(int32(n + classOf(u)))
+			visit(int32(n) + rows.ClassOf[u])
 			return
 		}
-		for wi, wd := range classRow(u - n) {
+		for wi, wd := range rows.ClassRow[u-n] {
 			for ; wd != 0; wd &= wd - 1 {
 				visit(int32(wi<<6 + bits.TrailingZeros64(wd)))
 			}

@@ -131,9 +131,10 @@ func edgeCount(g digraph) int {
 
 // TestCondenseMixedMatchesPerAccess checks the class-routed condensation
 // against Condense over the expanded per-access edges: on random
-// class-congruent ClassRows and on a BitMatrix, each beside sparse
-// program-order adjacency, both must give the same components as member
-// sets, members ascending, with no component made only of class nodes.
+// class-congruent ClassRows and on random rows under the identity classing,
+// each beside sparse program-order adjacency, both must give the same
+// components as member sets, members ascending, with no component made only
+// of class nodes.
 func TestCondenseMixedMatchesPerAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 300; trial++ {
@@ -164,15 +165,17 @@ func TestCondenseMixedMatchesPerAccess(t *testing.T) {
 				}
 			}
 		}
-		bm := NewBitMatrix(n)
+		ident := &ClassRows{ClassOf: make([]int32, n), ClassRow: make([][]uint64, n)}
 		for u := 0; u < n; u++ {
+			ident.ClassOf[u] = int32(u)
+			ident.ClassRow[u] = make([]uint64, WordsFor(n))
 			for v := 0; v < n; v++ {
 				if rng.Float64() < p/8 {
-					bm.Set(u, v)
+					BitSet(ident.ClassRow[u], v)
 				}
 			}
 		}
-		for _, rows := range []Rows{NewClassRows(classOf, classRows), bm} {
+		for ri, rows := range []*ClassRows{NewClassRows(classOf, classRows), ident} {
 			g := make(digraph, n)
 			for u := 0; u < n; u++ {
 				for _, v := range adj[u] {
@@ -186,8 +189,8 @@ func TestCondenseMixedMatchesPerAccess(t *testing.T) {
 			}
 			got, want := CondenseMixed(adj, rows), Condense(n, digraphIter(g))
 			if got.NComp != want.NComp || len(got.Comp) != n {
-				t.Fatalf("trial %d (%T): %d components over %d nodes, per-access %d over %d",
-					trial, rows, got.NComp, len(got.Comp), want.NComp, n)
+				t.Fatalf("trial %d (rows %d): %d components over %d nodes, per-access %d over %d",
+					trial, ri, got.NComp, len(got.Comp), want.NComp, n)
 			}
 			wantSets := map[string]bool{}
 			for _, ms := range want.Members {
@@ -195,11 +198,11 @@ func TestCondenseMixedMatchesPerAccess(t *testing.T) {
 			}
 			for cc, ms := range got.Members {
 				if !wantSets[fmt.Sprint(ms)] {
-					t.Fatalf("trial %d (%T): component %v is not a per-access component", trial, rows, ms)
+					t.Fatalf("trial %d (rows %d): component %v is not a per-access component", trial, ri, ms)
 				}
 				for i, v := range ms {
 					if v >= int32(n) || i > 0 && ms[i-1] >= v || got.Comp[v] != int32(cc) {
-						t.Fatalf("trial %d (%T): component %d members %v: not ascending accesses of it", trial, rows, cc, ms)
+						t.Fatalf("trial %d (rows %d): component %d members %v: not ascending accesses of it", trial, ri, cc, ms)
 					}
 				}
 			}

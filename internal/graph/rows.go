@@ -2,15 +2,6 @@ package graph
 
 import "math/bits"
 
-// Rows is a read-only row-indexed bit relation over n ids. A *BitMatrix
-// is the per-access (materialized) implementation; ClassRows shares one
-// physical row among every member of an equivalence class, so consumers
-// that only read rows run condensed without knowing the backing.
-type Rows interface {
-	// Row returns row i as a shared word slice; callers must not modify it.
-	Row(i int) []uint64
-}
-
 // ClassRows is an n x n bit relation condensed by an equivalence
 // partition: every member of a class shares one physical row. The
 // partitions that produce it (conflict groups, R-equivalence classes,

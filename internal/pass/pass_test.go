@@ -91,9 +91,6 @@ func TestPipelineRunsAndCounts(t *testing.T) {
 	if byName["parse"].Allocs == 0 {
 		t.Error("MeasureAllocs left parse allocs at 0")
 	}
-	if ctx.Analysis.Timing.Total() <= 0 {
-		t.Error("analysis sub-phase timing not populated")
-	}
 }
 
 // TestCoPhasePairsCounted pins sync-analysis's cophase_pairs on a program

@@ -2,7 +2,6 @@ package syncanal
 
 import (
 	"math/bits"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -51,8 +50,7 @@ type Precedence struct {
 	cap  int          // row capacity in class ids
 	nc   int          // live class count
 
-	splits int           // classes created by splitting (beyond the seed class)
-	maint  time.Duration // time spent constructing/splitting the partition
+	splits int // classes created by splitting (beyond the seed class)
 
 	// scratch
 	aStamp  []int32 // per-access membership stamps for splitBySet
@@ -123,8 +121,6 @@ func (p *Precedence) ensureCap(need int) {
 // class and returns its id. The new class inherits c's row and column, so
 // the relation is unchanged at the access level.
 func (p *Precedence) splitClass(c int32, e int32) int32 {
-	t0 := time.Now()
-	defer func() { p.maint += time.Since(t0) }()
 	p.ensureCap(p.nc + 1)
 	nid := int32(p.nc)
 	p.nc++
@@ -339,10 +335,8 @@ func (p *Precedence) transClose() bool {
 // makes the halves indistinguishable again; coalescing at closure points
 // is what keeps the class count near the true number of distinct R rows.
 func (p *Precedence) coalesce() {
-	t0 := time.Now()
 	for p.coalesceOnce() {
 	}
-	p.maint += time.Since(t0)
 }
 
 func (p *Precedence) coalesceOnce() bool {
@@ -480,7 +474,8 @@ func (p *Precedence) Size() int {
 	return p.size
 }
 
-// accessClasses computes delay.Constraints.AccessClass for step 6's query.
+// accessClasses computes the access classing of step 6's query, the ClassOf
+// of its orientation rows (delay.Constraints.DirRows).
 // Accesses share a class only when they are interchangeable for the
 // engine's constraint hooks — identical oriented conflict rows AND columns,
 // identical removal covers as source and target, identical Removed

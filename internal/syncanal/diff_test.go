@@ -14,7 +14,8 @@ import (
 // TestAnalyzeMatchesReferenceEngine runs the full pipeline on progen
 // programs and the oracles beside it — per-access R, every back-path query
 // on the per-pair reference search — and requires pair-identical Baseline
-// (plain Shasha–Snir), D1, refined D and R on at least 50 buildable seeds.
+// (plain Shasha–Snir), D1, refined D and R on at least 50 buildable seeds
+// and on edgePrograms.
 func TestAnalyzeMatchesReferenceEngine(t *testing.T) {
 	opts := progen.Options{
 		Procs: 4, MaxPhases: 3, MaxStmts: 6, MaxDepth: 2,
@@ -31,8 +32,8 @@ func TestAnalyzeMatchesReferenceEngine(t *testing.T) {
 			}
 		}
 	}
-	checked := 0
-	for seed := int64(0); seed < 80 && checked < 60; seed++ {
+	var progs []queryProgram
+	for seed := int64(0); seed < 80 && len(progs) < 60; seed++ {
 		prog, err := source.Parse(progen.Generate(seed, opts))
 		if err != nil {
 			continue
@@ -45,16 +46,18 @@ func TestAnalyzeMatchesReferenceEngine(t *testing.T) {
 		if err != nil || len(fn.Accesses) == 0 {
 			continue
 		}
-		got := Analyze(fn, Options{})
-		want := analyzeOracle(fn, Options{}, delay.ComputeReference)
-		samePairs(fmt.Sprintf("seed %d baseline", seed), got.Baseline, want.Baseline)
-		samePairs(fmt.Sprintf("seed %d D1", seed), got.D1, want.D1)
-		samePairs(fmt.Sprintf("seed %d D", seed), got.D, want.D)
-		sameRelation(t, fmt.Sprintf("seed %d", seed), got.R, want.R)
-		checked++
+		progs = append(progs, queryProgram{label: fmt.Sprintf("seed %d", seed), fn: fn})
 	}
-	if checked < 50 {
-		t.Fatalf("only %d buildable seeds, want >= 50", checked)
+	if len(progs) < 50 {
+		t.Fatalf("only %d buildable seeds, want >= 50", len(progs))
+	}
+	for _, p := range append(progs, edgePrograms()...) {
+		got := Analyze(p.fn, p.opts)
+		want := analyzeOracle(p.fn, p.opts, delay.ComputeReference)
+		samePairs(p.label+" baseline", got.Baseline, want.Baseline)
+		samePairs(p.label+" D1", got.D1, want.D1)
+		samePairs(p.label+" D", got.D, want.D)
+		sameRelation(t, p.label, got.R, want.R)
 	}
 }
 
@@ -62,9 +65,8 @@ func TestAnalyzeMatchesReferenceEngine(t *testing.T) {
 // since an oracle that quietly ran the production path would have them
 // compare it with itself. Its R must be its own per-access relation, equal
 // to the class-condensed one but not of it; on the reference engine the
-// oriented query must reach the per-pair search, which calls ConflictDir
-// on every conflict edge it considers, while delay.Compute reads DirRows
-// alone.
+// oriented query must reach the per-pair search, which asks Removed of
+// every node it visits, while delay.Compute reads RemovedCover alone.
 func TestOraclesRun(t *testing.T) {
 	fn := ir.MustBuild(progen.Generate(3, progen.Options{Procs: 4}), ir.BuildOptions{Procs: 4})
 	got := Analyze(fn, Options{})
@@ -73,10 +75,10 @@ func TestOraclesRun(t *testing.T) {
 	}
 	ref := analyzeOracle(fn, Options{}, delay.ComputeReference)
 	sameRelation(t, "per-access R", got.R, ref.R)
-	if ref.dirCalls.Load() == 0 {
-		t.Fatal("reference: ConflictDir never called; the per-pair oracle did not run")
+	if ref.removedCalls.Load() == 0 {
+		t.Fatal("reference: Removed never called; the per-pair oracle did not run")
 	}
-	if calls := analyzeOracle(fn, Options{}, delay.Compute).dirCalls.Load(); calls != 0 {
-		t.Fatalf("delay.Compute called ConflictDir %d times; it should read DirRows", calls)
+	if calls := analyzeOracle(fn, Options{}, delay.Compute).removedCalls.Load(); calls != 0 {
+		t.Fatalf("delay.Compute called Removed %d times; it should read RemovedCover", calls)
 	}
 }

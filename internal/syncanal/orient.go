@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/delay"
 	"repro/internal/graph"
@@ -18,21 +17,20 @@ import (
 // orientedConstraints assembles step 6's query — D = D1 ∪ {[a, b] ∈ P :
 // back-path in P ∪ C1} over the data–data pairs — and returns it with the
 // memo behind its RemovedCover. The orientation travels as class-shared
-// rows, the Removed predicate beside its exact cover, and Comp is the
-// condensation of those same rows: the regions the engine solves are the
-// strongly connected components of the graph it searches.
+// rows and columns over the access classing, the Removed predicate beside
+// its exact cover, and Comp is the condensation of those same rows: the
+// regions the engine solves are the strongly connected components of the
+// graph it searches.
 func (res *Result) orientedConstraints(lk *lockMasks, opts Options) (delay.Constraints, *coverMemo) {
-	class := res.accessClasses(lk)
-	rows := res.orientationRows(class)
+	rows := res.orientationRows(res.accessClasses(lk))
 	removed, covers := res.removal(lk)
 	return delay.Constraints{
+		Exact:        opts.Exact,
 		Endpoints:    delay.EndpointFilter{IDs: syncIDs(res.Fn)},
 		DirRows:      rows,
 		Comp:         res.regionStats(rows),
 		Removed:      removed,
 		RemovedCover: covers.cover,
-		AccessClass:  class,
-		Exact:        opts.Exact,
 	}, covers
 }
 
@@ -256,8 +254,7 @@ var regionWorkHook func(edges int)
 // oriented mixed graph — the partition the delay engine solves component by
 // component — into res.Regions and res.LargestRegion, and returns it. The
 // condensation walks the orientation rows one physical row per class.
-func (res *Result) regionStats(rows graph.Rows) *graph.Condensation {
-	t0 := time.Now()
+func (res *Result) regionStats(rows *graph.ClassRows) *graph.Condensation {
 	cond := graph.CondenseMixed(res.AG.Succ, rows)
 	res.Regions = cond.NComp
 	for _, m := range cond.Members {
@@ -266,6 +263,5 @@ func (res *Result) regionStats(rows graph.Rows) *graph.Condensation {
 	if regionWorkHook != nil {
 		regionWorkHook(cond.Edges)
 	}
-	res.Timing.Regions = time.Since(t0)
 	return cond
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/delay"
+	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/progen"
 	"repro/internal/sem"
@@ -59,14 +60,15 @@ func TestOrientedSyncSubsetOfD1(t *testing.T) {
 		if len(syncIDs) == 0 {
 			continue
 		}
-		orientDir := func(x, y int) bool { return !res.R.has(y, x) }
-		keepSync := delay.EndpointFilter{IDs: syncIDs, Keep: true}
-		for _, p := range delay.Compute(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir, Endpoints: keepSync}).Pairs() {
+		oriented := orientedByR(res)
+		keepSync := oriented
+		keepSync.Endpoints = delay.EndpointFilter{IDs: syncIDs, Keep: true}
+		for _, p := range delay.Compute(res.AG, res.CS, keepSync).Pairs() {
 			if !res.D1.Has(p.A, p.B) {
 				t.Fatalf("seed %d: oriented sync pair [%d,%d] outside D1", seed, p.A, p.B)
 			}
 		}
-		for _, p := range delay.ComputeReference(res.AG, res.CS, delay.Constraints{ConflictDir: orientDir}).Pairs() {
+		for _, p := range delay.ComputeReference(res.AG, res.CS, oriented).Pairs() {
 			sync := fn.Accesses[p.A].Kind.IsSync() || fn.Accesses[p.B].Kind.IsSync()
 			if sync && !res.D1.Has(p.A, p.B) {
 				t.Fatalf("seed %d reference: oriented sync pair [%d,%d] outside D1", seed, p.A, p.B)
@@ -93,9 +95,9 @@ func TestOrientedSyncSubsetOfD1Tier(t *testing.T) {
 			syncIDs = append(syncIDs, a.ID)
 		}
 	}
-	orientDir := func(x, y int) bool { return !res.R.has(y, x) }
-	oriented := delay.Compute(res.AG, res.CS, delay.Constraints{
-		ConflictDir: orientDir, Endpoints: delay.EndpointFilter{IDs: syncIDs, Keep: true}})
+	con := orientedByR(res)
+	con.Endpoints = delay.EndpointFilter{IDs: syncIDs, Keep: true}
+	oriented := delay.Compute(res.AG, res.CS, con)
 	missing := 0
 	for _, p := range oriented.Pairs() {
 		if !res.D1.Has(p.A, p.B) {
@@ -105,5 +107,19 @@ func TestOrientedSyncSubsetOfD1Tier(t *testing.T) {
 	if missing > 0 {
 		t.Fatalf("acc2048: %d of %d oriented sync pairs outside D1 (|D1|=%d)",
 			missing, oriented.Size(), res.D1.Size())
+	}
+}
+
+// orientedByR is the query over every pair with the conflict edges oriented
+// by R alone, as step 5 orients them: every access its own class, and
+// nothing removed.
+func orientedByR(res *Result) delay.Constraints {
+	rows := perAccessRows(res.CS, func(x, y int) bool { return !res.R.has(y, x) })
+	none := make([]uint64, graph.WordsFor(res.CS.N()))
+	return delay.Constraints{
+		DirRows:      rows,
+		Comp:         graph.CondenseMixed(res.AG.Succ, rows),
+		Removed:      func(a, b, z int) bool { return false },
+		RemovedCover: func(int, int, []uint64) ([]uint64, int) { return none, 0 },
 	}
 }

@@ -25,10 +25,10 @@ type oracleResult struct {
 	Baseline, D1, D *delay.Set
 	// R is the precedence relation, one row per access.
 	R *graph.BitMatrix
-	// dirCalls counts the oriented query's ConflictDir calls. The per-pair
-	// engine makes one for every conflict edge it considers; delay.Compute
-	// reads DirRows and makes none.
-	dirCalls atomic.Int64
+	// removedCalls counts the oriented query's Removed calls. The per-pair
+	// engine asks it of every node its searches visit; delay.Compute reads
+	// RemovedCover and makes none.
+	removedCalls atomic.Int64
 }
 
 // analyzeOracle runs Analyze's steps on the oracles, every back-path query
@@ -50,10 +50,10 @@ func analyzeOracle(fn *ir.Fn, opts Options, q query) *oracleResult {
 		res.CoPhase = buildCoPhase(fn, res.AG)
 	}
 	con := perAccessQuery(res, o.R, newLockMasks(n, guards), opts)
-	dir := con.ConflictDir
-	con.ConflictDir = func(x, y int) bool {
-		o.dirCalls.Add(1)
-		return dir(x, y)
+	removed := con.Removed
+	con.Removed = func(a, b, z int) bool {
+		o.removedCalls.Add(1)
+		return removed(a, b, z)
 	}
 	o.D = o.D1.Union(q(res.AG, res.CS, con))
 	return o
@@ -127,30 +127,22 @@ func closeRel(rel *graph.BitMatrix) {
 // each definition read pair by pair: C1 and the co-phase filter (steps 5
 // and 5.2) and the removal of Figure 6 and section 5.3, with its cover
 // built from rel's rows and columns and the guarded accesses of every lock
-// a and b share. The orientation rows are a bit matrix, the covers are
-// built afresh under id -1, and there is no AccessClass and no Comp.
+// a and b share. Every access is its own class, the covers are built
+// afresh under id -1, and Comp is the condensation of the per-access rows.
 func perAccessQuery(res *Result, rel *graph.BitMatrix, lk *lockMasks, opts Options) delay.Constraints {
 	fn := res.Fn
-	n := len(fn.Accesses)
-	dir := func(x, y int) bool {
+	rows := perAccessRows(res.CS, func(x, y int) bool {
 		if res.CoPhase != nil && fn.Accesses[x].Kind.IsData() && fn.Accesses[y].Kind.IsData() && !graph.BitGet(res.CoPhase.Row(x), y) {
 			return false
 		}
 		return !rel.Has(y, x)
-	}
-	phased := graph.NewBitMatrix(n)
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			if res.CS.Conflicts(x, y) && dir(x, y) {
-				phased.Set(x, y)
-			}
-		}
-	}
+	})
 	relT := rel.Transpose()
 	return delay.Constraints{
-		Endpoints:   delay.EndpointFilter{IDs: syncIDs(fn)},
-		ConflictDir: dir,
-		DirRows:     phased,
+		Exact:     opts.Exact,
+		Endpoints: delay.EndpointFilter{IDs: syncIDs(fn)},
+		DirRows:   rows,
+		Comp:      graph.CondenseMixed(res.AG.Succ, rows),
 		Removed: func(a, b, z int) bool {
 			return rel.Has(a, z) || rel.Has(z, b) || lk.shareLock(a, b, z)
 		},
@@ -166,6 +158,26 @@ func perAccessQuery(res *Result, rel *graph.BitMatrix, lk *lockMasks, opts Optio
 			}
 			return dst, -1
 		},
-		Exact: opts.Exact,
 	}
+}
+
+// perAccessRows orients the conflict edges by dir with every access its own
+// class: row x holds the y with a conflict edge x -> y that dir allows, and
+// column y the x, each bit read from dir.
+func perAccessRows(cs *conflict.Set, dir func(x, y int) bool) *graph.ClassRows {
+	n, w := cs.N(), graph.WordsFor(cs.N())
+	rows := &graph.ClassRows{ClassOf: make([]int32, n), ClassRow: make([][]uint64, n), ClassCol: make([][]uint64, n)}
+	for x := 0; x < n; x++ {
+		rows.ClassOf[x] = int32(x)
+		rows.ClassRow[x], rows.ClassCol[x] = make([]uint64, w), make([]uint64, w)
+	}
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if cs.Conflicts(x, y) && dir(x, y) {
+				graph.BitSet(rows.ClassRow[x], y)
+				graph.BitSet(rows.ClassCol[y], x)
+			}
+		}
+	}
+	return rows
 }

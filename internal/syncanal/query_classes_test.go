@@ -23,9 +23,9 @@ type queryProgram struct {
 
 // queryPrograms lists the programs step 6's query is checked on: the
 // 150-seed grid, the kernels at 4 and 64 processors under both Exact
-// values, testdata/*.ms and, outside -short, acc2048. The kernels under
-// Exact are what needs the co-phase term of accessClasses' key: without
-// it, Health shares rows that are not its accesses' own.
+// values, testdata/*.ms, edgePrograms and, outside -short, acc2048. The
+// kernels under Exact are what needs the co-phase term of accessClasses'
+// key: without it, Health shares rows that are not its accesses' own.
 func queryPrograms(t *testing.T) []queryProgram {
 	t.Helper()
 	var progs []queryProgram
@@ -55,10 +55,62 @@ func queryPrograms(t *testing.T) []queryProgram {
 		}
 		progs = append(progs, queryProgram{filepath.Base(f), ir.MustBuild(string(src), ir.BuildOptions{Procs: 4}), Options{}})
 	}
+	progs = append(progs, edgePrograms()...)
 	if !testing.Short() {
 		progs = append(progs, queryProgram{"acc2048", tierProgram(t, "acc2048"), Options{}})
 	}
 	return progs
+}
+
+// inRowWitnessSource is a program whose pair (read S2 in the second loop,
+// the final write of A0) has one back-path: the write of A0 conflicts with
+// the read of A0[4], which reaches the write of S2 y in the first loop's
+// next iteration, and y's conflict edge into the read a of S2 closes it.
+// The locks put [y, a] in R, not [a, y], so the edge y -> a is usable, and
+// not [y, b] either, so y is outside the pair's removal cover: a's in-row
+// must hold y. An in-row built from R's column of a instead of its row
+// drops y, and the pair with it. Found by a search of 15,000 progen
+// programs (seeds 0–2,999 under five option sets) for one on which that
+// in-row changes D, four of which did, and reduced by hand.
+const inRowWitnessSource = `
+shared int S1 = 4;
+shared int S2 = 3;
+shared int A0[8];
+event E0;
+lock L0;
+func main() {
+    local int acc = 0;
+    for (local int i0 = 0; i0 < 4; i0 = i0 + 1) {
+        S2 = MYPROC;
+        acc = acc + A0[4];
+    }
+    lock(L0);
+    acc = acc + S1;
+    unlock(L0);
+    if (MYPROC == 1) {
+        post(E0);
+    }
+    wait(E0);
+    for (local int i4 = 0; i4 < 3; i4 = i4 + 1) {
+        lock(L0);
+        acc = acc + S2;
+        unlock(L0);
+    }
+    A0[MYPROC % 8] = acc % 4;
+}
+`
+
+// edgePrograms are hand-written inputs that reach what the seed grids do
+// not: the in-row witness above, and the 100-barrier chain, whose (R class,
+// guard set) keys are too many for the cover memo's table, so every cover
+// is built afresh under id -1 and the class solver decides its cells on the
+// branch for covers without an id (TestSharedCoversExactAndReadOnly checks
+// that the memo declines there and is asked).
+func edgePrograms() []queryProgram {
+	return []queryProgram{
+		{"in-row witness", ir.MustBuild(inRowWitnessSource, ir.BuildOptions{Procs: 4}), Options{}},
+		{"barrier chain", ir.MustBuild(barrierChainSource(), ir.BuildOptions{Procs: 4}), Options{}},
+	}
 }
 
 // orientedQuery analyzes fn under opts and builds step 6's query from the
@@ -71,13 +123,13 @@ func orientedQuery(fn *ir.Fn, opts Options) (*Result, delay.Constraints) {
 }
 
 // TestQueryClassContract checks the class contract of step 6's query, the
-// partition it hands the delay engine as AccessClass and the rows its
+// partition it hands the delay engine as its rows' ClassOf and the rows its
 // classes share, on queryPrograms. For every access x:
 //
 //   - DirRows.Row(x) is x's own oriented row, rebuilt bit by bit from its
 //     definition: C(x, ·) minus R's column of x, and for a data x minus the
 //     data accesses outside x's co-phase row;
-//   - that row is column-congruent over AccessClass: it holds all of a
+//   - that row is column-congruent over the classing: it holds all of a
 //     class or none of it, which lets the query build one column per class
 //     (TestOrientationInRowsTransposeOutRows checks those columns).
 //
@@ -88,16 +140,17 @@ func TestQueryClassContract(t *testing.T) {
 		fn := p.fn
 		n := len(fn.Accesses)
 		res, con := orientedQuery(fn, p.opts)
-		class := con.AccessClass
+		class := con.DirRows.ClassOf
 		rep := make(map[int32]int) // class -> its first member
 		for y := n - 1; y >= 0; y-- {
 			rep[class[y]] = y
 		}
 		data := func(x int) bool { return fn.Accesses[x].Kind.IsData() }
 
-		rows := graph.NewBitMatrix(n)
+		rows := &graph.ClassRows{ClassOf: make([]int32, n), ClassRow: make([][]uint64, n)}
 		for x := 0; x < n; x++ {
-			want := rows.Row(x)
+			want := make([]uint64, graph.WordsFor(n))
+			rows.ClassOf[x], rows.ClassRow[x] = int32(x), want
 			for y := 0; y < n; y++ {
 				if res.CS.Conflicts(x, y) && !res.R.has(y, x) &&
 					(!data(x) || !data(y) || graph.BitGet(res.CoPhase.Row(x), y)) {
@@ -135,7 +188,7 @@ func TestOrientationInRowsTransposeOutRows(t *testing.T) {
 	for _, p := range queryPrograms(t) {
 		n := len(p.fn.Accesses)
 		_, con := orientedQuery(p.fn, p.opts)
-		out := con.DirRows.(*graph.ClassRows)
+		out := con.DirRows
 		if out.ClassCol == nil {
 			t.Fatalf("%s: the orientation rows carry no columns", p.label)
 		}

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/conflict"
 	"repro/internal/delay"
@@ -48,65 +47,6 @@ type Options struct {
 	NoPostWait bool
 	NoBarrier  bool
 	NoLocks    bool
-}
-
-// Timing records the wall time of each analysis sub-phase, for a caller
-// that wants to see where analysis time goes without re-instrumenting the
-// algorithm. No driver, pass or benchmark reads it: the pass pipeline
-// times whole passes, and only tests check these fields. The deferred
-// baseline's fill is not a sub-phase: it runs on whichever reader asks
-// first, possibly concurrently with others, and is timed by none of them.
-type Timing struct {
-	// Prepare covers the shared inputs: access graph, conflict set,
-	// dominator and postdominator trees.
-	Prepare time.Duration
-	// D1 is step 2: back-path detection over the pairs with a
-	// synchronization endpoint.
-	D1 time.Duration
-	// Condense is the structural class-partition maintenance share of
-	// steps 3–4: splitting classes the seed and step-4 rectangles
-	// distinguish (at most one rectangle per class and round) and
-	// coalescing indistinguishable ones back together before each closure.
-	Condense time.Duration
-	// Precedence covers seeding and refining R (steps 3–4), minus the
-	// partition maintenance reported as Condense. Most of it is matrix
-	// work on D1 that the fixpoint does not repeat: D1's A-major
-	// transpose (which the lock guards read too) and the two
-	// dominator-tree walks that filter it into PS and CS.
-	Precedence time.Duration
-	// Guards is the lock-guard computation (section 5.3).
-	Guards time.Duration
-	// CoPhase is the barrier phase partitioning (section 5.2).
-	CoPhase time.Duration
-	// Regions is the strongly-connected-component decomposition of the
-	// oriented mixed graph that step 6's searches are confined to.
-	Regions time.Duration
-	// Orient covers the rest of steps 5–6: the orientation rows, the
-	// removal covers, the oriented back-path searches and the final union.
-	Orient time.Duration
-}
-
-// Total sums the sub-phase times.
-func (t Timing) Total() time.Duration {
-	return t.Prepare + t.D1 + t.Condense + t.Precedence + t.Guards + t.CoPhase + t.Regions + t.Orient
-}
-
-// String renders the timing as one line per sub-phase.
-func (t Timing) String() string {
-	var sb strings.Builder
-	for _, row := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"prepare", t.Prepare}, {"d1", t.D1},
-		{"condense", t.Condense}, {"precedence", t.Precedence},
-		{"guards", t.Guards}, {"cophase", t.CoPhase}, {"regions", t.Regions},
-		{"orient", t.Orient},
-	} {
-		fmt.Fprintf(&sb, "%-12s %s\n", row.name, row.d)
-	}
-	fmt.Fprintf(&sb, "%-12s %s\n", "total", t.Total())
-	return sb.String()
 }
 
 // Result carries everything the analysis computed.
@@ -147,8 +87,6 @@ type Result struct {
 	// has and how many splits refinement forced.
 	RClasses     int
 	RClassSplits int
-	// Timing records how long each sub-phase took.
-	Timing Timing
 }
 
 // Analyze runs the full pipeline on fn. It is the composition of the three
@@ -165,7 +103,6 @@ func Analyze(fn *ir.Fn, opts Options) *Result {
 // Prepare builds the inputs every delay computation shares: the access
 // graph, the conflict set, and the dominator/postdominator trees.
 func Prepare(fn *ir.Fn) *Result {
-	t0 := time.Now()
 	res := &Result{
 		Fn:   fn,
 		AG:   ir.BuildAccessGraph(fn),
@@ -173,7 +110,6 @@ func Prepare(fn *ir.Fn) *Result {
 		Dom:  ir.BuildDom(fn),
 		PDom: ir.BuildPostDom(fn),
 	}
-	res.Timing.Prepare = time.Since(t0)
 	return res
 }
 
@@ -196,14 +132,12 @@ func syncIDs(fn *ir.Fn) []int {
 // about, so the two searches split the baseline's pairs and none is searched
 // twice. Requires Prepare.
 func (res *Result) ComputeD1(opts Options) {
-	t0 := time.Now()
 	keep, rest := d1Queries(res.Fn, opts)
 	res.D1 = delay.Compute(res.AG, res.CS, keep)
 	d1, ag, cs := res.D1, res.AG, res.CS
 	res.Baseline = delay.Deferred(res.Fn, func() *delay.Set {
 		return d1.Union(delay.Compute(ag, cs, rest))
 	})
-	res.Timing.D1 = time.Since(t0)
 }
 
 // d1Queries returns step 2's query, over the pairs with a synchronization
@@ -226,33 +160,27 @@ func (res *Result) RefineSync(opts Options) {
 	// Steps 3-4: seed R and close it under the dominator rule and
 	// transitivity (precedence.go). D1's A-major form feeds both the
 	// dominator filters and the lock confinement sweeps.
-	t0 := time.Now()
 	r := newClassPrecedence(n)
 	res.R = r
 	src := res.D1.SourceMatrix()
 	seedPrecedence(fn, opts, func(A, B []int32) { r.addRect(A, B) })
 	r.refine(res.dominatorFilters(src))
-	res.Timing.Condense, res.RClasses, res.RClassSplits = r.maint, r.nc, r.splits
-	res.Timing.Precedence = time.Since(t0) - res.Timing.Condense
+	res.RClasses, res.RClassSplits = r.nc, r.splits
 
 	// Section 5.3: the lock guards (guards.go), into res.Guards and as the
 	// masks the removal reads.
-	t0 = time.Now()
 	keys, guards := lockKeys{}, newKeySets(n, 0)
 	if !opts.NoLocks {
 		keys, guards = computeGuards(res, src)
 	}
 	lk := newLockMasks(n, guards)
 	res.Guards = guards.byAccess(keys)
-	res.Timing.Guards = time.Since(t0)
 
 	// Section 5.2: the barrier phases (cophase.go).
-	t0 = time.Now()
 	res.CoPhase = nil
 	if !opts.NoBarrier {
 		res.CoPhase = buildCoPhase(fn, res.AG)
 	}
-	res.Timing.CoPhase = time.Since(t0)
 
 	// Steps 5-6 (orient.go). The paper's two oriented passes collapse to
 	// one: a pair involving a synchronization access is oriented-and-removed
@@ -262,10 +190,8 @@ func (res *Result) RefineSync(opts Options) {
 	// is already in D1 — TestOrientedSyncSubsetOfD1 holds the engine and its
 	// oracle to that containment. Only the data–data pass, phase filter on
 	// top of orientation, can add pairs.
-	t0 = time.Now()
 	con, _ := res.orientedConstraints(lk, opts)
 	res.D = res.D1.Union(delay.Compute(res.AG, res.CS, con))
-	res.Timing.Orient = time.Since(t0) - res.Timing.Regions
 }
 
 // Summary renders a human-readable account of the analysis for the driver.

@@ -254,7 +254,6 @@ var readByTests = map[string]string{
 	"repro/internal/codegen.passWork.LICMVisits":  "internal/codegen/globalreuse_test.go",
 	"repro/internal/codegen.passWork.ReuseScans":  "internal/codegen/globalreuse_test.go",
 	"repro/internal/codegen.passWork.ReuseSweeps": "internal/codegen/globalreuse_test.go",
-	"repro/internal/interp.SCResult.Prints":       "samples_test.go",
 	"repro/internal/interp.evq.heapPushes":        "internal/interp/queue_test.go",
 	"repro/internal/interp.hostCalls.ChargeALUN":  "internal/interp/queue_traffic_test.go",
 	"repro/internal/interp.hostCalls.EnterBlock":  "internal/interp/queue_traffic_test.go",
