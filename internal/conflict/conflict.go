@@ -17,6 +17,10 @@
 // object. This is exactly the paper's starting point ("It is correct to
 // treat synchronization constructs as simply conflicting memory accesses"),
 // which the synchronization analysis then sharpens.
+//
+// A group is the accesses with one conflict row. Set exports the partition
+// into groups (GroupOf, GroupMembers, GroupAdj), and every later pass that
+// works by conflict reads that one partition.
 package conflict
 
 import (
@@ -33,14 +37,13 @@ import (
 // every reader iterates Row. A Set is immutable once Compute returns and
 // may be read from any number of goroutines.
 //
-// Accesses are partitioned into similarity groups — same kind, same symbol,
-// same index expression — and the conflict decision is made once per group
-// pair: conflicts() inspects nothing else, so every member pair of a group
-// pair (including an access paired with itself) gets the same answer. The
-// grouping turns the Theta(n^2) pairwise sweep into O(g^2) decisions plus
-// word-parallel row fills, and the group structure itself is exported
-// (GroupOf, GroupMembers, GroupAdj) because the regionized delay engine
-// compresses the quadratic conflict edge set through the same groups.
+// Compute decides the conflict once per syntactic key pair (same kind,
+// symbol and index expression: conflicts() inspects nothing else), which
+// turns the Theta(n^2) pairwise sweep into O(k^2) decisions plus
+// word-parallel row fills, and then merges the keys with equal rows into
+// one group. A row is therefore a union of whole groups, stored once per
+// group; the delay engine compresses the quadratic conflict edge set
+// through the groups, and syncanal's access classes key on them.
 type Set struct {
 	groupRow [][]uint64 // group -> shared expanded conflict row (n bits)
 	rowBits  []int      // group -> popcount of groupRow
@@ -49,78 +52,91 @@ type Set struct {
 	groupOf  []int32    // access -> group
 	members  [][]uint64 // group -> member bitset
 	groupAdj [][]int32  // group -> conflicting groups (ascending)
-	ngroups  int
 }
 
 // Compute builds the conflict set for fn.
 func Compute(fn *ir.Fn) *Set {
 	n := len(fn.Accesses)
-	s := &Set{n: n}
+	w := graph.WordsFor(n)
+	s := &Set{n: n, groupOf: make([]int32, n)}
 
-	// Partition into similarity groups.
+	// Partition into syntactic keys; groupOf holds each access's key until
+	// the keys merge.
 	type key struct {
 		kind ir.AccessKind
 		sym  *sem.Symbol
 		idx  string
 	}
-	gid := make(map[key]int32)
-	s.groupOf = make([]int32, n)
-	var reps []int
+	kid := make(map[key]int32)
+	var reps []int // key -> its first access
 	for i, a := range fn.Accesses {
 		k := key{kind: a.Kind, sym: a.Sym}
 		if a.Index != nil {
 			k.idx = fn.ExprString(a.Index)
 		}
-		id, ok := gid[k]
+		id, ok := kid[k]
 		if !ok {
 			id = int32(len(reps))
-			gid[k] = id
+			kid[k] = id
 			reps = append(reps, i)
 		}
 		s.groupOf[i] = id
 	}
-	g := len(reps)
-	s.ngroups = g
-	w := graph.WordsFor(n)
-	s.members = make([][]uint64, g)
-	for i := range s.members {
-		s.members[i] = make([]uint64, w)
-	}
-	for i := 0; i < n; i++ {
-		graph.BitSet(s.members[s.groupOf[i]], i)
-	}
 
-	// One conflict decision per group pair.
-	s.groupAdj = make([][]int32, g)
-	for gi := 0; gi < g; gi++ {
-		for gj := gi; gj < g; gj++ {
-			if conflicts(fn, fn.Accesses[reps[gi]], fn.Accesses[reps[gj]]) {
-				s.groupAdj[gi] = append(s.groupAdj[gi], int32(gj))
-				if gj != gi {
-					s.groupAdj[gj] = append(s.groupAdj[gj], int32(gi))
+	// One conflict decision per key pair; a key's row is the union of its
+	// conflicting keys' member masks.
+	keyMem, keyRow := make([][]uint64, len(reps)), make([][]uint64, len(reps))
+	slab := make([]uint64, 2*len(reps)*w)
+	for k := range reps {
+		keyMem[k], keyRow[k] = slab[2*k*w:(2*k+1)*w], slab[(2*k+1)*w:(2*k+2)*w]
+	}
+	for i, k := range s.groupOf {
+		graph.BitSet(keyMem[k], i)
+	}
+	for ki, a := range reps {
+		for kj := ki; kj < len(reps); kj++ {
+			if conflicts(fn, fn.Accesses[a], fn.Accesses[reps[kj]]) {
+				for i := range keyRow[ki] {
+					keyRow[ki][i] |= keyMem[kj][i]
+					keyRow[kj][i] |= keyMem[ki][i]
 				}
 			}
 		}
 	}
 
-	// Row content is per group: the union of the conflicting groups'
-	// member masks, stored once and shared by every member — O(g*n/64)
-	// words total where the per-access matrix was O(n^2/64).
-	s.groupRow = make([][]uint64, g)
-	s.rowBits = make([]int, g)
-	for gi := 0; gi < g; gi++ {
-		row := make([]uint64, w)
-		cnt := 0
-		for _, gj := range s.groupAdj[gi] {
-			for i, mw := range s.members[gj] {
-				row[i] |= mw
+	// Keys with equal rows merge into one group. Groups are numbered in
+	// first-seen access order, as the keys are.
+	var rows graph.RowInterner
+	groupOfKey := make([]int32, len(reps))
+	first := make([]int, 0, len(reps)) // group -> its first access
+	for k, row := range keyRow {
+		g, fresh := rows.Intern(row)
+		groupOfKey[k] = g
+		if fresh {
+			first = append(first, reps[k])
+		}
+	}
+	G := len(first)
+	memWords := make([]uint64, G*w)
+	for i, k := range s.groupOf {
+		s.groupOf[i] = groupOfKey[k]
+		graph.BitSet(memWords[int(s.groupOf[i])*w:], i)
+	}
+	s.members, s.groupRow, s.rowBits, s.groupAdj = make([][]uint64, G), make([][]uint64, G), make([]int, G), make([][]int32, G)
+	var adj []int32 // every group's GroupAdj, back to back
+	for g := range s.groupRow {
+		row := rows.Row(int32(g))
+		s.members[g], s.groupRow[g] = memWords[g*w:(g+1)*w:(g+1)*w], row
+		for _, rw := range row {
+			s.rowBits[g] += bits.OnesCount64(rw)
+		}
+		at := len(adj)
+		for g2, a := range first {
+			if graph.BitGet(row, a) {
+				adj = append(adj, int32(g2))
 			}
 		}
-		for _, rw := range row {
-			cnt += bits.OnesCount64(rw)
-		}
-		s.groupRow[gi] = row
-		s.rowBits[gi] = cnt
+		s.groupAdj[g] = adj[at:len(adj):len(adj)]
 	}
 	return s
 }
@@ -178,7 +194,7 @@ func (s *Set) Conflicts(a, b int) bool {
 
 // Row returns a's conflict row as a shared bitset of graph.WordsFor(n)
 // words; callers must not modify it. The row is physically shared with
-// every access of a's similarity group.
+// every access of a's group.
 func (s *Set) Row(a int) []uint64 { return s.groupRow[s.groupOf[a]] }
 
 // Size returns the number of unordered conflict pairs, counted from the
@@ -198,19 +214,19 @@ func (s *Set) Size() int {
 // N returns the number of accesses.
 func (s *Set) N() int { return s.n }
 
-// NumGroups returns the number of similarity groups (accesses with the same
-// kind, symbol, and index expression; the conflict decision is uniform
-// across a group pair).
-func (s *Set) NumGroups() int { return s.ngroups }
+// NumGroups returns the number of groups, the distinct conflict rows.
+func (s *Set) NumGroups() int { return len(s.members) }
 
-// GroupOf returns the similarity group of access a.
+// GroupOf returns the group of access a: the accesses with a's conflict
+// row.
 func (s *Set) GroupOf(a int) int32 { return s.groupOf[a] }
 
 // GroupMembers returns group g's member set as a shared bitset row of
 // graph.WordsFor(N()) words; callers must not modify it.
 func (s *Set) GroupMembers(g int) []uint64 { return s.members[g] }
 
-// GroupAdj returns the groups conflicting with group g (ascending, possibly
-// including g itself). Every member of g conflicts with every member of
-// each listed group — including itself when g lists itself.
+// GroupAdj returns the groups conflicting with group g (ascending and
+// duplicate-free, possibly including g itself). Every member of g
+// conflicts with every member of each listed group — including itself when
+// g lists itself.
 func (s *Set) GroupAdj(g int) []int32 { return s.groupAdj[g] }

@@ -52,8 +52,8 @@ func TestClassSolveWorkAcc2048(t *testing.T) {
 	}
 	saved := delay.Workers
 	defer func() { delay.Workers = saved }()
-	acc2048 := delay.ClassWork{Pairs: 361554, Cells: 189781, BracketKeeps: 27116, PairSearches: 153, PairHits: 153,
-		Closures: 2247, Forests: 1162, ForestKeeps: 26800, Fallbacks: 386, RowScans: 77652}
+	acc2048 := delay.ClassWork{Pairs: 225300, Cells: 72815, BracketKeeps: 12111, PairSearches: 156, PairHits: 156,
+		Closures: 2247, Forests: 776, ForestKeeps: 11856, Fallbacks: 309, RowScans: 42244}
 	for _, in := range []struct {
 		name    string
 		fn      *ir.Fn
@@ -62,8 +62,8 @@ func TestClassSolveWorkAcc2048(t *testing.T) {
 	}{
 		{"acc2048", delay.TierFn(t, "acc2048"), 1700, acc2048},
 		{"serve-mix edit base", editBaseFn(t), 306,
-			delay.ClassWork{Pairs: 14764, Cells: 12292, BracketKeeps: 2265, PairSearches: 65, PairHits: 50,
-				Closures: 526, Forests: 234, ForestKeeps: 2184, Fallbacks: 142, RowScans: 12089}},
+			delay.ClassWork{Pairs: 12238, Cells: 8083, BracketKeeps: 1672, PairSearches: 75, PairHits: 60,
+				Closures: 526, Forests: 203, ForestKeeps: 1591, Fallbacks: 144, RowScans: 9235}},
 	} {
 		for _, nw := range []int{1, 3} {
 			delay.Workers = nw
@@ -99,8 +99,8 @@ func TestSharedCellsMatchBracket(t *testing.T) {
 		run     func()
 		checked int
 	}{
-		{"acc2048", func() { syncanal.Analyze(delay.TierFn(t, "acc2048"), syncanal.Options{}) }, 189781},
-		{"serve-mix edit base", func() { syncanal.Analyze(editBaseFn(t), syncanal.Options{}) }, 12292},
+		{"acc2048", func() { syncanal.Analyze(delay.TierFn(t, "acc2048"), syncanal.Options{}) }, 72815},
+		{"serve-mix edit base", func() { syncanal.Analyze(editBaseFn(t), syncanal.Options{}) }, 8083},
 		{"dense progen", func() { delay.Compute(ag, cs, con) }, -1},
 	} {
 		for _, nw := range []int{1, 3} {

@@ -16,8 +16,8 @@ import (
 // on the rest of the baseline at the 2k tier (TestHubWorkAcc2048 pins them
 // against the plain query's).
 var (
-	d1Acc2048   = delay.HubWork{Candidates: 1005762, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25, Cells: 27661, Covered: 228}
-	restAcc2048 = delay.HubWork{Candidates: 814997, BaseSweeps: 100, Cells: 19207}
+	d1Acc2048   = delay.HubWork{Candidates: 1005762, BaseSweeps: 25, AvoidSearches: 61, AvoidHits: 26, Cells: 27661, Covered: 229}
+	restAcc2048 = delay.HubWork{Candidates: 814997, BaseSweeps: 16, Cells: 19207}
 )
 
 // TestOneWayCompileSkipsTheRemainder: a one-way compile enforces D, which

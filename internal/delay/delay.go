@@ -174,8 +174,8 @@ func (s *Set) String() string {
 // query — and Comp, Removed and RemovedCover are left nil. With DirRows it
 // is oriented and must carry Comp, Removed and RemovedCover as well: the
 // class solver's query. The endpoint filter and Exact apply to both.
-// DESIGN.md §18 tabulates which caller sets which field and which solver
-// reads it.
+// Compute and ComputeReference panic on any other shape. DESIGN.md §18
+// tabulates which caller sets which field and which solver reads it.
 type Constraints struct {
 	// Exact enables the exponential simple-path search on programs of at
 	// most ExactLimit accesses; larger ones get the polynomial search.
@@ -228,6 +228,30 @@ type Constraints struct {
 	// thousands of accesses. A cover holding an access Removed keeps
 	// yields wrong results.
 	RemovedCover func(a, b int, scratch []uint64) ([]uint64, int)
+}
+
+// checkShape panics unless con is one of the two shapes: symmetric, with
+// none of DirRows, Comp, Removed and RemovedCover, or oriented, with all
+// four and a column per class of DirRows. The panic names the first field
+// out of place.
+func (con Constraints) checkShape() {
+	oriented := con.DirRows != nil
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"DirRows.ClassCol", oriented && len(con.DirRows.ClassCol) == len(con.DirRows.ClassRow)},
+		{"Comp", con.Comp != nil},
+		{"Removed", con.Removed != nil},
+		{"RemovedCover", con.RemovedCover != nil},
+	} {
+		switch {
+		case oriented && !f.set:
+			panic("delay: Constraints has DirRows but no " + f.name)
+		case !oriented && f.set:
+			panic("delay: Constraints has " + f.name + " but no DirRows")
+		}
+	}
 }
 
 // EndpointFilter selects program-order pairs by their endpoints. With Keep
@@ -325,6 +349,7 @@ func parallelFor(n, nw int, fn func(worker, i int)) {
 // implements. The zero Constraints is the plain Shasha & Snir delay set,
 // the baseline the paper's Figure 12 compares against.
 func Compute(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
+	con.checkShape()
 	if con.Exact && len(ag.Fn.Accesses) <= ExactLimit {
 		return ComputeReference(ag, cs, con)
 	}

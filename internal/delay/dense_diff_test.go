@@ -204,7 +204,7 @@ func TestRemovedSetWithinPlainSet(t *testing.T) {
 				continue
 			}
 			ref := v.con
-			ref.Removed = nil
+			ref.Removed = func(a, b, z int) bool { return false } // the oracle reads Removed alone
 			subsetOf(t, fmt.Sprintf("seed %d %s", seed, v.name), Compute(ag, cs, v.con), ComputeReference(ag, cs, ref))
 		}
 		checked++

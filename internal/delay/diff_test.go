@@ -2,6 +2,7 @@ package delay
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/conflict"
@@ -311,6 +312,71 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 			pairsEqual(t, fmt.Sprintf("%s workers=%d", v.name, nw), par, seq)
 			if fmt.Sprint(par.Pairs()) != fmt.Sprint(seq.Pairs()) {
 				t.Fatalf("%s: pair ordering differs at %d workers", v.name, nw)
+			}
+		}
+	}
+}
+
+// TestOffShapeQueriesPanic: Compute and ComputeReference refuse a query
+// outside the two shapes Constraints describes, with a panic that names the
+// field out of place, and accept every shape the differentials build
+// (diffVariants, denseVariants and each mode of FuzzBackPathEquivalence).
+func TestOffShapeQueriesPanic(t *testing.T) {
+	fn := genFn(3)
+	for seed := int64(3); fn == nil || len(fn.Accesses) == 0; seed++ {
+		fn = genFn(seed)
+	}
+	ag := ir.BuildAccessGraph(fn)
+	cs := conflict.Compute(fn)
+	engines := []struct {
+		name string
+		run  func(Constraints) *Set
+	}{
+		{"Compute", func(c Constraints) *Set { return Compute(ag, cs, c) }},
+		{"ComputeReference", func(c Constraints) *Set { return ComputeReference(ag, cs, c) }},
+	}
+	panicOf := func(run func(Constraints) *Set, con Constraints) (msg any) {
+		defer func() { msg = recover() }()
+		run(con)
+		return nil
+	}
+
+	oriented := directedQuery(ag, cs, pairDir, removedMod5, coverMod5)
+	noCol, noComp, noRemoved, noCover := oriented, oriented, oriented, oriented
+	rows := *oriented.DirRows
+	rows.ClassCol = nil
+	noCol.DirRows = &rows
+	noComp.Comp = nil
+	noRemoved.Removed = nil
+	noCover.RemovedCover = nil
+	for _, bad := range []struct {
+		con   Constraints
+		field string
+	}{
+		{Constraints{Removed: removedMod5}, "Removed"},
+		{Constraints{Comp: oriented.Comp}, "Comp"},
+		{Constraints{RemovedCover: oriented.RemovedCover}, "RemovedCover"},
+		{noCol, "ClassCol"},
+		{noComp, "Comp"},
+		{noRemoved, "Removed"},
+		{noCover, "RemovedCover"},
+	} {
+		for _, e := range engines {
+			msg, _ := panicOf(e.run, bad.con).(string)
+			if !strings.Contains(msg, bad.field) {
+				t.Fatalf("%s on a query off shape at %s: panic %q, want one naming the field", e.name, bad.field, msg)
+			}
+		}
+	}
+
+	good := append(diffVariants(ag, cs), denseVariants(ag, cs)...)
+	for mode := 0; mode < 64; mode++ {
+		good = append(good, variant{fmt.Sprintf("fuzz mode %d", mode), fuzzQuery(ag, cs, uint8(mode))})
+	}
+	for _, v := range good {
+		for _, e := range engines {
+			if msg := panicOf(e.run, v.con); msg != nil {
+				t.Fatalf("%s on %s: panic %v", e.name, v.name, msg)
 			}
 		}
 	}

@@ -26,34 +26,9 @@ func FuzzBackPathEquivalence(f *testing.F) {
 		if fn == nil || len(fn.Accesses) == 0 {
 			t.Skip("seed does not build")
 		}
-		n := len(fn.Accesses)
 		ag := ir.BuildAccessGraph(fn)
 		cs := conflict.Compute(fn)
-		con := Constraints{}
-		if mode&1 != 0 {
-			dir := pairDir
-			if mode&16 != 0 {
-				dir = groupDir(cs)
-			}
-			var rem func(a, b, z int) bool
-			var ids func(a, b int) int
-			if mode&2 != 0 {
-				rem = removedMod5
-			}
-			if mode&4 != 0 {
-				ids = coverMod5
-			}
-			con = directedQuery(ag, cs, dir, rem, ids)
-			if mode&16 != 0 {
-				con = classedQuery(cs, con)
-			}
-		}
-		if mode&8 != 0 {
-			con.Endpoints.Keep = mode&32 != 0
-			for i := 0; i < n; i += 7 {
-				con.Endpoints.IDs = append(con.Endpoints.IDs, i)
-			}
-		}
+		con := fuzzQuery(ag, cs, mode)
 		want := ComputeReference(ag, cs, con)
 		got := Compute(ag, cs, con)
 		if got.Size() != want.Size() {
@@ -66,4 +41,34 @@ func FuzzBackPathEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzQuery builds the query FuzzBackPathEquivalence's mode bits pick.
+func fuzzQuery(ag *ir.AccessGraph, cs *conflict.Set, mode uint8) Constraints {
+	con := Constraints{}
+	if mode&1 != 0 {
+		dir := pairDir
+		if mode&16 != 0 {
+			dir = groupDir(cs)
+		}
+		var rem func(a, b, z int) bool
+		var ids func(a, b int) int
+		if mode&2 != 0 {
+			rem = removedMod5
+		}
+		if mode&4 != 0 {
+			ids = coverMod5
+		}
+		con = directedQuery(ag, cs, dir, rem, ids)
+		if mode&16 != 0 {
+			con = classedQuery(cs, con)
+		}
+	}
+	if mode&8 != 0 {
+		con.Endpoints.Keep = mode&32 != 0
+		for i := 0; i < cs.N(); i += 7 {
+			con.Endpoints.IDs = append(con.Endpoints.IDs, i)
+		}
+	}
+	return con
 }

@@ -33,9 +33,9 @@ func TestHubWorkAcc2048(t *testing.T) {
 	if len(fn.Accesses) != 2010 || len(syncIDs) != 660 {
 		t.Fatalf("acc2048 has %d accesses, %d of them sync; the pins are for 2010 and 660", len(fn.Accesses), len(syncIDs))
 	}
-	base := HubWork{Candidates: 1820759, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25, Cells: 46868, Covered: 228}
-	d1 := HubWork{Candidates: 1005762, BaseSweeps: 111, AvoidSearches: 60, AvoidHits: 25, Cells: 27661, Covered: 228}
-	rest := HubWork{Candidates: 814997, BaseSweeps: 100, Cells: 19207}
+	base := HubWork{Candidates: 1820759, BaseSweeps: 25, AvoidSearches: 61, AvoidHits: 26, Cells: 46868, Covered: 229}
+	d1 := HubWork{Candidates: 1005762, BaseSweeps: 25, AvoidSearches: 61, AvoidHits: 26, Cells: 27661, Covered: 229}
+	rest := HubWork{Candidates: 814997, BaseSweeps: 16, Cells: 19207}
 	if d1.Candidates+rest.Candidates != base.Candidates {
 		t.Fatalf("D1 %d + remainder %d candidates != baseline %d", d1.Candidates, rest.Candidates, base.Candidates)
 	}

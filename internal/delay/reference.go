@@ -16,6 +16,7 @@ import (
 // fields of Constraints — DirRows bit by bit, Removed per node, Endpoints —
 // and none of the engine's accelerators (Comp, RemovedCover, the classing).
 func ComputeReference(ag *ir.AccessGraph, cs *conflict.Set, con Constraints) *Set {
+	con.checkShape()
 	fn := ag.Fn
 	out := NewSet(fn)
 	n := len(fn.Accesses)

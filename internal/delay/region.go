@@ -30,17 +30,16 @@ import (
 //     selects it when the query has no DirRows). There barrier conflict
 //     edges glue the whole program into one giant SCC and regionization
 //     is useless. Instead the Theta(n^2) conflict edges are compressed
-//     through per-group hub nodes: accesses with the same (kind, symbol,
-//     index shape) conflict with exactly the same opponents, so one
-//     collector node per group receives its members and one distributor
-//     node re-emits them, turning each group-pair clique into two hub
-//     edges. One uncut base BFS per conflict group runs
-//     on ~2n + g^2 edges instead of n^2; the witness pools drawn from it
-//     decide each (target, adjacency class of the source's group) cell a
-//     word at a time, and each candidate a cell leaves open gets one exact
-//     avoid-search. The endpoint filter narrows each target's candidates,
-//     and a conflict group none of whose members has a candidate skips its
-//     base sweep.
+//     through per-group hub nodes: the accesses of one conflict group
+//     (conflict.Set) have one conflict row, so one collector node per
+//     group receives its members and one distributor node re-emits them,
+//     turning each group-pair clique into two hub edges. One uncut base
+//     BFS per conflict group runs on ~2n + g^2 edges instead of n^2; the
+//     witness pools drawn from it decide each (target, source's group)
+//     cell a word at a time, and each candidate a cell leaves open gets
+//     one exact avoid-search. The endpoint filter narrows each target's
+//     candidates, and a conflict group none of whose members has a
+//     candidate skips its base sweep.
 //
 //   - classSolve takes the oriented query: directed conflict edges and a
 //     Removed predicate, under any endpoint filter. Under orientation the
@@ -80,7 +79,7 @@ type hubScratch struct {
 	work hubWork // this worker's share of the counts
 }
 
-// memberWord is one nonzero word of an adjacency class's member mask.
+// memberWord is one nonzero word of a conflict group's member mask.
 type memberWord struct {
 	i int32
 	m uint64
@@ -135,7 +134,7 @@ func candidateRow(ag *ir.AccessGraph, b int, ends endpointMask, cand []uint64) b
 // hubWork counts what one hubCompute did, in units that repeat exactly on
 // any host and at any worker count: the candidate pairs left after the
 // single-conflict-edge step, the shared uncut base sweeps (one per conflict
-// group with a considered pair), the (target, adjacency class) cells
+// group with a considered pair), the (target, conflict group) cells
 // decided and their covering-chain members sent back to the per-member
 // test, and the exact avoid-searches, with how many found a back-path.
 type hubWork struct {
@@ -167,8 +166,8 @@ const (
 	cellSome               // [mn, mx] spans the witnesses outside subtree(b)
 )
 
-// witnessSpan summarizes one (target b, adjacency class) cell from w, the
-// class's witnesses sorted by their base-tree entry times tin, against b's
+// witnessSpan summarizes one (target b, conflict group) cell from w, the
+// group's witnesses sorted by their base-tree entry times tin, against b's
 // subtree interval [lo, hi] (ignored when b is not base-visited, inVis
 // false): cellFalse when w is empty, cellNone when every witness lies
 // inside the interval, else cellSome with the witnesses of smallest and
@@ -218,52 +217,30 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 
 	const poolK = 4 // witnesses a base sweep keeps per group
 
-	ga := make([][]int32, G)
-	mem := make([][]int32, G)
+	// Groups are the classes of equal conflict rows, so every member of
+	// one has the same witnesses in every sweep and the cell screen works
+	// per group: mem[g] lists g's members, kmem[g] holds their nonzero
+	// words, and spanWords bounds what one sweep's spans hold.
+	ga, mem, kmem := make([][]int32, G), make([][]int32, G), make([][]memberWord, G)
+	memSlab, wordSlab := make([]int32, 0, n), make([]memberWord, 0, n) // a word per member at most
+	spanWords := 0
 	for g := 0; g < G; g++ {
 		ga[g] = cs.GroupAdj(g)
-		mask := cs.GroupMembers(g)
-		for wi, word := range mask {
+		spanWords += poolK * len(ga[g])
+		at, wat := len(memSlab), len(wordSlab)
+		for wi, word := range cs.GroupMembers(g) {
+			if word != 0 {
+				wordSlab = append(wordSlab, memberWord{i: int32(wi), m: word})
+			}
 			for ; word != 0; word &= word - 1 {
-				mem[g] = append(mem[g], int32(wi<<6+bits.TrailingZeros64(word)))
+				memSlab = append(memSlab, int32(wi<<6+bits.TrailingZeros64(word)))
 			}
 		}
+		mem[g], kmem[g] = memSlab[at:len(memSlab):len(memSlab)], wordSlab[wat:len(wordSlab):len(wordSlab)]
 	}
-	// Groups with equal adjacency lists have equal witnesses in every
-	// sweep, so the cell screen works per adjacency class: adjOf[g] is g's
-	// class, rep[k] a group of class k, size[k+1] its member count and
-	// kmem[k] its members' nonzero words. (At the 2k tier 111 groups make
-	// 25 classes.) spanWords bounds what one sweep's spans hold.
-	idx := make([]int32, n+3*G+1)
-	groupOf := idx[:n:n] // access -> group
-	adjOf, order, size := idx[n:n+G:n+G], idx[n+G:n+2*G:n+2*G], idx[n+2*G:]
-	for g := range order {
-		order[g] = int32(g)
-	}
-	slices.SortFunc(order, func(x, y int32) int { return slices.Compare(ga[x], ga[y]) })
-	K, spanWords := 0, 0
-	for _, g := range order {
-		if K == 0 || !slices.Equal(ga[g], ga[order[K-1]]) {
-			order[K] = g // safe: the class count never passes the position
-			K++
-			spanWords += poolK * len(ga[g])
-		}
-		adjOf[g] = int32(K - 1)
-		size[K] += int32(len(mem[g]))
-	}
-	rep := order[:K]
-	kmem, slab := make([][]memberWord, K), make([]memberWord, n) // a word per member at most
-	for k := range kmem {
-		size[k+1] += size[k]
-		kmem[k] = slab[size[k]:size[k]:size[k+1]]
-	}
-	for a := 0; a < n; a++ {
+	groupOf := make([]int32, n)
+	for a := range groupOf {
 		groupOf[a] = cs.GroupOf(a)
-		k, i := adjOf[groupOf[a]], int32(a>>6)
-		if l := len(kmem[k]); l == 0 || kmem[k][l-1].i != i {
-			kmem[k] = append(kmem[k], memberWord{i: i})
-		}
-		kmem[k][len(kmem[k])-1].m |= 1 << (a & 63)
 	}
 
 	// Self-conflict bitset: bit a set iff the edge a -> a is usable.
@@ -344,26 +321,26 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 	//
 	// The screen depends on a only through the groups a conflicts with
 	// (the witness pools) and a's subtree interval in the base tree, so per
-	// cell — b and the adjacency class of a's group — it computes one
-	// summary and acts on the cell's candidates a word at a time: cellFalse
-	// drops them, cellNone (every witness inside subtree(b)) sends each to
-	// the avoid-search, and cellSome keeps each whose interval does not
-	// cover [mn, mx], the entry times of the witnesses outside subtree(b).
-	// Such a member is base-visited (a witness reaches it through C and D
-	// hubs), and "y == a" folds in: a's interval covers its own entry time.
-	// Intervals nest, so the covering members are the ancestors (or self)
-	// of the witness entered at mn whose subtree closes at or after mx;
-	// decide walks that chain and sends them to the per-member test.
+	// cell — b and a's group — it computes one summary and acts on the
+	// cell's candidates a word at a time: cellFalse drops them, cellNone
+	// (every witness inside subtree(b)) sends each to the avoid-search, and
+	// cellSome keeps each whose interval does not cover [mn, mx], the entry
+	// times of the witnesses outside subtree(b). Such a member is
+	// base-visited (a witness reaches it through C and D hubs), and
+	// "y == a" folds in: a's interval covers its own entry time. Intervals
+	// nest, so the covering members are the ancestors (or self) of the
+	// witness entered at mn whose subtree closes at or after mx; decide
+	// walks that chain and sends them to the per-member test.
 	//
-	// A cell's witnesses depend on the sweep and the adjacency class alone,
-	// so the first target of a sweep that asks about a class sorts them by
+	// A cell's witnesses depend on the sweep and the group alone, so the
+	// first target of a sweep that asks about a group sorts them by
 	// entry time into a span (spanOf), and each target's summary is two
 	// binary searches into it (witnessSpan).
 	spanOf := func(s *hubScratch, k int32, btin []int32) []int32 {
 		if s.spanEp[k] != s.sweep {
 			s.spanEp[k] = s.sweep
 			at := len(s.wit)
-			for _, g2 := range ga[rep[k]] {
+			for _, g2 := range ga[k] {
 				s.wit = append(s.wit, s.pools[g2]...)
 			}
 			slices.SortFunc(s.wit[at:], func(x, y int32) int { return int(btin[x] - btin[y]) })
@@ -420,14 +397,14 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 		// cand whole, so the scan visits one bit per cell.
 		for wi := range cand {
 			for cand[wi] != 0 {
-				k := adjOf[groupOf[wi<<6+bits.TrailingZeros64(cand[wi])]]
+				k := groupOf[wi<<6+bits.TrailingZeros64(cand[wi])]
 				s.work.Cells++
 				st, ymn, ymx := witnessSpan(spanOf(s, k, btin), btin, bVis, btin[b], btout[b])
 				open := s.open[:0]
 				if st == cellSome {
 					mn, mx := btin[ymn], btin[ymx]
 					for u := ymn; u != int32(N); u = parent[u] {
-						if btout[u] >= mx && u < int32(n) && adjOf[groupOf[u]] == k && graph.BitGet(cand, int(u)) {
+						if btout[u] >= mx && u < int32(n) && groupOf[u] == k && graph.BitGet(cand, int(u)) {
 							open = append(open, u)
 							graph.BitClear(cand, int(u))
 						}
@@ -474,10 +451,10 @@ func hubCompute(ag *ir.AccessGraph, cs *conflict.Set, ends endpointMask, out *Se
 			return // no usable conflict edge leaves any member
 		}
 		if scr[wk] == nil {
-			buf := make([]int32, 3*K+spanWords) // spanWords of room for wit: never outgrown
+			buf := make([]int32, 3*G+spanWords) // spanWords of room for wit: never outgrown
 			scr[wk] = &hubScratch{cand: make([]uint64, w), seeds: make([]int32, 0, 2), base: graph.NewFlowDom(hub),
 				poolBuf: make([]int32, poolK*G), pools: make([][]int32, G), swept: -1,
-				spanEp: buf[:K:K], spanAt: buf[K : 2*K : 2*K], spanEnd: buf[2*K : 3*K : 3*K], wit: buf[3*K : 3*K]}
+				spanEp: buf[:G:G], spanAt: buf[G : 2*G : 2*G], spanEnd: buf[2*G : 3*G : 3*G], wit: buf[3*G : 3*G]}
 		}
 		for _, b := range mem[g] {
 			decide(scr[wk], g, int(b))

@@ -222,7 +222,7 @@ func main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := outcomeKey(res.Memory, res.Prints)
+		k := OutcomeKey(res.Memory, res.Prints)
 		if !exact[k] {
 			t.Fatalf("sampled outcome %s missing from exact set %v", k, keys(exact))
 		}

@@ -22,6 +22,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/ir"
@@ -326,7 +327,7 @@ func appendSnapshot(buf []byte, snap map[string][]ir.Value) []byte {
 	for n := range snap {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		buf = append(buf, n...)
 		buf = append(buf, "=["...)
@@ -350,12 +351,4 @@ func formatFloat(f float64) string {
 		return "NaN"
 	}
 	return fmt.Sprintf("%.6g", f)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -26,10 +26,6 @@ import (
 
 const fuzzProcs = 2
 
-func outcomeKey(mem map[string][]ir.Value, prints []string) string {
-	return OutcomeKey(mem, prints)
-}
-
 // fuzzBudget is the enumeration budget per generated program; the largest
 // of the default seeds needs about ten thousand states.
 const fuzzBudget = 1_000_000
@@ -98,7 +94,7 @@ func TestFuzzWeakOutcomesAreSC(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d/%s/ws %d: %v\n%s", seed, lvl.name, ws, err, src)
 				}
-				if key := outcomeKey(res.Memory, res.Prints); !sc[key] {
+				if key := OutcomeKey(res.Memory, res.Prints); !sc[key] {
 					t.Fatalf("program seed %d, level %s, weak seed %d: SC VIOLATION\noutcome: %s\nSC set: %d entries\nprogram:\n%s",
 						seed, lvl.name, ws, key, len(sc), src)
 				}
@@ -150,7 +146,7 @@ func TestFuzzDeterministicProgramsStable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d ws %d: %v\n%s", seed, ws, err, src)
 			}
-			if got := outcomeKey(res.Memory, res.Prints); got != want {
+			if got := OutcomeKey(res.Memory, res.Prints); got != want {
 				t.Fatalf("seed %d ws %d: optimized run diverged from the program's only SC outcome\ngot:  %s\nwant: %s\nprogram:\n%s",
 					seed, ws, got, want, src)
 			}

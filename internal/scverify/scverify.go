@@ -212,13 +212,6 @@ func (r *Report) Summary() string {
 	return sb.String()
 }
 
-// outcomeKey delegates to the interpreter's canonical outcome rendering
-// (length-prefixed print segments), so weak-run outcomes and the SC
-// enumerator's sets compare in one format.
-func outcomeKey(mem map[string][]ir.Value, prints []string) string {
-	return interp.OutcomeKey(mem, prints)
-}
-
 // Verify compiles src at each requested level and checks every schedule:
 // trace SC-embeddability always, plus the outcome check the program
 // admits (blocking-reference equality for deterministic programs, SC
@@ -378,7 +371,7 @@ func newReference(ctx context.Context, front *splitc.Front, cfg machine.Config, 
 	if err != nil {
 		return reference{}, fmt.Errorf("scverify: blocking reference run: %w", err)
 	}
-	return reference{key: outcomeKey(res.Memory, res.Prints), exact: true}, nil
+	return reference{key: interp.OutcomeKey(res.Memory, res.Prints), exact: true}, nil
 }
 
 // levelRuns is one level's share of a verdict: its report but for the
@@ -389,7 +382,7 @@ type levelRuns struct {
 }
 
 type runOutcome struct {
-	key     string // outcomeKey of the run's final state
+	key     string // interp.OutcomeKey of the run's final state
 	invalid error  // what Options.Validate made of it
 }
 
@@ -425,7 +418,7 @@ func runLevel(ctx context.Context, front *splitc.Front, cfg machine.Config, opts
 		if viol != nil {
 			lr.Violations = append(lr.Violations, viol)
 		}
-		out := runOutcome{key: outcomeKey(res.Memory, res.Prints)}
+		out := runOutcome{key: interp.OutcomeKey(res.Memory, res.Prints)}
 		// The keys are kept until the merge, and a 64-processor kernel's is
 		// 90 kB: runs that end like the one before them — every run of a
 		// deterministic program — share its string.

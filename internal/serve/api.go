@@ -87,8 +87,8 @@ type CompileResponse struct {
 }
 
 // AnalyzeRequest asks for the synchronization analysis of Source without
-// code generation. The Level still matters: it selects the delay source
-// the eventual compile would enforce, which the response reports.
+// code generation. Machine and Level are validated as a compile's are, but
+// the analysis reads neither, so they are not in its cache key.
 type AnalyzeRequest struct {
 	Source    string `json:"source"`
 	Procs     int    `json:"procs"`
@@ -246,10 +246,12 @@ func normalizeCompile(req *CompileRequest) (splitc.Options, Key, error) {
 
 // normalizeAnalyze validates and defaults an analyze request: a compile
 // request without the code-generation knobs, under its own key namespace.
+// Its artifact is the front's (analyzeResult), which reads the source,
+// procs and exact alone, so the key drops the machine and the level.
 func normalizeAnalyze(req *AnalyzeRequest) (splitc.Options, Key, error) {
 	opts, key, err := normalizeCompile(&CompileRequest{Source: req.Source, Procs: req.Procs,
 		Machine: req.Machine, Level: req.Level, Exact: req.Exact})
-	key.Kind = "analyze"
+	key.Kind, key.Machine, key.Level = "analyze", "", ""
 	return opts, key, err
 }
 

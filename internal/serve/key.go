@@ -93,8 +93,10 @@ func SourceFingerprint(src string) string {
 // baseline. Version 3: section 7 runs as licm then cse, without
 // gets_eliminated and gets_dead, and withholds rewrites the delay set
 // forbids. Version 4: sync-analysis reports cophase_pairs, the count it
-// used to call cophase_accesses.
-const keyVersion = "4"
+// used to call cophase_accesses. Version 5: an analyze key names neither
+// the machine nor the level, which its artifact never read, so one
+// artifact answers every machine and level.
+const keyVersion = "5"
 
 // ID is the content address of the tuple: the hex SHA-256 of a
 // length-prefixed encoding of keyVersion and every field. Length prefixes

@@ -371,7 +371,9 @@ func TestDeepNestingIsRefused(t *testing.T) {
 	}
 }
 
-// TestAnalyzeEndpoint pins /v1/analyze against the library analysis.
+// TestAnalyzeEndpoint pins /v1/analyze against the library analysis, and
+// its cache key to what the analysis reads: a repeat and a request at
+// another level both hit.
 func TestAnalyzeEndpoint(t *testing.T) {
 	_, c := newTestServer(t, serve.Config{})
 	src := apps.Ocean().Source(8, 1)
@@ -401,6 +403,14 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 	if !second.Cached {
 		t.Fatal("second analyze not cached")
+	}
+	// The analysis reads no level, so another level is the same artifact.
+	third, err := c.Analyze(context.Background(), &serve.AnalyzeRequest{Source: src, Procs: 8, Level: "baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !third.Cached || third.Key != resp.Key {
+		t.Fatalf("analyze at another level: cached=%v, key match=%v", third.Cached, third.Key == resp.Key)
 	}
 }
 

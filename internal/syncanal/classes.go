@@ -483,20 +483,24 @@ func (p *Precedence) Size() int {
 //
 //   - the R-equivalence class (orientation and removal consult R only
 //     through the class relation);
-//   - the conflict similarity group (conflict rows are built per group, and
-//     the group key includes the access kind, so sync-ness and data-ness
-//     ride along);
+//   - the conflict group (the accesses with one conflict row);
+//   - synchronization or data: two accesses with empty conflict rows share
+//     a group whatever their kinds, and the query's endpoint filter and
+//     barrier filter tell them apart;
 //   - the guard set (the shared-lock arms of removed/cover);
 //   - for a data access, the co-phase class (the barrier filter ANDs its
 //     co-phase row into data rows and columns).
 //
 // Ids are dense and numbered in first-seen access order.
 func (res *Result) accessClasses(lk *lockMasks) []int32 {
-	type key struct{ rc, cg, gs, co int32 }
+	type key struct {
+		rc, cg, gs, co int32
+		sync           bool
+	}
 	class := make([]int32, len(res.Fn.Accesses))
 	ids := make(map[key]int32)
 	for x, a := range res.Fn.Accesses {
-		k := key{rc: res.R.classOf[x], cg: res.CS.GroupOf(x), gs: lk.set[x]}
+		k := key{rc: res.R.classOf[x], cg: res.CS.GroupOf(x), gs: lk.set[x], sync: a.Kind.IsSync()}
 		if res.CoPhase != nil && a.Kind.IsData() {
 			k.co = res.CoPhase.ClassOf[x] + 1
 		}

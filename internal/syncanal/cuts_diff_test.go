@@ -24,8 +24,9 @@ type diffProgram struct {
 // diffPrograms returns the inputs every differential below runs on: 150
 // buildable seeds of the progen grid (two locks, so guards occur), the five
 // application kernels, the 70-lock-key program whose guard sets span two
-// words, and — outside -short — the pinned acc2048 tier, the only one
-// whose regions reach the dense class solver.
+// words, the program whose conflict groups merge distinct syntactic keys
+// (mergedRowsSource), and — outside -short — the pinned acc2048 tier, the
+// only one whose regions reach the dense class solver.
 func diffPrograms(t *testing.T) []diffProgram {
 	t.Helper()
 	var out []diffProgram
@@ -40,7 +41,7 @@ func diffPrograms(t *testing.T) []diffProgram {
 	for _, k := range apps.All() {
 		out = append(out, diffProgram{k.Name, ir.MustBuild(k.Source(8, 1), ir.BuildOptions{Procs: 8})})
 	}
-	out = append(out, manyLocksProgram())
+	out = append(out, manyLocksProgram(), diffProgram{"merged rows", ir.MustBuild(mergedRowsSource, ir.BuildOptions{Procs: 4})})
 	if !testing.Short() {
 		out = append(out, diffProgram{"acc2048", tierProgram(t, "acc2048")})
 	}

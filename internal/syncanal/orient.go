@@ -85,10 +85,11 @@ func (lk *lockMasks) shareLock(a, b, z int) bool {
 // the data accesses outside its co-phase row. C and the co-phase relation
 // are symmetric, so column x, which the engine reads too, is C(x, ·) &^
 // R(x, ·) under the same mask, built beside the row. Every input is
-// constant on a class of accessClasses — the conflict row per similarity
-// group, R's row and column per R class, the co-phase row per co-phase
-// class — so one row and one column per class, built from its first
-// member, serve every member and no n x n matrix is ever materialized.
+// constant on a class of accessClasses — the conflict row per conflict
+// group, data or synchronization per its bit, R's row and column per R
+// class, the co-phase row per co-phase class — so one row and one column
+// per class, built from its first member, serve every member and no n x n
+// matrix is ever materialized.
 func (res *Result) orientationRows(class []int32) *graph.ClassRows {
 	fn := res.Fn
 	w := graph.WordsFor(len(fn.Accesses))

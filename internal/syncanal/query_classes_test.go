@@ -100,16 +100,44 @@ func main() {
 }
 `
 
+// mergedRowsSource is a program whose conflict groups each merge distinct
+// syntactic keys: the reads of A[1] and A[2] conflict with the writes of
+// A[MYPROC] alone, and the post of E1[MYPROC] and the read of B[MYPROC]
+// with nothing. The last two, a synchronization and a data access, share
+// an R class and a guard set too; under NoBarrier no co-phase class tells
+// them apart, so only accessClasses' synchronization bit keeps them in two
+// classes.
+const mergedRowsSource = `
+shared int A[8];
+shared int B[8];
+event E0;
+event E1[8];
+func main() {
+    A[MYPROC] = MYPROC;
+    if (MYPROC == 0) {
+        post(E0);
+    }
+    wait(E0);
+    post(E1[MYPROC]);
+    local int x = A[1] + A[2] + B[MYPROC];
+    A[MYPROC] = x;
+}
+`
+
 // edgePrograms are hand-written inputs that reach what the seed grids do
-// not: the in-row witness above, and the 100-barrier chain, whose (R class,
+// not: the in-row witness above; the 100-barrier chain, whose (R class,
 // guard set) keys are too many for the cover memo's table, so every cover
 // is built afresh under id -1 and the class solver decides its cells on the
 // branch for covers without an id (TestSharedCoversExactAndReadOnly checks
-// that the memo declines there and is asked).
+// that the memo declines there and is asked); and the merged rows above,
+// with and without the barrier filter.
 func edgePrograms() []queryProgram {
+	merged := ir.MustBuild(mergedRowsSource, ir.BuildOptions{Procs: 4})
 	return []queryProgram{
 		{"in-row witness", ir.MustBuild(inRowWitnessSource, ir.BuildOptions{Procs: 4}), Options{}},
 		{"barrier chain", ir.MustBuild(barrierChainSource(), ir.BuildOptions{Procs: 4}), Options{}},
+		{"merged rows", merged, Options{}},
+		{"merged rows, no barrier", merged, Options{NoBarrier: true}},
 	}
 }
 
@@ -128,10 +156,12 @@ func orientedQuery(fn *ir.Fn, opts Options) (*Result, delay.Constraints) {
 //
 //   - DirRows.Row(x) is x's own oriented row, rebuilt bit by bit from its
 //     definition: C(x, ·) minus R's column of x, and for a data x minus the
-//     data accesses outside x's co-phase row;
+//     data accesses outside x's co-phase row (if the barrier filter is on);
 //   - that row is column-congruent over the classing: it holds all of a
 //     class or none of it, which lets the query build one column per class
-//     (TestOrientationInRowsTransposeOutRows checks those columns).
+//     (TestOrientationInRowsTransposeOutRows checks those columns);
+//   - x's class holds only synchronization accesses or only data ones, as
+//     the query's endpoint filter tells them apart.
 //
 // Comp must then put every access in the component it has in the
 // condensation of those per-access rows.
@@ -146,6 +176,11 @@ func TestQueryClassContract(t *testing.T) {
 			rep[class[y]] = y
 		}
 		data := func(x int) bool { return fn.Accesses[x].Kind.IsData() }
+		for x := 0; x < n; x++ {
+			if r := rep[class[x]]; data(x) != data(r) {
+				t.Fatalf("%s: class %d mixes synchronization and data accesses (%d and %d)", p.label, class[x], r, x)
+			}
+		}
 
 		rows := &graph.ClassRows{ClassOf: make([]int32, n), ClassRow: make([][]uint64, n)}
 		for x := 0; x < n; x++ {
@@ -153,7 +188,7 @@ func TestQueryClassContract(t *testing.T) {
 			rows.ClassOf[x], rows.ClassRow[x] = int32(x), want
 			for y := 0; y < n; y++ {
 				if res.CS.Conflicts(x, y) && !res.R.has(y, x) &&
-					(!data(x) || !data(y) || graph.BitGet(res.CoPhase.Row(x), y)) {
+					(res.CoPhase == nil || !data(x) || !data(y) || graph.BitGet(res.CoPhase.Row(x), y)) {
 					graph.BitSet(want, y)
 				}
 			}
